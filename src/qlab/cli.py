@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure, 4 partial
-sweep/eval failure.
+Exit codes: 0 success, 2 config error (or a result that conflicts with
+one already recorded), 3 numeric failure, 4 partial sweep/eval failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import (
     ContractViolation,
     FactorizationError,
     IngestionError,
+    MergeError,
     NumericFailure,
     QuantizationError,
     ReportError,
@@ -187,7 +188,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, IngestionError, ReportError, CheckpointFormatError, ContractViolation) as exc:
+    except (ConfigError, IngestionError, ReportError, CheckpointFormatError, ContractViolation,
+            MergeError) as exc:
         log.error("%s", exc)
         return 2
     except (NumericFailure, FactorizationError, QuantizationError) as exc:

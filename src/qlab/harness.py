@@ -34,6 +34,7 @@ from .data import (
 )
 from .errors import ConfigError, QlabError
 from .metrics import (
+    CSV_BITS,
     MetricRecord,
     MetricsStore,
     eval_accuracy,
@@ -412,8 +413,14 @@ def cmd_quantize_eval(
     """Quantize and evaluate stored checkpoints; appends metric CSV rows.
 
     Returns (records, failures). Per-checkpoint failures are recorded and
-    the sweep continues.
+    the sweep continues. Bit widths that metrics.csv has no columns for
+    are refused before any work.
     """
+    unrecordable = sorted(set(bits) - set(CSV_BITS))
+    if unrecordable:
+        raise ConfigError(
+            f"metrics.csv records bit widths {list(CSV_BITS)} only, not {unrecordable}"
+        )
     cfg = load_manifest(run_dir)
     base_id = str(cfg.get("run.id", os.path.basename(run_dir)))
     run_id = base_id if kind == "ckpt" else f"{base_id}-{kind}"

@@ -93,6 +93,7 @@ CSV_HEADER = (
     "rel_acc_drop3,rel_acc_drop4,grad_norm,weight_norm"
 )
 CSV_COLUMNS = CSV_HEADER.split(",")
+CSV_BITS = (3, 4)  # the bit widths with quantized columns in the header
 
 
 @dataclass
@@ -139,7 +140,7 @@ def record_to_row(rec: MetricRecord) -> Dict[str, str]:
     row["lr"] = fmt_real(rec.lr)
     row["train_loss"] = fmt_real(rec.train_loss)
     row["val_ce_fp"] = fmt_real(rec.val_ce_fp)
-    for b in (3, 4):
+    for b in CSV_BITS:
         row[f"val_ce_q{b}"] = fmt_real(rec.val_ce_q.get(b))
         row[f"rel_ce_err{b}"] = fmt_real(rec.rel_ce_err.get(b))
         row[f"delta_ptq{b}"] = fmt_real(rec.delta_ptq.get(b))

@@ -14,7 +14,7 @@ in 64-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import math
 
@@ -92,18 +92,6 @@ def quantizable_layer_names(config: ModelConfig) -> List[str]:
     return names
 
 
-def capture_stages(config: ModelConfig) -> List[List[str]]:
-    """Quantizable layers grouped by shared input: q/k/v together, then o, w1, w2."""
-    stages = []
-    for i in range(config.n_layers):
-        p = f"layers.{i}"
-        stages.append([f"{p}.attn.wq", f"{p}.attn.wk", f"{p}.attn.wv"])
-        stages.append([f"{p}.attn.wo"])
-        stages.append([f"{p}.mlp.w1"])
-        stages.append([f"{p}.mlp.w2"])
-    return stages
-
-
 def init(config: ModelConfig, dtype=np.float32) -> Checkpoint:
     """Seeded Gaussian init.
 
@@ -170,68 +158,84 @@ def _inputs_of(batch: Union[Batch, np.ndarray]) -> np.ndarray:
     return batch.inputs if isinstance(batch, Batch) else batch
 
 
+# -- sublayers: the one block implementation, shared by forward and the calibration walk
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """[..., n] activations as stacked [positions, n] rows (a view)."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _embed(cfg: ModelConfig, T: Dict[str, np.ndarray], ids: np.ndarray) -> np.ndarray:
+    S = ids.shape[1]
+    if S > cfg.seq_len:
+        raise ConfigError(f"batch seq {S} exceeds model seq_len {cfg.seq_len}")
+    return T["embed.tok"][ids] + T["embed.pos"][:S]
+
+
+def _prenorm(x: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xhat, r, xhat * g): the normalized sublayer input."""
+    xhat, r = _rms(x)
+    return xhat, r, xhat * g
+
+
+def _attend(a_in, wq, wk, wv, cfg: ModelConfig, mask_add: np.ndarray):
+    """Causal multi-head attention on a_in [B, S, d]: (q, k, v, probs, ctx)."""
+    B, S, _ = a_in.shape
+    H, Dh = cfg.n_heads, cfg.d_head
+    flat = _rows(a_in)
+    q = (flat @ wq.T).reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
+    k = (flat @ wk.T).reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
+    v = (flat @ wv.T).reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(Dh))
+    probs = _softmax_masked(scores, mask_add)
+    ctx = np.matmul(probs, v).transpose(0, 2, 1, 3).reshape(B, S, -1)
+    return q, k, v, probs, ctx
+
+
+def _mlp_hidden(m_in: np.ndarray, w1: np.ndarray):
+    """(h1, tanh, gelu(h1)) with h1 = m_in @ W1.T."""
+    h1 = (_rows(m_in) @ w1.T).reshape(*m_in.shape[:-1], -1)
+    gh1, t = _gelu(h1)
+    return h1, t, gh1
+
+
+def _residual(x: np.ndarray, inp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x + inp @ W.T: a sublayer's output projection added to the stream."""
+    return x + (_rows(inp) @ w.T).reshape(x.shape)
+
+
 def forward(
     ckpt: Checkpoint,
     batch: Union[Batch, np.ndarray],
     overrides: Optional[Dict[str, np.ndarray]] = None,
-    collect: Optional[Sequence[str]] = None,
     need_cache: bool = True,
 ) -> Tuple[np.ndarray, dict]:
     """Run the model; returns (logits, cache).
 
-    `overrides` substitutes named weight matrices (used to evaluate with a
-    quantized prefix); `collect` names quantizable layers whose inputs
-    should be captured into cache['captured'] as stacked rows.
+    `overrides` substitutes named weight matrices (used to evaluate with
+    quantized weights).
     """
     cfg = ckpt.config
     ids = _inputs_of(batch)
     B, S = ids.shape
-    if S > cfg.seq_len:
-        raise ConfigError(f"batch seq {S} exceeds model seq_len {cfg.seq_len}")
     T = ckpt.tensors
     if overrides:
         T = {**T, **overrides}
-    dtype = T["embed.tok"].dtype
-    H, Dh = cfg.n_heads, cfg.d_head
-    collect = set(collect or ())
-    captured: Dict[str, np.ndarray] = {}
-
-    x = T["embed.tok"][ids] + T["embed.pos"][:S]
-    mask_add = _causal_mask(S, dtype)
-    inv_dh = 1.0 / math.sqrt(Dh)
+    x = _embed(cfg, T, ids)
+    mask_add = _causal_mask(S, T["embed.tok"].dtype)
     layers = []
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
         x0 = x
-        xhat1, r1 = _rms(x0)
-        a_in = xhat1 * T[f"{p}.norm1.g"]
-        flat = a_in.reshape(B * S, -1)
-        if collect:
-            for w in ("wq", "wk", "wv"):
-                if f"{p}.attn.{w}" in collect:
-                    captured[f"{p}.attn.{w}"] = flat.copy()
-                    break
-        q = (flat @ T[f"{p}.attn.wq"].T).reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
-        k = (flat @ T[f"{p}.attn.wk"].T).reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
-        v = (flat @ T[f"{p}.attn.wv"].T).reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
-        scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * inv_dh
-        probs = _softmax_masked(scores, mask_add)
-        ctx = np.matmul(probs, v).transpose(0, 2, 1, 3).reshape(B, S, -1)
-        if f"{p}.attn.wo" in collect:
-            captured[f"{p}.attn.wo"] = ctx.reshape(B * S, -1).copy()
-        attn_out = ctx.reshape(B * S, -1) @ T[f"{p}.attn.wo"].T
-        x1 = x0 + attn_out.reshape(B, S, -1)
-
-        xhat2, r2 = _rms(x1)
-        m_in = xhat2 * T[f"{p}.norm2.g"]
-        if f"{p}.mlp.w1" in collect:
-            captured[f"{p}.mlp.w1"] = m_in.reshape(B * S, -1).copy()
-        h1 = (m_in.reshape(B * S, -1) @ T[f"{p}.mlp.w1"].T).reshape(B, S, -1)
-        gh1, tanh_cache = _gelu(h1)
-        if f"{p}.mlp.w2" in collect:
-            captured[f"{p}.mlp.w2"] = gh1.reshape(B * S, -1).copy()
-        mlp_out = gh1.reshape(B * S, -1) @ T[f"{p}.mlp.w2"].T
-        x = x1 + mlp_out.reshape(B, S, -1)
+        xhat1, r1, a_in = _prenorm(x0, T[f"{p}.norm1.g"])
+        q, k, v, probs, ctx = _attend(
+            a_in, T[f"{p}.attn.wq"], T[f"{p}.attn.wk"], T[f"{p}.attn.wv"], cfg, mask_add
+        )
+        x1 = _residual(x0, ctx, T[f"{p}.attn.wo"])
+        xhat2, r2, m_in = _prenorm(x1, T[f"{p}.norm2.g"])
+        h1, tanh_cache, gh1 = _mlp_hidden(m_in, T[f"{p}.mlp.w1"])
+        x = _residual(x1, gh1, T[f"{p}.mlp.w2"])
         _check_finite(x, p)
         if need_cache:
             layers.append(
@@ -244,7 +248,7 @@ def forward(
     logits = (hf.reshape(B * S, -1) @ T["unembed"].T).reshape(B, S, cfg.vocab)
     _check_finite(logits, "unembed")
     cache = dict(layers=layers, xhatf=xhatf, rf=rf, logits=logits, ids=ids,
-                 shape=(B, S), overrides=overrides or {}, captured=captured)
+                 shape=(B, S), overrides=overrides or {})
     return logits, cache
 
 
@@ -346,37 +350,50 @@ def backward(ckpt: Checkpoint, batch: Batch, cache: dict) -> GradientSet:
 def capture_layer_inputs(
     ckpt: Checkpoint,
     calib: CalibrationSet,
-    quantized_prefix: Optional[Dict[str, np.ndarray]] = None,
-    layers: Optional[Sequence[str]] = None,
-) -> Dict[str, np.ndarray]:
-    """Stacked input rows X for each requested quantizable layer.
+    on_stage: Callable[[List[str], np.ndarray], Sequence[np.ndarray]],
+) -> None:
+    """Walk the calibration batches through the blocks once, stage by stage.
 
-    When `quantized_prefix` maps earlier layer names to dequantized weight
-    matrices, the captured inputs reflect those substitutions (sequential
-    propagation). Row count is calib sequences x seq_len.
+    A stage is a group of quantizable layers that share one input: q/k/v,
+    then o, w1 and w2 of each block, in forward order. At each stage
+    ``on_stage(names, X)`` receives the stacked input rows X (calibration
+    sequences x seq_len, in batch order) and returns the matrices for
+    `names` that carry the stream on (cast to the checkpoint's dtype):
+    dequantized weights for sequential propagation, the originals
+    otherwise. Each batch keeps its own hidden
+    state and shape, so X is exactly what `forward` computes with the
+    weights returned so far. Only the current stage's X is held; the walk
+    keeps no state outside the call.
     """
     if not calib.batches:
         raise ConfigError("calibration set is empty")
-    names = list(layers) if layers is not None else quantizable_layer_names(ckpt.config)
-    dtype = ckpt.tensors["embed.tok"].dtype
-    overrides = None
-    if quantized_prefix:
-        overrides = {k: np.asarray(v, dtype=dtype) for k, v in quantized_prefix.items()}
-    chunks: Dict[str, List[np.ndarray]] = {n: [] for n in names}
-    for batch in calib.batches:
-        _, cache = forward(ckpt, batch, overrides=overrides, collect=names, need_cache=False)
-        got = cache["captured"]
-        for n in names:
-            if n in got:
-                chunks[n].append(got[n])
-            else:
-                # q/k/v share one captured input
-                base = n.rsplit(".", 1)[0]
-                for w in ("wq", "wk", "wv"):
-                    if f"{base}.{w}" in got:
-                        chunks[n].append(got[f"{base}.{w}"])
-                        break
-    return {n: np.concatenate(parts, axis=0) for n, parts in chunks.items()}
+    cfg, T = ckpt.config, ckpt.tensors
+    dtype = T["embed.tok"].dtype
+    xs = [_embed(cfg, T, _inputs_of(b)) for b in calib.batches]
+    masks = [_causal_mask(x.shape[1], dtype) for x in xs]
+
+    def stage(names: List[str], inputs: List[np.ndarray]) -> List[np.ndarray]:
+        X = np.concatenate([_rows(a) for a in inputs], axis=0)
+        return [np.asarray(w, dtype=dtype) for w in on_stage(names, X)]
+
+    for i in range(cfg.n_layers):
+        p = f"layers.{i}"
+        a_in = [_prenorm(x, T[f"{p}.norm1.g"])[2] for x in xs]
+        wq, wk, wv = stage([f"{p}.attn.wq", f"{p}.attn.wk", f"{p}.attn.wv"], a_in)
+        ctx = [_attend(a, wq, wk, wv, cfg, m)[4] for a, m in zip(a_in, masks)]
+        del a_in
+        (wo,) = stage([f"{p}.attn.wo"], ctx)
+        xs = [_residual(x, c, wo) for x, c in zip(xs, ctx)]
+        del ctx
+        m_in = [_prenorm(x, T[f"{p}.norm2.g"])[2] for x in xs]
+        (w1,) = stage([f"{p}.mlp.w1"], m_in)
+        gh1 = [_mlp_hidden(m, w1)[2] for m in m_in]
+        del m_in
+        (w2,) = stage([f"{p}.mlp.w2"], gh1)
+        xs = [_residual(x, g, w2) for x, g in zip(xs, gh1)]
+        del gh1
+        for x in xs:
+            _check_finite(x, p)
 
 
 # -- checkpoint serialization ------------------------------------------------

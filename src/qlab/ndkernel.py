@@ -1,8 +1,9 @@
 """Minimal dense linear algebra shared by the rest of the lab.
 
 Matrices are plain 2-D numpy arrays in row-major (C) order. Anything SPD
-or factorization-related runs in 64-bit regardless of the caller's dtype;
-the training path is free to stay in 32-bit.
+or factorization-related runs in 64-bit through LAPACK (numpy.linalg)
+regardless of the caller's dtype; the training path is free to stay in
+32-bit.
 """
 
 from __future__ import annotations
@@ -20,15 +21,6 @@ def require_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard product; deterministic for fixed inputs and thread count."""
-    require_matrix(a, "a")
-    require_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def frobenius_norm(a: Matrix) -> float:
     require_matrix(a)
     return float(np.sqrt(np.sum(np.square(a, dtype=np.float64))))
@@ -37,9 +29,11 @@ def frobenius_norm(a: Matrix) -> float:
 def cholesky(h: Matrix, sym_rtol: float = 1e-10) -> Matrix:
     """Lower-triangular L with L @ L.T == h, positive diagonal.
 
-    Always computed in 64-bit. Raises FactorizationError carrying the index
-    of the first non-positive pivot. The symmetry precondition is enforced
-    relative to the largest entry of h.
+    Always computed in 64-bit, by LAPACK. Raises FactorizationError
+    carrying the index of the first non-positive (or non-finite) pivot;
+    when LAPACK rejects h or returns a non-finite factor, the reference
+    loop reruns only to locate that pivot. The symmetry precondition is
+    enforced relative to the largest entry of h.
     """
     require_matrix(h, "h")
     n, m = h.shape
@@ -49,6 +43,17 @@ def cholesky(h: Matrix, sym_rtol: float = 1e-10) -> Matrix:
     scale = np.max(np.abs(a)) if n else 0.0
     if scale > 0 and np.max(np.abs(a - a.T)) > sym_rtol * scale:
         raise ContractViolation("cholesky input is not symmetric within tolerance")
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return _cholesky_loop(a)
+    # LAPACK lets NaN through; the loop reports the pivot where it appears
+    return L if np.all(np.isfinite(L)) else _cholesky_loop(a)
+
+
+def _cholesky_loop(a: Matrix) -> Matrix:
+    """Column-by-column reference factorization; raises at the first bad pivot."""
+    n = a.shape[0]
     L = np.zeros((n, n), dtype=np.float64)
     for j in range(n):
         d = a[j, j] - L[j, :j] @ L[j, :j]
@@ -60,47 +65,28 @@ def cholesky(h: Matrix, sym_rtol: float = 1e-10) -> Matrix:
     return L
 
 
-def solve_lower(L: Matrix, b: Matrix) -> Matrix:
-    """Forward substitution for lower-triangular L (64-bit)."""
-    require_matrix(L)
-    b2 = np.asarray(b, dtype=np.float64)
-    if b2.ndim == 1:
-        b2 = b2[:, None]
+_LEAF = 32  # block size below which LAPACK inverts directly
+
+
+def _lower_inverse(L: Matrix) -> Matrix:
+    """Inverse of lower-triangular L by 2x2 block recursion.
+
+    inv([[A, 0], [C, D]]) = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]: the work is
+    GEMMs, with LAPACK inverting only _LEAF-sized diagonal blocks.
+    """
     n = L.shape[0]
-    if b2.shape[0] != n:
-        raise ContractViolation(f"solve_lower shape mismatch: {L.shape} vs {b.shape}")
-    y = np.zeros_like(b2)
-    for j in range(n):
-        y[j] = (b2[j] - L[j, :j] @ y[:j]) / L[j, j]
-    return y
-
-
-def solve_upper(U: Matrix, b: Matrix) -> Matrix:
-    """Back substitution for upper-triangular U (64-bit)."""
-    require_matrix(U)
-    b2 = np.asarray(b, dtype=np.float64)
-    if b2.ndim == 1:
-        b2 = b2[:, None]
-    n = U.shape[0]
-    if b2.shape[0] != n:
-        raise ContractViolation(f"solve_upper shape mismatch: {U.shape} vs {b.shape}")
-    x = np.zeros_like(b2)
-    for j in range(n - 1, -1, -1):
-        x[j] = (b2[j] - U[j, j + 1 :] @ x[j + 1 :]) / U[j, j]
-    return x
-
-
-def solve_spd(h: Matrix, b: Matrix) -> Matrix:
-    """Solve h @ x == b for SPD h via Cholesky; propagates factorization errors."""
-    require_matrix(h, "h")
-    require_matrix(b, "b")
-    if h.shape[0] != b.shape[0]:
-        raise ContractViolation(f"solve_spd shape mismatch: {h.shape} vs {b.shape}")
-    L = cholesky(h)
-    return solve_upper(L.T, solve_lower(L, b))
+    if n <= _LEAF:
+        return np.linalg.inv(L)
+    k = n // 2
+    a_inv, d_inv = _lower_inverse(L[:k, :k]), _lower_inverse(L[k:, k:])
+    out = np.zeros_like(L)
+    out[:k, :k], out[k:, k:] = a_inv, d_inv
+    out[k:, :k] = -(d_inv @ (L[k:, :k] @ a_inv))
+    return out
 
 
 def spd_inverse(h: Matrix) -> Matrix:
-    """h^-1 for SPD h (solve against the identity)."""
+    """h^-1 = L^-T L^-1 for SPD h = L L^T; propagates factorization errors."""
     require_matrix(h, "h")
-    return solve_spd(h, np.eye(h.shape[0], dtype=np.float64))
+    L_inv = _lower_inverse(cholesky(h))
+    return L_inv.T @ L_inv

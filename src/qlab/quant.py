@@ -8,8 +8,13 @@ all quantization arithmetic runs in 64-bit, where products of codes with
 a 32-bit scale are exact.
 
 GPTQ processes columns in natural order against the upper Cholesky factor
-of the damped inverse Hessian, recomputing group parameters from the
-error-compensated weights at each group boundary.
+of the damped inverse Hessian (factorised by LAPACK), recomputing group
+parameters from the error-compensated weights at each group boundary.
+Residuals are applied in lazy batches of whole groups (about LAZY_BLOCK
+columns): within a batch column by column, past it in one GEMM.
+`quantize_model` gathers calibration inputs in a single walk of the
+calibration batches through the blocks, quantizing each layer as soon
+as its inputs exist.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import store
 from .errors import ConfigError, ContractViolation, FactorizationError, QuantizationError
-from .model import Checkpoint, ModelConfig, capture_stages
+from .model import Checkpoint, ModelConfig, quantizable_layer_names
 from .ndkernel import cholesky, frobenius_norm, spd_inverse
 from .data import CalibrationSet
 
@@ -79,6 +84,9 @@ class LayerQuantStats:
     weight_error: float  # ||W - What||_F
     recon_error: Optional[float]  # ||X W^T - X What^T||_F, None without calibration
     damping_used: float
+
+
+LAZY_BLOCK = 128  # GPTQ columns per lazy-batch update
 
 
 def round_half_up(x: np.ndarray) -> np.ndarray:
@@ -159,7 +167,8 @@ def gptq_quantize(
     corresponding weights zeroed; H is damped by damping_frac times its
     mean diagonal; U is the upper Cholesky factor of H^-1 (positive
     diagonal); per column j the rounding residual e = (w_j - deq_j)/U_jj
-    is pushed into the remaining columns via U[j, j+1:].
+    is pushed into the remaining columns via U[j, j+1:], lazily: columns
+    past the current batch receive a whole batch's residuals at once.
     """
     W = np.asarray(W)
     X = np.asarray(X)
@@ -198,21 +207,29 @@ def gptq_quantize(
         for gi in range(n_groups):
             lo, hi = gi * g, min((gi + 1) * g, d_in)
             scales[:, gi], zeros[:, gi] = group_params(w64[:, lo:hi], cfg.bits)
+    # Lazy batches: a column's residual updates the rest of its block right
+    # away, and the columns after the block in one GEMM when the block ends.
+    # Blocks are whole groups, so a group's parameters are computed only
+    # from fully error-compensated weights.
+    block = g * max(1, LAZY_BLOCK // g)
     scale = zero = None
-    for j in range(d_in):
-        gi = j // g
-        if cfg.static_groups:
-            scale, zero = scales[:, gi], zeros[:, gi]
-        elif j % g == 0:
-            hi = min(j + g, d_in)
-            scale, zero = group_params(w64[:, j:hi], cfg.bits)
-            scales[:, gi], zeros[:, gi] = scale, zero
-        col = quantize_codes(w64[:, j : j + 1], scale, zero, cfg.bits)[:, 0]
-        codes[:, j] = col
-        deq = (col.astype(np.float64) - zero) * scale.astype(np.float64)
-        err = (w64[:, j] - deq) / U[j, j]
-        if j + 1 < d_in:
-            w64[:, j + 1 :] -= np.outer(err, U[j, j + 1 :])
+    for b0 in range(0, d_in, block):
+        b1 = min(b0 + block, d_in)
+        errs = np.empty((d_out, b1 - b0))
+        for j in range(b0, b1):
+            gi = j // g
+            if cfg.static_groups:
+                scale, zero = scales[:, gi], zeros[:, gi]
+            elif j % g == 0:
+                hi = min(j + g, d_in)
+                scale, zero = group_params(w64[:, j:hi], cfg.bits)
+                scales[:, gi], zeros[:, gi] = scale, zero
+            col = quantize_codes(w64[:, j : j + 1], scale, zero, cfg.bits)[:, 0]
+            codes[:, j] = col
+            deq = (col.astype(np.float64) - zero) * scale.astype(np.float64)
+            err = errs[:, j - b0] = (w64[:, j] - deq) / U[j, j]
+            w64[:, j + 1 : b1] -= np.outer(err, U[j, j + 1 : b1])
+        w64[:, b1:] -= errs @ U[b0:b1, b1:]
     return QuantizedLinear(codes, scales, zeros, cfg.bits, cfg.group_size)
 
 
@@ -256,45 +273,44 @@ def quantize_model(
 ) -> Tuple[QuantizedModel, List[LayerQuantStats]]:
     """Quantize every quantizable layer in forward order.
 
-    With propagate_quantized on, each layer's calibration inputs are
-    captured with all earlier layers already replaced by their dequantized
-    weights. Per-layer weight and reconstruction errors stream through
-    `on_layer` and are returned; on failure the partial stats ride on the
-    raised QuantizationError.
+    With calibration data, one walk of the calibration batches through
+    the blocks quantizes each stage (q/k/v, o, w1, w2) as soon as its
+    inputs exist; with propagate_quantized on, the walk carries on through
+    the dequantized weights, so each layer's inputs see every earlier
+    layer quantized. Per-layer weight and reconstruction errors stream
+    through `on_layer` and are returned; on failure the partial stats ride
+    on the raised QuantizationError.
     """
-    from .model import capture_layer_inputs  # local to avoid cycle at import time
+    # resolved at call time, so a replaced model.capture_layer_inputs applies
+    from .model import capture_layer_inputs
 
     if cfg.method == "gptq" and (calib is None or not calib.batches):
         raise ConfigError("gptq quantization requires a non-empty calibration set")
-    work_dtype = ckpt.tensors["embed.tok"].dtype
     stats: List[LayerQuantStats] = []
     layers: Dict[str, QuantizedLinear] = {}
-    overrides: Dict[str, np.ndarray] = {}
     propagating = cfg.propagate_quantized and cfg.method == "gptq"
 
-    def capture(wanted: List[str]) -> Dict[str, np.ndarray]:
-        if calib is None or not calib.batches:
-            return {}
-        prefix = overrides if propagating else None
-        rep = wanted[0]  # q/k/v share inputs; fetch once
-        got = capture_layer_inputs(ckpt, calib, quantized_prefix=prefix, layers=[rep])
-        return {n: got[rep] for n in wanted}
+    def quantize_stage(names: List[str], X: Optional[np.ndarray]) -> List[np.ndarray]:
+        carry = []
+        for lname in names:
+            W = ckpt.tensors[lname]
+            q, damp_used = _quantize_layer(W, X, cfg, lname)
+            what = dequantize(q)
+            rec = reconstruction_error(W, what, X) if X is not None else None
+            st = LayerQuantStats(lname, weight_error(W, what), rec, damp_used)
+            stats.append(st)
+            if on_layer:
+                on_layer(st)
+            layers[lname] = q
+            carry.append(what if propagating else W)
+        return carry
 
     try:
-        for stage in capture_stages(ckpt.config):
-            xs = capture(stage)
-            for lname in stage:
-                W = ckpt.tensors[lname]
-                X = xs.get(lname)
-                q, damp_used = _quantize_layer(W, X, cfg, lname)
-                what = dequantize(q)
-                rec = reconstruction_error(W, what, X) if X is not None else None
-                st = LayerQuantStats(lname, weight_error(W, what), rec, damp_used)
-                stats.append(st)
-                if on_layer:
-                    on_layer(st)
-                layers[lname] = q
-                overrides[lname] = what.astype(work_dtype)
+        if calib is not None and calib.batches:
+            capture_layer_inputs(ckpt, calib, quantize_stage)
+        else:
+            for lname in quantizable_layer_names(ckpt.config):
+                quantize_stage([lname], None)
     except QuantizationError as exc:
         exc.partial_stats = stats  # type: ignore[attr-defined]
         raise

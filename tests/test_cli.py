@@ -78,3 +78,35 @@ def test_cli_report_missing_column_is_config_error(tmp_path, cfg_file):
     rc = main(["report", "--run", str(tmp_path), "--metric", "nope",
                "--out", str(tmp_path / "n.svg")])
     assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory, cfg_file):
+    root = str(tmp_path_factory.mktemp("cli-eval") / "runs")
+    assert main(["train", "--config", cfg_file, "--out-root", root]) == 0
+    return os.path.join(root, run_id_of(resolve(cfg_file)))
+
+
+def test_cli_eval_method_conflict_is_config_error(trained_run):
+    # metrics.csv has no method in its key, so a second method on the same
+    # step conflicts with the recorded row
+    assert main(["eval", "--run", trained_run, "--bits", "3", "--steps", "20",
+                 "--method", "rtn"]) == 0
+    assert main(["eval", "--run", trained_run, "--bits", "3", "--steps", "20",
+                 "--method", "gptq"]) == 2
+
+
+def test_cli_eval_unrecordable_bits_refused_before_quantizing(trained_run, monkeypatch):
+    from qlab import harness
+
+    def no_quantization(*args, **kwargs):
+        raise AssertionError("quantized before refusing the bit widths")
+
+    monkeypatch.setattr(harness, "quantize_model", no_quantization)
+    metrics = os.path.join(trained_run, harness.METRICS)
+    with open(metrics, encoding="utf-8") as f:
+        before = f.read()
+    assert main(["eval", "--run", trained_run, "--bits", "2", "--steps", "30"]) == 2
+    assert main(["eval", "--run", trained_run, "--bits", "3,8", "--steps", "30"]) == 2
+    with open(metrics, encoding="utf-8") as f:
+        assert f.read() == before

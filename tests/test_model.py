@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config
+from conftest import forward_stage_inputs, tiny_model_config
 from qlab.data import Batch, CalibrationSet, TokenStream, build_calibration
 from qlab.errors import ConfigError, NumericFailure
 from qlab.model import (
@@ -325,12 +325,30 @@ def make_calib(ck, n_seq=4, batch_size=2, seed=11):
     return build_calibration(stream, n_seq, S, batch_size)
 
 
+def walk_inputs(ck, calib, carry=None):
+    """Stage inputs X of every quantizable layer from one calibration walk.
+
+    `carry` maps layer names to the matrices that replace them downstream
+    (a quantized prefix); other layers carry their own weights.
+    """
+    carry = carry or {}
+    got = {}
+
+    def on_stage(names, X):
+        for n in names:
+            got[n] = X
+        return [carry.get(n, ck.tensors[n]) for n in names]
+
+    capture_layer_inputs(ck, calib, on_stage)
+    return got
+
+
 def test_capture_sample_count():
     ck = f64_model()
     calib = make_calib(ck, n_seq=4)
-    caps = capture_layer_inputs(ck, calib)
+    caps = walk_inputs(ck, calib)
     names = quantizable_layer_names(ck.config)
-    assert set(caps) == set(names)
+    assert list(caps) == names
     for name in names:
         assert caps[name].shape[0] == 4 * ck.config.seq_len
         d_in = ck.tensors[name].shape[1]
@@ -340,11 +358,9 @@ def test_capture_sample_count():
 def test_capture_first_layer_ignores_prefix():
     ck = f64_model()
     calib = make_calib(ck)
-    plain = capture_layer_inputs(ck, calib, layers=["layers.0.attn.wq"])
+    plain = walk_inputs(ck, calib)
     prefix = {"layers.0.attn.wq": ck.tensors["layers.0.attn.wq"] * 0.5}
-    with_prefix = capture_layer_inputs(
-        ck, calib, quantized_prefix=prefix, layers=["layers.0.attn.wq"]
-    )
+    with_prefix = walk_inputs(ck, calib, carry=prefix)
     assert np.array_equal(plain["layers.0.attn.wq"], with_prefix["layers.0.attn.wq"])
 
 
@@ -362,20 +378,38 @@ def test_capture_prefix_exact_on_grid_model():
         prefix[name] = dequantize(rtn_quantize(ck.tensors[name], qcfg))
         assert np.array_equal(prefix[name], ck.tensors[name])
     calib = make_calib(ck)
-    wanted = ["layers.1.mlp.w2"]
-    plain = capture_layer_inputs(ck, calib, layers=wanted)
-    quant = capture_layer_inputs(ck, calib, quantized_prefix=prefix, layers=wanted)
-    assert np.max(np.abs(plain[wanted[0]] - quant[wanted[0]])) < 1e-12
+    wanted = "layers.1.mlp.w2"
+    plain = walk_inputs(ck, calib)
+    quant = walk_inputs(ck, calib, carry=prefix)
+    assert np.max(np.abs(plain[wanted] - quant[wanted])) < 1e-12
 
 
 def test_capture_prefix_changes_downstream_inputs():
     ck = f64_model()
     calib = make_calib(ck)
-    wanted = ["layers.1.attn.wq"]
-    plain = capture_layer_inputs(ck, calib, layers=wanted)
+    wanted = "layers.1.attn.wq"
+    plain = walk_inputs(ck, calib)
     prefix = {"layers.0.mlp.w2": ck.tensors["layers.0.mlp.w2"] * 0.25}
-    changed = capture_layer_inputs(ck, calib, quantized_prefix=prefix, layers=wanted)
-    assert not np.array_equal(plain[wanted[0]], changed[wanted[0]])
+    changed = walk_inputs(ck, calib, carry=prefix)
+    assert not np.array_equal(plain[wanted], changed[wanted])
+
+
+def test_capture_matches_forward_rows():
+    # the walk and forward share one block implementation: with every
+    # layer carrying its own weights, each stage input is forward's, bitwise
+    ck = f64_model()
+    calib = make_calib(ck, n_seq=5, batch_size=2)  # ragged last batch
+    caps = walk_inputs(ck, calib)
+    rows = forward_stage_inputs(ck, calib.batches)
+    assert set(rows) == set(caps)
+    for name, X in rows.items():
+        assert np.array_equal(caps[name], X)
+
+
+def test_capture_rejects_empty_calibration():
+    ck = f64_model()
+    with pytest.raises(ConfigError):
+        capture_layer_inputs(ck, CalibrationSet([], 0), lambda names, X: [])
 
 
 # -- serialization -------------------------------------------------------------------

@@ -3,20 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlab.errors import ContractViolation, FactorizationError
-from qlab.ndkernel import cholesky, frobenius_norm, matmul, solve_spd, spd_inverse
-
-
-def naive_matmul(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for t in range(k):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
+from qlab.ndkernel import cholesky, frobenius_norm, spd_inverse
 
 
 def det_recursive(a):
@@ -44,40 +31,6 @@ def adjugate_inverse(a):
 def random_spd(rng, n, jitter=0.5):
     a = rng.standard_normal((n, n))
     return a @ a.T + jitter * np.eye(n)
-
-
-def test_matmul_identity():
-    rng = np.random.Generator(np.random.PCG64(0))
-    a = rng.standard_normal((3, 3))
-    assert np.array_equal(matmul(np.eye(3), a), a)
-
-
-def test_matmul_hand_case():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0], [6.0]])
-    assert np.array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-
-def test_matmul_against_triple_loop():
-    rng = np.random.Generator(np.random.PCG64(1))
-    a = rng.standard_normal((7, 5))
-    b = rng.standard_normal((5, 3))
-    assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) < 1e-12
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ContractViolation):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_matmul_associativity():
-    rng = np.random.Generator(np.random.PCG64(2))
-    for _ in range(10):
-        a, b, c = (rng.standard_normal((4, 4)) for _ in range(3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        scale = max(np.max(np.abs(left)), 1.0)
-        assert np.max(np.abs(left - right)) < 1e-10 * scale
 
 
 def test_cholesky_identity():
@@ -121,31 +74,41 @@ def test_cholesky_of_LLt_recovers_L():
     assert np.max(np.abs(L2 - L)) < 1e-10
 
 
-def test_solve_spd_identity_and_diagonal():
-    b = np.array([[1.0], [2.0]])
-    assert np.allclose(solve_spd(np.eye(2), b), b)
-    x = solve_spd(np.array([[4.0, 0.0], [0.0, 9.0]]), np.array([[8.0], [27.0]]))
-    assert np.allclose(x, [[2.0], [3.0]])
+def test_spd_inverse_identity_and_diagonal():
+    assert np.array_equal(spd_inverse(np.eye(2)), np.eye(2))
+    x = spd_inverse(np.array([[4.0, 0.0], [0.0, 9.0]]))
+    assert np.allclose(x, [[0.25, 0.0], [0.0, 1.0 / 9.0]])
 
 
-def test_solve_spd_against_adjugate_inverse():
+def test_spd_inverse_against_adjugate_inverse():
     rng = np.random.Generator(np.random.PCG64(5))
     h = random_spd(rng, 6)
-    b = rng.standard_normal((6, 2))
-    x = solve_spd(h, b)
-    x_oracle = adjugate_inverse(h) @ b
-    assert np.max(np.abs(x - x_oracle)) < 1e-8
-    residual = np.linalg.norm(h @ x - b) / np.linalg.norm(b)
-    assert residual < 1e-8
+    x = spd_inverse(h)
+    assert np.max(np.abs(x - adjugate_inverse(h))) < 1e-8
 
 
-def test_solve_spd_residual_up_to_256():
+def test_spd_inverse_residual_up_to_256():
     rng = np.random.Generator(np.random.PCG64(6))
-    for n in (16, 64, 256):
+    for n in (16, 33, 64, 100, 256):  # leaf-sized and recursive, even and odd splits
         h = random_spd(rng, n, jitter=1.0)
-        b = rng.standard_normal((n, 3))
-        x = solve_spd(h, b)
-        assert np.linalg.norm(h @ x - b) / np.linalg.norm(b) < 1e-8
+        assert np.linalg.norm(h @ spd_inverse(h) - np.eye(n)) / np.sqrt(n) < 1e-8
+
+
+def test_spd_inverse_indefinite_reports_pivot():
+    h = np.eye(5)
+    h[3, 3] = -1.0
+    with pytest.raises(FactorizationError) as exc:
+        spd_inverse(h)
+    assert exc.value.pivot == 3
+
+
+def test_cholesky_nonfinite_reports_pivot():
+    # LAPACK passes NaN through; the reference loop still names the pivot
+    h = np.eye(4)
+    h[2, 1] = h[1, 2] = np.nan
+    with pytest.raises(FactorizationError) as exc:
+        cholesky(h)
+    assert exc.value.pivot == 2
 
 
 def test_spd_inverse():

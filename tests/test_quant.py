@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tiny_model_config
+from conftest import forward_stage_inputs, tiny_model_config
 from qlab.data import TokenStream, build_calibration
 from qlab.errors import ConfigError, ContractViolation
+from qlab.ndkernel import cholesky, spd_inverse
 from qlab.model import init, quantizable_layer_names
 from qlab.quant import (
     QuantConfig,
     QuantizedLinear,
     dequant_codes,
     dequantize,
+    eval_checkpoint,
     gptq_quantize,
     group_params,
     load_quantized,
@@ -179,6 +181,54 @@ def test_gptq_never_worse_at_realistic_widths():
         eg = reconstruction_error(W, dequantize(gptq_quantize(W, X, cfg)), X)
         er = reconstruction_error(W, dequantize(rtn_quantize(W, cfg)), X)
         assert eg <= er + 1e-9
+
+
+def reference_gptq(W, X, cfg):
+    """Per-column GPTQ, the oracle for the lazy-batch loop: each column's
+    residual updates every later column before the next column is read."""
+    d_out, d_in = W.shape
+    g = cfg.group_size
+    w, x = W.astype(np.float64), X.astype(np.float64)
+    H = 2.0 * (x.T @ x)
+    dead = np.diag(H) == 0.0
+    H[dead, dead] = 1.0
+    w[:, dead] = 0.0
+    H[np.diag_indices(d_in)] += cfg.damping_frac * float(np.mean(np.diag(H)))
+    Hinv = spd_inverse(H)
+    U = cholesky((Hinv + Hinv.T) * 0.5).T
+    static = [group_params(w[:, lo : lo + g], cfg.bits) for lo in range(0, d_in, g)]
+    codes = np.empty((d_out, d_in), dtype=np.uint8)
+    scales = np.empty((d_out, len(static)), dtype=np.float32)
+    zeros = np.empty((d_out, len(static)), dtype=np.int32)
+    for j in range(d_in):
+        if j % g == 0:
+            if cfg.static_groups:
+                scale, zero = static[j // g]
+            else:
+                scale, zero = group_params(w[:, j : j + g], cfg.bits)
+            scales[:, j // g], zeros[:, j // g] = scale, zero
+        codes[:, j] = quantize_codes(w[:, j : j + 1], scale, zero, cfg.bits)[:, 0]
+        deq = dequant_codes(codes[:, j : j + 1], scale, zero)[:, 0]
+        w[:, j + 1 :] -= np.outer((w[:, j] - deq) / U[j, j], U[j, j + 1 :])
+    return codes, scales, zeros
+
+
+@pytest.mark.parametrize("static_groups", [False, True])
+@pytest.mark.parametrize("group_size", [48, 64, 96, 128, 200])
+def test_gptq_lazy_batches_match_per_column_reference(group_size, static_groups):
+    rng = np.random.Generator(np.random.PCG64(group_size))
+    d_in = 300  # two lazy blocks or more, and a ragged last group, at every size
+    mix = np.eye(d_in) + rng.standard_normal((d_in, d_in)) / np.sqrt(d_in)
+    X = rng.standard_normal((2 * d_in, d_in)) @ mix
+    X[:, [7, 150, 299]] = 0.0  # dead input features
+    W = rng.standard_normal((5, d_in))
+    for bits in (2, 3, 4, 8):
+        cfg = QuantConfig(bits=bits, group_size=group_size, static_groups=static_groups)
+        q = gptq_quantize(W, X, cfg)
+        codes, scales, zeros = reference_gptq(W, X, cfg)
+        assert np.array_equal(q.codes, codes)
+        assert np.array_equal(q.scales, scales)
+        assert np.array_equal(q.zeros, zeros)
 
 
 def test_gptq_dead_columns_zeroed():
@@ -356,6 +406,24 @@ def test_quantize_model_emits_layer_stats(corpus_splits):
     assert [s.name for s in stats] == names == seen
     assert all(s.recon_error is not None and np.isfinite(s.weight_error) for s in stats)
     assert set(qm.layers) == set(names)
+
+
+def test_quantize_model_recon_error_matches_quantized_forward():
+    # a layer's calibration input depends only on earlier layers, all
+    # quantized by then, so the fully dequantized model's forward rebuilds
+    # every stage input, and with it every reconstruction error, bitwise
+    cfg = tiny_model_config(vocab=16, d_model=8, n_layers=2, n_heads=2, d_ff=16,
+                            seq_len=6, init_seed=7, init_std=0.2)
+    ck = init(cfg, dtype=np.float64)
+    rng = np.random.Generator(np.random.PCG64(11))
+    stream = TokenStream(rng.integers(0, 16, 6 * 6 + 7).astype(np.int32), vocab=16)
+    calib = build_calibration(stream, 5, 6, batch_size=2)
+    qm, stats = quantize_model(ck, calib, QuantConfig(bits=3, group_size=4))
+    rows = forward_stage_inputs(eval_checkpoint(qm, dtype=np.float64), calib.batches)
+    assert [s.name for s in stats] == quantizable_layer_names(cfg)
+    for s in stats:
+        What = dequantize(qm.layers[s.name])
+        assert s.recon_error == reconstruction_error(ck.tensors[s.name], What, rows[s.name])
 
 
 def test_quantized_model_file_roundtrip(tmp_path, corpus_splits):
