@@ -165,7 +165,10 @@ def _dispatch(args) -> int:
             path, _, w = item.rpartition(":")
             if not path:
                 raise ConfigError(f"soup inputs look like path:weight, got {item!r}")
-            inputs.append((path, float(w)))
+            try:
+                inputs.append((path, float(w)))
+            except ValueError:
+                raise ConfigError(f"soup weight must be a number, got {item!r}") from None
         print(harness.cmd_soup(inputs, args.out))
         return 0
     if args.cmd == "report":

@@ -1,11 +1,14 @@
 """Experiment orchestration: run directories, branching, sweeps, eval jobs.
 
-A run directory is append-only and fully determined by (corpus bytes,
-manifest): checkpoints are immutable and checksummed, metrics land in
-one CSV keyed by (run_id, step), and the high-frequency norm log is a
-separate CSV. Cooldown branches resume the parent's checkpoint,
-optimizer state, and data cursor, so a branch plus its trunk prefix is
-step-for-step identical to the equivalent single WSD run.
+A run directory is fully determined by (corpus bytes, manifest):
+checkpoints are immutable and checksummed, and results live in three
+keyed CSV tables written through `metrics.MetricsStore`: metrics.csv by
+(run_id, step), the high-frequency norms.csv by step, and per-layer
+quantization stats in quant_layers.csv by (run_id, step, bits, method,
+layer). Reruns and resumes re-emit identical rows, which merge; a row
+that differs raises MergeError. Cooldown branches resume the parent's
+checkpoint, optimizer state, and data cursor, so a branch plus its trunk
+prefix is step-for-step identical to the equivalent single WSD run.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ from .metrics import (
     MetricsStore,
     eval_accuracy,
     eval_ce,
+    fmt_real,
+    record_to_row,
     relative_acc_drop,
     relative_ce_error,
     delta_ptq,
@@ -54,7 +59,7 @@ from .optim import (
     schedule_value,
     train_loop,
 )
-from .quant import quantize_model, save_quantized
+from .quant import quantize_model
 from . import store
 
 log = logging.getLogger("qlab")
@@ -62,14 +67,20 @@ log = logging.getLogger("qlab")
 MANIFEST = "manifest.cfg"
 METRICS = "metrics.csv"
 NORMS = "norms.csv"
+NORMS_HEADER = "step,lr,train_loss,grad_norm,weight_norm"
 QUANT_LAYERS = "quant_layers.csv"
+QUANT_LAYERS_HEADER = "run_id,step,bits,method,layer,weight_error,recon_error,damping"
+QUANT_LAYERS_KEY = ("run_id", "step", "bits", "method", "layer")
 _OPT_META = "__opt_meta__"
 
 
 def qlab_threads() -> int:
     env = os.environ.get("QLAB_THREADS", "")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"QLAB_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -179,21 +190,6 @@ def _phase_boundaries(spec: ScheduleSpec) -> Tuple[int, ...]:
     return tuple(sorted(marks))
 
 
-class _NormLog:
-    def __init__(self, path: str):
-        self.path = path
-        if not os.path.exists(path):
-            with open(path, "w", encoding="utf-8") as f:
-                f.write("step,lr,train_loss,grad_norm,weight_norm\n")
-
-    def append(self, ev: TrainEvent) -> None:
-        wn = weight_norm(ev.ckpt)
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(
-                f"{ev.step},{ev.lr:.9g},{ev.train_loss:.9g},{ev.grad_norm:.9g},{wn:.9g}\n"
-            )
-
-
 def cmd_train(
     cfg: Dict[str, object],
     out_root: str,
@@ -262,10 +258,11 @@ def cmd_train(
         return run_dir
 
     metrics_store = MetricsStore(os.path.join(run_dir, METRICS))
-    norm_log = _NormLog(os.path.join(run_dir, NORMS))
+    norm_table = MetricsStore(os.path.join(run_dir, NORMS), NORMS_HEADER, ("step",))
     # checkpoints also land on phase boundaries and the stop point (resume);
-    # eval/norm rows fire on intervals plus the schedule end only, so a
-    # stopped+resumed run emits byte-identical CSVs
+    # eval/norm rows fire on intervals plus the schedule end only, and a
+    # resume re-emits the rows since its checkpoint, which merge, so a
+    # stopped or crashed and then resumed run leaves byte-identical CSVs
     ckpt_marks = _phase_boundaries(spec) + (target,)
 
     def save_hook(ev: TrainEvent) -> None:
@@ -282,15 +279,22 @@ def cmd_train(
             train_loss=ev.train_loss, val_ce_fp=ce, acc_fp=acc,
             grad_norm=ev.grad_norm, weight_norm=weight_norm(ev.ckpt),
         )
-        metrics_store.upsert(rec)
+        metrics_store.upsert(record_to_row(rec))
         metrics_store.save()
         log.info("run %s step %d: train %.4f val %.4f acc %.4f lr %.3g",
                  run_id[:8], ev.step, ev.train_loss, ce, acc, ev.lr)
 
+    def norm_hook(ev: TrainEvent) -> None:
+        norm_table.upsert({
+            "step": str(ev.step), "lr": fmt_real(ev.lr), "train_loss": fmt_real(ev.train_loss),
+            "grad_norm": fmt_real(ev.grad_norm), "weight_norm": fmt_real(weight_norm(ev.ckpt)),
+        })
+        norm_table.save()
+
     hooks = [
         TrainHook(cfg["train.ckpt_interval"], save_hook, ckpt_marks),
         TrainHook(cfg["train.eval_interval"], eval_hook, (spec.total_steps,)),
-        TrainHook(cfg["train.log_interval"], norm_log.append, (spec.total_steps,)),
+        TrainHook(cfg["train.log_interval"], norm_hook, (spec.total_steps,)),
     ]
     train_loop(
         ckpt, opt_state, data.train, cursor, spec, ocfg,
@@ -353,23 +357,6 @@ def cmd_branch(
 # -- quantize + eval -----------------------------------------------------------
 
 
-class _QuantLayerLog:
-    def __init__(self, path: str):
-        self.path = path
-        if not os.path.exists(path):
-            with open(path, "w", encoding="utf-8") as f:
-                f.write("run_id,step,bits,method,layer,weight_error,recon_error,damping\n")
-
-    def append(self, run_id: str, step: int, bits: int, method: str, stats) -> None:
-        with open(self.path, "a", encoding="utf-8") as f:
-            for s in stats:
-                rec = "" if s.recon_error is None else f"{s.recon_error:.9g}"
-                f.write(
-                    f"{run_id},{step},{bits},{method},{s.name},"
-                    f"{s.weight_error:.9g},{rec},{s.damping_used:.9g}\n"
-                )
-
-
 def evaluate_checkpoint_quantized(
     ckpt: Checkpoint,
     data: RunData,
@@ -410,11 +397,13 @@ def cmd_quantize_eval(
     steps: Optional[Sequence[int]] = None,
     kind: str = "ckpt",
 ) -> Tuple[List[MetricRecord], List[Tuple[int, str]]]:
-    """Quantize and evaluate stored checkpoints; appends metric CSV rows.
+    """Quantize and evaluate stored checkpoints; upserts metrics.csv and
+    quant_layers.csv rows.
 
     Returns (records, failures). Per-checkpoint failures are recorded and
     the sweep continues. Bit widths that metrics.csv has no columns for
-    are refused before any work.
+    are refused before any work. Both tables are saved only after every
+    row merged, so a conflict (MergeError) leaves both files unchanged.
     """
     unrecordable = sorted(set(bits) - set(CSV_BITS))
     if unrecordable:
@@ -469,15 +458,23 @@ def cmd_quantize_eval(
                 log.error("quantize-eval failed at step %d: %s", s, exc)
 
     metrics_store = MetricsStore(os.path.join(run_dir, METRICS))
-    layer_log = _QuantLayerLog(os.path.join(run_dir, QUANT_LAYERS))
+    layer_table = MetricsStore(
+        os.path.join(run_dir, QUANT_LAYERS), QUANT_LAYERS_HEADER, QUANT_LAYERS_KEY
+    )
     records = []
     for s in sorted(results):
         rec, layer_stats = results[s]
-        metrics_store.upsert(rec)
+        metrics_store.upsert(record_to_row(rec))
         for b, stats in layer_stats:
-            layer_log.append(run_id, s, b, method, stats)
+            for st in stats:
+                layer_table.upsert({
+                    "run_id": run_id, "step": str(s), "bits": str(b), "method": method,
+                    "layer": st.name, "weight_error": fmt_real(st.weight_error),
+                    "recon_error": fmt_real(st.recon_error), "damping": fmt_real(st.damping_used),
+                })
         records.append(rec)
     metrics_store.save()
+    layer_table.save()
     return records, failures
 
 
@@ -572,7 +569,7 @@ def cmd_sweep(plan_path: str, out_root: str, force: bool = False) -> Tuple[List[
         + ["final_step", "val_ce_fp", "acc_fp", "rel_ce_err3", "rel_ce_err4",
            "delta_ptq3", "delta_ptq4", "status"]
     )
-    lines = [",".join(header)]
+    summary = MetricsStore(summary_path, ",".join(header), ("run_id",), load=False)
     dirs: List[str] = []
     failures = 0
     for cell in cells:
@@ -590,48 +587,19 @@ def cmd_sweep(plan_path: str, out_root: str, force: bool = False) -> Tuple[List[
             rec = recs[0]
             row = [rec.run_id, str(seed)] + label + [
                 str(rec.step),
-                f"{rec.val_ce_fp:.9g}",
-                f"{rec.acc_fp:.9g}",
-                _opt_fmt(rec.rel_ce_err.get(3)),
-                _opt_fmt(rec.rel_ce_err.get(4)),
-                _opt_fmt(rec.delta_ptq.get(3)),
-                _opt_fmt(rec.delta_ptq.get(4)),
+                fmt_real(rec.val_ce_fp),
+                fmt_real(rec.acc_fp),
+                fmt_real(rec.rel_ce_err.get(3)),
+                fmt_real(rec.rel_ce_err.get(4)),
+                fmt_real(rec.delta_ptq.get(3)),
+                fmt_real(rec.delta_ptq.get(4)),
                 "ok",
             ]
         except QlabError as exc:
             failures += 1
             log.error("sweep cell failed (%s): %s", label, exc)
             row = [cfgmod.run_id_of(cell), str(seed)] + label + [""] * 7 + ["failed"]
-        lines.append(",".join(row))
-    with open(summary_path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        summary.upsert(dict(zip(summary.columns, row)))
+    summary.save()
     return dirs, summary_path, failures
 
-
-def _opt_fmt(x: Optional[float]) -> str:
-    return "" if x is None else f"{x:.9g}"
-
-
-def lineage_forest(out_root: str) -> Dict[str, Optional[str]]:
-    """Map run_id -> parent_id across an out_root; raises on cycles or
-    dangling parents."""
-    parents: Dict[str, Optional[str]] = {}
-    for name in sorted(os.listdir(out_root)):
-        run_dir = os.path.join(out_root, name)
-        if not os.path.isfile(os.path.join(run_dir, MANIFEST)):
-            continue
-        cfg = load_manifest(run_dir)
-        rid = str(cfg.get("run.id", name))
-        parent = cfg.get("run.parent_id")
-        parents[rid] = str(parent) if parent else None
-    for rid in parents:
-        seen = set()
-        cur = rid
-        while cur is not None:
-            if cur in seen:
-                raise ConfigError(f"lineage cycle through {cur}")
-            seen.add(cur)
-            if cur not in parents:
-                raise ConfigError(f"run {rid} references missing parent {cur}")
-            cur = parents[cur]
-    return parents

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -94,6 +94,7 @@ CSV_HEADER = (
 )
 CSV_COLUMNS = CSV_HEADER.split(",")
 CSV_BITS = (3, 4)  # the bit widths with quantized columns in the header
+METRICS_KEY = ("run_id", "step")
 
 
 @dataclass
@@ -153,13 +154,23 @@ def record_to_row(rec: MetricRecord) -> Dict[str, str]:
 
 
 class MetricsStore:
-    """CSV-backed store keyed by (run_id, step); merges must agree field-wise."""
+    """Keyed CSV table: one row per key, upserts must agree field-wise.
 
-    def __init__(self, path: str):
+    Loading checks the header exactly; an upsert fills empty fields and
+    raises MergeError (changing nothing) when a non-empty field would
+    change; `save` rewrites the file atomically in first-insertion order.
+    Serves metrics.csv and, with their own header and key, the run's other
+    results tables.
+    """
+
+    def __init__(self, path: str, header: str = CSV_HEADER,
+                 key: Sequence[str] = METRICS_KEY, load: bool = True):
         self.path = path
-        self.rows: Dict[tuple, Dict[str, str]] = {}
-        self.order: List[tuple] = []
-        if os.path.exists(path):
+        self.header = header
+        self.columns = header.split(",")
+        self.key = tuple(key)
+        self.rows: Dict[tuple, Dict[str, str]] = {}  # insertion-ordered
+        if load and os.path.exists(path):
             self._load()
 
     def _load(self) -> None:
@@ -167,39 +178,33 @@ class MetricsStore:
             lines = [ln.rstrip("\n") for ln in f if ln.strip()]
         if not lines:
             return
-        if lines[0] != CSV_HEADER:
+        if lines[0] != self.header:
             raise MergeError(f"{self.path}: unexpected header")
         for ln in lines[1:]:
             parts = ln.split(",")
-            row = dict(zip(CSV_COLUMNS, parts))
-            key = (row["run_id"], int(row["step"]))
-            self.rows[key] = row
-            self.order.append(key)
+            if len(parts) != len(self.columns):
+                raise MergeError(f"{self.path}: malformed row {ln!r}")
+            self.upsert(dict(zip(self.columns, parts)))
 
-    def upsert(self, rec: MetricRecord) -> None:
-        row = record_to_row(rec)
-        key = (rec.run_id, rec.step)
-        if key not in self.rows:
-            self.rows[key] = row
-            self.order.append(key)
+    def upsert(self, row: Dict[str, str]) -> None:
+        unknown = set(row) - set(self.columns)
+        if unknown:
+            raise ContractViolation(f"{self.path}: unknown columns {sorted(unknown)}")
+        key = tuple(row[c] for c in self.key)
+        existing = self.rows.get(key)
+        if existing is None:
+            self.rows[key] = {c: row.get(c, "") for c in self.columns}
             return
-        existing = self.rows[key]
-        for col in CSV_COLUMNS:
-            new = row[col]
-            if not new:
-                continue
+        for col, new in row.items():
             old = existing[col]
-            if old and old != new:
-                raise MergeError(
-                    f"conflicting {col} for {key}: {old!r} vs {new!r}"
-                )
-            existing[col] = new
+            if new and old and old != new:
+                raise MergeError(f"conflicting {col} for {key}: {old!r} vs {new!r}")
+        existing.update((col, new) for col, new in row.items() if new)
 
     def save(self) -> None:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)) or ".")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(CSV_HEADER + "\n")
-            for key in self.order:
-                row = self.rows[key]
-                f.write(",".join(row[c] for c in CSV_COLUMNS) + "\n")
+            f.write(self.header + "\n")
+            for row in self.rows.values():
+                f.write(",".join(row[c] for c in self.columns) + "\n")
         os.replace(tmp, self.path)

@@ -401,22 +401,18 @@ def capture_layer_inputs(
 _META = "__meta__"
 
 
-def save_checkpoint(path: str, ckpt: Checkpoint, overwrite: bool = False) -> None:
-    """Weights as f32 payloads plus one f64 metadata tensor."""
-    c = ckpt.config
+def meta_entry(config: ModelConfig, step: int, tokens_seen: int) -> Tuple[str, str, int, int, bytes]:
+    """The `__meta__` file entry: step, tokens seen and the model config as 10 f64s."""
+    c = config
     meta = np.array(
-        [[ckpt.step, ckpt.tokens_seen, c.vocab, c.d_model, c.n_layers, c.n_heads,
+        [[step, tokens_seen, c.vocab, c.d_model, c.n_layers, c.n_heads,
           c.d_ff, c.seq_len, c.init_seed, c.init_std]], dtype=np.float64
     )
-    entries = [(_META, "f64", 1, meta.shape[1], store.encode_tensor(meta, "f64"))]
-    for name in sorted(ckpt.tensors):
-        t = ckpt.tensors[name]
-        entries.append((name, "f32", t.shape[0], t.shape[1], store.encode_tensor(t, "f32")))
-    store.write_tensor_file(path, entries, overwrite=overwrite)
+    return (_META, "f64", 1, meta.shape[1], store.encode_tensor(meta, "f64"))
 
 
-def load_checkpoint(path: str, dtype=np.float32) -> Checkpoint:
-    raw = store.read_tensor_file(path)
+def pop_meta(raw: dict, path: str) -> Tuple[ModelConfig, int, int]:
+    """Remove and decode the `__meta__` entry: (config, step, tokens_seen)."""
     if _META not in raw:
         raise ConfigError(f"{path}: missing metadata tensor")
     dt, r, c, payload = raw.pop(_META)
@@ -426,10 +422,25 @@ def load_checkpoint(path: str, dtype=np.float32) -> Checkpoint:
         n_heads=int(meta[5]), d_ff=int(meta[6]), seq_len=int(meta[7]),
         init_seed=int(meta[8]), init_std=float(meta[9]),
     )
+    return config, int(meta[0]), int(meta[1])
+
+
+def save_checkpoint(path: str, ckpt: Checkpoint, overwrite: bool = False) -> None:
+    """Weights as f32 payloads plus one f64 metadata tensor."""
+    entries = [meta_entry(ckpt.config, ckpt.step, ckpt.tokens_seen)]
+    for name in sorted(ckpt.tensors):
+        t = ckpt.tensors[name]
+        entries.append((name, "f32", t.shape[0], t.shape[1], store.encode_tensor(t, "f32")))
+    store.write_tensor_file(path, entries, overwrite=overwrite)
+
+
+def load_checkpoint(path: str, dtype=np.float32) -> Checkpoint:
+    raw = store.read_tensor_file(path)
+    config, step, tokens_seen = pop_meta(raw, path)
     tensors = {}
     for name, (dt, rows, cols, payload) in raw.items():
         tensors[name] = store.decode_tensor(payload, dt, rows, cols).astype(dtype)
     expect = tensor_shapes(config)
     if set(tensors) != set(expect):
         raise ConfigError(f"{path}: tensor set does not match config")
-    return Checkpoint(tensors, step=int(meta[0]), tokens_seen=int(meta[1]), config=config)
+    return Checkpoint(tensors, step=step, tokens_seen=tokens_seen, config=config)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import store
 from .errors import ConfigError, ContractViolation, FactorizationError, QuantizationError
-from .model import Checkpoint, ModelConfig, quantizable_layer_names
+from .model import Checkpoint, ModelConfig, meta_entry, pop_meta, quantizable_layer_names
 from .ndkernel import cholesky, frobenius_norm, spd_inverse
 from .data import CalibrationSet
 
@@ -347,22 +347,16 @@ def unpack_codes(packed: np.ndarray, bits: int, cols: int) -> np.ndarray:
 
 
 _QMETA = "__quant_meta__"
-_MMETA = "__meta__"
 
 
 def save_quantized(path: str, qm: QuantizedModel, overwrite: bool = False) -> None:
-    c = qm.config
-    mmeta = np.array(
-        [[qm.source_step, qm.source_tokens, c.vocab, c.d_model, c.n_layers, c.n_heads,
-          c.d_ff, c.seq_len, c.init_seed, c.init_std]], dtype=np.float64
-    )
     q = qm.quant
     qmeta = np.array(
         [[q.bits, q.group_size, q.damping_frac, int(q.propagate_quantized),
           1.0 if q.method == "gptq" else 0.0, int(q.static_groups)]], dtype=np.float64
     )
     entries = [
-        (_MMETA, "f64", 1, mmeta.shape[1], store.encode_tensor(mmeta, "f64")),
+        meta_entry(qm.config, qm.source_step, qm.source_tokens),
         (_QMETA, "f64", 1, qmeta.shape[1], store.encode_tensor(qmeta, "f64")),
     ]
     for name in sorted(qm.layers):
@@ -380,13 +374,9 @@ def save_quantized(path: str, qm: QuantizedModel, overwrite: bool = False) -> No
 
 def load_quantized(path: str) -> QuantizedModel:
     raw = store.read_tensor_file(path)
-    dt, r, c, payload = raw.pop(_MMETA)
-    meta = store.decode_tensor(payload, dt, r, c)[0]
-    config = ModelConfig(
-        vocab=int(meta[2]), d_model=int(meta[3]), n_layers=int(meta[4]),
-        n_heads=int(meta[5]), d_ff=int(meta[6]), seq_len=int(meta[7]),
-        init_seed=int(meta[8]), init_std=float(meta[9]),
-    )
+    config, source_step, source_tokens = pop_meta(raw, path)
+    if _QMETA not in raw:
+        raise ConfigError(f"{path}: missing quantization metadata tensor")
     dt, r, c, payload = raw.pop(_QMETA)
     qv = store.decode_tensor(payload, dt, r, c)[0]
     qcfg = QuantConfig(
@@ -414,4 +404,4 @@ def load_quantized(path: str) -> QuantizedModel:
         if name.endswith(".codes") or name.endswith(".scales") or name.endswith(".zeros"):
             continue
         passthrough[name] = store.decode_tensor(payload, token, rows, cols)
-    return QuantizedModel(layers, passthrough, config, int(meta[0]), int(meta[1]), qcfg)
+    return QuantizedModel(layers, passthrough, config, source_step, source_tokens, qcfg)

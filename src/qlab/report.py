@@ -222,8 +222,7 @@ def cmd_report(
     for run_dir in run_dirs:
         store = MetricsStore(os.path.join(run_dir, METRICS))
         by_run: Dict[str, List[Tuple[float, float, str]]] = {}
-        for key in store.order:
-            row = store.rows[key]
+        for row in store.rows.values():
             if not row[metric] or not row[x]:
                 continue
             by_run.setdefault(row["run_id"], []).append(

@@ -92,8 +92,19 @@ def test_cli_eval_method_conflict_is_config_error(trained_run):
     # step conflicts with the recorded row
     assert main(["eval", "--run", trained_run, "--bits", "3", "--steps", "20",
                  "--method", "rtn"]) == 0
-    assert main(["eval", "--run", trained_run, "--bits", "3", "--steps", "20",
+    before = read_tables(trained_run)
+    # step 10 merges cleanly, step 20 conflicts: neither table is written
+    assert main(["eval", "--run", trained_run, "--bits", "3", "--steps", "10,20",
                  "--method", "gptq"]) == 2
+    assert read_tables(trained_run) == before
+
+
+def read_tables(run_dir):
+    texts = []
+    for name in ("metrics.csv", "quant_layers.csv"):
+        with open(os.path.join(run_dir, name), encoding="utf-8") as f:
+            texts.append(f.read())
+    return texts
 
 
 def test_cli_eval_unrecordable_bits_refused_before_quantizing(trained_run, monkeypatch):
@@ -110,3 +121,16 @@ def test_cli_eval_unrecordable_bits_refused_before_quantizing(trained_run, monke
     assert main(["eval", "--run", trained_run, "--bits", "3,8", "--steps", "30"]) == 2
     with open(metrics, encoding="utf-8") as f:
         assert f.read() == before
+
+
+def test_cli_eval_bad_thread_count_is_config_error(trained_run, monkeypatch):
+    monkeypatch.setenv("QLAB_THREADS", "two")
+    assert main(["eval", "--run", trained_run, "--bits", "3", "--steps", "30"]) == 2
+
+
+def test_cli_soup_bad_weight_is_config_error(tmp_path, trained_run):
+    ckpt = os.path.join(trained_run, "ckpt_30.qlab")
+    out = str(tmp_path / "s.qlab")
+    assert main(["soup", "--ckpt", f"{ckpt}:abc", "--out", out]) == 2
+    assert main(["soup", "--ckpt", f"{ckpt}:", "--out", out]) == 2
+    assert not os.path.exists(out)

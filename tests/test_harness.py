@@ -81,20 +81,43 @@ def test_opt_state_roundtrip(tmp_path):
         assert back.m[k].shape == ck.tensors[k].shape
 
 
-def test_resume_bitwise_equals_unbroken(tmp_path, corpus_path):
-    cfg = micro_train_config(corpus_path)
-    full_root = str(tmp_path / "full")
-    split_root = str(tmp_path / "split")
-    full_dir = cmd_train(cfg, full_root)
-    part_dir = cmd_train(cfg, split_root, stop_after=30)
+class _Crash(Exception):
+    pass
+
+
+def test_resume_bitwise_equals_unbroken(tmp_path, corpus_path, monkeypatch):
+    from qlab import harness
+
+    # norm rows every 5 steps, checkpoints every 10: a resume re-runs norm rows
+    cfg = micro_train_config(corpus_path, **{"train.log_interval": 5})
+    full_dir = cmd_train(cfg, str(tmp_path / "full"))
+
+    # case 1: a planned stop at step 30
+    part_dir = cmd_train(cfg, str(tmp_path / "split"), stop_after=30)
     assert list_ckpt_steps(part_dir)[-1] == 30
-    resumed_dir = cmd_train(cfg, split_root, resume=True)
-    assert resumed_dir == part_dir
-    final_a = read_bytes(ckpt_path(full_dir, 60))
-    final_b = read_bytes(ckpt_path(resumed_dir, 60))
-    assert final_a == final_b
-    assert read(os.path.join(full_dir, METRICS)) == read(os.path.join(resumed_dir, METRICS))
-    assert read(os.path.join(full_dir, NORMS)) == read(os.path.join(resumed_dir, NORMS))
+
+    # case 2: a crash while saving the step-20 checkpoint, after norm row 15
+    real_save = harness.save_checkpoint
+
+    def crashing_save(path, ckpt, overwrite=False):
+        if ckpt.step == 20:
+            raise _Crash(path)
+        real_save(path, ckpt, overwrite)
+
+    monkeypatch.setattr(harness, "save_checkpoint", crashing_save)
+    with pytest.raises(_Crash):
+        cmd_train(cfg, str(tmp_path / "crash"))
+    monkeypatch.undo()
+    crash_dir = os.path.join(str(tmp_path / "crash"), os.path.basename(full_dir))
+    assert list_ckpt_steps(crash_dir)[-1] == 10
+    assert "\n15," in read(os.path.join(crash_dir, NORMS))
+
+    for interrupted in (part_dir, crash_dir):
+        resumed_dir = cmd_train(cfg, os.path.dirname(interrupted), resume=True)
+        assert resumed_dir == interrupted
+        assert read_bytes(ckpt_path(full_dir, 60)) == read_bytes(ckpt_path(resumed_dir, 60))
+        for table in (METRICS, NORMS):
+            assert read(os.path.join(full_dir, table)) == read(os.path.join(resumed_dir, table))
 
 
 def read_bytes(path):
@@ -175,7 +198,7 @@ def test_quantize_eval_appends_rows(trained_run):
     assert rec.rel_ce_err[3] == rec.val_ce_q[3] / rec.val_ce_fp - 1.0
     assert abs(rec.delta_ptq[3] - rec.rel_ce_err[3] * rec.val_ce_fp) < 1e-12
     store = MetricsStore(os.path.join(run_dir, METRICS))
-    row = store.rows[(rec.run_id, 60)]
+    row = store.rows[(rec.run_id, "60")]
     assert row["val_ce_q3"] and row["val_ce_q4"] and row["rel_ce_err3"]
     assert row["train_loss"]  # merged with the training row
     layers_csv = read(os.path.join(run_dir, QUANT_LAYERS))
@@ -184,10 +207,11 @@ def test_quantize_eval_appends_rows(trained_run):
 
 def test_quantize_eval_rerun_is_idempotent(trained_run):
     cfg, run_dir = trained_run
-    before = read(os.path.join(run_dir, METRICS))
+    cmd_quantize_eval(run_dir, bits=(3, 4), steps=[60])
+    before = {t: read(os.path.join(run_dir, t)) for t in (METRICS, QUANT_LAYERS)}
     records, failures = cmd_quantize_eval(run_dir, bits=(3, 4), steps=[60])
     assert not failures
-    assert read(os.path.join(run_dir, METRICS)) == before
+    assert {t: read(os.path.join(run_dir, t)) for t in (METRICS, QUANT_LAYERS)} == before
 
 
 def test_quantize_eval_empty_selection_warns(trained_run):
@@ -251,12 +275,10 @@ def test_sweep_runs_cells_and_summary(tmp_path, corpus_path):
         run_id, ce = parts[0], parts[4]
         run_dir = os.path.join(out_root, run_id)
         store = MetricsStore(os.path.join(run_dir, METRICS))
-        assert store.rows[(run_id, 20)]["val_ce_fp"] == ce
+        assert store.rows[(run_id, "20")]["val_ce_fp"] == ce
 
 
 def test_lineage_forms_forest(tmp_path, corpus_path):
-    from qlab.harness import lineage_forest
-
     cfg = micro_train_config(
         corpus_path,
         **{"schedule.kind": "constant", "schedule.total_steps": 20,
@@ -266,13 +288,11 @@ def test_lineage_forms_forest(tmp_path, corpus_path):
     trunk = cmd_train(cfg, root)
     child = cmd_branch(trunk, 20, decay_steps=4, out_root=root)
     grand = cmd_branch(child, 20, decay_steps=2, out_root=root)
-    forest = lineage_forest(root)
-    trunk_id = load_manifest(trunk)["run.id"]
-    child_id = load_manifest(child)["run.id"]
-    grand_id = load_manifest(grand)["run.id"]
-    assert forest[trunk_id] is None
-    assert forest[child_id] == trunk_id
-    assert forest[grand_id] == child_id
+    trunk_m, child_m, grand_m = (load_manifest(d) for d in (trunk, child, grand))
+    assert not trunk_m.get("run.parent_id")
+    assert child_m["run.parent_id"] == trunk_m["run.id"]
+    assert grand_m["run.parent_id"] == child_m["run.id"]
+    assert int(child_m["run.branch_step"]) == 20 and int(grand_m["run.branch_step"]) == 20
 
 
 def test_single_cell_sweep_equals_train(tmp_path, corpus_path):

@@ -15,6 +15,7 @@ from qlab.metrics import (
     eval_accuracy,
     eval_ce,
     fmt_real,
+    record_to_row,
     relative_acc_drop,
     relative_ce_error,
     weight_norm,
@@ -142,27 +143,49 @@ def test_fmt_real_nine_significant_digits():
 def test_store_roundtrip_and_merge(tmp_path):
     path = str(tmp_path / "m.csv")
     s = MetricsStore(path)
-    s.upsert(MetricRecord("r1", 10, tokens_seen=100, lr=1e-3, train_loss=2.5))
-    s.upsert(MetricRecord("r1", 20, val_ce_fp=2.0, val_ce_q={3: 2.4}, rel_ce_err={3: 0.2}))
+    s.upsert(record_to_row(MetricRecord("r1", 10, tokens_seen=100, lr=1e-3, train_loss=2.5)))
+    s.upsert(record_to_row(
+        MetricRecord("r1", 20, val_ce_fp=2.0, val_ce_q={3: 2.4}, rel_ce_err={3: 0.2})
+    ))
     s.save()
     s2 = MetricsStore(path)
-    assert ("r1", 10) in s2.rows and ("r1", 20) in s2.rows
+    assert list(s2.rows) == [("r1", "10"), ("r1", "20")]
     # merge quant fields into the training row
-    s2.upsert(MetricRecord("r1", 10, val_ce_fp=2.2))
+    s2.upsert(record_to_row(MetricRecord("r1", 10, val_ce_fp=2.2)))
     s2.save()
     s3 = MetricsStore(path)
-    row = s3.rows[("r1", 10)]
+    row = s3.rows[("r1", "10")]
     assert row["train_loss"] == "2.5" and row["val_ce_fp"] == "2.2"
 
 
 def test_store_rejects_conflicting_values(tmp_path):
     path = str(tmp_path / "m.csv")
     s = MetricsStore(path)
-    s.upsert(MetricRecord("r1", 10, val_ce_fp=2.0))
+    s.upsert(record_to_row(MetricRecord("r1", 10, val_ce_fp=2.0)))
     with pytest.raises(MergeError):
-        s.upsert(MetricRecord("r1", 10, val_ce_fp=2.00001))
+        s.upsert(record_to_row(MetricRecord("r1", 10, lr=1e-3, val_ce_fp=2.00001)))
+    # a refused upsert changes no field, not even ones that did not conflict
+    assert s.rows[("r1", "10")]["lr"] == ""
     # identical value merges fine
-    s.upsert(MetricRecord("r1", 10, val_ce_fp=2.0))
+    s.upsert(record_to_row(MetricRecord("r1", 10, val_ce_fp=2.0)))
+
+
+def test_keyed_table_with_own_header_and_key(tmp_path):
+    path = str(tmp_path / "norms.csv")
+    s = MetricsStore(path, "step,lr,loss", ("step",))
+    s.upsert({"step": "20", "lr": "0.001", "loss": "2.5"})
+    s.upsert({"step": "10", "lr": "0.002", "loss": "3"})
+    s.upsert({"step": "20", "lr": "0.001", "loss": "2.5"})  # a re-emitted row merges
+    s.save()
+    with open(path, encoding="utf-8") as f:
+        assert f.read() == "step,lr,loss\n20,0.001,2.5\n10,0.002,3\n"
+    with pytest.raises(MergeError):
+        MetricsStore(path, "step,lr,train_loss", ("step",))  # header must match exactly
+    with pytest.raises(MergeError):
+        MetricsStore(path, "step,lr,loss", ("step",)).upsert({"step": "10", "loss": "3.1"})
+    with pytest.raises(ContractViolation):
+        s.upsert({"step": "30", "grad_norm": "1"})
+    assert list(MetricsStore(path, "step,lr,loss", ("step",), load=False).rows) == []
 
 
 def test_record_validation():

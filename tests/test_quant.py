@@ -443,6 +443,21 @@ def test_quantized_model_file_roundtrip(tmp_path, corpus_splits):
         assert np.array_equal(back.passthrough[name], qm.passthrough[name])
 
 
+@pytest.mark.parametrize("dropped", ["__meta__", "__quant_meta__"])
+def test_load_quantized_without_metadata_is_config_error(tmp_path, dropped):
+    from qlab import store
+
+    ck = init(tiny_model_config())
+    qm, _ = quantize_model(ck, None, QuantConfig(bits=4, group_size=32, method="rtn"))
+    path = str(tmp_path / "q.qlab")
+    save_quantized(path, qm)
+    raw = store.read_tensor_file(path)
+    del raw[dropped]
+    store.write_tensor_file(path, [(n, *v) for n, v in raw.items()], overwrite=True)
+    with pytest.raises(ConfigError, match="missing"):
+        load_quantized(path)
+
+
 def test_quant_config_validation():
     with pytest.raises(ConfigError):
         QuantConfig(bits=1)

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from qlab.errors import ReportError
-from qlab.metrics import MetricRecord, MetricsStore
+from qlab.metrics import MetricRecord, MetricsStore, record_to_row
 from qlab.report import Series, cmd_report, svg_plot
 
 
@@ -56,12 +56,12 @@ def make_run(tmp_path, name, n=4):
     run_dir.mkdir()
     store = MetricsStore(str(run_dir / "metrics.csv"))
     for i in range(1, n + 1):
-        store.upsert(
+        store.upsert(record_to_row(
             MetricRecord(
                 name, i * 10, tokens_seen=i * 1000, lr=1e-3 * (n - i) / n,
                 val_ce_fp=3.0 / i, rel_ce_err={3: 0.1 * i},
             )
-        )
+        ))
     store.save()
     return str(run_dir)
 
