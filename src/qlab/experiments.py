@@ -1,10 +1,16 @@
 """Protocol drivers for the headline experiments.
 
 Each driver trains whatever runs it needs under an out_root, reuses any
-that already exist (run identity is the config hash), quantize-evals the
-relevant checkpoints, and returns the per-seed comparisons that the
-qualitative claims are judged on. The scripts in scripts/ and the
-acceptance suite both call these.
+that already exist (run identity is the config hash; a finished run is
+returned as is and a stopped one resumes), quantize-evals the relevant
+checkpoints, and returns the per-seed comparisons that the qualitative
+claims are judged on. `qlab experiment` and the acceptance suite both
+call these.
+
+A profile is the checkout's `configs/<profile>.cfg`. The only
+per-profile constant here is the trunk length: branch points default to
+its thirds, LAWA comparisons to its last two thirds, and the LR-sweep
+budget to the trunk itself.
 """
 
 from __future__ import annotations
@@ -16,58 +22,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import config as cfgmod
 from .errors import ConfigError
-from .harness import (
-    cmd_average,
-    cmd_branch,
-    cmd_quantize_eval,
-    cmd_train,
-    list_ckpt_steps,
-    load_manifest,
-)
+from .harness import cmd_average, cmd_branch, cmd_quantize_eval, cmd_train, load_manifest
 from .metrics import MetricRecord
 
 log = logging.getLogger("qlab")
 
-# desk profile: the full-size experiment (hours on a workstation)
-DESK_PROFILE = {
-    "data.seq_len": 256,
-    "model.d_model": 192,
-    "model.n_layers": 6,
-    "model.n_heads": 6,
-    "model.d_ff": 768,
-    "train.batch_size": 64,
-    "train.ckpt_interval": 500,
-    "train.eval_interval": 500,
-    "train.log_interval": 100,
-    "eval.batches": 64,
-    "eval.batch_size": 16,
-    "quant.calib_samples": 128,
-    "quant.group_size": 128,
-}
+CONFIGS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "configs"
+)
 
-# tiny profile: minutes on two cores, used by CI-style trend checks
-TINY_PROFILE = {
-    "data.seq_len": 128,
-    "model.d_model": 64,
-    "model.n_layers": 4,
-    "model.n_heads": 4,
-    "model.d_ff": 256,
-    "train.batch_size": 8,
-    "train.ckpt_interval": 100,
-    "train.eval_interval": 100,
-    "train.log_interval": 50,
-    "eval.batches": 8,
-    "eval.batch_size": 8,
-    "quant.calib_samples": 32,
-    "quant.group_size": 64,
-}
-
-PROFILES = {"desk": DESK_PROFILE, "tiny": TINY_PROFILE}
+# trunk (and LR-sweep budget) length per profile: desk takes ~80 h per run
+# on 2 vCPUs, tiny ~2 min
+TRUNK_STEPS = {"desk": 30000, "tiny": 1200}
 
 
 def base_config(corpus: str, profile: str, seed: int, **extra) -> Dict[str, object]:
-    cfg = cfgmod.resolve("")
-    cfg.update(PROFILES[profile])
+    path = os.path.join(CONFIGS_DIR, f"{profile}.cfg")
+    if not os.path.isfile(path):
+        raise ConfigError(f"no profile {profile!r}: {path} not found")
+    cfg = cfgmod.resolve(path)
     cfg["data.path"] = corpus
     cfg["data.seed"] = seed
     cfg["model.init_seed"] = seed
@@ -75,24 +48,44 @@ def base_config(corpus: str, profile: str, seed: int, **extra) -> Dict[str, obje
     return cfg
 
 
-def _train_or_reuse(cfg: Dict[str, object], out_root: str,
-                    parent=None, start_state=None) -> str:
-    run_id = cfgmod.run_id_of(cfg, parent)
-    run_dir = os.path.join(out_root, run_id)
-    total = cfgmod.schedule_spec(cfg).total_steps
-    if os.path.isdir(run_dir) and list_ckpt_steps(run_dir) and list_ckpt_steps(run_dir)[-1] >= total:
-        log.info("reusing finished run %s", run_id[:10])
-        return run_dir
-    if os.path.isdir(run_dir):
-        return cmd_train(cfg, out_root, resume=True, parent=parent, start_state=start_state)
-    return cmd_train(cfg, out_root, parent=parent, start_state=start_state)
+def schedule_overrides(kind: str, total_steps: int, peak_lr: float) -> Dict[str, object]:
+    """A constant-LR trunk or a WSD run with a 10% cooldown, 1% warm-up."""
+    return {
+        "schedule.kind": kind,
+        "schedule.total_steps": total_steps,
+        "schedule.warmup_frac": 0.01,
+        "schedule.decay_frac": 0.1 if kind == "wsd" else 0.0,
+        "optim.peak_lr": peak_lr,
+    }
 
 
-def _metric_at(records: Sequence[MetricRecord], step: int) -> MetricRecord:
-    for rec in records:
-        if rec.step == step:
-            return rec
-    raise ConfigError(f"no metric record at step {step}")
+def _thirds(trunk_steps: int) -> List[int]:
+    return [trunk_steps * i // 3 for i in (1, 2, 3)]
+
+
+def _quantize_eval(run_dir: str, bits: int, steps: Sequence[int],
+                   kind: str = "ckpt") -> Dict[int, MetricRecord]:
+    recs, fails = cmd_quantize_eval(run_dir, bits=(bits,), steps=list(steps), kind=kind)
+    if fails:
+        raise ConfigError(f"{kind} quantize-eval failures in {run_dir}: {fails}")
+    return {r.step: r for r in recs}
+
+
+def _trunk_and_cooldowns(
+    corpus: str, out_root: str, profile: str, seed: int, trunk_steps: int,
+    branch_steps: Sequence[int], bits: int, decay_frac: float, peak_lr: float,
+) -> Tuple[str, Dict[int, MetricRecord]]:
+    """Train (or reuse) the constant-LR trunk, cool down a branch from each
+    of `branch_steps`, and quantize-eval each branch's final step; returns
+    (trunk run dir, branch step -> final-step record)."""
+    cfg = base_config(corpus, profile, seed, **schedule_overrides("constant", trunk_steps, peak_lr))
+    trunk = cmd_train(cfg, out_root, resume=True)
+    finals: Dict[int, MetricRecord] = {}
+    for bs in branch_steps:
+        child = cmd_branch(trunk, bs, decay_frac=decay_frac, out_root=out_root, resume=True)
+        final = cfgmod.schedule_spec(load_manifest(child)).total_steps
+        finals[bs] = _quantize_eval(child, bits, [final])[final]
+    return trunk, finals
 
 
 @dataclass
@@ -117,8 +110,8 @@ def cooldown_branching(
     corpus: str,
     out_root: str,
     profile: str = "desk",
-    trunk_steps: int = 30000,
-    branch_steps: Sequence[int] = (10000, 20000, 30000),
+    trunk_steps: Optional[int] = None,
+    branch_steps: Optional[Sequence[int]] = None,
     seeds: Sequence[int] = (1, 2, 3),
     bits: int = 3,
     decay_frac: float = 0.1,
@@ -127,30 +120,17 @@ def cooldown_branching(
     """Constant-LR trunk with cooldown branches; compares each branch end
     against the trunk at the branch point (validation CE and relative
     quantization error at `bits`)."""
+    trunk_steps = trunk_steps or TRUNK_STEPS[profile]
+    branch_steps = branch_steps or _thirds(trunk_steps)
     out: List[BranchComparison] = []
     for seed in seeds:
-        cfg = base_config(
-            corpus, profile, seed,
-            **{
-                "schedule.kind": "constant",
-                "schedule.total_steps": trunk_steps,
-                "schedule.warmup_frac": 0.01,
-                "schedule.decay_frac": 0.0,
-                "optim.peak_lr": peak_lr,
-            },
+        trunk, finals = _trunk_and_cooldowns(
+            corpus, out_root, profile, seed, trunk_steps, branch_steps, bits,
+            decay_frac, peak_lr,
         )
-        trunk = _train_or_reuse(cfg, out_root)
-        trunk_recs, fails = cmd_quantize_eval(trunk, bits=(bits,), steps=list(branch_steps))
-        if fails:
-            raise ConfigError(f"trunk quantize-eval failures: {fails}")
+        at_branch = _quantize_eval(trunk, bits, branch_steps)
         for bs in branch_steps:
-            child = cmd_branch(trunk, bs, decay_frac=decay_frac, out_root=out_root)
-            final = cfgmod.schedule_spec(load_manifest(child)).total_steps
-            child_recs, fails = cmd_quantize_eval(child, bits=(bits,), steps=[final])
-            if fails:
-                raise ConfigError(f"branch quantize-eval failures: {fails}")
-            t = _metric_at(trunk_recs, bs)
-            c = _metric_at(child_recs, final)
+            t, c = at_branch[bs], finals[bs]
             out.append(
                 BranchComparison(
                     seed, bs, t.val_ce_fp, c.val_ce_fp,
@@ -169,32 +149,21 @@ def lr_sweep(
     corpus: str,
     out_root: str,
     profile: str = "desk",
-    total_steps: int = 30000,
+    total_steps: Optional[int] = None,
     lrs: Sequence[float] = (3e-4, 1e-3, 3e-3),
     seeds: Sequence[int] = (1, 2, 3),
     bits: int = 4,
 ) -> Dict[int, Dict[float, float]]:
     """WSD runs at several peak LRs under one budget; returns
     seed -> {lr: final relative CE error at `bits`}."""
+    total_steps = total_steps or TRUNK_STEPS[profile]
     result: Dict[int, Dict[float, float]] = {}
     for seed in seeds:
         per_lr: Dict[float, float] = {}
         for lr in lrs:
-            cfg = base_config(
-                corpus, profile, seed,
-                **{
-                    "schedule.kind": "wsd",
-                    "schedule.total_steps": total_steps,
-                    "schedule.warmup_frac": 0.01,
-                    "schedule.decay_frac": 0.1,
-                    "optim.peak_lr": lr,
-                },
-            )
-            run = _train_or_reuse(cfg, out_root)
-            recs, fails = cmd_quantize_eval(run, bits=(bits,), steps=[total_steps])
-            if fails:
-                raise ConfigError(f"lr-sweep quantize-eval failures: {fails}")
-            per_lr[lr] = _metric_at(recs, total_steps).rel_ce_err[bits]
+            cfg = base_config(corpus, profile, seed, **schedule_overrides("wsd", total_steps, lr))
+            run = cmd_train(cfg, out_root, resume=True)
+            per_lr[lr] = _quantize_eval(run, bits, [total_steps])[total_steps].rel_ce_err[bits]
             log.info("seed %d lr %.1e: rel_err%d %.4f", seed, lr, bits, per_lr[lr])
         result[seed] = per_lr
     return result
@@ -216,8 +185,8 @@ def lawa_vs_cooldown(
     corpus: str,
     out_root: str,
     profile: str = "desk",
-    trunk_steps: int = 30000,
-    compare_steps: Sequence[int] = (20000, 30000),
+    trunk_steps: Optional[int] = None,
+    compare_steps: Optional[Sequence[int]] = None,
     seeds: Sequence[int] = (1, 2, 3),
     bits: int = 3,
     k: int = 5,
@@ -226,35 +195,20 @@ def lawa_vs_cooldown(
     peak_lr: float = 3e-3,
 ) -> List[LawaComparison]:
     """Rolling weight averages on a constant-LR trunk vs cooldown branches:
-    compares quantized validation CE at matched steps."""
+    compares quantized validation CE at matched steps. The averaging
+    interval defaults to the profile's `lawa.interval`."""
+    trunk_steps = trunk_steps or TRUNK_STEPS[profile]
+    compare_steps = compare_steps or _thirds(trunk_steps)[1:]
     out: List[LawaComparison] = []
     for seed in seeds:
-        cfg = base_config(
-            corpus, profile, seed,
-            **{
-                "schedule.kind": "constant",
-                "schedule.total_steps": trunk_steps,
-                "schedule.warmup_frac": 0.01,
-                "schedule.decay_frac": 0.0,
-                "optim.peak_lr": peak_lr,
-            },
+        trunk, finals = _trunk_and_cooldowns(
+            corpus, out_root, profile, seed, trunk_steps, compare_steps, bits,
+            decay_frac, peak_lr,
         )
-        interval_eff = interval or int(cfg["train.ckpt_interval"])
-        trunk = _train_or_reuse(cfg, out_root)
-        cmd_average(trunk, k=k, interval=interval_eff)
-        lawa_recs, fails = cmd_quantize_eval(
-            trunk, bits=(bits,), steps=list(compare_steps), kind=f"lawa{k}"
-        )
-        if fails:
-            raise ConfigError(f"lawa quantize-eval failures: {fails}")
+        cmd_average(trunk, k=k, interval=interval or int(load_manifest(trunk)["lawa.interval"]))
+        lawa = _quantize_eval(trunk, bits, compare_steps, kind=f"lawa{k}")
         for step in compare_steps:
-            child = cmd_branch(trunk, step, decay_frac=decay_frac, out_root=out_root)
-            final = cfgmod.schedule_spec(load_manifest(child)).total_steps
-            child_recs, fails = cmd_quantize_eval(child, bits=(bits,), steps=[final])
-            if fails:
-                raise ConfigError(f"branch quantize-eval failures: {fails}")
-            lw = _metric_at(lawa_recs, step)
-            br = _metric_at(child_recs, final)
+            lw, br = lawa[step], finals[step]
             out.append(LawaComparison(seed, step, lw.val_ce_q[bits], br.val_ce_q[bits]))
             log.info(
                 "seed %d step %d: lawa ce_q%d %.4f vs cooldown %.4f",

@@ -316,12 +316,14 @@ def cmd_branch(
     out_root: Optional[str] = None,
     decay_steps: Optional[int] = None,
     force: bool = False,
+    resume: bool = False,
 ) -> str:
     """Cool down a trunk from `branch_step`; returns the child run directory.
 
     The cooldown length defaults to decay_frac * branch_step. The child's
     schedule is the WSD run that matches the trunk up to the branch point
-    and then decays linearly to zero.
+    and then decays linearly to zero. An existing child is refused unless
+    `force` (redo) or `resume` (continue, or return it if finished).
     """
     cfg = load_manifest(parent_dir)
     parent_id = str(cfg.get("run.id", os.path.basename(parent_dir)))
@@ -349,6 +351,7 @@ def cmd_branch(
         child,
         out_root or os.path.dirname(os.path.abspath(parent_dir)),
         force=force,
+        resume=resume,
         parent=(parent_id, branch_step),
         start_state=(ckpt, opt_state, cursor),
     )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Union
 
@@ -13,6 +12,7 @@ from .data import Batch
 from .errors import ContractViolation, MergeError
 from .model import Checkpoint, forward, loss
 from .quant import QuantizedModel, eval_checkpoint
+from .store import atomic_write
 
 EvalTarget = Union[Checkpoint, QuantizedModel]
 
@@ -202,9 +202,6 @@ class MetricsStore:
         existing.update((col, new) for col, new in row.items() if new)
 
     def save(self) -> None:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)) or ".")
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(self.header + "\n")
-            for row in self.rows.values():
-                f.write(",".join(row[c] for c in self.columns) + "\n")
-        os.replace(tmp, self.path)
+        lines = [self.header]
+        lines += [",".join(row[c] for c in self.columns) for row in self.rows.values()]
+        atomic_write(self.path, ("\n".join(lines) + "\n").encode("utf-8"))

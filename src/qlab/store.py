@@ -14,7 +14,6 @@ padded to byte boundaries.
 from __future__ import annotations
 
 import os
-import tempfile
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -65,14 +64,28 @@ def decode_tensor(raw: bytes, dtype: str, rows: int, cols: int) -> np.ndarray:
     return arr.astype(_PLAIN_DTYPES[dtype])
 
 
+def atomic_write(path: str, data: bytes) -> None:
+    """Write `data` to `path` through a temp file in the same directory and
+    a rename, so a partial file never appears under the final name. The
+    temp file is removed on any failure, and the file's mode follows the
+    umask as with a plain `open`."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_tensor_file(
     path: str, entries: List[Tuple[str, str, int, int, bytes]], overwrite: bool = False
 ) -> None:
-    """Write (name, dtype, rows, cols, payload) entries; refuses to clobber.
-
-    Files are written atomically (temp + rename) so partially written
-    checkpoints never appear under their final name.
-    """
+    """Write (name, dtype, rows, cols, payload) entries atomically; refuses
+    to clobber."""
     if os.path.exists(path) and not overwrite:
         raise CheckpointFormatError(f"refusing to overwrite existing file: {path}")
     header_lines = [MAGIC]
@@ -89,16 +102,7 @@ def write_tensor_file(
         offset += len(raw)
     payload = b"".join(payloads)
     footer = f"\n{fnv1a64(payload):016x}\n"
-    blob = ("\n".join(header_lines) + "\n\n").encode() + payload + footer.encode()
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, ("\n".join(header_lines) + "\n\n").encode() + payload + footer.encode())
 
 
 def read_tensor_file(path: str) -> Dict[str, Tuple[str, int, int, bytes]]:

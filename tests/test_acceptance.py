@@ -2,9 +2,10 @@
 
 Criteria 9-11 replicate the qualitative training-dynamics experiments and
 need real compute. They are skipped unless QLAB_ACCEPTANCE_PROFILE is set
-to `tiny` (minutes) or `desk` (hours, the full-size protocol). Runs are
-cached under QLAB_ACCEPTANCE_DIR (default: a temp directory), so repeated
-invocations reuse finished training.
+to `tiny` (1-2 h on 2 cores) or `desk` (the full-size protocol, about 80 h
+per 30k-step run on 2 vCPUs). Runs are cached under QLAB_ACCEPTANCE_DIR
+(default: a temp directory), so repeated invocations reuse finished
+training.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines.
@@ -30,8 +31,8 @@ WORK = os.environ.get(
 )
 
 _SKIP_HEAVY = (
-    "multi-run training experiment; set QLAB_ACCEPTANCE_PROFILE=tiny (minutes) "
-    "or =desk (hours at full scale) to run"
+    "multi-run training experiment; set QLAB_ACCEPTANCE_PROFILE=tiny (1-2 h on 2 cores) "
+    "or =desk (about 80 h per 30k-step run on 2 vCPUs) to run"
 )
 
 
@@ -289,25 +290,17 @@ def _ensure_corpus() -> str:
     return path
 
 
-def _protocol_scale():
-    if PROFILE == "desk":
-        return dict(trunk=30000, branches=(10000, 20000, 30000), compare=(20000, 30000))
-    return dict(trunk=1200, branches=(400, 800, 1200), compare=(800, 1200))
-
-
 @pytest.mark.skipif(PROFILE not in ("tiny", "desk"), reason=_SKIP_HEAVY)
 def test_criterion_9_cooldown_raises_quant_error():
     from qlab.experiments import cooldown_branching
 
-    scale = _protocol_scale()
     results = cooldown_branching(
         _ensure_corpus(), os.path.join(WORK, "cooldown"), profile=PROFILE,
-        trunk_steps=scale["trunk"], branch_steps=scale["branches"],
         seeds=(1, 2, 3), bits=3,
     )
     ok = True
     details = []
-    for bs in scale["branches"]:
+    for bs in sorted({r.branch_step for r in results}):
         hits = sum(
             r.loss_improves and r.quant_error_rises
             for r in results if r.branch_step == bs
@@ -321,11 +314,10 @@ def test_criterion_9_cooldown_raises_quant_error():
 def test_criterion_10_larger_lr_lower_quant_error():
     from qlab.experiments import lr_sweep
 
-    scale = _protocol_scale()
     lrs = (3e-4, 1e-3, 3e-3)
     result = lr_sweep(
         _ensure_corpus(), os.path.join(WORK, "lr_sweep"), profile=PROFILE,
-        total_steps=scale["trunk"], lrs=lrs, seeds=(1, 2, 3), bits=4,
+        lrs=lrs, seeds=(1, 2, 3), bits=4,
     )
     inverse = 0
     details = []
@@ -339,16 +331,15 @@ def test_criterion_10_larger_lr_lower_quant_error():
 
 @pytest.mark.skipif(PROFILE not in ("tiny", "desk"), reason=_SKIP_HEAVY)
 def test_criterion_11_lawa_matches_cooldown_quantized():
-    from qlab.experiments import lawa_vs_cooldown
+    from qlab.experiments import TRUNK_STEPS, lawa_vs_cooldown
 
-    scale = _protocol_scale()
     corpus = _ensure_corpus()
     attempts = [(1, 2, 3), (4, 5, 6)]  # flaky-tolerant: one retry with fresh seeds
     last_details = ""
     for attempt, seeds in enumerate(attempts):
         results = lawa_vs_cooldown(
             corpus, os.path.join(WORK, "lawa"), profile=PROFILE,
-            trunk_steps=scale["trunk"], compare_steps=scale["compare"][-1:],
+            compare_steps=(TRUNK_STEPS[PROFILE],),
             seeds=seeds, bits=3, k=5,
         )
         wins = sum(r.lawa_matches_or_beats for r in results)

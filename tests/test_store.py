@@ -1,7 +1,12 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
+from qlab import store
 from qlab.errors import CheckpointFormatError
+from qlab.metrics import MetricsStore
 from qlab.store import (
     decode_tensor,
     dtype_nbytes,
@@ -98,3 +103,36 @@ def test_save_load_save_is_byte_identical(tmp_path):
     raw = read_tensor_file(p1)
     write_tensor_file(p2, [("w", "f32", 5, 7, raw["w"][3])])
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def _one_tensor():
+    return [("w", "f32", 1, 1, encode_tensor(np.zeros((1, 1), np.float32), "f32"))]
+
+
+def _saved_table(path):
+    table = MetricsStore(path, "k,v", ("k",))
+    table.upsert({"k": "1", "v": "2"})
+    table.save()
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(store.os, "replace", fail)
+    with pytest.raises(OSError):
+        write_tensor_file(str(tmp_path / "t.qlab"), _one_tensor())
+    with pytest.raises(OSError):
+        _saved_table(str(tmp_path / "t.csv"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_written_files_follow_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_tensor_file(str(tmp_path / "t.qlab"), _one_tensor())
+        _saved_table(str(tmp_path / "t.csv"))
+    finally:
+        os.umask(old)
+    for name in ("t.qlab", "t.csv"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
