@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 config error (or a result that conflicts with
-one already recorded), 3 numeric failure, 4 partial sweep/eval failure.
+one already recorded), 3 numeric failure, 4 partial sweep/eval/experiment
+failure. QLAB_THREADS sets the worker threads and the BLAS threads.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from typing import List, Optional
 
 from . import config as cfgmod
-from . import experiments, harness, report
+from . import experiments, harness, parallel, report
 from .errors import (
     CheckpointFormatError,
     ConfigError,
@@ -22,6 +23,7 @@ from .errors import (
     IngestionError,
     MergeError,
     NumericFailure,
+    PartialFailure,
     QuantizationError,
     ReportError,
 )
@@ -264,7 +266,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        # BLAS threads outside sharded regions: QLAB_THREADS, at most one per core
+        with parallel.blas_threads(min(parallel.qlab_threads(), os.cpu_count() or 1)):
+            return _dispatch(args)
+    except PartialFailure as exc:
+        log.error("%s", exc)
+        return 4
     except (ConfigError, IngestionError, ReportError, CheckpointFormatError, ContractViolation,
             MergeError) as exc:
         log.error("%s", exc)

@@ -52,3 +52,7 @@ class MergeError(QlabError):
 
 class ReportError(QlabError):
     """Plot request references missing data."""
+
+
+class PartialFailure(QlabError):
+    """Some jobs of a multi-job command failed; the others completed."""

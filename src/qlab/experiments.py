@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import config as cfgmod
-from .errors import ConfigError
+from .errors import ConfigError, PartialFailure
 from .harness import cmd_average, cmd_branch, cmd_quantize_eval, cmd_train, load_manifest
 from .metrics import MetricRecord
 
@@ -31,7 +31,7 @@ CONFIGS_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "configs"
 )
 
-# trunk (and LR-sweep budget) length per profile: desk takes ~80 h per run
+# trunk (and LR-sweep budget) length per profile: desk takes ~40 h per run
 # on 2 vCPUs, tiny ~2 min
 TRUNK_STEPS = {"desk": 30000, "tiny": 1200}
 
@@ -67,7 +67,7 @@ def _quantize_eval(run_dir: str, bits: int, steps: Sequence[int],
                    kind: str = "ckpt") -> Dict[int, MetricRecord]:
     recs, fails = cmd_quantize_eval(run_dir, bits=(bits,), steps=list(steps), kind=kind)
     if fails:
-        raise ConfigError(f"{kind} quantize-eval failures in {run_dir}: {fails}")
+        raise PartialFailure(f"{kind} quantize-eval failures in {run_dir}: {fails}")
     return {r.step: r for r in recs}
 
 

@@ -59,6 +59,7 @@ from .optim import (
     schedule_value,
     train_loop,
 )
+from .parallel import qlab_threads, run as run_parallel  # qlab_threads: re-exported
 from .quant import quantize_model
 from . import store
 
@@ -72,16 +73,6 @@ QUANT_LAYERS = "quant_layers.csv"
 QUANT_LAYERS_HEADER = "run_id,step,bits,method,layer,weight_error,recon_error,damping"
 QUANT_LAYERS_KEY = ("run_id", "step", "bits", "method", "layer")
 _OPT_META = "__opt_meta__"
-
-
-def qlab_threads() -> int:
-    env = os.environ.get("QLAB_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"QLAB_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 # -- optimizer state files -----------------------------------------------------
@@ -291,16 +282,35 @@ def cmd_train(
         })
         norm_table.save()
 
+    since = [time.perf_counter(), ckpt.step]  # clock and step of the last progress line
+
+    def progress_hook(ev: TrainEvent) -> None:
+        now = time.perf_counter()
+        rate = (ev.step - since[1]) / max(now - since[0], 1e-9)
+        since[:] = [now, ev.step]
+        log.info("run %s step %d/%d: train %.4f, %.3g steps/s, eta %s",
+                 run_id[:8], ev.step, target, ev.train_loss, rate,
+                 _duration((target - ev.step) / rate))
+
     hooks = [
         TrainHook(cfg["train.ckpt_interval"], save_hook, ckpt_marks),
         TrainHook(cfg["train.eval_interval"], eval_hook, (spec.total_steps,)),
         TrainHook(cfg["train.log_interval"], norm_hook, (spec.total_steps,)),
+        TrainHook(cfg["train.log_interval"], progress_hook),
     ]
     train_loop(
         ckpt, opt_state, data.train, cursor, spec, ocfg,
         cfg["train.batch_size"], cfg["data.seq_len"], target - ckpt.step, hooks,
     )
     return run_dir
+
+
+def _duration(seconds: float) -> str:
+    """2h05m, 4m07s or 12s."""
+    s = int(round(seconds))
+    if s >= 3600:
+        return f"{s // 3600}h{s % 3600 // 60:02d}m"
+    return f"{s // 60}m{s % 60:02d}s" if s >= 60 else f"{s}s"
 
 
 def _code_version() -> str:
@@ -442,23 +452,14 @@ def cmd_quantize_eval(
 
     results: Dict[int, tuple] = {}
     failures: List[Tuple[int, str]] = []
-    workers = min(qlab_threads(), len(selected))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {s: pool.submit(job, s) for s in selected}
-        for s, fut in futs.items():
-            try:
-                results[s] = fut.result()
-            except QlabError as exc:
-                failures.append((s, str(exc)))
-                log.error("quantize-eval failed at step %d: %s", s, exc)
-    else:
-        for s in selected:
-            try:
-                results[s] = job(s)
-            except QlabError as exc:
-                failures.append((s, str(exc)))
-                log.error("quantize-eval failed at step %d: %s", s, exc)
+    # checkpoints run as parallel jobs, whose forwards then run their shards
+    # serially; the pool class is looked up here, where perfbench traces it
+    for s, fut in zip(selected, run_parallel(job, selected, ThreadPoolExecutor)):
+        try:
+            results[s] = fut.result()
+        except QlabError as exc:
+            failures.append((s, str(exc)))
+            log.error("quantize-eval failed at step %d: %s", s, exc)
 
     metrics_store = MetricsStore(os.path.join(run_dir, METRICS))
     layer_table = MetricsStore(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Batch, CalibrationSet
 from .errors import ConfigError, NumericFailure
-from . import store
+from . import parallel, store
 
 NORM_EPS = 1e-6
 GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
@@ -113,34 +113,67 @@ def init(config: ModelConfig, dtype=np.float32) -> Checkpoint:
     return Checkpoint(tensors, step=0, tokens_seen=0, config=config)
 
 
-def _rms(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Returns (xhat, r) with xhat = x * r, r = 1/sqrt(mean(x^2) + eps)."""
+def _rms(x: np.ndarray, out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Returns (xhat, r) with xhat = x * r (written to `out` if given),
+    r = 1/sqrt(mean(x^2) + eps)."""
     mu = np.mean(np.square(x), axis=-1, keepdims=True, dtype=np.float64)
     r = (1.0 / np.sqrt(mu + NORM_EPS)).astype(x.dtype)
-    return x * r, r
+    return np.multiply(x, r, out=out), r
+
+
+# The elementwise chains below work in place to spare temporaries; each
+# step is the same single rounding as the plain expression in its comment
+# (operands commuted at most), so the values are bitwise the same.
 
 
 def _rms_backward(dxhat: np.ndarray, xhat: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """r * (dxhat - xhat * m), m = mean(dxhat * xhat)."""
     m = np.mean(dxhat * xhat, axis=-1, keepdims=True, dtype=np.float64).astype(xhat.dtype)
-    return r * (dxhat - xhat * m)
+    y = xhat * m
+    np.subtract(dxhat, y, out=y)
+    y *= r
+    return y
 
 
-def _gelu(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    t = np.tanh(GELU_C0 * (u + GELU_C1 * u * u * u))
-    return 0.5 * u * (1.0 + t), t
+def _gelu(u: np.ndarray, out: Optional[np.ndarray] = None,
+          t_out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """(0.5 * u * (1 + t), t) with t = tanh(C0 * (u + C1 * u * u * u))."""
+    a = u * GELU_C1
+    a *= u
+    a *= u
+    a += u
+    a *= GELU_C0
+    t = np.tanh(a, out=a if t_out is None else t_out)
+    return np.multiply(u * 0.5, t + 1.0, out=out), t
 
 
-def _gelu_backward(du_out: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    dt = GELU_C0 * (1.0 + 3.0 * GELU_C1 * u * u)
-    return du_out * (0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * dt)
+def _gelu_backward(du_out: np.ndarray, u: np.ndarray, t: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """du_out * (0.5 * (1 + t) + 0.5 * u * (1 - t * t) * dt),
+    dt = C0 * (1 + 3 * C1 * u * u); into `out` if given."""
+    dt = u * (3.0 * GELU_C1)
+    dt *= u
+    dt += 1.0
+    dt *= GELU_C0
+    h = t * t
+    np.subtract(1.0, h, out=h)
+    h *= u * 0.5
+    h *= dt
+    s = t + 1.0
+    s *= 0.5
+    s += h
+    return np.multiply(s, du_out, out=out)
 
 
-def _softmax_masked(scores: np.ndarray, mask_add: np.ndarray) -> np.ndarray:
-    s = scores + mask_add
+def _softmax_masked(scores: np.ndarray, mask_add: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row softmax of scores + mask_add; overwrites `scores`."""
+    s = scores
+    s += mask_add
     s -= np.max(s, axis=-1, keepdims=True)
-    e = np.exp(s)
+    e = np.exp(s, out=s)
     denom = np.sum(e, axis=-1, keepdims=True, dtype=np.float64).astype(scores.dtype)
-    return e / denom
+    return np.divide(e, denom, out=out)
 
 
 def _causal_mask(seq: int, dtype) -> np.ndarray:
@@ -159,11 +192,21 @@ def _inputs_of(batch: Union[Batch, np.ndarray]) -> np.ndarray:
 
 
 # -- sublayers: the one block implementation, shared by forward and the calibration walk
+#
+# Each takes an optional `out` dict of destination arrays (the shard's rows
+# of `forward`'s cache) for the activations it names; the values are the
+# same either way.
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
     """[..., n] activations as stacked [positions, n] rows (a view)."""
     return a.reshape(-1, a.shape[-1])
+
+
+def _head_rows(h: np.ndarray) -> np.ndarray:
+    """The [positions, d] rows under a head-major [B, H, S, Dh] view."""
+    B, H, S, Dh = h.shape
+    return np.reshape(h.transpose(0, 2, 1, 3), (B * S, H * Dh), copy=False)
 
 
 def _embed(cfg: ModelConfig, T: Dict[str, np.ndarray], ids: np.ndarray) -> np.ndarray:
@@ -173,36 +216,130 @@ def _embed(cfg: ModelConfig, T: Dict[str, np.ndarray], ids: np.ndarray) -> np.nd
     return T["embed.tok"][ids] + T["embed.pos"][:S]
 
 
-def _prenorm(x: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(xhat, r, xhat * g): the normalized sublayer input."""
-    xhat, r = _rms(x)
+def _prenorm(x: np.ndarray, g: np.ndarray, out: Optional[np.ndarray] = None):
+    """(xhat, r, xhat * g): the normalized sublayer input; xhat into `out`."""
+    xhat, r = _rms(x, out)
     return xhat, r, xhat * g
 
 
-def _attend(a_in, wq, wk, wv, cfg: ModelConfig, mask_add: np.ndarray):
+def _attend(a_in, wq, wk, wv, cfg: ModelConfig, mask_add: np.ndarray, out: Optional[dict] = None):
     """Causal multi-head attention on a_in [B, S, d]: (q, k, v, probs, ctx)."""
     B, S, _ = a_in.shape
     H, Dh = cfg.n_heads, cfg.d_head
+    out = out or {}
     flat = _rows(a_in)
-    q = (flat @ wq.T).reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
-    k = (flat @ wk.T).reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
-    v = (flat @ wv.T).reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(Dh))
-    probs = _softmax_masked(scores, mask_add)
-    ctx = np.matmul(probs, v).transpose(0, 2, 1, 3).reshape(B, S, -1)
+
+    def heads(w, name):
+        dst = out.get(name)
+        y = np.matmul(flat, w.T, out=None if dst is None else _head_rows(dst))
+        return y.reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
+
+    q, k, v = heads(wq, "q"), heads(wk, "k"), heads(wv, "v")
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    scores *= 1.0 / math.sqrt(Dh)
+    probs = _softmax_masked(scores, mask_add, out.get("probs"))
+    ctx_heads = np.matmul(probs, v).transpose(0, 2, 1, 3)
+    ctx = out.get("ctx")
+    if ctx is None:
+        ctx = ctx_heads.reshape(B, S, -1)
+    else:
+        np.reshape(ctx, ctx_heads.shape, copy=False)[...] = ctx_heads
     return q, k, v, probs, ctx
 
 
-def _mlp_hidden(m_in: np.ndarray, w1: np.ndarray):
+def _mlp_hidden(m_in: np.ndarray, w1: np.ndarray, out: Optional[dict] = None):
     """(h1, tanh, gelu(h1)) with h1 = m_in @ W1.T."""
-    h1 = (_rows(m_in) @ w1.T).reshape(*m_in.shape[:-1], -1)
-    gh1, t = _gelu(h1)
+    out = out or {}
+    h1 = out.get("h1")
+    h1 = np.matmul(_rows(m_in), w1.T, out=None if h1 is None else _rows(h1))
+    h1 = h1.reshape(*m_in.shape[:-1], -1)
+    gh1, t = _gelu(h1, out.get("gh1"), out.get("tanh"))
     return h1, t, gh1
 
 
 def _residual(x: np.ndarray, inp: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x + inp @ W.T: a sublayer's output projection added to the stream."""
     return x + (_rows(inp) @ w.T).reshape(x.shape)
+
+
+# Work is split into shards of whole sequences. Rows never interact outside
+# attention, which stays inside a sequence, so a shard computes exactly
+# the rows the whole batch would, and every cross-position reduction
+# (weight gradients, norm-gain sums, embedding scatters, the loss mean)
+# runs once over the full batch. That keeps every result bitwise equal to
+# the unsharded pass at any thread count, given that the row-sliced GEMMs
+# take the same BLAS path as the full ones: OpenBLAS's blocked kernels do
+# (their K blocking never depends on the row count); its small-matrix
+# kernels, taken for products of about a thousand outputs or fewer, do
+# not. The floor below keeps every shard far above that, and keeps
+# per-shard work large against the per-call overhead of numpy: a tiny.cfg
+# batch (8 x 128 positions, d_model 64) is one shard, a desk.cfg batch
+# (64 x 256, d_model 192) 32 shards of 2 sequences.
+SHARD_ACTIVATIONS = 1 << 16  # positions x d_model per shard, at least
+
+
+def _shards(cfg: ModelConfig, B: int, S: int) -> List[slice]:
+    """Balanced runs of whole sequences, each of at least SHARD_ACTIVATIONS
+    activations; one run when the batch is smaller."""
+    n = max(1, B // -(-SHARD_ACTIVATIONS // (S * cfg.d_model)))
+    bounds = [B * j // n for j in range(n + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _cache_arrays(cfg: ModelConfig, B: int, S: int, dtype) -> List[Dict[str, np.ndarray]]:
+    """Uninitialised full-batch arrays of every cached activation, laid out
+    as `forward`'s sublayers return them (q, k, v as head-major views)."""
+    d, f, H, Dh = cfg.d_model, cfg.d_ff, cfg.n_heads, cfg.d_head
+
+    def a(*shape):
+        return np.empty(shape, dtype=dtype)
+
+    def heads():
+        return a(B, S, H, Dh).transpose(0, 2, 1, 3)
+
+    return [
+        dict(xhat1=a(B, S, d), r1=a(B, S, 1), q=heads(), k=heads(), v=heads(),
+             probs=a(B, H, S, S), ctx=a(B, S, d), xhat2=a(B, S, d), r2=a(B, S, 1),
+             h1=a(B, S, f), tanh=a(B, S, f), gh1=a(B, S, f))
+        for _ in range(cfg.n_layers)
+    ]
+
+
+def _forward_rows(cfg, T, ids, mask_add, keep: bool, out: dict):
+    """The forward pass over whole sequences `ids`: (logits, layers, xhatf, rf).
+
+    Activations go into the destination arrays `out` holds ("logits",
+    "xhatf", "rf", and per layer the cache names), fresh arrays otherwise;
+    `layers` holds each block's cache entries when `keep` is set.
+    """
+    x = _embed(cfg, T, ids)
+    layers = []
+    for i in range(cfg.n_layers):
+        p = f"layers.{i}"
+        c = out["layers"][i] if out.get("layers") else {}
+        xhat1, r1, a_in = _prenorm(x, T[f"{p}.norm1.g"], c.get("xhat1"))
+        q, k, v, probs, ctx = _attend(
+            a_in, T[f"{p}.attn.wq"], T[f"{p}.attn.wk"], T[f"{p}.attn.wv"], cfg, mask_add, c
+        )
+        x1 = _residual(x, ctx, T[f"{p}.attn.wo"])
+        xhat2, r2, m_in = _prenorm(x1, T[f"{p}.norm2.g"], c.get("xhat2"))
+        h1, tanh_cache, gh1 = _mlp_hidden(m_in, T[f"{p}.mlp.w1"], c)
+        x = _residual(x1, gh1, T[f"{p}.mlp.w2"])
+        _check_finite(x, p)
+        if c:
+            c["r1"][...], c["r2"][...] = r1, r2
+        if keep:
+            layers.append(dict(xhat1=xhat1, r1=r1, q=q, k=k, v=v, probs=probs, ctx=ctx,
+                               xhat2=xhat2, r2=r2, h1=h1, tanh=tanh_cache, gh1=gh1))
+    xhatf, rf = _rms(x, out.get("xhatf"))
+    logits = out.get("logits")
+    logits = np.matmul(_rows(xhatf * T["norm_f.g"]), T["unembed"].T,
+                       out=None if logits is None else _rows(logits))
+    logits = logits.reshape(*ids.shape, cfg.vocab)
+    _check_finite(logits, "unembed")
+    if "rf" in out:
+        out["rf"][...] = rf
+    return logits, layers, xhatf, rf
 
 
 def forward(
@@ -214,7 +351,10 @@ def forward(
     """Run the model; returns (logits, cache).
 
     `overrides` substitutes named weight matrices (used to evaluate with
-    quantized weights).
+    quantized weights). Shards of whole sequences run on the thread pool
+    and write into full-batch arrays; a non-finite activation raises
+    NumericFailure naming the earliest failing layer of the whole batch,
+    as an unsharded pass would.
     """
     cfg = ckpt.config
     ids = _inputs_of(batch)
@@ -222,31 +362,27 @@ def forward(
     T = ckpt.tensors
     if overrides:
         T = {**T, **overrides}
-    x = _embed(cfg, T, ids)
-    mask_add = _causal_mask(S, T["embed.tok"].dtype)
-    layers = []
-    for i in range(cfg.n_layers):
-        p = f"layers.{i}"
-        x0 = x
-        xhat1, r1, a_in = _prenorm(x0, T[f"{p}.norm1.g"])
-        q, k, v, probs, ctx = _attend(
-            a_in, T[f"{p}.attn.wq"], T[f"{p}.attn.wk"], T[f"{p}.attn.wv"], cfg, mask_add
-        )
-        x1 = _residual(x0, ctx, T[f"{p}.attn.wo"])
-        xhat2, r2, m_in = _prenorm(x1, T[f"{p}.norm2.g"])
-        h1, tanh_cache, gh1 = _mlp_hidden(m_in, T[f"{p}.mlp.w1"])
-        x = _residual(x1, gh1, T[f"{p}.mlp.w2"])
-        _check_finite(x, p)
-        if need_cache:
-            layers.append(
-                dict(x0=x0, xhat1=xhat1, r1=r1, q=q, k=k, v=v, probs=probs, ctx=ctx,
-                     x1=x1, xhat2=xhat2, r2=r2, h1=h1, tanh=tanh_cache, gh1=gh1)
-            )
+    dtype = T["embed.tok"].dtype
+    mask_add = _causal_mask(S, dtype)
+    shards = _shards(cfg, B, S)
+    if len(shards) == 1:  # a lone shard keeps the arrays it makes
+        logits, layers, xhatf, rf = _forward_rows(cfg, T, ids, mask_add, need_cache, {})
+    else:
+        logits = np.empty((B, S, cfg.vocab), dtype=dtype)
+        xhatf, rf = np.empty((B, S, cfg.d_model), dtype=dtype), np.empty((B, S, 1), dtype=dtype)
+        layers = _cache_arrays(cfg, B, S, dtype) if need_cache else []
 
-    xhatf, rf = _rms(x)
-    hf = xhatf * T["norm_f.g"]
-    logits = (hf.reshape(B * S, -1) @ T["unembed"].T).reshape(B, S, cfg.vocab)
-    _check_finite(logits, "unembed")
+        def shard(sl: slice) -> None:
+            rows = dict(logits=logits[sl], xhatf=xhatf[sl], rf=rf[sl],
+                        layers=[{n: a[sl] for n, a in c.items()} for c in layers])
+            _forward_rows(cfg, T, ids[sl], mask_add, False, rows)
+
+        stage = {f"layers.{i}": i for i in range(cfg.n_layers)}
+        stage["unembed"] = cfg.n_layers
+        parallel.results(
+            parallel.run(shard, shards),
+            rank=lambda e: stage.get(e.where, -1) if isinstance(e, NumericFailure) else -1,
+        )
     cache = dict(layers=layers, xhatf=xhatf, rf=rf, logits=logits, ids=ids,
                  shape=(B, S), overrides=overrides or {})
     return logits, cache
@@ -269,7 +405,12 @@ def loss(logits: np.ndarray, targets: np.ndarray) -> float:
 
 
 def backward(ckpt: Checkpoint, batch: Batch, cache: dict) -> GradientSet:
-    """Exact gradients of the mean cross-entropy w.r.t. every tensor."""
+    """Exact gradients of the mean cross-entropy w.r.t. every tensor.
+
+    Per block, the activation gradients run shard by shard on the thread
+    pool into full-batch buffers; the weight gradients (dY.T @ X) and the
+    norm-gain sums then reduce over the whole batch at once.
+    """
     cfg = ckpt.config
     T = ckpt.tensors
     if cache["overrides"]:
@@ -279,64 +420,85 @@ def backward(ckpt: Checkpoint, batch: Batch, cache: dict) -> GradientSet:
     n_pos = B * S
     dtype = T["embed.tok"].dtype
     inv_dh = 1.0 / math.sqrt(Dh)
+    shards = _shards(cfg, B, S)
     grads: GradientSet = {}
 
-    logits = cache["logits"]
-    z, e, denom = _log_softmax_stats(logits)
-    probs = (e / denom.astype(dtype)).astype(dtype)
-    dlogits = probs.copy()
-    flat_idx = (
-        np.arange(n_pos) * cfg.vocab + batch.targets.reshape(-1).astype(np.int64)
-    )
-    dlogits.reshape(-1)[flat_idx] -= 1.0
-    dlogits *= 1.0 / n_pos
+    def buf(width: int) -> np.ndarray:
+        return np.empty((B, S, width), dtype=dtype)
 
-    xhatf, rf = cache["xhatf"], cache["rf"]
-    hf = xhatf * T["norm_f.g"]
-    dl_flat = dlogits.reshape(n_pos, -1)
-    grads["unembed"] = dl_flat.T @ hf.reshape(n_pos, -1)
-    dhf = (dl_flat @ T["unembed"]).reshape(B, S, -1)
-    grads["norm_f.g"] = np.sum(dhf * xhatf, axis=(0, 1), keepdims=False)[None, :]
-    dx = _rms_backward(dhf * T["norm_f.g"], xhatf, rf)
+    d = cfg.d_model
+    logits, xhatf, rf, gf = cache["logits"], cache["xhatf"], cache["rf"], T["norm_f.g"]
+    dlogits, hf, pf, dx = np.empty_like(logits), buf(d), buf(d), buf(d)
 
+    def head(sl: slice) -> None:
+        b = sl.stop - sl.start
+        _, e, denom = _log_softmax_stats(logits[sl])
+        dl = dlogits[sl]
+        np.divide(e, denom.astype(dtype), out=dl)
+        idx = np.arange(b * S) * cfg.vocab + batch.targets[sl].reshape(-1).astype(np.int64)
+        dl.reshape(-1)[idx] -= 1.0
+        dl *= 1.0 / n_pos
+        np.multiply(xhatf[sl], gf, out=hf[sl])
+        dhf = (_rows(dl) @ T["unembed"]).reshape(b, S, -1)
+        np.multiply(dhf, xhatf[sl], out=pf[sl])
+        dx[sl] = _rms_backward(dhf * gf, xhatf[sl], rf[sl])
+
+    parallel.results(parallel.run(head, shards))
+    grads["unembed"] = _rows(dlogits).T @ _rows(hf)
+    grads["norm_f.g"] = np.sum(pf, axis=(0, 1), keepdims=False)[None, :]
+    del dlogits, hf, pf
+
+    dh1, dx1, dx_next = buf(cfg.d_ff), buf(d), buf(d)
+    m_in, p2, a_in, p1 = buf(d), buf(d), buf(d), buf(d)
+    dq_f, dk_f, dv_f = buf(d), buf(d), buf(d)
     for i in range(cfg.n_layers - 1, -1, -1):
         p = f"layers.{i}"
-        c = cache["layers"][i]
-        # MLP sublayer: x = x1 + gelu(m_in @ W1.T) @ W2.T
-        dmlp = dx.reshape(n_pos, -1)
-        grads[f"{p}.mlp.w2"] = dmlp.T @ c["gh1"].reshape(n_pos, -1)
-        dgh1 = (dmlp @ T[f"{p}.mlp.w2"]).reshape(B, S, -1)
-        dh1 = _gelu_backward(dgh1, c["h1"], c["tanh"])
-        m_in = c["xhat2"] * T[f"{p}.norm2.g"]
-        grads[f"{p}.mlp.w1"] = dh1.reshape(n_pos, -1).T @ m_in.reshape(n_pos, -1)
-        dm_in = (dh1.reshape(n_pos, -1) @ T[f"{p}.mlp.w1"]).reshape(B, S, -1)
-        grads[f"{p}.norm2.g"] = np.sum(dm_in * c["xhat2"], axis=(0, 1))[None, :]
-        dx1 = dx + _rms_backward(dm_in * T[f"{p}.norm2.g"], c["xhat2"], c["r2"])
+        c_full = cache["layers"][i]
+        g1, g2 = T[f"{p}.norm1.g"], T[f"{p}.norm2.g"]
 
-        # attention sublayer: x1 = x0 + (P @ v merged) @ Wo.T
-        dattn = dx1.reshape(n_pos, -1)
-        grads[f"{p}.attn.wo"] = dattn.T @ c["ctx"].reshape(n_pos, -1)
-        dctx = (dattn @ T[f"{p}.attn.wo"]).reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
-        probs_a = c["probs"]
-        dprobs = np.matmul(dctx, c["v"].transpose(0, 1, 3, 2))
-        dv = np.matmul(probs_a.transpose(0, 1, 3, 2), dctx)
-        row = np.sum(dprobs * probs_a, axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
-        dscores = probs_a * (dprobs - row)
-        dq = np.matmul(dscores, c["k"]) * inv_dh
-        dk = np.matmul(dscores.transpose(0, 1, 3, 2), c["q"]) * inv_dh
+        def block(sl: slice) -> None:
+            b = sl.stop - sl.start
+            c = {k: a[sl] for k, a in c_full.items()}
+            # MLP sublayer: x = x1 + gelu(m_in @ W1.T) @ W2.T
+            dgh1 = (_rows(dx[sl]) @ T[f"{p}.mlp.w2"]).reshape(b, S, -1)
+            _gelu_backward(dgh1, c["h1"], c["tanh"], out=dh1[sl])
+            np.multiply(c["xhat2"], g2, out=m_in[sl])
+            dm_in = (_rows(dh1[sl]) @ T[f"{p}.mlp.w1"]).reshape(b, S, -1)
+            np.multiply(dm_in, c["xhat2"], out=p2[sl])
+            np.add(dx[sl], _rms_backward(dm_in * g2, c["xhat2"], c["r2"]), out=dx1[sl])
 
-        def merge(h):  # (B,H,S,Dh) -> (B*S, D)
-            return h.transpose(0, 2, 1, 3).reshape(n_pos, -1)
+            # attention sublayer: x1 = x0 + (P @ v merged) @ Wo.T
+            dctx = (_rows(dx1[sl]) @ T[f"{p}.attn.wo"]).reshape(b, S, H, Dh).transpose(0, 2, 1, 3)
+            probs_a = c["probs"]
+            dprobs = np.matmul(dctx, c["v"].transpose(0, 1, 3, 2))
+            dv = np.matmul(probs_a.transpose(0, 1, 3, 2), dctx)
+            row = np.sum(dprobs * probs_a, axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
+            dscores = dprobs  # probs * (dprobs - row), in place
+            dscores -= row
+            dscores *= probs_a
+            dq = np.matmul(dscores, c["k"])
+            dq *= inv_dh
+            dk = np.matmul(dscores.transpose(0, 1, 3, 2), c["q"])
+            dk *= inv_dh
+            for dst, h in ((dq_f, dq), (dk_f, dk), (dv_f, dv)):  # (b,H,S,Dh) -> (b,S,D)
+                dst[sl].reshape(b, S, H, Dh)[...] = h.transpose(0, 2, 1, 3)
+            np.multiply(c["xhat1"], g1, out=a_in[sl])
+            da_in = _rows(dq_f[sl]) @ T[f"{p}.attn.wq"]  # dq @ Wq + dk @ Wk + dv @ Wv
+            da_in += _rows(dk_f[sl]) @ T[f"{p}.attn.wk"]
+            da_in += _rows(dv_f[sl]) @ T[f"{p}.attn.wv"]
+            da_in = da_in.reshape(b, S, -1)
+            np.multiply(da_in, c["xhat1"], out=p1[sl])
+            np.add(dx1[sl], _rms_backward(da_in * g1, c["xhat1"], c["r1"]), out=dx_next[sl])
 
-        a_in = (c["xhat1"] * T[f"{p}.norm1.g"]).reshape(n_pos, -1)
-        dq_f, dk_f, dv_f = merge(dq), merge(dk), merge(dv)
-        grads[f"{p}.attn.wq"] = dq_f.T @ a_in
-        grads[f"{p}.attn.wk"] = dk_f.T @ a_in
-        grads[f"{p}.attn.wv"] = dv_f.T @ a_in
-        da_in = dq_f @ T[f"{p}.attn.wq"] + dk_f @ T[f"{p}.attn.wk"] + dv_f @ T[f"{p}.attn.wv"]
-        da_in = da_in.reshape(B, S, -1)
-        grads[f"{p}.norm1.g"] = np.sum(da_in * c["xhat1"], axis=(0, 1))[None, :]
-        dx = dx1 + _rms_backward(da_in * T[f"{p}.norm1.g"], c["xhat1"], c["r1"])
+        parallel.results(parallel.run(block, shards))
+        grads[f"{p}.mlp.w2"] = _rows(dx).T @ _rows(c_full["gh1"])
+        grads[f"{p}.mlp.w1"] = _rows(dh1).T @ _rows(m_in)
+        grads[f"{p}.norm2.g"] = np.sum(p2, axis=(0, 1))[None, :]
+        grads[f"{p}.attn.wo"] = _rows(dx1).T @ _rows(c_full["ctx"])
+        for w, dw in (("wq", dq_f), ("wk", dk_f), ("wv", dv_f)):
+            grads[f"{p}.attn.{w}"] = _rows(dw).T @ _rows(a_in)
+        grads[f"{p}.norm1.g"] = np.sum(p1, axis=(0, 1))[None, :]
+        dx, dx_next = dx_next, dx
 
     dtok = np.zeros_like(T["embed.tok"])
     np.add.at(dtok, cache["ids"], dx)

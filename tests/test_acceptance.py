@@ -2,7 +2,7 @@
 
 Criteria 9-11 replicate the qualitative training-dynamics experiments and
 need real compute. They are skipped unless QLAB_ACCEPTANCE_PROFILE is set
-to `tiny` (1-2 h on 2 cores) or `desk` (the full-size protocol, about 80 h
+to `tiny` (1-2 h on 2 cores) or `desk` (the full-size protocol, about 40 h
 per 30k-step run on 2 vCPUs). Runs are cached under QLAB_ACCEPTANCE_DIR
 (default: a temp directory), so repeated invocations reuse finished
 training.
@@ -32,7 +32,7 @@ WORK = os.environ.get(
 
 _SKIP_HEAVY = (
     "multi-run training experiment; set QLAB_ACCEPTANCE_PROFILE=tiny (1-2 h on 2 cores) "
-    "or =desk (about 80 h per 30k-step run on 2 vCPUs) to run"
+    "or =desk (about 40 h per 30k-step run on 2 vCPUs) to run"
 )
 
 

@@ -74,6 +74,20 @@ def test_lawa_interval_comes_from_profile(tmp_path, corpus_path, micro_profile):
     assert [os.path.basename(p) for p in lawa] == ["lawa2_12.qlab"]
 
 
+def test_quantize_eval_failure_exits_4(tmp_path, corpus_path, micro_profile, monkeypatch):
+    def failing_eval(run_dir, bits, steps, kind):
+        return [], [(steps[0], "non-finite activations in layers.0")]
+
+    monkeypatch.setattr(experiments, "cmd_quantize_eval", failing_eval)
+    monkeypatch.setitem(experiments.TRUNK_STEPS, micro_profile, 6)
+    code = main([
+        "experiment", "lr-sweep", "--corpus", corpus_path, "--profile", micro_profile,
+        "--out-root", str(tmp_path / "runs"), "--seeds", "1", "--total-steps", "6",
+        "--lrs", "1e-3",
+    ])
+    assert code == 4
+
+
 def test_missing_profile_is_config_error(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "CONFIGS_DIR", str(tmp_path))
     with pytest.raises(ConfigError):

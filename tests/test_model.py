@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import forward_stage_inputs, tiny_model_config
+from qlab import model
 from qlab.data import Batch, CalibrationSet, TokenStream, build_calibration
 from qlab.errors import ConfigError, NumericFailure
 from qlab.model import (
@@ -162,13 +163,32 @@ def test_forward_rejects_long_sequence():
         forward(ck, rand_batch(rng, 16, 1, 10))
 
 
-def test_forward_flags_nonfinite_layer():
+def test_forward_flags_nonfinite_layer(monkeypatch):
     ck = f64_model()
     ck.tensors["layers.1.mlp.w2"][0, 0] = np.inf
     rng = np.random.Generator(np.random.PCG64(4))
     with pytest.raises(NumericFailure) as exc:
         forward(ck, rand_batch(rng, 16, 1, 6))
     assert exc.value.where == "layers.1"
+
+    # several shards of one sequence: every shard fails at layers.1, and only
+    # the last, whose sequence holds token 15 (non-finite embedding), already
+    # at layers.0, which the whole batch reports
+    monkeypatch.setattr(model, "SHARD_ACTIVATIONS", 6 * 8)
+    b = rand_batch(rng, 15, 5, 6)
+    assert len(model._shards(ck.config, 5, 6)) == 5
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QLAB_THREADS", threads)
+        with pytest.raises(NumericFailure) as exc:
+            forward(ck, b)
+        assert exc.value.where == "layers.1"
+    b.inputs[4, 3] = 15
+    ck.tensors["embed.tok"][15, 0] = np.inf
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QLAB_THREADS", threads)
+        with pytest.raises(NumericFailure) as exc, np.errstate(invalid="ignore"):
+            forward(ck, b)
+        assert exc.value.where == "layers.0"
 
 
 # -- loss -----------------------------------------------------------------------
