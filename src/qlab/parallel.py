@@ -9,7 +9,8 @@ scheduled, so results never depend on the thread count.
 The items run serially, in order and in the calling thread, when there is
 one worker or one item, when the caller is itself a worker (a nested
 region), or when numpy's bundled OpenBLAS exposes no thread control (the
-workers would then oversubscribe the cores). Outside a parallel region
+workers would then oversubscribe the cores; the lookup logs a warning
+then, once per process). Outside a parallel region
 OpenBLAS keeps the count it had; `blas_threads` sets it for a block and
 restores it after, as every region does.
 
@@ -20,6 +21,7 @@ is one object per process.
 from __future__ import annotations
 
 import contextvars
+import logging
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -27,6 +29,8 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError
+
+log = logging.getLogger("qlab")
 
 _BLAS_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 
@@ -74,6 +78,9 @@ class _Owner:
         with self._lock:
             if not self._looked_up:
                 self._blas_api, self._looked_up = _find_blas(), True
+                if self._blas_api is None:
+                    log.warning("numpy's OpenBLAS exposes no thread control: "
+                                "shards and parallel jobs run serially")
             return self._blas_api
 
     def in_worker(self) -> bool:

@@ -160,7 +160,7 @@ def test_results_reraise_lowest_rank_after_reading_all(monkeypatch):
     assert exc.value.args == (1,)
 
 
-def test_missing_blas_symbol_runs_serially_with_same_results(monkeypatch, shards):
+def test_missing_blas_symbol_runs_serially_with_same_results(monkeypatch, shards, caplog):
     ck = model.init(tiny_model_config())
     rng = np.random.Generator(np.random.PCG64(3))
     batch = Batch(rng.integers(0, 256, (7, 32)).astype(np.int32),
@@ -173,7 +173,11 @@ def test_missing_blas_symbol_runs_serially_with_same_results(monkeypatch, shards
 
     monkeypatch.setattr(ctypes, "CDLL", no_library)
     monkeypatch.setattr(parallel, "_OWNER", parallel._Owner())
-    assert parallel._OWNER.blas() is None
+    with caplog.at_level(logging.WARNING, logger="qlab"):
+        assert parallel._OWNER.blas() is None
+        assert parallel._OWNER.blas() is None
+    assert [r.getMessage() for r in caplog.records] == [
+        "numpy's OpenBLAS exposes no thread control: shards and parallel jobs run serially"]
     threads = []
     parallel.results(parallel.run(lambda _: threads.append(parallel._OWNER.in_worker()), range(3)))
     assert threads == [False] * 3
