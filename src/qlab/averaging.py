@@ -7,8 +7,8 @@ checkpoint is an evaluation artifact, not a resume point.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Deque, Dict, Sequence, Tuple
 
 import numpy as np
 

@@ -92,6 +92,8 @@ def save_opt_state(path: str, state: OptimState, cursor: int, overwrite: bool = 
 
 def load_opt_state(path: str, dtype=np.float32) -> Tuple[OptimState, int]:
     raw = store.read_tensor_file(path)
+    if _OPT_META not in raw:
+        raise ConfigError(f"{path}: missing optimizer metadata tensor")
     dt, r, c, payload = raw.pop(_OPT_META)
     meta = store.decode_tensor(payload, dt, r, c)[0]
     m: Dict[str, np.ndarray] = {}

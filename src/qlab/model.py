@@ -13,8 +13,8 @@ in 64-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import math
 
@@ -159,11 +159,8 @@ def _check_finite(x: np.ndarray, where: str) -> None:
         raise NumericFailure(f"non-finite activations in {where}", where=where)
 
 
-def _inputs_of(batch: Union[Batch, np.ndarray]) -> np.ndarray:
-    return batch.inputs if isinstance(batch, Batch) else batch
-
-
-# -- sublayers: the one block implementation, shared by forward and the calibration walk
+# -- sublayers, which only `_blocks` chains: the one block implementation,
+# run by forward and the calibration walk alike
 #
 # Each takes an optional `out` dict of destination arrays (the shard's rows
 # of `forward`'s cache) for the activations it names; the values are the
@@ -284,51 +281,68 @@ def _cache_arrays(cfg: ModelConfig, B: int, S: int, dtype) -> List[Dict[str, np.
     return layers
 
 
-def _forward_rows(cfg, T, ids, mask_add, out: dict) -> None:
-    """The forward pass over whole sequences `ids`, written into the
-    destination arrays `out` holds: "logits", "xhatf", "rf", and "layers",
-    per layer the cache names (an empty list when no cache is kept)."""
+def _blocks(cfg, T, ids, mask_add, layers: list):
+    """The residual stream of whole sequences `ids` through every block, as
+    a generator: before each quantizable stage (q/k/v, o, w1, w2) it yields
+    (names, input) and is sent back that stage's weight matrices. Returns
+    the last block's output. `layers` holds, per layer, the cache arrays to
+    write (an empty list when no cache is kept)."""
     x = _embed(cfg, T, ids)
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
-        c = out["layers"][i] if out["layers"] else {}
-        _, r1, a_in = _prenorm(x, T[f"{p}.norm1.g"], c.get("xhat1"))
-        ctx = _attend(
-            a_in, T[f"{p}.attn.wq"], T[f"{p}.attn.wk"], T[f"{p}.attn.wv"], cfg, mask_add, c
-        )[4]
-        x1 = _residual(x, ctx, T[f"{p}.attn.wo"])
-        _, r2, m_in = _prenorm(x1, T[f"{p}.norm2.g"], c.get("xhat2"))
-        gh1 = _mlp_hidden(m_in, T[f"{p}.mlp.w1"], c)[2]
-        x = _residual(x1, gh1, T[f"{p}.mlp.w2"])
+        c = layers[i] if layers else {}
+        # h is the sublayer's stage input; each stage drops the one before
+        r1, h = _prenorm(x, T[f"{p}.norm1.g"], c.get("xhat1"))[1:]
+        wq, wk, wv = yield [f"{p}.attn.wq", f"{p}.attn.wk", f"{p}.attn.wv"], h
+        h = _attend(h, wq, wk, wv, cfg, mask_add, c)[4]  # ctx
+        (wo,) = yield [f"{p}.attn.wo"], h
+        x = _residual(x, h, wo)
+        r2, h = _prenorm(x, T[f"{p}.norm2.g"], c.get("xhat2"))[1:]
+        (w1,) = yield [f"{p}.mlp.w1"], h
+        h = _mlp_hidden(h, w1, c)[2]  # gelu(h1)
+        (w2,) = yield [f"{p}.mlp.w2"], h
+        x = _residual(x, h, w2)
         _check_finite(x, p)
         if c:
             c["r1"][...], c["r2"][...] = r1, r2
+    return x
+
+
+def _resume(blocks, weights):
+    """Send `weights` to a `_blocks` generator: its next (names, input), or
+    (None, output) once it is done."""
+    try:
+        return blocks.send(weights)
+    except StopIteration as done:
+        return None, done.value
+
+
+def _forward_rows(cfg, T, ids, mask_add, out: dict) -> None:
+    """The forward pass over whole sequences `ids`, written into the
+    destination arrays `out` holds: "logits", "xhatf", "rf", and "layers"
+    (see `_blocks`)."""
+    blocks = _blocks(cfg, T, ids, mask_add, out["layers"])
+    names, x = _resume(blocks, None)
+    while names:
+        names, x = _resume(blocks, [T[n] for n in names])
     xhatf, rf = _rms(x, out["xhatf"])
     out["rf"][...] = rf
     np.matmul(_rows(xhatf * T["norm_f.g"]), T["unembed"].T, out=_rows(out["logits"]))
     _check_finite(out["logits"], "unembed")
 
 
-def forward(
-    ckpt: Checkpoint,
-    batch: Union[Batch, np.ndarray],
-    overrides: Optional[Dict[str, np.ndarray]] = None,
-    need_cache: bool = True,
-) -> Tuple[np.ndarray, dict]:
+def forward(ckpt: Checkpoint, batch: Batch, need_cache: bool = True) -> Tuple[np.ndarray, dict]:
     """Run the model; returns (logits, cache).
 
-    `overrides` substitutes named weight matrices (used to evaluate with
-    quantized weights). Shards of whole sequences run on the thread pool
-    and write into full-batch arrays; a non-finite activation raises
-    NumericFailure naming the earliest failing layer of the whole batch,
-    as an unsharded pass would.
+    Shards of whole sequences run on the thread pool and write into
+    full-batch arrays; a non-finite activation raises NumericFailure naming
+    the earliest failing layer of the whole batch, as an unsharded pass
+    would.
     """
     cfg = ckpt.config
-    ids = _inputs_of(batch)
+    ids = batch.inputs
     B, S = ids.shape
     T = ckpt.tensors
-    if overrides:
-        T = {**T, **overrides}
     dtype = T["embed.tok"].dtype
     mask_add = _causal_mask(S, dtype)
     logits = np.empty((B, S, cfg.vocab), dtype=dtype)
@@ -346,8 +360,7 @@ def forward(
         parallel.run(shard, _shards(cfg, B, S)),
         rank=lambda e: stage.get(e.where, -1) if isinstance(e, NumericFailure) else -1,
     )
-    cache = dict(layers=layers, xhatf=xhatf, rf=rf, logits=logits, ids=ids,
-                 shape=(B, S), overrides=overrides or {})
+    cache = dict(layers=layers, xhatf=xhatf, rf=rf, logits=logits, ids=ids, shape=(B, S))
     return logits, cache
 
 
@@ -376,8 +389,6 @@ def backward(ckpt: Checkpoint, batch: Batch, cache: dict) -> GradientSet:
     """
     cfg = ckpt.config
     T = ckpt.tensors
-    if cache["overrides"]:
-        T = {**T, **cache["overrides"]}
     B, S = cache["shape"]
     H, Dh = cfg.n_heads, cfg.d_head
     n_pos = B * S
@@ -481,40 +492,30 @@ def capture_layer_inputs(
     sequences x seq_len, in batch order) and returns the matrices for
     `names` that carry the stream on (cast to the checkpoint's dtype):
     dequantized weights for sequential propagation, the originals
-    otherwise. Each batch keeps its own hidden
-    state and shape, so X is exactly what `forward` computes with the
-    weights returned so far. Only the current stage's X is held; the walk
-    keeps no state outside the call.
+    otherwise. X is exactly what `forward` computes with the weights
+    returned so far: each batch runs as the shards `forward` would split
+    it into, all stepped together on the thread pool, and `on_stage` runs
+    between steps, outside the pool. Only the current stage's X is held;
+    the walk keeps no state outside the call.
     """
     if not calib.batches:
         raise ConfigError("calibration set is empty")
     cfg, T = ckpt.config, ckpt.tensors
     dtype = T["embed.tok"].dtype
-    xs = [_embed(cfg, T, _inputs_of(b)) for b in calib.batches]
-    masks = [_causal_mask(x.shape[1], dtype) for x in xs]
-
-    def stage(names: List[str], inputs: List[np.ndarray]) -> List[np.ndarray]:
-        X = np.concatenate([_rows(a) for a in inputs], axis=0)
-        return [np.asarray(w, dtype=dtype) for w in on_stage(names, X)]
-
-    for i in range(cfg.n_layers):
-        p = f"layers.{i}"
-        a_in = [_prenorm(x, T[f"{p}.norm1.g"])[2] for x in xs]
-        wq, wk, wv = stage([f"{p}.attn.wq", f"{p}.attn.wk", f"{p}.attn.wv"], a_in)
-        ctx = [_attend(a, wq, wk, wv, cfg, m)[4] for a, m in zip(a_in, masks)]
-        del a_in
-        (wo,) = stage([f"{p}.attn.wo"], ctx)
-        xs = [_residual(x, c, wo) for x, c in zip(xs, ctx)]
-        del ctx
-        m_in = [_prenorm(x, T[f"{p}.norm2.g"])[2] for x in xs]
-        (w1,) = stage([f"{p}.mlp.w1"], m_in)
-        gh1 = [_mlp_hidden(m, w1)[2] for m in m_in]
-        del m_in
-        (w2,) = stage([f"{p}.mlp.w2"], gh1)
-        xs = [_residual(x, g, w2) for x, g in zip(xs, gh1)]
-        del gh1
-        for x in xs:
-            _check_finite(x, p)
+    walks = []
+    for b in calib.batches:
+        B, S = b.inputs.shape
+        mask_add = _causal_mask(S, dtype)
+        walks += [_blocks(cfg, T, b.inputs[sl], mask_add, []) for sl in _shards(cfg, B, S)]
+    weights = None
+    while True:
+        stages = parallel.results(parallel.run(lambda walk: _resume(walk, weights), walks))
+        names = stages[0][0]
+        if names is None:
+            return
+        X = np.concatenate([_rows(a) for _, a in stages], axis=0)
+        weights = [np.asarray(w, dtype=dtype) for w in on_stage(names, X)]
+        del X, stages  # the next step frees each shard's input as it goes
 
 
 # -- checkpoint serialization ------------------------------------------------

@@ -10,8 +10,8 @@ embedding tables are exempt from decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 

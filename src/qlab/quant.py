@@ -121,12 +121,6 @@ def quantize_codes(
     return np.clip(c, 0, maxq).astype(np.uint8)
 
 
-def dequant_codes(codes: np.ndarray, scale: np.ndarray, zero: np.ndarray) -> np.ndarray:
-    """(codes - zero) * scale in float64; exact for 32-bit scales."""
-    diff = codes.astype(np.float64) - zero.astype(np.float64)[:, None]
-    return diff * scale.astype(np.float64)[:, None]
-
-
 def _group_index(d_in: int, group_size: int) -> np.ndarray:
     return np.arange(d_in) // group_size
 

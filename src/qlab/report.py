@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 from xml.sax.saxutils import escape
 
 from .errors import ReportError
-from .harness import METRICS, load_manifest
+from .harness import METRICS
 from .metrics import CSV_COLUMNS, MetricsStore
 
 PALETTE = [

@@ -57,6 +57,22 @@ def forward_stage_inputs(ck, batches) -> dict:
     return {n: np.concatenate(parts) for n, parts in rows.items()}
 
 
+def record_shards(monkeypatch) -> list:
+    """Patches `model._shards` to append the shard count of every call to
+    the returned list."""
+    from qlab import model
+
+    made, real = [], model._shards
+
+    def record(cfg, B, S):
+        got = real(cfg, B, S)
+        made.append(len(got))
+        return got
+
+    monkeypatch.setattr(model, "_shards", record)
+    return made
+
+
 def micro_train_config(corpus: str, **overrides) -> dict:
     from qlab.config import resolve
 

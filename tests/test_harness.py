@@ -81,6 +81,16 @@ def test_opt_state_roundtrip(tmp_path):
         assert back.m[k].shape == ck.tensors[k].shape
 
 
+def test_opt_state_load_refuses_checkpoint_file(tmp_path):
+    from conftest import tiny_model_config
+    from qlab.model import save_checkpoint
+
+    path = str(tmp_path / "ckpt_0.qlab")
+    save_checkpoint(path, init(tiny_model_config()))
+    with pytest.raises(ConfigError, match="optimizer metadata"):
+        load_opt_state(path)
+
+
 class _Crash(Exception):
     pass
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import forward_stage_inputs, tiny_model_config
+from conftest import forward_stage_inputs, record_shards, tiny_model_config
 from qlab import model
 from qlab.data import Batch, CalibrationSet, TokenStream, build_calibration
 from qlab.errors import ConfigError, NumericFailure
@@ -414,16 +414,24 @@ def test_capture_prefix_changes_downstream_inputs():
     assert not np.array_equal(plain[wanted], changed[wanted])
 
 
-def test_capture_matches_forward_rows():
+def test_capture_matches_forward_rows(monkeypatch):
     # the walk and forward share one block implementation: with every
-    # layer carrying its own weights, each stage input is forward's, bitwise
+    # layer carrying its own weights, each stage input is forward's, bitwise,
+    # also when one-sequence shards split every batch of the walk
     ck = f64_model()
     calib = make_calib(ck, n_seq=5, batch_size=2)  # ragged last batch
-    caps = walk_inputs(ck, calib)
     rows = forward_stage_inputs(ck, calib.batches)
-    assert set(rows) == set(caps)
-    for name, X in rows.items():
-        assert np.array_equal(caps[name], X)
+    made = record_shards(monkeypatch)
+    for floor, walk_shards in ((model.SHARD_ACTIVATIONS, [1, 1, 1]), (6 * 8, [2, 2, 1])):
+        monkeypatch.setattr(model, "SHARD_ACTIVATIONS", floor)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QLAB_THREADS", threads)
+            made.clear()
+            caps = walk_inputs(ck, calib)
+            assert made == walk_shards
+            assert set(rows) == set(caps)
+            for name, X in rows.items():
+                assert np.array_equal(caps[name], X)
 
 
 def test_capture_rejects_empty_calibration():

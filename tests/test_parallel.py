@@ -12,10 +12,12 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import micro_train_config, tiny_model_config
+from conftest import micro_train_config, record_shards, tiny_model_config
 from qlab import harness, model, parallel
-from qlab.data import Batch
+from qlab.data import Batch, TokenStream, build_calibration
+from qlab.errors import NumericFailure
 from qlab.metrics import record_to_row
+from qlab.quant import QuantConfig, quantize_model
 
 # micro shapes (seq 32, d_model 32): shards of 2 sequences, 64 positions
 FORCED_SHARD = 2 * 32 * 32
@@ -184,6 +186,68 @@ def test_missing_blas_symbol_runs_serially_with_same_results(monkeypatch, shards
     with parallel.blas_threads(1):
         pass
     _assert_same_step(_step(ck, batch), with_blas)
+
+
+# -- the GPTQ calibration walk ------------------------------------------------------
+
+
+def _calib(ck, n_seq=9, batch_size=5):
+    """Calibration batches of 5 and 4 sequences: 2-sequence shards make 2 of each."""
+    rng = np.random.Generator(np.random.PCG64(n_seq))
+    S = ck.config.seq_len
+    stream = TokenStream(rng.integers(0, 256, n_seq * S + 1 + S).astype(np.int32), vocab=256)
+    return build_calibration(stream, n_seq, S, batch_size)
+
+
+def _gptq(ck, calib):
+    qm, stats = quantize_model(ck, calib, QuantConfig(bits=3, group_size=16))
+    return qm.layers, [(s.name, s.weight_error, s.recon_error, s.damping_used) for s in stats]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gptq_walk_identical_across_thread_counts(monkeypatch, shards, dtype):
+    ck = model.init(tiny_model_config(), dtype=dtype)
+    calib = _calib(ck)
+    made = record_shards(monkeypatch)
+    results = {}
+    for threads in (1, 2, 3):
+        monkeypatch.setenv("QLAB_THREADS", str(threads))
+        made.clear()
+        results[threads] = _gptq(ck, calib)
+        assert made == [2, 2]
+    shards(UNSHARDED)
+    made.clear()
+    reference = _gptq(ck, calib)
+    assert made == [1, 1]
+    for threads in (1, 2, 3):
+        layers, stats = results[threads]
+        assert stats == reference[1]
+        assert set(layers) == set(reference[0])
+        for name, q in layers.items():
+            ref = reference[0][name]
+            for a, b in ((q.codes, ref.codes), (q.scales, ref.scales), (q.zeros, ref.zeros)):
+                assert np.array_equal(a, b), name
+
+
+def test_sharded_walk_flags_nonfinite_layer(monkeypatch, shards):
+    ck = model.init(tiny_model_config())
+    ck.tensors["layers.1.attn.wo"][0, 0] = np.inf
+    calib = _calib(ck)
+    made = record_shards(monkeypatch)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QLAB_THREADS", threads)
+        made.clear()
+        staged = []
+
+        def on_stage(names, X):
+            staged.extend(names)
+            return [ck.tensors[n] for n in names]
+
+        with pytest.raises(NumericFailure) as exc, np.errstate(invalid="ignore"):
+            model.capture_layer_inputs(ck, calib, on_stage)
+        assert exc.value.where == "layers.1"
+        assert made == [2, 2]
+        assert staged == model.quantizable_layer_names(ck.config)
 
 
 # -- commands --------------------------------------------------------------------

@@ -10,7 +10,6 @@ from qlab.model import init, quantizable_layer_names
 from qlab.quant import (
     QuantConfig,
     QuantizedLinear,
-    dequant_codes,
     dequantize,
     eval_checkpoint,
     gptq_quantize,
@@ -28,6 +27,11 @@ from qlab.quant import (
 
 
 # -- grids -----------------------------------------------------------------------
+
+
+def dequant_rows(codes, scale, zero, bits):
+    """`dequantize` of codes that hold one group per row."""
+    return dequantize(QuantizedLinear(codes, scale[:, None], zero[:, None], bits, codes.shape[1]))
 
 
 def test_group_params_exact_3bit_range():
@@ -48,12 +52,12 @@ def test_group_params_constant_row():
     s, z = group_params(np.array([[5.0, 5.0, 5.0]]), 3)
     codes = quantize_codes(np.array([[5.0, 5.0, 5.0]]), s, z, 3)
     assert len(set(codes[0].tolist())) == 1
-    deq = dequant_codes(codes, s, z)
+    deq = dequant_rows(codes, s, z, 3)
     assert np.max(np.abs(deq - 5.0)) < 5.0 * 1e-7  # within one f32 ulp of the scale
     # a constant whose scale is exactly representable reconstructs exactly
     s7, z7 = group_params(np.array([[7.0, 7.0]]), 3)
     c7 = quantize_codes(np.array([[7.0, 7.0]]), s7, z7, 3)
-    assert np.all(dequant_codes(c7, s7, z7) == 7.0)
+    assert np.all(dequant_rows(c7, s7, z7, 3) == 7.0)
 
 
 def test_group_params_all_zero_sentinel():
@@ -61,7 +65,7 @@ def test_group_params_all_zero_sentinel():
     assert np.all(s == 1.0) and np.all(z == 0)
     codes = quantize_codes(np.zeros((2, 4)), s, z, 3)
     assert np.all(codes == z[:, None])
-    assert np.all(dequant_codes(codes, s, z) == 0.0)
+    assert np.all(dequant_rows(codes, s, z, 3) == 0.0)
 
 
 def test_midpoint_rounds_half_up():
@@ -208,7 +212,7 @@ def reference_gptq(W, X, cfg):
                 scale, zero = group_params(w[:, j : j + g], cfg.bits)
             scales[:, j // g], zeros[:, j // g] = scale, zero
         codes[:, j] = quantize_codes(w[:, j : j + 1], scale, zero, cfg.bits)[:, 0]
-        deq = dequant_codes(codes[:, j : j + 1], scale, zero)[:, 0]
+        deq = dequant_rows(codes[:, j : j + 1], scale, zero, cfg.bits)[:, 0]
         w[:, j + 1 :] -= np.outer((w[:, j] - deq) / U[j, j], U[j, j + 1 :])
     return codes, scales, zeros
 
