@@ -132,6 +132,10 @@ def fixed_eval_batches(
     stream: TokenStream, n_batches: int, batch_size: int, seq_len: int
 ) -> List[Batch]:
     """Deterministic evaluation set: the first n_batches of the val slice."""
+    if n_batches < 1 or batch_size < 1:
+        raise ConfigError(
+            f"eval set needs at least one batch of one row, got {n_batches} x {batch_size}"
+        )
     windows = window_count(stream, seq_len)
     need = n_batches * batch_size
     if windows < need:

@@ -40,7 +40,7 @@ from .metrics import (
     CSV_BITS,
     MetricRecord,
     MetricsStore,
-    eval_accuracy,
+    eval_accuracy,  # unused: bound here, where perfbench traces it by name
     eval_ce,
     fmt_real,
     record_to_row,
@@ -212,9 +212,9 @@ def cmd_train(
             raise ConfigError(
                 f"run {run_id} already exists at {run_dir}; pass --force to redo or --resume to continue"
             )
+    data = build_data(cfg)  # before the run directory: a config error leaves none
     os.makedirs(run_dir, exist_ok=True)
 
-    data = build_data(cfg)
     calib_hash = token_fingerprint(data.calibration(cfg).batches)
     if fresh:
         run_keys = {
@@ -265,8 +265,7 @@ def cmd_train(
             save_opt_state(opt_path(run_dir, ev.step), ev.opt_state, ev.cursor)
 
     def eval_hook(ev: TrainEvent) -> None:
-        ce = eval_ce(ev.ckpt, data.eval_batches)
-        acc = eval_accuracy(ev.ckpt, data.eval_batches)
+        ce, acc = eval_ce(ev.ckpt, data.eval_batches)
         rec = MetricRecord(
             run_id=run_id, step=ev.step, tokens_seen=ev.ckpt.tokens_seen, lr=ev.lr,
             train_loss=ev.train_loss, val_ce_fp=ce, acc_fp=acc,
@@ -383,8 +382,7 @@ def evaluate_checkpoint_quantized(
 ):
     """Full MetricRecord for one checkpoint: FP eval plus each bit width."""
     calib = data.calibration(cfg) if method == "gptq" else None
-    ce_fp = eval_ce(ckpt, data.eval_batches)
-    acc_fp = eval_accuracy(ckpt, data.eval_batches)
+    ce_fp, acc_fp = eval_ce(ckpt, data.eval_batches)
     rec = MetricRecord(
         run_id=run_id, step=ckpt.step, tokens_seen=ckpt.tokens_seen, lr=lr,
         val_ce_fp=ce_fp, acc_fp=acc_fp, weight_norm=weight_norm(ckpt),
@@ -393,8 +391,7 @@ def evaluate_checkpoint_quantized(
     for b in bits:
         qcfg = cfgmod.quant_config(cfg, b, method)
         qm, stats = quantize_model(ckpt, calib, qcfg)
-        ce_q = eval_ce(qm, data.eval_batches)
-        acc_q = eval_accuracy(qm, data.eval_batches)
+        ce_q, acc_q = eval_ce(qm, data.eval_batches)
         rec.val_ce_q[b] = ce_q
         rec.rel_ce_err[b] = relative_ce_error(ce_q, ce_fp)
         rec.delta_ptq[b] = delta_ptq(ce_q, ce_fp)

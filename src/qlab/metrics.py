@@ -1,14 +1,22 @@
-"""Degradation metrics, evaluation over fixed batch sets, and the metrics CSV."""
+"""Degradation metrics, evaluation over fixed batch sets, and the metrics CSV.
+
+Evaluation is one pass over the batch set: `eval_ce` runs one forward per
+batch, with the batches on the `qlab.parallel` pool, and takes both the
+cross-entropy and the argmax accuracy from the same logits;
+`eval_accuracy` is its second figure alone. A quantized model is
+dequantized once per pass.
+"""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .data import Batch
+from . import parallel
 from .errors import ContractViolation, MergeError
 from .model import Checkpoint, forward, loss
 from .quant import QuantizedModel, eval_checkpoint
@@ -23,33 +31,34 @@ def _as_checkpoint(target: EvalTarget) -> Checkpoint:
     return target
 
 
-def eval_ce(target: EvalTarget, batches: Sequence[Batch]) -> float:
-    """Mean cross-entropy in nats over every position of the batch set.
+def eval_ce(target: EvalTarget, batches: Sequence[Batch]) -> Tuple[float, float]:
+    """(mean cross-entropy in nats, argmax accuracy) over every position of
+    the batch set, from one forward pass per batch.
 
-    Quantized models are dequantized to full precision and run through the
-    standard forward pass.
+    A quantized model is dequantized to full precision once and run
+    through the standard forward pass. The batches are the items of one
+    parallel region, so each forward runs its shards serially in its
+    worker; the per-batch sums add up in batch order, so both figures are
+    bitwise the same at any thread count.
     """
     ckpt = _as_checkpoint(target)
-    total_nats = 0.0
-    total_pos = 0
-    for b in batches:
+
+    def sums(b: Batch) -> Tuple[float, int]:
         logits, _ = forward(ckpt, b, need_cache=False)
-        n = b.inputs.size
-        total_nats += loss(logits, b.targets) * n
-        total_pos += n
-    return total_nats / total_pos
+        hits = int(np.sum(np.argmax(logits, axis=-1) == b.targets))
+        return loss(logits, b.targets) * b.inputs.size, hits
+
+    total_nats, total_hits = 0.0, 0
+    for nats, hits in parallel.results(parallel.run(sums, batches)):
+        total_nats += nats
+        total_hits += hits
+    total_pos = sum(b.inputs.size for b in batches)
+    return total_nats / total_pos, total_hits / total_pos
 
 
 def eval_accuracy(target: EvalTarget, batches: Sequence[Batch]) -> float:
     """Fraction of positions whose argmax logit matches the target."""
-    ckpt = _as_checkpoint(target)
-    hits = 0
-    total = 0
-    for b in batches:
-        logits, _ = forward(ckpt, b, need_cache=False)
-        hits += int(np.sum(np.argmax(logits, axis=-1) == b.targets))
-        total += b.inputs.size
-    return hits / total
+    return eval_ce(target, batches)[1]
 
 
 def relative_ce_error(ce_q: float, ce_fp: float) -> float:

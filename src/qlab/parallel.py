@@ -14,8 +14,16 @@ then, once per process). Outside a parallel region
 OpenBLAS keeps the count it had; `blas_threads` sets it for a block and
 restores it after, as every region does.
 
-The BLAS thread count is process-wide state of the library, so its owner
-is one object per process.
+The owner also sets how its threads allocate: once, before its first
+pool, it caps glibc malloc at one arena (`mallopt(M_ARENA_MAX, 1)`), and
+skips that where the C library has no `mallopt`. glibc otherwise gives
+each new thread an arena of its own, which keeps the pages the thread
+freed: on 2 vCPUs, 200 tiny.cfg training steps with their evals then
+peaked at 149 MB instead of 127 MB, and quantize-evaluating a stored
+tiny run at 132 MB instead of 117 MB.
+
+The BLAS thread count and the malloc arenas are process-wide state, so
+their owner is one object per process.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .errors import ConfigError
 log = logging.getLogger("qlab")
 
 _BLAS_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+M_ARENA_MAX = -8  # glibc's mallopt parameter number
 
 
 def qlab_threads() -> int:
@@ -65,6 +74,24 @@ def _find_blas() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
     return None
 
 
+def _libc():
+    """The C library's symbols (the process's global namespace), or None."""
+    import ctypes
+
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):  # TypeError: no global namespace to open (Windows)
+        return None
+
+
+def _cap_arenas() -> None:
+    """Cap glibc malloc at one arena for every thread; nothing where the C
+    library has no mallopt."""
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is not None:
+        mallopt(M_ARENA_MAX, 1)  # int arguments and result: ctypes' defaults
+
+
 class _Owner:
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -73,6 +100,7 @@ class _Owner:
         self._blas_before = 0
         self._blas_api = None
         self._looked_up = False
+        self._arenas_capped = False
 
     def blas(self) -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
         with self._lock:
@@ -109,6 +137,10 @@ class _Owner:
         workers = min(qlab_threads(), len(items))
         if workers <= 1 or self.in_worker() or self.blas() is None:
             return [_call(fn, x) for x in items]
+        with self._lock:
+            if not self._arenas_capped:
+                _cap_arenas()
+                self._arenas_capped = True
         with self._blas_single(), executor(
             workers, thread_name_prefix="qlab", initializer=self._mark_worker
         ) as pool:

@@ -74,6 +74,13 @@ def test_cli_unknown_key_is_config_error(tmp_path, cfg_file):
     assert rc == 2
 
 
+@pytest.mark.parametrize("setting", ["eval.batches=0", "eval.batch_size=0"])
+def test_cli_train_empty_eval_set_is_config_error(tmp_path, cfg_file, setting):
+    root = str(tmp_path / "runs")
+    assert main(["train", "--config", cfg_file, "--out-root", root, "--set", setting]) == 2
+    assert not os.path.exists(root)
+
+
 def test_cli_report_missing_column_is_config_error(tmp_path, cfg_file):
     rc = main(["report", "--run", str(tmp_path), "--metric", "nope",
                "--out", str(tmp_path / "n.svg")])

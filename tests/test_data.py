@@ -135,3 +135,6 @@ def test_calibration_counts_and_eval_batches():
         assert np.array_equal(a.inputs, b.inputs)
     with pytest.raises(ConfigError):
         build_calibration(_stream(100), sample_count=50, seq_len=16)
+    for n_batches, batch_size in ((0, 4), (3, 0), (-1, 4)):
+        with pytest.raises(ConfigError):
+            fixed_eval_batches(s, n_batches=n_batches, batch_size=batch_size, seq_len=16)

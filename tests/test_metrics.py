@@ -1,10 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tiny_model_config
+from conftest import micro_train_config, tiny_model_config
+from qlab import config as cfgmod, harness, metrics, model, parallel, quant
 from qlab.data import Batch, fixed_eval_batches
 from qlab.errors import ContractViolation, MergeError
 from qlab.metrics import (
@@ -20,7 +22,8 @@ from qlab.metrics import (
     relative_ce_error,
     weight_norm,
 )
-from qlab.model import Checkpoint, init
+from qlab.model import Checkpoint, forward, init, loss
+from qlab.quant import QuantConfig, QuantizedModel, eval_checkpoint, quantize_model
 
 
 def test_relative_ce_error_cases():
@@ -76,7 +79,9 @@ def test_eval_ce_uniform_model(corpus_splits):
     cfg = tiny_model_config(init_std=0.0)
     ck = init(cfg)
     batches = fixed_eval_batches(val, 2, 4, cfg.seq_len)
-    assert abs(eval_ce(ck, batches) - math.log(256)) < 1e-6
+    ce, acc = eval_ce(ck, batches)
+    assert abs(ce - math.log(256)) < 1e-6
+    assert acc == eval_accuracy(ck, batches)
 
 
 def test_eval_ce_deterministic(corpus_splits):
@@ -86,6 +91,113 @@ def test_eval_ce_deterministic(corpus_splits):
     batches = fixed_eval_batches(val, 2, 4, cfg.seq_len)
     assert eval_ce(ck, batches) == eval_ce(ck, batches)
     assert eval_accuracy(ck, batches) == eval_accuracy(ck, batches)
+
+
+# -- the one evaluation pass ---------------------------------------------------
+
+
+def _oracle(target, batches):
+    """CE and accuracy from two separate forwards per batch, summed in batch order."""
+    ck = eval_checkpoint(target) if isinstance(target, QuantizedModel) else target
+    nats, pos = 0.0, 0
+    for b in batches:
+        logits, _ = forward(ck, b, need_cache=False)
+        nats += loss(logits, b.targets) * b.inputs.size
+        pos += b.inputs.size
+    hits, total = 0, 0
+    for b in batches:
+        logits, _ = forward(ck, b, need_cache=False)
+        hits += int(np.sum(np.argmax(logits, axis=-1) == b.targets))
+        total += b.inputs.size
+    return nats / pos, hits / total
+
+
+def _eval_batches(sizes, seq_len=32, seed=0):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [Batch(rng.integers(0, 256, (n, seq_len)).astype(np.int32),
+                  rng.integers(0, 256, (n, seq_len)).astype(np.int32)) for n in sizes]
+
+
+@pytest.fixture
+def forward_log(monkeypatch):
+    """Logs (batch rows, whether in a worker) for every forward `metrics` runs."""
+    calls, real = [], metrics.forward
+
+    def logged(ck, batch, need_cache=True):
+        calls.append((batch.inputs.shape[0], parallel._OWNER.in_worker()))
+        return real(ck, batch, need_cache=need_cache)
+
+    monkeypatch.setattr(metrics, "forward", logged)
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_pass_equals_two_forward_oracle(monkeypatch, forward_log, dtype):
+    ck = init(tiny_model_config(), dtype=dtype)
+    # sizes whose CE terms summed in another order give another float
+    batches = _eval_batches([4, 3, 4, 2, 5, 1])
+    qm, _ = quantize_model(ck, None, QuantConfig(bits=3, group_size=16, method="rtn"))
+    # shards of 2 sequences, so each batch's forward is itself split
+    monkeypatch.setattr(model, "SHARD_ACTIVATIONS", 2 * 32 * 32)
+    monkeypatch.setenv("QLAB_THREADS", "1")
+    expected = {"fp": _oracle(ck, batches), "q": _oracle(qm, batches)}
+    assert expected["fp"] != expected["q"]
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("QLAB_THREADS", threads)
+        for label, target in (("fp", ck), ("q", qm)):
+            forward_log.clear()
+            assert eval_ce(target, batches) == expected[label]
+            assert eval_accuracy(target, batches) == expected[label][1]
+            # one forward per batch and pass, on the pool when there is one
+            assert sorted(rows for rows, _ in forward_log) == sorted([4, 3, 4, 2, 5, 1] * 2)
+            pooled = threads != "1" and parallel._OWNER.blas() is not None
+            assert all(in_worker == pooled for _, in_worker in forward_log)
+
+
+def test_eval_pass_nested_in_a_job_runs_serially(monkeypatch, forward_log):
+    ck = init(tiny_model_config())
+    batches = _eval_batches([4, 3, 4], seed=1)
+    monkeypatch.setenv("QLAB_THREADS", "1")
+    expected = _oracle(ck, batches)
+    forward_log.clear()
+    monkeypatch.setenv("QLAB_THREADS", "2")
+
+    def job(_):
+        return threading.get_ident(), eval_ce(ck, batches)
+
+    jobs = parallel.results(parallel.run(job, range(2)))
+    assert [got for _, got in jobs] == [expected, expected]
+    assert len(forward_log) == 6
+    if parallel._OWNER.blas() is not None:
+        assert all(ident != threading.get_ident() for ident, _ in jobs)
+        assert all(in_worker for _, in_worker in forward_log)
+
+
+def test_quantized_eval_dequantizes_each_layer_once(monkeypatch, forward_log, corpus_path):
+    cfg = micro_train_config(corpus_path)
+    data = harness.build_data(cfg)
+    ck = init(cfgmod.model_config(cfg))
+    made, real = [], quant.dequantize
+
+    def counted(q):
+        made.append(id(q))
+        return real(q)
+
+    monkeypatch.setattr(quant, "dequantize", counted)
+    qm, _ = quantize_model(ck, None, QuantConfig(bits=4, group_size=32, method="rtn"))
+    made.clear()
+    eval_ce(qm, data.eval_batches)
+    assert sorted(made) == sorted(id(q) for q in qm.layers.values())
+
+    made.clear()
+    forward_log.clear()
+    rec, _ = harness.evaluate_checkpoint_quantized(ck, data, cfg, (3, 4), "rtn", "r")
+    # per bit width: one dequantize per layer in quantize_model, one in the eval pass
+    n_layers = len(model.quantizable_layer_names(ck.config))
+    assert len(made) == 2 * 2 * n_layers
+    # one forward per batch for the FP eval and for each bit width
+    assert len(forward_log) == 3 * len(data.eval_batches)
+    assert (rec.val_ce_fp, rec.acc_fp) == _oracle(ck, data.eval_batches)
 
 
 def test_eval_accuracy_uniform_model_near_chance():

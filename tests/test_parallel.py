@@ -1,6 +1,7 @@
 """Sharded forward/backward and the thread owner: results never depend on
 QLAB_THREADS, and equal the unsharded pass bitwise."""
 
+import ast
 import ctypes
 import glob
 import logging
@@ -8,6 +9,7 @@ import os
 import shutil
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -186,6 +188,73 @@ def test_missing_blas_symbol_runs_serially_with_same_results(monkeypatch, shards
     with parallel.blas_threads(1):
         pass
     _assert_same_step(_step(ck, batch), with_blas)
+
+
+class _Libc:
+    """A C library whose mallopt records its calls in `events`."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def mallopt(self, param, value):
+        self.events.append(("mallopt", param, value))
+        return 1
+
+
+def test_arena_cap_set_once_before_the_first_pool(monkeypatch):
+    if parallel._OWNER.blas() is None:
+        pytest.skip("no OpenBLAS thread control in this numpy build: no pool is made")
+    events = []
+    monkeypatch.setattr(parallel, "_libc", lambda: _Libc(events))
+    monkeypatch.setattr(parallel, "_OWNER", parallel._Owner())
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            events.append("pool")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setenv("QLAB_THREADS", "1")
+    parallel.results(parallel.run(lambda i: i, range(3), Pool))  # serial: no pool
+    assert events == []
+    monkeypatch.setenv("QLAB_THREADS", "2")
+    for _ in range(3):
+        assert parallel.results(parallel.run(lambda i: i, range(3), Pool)) == [0, 1, 2]
+    assert events == [("mallopt", parallel.M_ARENA_MAX, 1), "pool", "pool", "pool"]
+
+
+def test_libc_without_mallopt_skips_the_cap_with_same_results(monkeypatch, shards, caplog):
+    ck = model.init(tiny_model_config())
+    rng = np.random.Generator(np.random.PCG64(4))
+    batch = Batch(rng.integers(0, 256, (6, 32)).astype(np.int32),
+                  rng.integers(0, 256, (6, 32)).astype(np.int32))
+    monkeypatch.setenv("QLAB_THREADS", "2")
+    with_cap = _step(ck, batch)
+    monkeypatch.setattr(parallel, "_libc", lambda: object())
+    monkeypatch.setattr(parallel, "_OWNER", parallel._Owner())
+    with caplog.at_level(logging.DEBUG, logger="qlab"):
+        _assert_same_step(_step(ck, batch), with_cap)
+    assert caplog.records == []
+    assert parallel._OWNER._arenas_capped == (parallel._OWNER.blas() is not None)
+
+
+def test_only_the_owner_makes_threads():
+    """Every worker comes from `parallel`, which the BLAS hold and the arena
+    cap rely on: no other module constructs a Thread or a thread pool."""
+    src = os.path.dirname(parallel.__file__)
+    makers = {"Thread", "ThreadPoolExecutor"}
+    found = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        if os.path.basename(path) == "parallel.py":
+            continue
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name in makers:
+                    found.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert found == []
 
 
 # -- the GPTQ calibration walk ------------------------------------------------------

@@ -372,8 +372,8 @@ def test_quantize_model_high_bit_near_lossless(corpus_splits):
     _, val, _ = corpus_splits
     batches = fixed_eval_batches(val, 3, 4, ck.config.seq_len)
     qm, _ = quantize_model(ck, None, QuantConfig(bits=8, group_size=1, method="rtn"))
-    ce_fp = eval_ce(ck, batches)
-    ce_q = eval_ce(qm, batches)
+    ce_fp = eval_ce(ck, batches)[0]
+    ce_q = eval_ce(qm, batches)[0]
     assert abs(relative_ce_error(ce_q, ce_fp)) < 1e-3
 
 
