@@ -6,6 +6,12 @@ byte_offset``, a blank line, the raw little-endian payloads in header
 order, and a trailing line holding the 64-bit FNV-1a checksum of the
 payload bytes in hex.
 
+The checksum runs the FNV-1a recurrence h <- ((h ^ b) * P) mod 2^64
+exactly in numpy: eight rounds of prefix XORs give the low byte of the
+state before every byte. Since h ^ b then equals h plus a known step,
+each 64 KB chunk moves the state by one uint64 dot product of those
+steps with powers of P.
+
 Weight payloads are 32-bit IEEE-754; metadata rides along as f64
 tensors; quantized codes use bit-packed ``u{b}p`` dtypes with rows
 padded to byte boundaries.
@@ -27,13 +33,58 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _PLAIN_DTYPES = {"f32": np.float32, "f64": np.float64, "i32": np.int32, "i64": np.int64}
 
+_CHUNK = 1 << 16  # bytes hashed at a time: keeps the temporaries near 1 MB per thread
+# _POWERS[m] = P^(_CHUNK - m) mod 2^64: the weight of each byte of a full chunk
+_POWERS = np.multiply.accumulate(np.full(_CHUNK, FNV_PRIME, np.uint64))[::-1].copy()
+
+
+def _prefix_xor(bits: np.ndarray) -> np.ndarray:
+    """Inclusive prefix XOR of the truth values of `bits`, as 0/1 bytes:
+    packed 64 to a word, scanned inside each word, then each word flipped
+    by the parity of the words before it."""
+    packed = np.packbits(bits, bitorder="little")
+    words = np.zeros((len(packed) + 7) // 8, np.dtype("<u8"))
+    words.view(np.uint8)[: len(packed)] = packed
+    for shift in (1, 2, 4, 8, 16, 32):
+        words ^= words << shift
+    parity = np.bitwise_xor.accumulate(words >> 63)
+    words[1:] ^= np.negative(parity[:-1])
+    return np.unpackbits(words.view(np.uint8), count=len(bits), bitorder="little")
+
+
+def _low_bytes(b: np.ndarray, start: int) -> np.ndarray:
+    """The low byte of the FNV-1a state before each byte of `b`, from a
+    state whose low byte is `start`.
+
+    Bit k of low[i+1] is bit k of x = low[i] ^ b[i] XOR bit k of
+    (x mod 2^k) * (P mod 256), as P is odd: a prefix XOR once the bits
+    below k are known at every position."""
+    low = np.full(len(b) + 1, start, np.uint8)
+    x = np.empty(len(b), np.uint8)
+    for k in range(8):
+        np.bitwise_xor(low[:-1], b, out=x)
+        x &= (1 << k) - 1
+        x *= FNV_PRIME & 0xFF
+        x ^= b
+        x &= 1 << k
+        bit = _prefix_xor(x)
+        bit *= 1 << k  # not `<<`: numpy's uint8 shift is over ten times slower
+        low[1:] ^= bit
+    return low[:-1]
+
 
 def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
-    """64-bit FNV-1a over raw bytes."""
-    prime = FNV_PRIME
-    mask = _MASK64
-    for b in memoryview(data):
-        h = ((h ^ b) * prime) & mask
+    """64-bit FNV-1a over raw bytes, continuing from state `h`."""
+    data = np.frombuffer(data, np.uint8)
+    for start in range(0, len(data), _CHUNK):
+        b = data[start : start + _CHUNK]
+        low = _low_bytes(b, h & 0xFF)
+        # h ^ b[i] = h + step[i], so after n bytes h = P^n h + sum_i step[i] P^(n-i)
+        step = np.bitwise_xor(low, b).astype(np.int64)
+        step -= low
+        n = len(b)
+        tail = int(np.dot(step.view(np.uint64), _POWERS[_CHUNK - n :]))
+        h = (int(_POWERS[_CHUNK - n]) * h + tail) & _MASK64
     return h
 
 
@@ -44,7 +95,7 @@ def packed_row_bytes(cols: int, bits: int) -> int:
 def dtype_nbytes(dtype: str, rows: int, cols: int) -> int:
     if dtype in _PLAIN_DTYPES:
         return rows * cols * np.dtype(_PLAIN_DTYPES[dtype]).itemsize
-    if dtype.startswith("u") and dtype.endswith("p"):
+    if dtype.startswith("u") and dtype.endswith("p") and dtype[1:-1].isdecimal():
         return rows * packed_row_bytes(cols, int(dtype[1:-1]))
     raise CheckpointFormatError(f"unknown dtype token {dtype!r}")
 
@@ -112,9 +163,11 @@ def read_tensor_file(path: str) -> Dict[str, Tuple[str, int, int, bytes]]:
     sep = blob.find(b"\n\n")
     if sep < 0:
         raise CheckpointFormatError(f"{path}: missing blank line after header")
-    header = blob[:sep].decode()
-    lines = header.split("\n")
-    if not lines or lines[0] != MAGIC:
+    try:
+        lines = blob[:sep].decode().split("\n")
+    except UnicodeDecodeError as e:
+        raise CheckpointFormatError(f"{path}: header is not UTF-8 ({e})") from None
+    if lines[0] != MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic {lines[:1]!r}")
     entries = {}
     total = 0
@@ -122,19 +175,27 @@ def read_tensor_file(path: str) -> Dict[str, Tuple[str, int, int, bytes]]:
         parts = line.split()
         if len(parts) != 5:
             raise CheckpointFormatError(f"{path}: malformed header line {line!r}")
-        name, dtype, rows, cols, off = parts[0], parts[1], int(parts[2]), int(parts[3]), int(parts[4])
-        size = dtype_nbytes(dtype, rows, cols)
+        name, dtype = parts[0], parts[1]
+        try:
+            rows, cols, off = map(int, parts[2:])
+        except ValueError:
+            raise CheckpointFormatError(f"{path}: non-integer field in header line {line!r}") from None
+        if min(rows, cols, off) < 0:
+            raise CheckpointFormatError(f"{path}: negative field in header line {line!r}")
+        try:
+            size = dtype_nbytes(dtype, rows, cols)
+        except CheckpointFormatError as e:
+            raise CheckpointFormatError(f"{path}: {e}") from None
         entries[name] = (dtype, rows, cols, off, size)
         total = max(total, off + size)
     body = blob[sep + 2 :]
-    payload, footer = body[:total], body[total:]
+    payload, footer = body[:total], body[total:].strip()
     if len(payload) != total:
         raise CheckpointFormatError(f"{path}: truncated payload")
-    footer_text = footer.decode().strip()
-    got = fnv1a64(payload)
-    if footer_text != f"{got:016x}":
+    got = f"{fnv1a64(payload):016x}"
+    if footer != got.encode():
         raise CheckpointFormatError(
-            f"{path}: checksum mismatch (footer {footer_text!r}, payload {got:016x})"
+            f"{path}: checksum mismatch (footer {footer!r}, payload {got})"
         )
     return {
         name: (dtype, rows, cols, payload[off : off + size])

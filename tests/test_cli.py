@@ -141,3 +141,14 @@ def test_cli_soup_bad_weight_is_config_error(tmp_path, trained_run):
     assert main(["soup", "--ckpt", f"{ckpt}:abc", "--out", out]) == 2
     assert main(["soup", "--ckpt", f"{ckpt}:", "--out", out]) == 2
     assert not os.path.exists(out)
+
+
+def test_cli_soup_corrupt_footer_is_format_error(tmp_path, trained_run):
+    with open(os.path.join(trained_run, "ckpt_30.qlab"), "rb") as f:
+        blob = f.read()
+    bad = str(tmp_path / "bad.qlab")
+    with open(bad, "wb") as f:
+        f.write(blob[:-3] + b"\xff" + blob[-2:])
+    out = str(tmp_path / "o.qlab")
+    assert main(["soup", "--ckpt", f"{bad}:1", "--out", out]) == 2
+    assert not os.path.exists(out)

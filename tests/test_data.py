@@ -1,6 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
+from qlab import store
+from qlab.config import resolve
 from qlab.data import (
     EndOfData,
     TokenStream,
@@ -9,6 +13,7 @@ from qlab.data import (
     load_corpus,
     next_batch,
     split,
+    token_fingerprint,
     window_count,
 )
 from qlab.errors import ConfigError, IngestionError
@@ -138,3 +143,15 @@ def test_calibration_counts_and_eval_batches():
     for n_batches, batch_size in ((0, 4), (3, 0), (-1, 4)):
         with pytest.raises(ConfigError):
             fixed_eval_batches(s, n_batches=n_batches, batch_size=batch_size, seq_len=16)
+
+
+@pytest.mark.parametrize("profile", ["tiny", "desk"])
+def test_token_fingerprint_equals_per_array_chain(profile):
+    cfg = resolve(os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{profile}.cfg"))
+    n, rows, seq = cfg["eval.batches"], cfg["eval.batch_size"], cfg["data.seq_len"]
+    batches = fixed_eval_batches(_stream(n * rows * (seq + 1) + 1), n, rows, seq)
+    h = store.FNV_OFFSET
+    for b in batches:
+        h = store.fnv1a64(np.ascontiguousarray(b.inputs, dtype=np.int32).tobytes(), h)
+        h = store.fnv1a64(np.ascontiguousarray(b.targets, dtype=np.int32).tobytes(), h)
+    assert token_fingerprint(batches) == f"{h:016x}"

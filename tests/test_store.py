@@ -3,11 +3,14 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qlab import store
+from qlab import parallel, store
 from qlab.errors import CheckpointFormatError
 from qlab.metrics import MetricsStore
 from qlab.store import (
+    FNV_OFFSET,
+    FNV_PRIME,
     decode_tensor,
     dtype_nbytes,
     encode_tensor,
@@ -16,6 +19,21 @@ from qlab.store import (
     read_tensor_file,
     write_tensor_file,
 )
+
+
+CHUNK = store._CHUNK
+MASK64 = (1 << 64) - 1
+
+
+def fnv1a64_oracle(data: bytes, h: int = FNV_OFFSET) -> int:
+    """The FNV-1a recurrence one byte at a time, as specified."""
+    for b in data:
+        h = ((h ^ b) * FNV_PRIME) & MASK64
+    return h
+
+
+def _random_bytes(n: int, seed: int) -> bytes:
+    return np.random.Generator(np.random.PCG64(seed)).integers(0, 256, n, np.uint8).tobytes()
 
 
 def test_fnv1a64_reference_vectors():
@@ -28,6 +46,41 @@ def test_fnv1a64_reference_vectors():
 def test_fnv_chaining_matches_concatenation():
     a, b = b"hello ", b"world"
     assert fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b)
+
+
+@given(st.binary(max_size=600), st.integers(0, MASK64))
+@settings(max_examples=200, deadline=None)
+def test_fnv1a64_equals_oracle(data, h):
+    assert fnv1a64(data, h) == fnv1a64_oracle(data, h)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+def test_fnv1a64_equals_oracle_across_chunks(n):
+    data = _random_bytes(n, n)
+    h = int(np.random.Generator(np.random.PCG64(n)).integers(0, MASK64, dtype=np.uint64))
+    assert fnv1a64(data) == fnv1a64_oracle(data)
+    assert fnv1a64(data, h) == fnv1a64_oracle(data, h)
+
+
+def test_fnv1a64_every_low_byte_of_the_start_state():
+    data = _random_bytes(200, 7)
+    high = 0x9E3779B97F4A7C15 & ~0xFF
+    for low in range(256):
+        assert fnv1a64(data, high | low) == fnv1a64_oracle(data, high | low), low
+
+
+@pytest.mark.parametrize("cut", [1000, CHUNK])
+def test_fnv1a64_chaining_inside_and_at_chunk_boundary(cut):
+    data = _random_bytes(2 * CHUNK + 5, cut)
+    a, b = data[:cut], data[cut:]
+    assert fnv1a64(b, fnv1a64(a)) == fnv1a64(data) == fnv1a64_oracle(data)
+
+
+def test_fnv1a64_on_thread_pool_equals_serial(monkeypatch):
+    monkeypatch.setenv("QLAB_THREADS", "2")
+    inputs = [_random_bytes(n, n) for n in (0, 5, CHUNK + 3, 2 * CHUNK, 100, 3 * CHUNK + 17)]
+    pooled = parallel.results(parallel.run(fnv1a64, inputs))
+    assert pooled == [fnv1a64(x) for x in inputs] == [fnv1a64_oracle(x) for x in inputs]
 
 
 def test_dtype_sizes():
@@ -75,6 +128,47 @@ def test_checksum_detects_corruption(tmp_path):
     blob[-20] ^= 0xFF  # flip a payload byte
     open(path, "wb").write(bytes(blob))
     with pytest.raises(CheckpointFormatError):
+        read_tensor_file(path)
+
+
+def test_checksum_detects_flip_in_second_chunk(tmp_path):
+    path = str(tmp_path / "t.qlab")
+    arr = np.arange(2 * CHUNK // 4, dtype=np.float32).reshape(2, -1)
+    write_tensor_file(path, [("w", "f32", *arr.shape, encode_tensor(arr, "f32"))])
+    blob = bytearray(open(path, "rb").read())
+    start = blob.index(b"\n\n") + 2
+    blob[start + CHUNK + 1234] ^= 0x01
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match="checksum mismatch"):
+        read_tensor_file(path)
+
+
+def _corrupt(blob: bytes, how: str) -> bytes:
+    """A valid one-tensor file spoilt in one of the ways a damaged file shows."""
+    if how == "footer-not-utf8":
+        return blob[:-3] + b"\xff" + blob[-2:]
+    if how == "header-not-utf8":
+        return blob.replace(b"w f32", b"\xff f32", 1)
+    if how == "non-integer-field":
+        return blob.replace(b"w f32 1 2 0", b"w f32 1 two 0", 1)
+    if how == "unknown-dtype":
+        return blob.replace(b"w f32 1 2 0", b"w uxp 1 2 0", 1)
+    assert how == "negative-field"
+    return blob.replace(b"w f32 1 2 0", b"w f32 -1 -2 0", 1)
+
+
+@pytest.mark.parametrize(
+    "how",
+    ["footer-not-utf8", "header-not-utf8", "non-integer-field", "negative-field", "unknown-dtype"],
+)
+def test_malformed_file_is_format_error_naming_path(tmp_path, how):
+    path = str(tmp_path / "t.qlab")
+    write_tensor_file(path, [("w", "f32", 1, 2, encode_tensor(np.ones((1, 2), np.float32), "f32"))])
+    with open(path, "rb") as f:
+        blob = f.read()
+    with open(path, "wb") as f:
+        f.write(_corrupt(blob, how))
+    with pytest.raises(CheckpointFormatError, match="t.qlab"):
         read_tensor_file(path)
 
 
