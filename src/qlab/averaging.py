@@ -7,8 +7,7 @@ checkpoint is an evaluation artifact, not a resume point.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -18,40 +17,26 @@ from .model import Checkpoint
 WEIGHT_SUM_TOL = 1e-9
 
 
-def _weighted_mean64(
+def _weighted_mean(
     tensor_sets: Sequence[Dict[str, np.ndarray]], weights: Sequence[float]
 ) -> Dict[str, np.ndarray]:
-    """Normalized weighted mean accumulated in 64-bit.
+    """Normalized weighted mean accumulated in 64-bit, returned in the
+    first set's dtype.
 
     Equal weights take a sum-then-divide path so that a uniform average of
     identical tensors reproduces them bitwise; LAWA and a uniform soup
     therefore agree exactly.
     """
-    keys = tensor_sets[0].keys()
-    out = {}
-    if all(w == weights[0] for w in weights):
-        n = len(tensor_sets)
-        for k in keys:
-            acc = np.zeros(tensor_sets[0][k].shape, dtype=np.float64)
-            for ts in tensor_sets:
-                acc += ts[k]
-            out[k] = acc / n
-        return out
-    total = float(np.sum(np.asarray(weights, dtype=np.float64)))
-    norm = [w / total for w in weights]
-    for k in keys:
-        acc = np.zeros(tensor_sets[0][k].shape, dtype=np.float64)
-        for w, ts in zip(norm, tensor_sets):
-            acc += w * ts[k].astype(np.float64)
-        out[k] = acc
-    return out
-
-
-def _weighted_mean(
-    tensor_sets: Sequence[Dict[str, np.ndarray]], weights: Sequence[float]
-) -> Dict[str, np.ndarray]:
     dtype = next(iter(tensor_sets[0].values())).dtype
-    return {k: v.astype(dtype) for k, v in _weighted_mean64(tensor_sets, weights).items()}
+    uniform = all(w == weights[0] for w in weights)
+    total = float(np.sum(np.asarray(weights, dtype=np.float64)))
+    out = {}
+    for k in tensor_sets[0]:
+        acc = np.zeros(tensor_sets[0][k].shape, dtype=np.float64)
+        for w, ts in zip(weights, tensor_sets):
+            acc += ts[k] if uniform else (w / total) * ts[k].astype(np.float64)
+        out[k] = (acc / len(tensor_sets) if uniform else acc).astype(dtype)
+    return out
 
 
 def _require_congruent(a: Checkpoint, b: Checkpoint) -> None:
@@ -59,42 +44,27 @@ def _require_congruent(a: Checkpoint, b: Checkpoint) -> None:
         raise ContractViolation("checkpoints are not config-congruent")
 
 
-@dataclass
-class AveragingWindow:
-    """FIFO of the k most recent checkpoints with a cached uniform average."""
+class AveragingWindow(deque):
+    """The `capacity` most recent checkpoints of a LAWA run, oldest first."""
 
-    capacity: int
-    entries: Deque[Tuple[int, int, Dict[str, np.ndarray]]] = field(default_factory=deque)
-    cached: Dict[str, np.ndarray] | None = None
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ContractViolation("window capacity must be at least 1")
+        super().__init__(maxlen=capacity)
 
 
 def lawa_push(window: AveragingWindow, ckpt: Checkpoint) -> Checkpoint:
-    """Add a checkpoint, evicting the oldest at capacity; returns the mean.
+    """Add a checkpoint, evicting the oldest at capacity; returns the
+    window's uniform mean.
 
     The averaged checkpoint carries the step and token count of the newest
     entry.
     """
-    if window.capacity < 1:
-        raise ContractViolation("window capacity must be at least 1")
-    if window.entries:
-        first = window.entries[0][2]
-        if set(first) != set(ckpt.tensors) or any(
-            first[k].shape != ckpt.tensors[k].shape for k in first
-        ):
-            raise ContractViolation("checkpoint does not match window entries")
-    window.entries.append((ckpt.step, ckpt.tokens_seen, dict(ckpt.tensors)))
-    while len(window.entries) > window.capacity:
-        window.entries.popleft()
-    sets = [e[2] for e in window.entries]
-    window.cached = _weighted_mean64(sets, [1.0] * len(sets))
-    dtype = next(iter(ckpt.tensors.values())).dtype
-    return Checkpoint(
-        {k: v.astype(dtype) for k, v in window.cached.items()},
-        step=ckpt.step, tokens_seen=ckpt.tokens_seen, config=ckpt.config,
-    )
+    if window:
+        _require_congruent(window[0], ckpt)
+    window.append(ckpt)
+    mean = _weighted_mean([c.tensors for c in window], [1.0] * len(window))
+    return Checkpoint(mean, step=ckpt.step, tokens_seen=ckpt.tokens_seen, config=ckpt.config)
 
 
 def soup(checkpoints: Sequence[Checkpoint], weights: Sequence[float]) -> Checkpoint:

@@ -63,11 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--bits", type=int, default=4)
     sp.add_argument("--method", choices=("rtn", "gptq"), default="gptq")
-    sp.add_argument("--group", type=int, default=128)
-    sp.add_argument("--calib-samples", type=int, default=128)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--config", default="", help="data config; defaults to the run manifest")
-    sp.add_argument("--set", action="append", default=[])
+    common(sp)  # --config defaults to the run manifest next to --ckpt
 
     sp = sub.add_parser("eval", help="quantize and evaluate checkpoints of a run")
     sp.add_argument("--run", required=True)
@@ -125,8 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_quantize(args) -> int:
+    """Quantize one checkpoint under its run's config (the manifest next to
+    it, or --config), then --set."""
     from .model import load_checkpoint
-    from .quant import QuantConfig, quantize_model, save_quantized
+    from .quant import quantize_model, save_quantized
 
     ckpt = load_checkpoint(args.ckpt)
     cfg_path = args.config
@@ -134,20 +133,14 @@ def _cmd_quantize(args) -> int:
         manifest = os.path.join(os.path.dirname(os.path.abspath(args.ckpt)), harness.MANIFEST)
         if os.path.isfile(manifest):
             cfg_path = manifest
-    calib = None
-    if args.method == "gptq":
-        if not cfg_path:
+        elif args.method == "gptq":
             raise ConfigError("gptq needs --config (or a run manifest) for calibration data")
-        cfg = (
-            harness.load_manifest(os.path.dirname(cfg_path))
-            if os.path.basename(cfg_path) == harness.MANIFEST
-            else cfgmod.resolve(cfg_path, args.set)
-        )
-        cfg["quant.calib_samples"] = args.calib_samples
-        data = harness.build_data(cfg)
-        calib = data.calibration(cfg)
-    qcfg = QuantConfig(bits=args.bits, group_size=args.group, method=args.method)
-    qm, stats = quantize_model(ckpt, calib, qcfg)
+    if os.path.basename(cfg_path) == harness.MANIFEST:
+        cfg = cfgmod.apply_overrides(harness.load_manifest(os.path.dirname(cfg_path)), args.set)
+    else:
+        cfg = cfgmod.resolve(cfg_path, args.set)
+    calib = harness.build_data(cfg).calibration(cfg) if args.method == "gptq" else None
+    qm, stats = quantize_model(ckpt, calib, cfgmod.quant_config(cfg, args.bits, args.method))
     save_quantized(args.out, qm, overwrite=True)
     for s in stats:
         rec = "" if s.recon_error is None else f" recon {s.recon_error:.4g}"

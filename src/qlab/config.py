@@ -132,22 +132,19 @@ def parse_config_text(
     return out
 
 
-def resolve(
-    path_or_text: str = "",
-    overrides: Optional[List[str]] = None,
-    is_path: bool = True,
-) -> Dict[str, object]:
-    """Defaults, then file contents, then --set overrides."""
+def resolve(path: str = "", overrides: Optional[List[str]] = None) -> Dict[str, object]:
+    """Defaults, then the config file at `path`, then --set overrides."""
     cfg: Dict[str, object] = {k: d for k, (_, d) in REGISTRY.items()}
-    if path_or_text:
-        if is_path:
-            if not os.path.isfile(path_or_text):
-                raise ConfigError(f"config file not found: {path_or_text}")
-            with open(path_or_text, "r", encoding="utf-8") as f:
-                text = f.read()
-        else:
-            text = path_or_text
-        cfg.update(parse_config_text(text))
+    if path:
+        if not os.path.isfile(path):
+            raise ConfigError(f"config file not found: {path}")
+        with open(path, "r", encoding="utf-8") as f:
+            cfg.update(parse_config_text(f.read()))
+    return apply_overrides(cfg, overrides)
+
+
+def apply_overrides(cfg: Dict[str, object], overrides: Optional[List[str]]) -> Dict[str, object]:
+    """Apply --set section.key=value items to `cfg` in place; returns it."""
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")

@@ -79,32 +79,21 @@ _OPT_META = "__opt_meta__"
 
 
 def save_opt_state(path: str, state: OptimState, cursor: int, overwrite: bool = False) -> None:
-    meta = np.array([[state.t, cursor]], dtype=np.float64)
-    entries = [(_OPT_META, "f64", 1, 2, store.encode_tensor(meta, "f64"))]
+    arrays = {_OPT_META: np.array([[state.t, cursor]], dtype=np.float64)}
     for prefix, tensors in (("m", state.m), ("v", state.v)):
         for name in sorted(tensors):
-            t = tensors[name]
-            entries.append(
-                (f"{prefix}.{name}", "f32", t.shape[0], t.shape[1], store.encode_tensor(t, "f32"))
-            )
-    store.write_tensor_file(path, entries, overwrite=overwrite)
+            arrays[f"{prefix}.{name}"] = np.asarray(tensors[name], np.float32)
+    store.save_arrays(path, arrays, overwrite=overwrite)
 
 
-def load_opt_state(path: str, dtype=np.float32) -> Tuple[OptimState, int]:
-    raw = store.read_tensor_file(path)
-    if _OPT_META not in raw:
+def load_opt_state(path: str) -> Tuple[OptimState, int]:
+    arrays = store.load_arrays(path)
+    if _OPT_META not in arrays:
         raise ConfigError(f"{path}: missing optimizer metadata tensor")
-    dt, r, c, payload = raw.pop(_OPT_META)
-    meta = store.decode_tensor(payload, dt, r, c)[0]
-    m: Dict[str, np.ndarray] = {}
-    v: Dict[str, np.ndarray] = {}
-    for name, (dt, rows, cols, payload) in raw.items():
-        arr = store.decode_tensor(payload, dt, rows, cols).astype(dtype)
-        if name.startswith("m."):
-            m[name[2:]] = arr
-        elif name.startswith("v."):
-            v[name[2:]] = arr
-    return OptimState(m=m, v=v, t=int(meta[0])), int(meta[1])
+    t, cursor = arrays.pop(_OPT_META)[0]
+    m = {name[2:]: a for name, a in arrays.items() if name.startswith("m.")}
+    v = {name[2:]: a for name, a in arrays.items() if name.startswith("v.")}
+    return OptimState(m=m, v=v, t=int(t)), int(cursor)
 
 
 # -- run directory helpers ------------------------------------------------------
@@ -579,7 +568,7 @@ def cmd_sweep(plan_path: str, out_root: str, force: bool = False) -> Tuple[List[
         seed = cell["model.init_seed"]
         label = [str(cell[k]) for k in axis_keys]
         try:
-            run_dir = cmd_train(cell, out_root, force=force)
+            run_dir = cmd_train(cell, out_root, force=force, resume=not force)
             dirs.append(run_dir)
             final = cfgmod.schedule_spec(cell).total_steps
             recs, fails = cmd_quantize_eval(

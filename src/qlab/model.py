@@ -520,25 +520,23 @@ def capture_layer_inputs(
 
 # -- checkpoint serialization ------------------------------------------------
 
-_META = "__meta__"
+META = "__meta__"
 
 
-def meta_entry(config: ModelConfig, step: int, tokens_seen: int) -> Tuple[str, str, int, int, bytes]:
-    """The `__meta__` file entry: step, tokens seen and the model config as 10 f64s."""
+def meta_entry(config: ModelConfig, step: int, tokens_seen: int) -> np.ndarray:
+    """The `__meta__` row: step, tokens seen and the model config as 10 f64s."""
     c = config
-    meta = np.array(
+    return np.array(
         [[step, tokens_seen, c.vocab, c.d_model, c.n_layers, c.n_heads,
           c.d_ff, c.seq_len, c.init_seed, c.init_std]], dtype=np.float64
     )
-    return (_META, "f64", 1, meta.shape[1], store.encode_tensor(meta, "f64"))
 
 
-def pop_meta(raw: dict, path: str) -> Tuple[ModelConfig, int, int]:
-    """Remove and decode the `__meta__` entry: (config, step, tokens_seen)."""
-    if _META not in raw:
+def pop_meta(arrays: dict, path: str) -> Tuple[ModelConfig, int, int]:
+    """Remove and decode the `__meta__` row: (config, step, tokens_seen)."""
+    if META not in arrays:
         raise ConfigError(f"{path}: missing metadata tensor")
-    dt, r, c, payload = raw.pop(_META)
-    meta = store.decode_tensor(payload, dt, r, c)[0]
+    meta = arrays.pop(META)[0]
     config = ModelConfig(
         vocab=int(meta[2]), d_model=int(meta[3]), n_layers=int(meta[4]),
         n_heads=int(meta[5]), d_ff=int(meta[6]), seq_len=int(meta[7]),
@@ -549,20 +547,15 @@ def pop_meta(raw: dict, path: str) -> Tuple[ModelConfig, int, int]:
 
 def save_checkpoint(path: str, ckpt: Checkpoint, overwrite: bool = False) -> None:
     """Weights as f32 payloads plus one f64 metadata tensor."""
-    entries = [meta_entry(ckpt.config, ckpt.step, ckpt.tokens_seen)]
+    arrays = {META: meta_entry(ckpt.config, ckpt.step, ckpt.tokens_seen)}
     for name in sorted(ckpt.tensors):
-        t = ckpt.tensors[name]
-        entries.append((name, "f32", t.shape[0], t.shape[1], store.encode_tensor(t, "f32")))
-    store.write_tensor_file(path, entries, overwrite=overwrite)
+        arrays[name] = np.asarray(ckpt.tensors[name], np.float32)
+    store.save_arrays(path, arrays, overwrite=overwrite)
 
 
-def load_checkpoint(path: str, dtype=np.float32) -> Checkpoint:
-    raw = store.read_tensor_file(path)
-    config, step, tokens_seen = pop_meta(raw, path)
-    tensors = {}
-    for name, (dt, rows, cols, payload) in raw.items():
-        tensors[name] = store.decode_tensor(payload, dt, rows, cols).astype(dtype)
-    expect = tensor_shapes(config)
-    if set(tensors) != set(expect):
+def load_checkpoint(path: str) -> Checkpoint:
+    tensors = store.load_arrays(path)
+    config, step, tokens_seen = pop_meta(tensors, path)
+    if set(tensors) != set(tensor_shapes(config)):
         raise ConfigError(f"{path}: tensor set does not match config")
     return Checkpoint(tensors, step=step, tokens_seen=tokens_seen, config=config)

@@ -26,7 +26,10 @@ def frobenius_norm(a: Matrix) -> float:
     return float(np.sqrt(np.sum(np.square(a, dtype=np.float64))))
 
 
-def cholesky(h: Matrix, sym_rtol: float = 1e-10) -> Matrix:
+SYM_RTOL = 1e-10  # cholesky's symmetry tolerance, relative to the largest |h_ij|
+
+
+def cholesky(h: Matrix) -> Matrix:
     """Lower-triangular L with L @ L.T == h, positive diagonal.
 
     Always computed in 64-bit, by LAPACK. Raises FactorizationError
@@ -41,7 +44,7 @@ def cholesky(h: Matrix, sym_rtol: float = 1e-10) -> Matrix:
         raise ContractViolation(f"cholesky needs a square matrix, got {h.shape}")
     a = np.asarray(h, dtype=np.float64)
     scale = np.max(np.abs(a)) if n else 0.0
-    if scale > 0 and np.max(np.abs(a - a.T)) > sym_rtol * scale:
+    if scale > 0 and np.max(np.abs(a - a.T)) > SYM_RTOL * scale:
         raise ContractViolation("cholesky input is not symmetric within tolerance")
     try:
         L = np.linalg.cholesky(a)

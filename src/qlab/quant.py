@@ -20,13 +20,13 @@ as its inputs exist.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import store
 from .errors import ConfigError, ContractViolation, FactorizationError, QuantizationError
-from .model import Checkpoint, ModelConfig, meta_entry, pop_meta, quantizable_layer_names
+from .model import META, Checkpoint, ModelConfig, meta_entry, pop_meta, quantizable_layer_names
 from .ndkernel import cholesky, frobenius_norm, spd_inverse
 from .data import CalibrationSet
 
@@ -263,7 +263,6 @@ def quantize_model(
     ckpt: Checkpoint,
     calib: Optional[CalibrationSet],
     cfg: QuantConfig,
-    on_layer: Optional[Callable[[LayerQuantStats], None]] = None,
 ) -> Tuple[QuantizedModel, List[LayerQuantStats]]:
     """Quantize every quantizable layer in forward order.
 
@@ -271,9 +270,9 @@ def quantize_model(
     the blocks quantizes each stage (q/k/v, o, w1, w2) as soon as its
     inputs exist; with propagate_quantized on, the walk carries on through
     the dequantized weights, so each layer's inputs see every earlier
-    layer quantized. Per-layer weight and reconstruction errors stream
-    through `on_layer` and are returned; on failure the partial stats ride
-    on the raised QuantizationError.
+    layer quantized. Per-layer weight and reconstruction errors are
+    returned; on failure the partial stats ride on the raised
+    QuantizationError.
     """
     # resolved at call time, so a replaced model.capture_layer_inputs applies
     from .model import capture_layer_inputs
@@ -291,10 +290,7 @@ def quantize_model(
             q, damp_used = _quantize_layer(W, X, cfg, lname)
             what = dequantize(q)
             rec = reconstruction_error(W, what, X) if X is not None else None
-            st = LayerQuantStats(lname, weight_error(W, what), rec, damp_used)
-            stats.append(st)
-            if on_layer:
-                on_layer(st)
+            stats.append(LayerQuantStats(lname, weight_error(W, what), rec, damp_used))
             layers[lname] = q
             carry.append(what if propagating else W)
         return carry
@@ -321,81 +317,46 @@ def eval_checkpoint(qm: QuantizedModel, dtype=np.float32) -> Checkpoint:
     return Checkpoint(tensors, step=qm.source_step, tokens_seen=qm.source_tokens, config=qm.config)
 
 
-# -- bit packing and serialization -------------------------------------------
-
-
-def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
-    """LSB-first bit-packed rows, padded to byte boundaries."""
-    rows, cols = codes.shape
-    shifts = np.arange(bits, dtype=np.uint8)
-    bits_arr = ((codes[:, :, None] >> shifts) & 1).reshape(rows, cols * bits)
-    return np.packbits(bits_arr, axis=1, bitorder="little")
-
-
-def unpack_codes(packed: np.ndarray, bits: int, cols: int) -> np.ndarray:
-    rows = packed.shape[0]
-    bits_arr = np.unpackbits(packed, axis=1, count=cols * bits, bitorder="little")
-    bits_arr = bits_arr.reshape(rows, cols, bits).astype(np.int32)
-    weights = (1 << np.arange(bits, dtype=np.int32))
-    return (bits_arr * weights).sum(axis=2).astype(np.uint8)
-
+# -- serialization -------------------------------------------------------------
 
 _QMETA = "__quant_meta__"
 
 
 def save_quantized(path: str, qm: QuantizedModel, overwrite: bool = False) -> None:
     q = qm.quant
-    qmeta = np.array(
-        [[q.bits, q.group_size, q.damping_frac, int(q.propagate_quantized),
-          1.0 if q.method == "gptq" else 0.0, int(q.static_groups)]], dtype=np.float64
-    )
-    entries = [
-        meta_entry(qm.config, qm.source_step, qm.source_tokens),
-        (_QMETA, "f64", 1, qmeta.shape[1], store.encode_tensor(qmeta, "f64")),
-    ]
+    arrays = {
+        META: meta_entry(qm.config, qm.source_step, qm.source_tokens),
+        _QMETA: np.array(
+            [[q.bits, q.group_size, q.damping_frac, int(q.propagate_quantized),
+              1.0 if q.method == "gptq" else 0.0, int(q.static_groups)]], dtype=np.float64
+        ),
+    }
     for name in sorted(qm.layers):
         ql = qm.layers[name]
-        rows, cols = ql.shape
-        token = f"u{ql.bits}p"
-        entries.append((f"{name}.codes", token, rows, cols, pack_codes(ql.codes, ql.bits).tobytes()))
-        entries.append((f"{name}.scales", "f32", *ql.scales.shape, store.encode_tensor(ql.scales, "f32")))
-        entries.append((f"{name}.zeros", "i32", *ql.zeros.shape, store.encode_tensor(ql.zeros, "i32")))
+        arrays[f"{name}.codes"] = store.Packed(ql.codes, ql.bits)
+        arrays[f"{name}.scales"] = np.asarray(ql.scales, np.float32)
+        arrays[f"{name}.zeros"] = np.asarray(ql.zeros, np.int32)
     for name in sorted(qm.passthrough):
-        t = qm.passthrough[name]
-        entries.append((name, "f32", t.shape[0], t.shape[1], store.encode_tensor(t, "f32")))
-    store.write_tensor_file(path, entries, overwrite=overwrite)
+        arrays[name] = np.asarray(qm.passthrough[name], np.float32)
+    store.save_arrays(path, arrays, overwrite=overwrite)
 
 
 def load_quantized(path: str) -> QuantizedModel:
-    raw = store.read_tensor_file(path)
-    config, source_step, source_tokens = pop_meta(raw, path)
-    if _QMETA not in raw:
+    arrays = store.load_arrays(path)
+    config, source_step, source_tokens = pop_meta(arrays, path)
+    if _QMETA not in arrays:
         raise ConfigError(f"{path}: missing quantization metadata tensor")
-    dt, r, c, payload = raw.pop(_QMETA)
-    qv = store.decode_tensor(payload, dt, r, c)[0]
+    qv = arrays.pop(_QMETA)[0]
     qcfg = QuantConfig(
         bits=int(qv[0]), group_size=int(qv[1]), damping_frac=float(qv[2]),
         propagate_quantized=bool(qv[3]), method="gptq" if qv[4] else "rtn",
         static_groups=bool(qv[5]),
     )
     layers: Dict[str, QuantizedLinear] = {}
-    passthrough: Dict[str, np.ndarray] = {}
-    code_entries = {n[: -len(".codes")]: v for n, v in raw.items() if n.endswith(".codes")}
-    for base, (token, rows, cols, payload) in code_entries.items():
-        bits = int(token[1:-1])
-        packed = np.frombuffer(payload, dtype=np.uint8).reshape(rows, store.packed_row_bytes(cols, bits))
-        codes = unpack_codes(packed, bits, cols)
-        sdt, sr, sc, sp = raw[f"{base}.scales"]
-        zdt, zr, zc, zp = raw[f"{base}.zeros"]
+    for base in [n[: -len(".codes")] for n in arrays if n.endswith(".codes")]:
+        packed = arrays.pop(f"{base}.codes")
         layers[base] = QuantizedLinear(
-            codes,
-            store.decode_tensor(sp, sdt, sr, sc),
-            store.decode_tensor(zp, zdt, zr, zc),
-            bits,
-            qcfg.group_size,
+            packed.codes, arrays.pop(f"{base}.scales"), arrays.pop(f"{base}.zeros"),
+            packed.bits, qcfg.group_size,
         )
-    for name, (token, rows, cols, payload) in raw.items():
-        if name.endswith(".codes") or name.endswith(".scales") or name.endswith(".zeros"):
-            continue
-        passthrough[name] = store.decode_tensor(payload, token, rows, cols)
-    return QuantizedModel(layers, passthrough, config, source_step, source_tokens, qcfg)
+    return QuantizedModel(layers, arrays, config, source_step, source_tokens, qcfg)

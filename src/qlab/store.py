@@ -13,13 +13,19 @@ each 64 KB chunk moves the state by one uint64 dot product of those
 steps with powers of P.
 
 Weight payloads are 32-bit IEEE-754; metadata rides along as f64
-tensors; quantized codes use bit-packed ``u{b}p`` dtypes with rows
-padded to byte boundaries.
+tensors; quantized codes use bit-packed ``u{b}p`` dtypes (LSB first)
+with rows padded to byte boundaries.
+
+This is the only module that encodes entries: `save_arrays` and
+`load_arrays` turn a dict of 2-D arrays (and `Packed` codes) into a
+file and back, over the byte layer `write_tensor_file` and
+`read_tensor_file`.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -32,6 +38,7 @@ FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _PLAIN_DTYPES = {"f32": np.float32, "f64": np.float64, "i32": np.int32, "i64": np.int64}
+_TOKENS = {np.dtype(t): token for token, t in _PLAIN_DTYPES.items()}
 
 _CHUNK = 1 << 16  # bytes hashed at a time: keeps the temporaries near 1 MB per thread
 # _POWERS[m] = P^(_CHUNK - m) mod 2^64: the weight of each byte of a full chunk
@@ -88,7 +95,7 @@ def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
     return h
 
 
-def packed_row_bytes(cols: int, bits: int) -> int:
+def _packed_row_bytes(cols: int, bits: int) -> int:
     return (cols * bits + 7) // 8
 
 
@@ -96,23 +103,65 @@ def dtype_nbytes(dtype: str, rows: int, cols: int) -> int:
     if dtype in _PLAIN_DTYPES:
         return rows * cols * np.dtype(_PLAIN_DTYPES[dtype]).itemsize
     if dtype.startswith("u") and dtype.endswith("p") and dtype[1:-1].isdecimal():
-        return rows * packed_row_bytes(cols, int(dtype[1:-1]))
+        return rows * _packed_row_bytes(cols, int(dtype[1:-1]))
     raise CheckpointFormatError(f"unknown dtype token {dtype!r}")
 
 
-def encode_tensor(arr: np.ndarray, dtype: str) -> bytes:
-    if dtype not in _PLAIN_DTYPES:
-        raise CheckpointFormatError(f"encode_tensor only handles plain dtypes, got {dtype!r}")
-    le = np.dtype(_PLAIN_DTYPES[dtype]).newbyteorder("<")
-    return np.ascontiguousarray(arr).astype(le).tobytes()
+def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
+    """LSB-first bit-packed rows, padded to byte boundaries."""
+    rows, cols = codes.shape
+    shifts = np.arange(bits, dtype=np.uint8)
+    bits_arr = ((codes[:, :, None] >> shifts) & 1).reshape(rows, cols * bits)
+    return np.packbits(bits_arr, axis=1, bitorder="little")
 
 
-def decode_tensor(raw: bytes, dtype: str, rows: int, cols: int) -> np.ndarray:
-    if dtype not in _PLAIN_DTYPES:
-        raise CheckpointFormatError(f"decode_tensor only handles plain dtypes, got {dtype!r}")
-    np_dtype = np.dtype(_PLAIN_DTYPES[dtype]).newbyteorder("<")
-    arr = np.frombuffer(raw, dtype=np_dtype).reshape(rows, cols)
-    return arr.astype(_PLAIN_DTYPES[dtype])
+def unpack_codes(packed: np.ndarray, bits: int, cols: int) -> np.ndarray:
+    rows = packed.shape[0]
+    bits_arr = np.unpackbits(packed, axis=1, count=cols * bits, bitorder="little")
+    bits_arr = bits_arr.reshape(rows, cols, bits).astype(np.int32)
+    weights = (1 << np.arange(bits, dtype=np.int32))
+    return (bits_arr * weights).sum(axis=2).astype(np.uint8)
+
+
+@dataclass(frozen=True)
+class Packed:
+    """uint8 codes below 2^bits, stored bit-packed as ``u{bits}p``."""
+
+    codes: np.ndarray
+    bits: int
+
+
+def _entry(name: str, value) -> Tuple[str, str, int, int, bytes]:
+    if isinstance(value, Packed):
+        rows, cols = value.codes.shape
+        return (name, f"u{value.bits}p", rows, cols, pack_codes(value.codes, value.bits).tobytes())
+    token = _TOKENS.get(value.dtype)
+    if token is None or value.ndim != 2:
+        raise CheckpointFormatError(
+            f"tensor {name}: cannot store a {value.ndim}-D {value.dtype} array"
+        )
+    le = value.dtype.newbyteorder("<")
+    return (name, token, *value.shape, np.ascontiguousarray(value, dtype=le).tobytes())
+
+
+def _value(dtype: str, rows: int, cols: int, raw: bytes):
+    if dtype in _PLAIN_DTYPES:
+        native = np.dtype(_PLAIN_DTYPES[dtype])
+        return np.frombuffer(raw, native.newbyteorder("<")).reshape(rows, cols).astype(native)
+    bits = int(dtype[1:-1])
+    packed = np.frombuffer(raw, np.uint8).reshape(rows, _packed_row_bytes(cols, bits))
+    return Packed(unpack_codes(packed, bits, cols), bits)
+
+
+def save_arrays(path: str, arrays: Dict[str, object], overwrite: bool = False) -> None:
+    """Write a dict of 2-D arrays (f32, f64, i32, i64) and `Packed` codes
+    as one tensor file, in dict order."""
+    write_tensor_file(path, [_entry(n, v) for n, v in arrays.items()], overwrite=overwrite)
+
+
+def load_arrays(path: str) -> Dict[str, object]:
+    """The dict `save_arrays` wrote: native-dtype arrays, `Packed` codes."""
+    return {name: _value(*entry) for name, entry in read_tensor_file(path).items()}
 
 
 def atomic_write(path: str, data: bytes) -> None:

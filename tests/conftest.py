@@ -74,7 +74,7 @@ def record_shards(monkeypatch) -> list:
 
 
 def micro_train_config(corpus: str, **overrides) -> dict:
-    from qlab.config import resolve
+    from qlab.config import parse_config_text, resolve
 
     text = f"""
 data.path = {corpus}
@@ -100,6 +100,7 @@ eval.batch_size = 4
 quant.calib_samples = 8
 quant.group_size = 32
 """
-    cfg = resolve(text, is_path=False)
+    cfg = resolve()
+    cfg.update(parse_config_text(text))
     cfg.update(overrides)
     return cfg

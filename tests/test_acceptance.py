@@ -117,9 +117,8 @@ def test_criterion_2_gptq_dominance():
 
 
 def test_criterion_3_grid_exactness_and_packing():
-    from qlab.quant import (
-        QuantConfig, dequantize, pack_codes, rtn_quantize, unpack_codes, weight_error,
-    )
+    from qlab.quant import QuantConfig, dequantize, rtn_quantize, weight_error
+    from qlab.store import pack_codes, unpack_codes
 
     rng = np.random.Generator(np.random.PCG64(3))
     ok = True

@@ -56,7 +56,8 @@ def test_cli_train_eval_report_flow(tmp_path, cfg_file):
 
     qout = str(tmp_path / "q.qlab")
     assert main(["quantize", "--ckpt", c2, "--bits", "3", "--method", "gptq",
-                 "--group", "32", "--calib-samples", "4", "--out", qout]) == 0
+                 "--set", "quant.group_size=32", "--set", "quant.calib_samples=4",
+                 "--out", qout]) == 0
     assert os.path.exists(qout)
 
 
@@ -133,6 +134,34 @@ def test_cli_eval_unrecordable_bits_refused_before_quantizing(trained_run, monke
 def test_cli_eval_bad_thread_count_is_config_error(trained_run, monkeypatch):
     monkeypatch.setenv("QLAB_THREADS", "two")
     assert main(["eval", "--run", trained_run, "--bits", "3", "--steps", "30"]) == 2
+
+
+@pytest.mark.parametrize("method,sets", [
+    ("gptq", []),
+    ("gptq", ["quant.damping_frac=0.5", "quant.calib_samples=2"]),
+    ("rtn", ["quant.group_size=16", "quant.static_groups=true", "quant.propagate=false"]),
+])
+def test_cli_quantize_follows_manifest_then_set(tmp_path, trained_run, monkeypatch, method, sets):
+    from qlab import config as cfgmod, harness
+    from qlab.quant import load_quantized
+
+    samples = []
+    real = harness.RunData.calibration
+
+    def calibration(self, cfg):
+        samples.append(cfg["quant.calib_samples"])
+        return real(self, cfg)
+
+    monkeypatch.setattr(harness.RunData, "calibration", calibration)
+    out = str(tmp_path / "q.qlab")
+    argv = ["quantize", "--ckpt", os.path.join(trained_run, "ckpt_30.qlab"), "--bits", "3",
+            "--method", method, "--out", out]
+    assert main(argv + [a for kv in sets for a in ("--set", kv)]) == 0
+    manifest = harness.load_manifest(trained_run)
+    assert (manifest["quant.group_size"], manifest["quant.calib_samples"]) == (32, 4)
+    cfg = cfgmod.apply_overrides(manifest, sets)
+    assert load_quantized(out).quant == cfgmod.quant_config(cfg, 3, method)
+    assert samples == ([cfg["quant.calib_samples"]] if method == "gptq" else [])
 
 
 def test_cli_soup_bad_weight_is_config_error(tmp_path, trained_run):

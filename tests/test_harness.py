@@ -288,6 +288,25 @@ def test_sweep_runs_cells_and_summary(tmp_path, corpus_path):
         assert store.rows[(run_id, "20")]["val_ce_fp"] == ce
 
 
+def test_sweep_rerun_resumes_every_cell(tmp_path, corpus_path):
+    from qlab.cli import main
+
+    plan = tmp_path / "plan.cfg"
+    plan.write_text("\n".join([
+        f"data.path = {corpus_path}", "data.seq_len = 32", "model.d_model = 32",
+        "model.n_layers = 2", "model.n_heads = 2", "model.d_ff = 64", "train.batch_size = 4",
+        "schedule.total_steps = 20", "train.ckpt_interval = 10", "train.eval_interval = 10",
+        "eval.batches = 2", "eval.batch_size = 4", "quant.calib_samples = 4",
+        "quant.group_size = 32", "quant.bits = 3", "sweep.optim.peak_lr = 1e-3, 3e-3",
+    ]))
+    argv = ["sweep", "--plan", str(plan), "--out-root", str(tmp_path / "sweep")]
+    assert main(argv) == 0
+    first = read_bytes(str(tmp_path / "sweep" / "summary.csv"))
+    assert first.count(b",ok\n") == 2
+    assert main(argv) == 0
+    assert read_bytes(str(tmp_path / "sweep" / "summary.csv")) == first
+
+
 def test_lineage_forms_forest(tmp_path, corpus_path):
     cfg = micro_train_config(
         corpus_path,
@@ -326,10 +345,11 @@ def test_single_cell_sweep_equals_train(tmp_path, corpus_path):
     assert failures == 0 and len(dirs) == 1
     from qlab.config import resolve
 
-    plain = "\n".join(
+    plain = tmp_path / "plain.cfg"
+    plain.write_text("\n".join(
         ln for ln in plan.read_text().splitlines() if not ln.startswith("sweep.")
-    )
-    cfg = resolve(plain, is_path=False)
+    ))
+    cfg = resolve(str(plain))
     cfg["model.init_seed"] = 5
     cfg["data.seed"] = 5
     assert os.path.basename(dirs[0]) == run_id_of(cfg)

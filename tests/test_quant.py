@@ -15,15 +15,14 @@ from qlab.quant import (
     gptq_quantize,
     group_params,
     load_quantized,
-    pack_codes,
     quantize_codes,
     quantize_model,
     reconstruction_error,
     rtn_quantize,
     save_quantized,
-    unpack_codes,
     weight_error,
 )
+from qlab.store import pack_codes, unpack_codes
 
 
 # -- grids -----------------------------------------------------------------------
@@ -401,13 +400,9 @@ def test_quantize_model_propagation_changes_codes(corpus_splits):
 def test_quantize_model_emits_layer_stats(corpus_splits):
     ck = trained_ckpt(corpus_splits, steps=10)
     calib = calib_from(corpus_splits, ck.config, n=4)
-    seen = []
-    qm, stats = quantize_model(
-        ck, calib, QuantConfig(bits=4, group_size=32, method="gptq"),
-        on_layer=lambda s: seen.append(s.name),
-    )
+    qm, stats = quantize_model(ck, calib, QuantConfig(bits=4, group_size=32, method="gptq"))
     names = quantizable_layer_names(ck.config)
-    assert [s.name for s in stats] == names == seen
+    assert [s.name for s in stats] == names
     assert all(s.recon_error is not None and np.isfinite(s.weight_error) for s in stats)
     assert set(qm.layers) == set(names)
 
@@ -455,9 +450,9 @@ def test_load_quantized_without_metadata_is_config_error(tmp_path, dropped):
     qm, _ = quantize_model(ck, None, QuantConfig(bits=4, group_size=32, method="rtn"))
     path = str(tmp_path / "q.qlab")
     save_quantized(path, qm)
-    raw = store.read_tensor_file(path)
-    del raw[dropped]
-    store.write_tensor_file(path, [(n, *v) for n, v in raw.items()], overwrite=True)
+    arrays = store.load_arrays(path)
+    del arrays[dropped]
+    store.save_arrays(path, arrays, overwrite=True)
     with pytest.raises(ConfigError, match="missing"):
         load_quantized(path)
 
