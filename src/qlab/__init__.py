@@ -36,5 +36,4 @@ from .metrics import (
     eval_ce,
     relative_acc_drop,
     relative_ce_error,
-    weight_norm,
 )

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 config error (or a result that conflicts with
 one already recorded), 3 numeric failure, 4 partial sweep/eval/experiment
-failure. QLAB_THREADS sets the worker threads and the BLAS threads.
+failure; each error class carries its code. QLAB_THREADS sets the worker
+threads and the BLAS threads. Unset run settings (bits, method, LAWA k
+and interval) come from the run's manifest.
 """
 
 from __future__ import annotations
@@ -15,18 +17,7 @@ from typing import List, Optional
 
 from . import config as cfgmod
 from . import experiments, harness, parallel, report
-from .errors import (
-    CheckpointFormatError,
-    ConfigError,
-    ContractViolation,
-    FactorizationError,
-    IngestionError,
-    MergeError,
-    NumericFailure,
-    PartialFailure,
-    QuantizationError,
-    ReportError,
-)
+from .errors import ConfigError, QlabError
 
 log = logging.getLogger("qlab")
 
@@ -62,21 +53,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("quantize", help="quantize a single checkpoint file")
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--bits", type=int, default=4)
-    sp.add_argument("--method", choices=("rtn", "gptq"), default="gptq")
+    sp.add_argument("--method", choices=("rtn", "gptq"), default=None,
+                    help="default: the settings' quant.method")
     sp.add_argument("--out", required=True)
     common(sp)  # --config defaults to the run manifest next to --ckpt
 
     sp = sub.add_parser("eval", help="quantize and evaluate checkpoints of a run")
     sp.add_argument("--run", required=True)
-    sp.add_argument("--bits", type=_parse_bits, default=[3, 4])
-    sp.add_argument("--method", choices=("rtn", "gptq"), default=None)
+    sp.add_argument("--bits", type=_parse_bits, default=None,
+                    help="default: the manifest's quant.bits")
+    sp.add_argument("--method", choices=("rtn", "gptq"), default=None,
+                    help="default: the manifest's quant.method")
     sp.add_argument("--steps", type=_parse_bits, default=None)
     sp.add_argument("--kind", default="ckpt", help="checkpoint family, e.g. ckpt or lawa5")
 
     sp = sub.add_parser("average", help="rolling weight average over a run's checkpoints")
     sp.add_argument("--run", required=True)
-    sp.add_argument("--k", type=int, default=5)
-    sp.add_argument("--interval", type=int, default=500)
+    sp.add_argument("--k", type=int, default=None, help="default: the manifest's lawa.k")
+    sp.add_argument("--interval", type=int, default=None,
+                    help="default: the manifest's lawa.interval")
 
     sp = sub.add_parser("soup", help="weighted merge of checkpoints")
     sp.add_argument("--ckpt", action="append", required=True, metavar="PATH:WEIGHT")
@@ -128,19 +123,11 @@ def _cmd_quantize(args) -> int:
     from .quant import quantize_model, save_quantized
 
     ckpt = load_checkpoint(args.ckpt)
-    cfg_path = args.config
-    if not cfg_path:
-        manifest = os.path.join(os.path.dirname(os.path.abspath(args.ckpt)), harness.MANIFEST)
-        if os.path.isfile(manifest):
-            cfg_path = manifest
-        elif args.method == "gptq":
-            raise ConfigError("gptq needs --config (or a run manifest) for calibration data")
-    if os.path.basename(cfg_path) == harness.MANIFEST:
-        cfg = cfgmod.apply_overrides(harness.load_manifest(os.path.dirname(cfg_path)), args.set)
-    else:
-        cfg = cfgmod.resolve(cfg_path, args.set)
-    calib = harness.build_data(cfg).calibration(cfg) if args.method == "gptq" else None
-    qm, stats = quantize_model(ckpt, calib, cfgmod.quant_config(cfg, args.bits, args.method))
+    manifest = os.path.join(os.path.dirname(os.path.abspath(args.ckpt)), cfgmod.MANIFEST)
+    cfg = cfgmod.resolve(args.config or (manifest if os.path.isfile(manifest) else ""), args.set)
+    qcfg = cfgmod.quant_config(cfg, args.bits, args.method)
+    calib = harness.build_data(cfg).calibration(cfg) if qcfg.method == "gptq" else None
+    qm, stats = quantize_model(ckpt, calib, qcfg)
     save_quantized(args.out, qm, overwrite=True)
     for s in stats:
         rec = "" if s.recon_error is None else f" recon {s.recon_error:.4g}"
@@ -262,16 +249,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # BLAS threads outside sharded regions: QLAB_THREADS, at most one per core
         with parallel.blas_threads(min(parallel.qlab_threads(), os.cpu_count() or 1)):
             return _dispatch(args)
-    except PartialFailure as exc:
+    except QlabError as exc:
         log.error("%s", exc)
-        return 4
-    except (ConfigError, IngestionError, ReportError, CheckpointFormatError, ContractViolation,
-            MergeError) as exc:
-        log.error("%s", exc)
-        return 2
-    except (NumericFailure, FactorizationError, QuantizationError) as exc:
-        log.error("%s", exc)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
-"""Flat `section.key = value` configuration with a closed key registry.
+"""Flat `section.key = value` settings files with a closed key registry.
 
-Unknown keys are errors so manifests cannot drift. Values are typed by
-the registry; `#` starts a comment. The resolved mapping serializes
-canonically (sorted keys) and its hash is the run identity.
+The one reader and writer of settings files: configs and profiles, run
+manifests and sweep plans. Unknown keys are errors so manifests cannot
+drift. Values are typed by the registry; `#` starts a comment. The
+resolved mapping serializes canonically (sorted keys) and its hash is
+the run identity.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import hashlib
 import os
 from typing import Dict, List, Optional, Tuple
 
+from . import store
 from .errors import ConfigError
 from .model import ModelConfig
 from .optim import OptimConfig, ScheduleSpec
@@ -23,7 +26,7 @@ def _parse_bool(s: str) -> bool:
         return True
     if v in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
+    raise ValueError(f"expected a boolean, got {s!r}")
 
 
 def _parse_int_list(s: str) -> Tuple[int, ...]:
@@ -90,56 +93,74 @@ RUN_KEYS = {
 }
 
 SWEEP_PREFIX = "sweep."
+MANIFEST = "manifest.cfg"
 
 
-def parse_line(line: str) -> Optional[Tuple[str, str]]:
-    text = line.split("#", 1)[0].strip()
-    if not text:
-        return None
-    if "=" not in text:
-        raise ConfigError(f"malformed config line: {line!r}")
-    key, value = text.split("=", 1)
-    return key.strip(), value.strip()
+def defaults() -> Dict[str, object]:
+    """Every registry key at its default value."""
+    return {k: d for k, (_, d) in REGISTRY.items()}
+
+
+def parse_value(key: str, raw: str) -> object:
+    """The typed value of `key` from its text; ConfigError if either is bad.
+
+    A sweep axis `sweep.<key>` takes a comma-separated list of `<key>`
+    values, and `sweep.seeds` a list of seeds.
+    """
+    if key.startswith(SWEEP_PREFIX):
+        axis = "data.seed" if key == SWEEP_PREFIX + "seeds" else key[len(SWEEP_PREFIX) :]
+        if REGISTRY.get(axis, ("int_list",))[0] == "int_list":
+            raise ConfigError(f"cannot sweep {axis!r}: not a single-valued config key")
+        return [parse_value(axis, p) for p in raw.split(",") if p.strip()]
+    if key not in REGISTRY:
+        raise ConfigError(f"unknown config key {key!r}")
+    typ, _ = REGISTRY[key]
+    try:
+        return _PARSERS[typ](raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
 def parse_config_text(
     text: str, allow_run_keys: bool = False, allow_sweep_keys: bool = False
 ) -> Dict[str, object]:
-    """Parse config text into typed values; unknown keys are errors."""
+    """Parse settings text into typed values; unknown keys are errors.
+
+    run.* keys (kept as text) belong to manifests, sweep.* keys to plans.
+    """
     out: Dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        parsed = parse_line(line)
-        if parsed is None:
+        body = line.split("#", 1)[0].strip()
+        if not body:
             continue
-        key, raw = parsed
-        if key in RUN_KEYS:
-            if not allow_run_keys:
-                raise ConfigError(f"line {lineno}: run.* keys are manifest-only ({key})")
-            out[key] = raw
-            continue
-        if key.startswith(SWEEP_PREFIX):
-            if not allow_sweep_keys:
-                raise ConfigError(f"line {lineno}: sweep.* keys belong in plan files ({key})")
-            out[key] = raw
-            continue
-        if key not in REGISTRY:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        typ, _ = REGISTRY[key]
+        if "=" not in body:
+            raise ConfigError(f"line {lineno}: malformed config line: {line!r}")
+        key, raw = (part.strip() for part in body.split("=", 1))
+        if key in RUN_KEYS and not allow_run_keys:
+            raise ConfigError(f"line {lineno}: run.* keys are manifest-only ({key})")
+        if key.startswith(SWEEP_PREFIX) and not allow_sweep_keys:
+            raise ConfigError(f"line {lineno}: sweep.* keys belong in plan files ({key})")
         try:
-            out[key] = _PARSERS[typ](raw)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+            out[key] = raw if key in RUN_KEYS else parse_value(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
     return out
 
 
+def _read(path: str, allow_sweep_keys: bool = False) -> Dict[str, object]:
+    """The settings in the file at `path`; a run manifest keeps its run.* keys."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"config file not found: {path}")
+    with open(path, "r", encoding="utf-8") as f:
+        return parse_config_text(f.read(), os.path.basename(path) == MANIFEST, allow_sweep_keys)
+
+
 def resolve(path: str = "", overrides: Optional[List[str]] = None) -> Dict[str, object]:
-    """Defaults, then the config file at `path`, then --set overrides."""
-    cfg: Dict[str, object] = {k: d for k, (_, d) in REGISTRY.items()}
+    """Defaults, then the settings file at `path` (a config, a profile or a
+    run manifest), then --set overrides."""
+    cfg = defaults()
     if path:
-        if not os.path.isfile(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as f:
-            cfg.update(parse_config_text(f.read()))
+        cfg.update(_read(path))
     return apply_overrides(cfg, overrides)
 
 
@@ -150,6 +171,44 @@ def apply_overrides(cfg: Dict[str, object], overrides: Optional[List[str]]) -> D
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
         cfg.update(parse_config_text(item))
     return cfg
+
+
+def load_manifest(run_dir: str) -> Dict[str, object]:
+    """A run's settings and run.* keys, from its manifest."""
+    return resolve(os.path.join(run_dir, MANIFEST))
+
+
+def write_manifest(run_dir: str, cfg: Dict[str, object], run_keys: Dict[str, str]) -> None:
+    """The run's manifest: the settings of `cfg` (not any run.* keys it was
+    read with) plus `run_keys`, written atomically."""
+    merged = {k: v for k, v in cfg.items() if k not in RUN_KEYS}
+    merged.update(run_keys)
+    text = canonical_text(merged, include_run=True)
+    store.atomic_write(os.path.join(run_dir, MANIFEST), text.encode("utf-8"))
+
+
+def load_plan(path: str) -> Tuple[List[str], List[Dict[str, object]]]:
+    """A sweep plan's axis keys and cells, in run order.
+
+    The cells are every combination of the `sweep.<key> = v1, v2, ...`
+    axes over the plan's settings (the last axis varies fastest), repeated
+    for each of `sweep.seeds` (default 0); a seed sets both data.seed and
+    model.init_seed.
+    """
+    base = defaults()
+    axes: Dict[str, List[object]] = {}
+    for key, value in _read(path, allow_sweep_keys=True).items():
+        if key.startswith(SWEEP_PREFIX):
+            axes[key[len(SWEEP_PREFIX) :]] = value
+        else:
+            base[key] = value
+    seeds = axes.pop("seeds", [0])
+    cells = [base]
+    for key, values in axes.items():
+        cells = [dict(c, **{key: v}) for c in cells for v in values]
+    return list(axes), [
+        dict(c, **{"data.seed": s, "model.init_seed": s}) for s in seeds for c in cells
+    ]
 
 
 def format_value(v: object) -> str:

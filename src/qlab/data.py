@@ -9,11 +9,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import store
-from .errors import ConfigError, IngestionError, QlabError
-
-
-class EndOfData(QlabError):
-    """Raised when a non-wrapping batch cursor runs off the stream."""
+from .errors import ConfigError, IngestionError
 
 
 @dataclass(frozen=True)
@@ -91,9 +87,7 @@ def window_count(stream: TokenStream, seq_len: int) -> int:
     return (len(stream) - 1) // seq_len
 
 
-def next_batch(
-    stream: TokenStream, batch: int, seq_len: int, cursor: int, wrap: bool = True
-) -> Tuple[Batch, int]:
+def next_batch(stream: TokenStream, batch: int, seq_len: int, cursor: int) -> Tuple[Batch, int]:
     """Sequential non-overlapping windows; returns the batch and advanced cursor.
 
     The cursor counts windows consumed since the start of the stream; epochs
@@ -102,8 +96,6 @@ def next_batch(
     windows = window_count(stream, seq_len)
     if windows < 1:
         raise ConfigError(f"stream too short for seq_len {seq_len}")
-    if not wrap and cursor + batch > windows:
-        raise EndOfData(f"cursor {cursor}+{batch} exceeds {windows} windows")
     offsets = ((cursor + np.arange(batch)) % windows) * seq_len
     idx = offsets[:, None] + np.arange(seq_len)[None, :]
     return Batch(stream.tokens[idx], stream.tokens[idx + 1]), cursor + batch
@@ -123,7 +115,7 @@ def build_calibration(
     remaining = sample_count
     while remaining > 0:
         b = min(batch_size, remaining)
-        batch, cursor = next_batch(stream, b, seq_len, cursor, wrap=False)
+        batch, cursor = next_batch(stream, b, seq_len, cursor)
         batches.append(batch)
         remaining -= b
     return CalibrationSet(batches, sample_count)
@@ -144,7 +136,7 @@ def fixed_eval_batches(
     out = []
     cursor = 0
     for _ in range(n_batches):
-        batch, cursor = next_batch(stream, batch_size, seq_len, cursor, wrap=False)
+        batch, cursor = next_batch(stream, batch_size, seq_len, cursor)
         out.append(batch)
     return out
 

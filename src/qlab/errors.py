@@ -1,8 +1,11 @@
-"""Exception types shared across the lab."""
+"""Exception types shared across the lab, each with the exit code `qlab`
+ends with when it escapes a command."""
 
 
 class QlabError(Exception):
     """Base class for all lab errors."""
+
+    exit_code = 2  # configuration, data and file errors
 
 
 class ContractViolation(QlabError):
@@ -20,6 +23,8 @@ class IngestionError(QlabError):
 class FactorizationError(QlabError):
     """Cholesky factorization hit a non-positive-definite pivot."""
 
+    exit_code = 3
+
     def __init__(self, pivot: int, value: float):
         self.pivot = pivot
         self.value = value
@@ -29,6 +34,8 @@ class FactorizationError(QlabError):
 class NumericFailure(QlabError):
     """Non-finite values appeared during compute; `where` names the source."""
 
+    exit_code = 3
+
     def __init__(self, message: str, where: str = ""):
         self.where = where
         super().__init__(message)
@@ -36,6 +43,8 @@ class NumericFailure(QlabError):
 
 class QuantizationError(QlabError):
     """Quantization of a layer failed; carries the layer name."""
+
+    exit_code = 3
 
     def __init__(self, message: str, layer: str = ""):
         self.layer = layer
@@ -56,3 +65,5 @@ class ReportError(QlabError):
 
 class PartialFailure(QlabError):
     """Some jobs of a multi-job command failed; the others completed."""
+
+    exit_code = 4

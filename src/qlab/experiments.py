@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import config as cfgmod
-from .errors import ConfigError, PartialFailure
+from .errors import PartialFailure
 from .harness import cmd_average, cmd_branch, cmd_quantize_eval, cmd_train, load_manifest
 from .metrics import MetricRecord
 
@@ -37,10 +37,7 @@ TRUNK_STEPS = {"desk": 30000, "tiny": 1200}
 
 
 def base_config(corpus: str, profile: str, seed: int, **extra) -> Dict[str, object]:
-    path = os.path.join(CONFIGS_DIR, f"{profile}.cfg")
-    if not os.path.isfile(path):
-        raise ConfigError(f"no profile {profile!r}: {path} not found")
-    cfg = cfgmod.resolve(path)
+    cfg = cfgmod.resolve(os.path.join(CONFIGS_DIR, f"{profile}.cfg"))
     cfg["data.path"] = corpus
     cfg["data.seed"] = seed
     cfg["model.init_seed"] = seed
@@ -48,15 +45,20 @@ def base_config(corpus: str, profile: str, seed: int, **extra) -> Dict[str, obje
     return cfg
 
 
-def schedule_overrides(kind: str, total_steps: int, peak_lr: float) -> Dict[str, object]:
-    """A constant-LR trunk or a WSD run with a 10% cooldown, 1% warm-up."""
-    return {
+def schedule_overrides(
+    kind: str, total_steps: int, peak_lr: Optional[float] = None
+) -> Dict[str, object]:
+    """A constant-LR trunk or a WSD run with a 10% cooldown, 1% warm-up, at
+    `peak_lr` or else the profile's optim.peak_lr."""
+    out: Dict[str, object] = {
         "schedule.kind": kind,
         "schedule.total_steps": total_steps,
         "schedule.warmup_frac": 0.01,
         "schedule.decay_frac": 0.1 if kind == "wsd" else 0.0,
-        "optim.peak_lr": peak_lr,
     }
+    if peak_lr is not None:
+        out["optim.peak_lr"] = peak_lr
+    return out
 
 
 def _thirds(trunk_steps: int) -> List[int]:
@@ -73,12 +75,12 @@ def _quantize_eval(run_dir: str, bits: int, steps: Sequence[int],
 
 def _trunk_and_cooldowns(
     corpus: str, out_root: str, profile: str, seed: int, trunk_steps: int,
-    branch_steps: Sequence[int], bits: int, decay_frac: float, peak_lr: float,
+    branch_steps: Sequence[int], bits: int, decay_frac: float,
 ) -> Tuple[str, Dict[int, MetricRecord]]:
     """Train (or reuse) the constant-LR trunk, cool down a branch from each
     of `branch_steps`, and quantize-eval each branch's final step; returns
     (trunk run dir, branch step -> final-step record)."""
-    cfg = base_config(corpus, profile, seed, **schedule_overrides("constant", trunk_steps, peak_lr))
+    cfg = base_config(corpus, profile, seed, **schedule_overrides("constant", trunk_steps))
     trunk = cmd_train(cfg, out_root, resume=True)
     finals: Dict[int, MetricRecord] = {}
     for bs in branch_steps:
@@ -115,7 +117,6 @@ def cooldown_branching(
     seeds: Sequence[int] = (1, 2, 3),
     bits: int = 3,
     decay_frac: float = 0.1,
-    peak_lr: float = 3e-3,
 ) -> List[BranchComparison]:
     """Constant-LR trunk with cooldown branches; compares each branch end
     against the trunk at the branch point (validation CE and relative
@@ -125,8 +126,7 @@ def cooldown_branching(
     out: List[BranchComparison] = []
     for seed in seeds:
         trunk, finals = _trunk_and_cooldowns(
-            corpus, out_root, profile, seed, trunk_steps, branch_steps, bits,
-            decay_frac, peak_lr,
+            corpus, out_root, profile, seed, trunk_steps, branch_steps, bits, decay_frac,
         )
         at_branch = _quantize_eval(trunk, bits, branch_steps)
         for bs in branch_steps:
@@ -192,7 +192,6 @@ def lawa_vs_cooldown(
     k: int = 5,
     interval: Optional[int] = None,
     decay_frac: float = 0.1,
-    peak_lr: float = 3e-3,
 ) -> List[LawaComparison]:
     """Rolling weight averages on a constant-LR trunk vs cooldown branches:
     compares quantized validation CE at matched steps. The averaging
@@ -202,10 +201,9 @@ def lawa_vs_cooldown(
     out: List[LawaComparison] = []
     for seed in seeds:
         trunk, finals = _trunk_and_cooldowns(
-            corpus, out_root, profile, seed, trunk_steps, compare_steps, bits,
-            decay_frac, peak_lr,
+            corpus, out_root, profile, seed, trunk_steps, compare_steps, bits, decay_frac,
         )
-        cmd_average(trunk, k=k, interval=interval or int(load_manifest(trunk)["lawa.interval"]))
+        cmd_average(trunk, k=k, interval=interval)
         lawa = _quantize_eval(trunk, bits, compare_steps, kind=f"lawa{k}")
         for step in compare_steps:
             lw, br = lawa[step], finals[step]

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import config as cfgmod
+from .config import MANIFEST, load_manifest, write_manifest  # noqa: F401 (MANIFEST: re-exported)
 from .averaging import AveragingWindow, lawa_push, soup
 from .data import (
     Batch,
@@ -47,9 +48,9 @@ from .metrics import (
     relative_acc_drop,
     relative_ce_error,
     delta_ptq,
-    weight_norm,
 )
 from .model import Checkpoint, init, load_checkpoint, save_checkpoint
+from .ndkernel import frobenius_norm
 from .optim import (
     OptimState,
     ScheduleSpec,
@@ -65,13 +66,14 @@ from . import store
 
 log = logging.getLogger("qlab")
 
-MANIFEST = "manifest.cfg"
 METRICS = "metrics.csv"
 NORMS = "norms.csv"
 NORMS_HEADER = "step,lr,train_loss,grad_norm,weight_norm"
 QUANT_LAYERS = "quant_layers.csv"
 QUANT_LAYERS_HEADER = "run_id,step,bits,method,layer,weight_error,recon_error,damping"
 QUANT_LAYERS_KEY = ("run_id", "step", "bits", "method", "layer")
+# metrics.csv columns a sweep's summary.csv repeats for each cell's final step
+SUMMARY_METRICS = ("val_ce_fp", "acc_fp", "rel_ce_err3", "rel_ce_err4", "delta_ptq3", "delta_ptq4")
 _OPT_META = "__opt_meta__"
 
 
@@ -116,24 +118,6 @@ def list_ckpt_steps(run_dir: str, kind: str = "ckpt") -> List[int]:
             if stem.isdigit():
                 steps.append(int(stem))
     return sorted(steps)
-
-
-def write_manifest(run_dir: str, cfg: Dict[str, object], run_keys: Dict[str, str]) -> None:
-    merged = dict(cfg)
-    merged.update(run_keys)
-    with open(os.path.join(run_dir, MANIFEST), "w", encoding="utf-8") as f:
-        f.write(cfgmod.canonical_text(merged, include_run=True))
-
-
-def load_manifest(run_dir: str) -> Dict[str, object]:
-    path = os.path.join(run_dir, MANIFEST)
-    if not os.path.isfile(path):
-        raise ConfigError(f"no manifest at {path}")
-    with open(path, "r", encoding="utf-8") as f:
-        parsed = cfgmod.parse_config_text(f.read(), allow_run_keys=True)
-    full: Dict[str, object] = {k: d for k, (_, d) in cfgmod.REGISTRY.items()}
-    full.update(parsed)
-    return full
 
 
 @dataclass
@@ -258,7 +242,7 @@ def cmd_train(
         rec = MetricRecord(
             run_id=run_id, step=ev.step, tokens_seen=ev.ckpt.tokens_seen, lr=ev.lr,
             train_loss=ev.train_loss, val_ce_fp=ce, acc_fp=acc,
-            grad_norm=ev.grad_norm, weight_norm=weight_norm(ev.ckpt),
+            grad_norm=ev.grad_norm, weight_norm=frobenius_norm(*ev.ckpt.tensors.values()),
         )
         metrics_store.upsert(record_to_row(rec))
         metrics_store.save()
@@ -268,7 +252,8 @@ def cmd_train(
     def norm_hook(ev: TrainEvent) -> None:
         norm_table.upsert({
             "step": str(ev.step), "lr": fmt_real(ev.lr), "train_loss": fmt_real(ev.train_loss),
-            "grad_norm": fmt_real(ev.grad_norm), "weight_norm": fmt_real(weight_norm(ev.ckpt)),
+            "grad_norm": fmt_real(ev.grad_norm),
+            "weight_norm": fmt_real(frobenius_norm(*ev.ckpt.tensors.values())),
         })
         norm_table.save()
 
@@ -340,7 +325,7 @@ def cmd_branch(
     cool = decay_steps if decay_steps is not None else max(1, round(decay_frac * branch_step))
     total = branch_step + cool
     warmup = min(parent_spec.warmup_steps, branch_step)
-    child = {k: v for k, v in cfg.items() if k not in cfgmod.RUN_KEYS}
+    child = dict(cfg)  # its run.* keys are the parent's: write_manifest drops them
     child["schedule.kind"] = "wsd"
     child["schedule.total_steps"] = total
     child["schedule.warmup_frac"] = warmup / total
@@ -365,20 +350,20 @@ def evaluate_checkpoint_quantized(
     data: RunData,
     cfg: Dict[str, object],
     bits: Sequence[int],
-    method: str,
+    calib: Optional[CalibrationSet],
     run_id: str,
     lr: Optional[float] = None,
 ):
-    """Full MetricRecord for one checkpoint: FP eval plus each bit width."""
-    calib = data.calibration(cfg) if method == "gptq" else None
+    """Full MetricRecord for one checkpoint: FP eval plus each bit width,
+    quantized by cfg's quant.method (GPTQ calibrates on `calib`)."""
     ce_fp, acc_fp = eval_ce(ckpt, data.eval_batches)
     rec = MetricRecord(
         run_id=run_id, step=ckpt.step, tokens_seen=ckpt.tokens_seen, lr=lr,
-        val_ce_fp=ce_fp, acc_fp=acc_fp, weight_norm=weight_norm(ckpt),
+        val_ce_fp=ce_fp, acc_fp=acc_fp, weight_norm=frobenius_norm(*ckpt.tensors.values()),
     )
     layer_stats = []
     for b in bits:
-        qcfg = cfgmod.quant_config(cfg, b, method)
+        qcfg = cfgmod.quant_config(cfg, b)
         qm, stats = quantize_model(ckpt, calib, qcfg)
         ce_q, acc_q = eval_ce(qm, data.eval_batches)
         rec.val_ce_q[b] = ce_q
@@ -393,25 +378,29 @@ def evaluate_checkpoint_quantized(
 
 def cmd_quantize_eval(
     run_dir: str,
-    bits: Sequence[int] = (3, 4),
+    bits: Optional[Sequence[int]] = None,
     method: Optional[str] = None,
     steps: Optional[Sequence[int]] = None,
     kind: str = "ckpt",
 ) -> Tuple[List[MetricRecord], List[Tuple[int, str]]]:
     """Quantize and evaluate stored checkpoints; upserts metrics.csv and
-    quant_layers.csv rows.
+    quant_layers.csv rows. Bits and method default to the manifest's.
 
     Returns (records, failures). Per-checkpoint failures are recorded and
-    the sweep continues. Bit widths that metrics.csv has no columns for
-    are refused before any work. Both tables are saved only after every
-    row merged, so a conflict (MergeError) leaves both files unchanged.
+    the sweep continues. Bit widths that metrics.csv has no columns for,
+    and an eval or calibration set that differs from the one the manifest
+    recorded, are refused before any work. Both tables are saved only
+    after every row merged, so a conflict (MergeError) leaves both files
+    unchanged.
     """
+    cfg = load_manifest(run_dir)
+    bits = cfg["quant.bits"] if bits is None else bits
     unrecordable = sorted(set(bits) - set(CSV_BITS))
     if unrecordable:
         raise ConfigError(
             f"metrics.csv records bit widths {list(CSV_BITS)} only, not {unrecordable}"
         )
-    cfg = load_manifest(run_dir)
+    cfg["quant.method"] = method = method or str(cfg["quant.method"])
     base_id = str(cfg.get("run.id", os.path.basename(run_dir)))
     run_id = base_id if kind == "ckpt" else f"{base_id}-{kind}"
     data = build_data(cfg)
@@ -420,7 +409,12 @@ def cmd_quantize_eval(
         raise ConfigError(
             f"eval set hash mismatch for {run_dir}: corpus or config changed"
         )
-    method = method or str(cfg["quant.method"])
+    calib = data.calibration(cfg) if method == "gptq" else None
+    recorded = str(cfg.get("run.calib_set_hash", ""))
+    if calib is not None and recorded and recorded != token_fingerprint(calib.batches):
+        raise ConfigError(
+            f"calibration set hash mismatch for {run_dir}: corpus or config changed"
+        )
     available = list_ckpt_steps(run_dir, kind)
     selected = available if steps is None else [s for s in available if s in set(steps)]
     if steps is not None:
@@ -436,7 +430,7 @@ def cmd_quantize_eval(
     def job(step: int):
         ckpt = load_checkpoint(ckpt_path(run_dir, step, kind))
         lr = schedule_value(spec, peak, step) if step <= spec.total_steps else None
-        return evaluate_checkpoint_quantized(ckpt, data, cfg, bits, method, run_id, lr)
+        return evaluate_checkpoint_quantized(ckpt, data, cfg, bits, calib, run_id, lr)
 
     results: Dict[int, tuple] = {}
     failures: List[Tuple[int, str]] = []
@@ -473,8 +467,18 @@ def cmd_quantize_eval(
 # -- averaging over a run --------------------------------------------------------
 
 
-def cmd_average(run_dir: str, k: int, interval: int) -> List[str]:
-    """Rolling LAWA over stored checkpoints; emits lawa<k>_<step>.qlab files."""
+def cmd_average(run_dir: str, k: Optional[int] = None, interval: Optional[int] = None) -> List[str]:
+    """Rolling LAWA over stored checkpoints; emits lawa<k>_<step>.qlab files.
+
+    k and interval default to the manifest's lawa.k and lawa.interval. An
+    existing file must hold the same average: one made with other
+    settings is refused (ConfigError) and left as it is.
+    """
+    cfg = load_manifest(run_dir)
+    k = cfg["lawa.k"] if k is None else k
+    interval = cfg["lawa.interval"] if interval is None else interval
+    if interval < 1:
+        raise ConfigError(f"averaging interval must be at least 1, got {interval}")
     steps = [s for s in list_ckpt_steps(run_dir) if s > 0 and s % interval == 0]
     if not steps:
         raise ConfigError(f"no checkpoints at multiples of {interval} in {run_dir}")
@@ -486,8 +490,20 @@ def cmd_average(run_dir: str, k: int, interval: int) -> List[str]:
         path = ckpt_path(run_dir, s, kind=f"lawa{k}")
         if not os.path.exists(path):
             save_checkpoint(path, avg)
+        elif not _same_weights(load_checkpoint(path), avg):
+            raise ConfigError(
+                f"{path} holds a different average (made with another --k or --interval); "
+                "remove it to recompute"
+            )
         out.append(path)
     return out
+
+
+def _same_weights(a: Checkpoint, b: Checkpoint) -> bool:
+    """Whether two float32 checkpoints hold the same step, token count and
+    weights, bitwise."""
+    same = (a.step, a.tokens_seen, a.tensors.keys()) == (b.step, b.tokens_seen, b.tensors.keys())
+    return same and all(a.tensors[n].tobytes() == b.tensors[n].tobytes() for n in a.tensors)
 
 
 def cmd_soup(inputs: Sequence[Tuple[str, float]], out_path: str) -> str:
@@ -501,97 +517,34 @@ def cmd_soup(inputs: Sequence[Tuple[str, float]], out_path: str) -> str:
 # -- sweeps ----------------------------------------------------------------------
 
 
-@dataclass
-class SweepPlan:
-    base: Dict[str, object]
-    axes: List[Tuple[str, List[object]]]
-    seeds: List[int]
-
-
-def parse_plan(path: str) -> SweepPlan:
-    with open(path, "r", encoding="utf-8") as f:
-        raw = cfgmod.parse_config_text(f.read(), allow_sweep_keys=True)
-    base = {k: d for k, (_, d) in cfgmod.REGISTRY.items()}
-    axes: List[Tuple[str, List[object]]] = []
-    seeds = [0]
-    for key, value in raw.items():
-        if not key.startswith(cfgmod.SWEEP_PREFIX):
-            base[key] = value
-            continue
-        target = key[len(cfgmod.SWEEP_PREFIX) :]
-        if target == "seeds":
-            seeds = [int(p.strip()) for p in str(value).split(",") if p.strip()]
-            continue
-        if target not in cfgmod.REGISTRY:
-            raise ConfigError(f"sweep axis over unknown key {target!r}")
-        typ, _ = cfgmod.REGISTRY[target]
-        if typ == "int_list":
-            raise ConfigError(f"cannot sweep list-valued key {target!r}")
-        parse = cfgmod._PARSERS[typ]
-        axes.append((target, [parse(p.strip()) for p in str(value).split(",") if p.strip()]))
-    return SweepPlan(base, axes, seeds)
-
-
-def plan_cells(plan: SweepPlan) -> List[Dict[str, object]]:
-    cells: List[Dict[str, object]] = [dict(plan.base)]
-    for key, values in plan.axes:
-        cells = [dict(c, **{key: v}) for c in cells for v in values]
-    out = []
-    for seed in plan.seeds:
-        for c in cells:
-            cc = dict(c)
-            cc["model.init_seed"] = seed
-            cc["data.seed"] = seed
-            out.append(cc)
-    return out
-
-
 def cmd_sweep(plan_path: str, out_root: str, force: bool = False) -> Tuple[List[str], str, int]:
     """Run every cell of a plan, then quantize-eval its final checkpoint.
 
     Returns (run_dirs, summary_csv_path, failure_count).
     """
-    plan = parse_plan(plan_path)
-    cells = plan_cells(plan)
-    axis_keys = [k for k, _ in plan.axes]
+    axis_keys, cells = cfgmod.load_plan(plan_path)
     summary_path = os.path.join(out_root, "summary.csv")
     os.makedirs(out_root, exist_ok=True)
-    header = (
-        ["run_id", "seed"] + axis_keys
-        + ["final_step", "val_ce_fp", "acc_fp", "rel_ce_err3", "rel_ce_err4",
-           "delta_ptq3", "delta_ptq4", "status"]
-    )
+    header = ["run_id", "seed"] + axis_keys + ["final_step", *SUMMARY_METRICS, "status"]
     summary = MetricsStore(summary_path, ",".join(header), ("run_id",), load=False)
     dirs: List[str] = []
     failures = 0
     for cell in cells:
-        seed = cell["model.init_seed"]
-        label = [str(cell[k]) for k in axis_keys]
+        row = {"seed": str(cell["model.init_seed"]), **{k: str(cell[k]) for k in axis_keys}}
         try:
             run_dir = cmd_train(cell, out_root, force=force, resume=not force)
             dirs.append(run_dir)
             final = cfgmod.schedule_spec(cell).total_steps
-            recs, fails = cmd_quantize_eval(
-                run_dir, bits=cell["quant.bits"], steps=[final]
-            )
+            recs, fails = cmd_quantize_eval(run_dir, steps=[final])
             if fails or not recs:
                 raise QlabError(f"quantize-eval failed: {fails}")
-            rec = recs[0]
-            row = [rec.run_id, str(seed)] + label + [
-                str(rec.step),
-                fmt_real(rec.val_ce_fp),
-                fmt_real(rec.acc_fp),
-                fmt_real(rec.rel_ce_err.get(3)),
-                fmt_real(rec.rel_ce_err.get(4)),
-                fmt_real(rec.delta_ptq.get(3)),
-                fmt_real(rec.delta_ptq.get(4)),
-                "ok",
-            ]
+            metrics = record_to_row(recs[0])
+            row.update({c: metrics[c] for c in ("run_id", *SUMMARY_METRICS)},
+                       final_step=metrics["step"], status="ok")
         except QlabError as exc:
             failures += 1
-            log.error("sweep cell failed (%s): %s", label, exc)
-            row = [cfgmod.run_id_of(cell), str(seed)] + label + [""] * 7 + ["failed"]
-        summary.upsert(dict(zip(summary.columns, row)))
+            log.error("sweep cell failed (%s): %s", [row[k] for k in axis_keys], exc)
+            row.update(run_id=cfgmod.run_id_of(cell), status="failed")
+        summary.upsert(row)
     summary.save()
     return dirs, summary_path, failures
-

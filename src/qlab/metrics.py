@@ -86,14 +86,6 @@ def relative_acc_drop(acc_fp: float, acc_q: float) -> float:
     return (acc_fp - acc_q) / (1.0 - acc_fp)
 
 
-def weight_norm(ckpt: Checkpoint) -> float:
-    """Global L2 norm over all trainable tensors."""
-    total = 0.0
-    for t in ckpt.tensors.values():
-        total += float(np.sum(np.square(t, dtype=np.float64)))
-    return float(np.sqrt(total))
-
-
 # -- metric records and CSV --------------------------------------------------
 
 CSV_HEADER = (

@@ -8,6 +8,8 @@ regardless of the caller's dtype; the training path is free to stay in
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractViolation, FactorizationError
@@ -21,9 +23,14 @@ def require_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def frobenius_norm(a: Matrix) -> float:
-    require_matrix(a)
-    return float(np.sqrt(np.sum(np.square(a, dtype=np.float64))))
+def frobenius_norm(*arrays: np.ndarray) -> float:
+    """L2 norm over every entry of `arrays`: squares summed in 64-bit per
+    array, the array sums added in order. Serves single matrices, a
+    checkpoint's weights and a step's gradients."""
+    total = 0.0
+    for a in arrays:
+        total += float(np.sum(np.square(a, dtype=np.float64)))
+    return math.sqrt(total)
 
 
 SYM_RTOL = 1e-10  # cholesky's symmetry tolerance, relative to the largest |h_ij|

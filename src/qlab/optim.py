@@ -18,6 +18,7 @@ import numpy as np
 from .data import TokenStream, next_batch
 from .errors import ConfigError, ContractViolation, NumericFailure
 from .model import Checkpoint, GradientSet, backward, forward, loss
+from .ndkernel import frobenius_norm
 
 
 @dataclass(frozen=True)
@@ -87,20 +88,13 @@ def schedule_value(spec: ScheduleSpec, eta_max: float, step: int) -> float:
     return eta_max
 
 
-def global_grad_norm(grads: GradientSet) -> float:
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.square(g, dtype=np.float64)))
-    return math.sqrt(total)
-
-
 def clip_grad_norm(grads: GradientSet, clip_norm: float) -> Tuple[GradientSet, float]:
     """Scale all tensors so the global L2 norm is at most clip_norm.
 
     Returns (possibly scaled grads, pre-clip norm). The pre-clip norm is
     what the norm log records.
     """
-    norm = global_grad_norm(grads)
+    norm = frobenius_norm(*grads.values())
     if not math.isfinite(norm):
         raise NumericFailure(f"non-finite gradient norm {norm}", where="clip_grad_norm")
     if norm <= clip_norm:

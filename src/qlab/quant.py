@@ -271,8 +271,7 @@ def quantize_model(
     inputs exist; with propagate_quantized on, the walk carries on through
     the dequantized weights, so each layer's inputs see every earlier
     layer quantized. Per-layer weight and reconstruction errors are
-    returned; on failure the partial stats ride on the raised
-    QuantizationError.
+    returned.
     """
     # resolved at call time, so a replaced model.capture_layer_inputs applies
     from .model import capture_layer_inputs
@@ -295,15 +294,11 @@ def quantize_model(
             carry.append(what if propagating else W)
         return carry
 
-    try:
-        if calib is not None and calib.batches:
-            capture_layer_inputs(ckpt, calib, quantize_stage)
-        else:
-            for lname in quantizable_layer_names(ckpt.config):
-                quantize_stage([lname], None)
-    except QuantizationError as exc:
-        exc.partial_stats = stats  # type: ignore[attr-defined]
-        raise
+    if calib is not None and calib.batches:
+        capture_layer_inputs(ckpt, calib, quantize_stage)
+    else:
+        for lname in quantizable_layer_names(ckpt.config):
+            quantize_stage([lname], None)
     passthrough = {k: v for k, v in ckpt.tensors.items() if k not in layers}
     qm = QuantizedModel(layers, passthrough, ckpt.config, ckpt.step, ckpt.tokens_seen, cfg)
     return qm, stats

@@ -181,3 +181,128 @@ def test_cli_soup_corrupt_footer_is_format_error(tmp_path, trained_run):
     out = str(tmp_path / "o.qlab")
     assert main(["soup", "--ckpt", f"{bad}:1", "--out", out]) == 2
     assert not os.path.exists(out)
+
+
+def _train(tmp_path, cfg_file, *sets):
+    root = str(tmp_path / "runs")
+    argv = ["train", "--config", cfg_file, "--out-root", root]
+    assert main(argv + [a for kv in sets for a in ("--set", kv)]) == 0
+    return os.path.join(root, run_id_of(resolve(cfg_file, list(sets))))
+
+
+def _bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+@pytest.mark.parametrize("axis", ["sweep.optim.peak_lr = abc, 1e-3", "sweep.seeds = 1, x"])
+def test_cli_sweep_malformed_plan_exits_2_before_any_run(tmp_path, cfg_file, axis):
+    plan = tmp_path / "plan.cfg"
+    with open(cfg_file, encoding="utf-8") as f:
+        plan.write_text(f.read() + axis + "\n")
+    out_root = tmp_path / "sweep"
+    assert main(["sweep", "--plan", str(plan), "--out-root", str(out_root)]) == 2
+    assert not out_root.exists()
+
+
+def test_cli_average_refuses_a_stale_lawa_file(tmp_path, cfg_file):
+    run_dir = _train(tmp_path, cfg_file)
+    lawa = os.path.join(run_dir, "lawa5_20.qlab")
+    assert main(["average", "--run", run_dir, "--k", "5", "--interval", "10"]) == 0
+    made = _bytes(lawa)  # mean of ckpt 10 and ckpt 20
+    assert main(["average", "--run", run_dir, "--k", "5", "--interval", "20"]) == 2
+    assert _bytes(lawa) == made
+    assert main(["average", "--run", run_dir, "--k", "5", "--interval", "10"]) == 0
+    assert _bytes(lawa) == made
+    assert main(["average", "--run", run_dir, "--interval", "0"]) == 2
+
+
+def test_cli_commands_default_to_the_manifest(tmp_path, cfg_file):
+    from qlab.quant import load_quantized
+
+    run_dir = _train(tmp_path, cfg_file, "quant.bits=3", "quant.method=rtn",
+                     "lawa.k=2", "lawa.interval=20")
+    assert main(["eval", "--run", run_dir, "--steps", "30"]) == 0
+    with open(os.path.join(run_dir, "quant_layers.csv"), encoding="utf-8") as f:
+        rows = [ln.split(",") for ln in f.read().splitlines()[1:]]
+    assert rows and {(r[2], r[3]) for r in rows} == {("3", "rtn")}
+    assert main(["average", "--run", run_dir]) == 0
+    assert sorted(n for n in os.listdir(run_dir) if n.startswith("lawa")) == ["lawa2_20.qlab"]
+    out = str(tmp_path / "q.qlab")
+    assert main(["quantize", "--ckpt", os.path.join(run_dir, "ckpt_30.qlab"), "--out", out]) == 0
+    assert load_quantized(out).quant.method == "rtn"
+
+
+def test_cli_quantize_config_may_name_a_manifest(tmp_path, trained_run):
+    from qlab import harness
+
+    ckpt = os.path.join(trained_run, "ckpt_30.qlab")
+    elsewhere = tmp_path / "ckpt_30.qlab"  # no manifest next to it
+    elsewhere.write_bytes(_bytes(ckpt))
+    beside, named = str(tmp_path / "beside.qlab"), str(tmp_path / "named.qlab")
+    argv = ["--bits", "3", "--method", "gptq", "--set", "quant.calib_samples=2"]
+    assert main(["quantize", "--ckpt", ckpt, "--out", beside] + argv) == 0
+    manifest = os.path.join(trained_run, harness.MANIFEST)
+    assert main(["quantize", "--ckpt", str(elsewhere), "--config", manifest,
+                 "--out", named] + argv) == 0
+    assert _bytes(named) == _bytes(beside)
+
+
+def test_cli_eval_refuses_an_edited_calibration_hash(tmp_path, cfg_file):
+    from qlab import harness
+
+    run_dir = _train(tmp_path, cfg_file)
+    path = os.path.join(run_dir, harness.MANIFEST)
+    text = _bytes(path).decode()
+    recorded = harness.load_manifest(run_dir)["run.calib_set_hash"]
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text.replace(recorded, "0" * 16))
+    metrics = _bytes(os.path.join(run_dir, harness.METRICS))
+    assert main(["eval", "--run", run_dir, "--method", "gptq", "--steps", "30"]) == 2
+    assert _bytes(os.path.join(run_dir, harness.METRICS)) == metrics
+    assert not os.path.exists(os.path.join(run_dir, harness.QUANT_LAYERS))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_exits_with_its_documented_code(monkeypatch):
+    from qlab import cli
+    from qlab.errors import (
+        FactorizationError, NumericFailure, PartialFailure, QlabError, QuantizationError,
+    )
+
+    documented = {NumericFailure: 3, FactorizationError: 3, QuantizationError: 3, PartialFailure: 4}
+    classes = [QlabError, *_subclasses(QlabError)]
+    assert len(classes) >= 11
+    for cls in classes:
+        want = documented.get(cls, 2)
+        assert cls.exit_code == want, cls
+
+        def fail(args, cls=cls):
+            raise cls.__new__(cls)
+
+        monkeypatch.setattr(cli, "_dispatch", fail)
+        assert main(["average", "--run", "x"]) == want, cls
+
+
+def test_cli_train_from_a_manifest_reproduces_the_run(tmp_path, trained_run):
+    from qlab import harness
+
+    root = tmp_path / "again"
+    manifest = os.path.join(trained_run, harness.MANIFEST)
+    assert main(["train", "--config", manifest, "--out-root", str(root), "--stop-after", "10"]) == 0
+    again = root / os.path.basename(trained_run)
+    assert _bytes(str(again / "ckpt_10.qlab")) == _bytes(os.path.join(trained_run, "ckpt_10.qlab"))
+    # a branch's settings train as a run of their own, without the branch's lineage
+    branch = harness.cmd_branch(trained_run, 20, decay_steps=2, out_root=str(tmp_path / "b"))
+    assert harness.load_manifest(branch)["run.parent_id"]
+    assert main(["train", "--config", os.path.join(branch, harness.MANIFEST),
+                 "--out-root", str(root), "--stop-after", "0"]) == 0
+    fresh = {name for name in os.listdir(root)} - {os.path.basename(trained_run)}
+    assert len(fresh) == 1
+    copied = harness.load_manifest(str(root / fresh.pop()))
+    assert "run.parent_id" not in copied and "run.branch_step" not in copied

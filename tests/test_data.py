@@ -6,7 +6,6 @@ import pytest
 from qlab import store
 from qlab.config import resolve
 from qlab.data import (
-    EndOfData,
     TokenStream,
     build_calibration,
     fixed_eval_batches,
@@ -120,12 +119,6 @@ def test_epoch_covers_every_window_once():
     # wrap restarts the same sequence
     b, cur = next_batch(s, 1, seq, cur)
     assert np.array_equal(b.inputs[0], s.tokens[:seq])
-
-
-def test_next_batch_end_of_data():
-    s = _stream(65)
-    with pytest.raises(EndOfData):
-        next_batch(s, 5, 16, 0, wrap=False)
 
 
 def test_calibration_counts_and_eval_batches():

@@ -143,5 +143,7 @@ def _desk_run_id(seed, kind, lr):
 def test_desk_run_ids_are_pinned():
     for seed, want in DESK_TRUNK_IDS.items():
         assert _desk_run_id(seed, "constant", 3e-3) == want
+        # the drivers' trunks take the profile's optim.peak_lr
+        assert _desk_run_id(seed, "constant", None) == want
     for (seed, lr), want in DESK_LR_SWEEP_IDS.items():
         assert _desk_run_id(seed, "wsd", lr) == want

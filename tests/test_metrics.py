@@ -20,9 +20,9 @@ from qlab.metrics import (
     record_to_row,
     relative_acc_drop,
     relative_ce_error,
-    weight_norm,
 )
 from qlab.model import Checkpoint, forward, init, loss
+from qlab.ndkernel import frobenius_norm
 from qlab.quant import QuantConfig, QuantizedModel, eval_checkpoint, quantize_model
 
 
@@ -63,6 +63,10 @@ def test_relative_acc_drop_cases():
         relative_acc_drop(0.5, 1.2)
 
 
+def weight_norm(ckpt):
+    return frobenius_norm(*ckpt.tensors.values())
+
+
 def test_weight_norm_cases():
     cfg = tiny_model_config()
     ck = init(cfg)
@@ -72,6 +76,11 @@ def test_weight_norm_cases():
     assert weight_norm(single) == 5.0
     flat = np.concatenate([v.reshape(-1).astype(np.float64) for v in ck.tensors.values()])
     assert abs(weight_norm(ck) - np.linalg.norm(flat)) < 1e-12 * weight_norm(ck)
+    # bitwise the per-tensor float64 accumulation metrics.csv and norms.csv were written with
+    total = 0.0
+    for t in ck.tensors.values():
+        total += float(np.sum(np.square(t, dtype=np.float64)))
+    assert weight_norm(ck) == float(np.sqrt(total))
 
 
 def test_eval_ce_uniform_model(corpus_splits):
@@ -191,7 +200,8 @@ def test_quantized_eval_dequantizes_each_layer_once(monkeypatch, forward_log, co
 
     made.clear()
     forward_log.clear()
-    rec, _ = harness.evaluate_checkpoint_quantized(ck, data, cfg, (3, 4), "rtn", "r")
+    rtn = dict(cfg, **{"quant.method": "rtn"})
+    rec, _ = harness.evaluate_checkpoint_quantized(ck, data, rtn, (3, 4), None, "r")
     # per bit width: one dequantize per layer in quantize_model, one in the eval pass
     n_layers = len(model.quantizable_layer_names(ck.config))
     assert len(made) == 2 * 2 * n_layers

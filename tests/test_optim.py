@@ -270,12 +270,12 @@ def test_constant_plus_cooldown_equals_single_wsd():
 
 
 def test_train_loop_weight_norm_positive_finite():
-    from qlab.metrics import weight_norm
+    from qlab.ndkernel import frobenius_norm
     from qlab.optim import TrainHook
 
     ck = init(CFG)
     norms = []
-    hook = TrainHook(5, lambda ev: norms.append(weight_norm(ev.ckpt)))
+    hook = TrainHook(5, lambda ev: norms.append(frobenius_norm(*ev.ckpt.tensors.values())))
     spec = ScheduleSpec("constant", 20, warmup_steps=2)
     train_loop(ck, init_opt_state(ck), _stream(), 0, spec, OptimConfig(), 2, 6, 20, [hook])
     assert len(norms) == 4
