@@ -124,9 +124,16 @@ def _cmd_quantize(args) -> int:
 
     ckpt = load_checkpoint(args.ckpt)
     manifest = os.path.join(os.path.dirname(os.path.abspath(args.ckpt)), cfgmod.MANIFEST)
-    cfg = cfgmod.resolve(args.config or (manifest if os.path.isfile(manifest) else ""), args.set)
+    run_cfg = cfgmod.resolve(args.config or (manifest if os.path.isfile(manifest) else ""))
+    cfg = cfgmod.apply_overrides(dict(run_cfg), args.set)
     qcfg = cfgmod.quant_config(cfg, args.bits, args.method)
-    calib = harness.build_data(cfg).calibration(cfg) if qcfg.method == "gptq" else None
+    calib = None
+    if qcfg.method == "gptq":
+        data = harness.build_data(cfg)
+        # the run's own calibration set must still be the recorded one;
+        # --set may then choose another (say, fewer samples) from it
+        harness.check_calibration(data, run_cfg, args.ckpt)
+        calib = data.calibration(cfg)
     qm, stats = quantize_model(ckpt, calib, qcfg)
     save_quantized(args.out, qm, overwrite=True)
     for s in stats:

@@ -134,6 +134,18 @@ class RunData:
         )
 
 
+def check_calibration(data: RunData, run_cfg: Dict[str, object], where: str) -> None:
+    """Refuse, as a ConfigError naming `where`, data whose calibration set
+    under the run's own settings `run_cfg` differs from the one the run
+    recorded (`run.calib_set_hash`): the corpus or config changed."""
+    recorded = str(run_cfg.get("run.calib_set_hash", ""))
+    if not recorded:
+        return
+    own = build_calibration(data.calib, run_cfg["quant.calib_samples"], run_cfg["data.seq_len"])
+    if token_fingerprint(own.batches) != recorded:
+        raise ConfigError(f"calibration set hash mismatch for {where}: corpus or config changed")
+
+
 def build_data(cfg: Dict[str, object]) -> RunData:
     if not cfg["data.path"]:
         raise ConfigError("data.path is required")
@@ -188,14 +200,13 @@ def cmd_train(
     data = build_data(cfg)  # before the run directory: a config error leaves none
     os.makedirs(run_dir, exist_ok=True)
 
-    calib_hash = token_fingerprint(data.calibration(cfg).batches)
     if fresh:
         run_keys = {
             "run.id": run_id,
             "run.created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "run.code_version": _code_version(),
             "run.eval_set_hash": data.eval_hash,
-            "run.calib_set_hash": calib_hash,
+            "run.calib_set_hash": token_fingerprint(data.calibration(cfg).batches),
         }
         if parent:
             run_keys["run.parent_id"] = parent[0]
@@ -409,12 +420,10 @@ def cmd_quantize_eval(
         raise ConfigError(
             f"eval set hash mismatch for {run_dir}: corpus or config changed"
         )
-    calib = data.calibration(cfg) if method == "gptq" else None
-    recorded = str(cfg.get("run.calib_set_hash", ""))
-    if calib is not None and recorded and recorded != token_fingerprint(calib.batches):
-        raise ConfigError(
-            f"calibration set hash mismatch for {run_dir}: corpus or config changed"
-        )
+    calib = None
+    if method == "gptq":
+        check_calibration(data, cfg, run_dir)
+        calib = data.calibration(cfg)
     available = list_ckpt_steps(run_dir, kind)
     selected = available if steps is None else [s for s in available if s in set(steps)]
     if steps is not None:

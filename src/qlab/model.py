@@ -9,6 +9,17 @@ embeddings, norms, and the unembedding stay full precision.
 All activations run in the checkpoint's dtype (float32 in training,
 float64 in gradient-check tests); softmax and loss reductions accumulate
 in 64-bit.
+
+Causal attention runs in tiles of ATTN_TILE query rows: tile [i0, i1)
+scores only keys [0, i1), so the blocks above the diagonal, which the mask
+would zero, are never computed, and only the diagonal block is masked.
+The cached attention probabilities hold exact zeros in those upper blocks.
+The backward pass reads the lower blocks only: dq per query tile, dk and
+dv per key tile over the queries from the tile's first row on. In
+float32, every result is bitwise what the untiled computation over full
+S x S scores gives (the tests keep that computation as the reference), for
+sequences of up to about 330 positions with OpenBLAS; longer products it
+splits at points that depend on their length, so the last bits can differ.
 """
 
 from __future__ import annotations
@@ -121,37 +132,95 @@ def _rms(x: np.ndarray, out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, n
     return np.multiply(x, r, out=out), r
 
 
+# The elementwise chains below run in place in as few buffers as they can,
+# in the evaluation order of their written-out expressions (named in each
+# docstring), so the results are the same bits.
+
+
 def _rms_backward(dxhat: np.ndarray, xhat: np.ndarray, r: np.ndarray) -> np.ndarray:
-    m = np.mean(dxhat * xhat, axis=-1, keepdims=True, dtype=np.float64).astype(xhat.dtype)
-    return r * (dxhat - xhat * m)
+    """r * (dxhat - xhat * mean(dxhat * xhat)), the mean in 64-bit."""
+    g = dxhat * xhat
+    m = np.mean(g, axis=-1, keepdims=True, dtype=np.float64).astype(xhat.dtype)
+    np.multiply(xhat, m, out=g)
+    np.subtract(dxhat, g, out=g)
+    g *= r
+    return g
 
 
 def _gelu(u: np.ndarray, out: Optional[np.ndarray] = None,
           t_out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """(gelu(u), tanh), into `out` and `t_out` if given."""
-    t = np.tanh(GELU_C0 * (u + GELU_C1 * u * u * u), out=t_out)
-    return np.multiply(0.5 * u, 1.0 + t, out=out), t
+    """(gelu(u), tanh), into `out` and `t_out` if given:
+    t = tanh(C0 * (u + C1 * u * u * u)), gelu = 0.5 * u * (1 + t)."""
+    a = np.multiply(u, GELU_C1, out=out)
+    a *= u
+    a *= u
+    a += u
+    a *= GELU_C0
+    t = np.tanh(a, out=t_out)
+    np.multiply(u, 0.5, out=a)
+    a *= 1.0 + t
+    return a, t
 
 
 def _gelu_backward(du_out: np.ndarray, u: np.ndarray, t: np.ndarray,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    dt = GELU_C0 * (1.0 + 3.0 * GELU_C1 * u * u)
-    return np.multiply(du_out, 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * dt, out=out)
+    """du_out * (0.5 * (1 + t) + 0.5 * u * (1 - t * t) * dt), into `out` if
+    given, with dt = C0 * (1 + 3 * C1 * u * u)."""
+    g = np.multiply(u, 0.5, out=out)
+    s = np.multiply(t, t)
+    np.subtract(1.0, s, out=s)
+    g *= s
+    np.multiply(u, 3.0 * GELU_C1, out=s)
+    s *= u
+    s += 1.0
+    s *= GELU_C0
+    g *= s
+    np.add(t, 1.0, out=s)
+    s *= 0.5
+    g += s
+    g *= du_out
+    return g
 
 
-def _softmax_masked(scores: np.ndarray, mask_add: np.ndarray,
+def _padded_row_sum(a: np.ndarray, n: int) -> np.ndarray:
+    """The 64-bit sums over the last axis of `a` [..., m] as np.sum gives
+    them for the rows zero-padded to n >= m entries, without the padding.
+
+    numpy sums a contiguous row pairwise: a row longer than 128 splits at
+    half its length rounded down to a multiple of 8, and a shorter one
+    adds 8 strided partial sums, then its tail. Trailing zeros change a
+    sum only through where they move those splits, so the recursion
+    follows the padded row's splits; below them, a row whose length is a
+    multiple of 8 (as every attention tile bound is) or is n fills the same
+    partial sums as its padded version.
+    """
+    m = a.shape[-1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        if m <= half:
+            return _padded_row_sum(a, half)
+        return _padded_row_sum(a[..., :half], half) + _padded_row_sum(a[..., half:], n - half)
+    return np.sum(a, axis=-1, keepdims=True, dtype=np.float64)
+
+
+def _softmax_masked(scores: np.ndarray, scale: float, mask_add: np.ndarray, n: int,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    s = scores + mask_add
-    s -= np.max(s, axis=-1, keepdims=True)
-    e = np.exp(s)
-    denom = np.sum(e, axis=-1, keepdims=True, dtype=np.float64).astype(scores.dtype)
-    return np.divide(e, denom, out=out)
+    """Softmax of one attention tile of raw scores [..., T, i1] (query rows
+    i1 - T to i1 - 1 against keys 0 to i1 - 1), into `out` (default:
+    `scores`): s = scores * scale + mask, e = exp(s - max(s)),
+    e / sum(e) with the sum as over n keys.
 
-
-def _causal_mask(seq: int, dtype) -> np.ndarray:
-    mask = np.zeros((seq, seq), dtype=dtype)
-    mask[np.triu_indices(seq, k=1)] = -np.inf
-    return mask
+    Scaling, masking, max-subtraction and exp run in `scores`. The causal
+    mask `mask_add` [>= T, >= T] goes on the diagonal block only; adding 0
+    elsewhere would not change the probabilities.
+    """
+    scores *= scale
+    T = scores.shape[-2]
+    scores[..., -T:] += mask_add[:T, :T]
+    scores -= np.max(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    denom = _padded_row_sum(scores, n).astype(scores.dtype)
+    return np.divide(scores, denom, out=scores if out is None else out)
 
 
 def _check_finite(x: np.ndarray, where: str) -> None:
@@ -191,8 +260,41 @@ def _prenorm(x: np.ndarray, g: np.ndarray, out: Optional[np.ndarray] = None):
     return xhat, r, xhat * g
 
 
-def _attend(a_in, wq, wk, wv, cfg: ModelConfig, mask_add: np.ndarray, out: Optional[dict] = None):
-    """Causal multi-head attention on a_in [B, S, d]: (q, k, v, probs, ctx)."""
+# Query rows per attention tile: tile [i0, i1) scores keys [0, i1) only,
+# skipping the blocks above the diagonal (block skipping as in
+# FlashAttention, Dao et al. 2022, arXiv:2205.14135).
+ATTN_TILE = 64
+
+
+def _tiles(S: int) -> List[Tuple[int, int]]:
+    """(i0, i1) bounds of the attention tiles of S positions: ATTN_TILE rows
+    each, the last one taking the rest (fewer than 2 * ATTN_TILE rows).
+
+    A short tile of its own would change the bits: numpy multiplies a
+    one-row matrix as a matrix-vector product, and OpenBLAS takes other
+    kernels, which sum in another order, for products of a few rows.
+    """
+    starts = list(range(0, S, ATTN_TILE))
+    if len(starts) > 1 and S - starts[-1] < ATTN_TILE:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [S]))
+
+
+def _tile_mask(dtype) -> np.ndarray:
+    """The additive causal mask of the largest tile: -inf above the diagonal."""
+    n = 2 * ATTN_TILE
+    mask = np.zeros((n, n), dtype=dtype)
+    mask[np.triu_indices(n, k=1)] = -np.inf
+    return mask
+
+
+def _attend(a_in, wq, wk, wv, cfg: ModelConfig, mask_add: np.ndarray,
+            out: Optional[dict] = None) -> np.ndarray:
+    """Causal multi-head attention on a_in [B, S, d]: the merged heads'
+    context [B, S, d], with `mask_add` from `_tile_mask`. The attention
+    probabilities land in out["probs"] [B, H, S, S] when it is given
+    (upper blocks zeroed); otherwise only one tile's scores exist at a
+    time."""
     B, S, _ = a_in.shape
     H, Dh = cfg.n_heads, cfg.d_head
     out = out or {}
@@ -204,15 +306,46 @@ def _attend(a_in, wq, wk, wv, cfg: ModelConfig, mask_add: np.ndarray, out: Optio
         return y.reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
 
     q, k, v = heads(wq, "q"), heads(wk, "k"), heads(wv, "v")
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(Dh))
-    probs = _softmax_masked(scores, mask_add, out.get("probs"))
-    ctx_heads = np.matmul(probs, v).transpose(0, 2, 1, 3)
-    ctx = out.get("ctx")
+    probs, ctx = out.get("probs"), out.get("ctx")
     if ctx is None:
-        ctx = ctx_heads.reshape(B, S, -1)
-    else:
-        np.reshape(ctx, ctx_heads.shape, copy=False)[...] = ctx_heads
-    return q, k, v, probs, ctx
+        ctx = np.empty((B, S, H * Dh), dtype=a_in.dtype)
+    ctx_heads = np.reshape(ctx, (B, S, H, Dh), copy=False).transpose(0, 2, 1, 3)
+    scale = 1.0 / math.sqrt(Dh)
+    for i0, i1 in _tiles(S):
+        scores = np.matmul(q[:, :, i0:i1], k[:, :, :i1].transpose(0, 1, 3, 2))
+        dst = None
+        if probs is not None:
+            probs[:, :, i0:i1, i1:] = 0.0
+            dst = probs[:, :, i0:i1, :i1]
+        p = _softmax_masked(scores, scale, mask_add, S, dst)
+        np.matmul(p, v[:, :, :i1], out=ctx_heads[:, :, i0:i1])
+    return ctx
+
+
+def _attend_backward(dctx, q, k, v, probs, dq, dk, dv) -> None:
+    """Gradients of the causal attention core, all [b, H, S, Dh] head views:
+    dq, dk, dv (written) from dctx and the cached q, k, v and probs.
+
+    Per query tile, dprobs, the row sums, dscores and dq run over keys
+    [0, i1); per key tile, dk and dv over the queries from its first row on.
+    """
+    S = probs.shape[-1]
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    dscores = np.empty(probs.shape, dtype=probs.dtype)  # lower blocks written
+    for i0, i1 in _tiles(S):
+        p = probs[:, :, i0:i1, :i1]
+        ds = np.matmul(dctx[:, :, i0:i1], v[:, :, :i1].transpose(0, 1, 3, 2),
+                       out=dscores[:, :, i0:i1, :i1])  # dprobs
+        ds -= _padded_row_sum(ds * p, S).astype(ds.dtype)
+        ds *= p
+        np.matmul(ds, k[:, :, :i1], out=dq[:, :, i0:i1])
+    dq *= scale
+    for j0, j1 in _tiles(S):
+        np.matmul(probs[:, :, j0:, j0:j1].transpose(0, 1, 3, 2), dctx[:, :, j0:],
+                  out=dv[:, :, j0:j1])
+        np.matmul(dscores[:, :, j0:, j0:j1].transpose(0, 1, 3, 2), q[:, :, j0:],
+                  out=dk[:, :, j0:j1])
+    dk *= scale
 
 
 def _mlp_hidden(m_in: np.ndarray, w1: np.ndarray, out: Optional[dict] = None):
@@ -294,7 +427,7 @@ def _blocks(cfg, T, ids, mask_add, layers: list):
         # h is the sublayer's stage input; each stage drops the one before
         r1, h = _prenorm(x, T[f"{p}.norm1.g"], c.get("xhat1"))[1:]
         wq, wk, wv = yield [f"{p}.attn.wq", f"{p}.attn.wk", f"{p}.attn.wv"], h
-        h = _attend(h, wq, wk, wv, cfg, mask_add, c)[4]  # ctx
+        h = _attend(h, wq, wk, wv, cfg, mask_add, c)  # ctx
         (wo,) = yield [f"{p}.attn.wo"], h
         x = _residual(x, h, wo)
         r2, h = _prenorm(x, T[f"{p}.norm2.g"], c.get("xhat2"))[1:]
@@ -344,7 +477,7 @@ def forward(ckpt: Checkpoint, batch: Batch, need_cache: bool = True) -> Tuple[np
     B, S = ids.shape
     T = ckpt.tensors
     dtype = T["embed.tok"].dtype
-    mask_add = _causal_mask(S, dtype)
+    mask_add = _tile_mask(dtype)
     logits = np.empty((B, S, cfg.vocab), dtype=dtype)
     xhatf, rf = np.empty((B, S, cfg.d_model), dtype=dtype), np.empty((B, S, 1), dtype=dtype)
     layers = _cache_arrays(cfg, B, S, dtype) if need_cache else []
@@ -393,7 +526,6 @@ def backward(ckpt: Checkpoint, batch: Batch, cache: dict) -> GradientSet:
     H, Dh = cfg.n_heads, cfg.d_head
     n_pos = B * S
     dtype = T["embed.tok"].dtype
-    inv_dh = 1.0 / math.sqrt(Dh)
     shards = _shards(cfg, B, S)
     grads: GradientSet = {}
 
@@ -443,15 +575,9 @@ def backward(ckpt: Checkpoint, batch: Batch, cache: dict) -> GradientSet:
 
             # attention sublayer: x1 = x0 + (P @ v merged) @ Wo.T
             dctx = (_rows(dx1[sl]) @ T[f"{p}.attn.wo"]).reshape(b, S, H, Dh).transpose(0, 2, 1, 3)
-            probs_a = c["probs"]
-            dprobs = np.matmul(dctx, c["v"].transpose(0, 1, 3, 2))
-            dv = np.matmul(probs_a.transpose(0, 1, 3, 2), dctx)
-            row = np.sum(dprobs * probs_a, axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
-            dscores = probs_a * (dprobs - row)
-            dq = np.matmul(dscores, c["k"]) * inv_dh
-            dk = np.matmul(dscores.transpose(0, 1, 3, 2), c["q"]) * inv_dh
-            for dst, h in ((dq_f, dq), (dk_f, dk), (dv_f, dv)):  # (b,H,S,Dh) -> (b,S,D)
-                dst[sl].reshape(b, S, H, Dh)[...] = h.transpose(0, 2, 1, 3)
+            dq, dk, dv = (np.reshape(f[sl], (b, S, H, Dh), copy=False).transpose(0, 2, 1, 3)
+                          for f in (dq_f, dk_f, dv_f))
+            _attend_backward(dctx, c["q"], c["k"], c["v"], c["probs"], dq, dk, dv)
             np.multiply(c["xhat1"], g1, out=a_in[sl])
             da_in = _rows(dq_f[sl]) @ T[f"{p}.attn.wq"]  # dq @ Wq + dk @ Wk + dv @ Wv
             da_in += _rows(dk_f[sl]) @ T[f"{p}.attn.wk"]
@@ -502,10 +628,10 @@ def capture_layer_inputs(
         raise ConfigError("calibration set is empty")
     cfg, T = ckpt.config, ckpt.tensors
     dtype = T["embed.tok"].dtype
+    mask_add = _tile_mask(dtype)
     walks = []
     for b in calib.batches:
         B, S = b.inputs.shape
-        mask_add = _causal_mask(S, dtype)
         walks += [_blocks(cfg, T, b.inputs[sl], mask_add, []) for sl in _shards(cfg, B, S)]
     weights = None
     while True:

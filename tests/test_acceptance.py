@@ -2,8 +2,8 @@
 
 Criteria 9-11 replicate the qualitative training-dynamics experiments and
 need real compute. They are skipped unless QLAB_ACCEPTANCE_PROFILE is set
-to `tiny` (1-2 h on 2 cores) or `desk` (the full-size protocol, about 40 h
-per 30k-step run on 2 vCPUs). Runs are cached under QLAB_ACCEPTANCE_DIR
+to `tiny` (about 35 min on 2 cores) or `desk` (the full-size protocol, about
+47 h per 30k-step run on 2 vCPUs). Runs are cached under QLAB_ACCEPTANCE_DIR
 (default: a temp directory), so repeated invocations reuse finished
 training.
 
@@ -31,8 +31,8 @@ WORK = os.environ.get(
 )
 
 _SKIP_HEAVY = (
-    "multi-run training experiment; set QLAB_ACCEPTANCE_PROFILE=tiny (1-2 h on 2 cores) "
-    "or =desk (about 40 h per 30k-step run on 2 vCPUs) to run"
+    "multi-run training experiment; set QLAB_ACCEPTANCE_PROFILE=tiny (about 35 min on 2 "
+    "cores) or =desk (about 47 h per 30k-step run on 2 vCPUs) to run"
 )
 
 

@@ -248,19 +248,37 @@ def test_cli_quantize_config_may_name_a_manifest(tmp_path, trained_run):
     assert _bytes(named) == _bytes(beside)
 
 
-def test_cli_eval_refuses_an_edited_calibration_hash(tmp_path, cfg_file):
+def _edit_calibration_hash(run_dir):
     from qlab import harness
 
-    run_dir = _train(tmp_path, cfg_file)
     path = os.path.join(run_dir, harness.MANIFEST)
     text = _bytes(path).decode()
     recorded = harness.load_manifest(run_dir)["run.calib_set_hash"]
     with open(path, "w", encoding="utf-8") as f:
         f.write(text.replace(recorded, "0" * 16))
+
+
+def test_cli_eval_refuses_an_edited_calibration_hash(tmp_path, cfg_file):
+    from qlab import harness
+
+    run_dir = _train(tmp_path, cfg_file)
+    _edit_calibration_hash(run_dir)
     metrics = _bytes(os.path.join(run_dir, harness.METRICS))
     assert main(["eval", "--run", run_dir, "--method", "gptq", "--steps", "30"]) == 2
     assert _bytes(os.path.join(run_dir, harness.METRICS)) == metrics
     assert not os.path.exists(os.path.join(run_dir, harness.QUANT_LAYERS))
+
+
+def test_cli_quantize_refuses_an_edited_calibration_hash(tmp_path, cfg_file):
+    run_dir = _train(tmp_path, cfg_file)
+    _edit_calibration_hash(run_dir)
+    out = str(tmp_path / "q.qlab")
+    argv = ["quantize", "--ckpt", os.path.join(run_dir, "ckpt_30.qlab"), "--bits", "3",
+            "--out", out]
+    assert main(argv + ["--method", "gptq"]) == 2
+    assert main(argv + ["--method", "gptq", "--set", "quant.calib_samples=2"]) == 2
+    assert not os.path.exists(out)
+    assert main(argv + ["--method", "rtn"]) == 0  # RTN calibrates on nothing
 
 
 def _subclasses(cls):

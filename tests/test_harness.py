@@ -130,6 +130,23 @@ def test_resume_bitwise_equals_unbroken(tmp_path, corpus_path, monkeypatch):
             assert read(os.path.join(full_dir, table)) == read(os.path.join(resumed_dir, table))
 
 
+def test_resume_of_a_finished_run_builds_no_calibration_set(trained_run, monkeypatch):
+    from qlab import harness
+
+    cfg, run_dir = trained_run
+    built, real = [], harness.RunData.calibration
+
+    def calibration(self, cfg):
+        built.append(cfg["quant.calib_samples"])
+        return real(self, cfg)
+
+    monkeypatch.setattr(harness.RunData, "calibration", calibration)
+    manifest = read(os.path.join(run_dir, harness.MANIFEST))
+    assert cmd_train(cfg, os.path.dirname(run_dir), resume=True) == run_dir
+    assert built == []
+    assert read(os.path.join(run_dir, harness.MANIFEST)) == manifest
+
+
 def read_bytes(path):
     with open(path, "rb") as f:
         return f.read()

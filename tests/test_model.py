@@ -191,6 +191,125 @@ def test_forward_flags_nonfinite_layer(monkeypatch):
         assert exc.value.where == "layers.0"
 
 
+# -- attention tiles and in-place elementwise chains ----------------------------
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes, dtypes and bit patterns (signed zeros included)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def untiled_softmax(scores, scale):
+    """Reference causal softmax of raw scores [..., S, S]."""
+    S = scores.shape[-1]
+    mask = np.zeros((S, S), dtype=scores.dtype)
+    mask[np.triu_indices(S, k=1)] = -np.inf
+    s = scores * scale + mask
+    s -= np.max(s, axis=-1, keepdims=True)
+    e = np.exp(s)
+    return e / np.sum(e, axis=-1, keepdims=True, dtype=np.float64).astype(scores.dtype)
+
+
+def untiled_attention(q, k, v):
+    """Reference attention core over full S x S scores: (probs, ctx), heads
+    [B, H, S, Dh]."""
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    probs = untiled_softmax(scores, 1.0 / math.sqrt(q.shape[-1]))
+    return probs, np.matmul(probs, v)
+
+
+def untiled_attention_backward(dctx, q, k, v, probs):
+    """Reference gradients of the attention core over full S x S blocks:
+    (dq, dk, dv)."""
+    inv = 1.0 / math.sqrt(q.shape[-1])
+    dprobs = np.matmul(dctx, v.transpose(0, 1, 3, 2))
+    dv = np.matmul(probs.transpose(0, 1, 3, 2), dctx)
+    row = np.sum(dprobs * probs, axis=-1, keepdims=True, dtype=np.float64).astype(q.dtype)
+    dscores = probs * (dprobs - row)
+    dq = np.matmul(dscores, k) * inv
+    dk = np.matmul(dscores.transpose(0, 1, 3, 2), q) * inv
+    return dq, dk, dv
+
+
+@pytest.mark.parametrize("S,dtype", [(6, np.float32), (64, np.float32), (65, np.float32),
+                                     (128, np.float32), (200, np.float32), (256, np.float64)])
+def test_attention_tiles_match_untiled_reference(S, dtype):
+    # shorter than a tile, one tile, and lengths that are no multiple of
+    # one; large q/k weights spread each score row over tens of nats, as
+    # trained attention does, so the 64-bit row sums round; float32 mostly
+    # rounds that away, float64 shows whether they sum in the untiled order
+    cfg = ModelConfig(vocab=16, d_model=24, n_layers=1, n_heads=3, d_ff=8, seq_len=S)
+    B, d, H, Dh = 2, cfg.d_model, cfg.n_heads, cfg.d_head
+    rng = np.random.Generator(np.random.PCG64(S))
+    a_in = rng.standard_normal((B, S, d)).astype(dtype)
+    wq, wk, wv = (rng.standard_normal((d, d)).astype(dtype) * s for s in (1.5, 1.5, 0.2))
+    mask = model._tile_mask(dtype)
+    c = model._cache_arrays(cfg, B, S, dtype)[0]
+    for a in c.values():
+        a[...] = np.nan  # every cached value must be written
+    ctx = model._attend(a_in, wq, wk, wv, cfg, mask, c)
+    assert ctx is c["ctx"]
+    q, k, v = c["q"], c["k"], c["v"]
+    probs, ctx_heads = untiled_attention(q, k, v)
+    assert same_bits(c["probs"], probs)
+    assert not np.any(np.triu(c["probs"], k=1))  # exact zeros above the diagonal
+    assert same_bits(ctx, ctx_heads.transpose(0, 2, 1, 3).reshape(B, S, d))
+    # without a cache: one tile of scores at a time, same context
+    assert same_bits(model._attend(a_in, wq, wk, wv, cfg, mask), ctx)
+
+    dctx = rng.standard_normal((B, S, H, Dh)).astype(dtype).transpose(0, 2, 1, 3)
+    grads = [np.full((B, S, H, Dh), np.nan, dtype=dtype).transpose(0, 2, 1, 3) for _ in range(3)]
+    model._attend_backward(dctx, q, k, v, c["probs"], *grads)
+    for got, want in zip(grads, untiled_attention_backward(dctx, q, k, v, probs)):
+        assert same_bits(got, want)
+
+
+def test_softmax_tiles_sum_rows_in_the_untiled_order():
+    # float64 scores over tens of nats: the 64-bit row sums round, and how
+    # depends on numpy's pairwise order, which the untiled rows' trailing
+    # zeros move once rows pass 128 entries (float32 would round it away)
+    rng = np.random.Generator(np.random.PCG64(12))
+    for S in (6, 65, 128, 129, 200, 256, 300, 520):
+        scores = rng.standard_normal((2, S, S)) * 40
+        want = untiled_softmax(scores, 0.5)
+        for i0, i1 in model._tiles(S):
+            tile = scores[:, i0:i1, :i1].copy()
+            got = model._softmax_masked(tile, 0.5, model._tile_mask(np.float64), S)
+            assert got is tile
+            assert same_bits(got, want[:, i0:i1, :i1])
+        # the same order for any row prefix whose length is a multiple of 8
+        row = np.exp(rng.standard_normal((3, S)) * 12)
+        for m in range(8, S, 56):
+            padded = row.copy()
+            padded[:, m:] = 0.0
+            want = np.sum(padded, axis=-1, keepdims=True, dtype=np.float64)
+            assert same_bits(model._padded_row_sum(padded[:, :m], S), want)
+
+
+def test_elementwise_chains_match_written_out_expressions():
+    rng = np.random.Generator(np.random.PCG64(13))
+    u, du, dxhat, xhat = (rng.standard_normal((3, 7, 40)).astype(np.float32) * 3 for _ in range(4))
+    r = rng.random((3, 7, 1)).astype(np.float32) + 0.5
+    C0, C1 = model.GELU_C0, model.GELU_C1
+    t = np.tanh(C0 * (u + C1 * u * u * u))
+    gelu = 0.5 * u * (1.0 + t)
+    dgelu = du * (0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * (C0 * (1.0 + 3.0 * C1 * u * u)))
+    m = np.mean(dxhat * xhat, axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    drms = r * (dxhat - xhat * m)
+
+    got_gelu, got_t = model._gelu(u)
+    assert same_bits(got_gelu, gelu) and same_bits(got_t, t)
+    out, t_out = np.empty_like(u), np.empty_like(u)
+    got_gelu, got_t = model._gelu(u, out, t_out)
+    assert got_gelu is out and got_t is t_out
+    assert same_bits(out, gelu) and same_bits(t_out, t)
+    assert same_bits(model._gelu_backward(du, u, t), dgelu)
+    out = np.empty_like(u)
+    assert model._gelu_backward(du, u, t, out=out) is out and same_bits(out, dgelu)
+    assert same_bits(model._rms_backward(dxhat, xhat, r), drms)
+
+
 # -- loss -----------------------------------------------------------------------
 
 
