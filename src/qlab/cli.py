@@ -91,28 +91,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-root", default="runs")
     sp.add_argument("--force", action="store_true")
 
+    # options left unset take the driver's defaults
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--corpus", required=True)
-    shared.add_argument("--profile", choices=sorted(experiments.TRUNK_STEPS), default="desk",
+    shared.add_argument("--profile", choices=sorted(experiments.TRUNK_STEPS),
                         help="configs/<profile>.cfg")
-    shared.add_argument("--out-root", default=None, help="default: runs/<experiment>")
-    shared.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    shared.add_argument("--bits", type=int, default=None, help="default: 3 (lr-sweep: 4)")
+    shared.add_argument("--out-root", help="default: runs/<experiment>")
+    shared.add_argument("--seeds", type=int, nargs="+")
+    shared.add_argument("--bits", type=int)
     sp = sub.add_parser("experiment", help="run a protocol driver (acceptance criteria 9-11)")
     exp = sp.add_subparsers(dest="experiment", required=True)
     sp = exp.add_parser("cooldown", parents=[shared],
                         help="constant-LR trunk vs cooldown branches (default: its thirds)")
-    sp.add_argument("--trunk-steps", type=int, default=None)
-    sp.add_argument("--branch-steps", type=int, nargs="+", default=None)
+    sp.add_argument("--trunk-steps", type=int)
+    sp.add_argument("--branch-steps", type=int, nargs="+")
     sp = exp.add_parser("lr-sweep", parents=[shared],
                         help="WSD runs at several peak LRs under one budget")
-    sp.add_argument("--total-steps", type=int, default=None)
-    sp.add_argument("--lrs", type=float, nargs="+", default=[3e-4, 1e-3, 3e-3])
+    sp.add_argument("--total-steps", type=int)
+    sp.add_argument("--lrs", type=float, nargs="+")
     sp = exp.add_parser("lawa", parents=[shared],
                         help="rolling weight averages vs matched-step cooldowns")
-    sp.add_argument("--trunk-steps", type=int, default=None)
-    sp.add_argument("--compare-steps", type=int, nargs="+", default=None)
-    sp.add_argument("--k", type=int, default=5)
+    sp.add_argument("--trunk-steps", type=int)
+    sp.add_argument("--compare-steps", type=int, nargs="+")
+    sp.add_argument("--k", type=int, help="default: the profile's lawa.k")
     return p
 
 
@@ -144,51 +145,15 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    """Run one protocol driver; prints one line per result and a tally."""
+    """Run one protocol driver; prints one line per comparison and a tally."""
+    driver, claim = experiments.PROTOCOLS[args.experiment]
+    given = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("cmd", "experiment", "corpus", "out_root")}
     out_root = args.out_root or os.path.join("runs", args.experiment.replace("-", "_"))
-    bits = args.bits or (4 if args.experiment == "lr-sweep" else 3)
-    shared = dict(profile=args.profile, seeds=args.seeds, bits=bits)
-    if args.experiment == "cooldown":
-        results = experiments.cooldown_branching(
-            args.corpus, out_root, trunk_steps=args.trunk_steps,
-            branch_steps=args.branch_steps, **shared,
-        )
-        for r in results:
-            print(
-                f"seed {r.seed} branch {r.branch_step}: "
-                f"val_ce {r.trunk_ce:.4f} -> {r.branch_ce:.4f} "
-                f"({'improves' if r.loss_improves else 'worsens'}), "
-                f"rel_err{bits} {r.trunk_rel_err:.4f} -> {r.branch_rel_err:.4f} "
-                f"({'rises' if r.quant_error_rises else 'falls'})"
-            )
-        both = sum(r.loss_improves and r.quant_error_rises for r in results)
-        print(f"{both}/{len(results)} branches show loss improving while quantization error rises")
-    elif args.experiment == "lr-sweep":
-        result = experiments.lr_sweep(
-            args.corpus, out_root, total_steps=args.total_steps, lrs=args.lrs, **shared
-        )
-        lrs = sorted(args.lrs)
-        inverse = 0
-        for seed, per_lr in result.items():
-            errs = [per_lr[lr] for lr in lrs]
-            ordered = all(errs[i] >= errs[i + 1] for i in range(len(errs) - 1))
-            inverse += ordered
-            pretty = ", ".join(f"{lr:.0e}: {e:.4f}" for lr, e in zip(lrs, errs))
-            print(f"seed {seed}: rel_err{bits} by lr {{{pretty}}} inverse-ordered={ordered}")
-        print(f"{inverse}/{len(result)} seeds inversely ordered by learning rate")
-    else:
-        results = experiments.lawa_vs_cooldown(
-            args.corpus, out_root, trunk_steps=args.trunk_steps,
-            compare_steps=args.compare_steps, k=args.k, **shared,
-        )
-        for r in results:
-            print(
-                f"seed {r.seed} step {r.step}: lawa ce_q{bits} {r.lawa_ce_q:.4f} vs "
-                f"cooldown {r.branch_ce_q:.4f} "
-                f"({'lawa matches/beats' if r.lawa_matches_or_beats else 'cooldown wins'})"
-            )
-        wins = sum(r.lawa_matches_or_beats for r in results)
-        print(f"{wins}/{len(results)} comparisons favor weight averaging")
+    results = driver(args.corpus, out_root, **given)
+    for r in results:
+        print(r.line)
+    print(f"{sum(r.holds for r in results)}/{len(results)} {claim}")
     return 0
 
 

@@ -19,7 +19,7 @@ import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,6 +168,17 @@ def _phase_boundaries(spec: ScheduleSpec) -> Tuple[int, ...]:
     return tuple(sorted(marks))
 
 
+def ckpt_hook(
+    cfg: Dict[str, object], target: int, fn: Optional[Callable[[TrainEvent], None]] = None
+) -> TrainHook:
+    """The hook that saves a run's checkpoints as it trains to `target`:
+    every train.ckpt_interval steps, on the schedule's phase boundaries,
+    and at `target`, where a resume starts. Its `due(step)` tells, before
+    any training, whether a step will have a checkpoint."""
+    marks = _phase_boundaries(cfgmod.schedule_spec(cfg)) + (target,)
+    return TrainHook(cfg["train.ckpt_interval"], fn, marks)
+
+
 def cmd_train(
     cfg: Dict[str, object],
     out_root: str,
@@ -236,11 +247,6 @@ def cmd_train(
 
     metrics_store = MetricsStore(os.path.join(run_dir, METRICS))
     norm_table = MetricsStore(os.path.join(run_dir, NORMS), NORMS_HEADER, ("step",))
-    # checkpoints also land on phase boundaries and the stop point (resume);
-    # eval/norm rows fire on intervals plus the schedule end only, and a
-    # resume re-emits the rows since its checkpoint, which merge, so a
-    # stopped or crashed and then resumed run leaves byte-identical CSVs
-    ckpt_marks = _phase_boundaries(spec) + (target,)
 
     def save_hook(ev: TrainEvent) -> None:
         path = ckpt_path(run_dir, ev.step)
@@ -278,8 +284,11 @@ def cmd_train(
                  run_id[:8], ev.step, target, ev.train_loss, rate,
                  _duration((target - ev.step) / rate))
 
+    # eval/norm rows fire on intervals plus the schedule end only, and a
+    # resume re-emits the rows since its checkpoint, which merge, so a
+    # stopped or crashed and then resumed run leaves byte-identical CSVs
     hooks = [
-        TrainHook(cfg["train.ckpt_interval"], save_hook, ckpt_marks),
+        ckpt_hook(cfg, target, save_hook),
         TrainHook(cfg["train.eval_interval"], eval_hook, (spec.total_steps,)),
         TrainHook(cfg["train.log_interval"], norm_hook, (spec.total_steps,)),
         TrainHook(cfg["train.log_interval"], progress_hook),

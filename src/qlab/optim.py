@@ -64,6 +64,11 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "wsd", "cosine"):
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
+        if self.total_steps < 1 or self.warmup_steps < 0 or self.decay_steps < 0:
+            raise ConfigError(
+                f"schedule needs total steps >= 1 and warmup/decay steps >= 0, got "
+                f"{self.total_steps}/{self.warmup_steps}/{self.decay_steps}"
+            )
         if self.kind == "wsd" and self.warmup_steps + self.decay_steps > self.total_steps:
             raise ConfigError("warmup + decay exceeds total steps")
         if self.kind != "wsd" and self.warmup_steps > self.total_steps:

@@ -211,12 +211,14 @@ def cmd_report(
 ) -> Tuple[str, str]:
     """Plot one metric across runs; writes the SVG and a merged CSV.
 
-    Raises ReportError (and writes nothing) when the metric column is
-    unknown or no run has data for it.
+    Raises ReportError (and writes nothing) when the metric or x column is
+    unknown or not numeric, or no run has data for the metric.
     """
     for col in (metric, x):
         if col not in CSV_COLUMNS:
             raise ReportError(f"unknown metrics column {col!r}")
+        if col == "run_id":
+            raise ReportError("run_id is not numeric: plot a numeric metrics column")
     series: List[Series] = []
     merged = ["run_id,%s,%s,lr" % (x, metric)]
     for run_dir in run_dirs:

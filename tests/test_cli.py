@@ -82,6 +82,15 @@ def test_cli_train_empty_eval_set_is_config_error(tmp_path, cfg_file, setting):
     assert not os.path.exists(root)
 
 
+@pytest.mark.parametrize("setting", [
+    "schedule.decay_frac=-0.5", "schedule.warmup_frac=-0.1", "schedule.total_steps=0",
+])
+def test_cli_train_negative_or_empty_schedule_is_config_error(tmp_path, cfg_file, setting):
+    root = str(tmp_path / "runs")
+    assert main(["train", "--config", cfg_file, "--out-root", root, "--set", setting]) == 2
+    assert not os.path.exists(root)
+
+
 def test_cli_report_missing_column_is_config_error(tmp_path, cfg_file):
     rc = main(["report", "--run", str(tmp_path), "--metric", "nope",
                "--out", str(tmp_path / "n.svg")])
@@ -93,6 +102,13 @@ def trained_run(tmp_path_factory, cfg_file):
     root = str(tmp_path_factory.mktemp("cli-eval") / "runs")
     assert main(["train", "--config", cfg_file, "--out-root", root]) == 0
     return os.path.join(root, run_id_of(resolve(cfg_file)))
+
+
+def test_cli_branch_negative_decay_steps_is_config_error(tmp_path, trained_run):
+    root = tmp_path / "children"
+    assert main(["branch", "--run", trained_run, "--step", "10", "--decay-steps", "-3",
+                 "--out-root", str(root)]) == 2
+    assert not root.exists()
 
 
 def test_cli_eval_method_conflict_is_config_error(trained_run):

@@ -1,5 +1,6 @@
 import glob
 import os
+import re
 
 import pytest
 
@@ -33,6 +34,8 @@ def micro_profile(tmp_path, monkeypatch):
     configs.mkdir()
     (configs / "micro.cfg").write_text(MICRO_PROFILE)
     monkeypatch.setattr(experiments, "CONFIGS_DIR", str(configs))
+    # an 18-step trunk: its thirds land on the profile's checkpoints
+    monkeypatch.setitem(experiments.TRUNK_STEPS, "micro", 18)
     return "micro"
 
 
@@ -74,6 +77,72 @@ def test_lawa_interval_comes_from_profile(tmp_path, corpus_path, micro_profile):
     assert [os.path.basename(p) for p in lawa] == ["lawa2_12.qlab"]
 
 
+def test_lawa_k_comes_from_profile(tmp_path, corpus_path, micro_profile):
+    with open(os.path.join(experiments.CONFIGS_DIR, "micro_k3.cfg"), "w") as f:
+        f.write(MICRO_PROFILE + "lawa.k = 3\n")
+    out_root = str(tmp_path / "runs")
+    experiments.lawa_vs_cooldown(
+        corpus_path, out_root, profile="micro_k3", trunk_steps=12,
+        compare_steps=(12,), seeds=(1,),
+    )
+    lawa = glob.glob(os.path.join(out_root, "*", "lawa*.qlab"))
+    assert sorted(os.path.basename(p) for p in lawa) == ["lawa3_12.qlab", "lawa3_6.qlab"]
+
+
+REAL = r"-?\d+\.\d{4}"
+PRINTED = {
+    "cooldown": (
+        [rf"seed 1 branch {bs}: val_ce {REAL} -> {REAL} \((improves|worsens)\), "
+         rf"rel_err3 {REAL} -> {REAL} \((rises|falls)\)" for bs in (6, 12, 18)],
+        "/3 branches show loss improving while quantization error rises",
+        lambda line: "(improves)" in line and "(rises)" in line,
+    ),
+    "lr-sweep": (
+        [rf"seed 1: rel_err4 by lr \{{3e-04: {REAL}, 1e-03: {REAL}, 3e-03: {REAL}\}} "
+         r"inverse-ordered=(True|False)"],
+        "/1 seeds inversely ordered by learning rate",
+        lambda line: line.endswith("=True"),
+    ),
+    "lawa": (
+        [rf"seed 1 step {step}: lawa ce_q3 {REAL} vs cooldown {REAL} "
+         r"\((lawa matches/beats|cooldown wins)\)" for step in (12, 18)],
+        "/2 comparisons favor weight averaging",
+        lambda line: line.endswith("(lawa matches/beats)"),
+    ),
+}
+
+
+def test_experiment_prints_one_line_per_comparison_and_a_tally(
+    tmp_path, corpus_path, micro_profile, capsys
+):
+    out_root = str(tmp_path / "runs")
+    for protocol, (patterns, tally, holds) in PRINTED.items():
+        assert main(["experiment", protocol, "--corpus", corpus_path, "--profile",
+                     micro_profile, "--out-root", out_root, "--seeds", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(patterns) + 1
+        for pattern, line in zip(patterns, lines):
+            assert re.fullmatch(pattern, line), (pattern, line)
+        assert lines[-1] == f"{sum(map(holds, lines[:-1]))}{tally}"
+    # lawa's window is the profile's lawa.k (5, the registry default)
+    assert glob.glob(os.path.join(out_root, "*", "lawa5_18.qlab"))
+
+
+@pytest.mark.parametrize("protocol, steps", [
+    ("cooldown", ["--trunk-steps", "10"]),  # thirds 3, 6, 10: no ckpt_3
+    ("cooldown", ["--trunk-steps", "12", "--branch-steps", "6", "13"]),
+    ("lawa", ["--trunk-steps", "10", "--compare-steps", "10"]),  # saved, not a lawa.interval
+    ("lawa", ["--trunk-steps", "12", "--compare-steps", "0", "12"]),
+])
+def test_steps_without_checkpoints_exit_2_before_training(
+    tmp_path, corpus_path, micro_profile, protocol, steps
+):
+    out_root = tmp_path / "runs"
+    assert main(["experiment", protocol, "--corpus", corpus_path, "--profile", micro_profile,
+                 "--out-root", str(out_root), "--seeds", "1", *steps]) == 2
+    assert not out_root.exists()
+
+
 def test_quantize_eval_failure_exits_4(tmp_path, corpus_path, micro_profile, monkeypatch):
     def failing_eval(run_dir, bits, steps, kind):
         return [], [(steps[0], "non-finite activations in layers.0")]
@@ -113,7 +182,7 @@ def test_profile_choices_match_configs():
     }
     experiment = _action(build_parser(), "cmd").choices["experiment"]
     subcommands = _action(experiment, "experiment").choices
-    assert set(subcommands) == {"cooldown", "lr-sweep", "lawa"}
+    assert set(subcommands) == {"cooldown", "lr-sweep", "lawa"} == set(experiments.PROTOCOLS)
     for sp in subcommands.values():
         assert set(_action(sp, "profile").choices) == stems
     for stem in stems:

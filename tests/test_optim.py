@@ -79,6 +79,13 @@ def test_schedule_spec_validation():
         ScheduleSpec("wsd", 100, warmup_steps=60, decay_steps=60)
     with pytest.raises(ConfigError):
         ScheduleSpec("nope", 10)
+    # an empty schedule, or a negative phase that would never start
+    for kind, total, warmup, decay in [
+        ("wsd", 0, 0, 0), ("constant", -5, 0, 0), ("cosine", 0, 0, 0),
+        ("wsd", 10, 0, -3), ("wsd", 10, -1, 2), ("constant", 10, -1, 0),
+    ]:
+        with pytest.raises(ConfigError):
+            ScheduleSpec(kind, total, warmup_steps=warmup, decay_steps=decay)
 
 
 @given(st.integers(0, 2**16))

@@ -87,6 +87,20 @@ def test_cmd_report_unknown_column(tmp_path):
     assert not os.path.exists(tmp_path / "x.svg")
 
 
+@pytest.mark.parametrize("axes", [dict(x="run_id"), dict(metric="run_id")])
+def test_cmd_report_refuses_the_text_column(tmp_path, axes):
+    from qlab.cli import main
+
+    r1 = make_run(tmp_path, "runE")
+    out = str(tmp_path / "t.svg")
+    args = {"metric": "val_ce_fp", "x": "tokens_seen", **axes}
+    with pytest.raises(ReportError):
+        cmd_report([r1], args["metric"], x=args["x"], out=out)
+    assert main(["report", "--run", r1, "--metric", args["metric"], "--x", args["x"],
+                 "--out", out]) == 2
+    assert not os.path.exists(out) and not os.path.exists(tmp_path / "t.csv")
+
+
 def test_cmd_report_empty_data_writes_nothing(tmp_path):
     run_dir = tmp_path / "empty"
     run_dir.mkdir()
