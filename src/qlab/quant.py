@@ -11,14 +11,18 @@ GPTQ processes columns in natural order against the upper Cholesky factor
 of the damped inverse Hessian (factorised by LAPACK), recomputing group
 parameters from the error-compensated weights at each group boundary.
 Residuals are applied in lazy batches of whole groups (about LAZY_BLOCK
-columns): within a batch column by column, past it in one GEMM.
+columns): within a batch column by column, past it in one GEMM. The
+column loop runs on the transposed weights, so each column is one
+contiguous row quantized and compensated in place.
 `quantize_model` gathers calibration inputs in a single walk of the
-calibration batches through the blocks, quantizing each layer as soon
-as its inputs exist.
+calibration batches through the blocks. Layers that share an input
+(q/k/v) share its Hessian and factor, so each stage is solved once, on
+its weights stacked by rows, as soon as its inputs exist.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -163,6 +167,8 @@ def gptq_quantize(
     diagonal); per column j the rounding residual e = (w_j - deq_j)/U_jj
     is pushed into the remaining columns via U[j, j+1:], lazily: columns
     past the current batch receive a whole batch's residuals at once.
+    Rows never mix, so rows stacked from layers that share X quantize as
+    each layer alone would.
     """
     W = np.asarray(W)
     X = np.asarray(X)
@@ -175,14 +181,16 @@ def gptq_quantize(
     d_out, d_in = W.shape
     g = cfg.group_size
     n_groups = (d_in + g - 1) // g
-    w64 = W.astype(np.float64)
-    x64 = X.astype(np.float64)
+    maxq = float((1 << cfg.bits) - 1)
+    # column j of the weights is the contiguous row wT[j]
+    wT = np.array(W.T, dtype=np.float64, order="C")
+    x64 = np.asarray(X, np.float64)
 
     H = 2.0 * (x64.T @ x64)
     dead = np.diag(H) == 0.0
     if dead.any():
         H[dead, dead] = 1.0
-        w64[:, dead] = 0.0
+        wT[dead] = 0.0
     damp = cfg.damping_frac * float(np.mean(np.diag(H)))
     H[np.diag_indices(d_in)] += damp
     try:
@@ -194,36 +202,46 @@ def gptq_quantize(
             f"Hessian factorization failed for {name or 'layer'}: {exc}", layer=name
         ) from exc
 
-    codes = np.empty((d_out, d_in), dtype=np.uint8)
+    qT = np.empty((d_in, d_out))  # codes as floats, column j in row j
     scales = np.empty((d_out, n_groups), dtype=np.float32)
     zeros = np.empty((d_out, n_groups), dtype=np.int32)
     if cfg.static_groups:
         for gi in range(n_groups):
-            lo, hi = gi * g, min((gi + 1) * g, d_in)
-            scales[:, gi], zeros[:, gi] = group_params(w64[:, lo:hi], cfg.bits)
+            lo = gi * g
+            scales[:, gi], zeros[:, gi] = group_params(wT[lo : lo + g].T, cfg.bits)
     # Lazy batches: a column's residual updates the rest of its block right
     # away, and the columns after the block in one GEMM when the block ends.
     # Blocks are whole groups, so a group's parameters are computed only
     # from fully error-compensated weights.
     block = g * max(1, LAZY_BLOCK // g)
-    scale = zero = None
     for b0 in range(0, d_in, block):
         b1 = min(b0 + block, d_in)
-        errs = np.empty((d_out, b1 - b0))
+        errsT = np.empty((b1 - b0, d_out))
         for j in range(b0, b1):
-            gi = j // g
-            if cfg.static_groups:
-                scale, zero = scales[:, gi], zeros[:, gi]
-            elif j % g == 0:
-                hi = min(j + g, d_in)
-                scale, zero = group_params(w64[:, j:hi], cfg.bits)
-                scales[:, gi], zeros[:, gi] = scale, zero
-            col = quantize_codes(w64[:, j : j + 1], scale, zero, cfg.bits)[:, 0]
-            codes[:, j] = col
-            deq = (col.astype(np.float64) - zero) * scale.astype(np.float64)
-            err = errs[:, j - b0] = (w64[:, j] - deq) / U[j, j]
-            w64[:, j + 1 : b1] -= np.outer(err, U[j, j + 1 : b1])
-        w64[:, b1:] -= errs @ U[b0:b1, b1:]
+            if j % g == 0:
+                gi = j // g
+                if not cfg.static_groups:
+                    scales[:, gi], zeros[:, gi] = group_params(wT[j : j + g].T, cfg.bits)
+                s, z = scales[:, gi].astype(np.float64), zeros[:, gi].astype(np.float64)
+            w, q, e = wT[j], qT[j], errsT[j - b0]
+            # half-up rounding onto the grid, clamped: quantize_codes, in place
+            np.divide(w, s, out=q)
+            q += 0.5
+            np.floor(q, out=q)
+            q += z
+            np.maximum(q, 0.0, out=q)
+            np.minimum(q, maxq, out=q)
+            # e = (w - deq) / U_jj, then the rank-1 update of the block's rest
+            np.subtract(q, z, out=e)
+            e *= s
+            np.subtract(w, e, out=e)
+            e /= U[j, j]
+            wT[j + 1 : b1] -= U[j, j + 1 : b1, None] * e
+        # a C-ordered errs keeps the GEMM's summation order, hence its bits;
+        # OpenBLAS sums a transposed operand in another order
+        errs = np.ascontiguousarray(errsT.T)
+        wT[b1:] -= (errs @ U[b0:b1, b1:]).T
+    codes = qT.T.astype(np.uint8, order="C")
     return QuantizedLinear(codes, scales, zeros, cfg.bits, cfg.group_size)
 
 
@@ -234,15 +252,23 @@ def weight_error(W: np.ndarray, What: np.ndarray) -> float:
 def reconstruction_error(W: np.ndarray, What: np.ndarray, X: np.ndarray) -> float:
     """||X W^T - X What^T||_F over the calibration activations."""
     d = np.asarray(W, dtype=np.float64) - np.asarray(What, dtype=np.float64)
-    return frobenius_norm(np.asarray(X, dtype=np.float64) @ d.T)
+    r = np.asarray(X, dtype=np.float64) @ d.T
+    # frobenius_norm's 64-bit sum of squares, squared in place: with a stage's
+    # float64 X held across its layers, no second rows x d_out array
+    return math.sqrt(float(np.sum(np.square(r, out=r))))
 
 
 DAMPING_LADDER = (1.0, 10.0, 100.0)
 
 
-def _quantize_layer(
-    W: np.ndarray, X: Optional[np.ndarray], cfg: QuantConfig, name: str
+def _quantize_stage(
+    W: np.ndarray, X: Optional[np.ndarray], cfg: QuantConfig, names: List[str]
 ) -> Tuple[QuantizedLinear, float]:
+    """One solve for a stage's stacked weights, climbing the damping ladder.
+
+    The stage's layers share X, hence the Hessian, so every rung fails or
+    succeeds for all of them; a failure names the stage's first layer.
+    """
     if cfg.method == "rtn":
         return rtn_quantize(W, cfg), cfg.damping_frac
     last: Optional[QuantizationError] = None
@@ -251,11 +277,11 @@ def _quantize_layer(
         if damp >= 1.0:
             break
         try:
-            return gptq_quantize(W, X, replace(cfg, damping_frac=damp), name), damp
+            return gptq_quantize(W, X, replace(cfg, damping_frac=damp), names[0]), damp
         except QuantizationError as exc:
             last = exc
     raise QuantizationError(
-        f"quantization failed for {name} after damping retries", layer=name
+        f"quantization failed for {', '.join(names)} after damping retries", layer=names[0]
     ) from last
 
 
@@ -270,8 +296,9 @@ def quantize_model(
     the blocks quantizes each stage (q/k/v, o, w1, w2) as soon as its
     inputs exist; with propagate_quantized on, the walk carries on through
     the dequantized weights, so each layer's inputs see every earlier
-    layer quantized. Per-layer weight and reconstruction errors are
-    returned.
+    layer quantized. A stage's weights are stacked by rows and solved
+    once, then split back into layers. Per-layer weight and
+    reconstruction errors are returned.
     """
     # resolved at call time, so a replaced model.capture_layer_inputs applies
     from .model import capture_layer_inputs
@@ -283,15 +310,20 @@ def quantize_model(
     propagating = cfg.propagate_quantized and cfg.method == "gptq"
 
     def quantize_stage(names: List[str], X: Optional[np.ndarray]) -> List[np.ndarray]:
-        carry = []
-        for lname in names:
-            W = ckpt.tensors[lname]
-            q, damp_used = _quantize_layer(W, X, cfg, lname)
-            what = dequantize(q)
-            rec = reconstruction_error(W, what, X) if X is not None else None
+        Ws = [ckpt.tensors[lname] for lname in names]
+        x64 = None if X is None else np.asarray(X, np.float64)
+        q, damp_used = _quantize_stage(np.concatenate(Ws), x64, cfg, names)
+        carry, r0 = [], 0
+        for lname, W in zip(names, Ws):
+            r1 = r0 + W.shape[0]
+            ql = QuantizedLinear(q.codes[r0:r1], q.scales[r0:r1], q.zeros[r0:r1],
+                                 q.bits, q.group_size)
+            what = dequantize(ql)
+            rec = reconstruction_error(W, what, x64) if x64 is not None else None
             stats.append(LayerQuantStats(lname, weight_error(W, what), rec, damp_used))
-            layers[lname] = q
+            layers[lname] = ql
             carry.append(what if propagating else W)
+            r0 = r1
         return carry
 
     if calib is not None and calib.batches:

@@ -180,6 +180,20 @@ def test_cli_quantize_follows_manifest_then_set(tmp_path, trained_run, monkeypat
     assert samples == ([cfg["quant.calib_samples"]] if method == "gptq" else [])
 
 
+def test_cli_quantize_exits_3_when_every_damping_rung_fails(tmp_path, trained_run, monkeypatch):
+    from qlab import quant
+    from qlab.errors import FactorizationError
+
+    def singular(h):
+        raise FactorizationError(0, -1.0)
+
+    monkeypatch.setattr(quant, "spd_inverse", singular)
+    out = str(tmp_path / "q.qlab")
+    assert main(["quantize", "--ckpt", os.path.join(trained_run, "ckpt_30.qlab"), "--bits", "3",
+                 "--method", "gptq", "--out", out]) == 3
+    assert not os.path.exists(out)
+
+
 def test_cli_soup_bad_weight_is_config_error(tmp_path, trained_run):
     ckpt = os.path.join(trained_run, "ckpt_30.qlab")
     out = str(tmp_path / "s.qlab")

@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import forward_stage_inputs, tiny_model_config
 from qlab.data import TokenStream, build_calibration
-from qlab.errors import ConfigError, ContractViolation
+from qlab.errors import ConfigError, ContractViolation, FactorizationError, QuantizationError
 from qlab.ndkernel import cholesky, spd_inverse
-from qlab.model import init, quantizable_layer_names
+from qlab.model import capture_layer_inputs, init, quantizable_layer_names
 from qlab.quant import (
+    LAZY_BLOCK,
     QuantConfig,
     QuantizedLinear,
     dequantize,
@@ -234,6 +235,109 @@ def test_gptq_lazy_batches_match_per_column_reference(group_size, static_groups)
         assert np.array_equal(q.zeros, zeros)
 
 
+def lazy_gptq_reference(W, X, cfg, group_params=group_params):
+    """The lazy-batch loop column by column on untransposed weights, one
+    `quantize_codes` and one `np.outer` per column: the oracle for the
+    transposed, in-place loop of `gptq_quantize`."""
+    d_out, d_in = W.shape
+    g = cfg.group_size
+    n_groups = (d_in + g - 1) // g
+    w64, x64 = W.astype(np.float64), X.astype(np.float64)
+    H = 2.0 * (x64.T @ x64)
+    dead = np.diag(H) == 0.0
+    H[dead, dead] = 1.0
+    w64[:, dead] = 0.0
+    H[np.diag_indices(d_in)] += cfg.damping_frac * float(np.mean(np.diag(H)))
+    Hinv = spd_inverse(H)
+    U = cholesky((Hinv + Hinv.T) * 0.5).T
+    codes = np.empty((d_out, d_in), dtype=np.uint8)
+    scales = np.empty((d_out, n_groups), dtype=np.float32)
+    zeros = np.empty((d_out, n_groups), dtype=np.int32)
+    if cfg.static_groups:
+        for gi in range(n_groups):
+            scales[:, gi], zeros[:, gi] = group_params(w64[:, gi * g : (gi + 1) * g], cfg.bits)
+    block = g * max(1, LAZY_BLOCK // g)
+    for b0 in range(0, d_in, block):
+        b1 = min(b0 + block, d_in)
+        errs = np.empty((d_out, b1 - b0))
+        for j in range(b0, b1):
+            gi = j // g
+            if cfg.static_groups:
+                scale, zero = scales[:, gi], zeros[:, gi]
+            elif j % g == 0:
+                scale, zero = group_params(w64[:, j : j + g], cfg.bits)
+                scales[:, gi], zeros[:, gi] = scale, zero
+            col = quantize_codes(w64[:, j : j + 1], scale, zero, cfg.bits)[:, 0]
+            codes[:, j] = col
+            deq = (col.astype(np.float64) - zero) * scale.astype(np.float64)
+            err = errs[:, j - b0] = (w64[:, j] - deq) / U[j, j]
+            w64[:, j + 1 : b1] -= np.outer(err, U[j, j + 1 : b1])
+        w64[:, b1:] -= errs @ U[b0:b1, b1:]
+    return codes, scales, zeros
+
+
+def recording_group_params(seen):
+    """`group_params` that first keeps a copy of the weights it is given."""
+
+    def record(w, bits):
+        seen.append(np.array(w, dtype=np.float64))
+        return group_params(w, bits)
+
+    return record
+
+
+@pytest.mark.parametrize("static_groups", [False, True])
+@pytest.mark.parametrize("group_size", [1, 48, LAZY_BLOCK + 64])
+def test_gptq_column_loop_matches_lazy_reference_bitwise(monkeypatch, group_size, static_groups):
+    from qlab import quant
+
+    rng = np.random.Generator(np.random.PCG64(1000 + group_size))
+    d_in = 250  # a ragged last group at sizes 48 and 192, two lazy blocks or more at all
+    mix = np.eye(d_in) + rng.standard_normal((d_in, d_in)) / np.sqrt(d_in)
+    X = rng.standard_normal((2 * d_in, d_in)) @ mix
+    X[:, [3, 130]] = 0.0  # dead input features
+    W = rng.standard_normal((9, d_in)) * 0.05
+    for bits in (2, 3, 4, 8):
+        cfg = QuantConfig(bits=bits, group_size=group_size, static_groups=static_groups)
+        # the weights each group's parameters come from carry every residual
+        # applied so far, so they show any drift in the last bit
+        got, want = [], []
+        monkeypatch.setattr(quant, "group_params", recording_group_params(got))
+        q = gptq_quantize(W, X, cfg)
+        codes, scales, zeros = lazy_gptq_reference(W, X, cfg, recording_group_params(want))
+        assert len(got) == len(want) == -(-d_in // group_size)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert np.array_equal(q.codes, codes)
+        assert np.array_equal(q.scales, scales)
+        assert np.array_equal(q.zeros, zeros)
+        assert q.codes.flags.c_contiguous
+
+
+@pytest.mark.parametrize("d_in", [64, 192, 256])
+def test_stacked_rows_quantize_as_each_layer_alone(monkeypatch, d_in):
+    # a q/k/v stage at d_model 192 stacks three 192-row layers; only the
+    # lazy-batch GEMM sees the stacked M, and it must not change a bit
+    from qlab import quant
+
+    rng = np.random.Generator(np.random.PCG64(d_in))
+    X = rng.standard_normal((4 * d_in, d_in)).astype(np.float32)
+    Ws = [(rng.standard_normal((192, d_in)) * 0.02).astype(np.float32) for _ in range(3)]
+    for bits in (2, 3, 4, 8):
+        cfg = QuantConfig(bits=bits, group_size=32)
+        stacked_seen, seen = [], [[] for _ in Ws]
+        monkeypatch.setattr(quant, "group_params", recording_group_params(stacked_seen))
+        stacked = gptq_quantize(np.concatenate(Ws), X, cfg)
+        alone = []
+        for W, layer_seen in zip(Ws, seen):
+            monkeypatch.setattr(quant, "group_params", recording_group_params(layer_seen))
+            alone.append(gptq_quantize(W, X, cfg))
+        for k, got in enumerate(stacked_seen):
+            assert np.array_equal(got, np.concatenate([layer_seen[k] for layer_seen in seen]))
+        for name in ("codes", "scales", "zeros"):
+            want = np.concatenate([getattr(q, name) for q in alone])
+            assert np.array_equal(getattr(stacked, name), want)
+
+
 def test_gptq_dead_columns_zeroed():
     rng = np.random.Generator(np.random.PCG64(6))
     W = rng.standard_normal((3, 6))
@@ -423,6 +527,113 @@ def test_quantize_model_recon_error_matches_quantized_forward():
     for s in stats:
         What = dequantize(qm.layers[s.name])
         assert s.recon_error == reconstruction_error(ck.tensors[s.name], What, rows[s.name])
+
+
+def random_calibration(cfg, n, seed=0):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    stream = TokenStream(rng.integers(0, cfg.vocab, n * cfg.seq_len + 1).astype(np.int32),
+                         vocab=cfg.vocab)
+    return build_calibration(stream, n, cfg.seq_len, batch_size=2)
+
+
+def per_layer_reference(ck, calib, cfg):
+    """quantize_model's walk with one `gptq_quantize` per layer on its
+    stage's X: {name: (QuantizedLinear, weight error, recon error)}."""
+    out = {}
+
+    def on_stage(names, X):
+        carry = []
+        for name in names:
+            W = ck.tensors[name]
+            q = gptq_quantize(W, X, cfg, name)
+            What = dequantize(q)
+            out[name] = (q, weight_error(W, What), reconstruction_error(W, What, X))
+            carry.append(What if cfg.propagate_quantized else W)
+        return carry
+
+    capture_layer_inputs(ck, calib, on_stage)
+    return out
+
+
+STAGE_SHAPES = {
+    "tiny": (dict(d_model=64, n_layers=4, n_heads=4, d_ff=256, seq_len=128), 64),
+    "d192": (dict(d_model=192, n_layers=1, n_heads=6, d_ff=768, seq_len=64), 128),
+}
+
+
+@pytest.mark.parametrize("propagate", [True, False])
+@pytest.mark.parametrize("shape", sorted(STAGE_SHAPES))
+def test_stage_stacked_quantize_model_matches_per_layer_gptq(shape, propagate):
+    dims, group_size = STAGE_SHAPES[shape]
+    mcfg = tiny_model_config(init_std=0.02, **dims)
+    ck = init(mcfg)
+    calib = random_calibration(mcfg, 4)
+    for bits in (3, 4):
+        cfg = QuantConfig(bits=bits, group_size=group_size, propagate_quantized=propagate)
+        qm, stats = quantize_model(ck, calib, cfg)
+        ref = per_layer_reference(ck, calib, cfg)
+        assert [s.name for s in stats] == quantizable_layer_names(mcfg)
+        for s in stats:
+            q, w_err, r_err = ref[s.name]
+            got = qm.layers[s.name]
+            assert np.array_equal(got.codes, q.codes)
+            assert np.array_equal(got.scales, q.scales)
+            assert np.array_equal(got.zeros, q.zeros)
+            assert (s.weight_error, s.recon_error, s.damping_used) == (w_err, r_err, 0.01)
+
+
+def test_stage_stacked_rtn_matches_per_layer_rtn():
+    mcfg = tiny_model_config()
+    ck = init(mcfg)
+    cfg = QuantConfig(bits=3, group_size=16, method="rtn")
+    qm, stats = quantize_model(ck, random_calibration(mcfg, 2), cfg)
+    assert [s.name for s in stats] == quantizable_layer_names(mcfg)
+    for name, got in qm.layers.items():
+        want = rtn_quantize(ck.tensors[name], cfg)
+        assert np.array_equal(got.codes, want.codes)
+        assert np.array_equal(got.scales, want.scales)
+        assert np.array_equal(got.zeros, want.zeros)
+
+
+def failing_spd_inverse(monkeypatch, fails):
+    """Replaces `quant.spd_inverse` with one that raises FactorizationError
+    when `fails(call_index)`; returns the list of call indices made."""
+    from qlab import quant
+
+    calls, real = [], quant.spd_inverse
+
+    def flaky(h):
+        calls.append(len(calls))
+        if fails(calls[-1]):
+            raise FactorizationError(0, -1.0)
+        return real(h)
+
+    monkeypatch.setattr(quant, "spd_inverse", flaky)
+    return calls
+
+
+def test_stage_retries_with_more_damping_as_a_whole(monkeypatch):
+    mcfg = tiny_model_config()
+    ck, calib = init(mcfg), random_calibration(mcfg, 2)
+    calls = failing_spd_inverse(monkeypatch, lambda i: i == 0)
+    _, stats = quantize_model(ck, calib, QuantConfig(bits=3, group_size=32))
+    # one solve per stage (q/k/v, o, w1, w2 per block), plus the q/k/v retry
+    assert len(calls) == 4 * mcfg.n_layers + 1
+    damping = {s.name: s.damping_used for s in stats}
+    for name in ("attn.wq", "attn.wk", "attn.wv"):
+        assert damping.pop(f"layers.0.{name}") == 0.01 * 10.0
+    assert set(damping.values()) == {0.01}
+
+
+def test_stage_failing_every_rung_names_its_first_layer(monkeypatch):
+    mcfg = tiny_model_config()
+    ck, calib = init(mcfg), random_calibration(mcfg, 2)
+    calls = failing_spd_inverse(monkeypatch, lambda i: True)
+    with pytest.raises(QuantizationError) as info:
+        quantize_model(ck, calib, QuantConfig(bits=3, group_size=32))
+    assert info.value.layer == "layers.0.attn.wq"
+    # damping 0.01 and 0.1; the 1.0 rung is out of range
+    assert len(calls) == 2
 
 
 def test_quantized_model_file_roundtrip(tmp_path, corpus_splits):
