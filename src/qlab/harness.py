@@ -60,7 +60,8 @@ from .optim import (
     schedule_value,
     train_loop,
 )
-from .parallel import qlab_threads, run as run_parallel  # qlab_threads: re-exported
+from . import parallel
+from .parallel import qlab_threads  # re-exported
 from .quant import quantize_model
 from . import store
 
@@ -365,6 +366,21 @@ def cmd_branch(
 # -- quantize + eval -----------------------------------------------------------
 
 
+# Bit widths quantized at once run their calibration walks at once. On 2
+# vCPUs (desk.cfg, 4 to 128 calibration sequences) that saved about a
+# quarter of the quantize-eval time at every size, and cost about 15 MB
+# plus 1.2 times the widest stage input in peak RSS: +20 MB at 6 MB,
+# +250 MB at 201 MB. Past this size the bit widths run one after the other.
+PARALLEL_BITS_MAX_STAGE_MB = 16.0
+
+
+def _widest_stage_mb(ckpt: Checkpoint, calib: Optional[CalibrationSet]) -> float:
+    """MB of the widest stage input a calibration walk hands GPTQ: every
+    calibration token's d_ff-wide (or d_model-wide) row, in float64."""
+    rows = sum(b.inputs.size for b in calib.batches) if calib is not None else 0
+    return rows * max(ckpt.config.d_model, ckpt.config.d_ff) * 8 / 1e6
+
+
 def evaluate_checkpoint_quantized(
     ckpt: Checkpoint,
     data: RunData,
@@ -375,16 +391,31 @@ def evaluate_checkpoint_quantized(
     lr: Optional[float] = None,
 ):
     """Full MetricRecord for one checkpoint: FP eval plus each bit width,
-    quantized by cfg's quant.method (GPTQ calibrates on `calib`)."""
+    quantized by cfg's quant.method (GPTQ calibrates on `calib`).
+
+    While the calibration walk's widest stage input is at most
+    PARALLEL_BITS_MAX_STAGE_MB, the bit widths are quantized as the jobs of
+    one parallel region, otherwise one after the other; then they are
+    evaluated in bit order, each eval with its batches on the pool. Inside
+    a checkpoint job (2 or more checkpoints) the region runs serially. A
+    failure raised is the first failing bit width's, as in a serial loop.
+    """
     ce_fp, acc_fp = eval_ce(ckpt, data.eval_batches)
     rec = MetricRecord(
         run_id=run_id, step=ckpt.step, tokens_seen=ckpt.tokens_seen, lr=lr,
         val_ce_fp=ce_fp, acc_fp=acc_fp, weight_norm=frobenius_norm(*ckpt.tensors.values()),
     )
+
+    def quantize(b):
+        return quantize_model(ckpt, calib, cfgmod.quant_config(cfg, b))
+
+    if _widest_stage_mb(ckpt, calib) <= PARALLEL_BITS_MAX_STAGE_MB:
+        # the pool class is looked up here, where perfbench traces it
+        quantized = parallel.results(parallel.run(quantize, bits, ThreadPoolExecutor))
+    else:
+        quantized = [quantize(b) for b in bits]
     layer_stats = []
-    for b in bits:
-        qcfg = cfgmod.quant_config(cfg, b)
-        qm, stats = quantize_model(ckpt, calib, qcfg)
+    for b, (qm, stats) in zip(bits, quantized):
         ce_q, acc_q = eval_ce(qm, data.eval_batches)
         rec.val_ce_q[b] = ce_q
         rec.rel_ce_err[b] = relative_ce_error(ce_q, ce_fp)
@@ -454,7 +485,7 @@ def cmd_quantize_eval(
     failures: List[Tuple[int, str]] = []
     # checkpoints run as parallel jobs, whose forwards then run their shards
     # serially; the pool class is looked up here, where perfbench traces it
-    for s, fut in zip(selected, run_parallel(job, selected, ThreadPoolExecutor)):
+    for s, fut in zip(selected, parallel.run(job, selected, ThreadPoolExecutor)):
         try:
             results[s] = fut.result()
         except QlabError as exc:

@@ -615,7 +615,8 @@ def capture_layer_inputs(
     A stage is a group of quantizable layers that share one input: q/k/v,
     then o, w1 and w2 of each block, in forward order. At each stage
     ``on_stage(names, X)`` receives the stacked input rows X (calibration
-    sequences x seq_len, in batch order) and returns the matrices for
+    sequences x seq_len, in batch order, cast to float64, which is exact
+    and what GPTQ computes in) and returns the matrices for
     `names` that carry the stream on (cast to the checkpoint's dtype):
     dequantized weights for sequential propagation, the originals
     otherwise. X is exactly what `forward` computes with the weights
@@ -639,7 +640,7 @@ def capture_layer_inputs(
         names = stages[0][0]
         if names is None:
             return
-        X = np.concatenate([_rows(a) for _, a in stages], axis=0)
+        X = np.concatenate([_rows(a) for _, a in stages], axis=0, dtype=np.float64)
         weights = [np.asarray(w, dtype=dtype) for w in on_stage(names, X)]
         del X, stages  # the next step frees each shard's input as it goes
 

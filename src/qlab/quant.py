@@ -10,6 +10,9 @@ a 32-bit scale are exact.
 GPTQ processes columns in natural order against the upper Cholesky factor
 of the damped inverse Hessian (factorised by LAPACK), recomputing group
 parameters from the error-compensated weights at each group boundary.
+The factorisation works in place (the triangular inverse, and H^-1
+written into H's array and symmetrised there), so a solve holds at most
+two n x n arrays.
 Residuals are applied in lazy batches of whole groups (about LAZY_BLOCK
 columns): within a batch column by column, past it in one GEMM. The
 column loop runs on the transposed weights, so each column is one
@@ -17,7 +20,9 @@ contiguous row quantized and compensated in place.
 `quantize_model` gathers calibration inputs in a single walk of the
 calibration batches through the blocks. Layers that share an input
 (q/k/v) share its Hessian and factor, so each stage is solved once, on
-its weights stacked by rows, as soon as its inputs exist.
+its weights stacked by rows, as soon as its inputs exist. The walk hands
+each stage its inputs in float64 (an exact cast), the precision of every
+calibration product here.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 from . import store
 from .errors import ConfigError, ContractViolation, FactorizationError, QuantizationError
 from .model import META, Checkpoint, ModelConfig, meta_entry, pop_meta, quantizable_layer_names
-from .ndkernel import cholesky, frobenius_norm, spd_inverse
+from .ndkernel import cholesky, frobenius_norm, spd_inverse, symmetrize
 from .data import CalibrationSet
 
 
@@ -194,13 +199,13 @@ def gptq_quantize(
     damp = cfg.damping_frac * float(np.mean(np.diag(H)))
     H[np.diag_indices(d_in)] += damp
     try:
-        Hinv = spd_inverse(H)
-        Hinv = (Hinv + Hinv.T) * 0.5
-        U = cholesky(Hinv).T
+        Hinv = spd_inverse(H)  # written into H's array
+        U = cholesky(symmetrize(Hinv)).T
     except FactorizationError as exc:
         raise QuantizationError(
             f"Hessian factorization failed for {name or 'layer'}: {exc}", layer=name
         ) from exc
+    del H, Hinv  # U is a new array: free H^-1 before the column loop
 
     qT = np.empty((d_in, d_out))  # codes as floats, column j in row j
     scales = np.empty((d_out, n_groups), dtype=np.float32)
@@ -311,15 +316,14 @@ def quantize_model(
 
     def quantize_stage(names: List[str], X: Optional[np.ndarray]) -> List[np.ndarray]:
         Ws = [ckpt.tensors[lname] for lname in names]
-        x64 = None if X is None else np.asarray(X, np.float64)
-        q, damp_used = _quantize_stage(np.concatenate(Ws), x64, cfg, names)
+        q, damp_used = _quantize_stage(np.concatenate(Ws), X, cfg, names)
         carry, r0 = [], 0
         for lname, W in zip(names, Ws):
             r1 = r0 + W.shape[0]
             ql = QuantizedLinear(q.codes[r0:r1], q.scales[r0:r1], q.zeros[r0:r1],
                                  q.bits, q.group_size)
             what = dequantize(ql)
-            rec = reconstruction_error(W, what, x64) if x64 is not None else None
+            rec = reconstruction_error(W, what, X) if X is not None else None
             stats.append(LayerQuantStats(lname, weight_error(W, what), rec, damp_used))
             layers[lname] = ql
             carry.append(what if propagating else W)

@@ -39,6 +39,30 @@ def tiny_model_config(**kw) -> ModelConfig:
     return ModelConfig(**base)
 
 
+def lower_inverse_reference(L):
+    """The allocating block recursion `ndkernel` inverted Cholesky factors
+    with before it worked in place: a fresh array per level."""
+    n = L.shape[0]
+    if n <= 32:
+        return np.linalg.inv(L)
+    k = n // 2
+    a_inv, d_inv = lower_inverse_reference(L[:k, :k]), lower_inverse_reference(L[k:, k:])
+    out = np.zeros_like(L)
+    out[:k, :k], out[k:, k:] = a_inv, d_inv
+    out[k:, :k] = -(d_inv @ (L[k:, :k] @ a_inv))
+    return out
+
+
+def inverse_factor_reference(H):
+    """U for GPTQ by the allocating chain: H^-1 from the reference inverse,
+    symmetrised as (Hinv + Hinv.T) * 0.5, then its upper Cholesky factor."""
+    from qlab.ndkernel import cholesky
+
+    L_inv = lower_inverse_reference(cholesky(H))
+    Hinv = L_inv.T @ L_inv
+    return cholesky((Hinv + Hinv.T) * 0.5).T
+
+
 def forward_stage_inputs(ck, batches) -> dict:
     """Stacked input rows of every quantizable layer, rebuilt from `forward` caches."""
     from qlab.model import forward

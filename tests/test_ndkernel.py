@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import lower_inverse_reference
 from qlab.errors import ContractViolation, FactorizationError
-from qlab.ndkernel import cholesky, frobenius_norm, spd_inverse
+from qlab.ndkernel import SYM_RTOL, cholesky, frobenius_norm, spd_inverse, symmetrize
 
 
 def det_recursive(a):
@@ -83,7 +84,7 @@ def test_spd_inverse_identity_and_diagonal():
 def test_spd_inverse_against_adjugate_inverse():
     rng = np.random.Generator(np.random.PCG64(5))
     h = random_spd(rng, 6)
-    x = spd_inverse(h)
+    x = spd_inverse(h.copy())
     assert np.max(np.abs(x - adjugate_inverse(h))) < 1e-8
 
 
@@ -91,7 +92,7 @@ def test_spd_inverse_residual_up_to_256():
     rng = np.random.Generator(np.random.PCG64(6))
     for n in (16, 33, 64, 100, 256):  # leaf-sized and recursive, even and odd splits
         h = random_spd(rng, n, jitter=1.0)
-        assert np.linalg.norm(h @ spd_inverse(h) - np.eye(n)) / np.sqrt(n) < 1e-8
+        assert np.linalg.norm(h @ spd_inverse(h.copy()) - np.eye(n)) / np.sqrt(n) < 1e-8
 
 
 def test_spd_inverse_indefinite_reports_pivot():
@@ -114,7 +115,68 @@ def test_cholesky_nonfinite_reports_pivot():
 def test_spd_inverse():
     rng = np.random.Generator(np.random.PCG64(7))
     h = random_spd(rng, 8)
-    assert np.max(np.abs(h @ spd_inverse(h) - np.eye(8))) < 1e-8
+    assert np.max(np.abs(h @ spd_inverse(h.copy()) - np.eye(8))) < 1e-8
+
+
+LEAN_SIZES = (1, 31, 32, 33, 192, 250, 768)  # leaf, leaf edge, odd and even splits, desk w2
+
+
+@pytest.mark.parametrize("n", LEAN_SIZES)
+def test_in_place_spd_inverse_matches_allocating_reference_bitwise(n):
+    rng = np.random.Generator(np.random.PCG64(n))
+    h = random_spd(rng, n)
+    L_inv = lower_inverse_reference(cholesky(h))
+    want = (L_inv.T @ L_inv).tobytes()
+    got = spd_inverse(h)
+    assert got is h and got.tobytes() == want
+
+
+def test_spd_inverse_leaves_h_when_factorization_fails():
+    h = np.eye(40)
+    h[37, 37] = -1.0
+    before = h.copy()
+    with pytest.raises(FactorizationError) as exc:
+        spd_inverse(h)
+    assert exc.value.pivot == 37
+    assert np.array_equal(h, before)
+
+
+def test_spd_inverse_refuses_what_it_cannot_overwrite():
+    with pytest.raises(ContractViolation):
+        spd_inverse(np.eye(3, dtype=np.float32))
+    frozen = np.eye(3)
+    frozen.flags.writeable = False
+    with pytest.raises(ContractViolation):
+        spd_inverse(frozen)
+
+
+@pytest.mark.parametrize("n", (1, 63, 64, 65, 250))
+def test_symmetrize_matches_expression_bitwise(n):
+    a = np.random.Generator(np.random.PCG64(n)).standard_normal((n, n))
+    want = ((a + a.T) * 0.5).tobytes()
+    got = a.copy()
+    assert symmetrize(got) is got
+    assert got.tobytes() == want
+
+
+# (row, col) of one asymmetric entry in a 250 x 250 matrix: the first and
+# the last, partial, 64-row block of the check, both triangles
+ASYMMETRIC_AT = [(1, 0), (0, 1), (249, 3), (3, 249), (200, 249), (249, 200)]
+
+
+@pytest.mark.parametrize("at", ASYMMETRIC_AT)
+def test_cholesky_symmetry_check_is_blockwise_at_sym_rtol(at):
+    h = random_spd(np.random.Generator(np.random.PCG64(8)), 250, jitter=250.0)
+    scale = np.max(np.abs(h))
+    for factor, raises in ((1.5, True), (0.5, False)):
+        a = h.copy()
+        a[at] += factor * SYM_RTOL * scale
+        assert np.max(np.abs(a)) == scale
+        if raises:
+            with pytest.raises(ContractViolation):
+                cholesky(a)
+        else:
+            assert np.all(np.diag(cholesky(a)) > 0)
 
 
 def test_frobenius_norm_cases():

@@ -4,6 +4,7 @@ QLAB_THREADS, and equal the unsharded pass bitwise."""
 import ast
 import ctypes
 import glob
+import hashlib
 import logging
 import os
 import shutil
@@ -369,3 +370,144 @@ def test_quantize_eval_jobs_match_serial(tmp_path, corpus_path, monkeypatch, sha
         assert fails == [] and [r.step for r in recs] == [10, 20]
         got[threads] = ([record_to_row(r) for r in recs], _files(copy))
     assert got["1"] == got["2"]
+
+
+# -- bit widths as parallel jobs -----------------------------------------------------
+
+
+def serial_evaluate(ckpt, data, cfg, bits, calib, run_id, lr=None):
+    """The serial loop the bit-width jobs replaced: each bit width quantized,
+    then evaluated, before the next."""
+    from qlab import config as cfgmod
+    from qlab.metrics import MetricRecord, delta_ptq, eval_ce, relative_acc_drop, relative_ce_error
+    from qlab.ndkernel import frobenius_norm
+
+    ce_fp, acc_fp = eval_ce(ckpt, data.eval_batches)
+    rec = MetricRecord(
+        run_id=run_id, step=ckpt.step, tokens_seen=ckpt.tokens_seen, lr=lr,
+        val_ce_fp=ce_fp, acc_fp=acc_fp, weight_norm=frobenius_norm(*ckpt.tensors.values()),
+    )
+    layer_stats = []
+    for b in bits:
+        qm, stats = harness.quantize_model(ckpt, calib, cfgmod.quant_config(cfg, b))
+        ce_q, acc_q = eval_ce(qm, data.eval_batches)
+        rec.val_ce_q[b] = ce_q
+        rec.rel_ce_err[b] = relative_ce_error(ce_q, ce_fp)
+        rec.delta_ptq[b] = delta_ptq(ce_q, ce_fp)
+        rec.acc_q[b] = acc_q
+        if acc_fp < 1.0 - 1e-12:
+            rec.rel_acc_drop[b] = relative_acc_drop(acc_fp, acc_q)
+        layer_stats.append((b, stats))
+    return rec, layer_stats
+
+
+@pytest.fixture
+def micro_run(tmp_path, corpus_path, monkeypatch):
+    """A 20-step micro run with checkpoints at 10 and 20; returns a function
+    that copies it to a fresh directory."""
+    cfg = micro_train_config(corpus_path, **{"schedule.total_steps": 20})
+    monkeypatch.setenv("QLAB_THREADS", "1")
+    run_dir = harness.cmd_train(cfg, str(tmp_path / "base"))
+
+    def copy(label):
+        return shutil.copytree(run_dir, str(tmp_path / label))
+
+    return copy
+
+
+def _quantize_eval(monkeypatch, run_dir, threads, serial, steps=(20,)):
+    with monkeypatch.context() as m:
+        m.setenv("QLAB_THREADS", threads)
+        if serial:
+            m.setattr(harness, "evaluate_checkpoint_quantized", serial_evaluate)
+        return harness.cmd_quantize_eval(run_dir, bits=(3, 4), steps=list(steps))
+
+
+def _sha256(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_bit_width_jobs_write_the_serial_loops_files(micro_run, monkeypatch, threads):
+    got = {}
+    for serial in (True, False):
+        run_dir = micro_run(f"{threads}-{serial}")
+        recs, fails = _quantize_eval(monkeypatch, run_dir, threads, serial)
+        assert fails == [] and [r.step for r in recs] == [20]
+        got[serial] = [_sha256(os.path.join(run_dir, t)) for t in (harness.METRICS,
+                                                                    harness.QUANT_LAYERS)]
+    assert got[True] == got[False]
+
+
+@pytest.mark.parametrize("failing", [(4,), (3, 4)])
+def test_bit_width_jobs_raise_the_serial_loops_failure(micro_run, monkeypatch, failing):
+    from qlab.errors import QuantizationError
+
+    real = harness.quantize_model
+
+    def quantize(ckpt, calib, cfg):
+        if cfg.bits in failing:
+            raise QuantizationError(f"no {cfg.bits}-bit solve", layer=f"bits{cfg.bits}")
+        return real(ckpt, calib, cfg)
+
+    monkeypatch.setattr(harness, "quantize_model", quantize)
+    got = {}
+    for serial in (True, False):
+        recs, fails = _quantize_eval(monkeypatch, micro_run(f"fail-{serial}"), "2", serial)
+        assert recs == []
+        got[serial] = fails
+    assert got[False] == got[True] == [(20, f"no {failing[0]}-bit solve")]
+
+
+def _record_quantize(monkeypatch) -> list:
+    """Wraps harness.quantize_model: appends (thread, step, bits, "start"|"end")."""
+    events, real = [], harness.quantize_model
+
+    def quantize(ckpt, calib, cfg):
+        events.append((threading.get_ident(), ckpt.step, cfg.bits, "start"))
+        out = real(ckpt, calib, cfg)
+        events.append((threading.get_ident(), ckpt.step, cfg.bits, "end"))
+        return out
+
+    monkeypatch.setattr(harness, "quantize_model", quantize)
+    return events
+
+
+def test_one_checkpoints_bit_widths_run_on_two_workers(micro_run, monkeypatch):
+    events = _record_quantize(monkeypatch)
+    _quantize_eval(monkeypatch, micro_run("one"), "2", serial=False)
+    assert sorted((s, b, e) for _, s, b, e in events) == [
+        (20, 3, "end"), (20, 3, "start"), (20, 4, "end"), (20, 4, "start")]
+    assert len({t for t, *_ in events}) == 2
+    assert threading.get_ident() not in {t for t, *_ in events}
+
+
+def test_two_checkpoints_run_their_bit_widths_serially_in_each_job(micro_run, monkeypatch):
+    events = _record_quantize(monkeypatch)
+    _quantize_eval(monkeypatch, micro_run("two"), "2", serial=False, steps=(10, 20))
+    assert len({t for t, *_ in events}) == 2  # one worker per checkpoint
+    for step in (10, 20):
+        mine = [e for e in events if e[1] == step]
+        assert len({t for t, *_ in mine}) == 1
+        assert [(b, e) for _, _, b, e in mine] == [(3, "start"), (3, "end"), (4, "start"), (4, "end")]
+
+
+def test_bit_widths_past_the_stage_bound_run_one_after_the_other(micro_run, monkeypatch):
+    monkeypatch.setattr(harness, "PARALLEL_BITS_MAX_STAGE_MB", 0.0)
+    events = _record_quantize(monkeypatch)
+    _quantize_eval(monkeypatch, micro_run("big"), "2", serial=False)
+    assert events == [(threading.get_ident(), 20, b, e) for b in (3, 4) for e in ("start", "end")]
+
+
+def test_widest_stage_is_every_calibration_row_at_the_widest_input():
+    from types import SimpleNamespace
+
+    from qlab.model import ModelConfig
+
+    desk = SimpleNamespace(config=ModelConfig(d_model=192, d_ff=768, seq_len=256))
+    calib = lambda n: SimpleNamespace(batches=[SimpleNamespace(inputs=np.zeros((n, 256)))] * 2)
+    assert harness._widest_stage_mb(desk, calib(2)) == 4 * 256 * 768 * 8 / 1e6  # qeval-desk
+    assert harness._widest_stage_mb(desk, calib(2)) <= harness.PARALLEL_BITS_MAX_STAGE_MB
+    assert harness._widest_stage_mb(desk, calib(64)) > harness.PARALLEL_BITS_MAX_STAGE_MB
+    assert harness._widest_stage_mb(desk, None) == 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import forward_stage_inputs, tiny_model_config
+from conftest import forward_stage_inputs, inverse_factor_reference, tiny_model_config
 from qlab.data import TokenStream, build_calibration
 from qlab.errors import ConfigError, ContractViolation, FactorizationError, QuantizationError
 from qlab.ndkernel import cholesky, spd_inverse
@@ -338,6 +338,32 @@ def test_stacked_rows_quantize_as_each_layer_alone(monkeypatch, d_in):
             assert np.array_equal(getattr(stacked, name), want)
 
 
+@pytest.mark.parametrize("n", (1, 31, 32, 33, 192, 250, 768))
+def test_gptq_factor_matches_allocating_reference_bitwise(monkeypatch, n):
+    # the in-place inverse and symmetrisation give the U of the allocating
+    # chain, from the damped 2 X^T X built as before, bit for bit
+    from qlab import quant
+
+    rng = np.random.Generator(np.random.PCG64(n))
+    X = rng.standard_normal((n + 8, n)).astype(np.float32)
+    X[:, n // 2] = 0.0  # a dead column
+    W = (rng.standard_normal((4, n)) * 0.1).astype(np.float32)
+    hessians, factors = [], []
+    real_inverse, real_cholesky = quant.spd_inverse, quant.cholesky
+    monkeypatch.setattr(quant, "spd_inverse",
+                        lambda h: hessians.append(h.copy()) or real_inverse(h))
+    monkeypatch.setattr(quant, "cholesky", lambda h: factors.append(real_cholesky(h)) or factors[-1])
+    gptq_quantize(W, X, QuantConfig(bits=3, group_size=32))
+    x64 = X.astype(np.float64)
+    H = 2.0 * (x64.T @ x64)
+    H[n // 2, n // 2] = 1.0
+    H[np.diag_indices(n)] += 0.01 * float(np.mean(np.diag(H)))
+    assert len(hessians) == len(factors) == 1
+    assert hessians[0].tobytes() == H.tobytes()
+    want = np.ascontiguousarray(inverse_factor_reference(H))
+    assert np.ascontiguousarray(factors[0].T).tobytes() == want.tobytes()
+
+
 def test_gptq_dead_columns_zeroed():
     rng = np.random.Generator(np.random.PCG64(6))
     W = rng.standard_normal((3, 6))
@@ -597,14 +623,15 @@ def test_stage_stacked_rtn_matches_per_layer_rtn():
 
 def failing_spd_inverse(monkeypatch, fails):
     """Replaces `quant.spd_inverse` with one that raises FactorizationError
-    when `fails(call_index)`; returns the list of call indices made."""
+    when `fails(call_index)`; returns the list of the matrices it was
+    called with, copied on entry."""
     from qlab import quant
 
     calls, real = [], quant.spd_inverse
 
     def flaky(h):
-        calls.append(len(calls))
-        if fails(calls[-1]):
+        calls.append(h.copy())
+        if fails(len(calls) - 1):
             raise FactorizationError(0, -1.0)
         return real(h)
 
@@ -616,13 +643,30 @@ def test_stage_retries_with_more_damping_as_a_whole(monkeypatch):
     mcfg = tiny_model_config()
     ck, calib = init(mcfg), random_calibration(mcfg, 2)
     calls = failing_spd_inverse(monkeypatch, lambda i: i == 0)
-    _, stats = quantize_model(ck, calib, QuantConfig(bits=3, group_size=32))
+    qm, stats = quantize_model(ck, calib, QuantConfig(bits=3, group_size=32))
     # one solve per stage (q/k/v, o, w1, w2 per block), plus the q/k/v retry
     assert len(calls) == 4 * mcfg.n_layers + 1
     damping = {s.name: s.damping_used for s in stats}
     for name in ("attn.wq", "attn.wk", "attn.wv"):
         assert damping.pop(f"layers.0.{name}") == 0.01 * 10.0
     assert set(damping.values()) == {0.01}
+    # both rungs of block 0's q/k/v stage factorise the same undamped
+    # 2 X^T X, damped at 0.01 and then 0.1 of its mean diagonal, and the
+    # stage's codes are per-layer GPTQ's at 0.1
+    X = forward_stage_inputs(ck, calib.batches)["layers.0.attn.wq"]
+    x64 = X.astype(np.float64)
+    H = 2.0 * (x64.T @ x64)
+    mean = float(np.mean(np.diag(H)))
+    for h, damping in zip(calls[:2], (0.01, 0.1)):
+        want = H.copy()
+        want[np.diag_indices(len(H))] += damping * mean
+        assert h.tobytes() == want.tobytes()
+    for name in ("attn.wq", "attn.wk", "attn.wv"):
+        name = f"layers.0.{name}"
+        want = gptq_quantize(ck.tensors[name], X, QuantConfig(bits=3, group_size=32,
+                                                              damping_frac=0.1))
+        assert np.array_equal(qm.layers[name].codes, want.codes)
+        assert np.array_equal(qm.layers[name].scales, want.scales)
 
 
 def test_stage_failing_every_rung_names_its_first_layer(monkeypatch):
