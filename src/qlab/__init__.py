@@ -6,7 +6,7 @@ bit widths, and tracks degradation metrics along the trajectory."""
 __version__ = "0.1.0"
 
 from .data import Batch, CalibrationSet, TokenStream, load_corpus, next_batch, split
-from .model import Checkpoint, ModelConfig, backward, forward, init, loss
+from .model import Checkpoint, ModelConfig, backward, forward, init, loss, loss_and_grads
 from .optim import (
     OptimConfig,
     OptimState,

@@ -1,5 +1,10 @@
 """Decoder-only transformer with explicit forward, loss, and backward passes.
 
+A training step is `loss_and_grads`: every shard of whole sequences runs
+forward, the loss head and backward on its own rows, and the shards'
+gradients are summed in shard order (micro-batch gradient accumulation,
+as in GPipe: Huang et al. 2019, arXiv:1811.06965).
+
 Pre-norm blocks with gain-only RMS normalization, learned positional
 embeddings, no biases, untied unembedding, tanh-approximate GELU in the
 MLP. Linear weights are stored [d_out, d_in] and applied as ``x @ W.T``.
@@ -364,18 +369,20 @@ def _residual(x: np.ndarray, inp: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 # Work is split into shards of whole sequences. Rows never interact outside
-# attention, which stays inside a sequence, so a shard computes exactly
-# the rows the whole batch would, and every cross-position reduction
-# (weight gradients, norm-gain sums, embedding scatters, the loss mean)
-# runs once over the full batch. That keeps every result bitwise equal to
-# the unsharded pass at any thread count, given that the row-sliced GEMMs
-# take the same BLAS path as the full ones: OpenBLAS's blocked kernels do
-# (their K blocking never depends on the row count); its small-matrix
-# kernels, taken for products of about a thousand outputs or fewer, do
-# not. The floor below keeps every shard far above that, and keeps
-# per-shard work large against the per-call overhead of numpy: a tiny.cfg
-# batch (8 x 128 positions, d_model 64) is one shard, a desk.cfg batch
-# (64 x 256, d_model 192) 32 shards of 2 sequences.
+# attention, which stays inside a sequence, so a shard computes exactly the
+# rows the whole batch would: `forward`'s logits and cache, and every
+# position's loss, are bitwise the unsharded pass's at any thread count,
+# given that the row-sliced GEMMs take the same BLAS path as the full ones.
+# OpenBLAS's blocked kernels do (their K blocking never depends on the row
+# count); its small-matrix kernels, taken for products of about a thousand
+# outputs or fewer, do not. The gradients of `loss_and_grads` are reduced
+# per shard (weight GEMMs, norm-gain sums, embedding scatters) and then
+# summed in shard order, so they are the same bits at any thread count but
+# equal the unsharded pass only for a one-shard batch. The floor below keeps
+# every shard far above the small-matrix kernels, and keeps per-shard work
+# large against the per-call overhead of numpy: a tiny.cfg batch (8 x 128
+# positions, d_model 64) is one shard, a desk.cfg batch (64 x 256, d_model
+# 192) 32 shards of 2 sequences.
 SHARD_ACTIVATIONS = 1 << 16  # positions x d_model per shard, at least
 
 
@@ -464,6 +471,27 @@ def _forward_rows(cfg, T, ids, mask_add, out: dict) -> None:
     _check_finite(out["logits"], "unembed")
 
 
+def _new_cache(cfg: ModelConfig, ids: np.ndarray, dtype, need_cache: bool = True) -> dict:
+    """Uninitialised arrays for the forward pass of whole sequences `ids`:
+    "logits", "xhatf", "rf" and, when `need_cache`, every block's
+    activations ("layers", see `_cache_arrays`), with "ids" and "shape"."""
+    B, S = ids.shape
+    return dict(layers=_cache_arrays(cfg, B, S, dtype) if need_cache else [],
+                xhatf=np.empty((B, S, cfg.d_model), dtype=dtype),
+                rf=np.empty((B, S, 1), dtype=dtype),
+                logits=np.empty((B, S, cfg.vocab), dtype=dtype), ids=ids, shape=(B, S))
+
+
+def _failure_rank(cfg: ModelConfig) -> Callable[[BaseException], int]:
+    """The rank `parallel.results` reports a shard's failure by: a
+    NumericFailure by the depth of the layer it names, so the earliest
+    failing layer of the whole batch is raised, as an unsharded pass would
+    raise it; any other failure first."""
+    stage = {f"layers.{i}": i for i in range(cfg.n_layers)}
+    stage["unembed"] = cfg.n_layers
+    return lambda e: stage.get(e.where, -1) if isinstance(e, NumericFailure) else -1
+
+
 def forward(ckpt: Checkpoint, batch: Batch, need_cache: bool = True) -> Tuple[np.ndarray, dict]:
     """Run the model; returns (logits, cache).
 
@@ -474,127 +502,88 @@ def forward(ckpt: Checkpoint, batch: Batch, need_cache: bool = True) -> Tuple[np
     """
     cfg = ckpt.config
     ids = batch.inputs
-    B, S = ids.shape
     T = ckpt.tensors
     dtype = T["embed.tok"].dtype
     mask_add = _tile_mask(dtype)
-    logits = np.empty((B, S, cfg.vocab), dtype=dtype)
-    xhatf, rf = np.empty((B, S, cfg.d_model), dtype=dtype), np.empty((B, S, 1), dtype=dtype)
-    layers = _cache_arrays(cfg, B, S, dtype) if need_cache else []
+    cache = _new_cache(cfg, ids, dtype, need_cache)
 
     def shard(sl: slice) -> None:
-        rows = dict(logits=logits[sl], xhatf=xhatf[sl], rf=rf[sl],
-                    layers=[{n: a[sl] for n, a in c.items()} for c in layers])
+        rows = {k: cache[k][sl] for k in ("logits", "xhatf", "rf")}
+        rows["layers"] = [{n: a[sl] for n, a in c.items()} for c in cache["layers"]]
         _forward_rows(cfg, T, ids[sl], mask_add, rows)
 
-    stage = {f"layers.{i}": i for i in range(cfg.n_layers)}
-    stage["unembed"] = cfg.n_layers
-    parallel.results(
-        parallel.run(shard, _shards(cfg, B, S)),
-        rank=lambda e: stage.get(e.where, -1) if isinstance(e, NumericFailure) else -1,
-    )
-    cache = dict(layers=layers, xhatf=xhatf, rf=rf, logits=logits, ids=ids, shape=(B, S))
-    return logits, cache
+    parallel.results(parallel.run(shard, _shards(cfg, *ids.shape)), rank=_failure_rank(cfg))
+    return cache["logits"], cache
 
 
-def _log_softmax_stats(logits: np.ndarray):
-    m = np.max(logits, axis=-1, keepdims=True)
-    z = logits - m
-    e = np.exp(z)
+def _nll(logits: np.ndarray, targets: np.ndarray):
+    """(nll, e, denom) of a stable log-softmax: every position's negative
+    log-likelihood in 64-bit, e = exp(logits - max) and denom, the 64-bit
+    sums of e over the vocabulary."""
+    e = logits - np.max(logits, axis=-1, keepdims=True)
+    tgt = np.take_along_axis(e, targets[..., None].astype(np.int64), axis=-1)[..., 0]
+    np.exp(e, out=e)
     denom = np.sum(e, axis=-1, keepdims=True, dtype=np.float64)
-    return z, e, denom
+    return np.log(denom[..., 0]) - tgt.astype(np.float64), e, denom
 
 
 def loss(logits: np.ndarray, targets: np.ndarray) -> float:
     """Mean cross-entropy in nats over all positions, stable log-softmax."""
-    z, _, denom = _log_softmax_stats(logits)
-    tgt = np.take_along_axis(z, targets[..., None].astype(np.int64), axis=-1)[..., 0]
-    nll = np.log(denom[..., 0]) - tgt.astype(np.float64)
-    return float(np.mean(nll))
+    return float(np.mean(_nll(logits, targets)[0]))
 
 
-def backward(ckpt: Checkpoint, batch: Batch, cache: dict) -> GradientSet:
-    """Exact gradients of the mean cross-entropy w.r.t. every tensor.
-
-    Per block, the activation gradients run shard by shard on the thread
-    pool into full-batch buffers; the weight gradients (dY.T @ X) and the
-    norm-gain sums then reduce over the whole batch at once.
-    """
+def _backward(ckpt: Checkpoint, targets: np.ndarray, cache: dict, n_pos: int):
+    """(nll, grads): every position's loss and the gradients of the summed
+    cross-entropy over `cache`'s positions, divided by `n_pos`. One serial
+    pass; the log-softmax statistics are computed once, for both."""
     cfg = ckpt.config
     T = ckpt.tensors
     B, S = cache["shape"]
     H, Dh = cfg.n_heads, cfg.d_head
-    n_pos = B * S
     dtype = T["embed.tok"].dtype
-    shards = _shards(cfg, B, S)
     grads: GradientSet = {}
 
-    def buf(width: int) -> np.ndarray:
-        return np.empty((B, S, width), dtype=dtype)
+    xhatf, rf, gf = cache["xhatf"], cache["rf"], T["norm_f.g"]
+    nll, dlogits, denom = _nll(cache["logits"], targets)
+    dlogits /= denom.astype(dtype)
+    idx = np.arange(B * S) * cfg.vocab + targets.reshape(-1).astype(np.int64)
+    dlogits.reshape(-1)[idx] -= 1.0
+    dlogits *= 1.0 / n_pos
+    grads["unembed"] = _rows(dlogits).T @ _rows(xhatf * gf)
+    dhf = (_rows(dlogits) @ T["unembed"]).reshape(B, S, -1)
+    grads["norm_f.g"] = np.sum(dhf * xhatf, axis=(0, 1))[None, :]
+    dx = _rms_backward(dhf * gf, xhatf, rf)
 
-    d = cfg.d_model
-    logits, xhatf, rf, gf = cache["logits"], cache["xhatf"], cache["rf"], T["norm_f.g"]
-    dlogits, hf, pf, dx = np.empty_like(logits), buf(d), buf(d), buf(d)
-
-    def head(sl: slice) -> None:
-        b = sl.stop - sl.start
-        _, e, denom = _log_softmax_stats(logits[sl])
-        dl = dlogits[sl]
-        np.divide(e, denom.astype(dtype), out=dl)
-        idx = np.arange(b * S) * cfg.vocab + batch.targets[sl].reshape(-1).astype(np.int64)
-        dl.reshape(-1)[idx] -= 1.0
-        dl *= 1.0 / n_pos
-        np.multiply(xhatf[sl], gf, out=hf[sl])
-        dhf = (_rows(dl) @ T["unembed"]).reshape(b, S, -1)
-        np.multiply(dhf, xhatf[sl], out=pf[sl])
-        dx[sl] = _rms_backward(dhf * gf, xhatf[sl], rf[sl])
-
-    parallel.results(parallel.run(head, shards))
-    grads["unembed"] = _rows(dlogits).T @ _rows(hf)
-    grads["norm_f.g"] = np.sum(pf, axis=(0, 1), keepdims=False)[None, :]
-    del dlogits, hf, pf
-
-    dh1, dx1, dx_next = buf(cfg.d_ff), buf(d), buf(d)
-    m_in, p2, a_in, p1 = buf(d), buf(d), buf(d), buf(d)
-    dq_f, dk_f, dv_f = buf(d), buf(d), buf(d)
     for i in range(cfg.n_layers - 1, -1, -1):
         p = f"layers.{i}"
-        c_full = cache["layers"][i]
+        c = cache["layers"][i]
         g1, g2 = T[f"{p}.norm1.g"], T[f"{p}.norm2.g"]
+        # MLP sublayer: x = x1 + gelu(m_in @ W1.T) @ W2.T
+        dgh1 = (_rows(dx) @ T[f"{p}.mlp.w2"]).reshape(B, S, -1)
+        grads[f"{p}.mlp.w2"] = _rows(dx).T @ _rows(c["gh1"])
+        dh1 = _gelu_backward(dgh1, c["h1"], c["tanh"])
+        grads[f"{p}.mlp.w1"] = _rows(dh1).T @ _rows(c["xhat2"] * g2)
+        dm_in = (_rows(dh1) @ T[f"{p}.mlp.w1"]).reshape(B, S, -1)
+        grads[f"{p}.norm2.g"] = np.sum(dm_in * c["xhat2"], axis=(0, 1))[None, :]
+        dx1 = dx + _rms_backward(dm_in * g2, c["xhat2"], c["r2"])
 
-        def block(sl: slice) -> None:
-            b = sl.stop - sl.start
-            c = {k: a[sl] for k, a in c_full.items()}
-            # MLP sublayer: x = x1 + gelu(m_in @ W1.T) @ W2.T
-            dgh1 = (_rows(dx[sl]) @ T[f"{p}.mlp.w2"]).reshape(b, S, -1)
-            _gelu_backward(dgh1, c["h1"], c["tanh"], out=dh1[sl])
-            np.multiply(c["xhat2"], g2, out=m_in[sl])
-            dm_in = (_rows(dh1[sl]) @ T[f"{p}.mlp.w1"]).reshape(b, S, -1)
-            np.multiply(dm_in, c["xhat2"], out=p2[sl])
-            np.add(dx[sl], _rms_backward(dm_in * g2, c["xhat2"], c["r2"]), out=dx1[sl])
-
-            # attention sublayer: x1 = x0 + (P @ v merged) @ Wo.T
-            dctx = (_rows(dx1[sl]) @ T[f"{p}.attn.wo"]).reshape(b, S, H, Dh).transpose(0, 2, 1, 3)
-            dq, dk, dv = (np.reshape(f[sl], (b, S, H, Dh), copy=False).transpose(0, 2, 1, 3)
-                          for f in (dq_f, dk_f, dv_f))
-            _attend_backward(dctx, c["q"], c["k"], c["v"], c["probs"], dq, dk, dv)
-            np.multiply(c["xhat1"], g1, out=a_in[sl])
-            da_in = _rows(dq_f[sl]) @ T[f"{p}.attn.wq"]  # dq @ Wq + dk @ Wk + dv @ Wv
-            da_in += _rows(dk_f[sl]) @ T[f"{p}.attn.wk"]
-            da_in += _rows(dv_f[sl]) @ T[f"{p}.attn.wv"]
-            da_in = da_in.reshape(b, S, -1)
-            np.multiply(da_in, c["xhat1"], out=p1[sl])
-            np.add(dx1[sl], _rms_backward(da_in * g1, c["xhat1"], c["r1"]), out=dx_next[sl])
-
-        parallel.results(parallel.run(block, shards))
-        grads[f"{p}.mlp.w2"] = _rows(dx).T @ _rows(c_full["gh1"])
-        grads[f"{p}.mlp.w1"] = _rows(dh1).T @ _rows(m_in)
-        grads[f"{p}.norm2.g"] = np.sum(p2, axis=(0, 1))[None, :]
-        grads[f"{p}.attn.wo"] = _rows(dx1).T @ _rows(c_full["ctx"])
-        for w, dw in (("wq", dq_f), ("wk", dk_f), ("wv", dv_f)):
-            grads[f"{p}.attn.{w}"] = _rows(dw).T @ _rows(a_in)
-        grads[f"{p}.norm1.g"] = np.sum(p1, axis=(0, 1))[None, :]
-        dx, dx_next = dx_next, dx
+        # attention sublayer: x1 = x0 + (P @ v merged) @ Wo.T
+        dctx = (_rows(dx1) @ T[f"{p}.attn.wo"]).reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
+        grads[f"{p}.attn.wo"] = _rows(dx1).T @ _rows(c["ctx"])
+        dqkv = [np.empty((B, S, H * Dh), dtype=dtype) for _ in range(3)]
+        _attend_backward(dctx, c["q"], c["k"], c["v"], c["probs"],
+                         *(np.reshape(f, (B, S, H, Dh), copy=False).transpose(0, 2, 1, 3)
+                           for f in dqkv))
+        a_in = _rows(c["xhat1"] * g1)
+        for w, dw in zip(("wq", "wk", "wv"), dqkv):
+            grads[f"{p}.attn.{w}"] = _rows(dw).T @ a_in
+        dq, dk, dv = dqkv
+        da_in = _rows(dq) @ T[f"{p}.attn.wq"]  # dq @ Wq + dk @ Wk + dv @ Wv
+        da_in += _rows(dk) @ T[f"{p}.attn.wk"]
+        da_in += _rows(dv) @ T[f"{p}.attn.wv"]
+        da_in = da_in.reshape(B, S, -1)
+        grads[f"{p}.norm1.g"] = np.sum(da_in * c["xhat1"], axis=(0, 1))[None, :]
+        dx = dx1 + _rms_backward(da_in * g1, c["xhat1"], c["r1"])
 
     dtok = np.zeros_like(T["embed.tok"])
     np.add.at(dtok, cache["ids"], dx)
@@ -602,7 +591,44 @@ def backward(ckpt: Checkpoint, batch: Batch, cache: dict) -> GradientSet:
     dpos = np.zeros_like(T["embed.pos"])
     dpos[:S] = np.sum(dx, axis=0)
     grads["embed.pos"] = dpos
-    return grads
+    return nll, grads
+
+
+def backward(ckpt: Checkpoint, batch: Batch, cache: dict) -> GradientSet:
+    """Exact gradients of the mean cross-entropy w.r.t. every tensor, in one
+    serial pass over the batch `forward` cached."""
+    B, S = cache["shape"]
+    return _backward(ckpt, batch.targets, cache, B * S)[1]
+
+
+def loss_and_grads(ckpt: Checkpoint, batch: Batch) -> Tuple[float, GradientSet]:
+    """(mean cross-entropy, gradients) of one training step on `batch`.
+
+    Each shard of whole sequences runs forward, the loss head and backward
+    as one item on the thread pool, with a cache of its own rows only; its
+    gradients are those of the shard's summed loss divided by the whole
+    batch's position count, and the calling thread adds them up in shard
+    order. The loss is bitwise `loss(forward(...))`; the gradients are the
+    same bits at any thread count, and bitwise `backward`'s for a one-shard
+    batch. A non-finite activation raises NumericFailure naming the earliest
+    failing layer of the whole batch, as `forward` does.
+    """
+    cfg, T = ckpt.config, ckpt.tensors
+    B, S = batch.inputs.shape
+    dtype = T["embed.tok"].dtype
+    mask_add = _tile_mask(dtype)
+
+    def shard(sl: slice):
+        cache = _new_cache(cfg, batch.inputs[sl], dtype)
+        _forward_rows(cfg, T, cache["ids"], mask_add, cache)
+        return _backward(ckpt, batch.targets[sl], cache, B * S)
+
+    parts = parallel.results(parallel.run(shard, _shards(cfg, B, S)), rank=_failure_rank(cfg))
+    grads = parts[0][1]
+    for _, more in parts[1:]:
+        for name, g in grads.items():
+            g += more[name]
+    return float(np.mean(np.concatenate([nll for nll, _ in parts]))), grads
 
 
 def capture_layer_inputs(

@@ -17,7 +17,10 @@ import numpy as np
 
 from .data import TokenStream, next_batch
 from .errors import ConfigError, ContractViolation, NumericFailure
-from .model import Checkpoint, GradientSet, backward, forward, loss
+from .model import Checkpoint, GradientSet, loss_and_grads
+# Unused here, but perfbench's traced mode wraps forward, loss and backward
+# at this module's names, so they must stay importable from it.
+from .model import backward, forward, loss  # noqa: F401
 from .ndkernel import frobenius_norm
 
 
@@ -209,9 +212,7 @@ def train_loop(
                 f"step {step_next} exceeds schedule total {spec.total_steps}"
             )
         batch, cursor = next_batch(stream, batch_size, seq_len, cursor)
-        logits, cache = forward(ckpt, batch)
-        train_loss = loss(logits, batch.targets)
-        grads = backward(ckpt, batch, cache)
+        train_loss, grads = loss_and_grads(ckpt, batch)
         grads, gnorm = clip_grad_norm(grads, cfg.clip_norm)
         eta = schedule_value(spec, cfg.peak_lr, step_next)
         ckpt, opt_state = step_fn(ckpt, opt_state, grads, eta, cfg)

@@ -350,9 +350,11 @@ def test_loss_against_naive_softmax():
 # -- backward ---------------------------------------------------------------------
 
 
-def fd_check(ck, batch, n_coords, seed, h=1e-5):
-    logits, cache = forward(ck, batch)
-    grads = backward(ck, batch, cache)
+def fd_check(ck, batch, n_coords, seed, h=1e-5, grads=None):
+    """Worst relative error of `grads` (default: `backward`'s) against
+    central differences of the loss at n_coords random coordinates."""
+    if grads is None:
+        grads = backward(ck, batch, forward(ck, batch)[1])
     rng = np.random.Generator(np.random.PCG64(seed))
     names = sorted(ck.tensors)
     worst = 0.0
@@ -377,6 +379,16 @@ def test_gradients_match_finite_differences():
     rng = np.random.Generator(np.random.PCG64(6))
     b = rand_batch(rng, 16, 3, 6)
     assert fd_check(ck, b, 200, seed=0) < 1e-4
+
+
+def test_sharded_step_matches_finite_differences(monkeypatch):
+    ck = f64_model()
+    rng = np.random.Generator(np.random.PCG64(6))
+    b = rand_batch(rng, 16, 3, 6)
+    monkeypatch.setattr(model, "SHARD_ACTIVATIONS", 6 * 8)
+    assert len(model._shards(ck.config, 3, 6)) == 3
+    _, grads = model.loss_and_grads(ck, b)
+    assert fd_check(ck, b, 200, seed=0, grads=grads) < 1e-4
 
 
 def test_gradients_after_training_steps():

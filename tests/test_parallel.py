@@ -1,5 +1,7 @@
-"""Sharded forward/backward and the thread owner: results never depend on
-QLAB_THREADS, and equal the unsharded pass bitwise."""
+"""Sharded forward, the per-shard training step and the thread owner:
+results never depend on QLAB_THREADS; forward and the loss equal the
+unsharded pass bitwise, and the step's gradients are the shard-order sum
+of per-shard gradients."""
 
 import ast
 import ctypes
@@ -49,6 +51,31 @@ def _assert_same_step(a, b):
         assert np.array_equal(a[2][name], b[2][name]), name
 
 
+def _per_shard_step(ck, batch):
+    """The step `loss_and_grads` takes, written out: the loss of the
+    unsharded logits, and each shard's own forward and backward in turn,
+    its gradients divided by the whole batch's position count and summed
+    in shard order."""
+    B, S = batch.inputs.shape
+    logits, _ = model.forward(ck, batch)
+    total = None
+    for sl in model._shards(ck.config, B, S):
+        rows = Batch(batch.inputs[sl], batch.targets[sl])
+        _, cache = model.forward(ck, rows)
+        grads = model._backward(ck, rows.targets, cache, B * S)[1]
+        total = grads if total is None else {k: total[k] + g for k, g in grads.items()}
+    return model.loss(logits, batch.targets), total
+
+
+def _assert_same_bits(a, b):
+    """Two (loss, grads) results with the same bits, tensor order included."""
+    assert a[0] == b[0]
+    assert list(a[1]) == list(b[1])
+    for name, g in a[1].items():
+        assert g.dtype == b[1][name].dtype and g.shape == b[1][name].shape, name
+        assert g.tobytes() == b[1][name].tobytes(), name
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("B", [4, 5, 7])
 def test_step_identical_across_thread_counts(monkeypatch, shards, dtype, B):
@@ -60,11 +87,49 @@ def test_step_identical_across_thread_counts(monkeypatch, shards, dtype, B):
     results = {}
     for threads in (1, 2, 3):
         monkeypatch.setenv("QLAB_THREADS", str(threads))
-        results[threads] = _step(ck, batch)
-    shards(UNSHARDED)
-    reference = _step(ck, batch)
+        results[threads] = model.loss_and_grads(ck, batch)
+    reference = _per_shard_step(ck, batch)
     for threads in (1, 2, 3):
-        _assert_same_step(results[threads], reference)
+        _assert_same_bits(results[threads], reference)
+    # the sum of shards is not the unsharded pass's gradients, only close to them
+    shards(UNSHARDED)
+    unsharded = _step(ck, batch)[2]
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for name, g in reference[1].items():
+        assert np.allclose(g, unsharded[name], rtol=tol, atol=tol * np.abs(unsharded[name]).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_shard_step_is_the_unsharded_trio(monkeypatch, shards, dtype):
+    shards(UNSHARDED)
+    ck = model.init(tiny_model_config(), dtype=dtype)
+    rng = np.random.Generator(np.random.PCG64(11))
+    batch = Batch(rng.integers(0, 256, (5, 32)).astype(np.int32),
+                  rng.integers(0, 256, (5, 32)).astype(np.int32))
+    _, trio_loss, trio_grads = _step(ck, batch)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QLAB_THREADS", threads)
+        _assert_same_bits(model.loss_and_grads(ck, batch), (trio_loss, trio_grads))
+
+
+def test_step_flags_the_earliest_nonfinite_layer_across_shards(monkeypatch, shards):
+    ck = model.init(tiny_model_config())
+    ck.tensors["layers.1.mlp.w2"][0, 0] = np.inf
+    rng = np.random.Generator(np.random.PCG64(12))
+    batch = Batch(rng.integers(0, 255, (6, 32)).astype(np.int32),
+                  rng.integers(0, 256, (6, 32)).astype(np.int32))
+    # every shard fails at layers.1; the last, whose sequence then holds
+    # token 255 (non-finite embedding), already at layers.0
+    for where in ("layers.1", "layers.0"):
+        if where == "layers.0":
+            batch.inputs[5, 7] = 255
+            ck.tensors["embed.tok"][255, 0] = np.inf
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QLAB_THREADS", threads)
+            for run in (model.forward, model.loss_and_grads):
+                with pytest.raises(NumericFailure) as exc, np.errstate(invalid="ignore"):
+                    run(ck, batch)
+                assert exc.value.where == where, run.__name__
 
 
 def test_shards_are_balanced_whole_sequences(shards):
@@ -214,13 +279,16 @@ def test_arena_cap_set_once_before_the_first_pool(monkeypatch):
             events.append("pool")
             super().__init__(*args, **kwargs)
 
+    malloc = [("mallopt", parallel.M_ARENA_MAX, 1),
+              ("mallopt", parallel.M_MMAP_THRESHOLD, parallel.MMAP_THRESHOLD),
+              ("mallopt", parallel.M_TRIM_THRESHOLD, parallel.TRIM_THRESHOLD)]
     monkeypatch.setenv("QLAB_THREADS", "1")
-    parallel.results(parallel.run(lambda i: i, range(3), Pool))  # serial: no pool
-    assert events == []
+    parallel.results(parallel.run(lambda i: i, range(3), Pool))  # serial: set-up, no pool
+    assert events == malloc
     monkeypatch.setenv("QLAB_THREADS", "2")
     for _ in range(3):
         assert parallel.results(parallel.run(lambda i: i, range(3), Pool)) == [0, 1, 2]
-    assert events == [("mallopt", parallel.M_ARENA_MAX, 1), "pool", "pool", "pool"]
+    assert events == malloc + ["pool", "pool", "pool"]
 
 
 def test_libc_without_mallopt_skips_the_cap_with_same_results(monkeypatch, shards, caplog):
@@ -235,7 +303,7 @@ def test_libc_without_mallopt_skips_the_cap_with_same_results(monkeypatch, shard
     with caplog.at_level(logging.DEBUG, logger="qlab"):
         _assert_same_step(_step(ck, batch), with_cap)
     assert caplog.records == []
-    assert parallel._OWNER._arenas_capped == (parallel._OWNER.blas() is not None)
+    assert parallel._OWNER._malloc_set
 
 
 def test_only_the_owner_makes_threads():
@@ -354,7 +422,22 @@ def test_train_artifacts_identical_across_thread_counts(tmp_path, corpus_path, m
         assert progress[-1].endswith("eta 0s")
         roots[label] = _files(str(tmp_path / label))
     assert any(name.endswith("ckpt_60.qlab") for name in roots["t1"])
-    assert roots["t1"] == roots["t2"] == roots["unsharded"]
+    assert roots["t1"] == roots["t2"]
+    # two shards per step: their summed gradients are not the unsharded pass's bits
+    assert roots["t1"] != roots["unsharded"]
+
+
+def test_sharded_run_resumes_bitwise_across_thread_counts(tmp_path, corpus_path, monkeypatch,
+                                                          shards):
+    cfg = micro_train_config(corpus_path)
+    monkeypatch.setenv("QLAB_THREADS", "1")
+    full = harness.cmd_train(cfg, str(tmp_path / "full"))
+    monkeypatch.setenv("QLAB_THREADS", "2")
+    harness.cmd_train(cfg, str(tmp_path / "split"), stop_after=30)
+    monkeypatch.setenv("QLAB_THREADS", "1")
+    resumed = harness.cmd_train(cfg, str(tmp_path / "split"), resume=True)
+    assert _sha256(harness.ckpt_path(full, 60)) == _sha256(harness.ckpt_path(resumed, 60))
+    assert _sha256(os.path.join(full, harness.METRICS)) == _sha256(os.path.join(resumed, harness.METRICS))
 
 
 def test_quantize_eval_jobs_match_serial(tmp_path, corpus_path, monkeypatch, shards):
