@@ -55,6 +55,10 @@ class CheckpointFormatError(QlabError):
     """Checkpoint file is malformed or fails its checksum."""
 
 
+class StoreError(QlabError):
+    """A file could not be read or written; the message names the path."""
+
+
 class MergeError(QlabError):
     """Conflicting values for the same metrics key."""
 

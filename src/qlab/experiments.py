@@ -28,7 +28,7 @@ CONFIGS_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "configs"
 )
 
-# trunk (and LR-sweep budget) length per profile: desk takes ~47 h per run
+# trunk (and LR-sweep budget) length per profile: desk takes ~28 h per run
 # on 2 vCPUs, tiny ~2 min
 TRUNK_STEPS = {"desk": 30000, "tiny": 1200}
 

@@ -396,7 +396,7 @@ def evaluate_checkpoint_quantized(
     While the calibration walk's widest stage input is at most
     PARALLEL_BITS_MAX_STAGE_MB, the bit widths are quantized as the jobs of
     one parallel region, otherwise one after the other; then they are
-    evaluated in bit order, each eval with its batches on the pool. Inside
+    evaluated in bit order, each eval with its shard items on the pool. Inside
     a checkpoint job (2 or more checkpoints) the region runs serially. A
     failure raised is the first failing bit width's, as in a serial loop.
     """
@@ -483,7 +483,7 @@ def cmd_quantize_eval(
 
     results: Dict[int, tuple] = {}
     failures: List[Tuple[int, str]] = []
-    # checkpoints run as parallel jobs, whose forwards then run their shards
+    # checkpoints run as parallel jobs, whose eval and walk items then run
     # serially; the pool class is looked up here, where perfbench traces it
     for s, fut in zip(selected, parallel.run(job, selected, ThreadPoolExecutor)):
         try:

@@ -1,10 +1,10 @@
 """Degradation metrics, evaluation over fixed batch sets, and the metrics CSV.
 
-Evaluation is one pass over the batch set: `eval_ce` runs one forward per
-batch, with the batches on the `qlab.parallel` pool, and takes both the
-cross-entropy and the argmax accuracy from the same logits;
-`eval_accuracy` is its second figure alone. A quantized model is
-dequantized once per pass.
+Evaluation is one pass over the batch set: `eval_ce` reduces
+`model.token_nll`, whose (batch, shard) items run forward once on the
+`qlab.parallel` pool, to both the cross-entropy and the argmax accuracy
+of the same logits; `eval_accuracy` is its second figure alone. A
+quantized model is dequantized once per pass.
 """
 
 from __future__ import annotations
@@ -16,44 +16,34 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .data import Batch
-from . import parallel
 from .errors import ContractViolation, MergeError
-from .model import Checkpoint, forward, loss
+from .model import Checkpoint, token_nll
+# Unused here, but perfbench's traced mode wraps forward and loss at this
+# module's names, so they must stay importable from it.
+from .model import forward, loss  # noqa: F401
 from .quant import QuantizedModel, eval_checkpoint
 from .store import atomic_write
 
 EvalTarget = Union[Checkpoint, QuantizedModel]
 
 
-def _as_checkpoint(target: EvalTarget) -> Checkpoint:
-    if isinstance(target, QuantizedModel):
-        return eval_checkpoint(target)
-    return target
-
-
 def eval_ce(target: EvalTarget, batches: Sequence[Batch]) -> Tuple[float, float]:
     """(mean cross-entropy in nats, argmax accuracy) over every position of
-    the batch set, from one forward pass per batch.
+    the batch set, from one forward pass over every position.
 
     A quantized model is dequantized to full precision once and run
-    through the standard forward pass. The batches are the items of one
-    parallel region, so each forward runs its shards serially in its
-    worker; the per-batch sums add up in batch order, so both figures are
-    bitwise the same at any thread count.
+    through the standard forward pass, as `model.token_nll`'s items. Each
+    batch's cross-entropy sum is its mean times its position count, as
+    `loss` gives it for the whole batch, and the sums add up in batch order,
+    so both figures are bitwise the same at any thread count.
     """
-    ckpt = _as_checkpoint(target)
-
-    def sums(b: Batch) -> Tuple[float, int]:
-        logits, _ = forward(ckpt, b, need_cache=False)
-        hits = int(np.sum(np.argmax(logits, axis=-1) == b.targets))
-        return loss(logits, b.targets) * b.inputs.size, hits
-
-    total_nats, total_hits = 0.0, 0
-    for nats, hits in parallel.results(parallel.run(sums, batches)):
-        total_nats += nats
-        total_hits += hits
-    total_pos = sum(b.inputs.size for b in batches)
-    return total_nats / total_pos, total_hits / total_pos
+    ckpt = eval_checkpoint(target) if isinstance(target, QuantizedModel) else target
+    nats, hits, positions = 0.0, 0, 0
+    for nll, batch_hits in token_nll(ckpt, batches):
+        nats += float(np.mean(nll)) * nll.size  # plain adds: sum() compensates since 3.12
+        hits += batch_hits
+        positions += nll.size
+    return nats / positions, hits / positions
 
 
 def eval_accuracy(target: EvalTarget, batches: Sequence[Batch]) -> float:

@@ -1,9 +1,13 @@
 """Decoder-only transformer with explicit forward, loss, and backward passes.
 
-A training step is `loss_and_grads`: every shard of whole sequences runs
-forward, the loss head and backward on its own rows, and the shards'
+Batches run as (batch, shard) items on the thread pool, a shard being a
+run of whole sequences. A training step is `loss_and_grads`: every shard
+runs forward, the loss head and backward on its own rows, and the shards'
 gradients are summed in shard order (micro-batch gradient accumulation,
-as in GPipe: Huang et al. 2019, arXiv:1811.06965).
+as in GPipe: Huang et al. 2019, arXiv:1811.06965). Eval (`token_nll`) runs
+forward on each shard without a layer cache, and the calibration walk
+steps every shard through the blocks together. `forward` and `backward`
+are the serial reference pair over a whole batch.
 
 Pre-norm blocks with gain-only RMS normalization, learned positional
 embeddings, no biases, untied unembedding, tanh-approximate GELU in the
@@ -30,6 +34,7 @@ splits at points that depend on their length, so the last bits can differ.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import math
@@ -234,11 +239,11 @@ def _check_finite(x: np.ndarray, where: str) -> None:
 
 
 # -- sublayers, which only `_blocks` chains: the one block implementation,
-# run by forward and the calibration walk alike
+# run by the training step, eval and the calibration walk alike
 #
-# Each takes an optional `out` dict of destination arrays (the shard's rows
-# of `forward`'s cache) for the activations it names; the values are the
-# same either way.
+# Each takes an optional `out` dict of destination arrays (one layer's
+# `_cache_arrays`) for the activations it names; the values are the same
+# either way.
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -370,9 +375,10 @@ def _residual(x: np.ndarray, inp: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 # Work is split into shards of whole sequences. Rows never interact outside
 # attention, which stays inside a sequence, so a shard computes exactly the
-# rows the whole batch would: `forward`'s logits and cache, and every
-# position's loss, are bitwise the unsharded pass's at any thread count,
-# given that the row-sliced GEMMs take the same BLAS path as the full ones.
+# rows the whole batch would: its logits, activations and every position's
+# loss are bitwise those of `forward` over the whole batch, at any thread
+# count, given that the row-sliced GEMMs take the same BLAS path as the
+# full ones.
 # OpenBLAS's blocked kernels do (their K blocking never depends on the row
 # count); its small-matrix kernels, taken for products of about a thousand
 # outputs or fewer, do not. The gradients of `loss_and_grads` are reduced
@@ -395,8 +401,8 @@ def _shards(cfg: ModelConfig, B: int, S: int) -> List[slice]:
 
 
 def _cache_arrays(cfg: ModelConfig, B: int, S: int, dtype) -> List[Dict[str, np.ndarray]]:
-    """Uninitialised full-batch arrays of every cached activation, laid out
-    as `forward`'s sublayers return them (q, k, v as head-major views).
+    """Uninitialised arrays of every cached activation of B sequences, laid
+    out as the sublayers return them (q, k, v as head-major views).
 
     Each layer's arrays are views of one allocation: a 200-step tiny.cfg
     `cmd_train` (glibc malloc) then takes 0.2M page faults, against 1.3M
@@ -457,62 +463,48 @@ def _resume(blocks, weights):
         return None, done.value
 
 
-def _forward_rows(cfg, T, ids, mask_add, out: dict) -> None:
-    """The forward pass over whole sequences `ids`, written into the
-    destination arrays `out` holds: "logits", "xhatf", "rf", and "layers"
-    (see `_blocks`)."""
-    blocks = _blocks(cfg, T, ids, mask_add, out["layers"])
+def _forward_rows(cfg, T, ids, mask_add, layers: list) -> dict:
+    """The forward pass over whole sequences `ids`, writing every block's
+    activations into `layers` (see `_blocks`): all `_backward` reads, as
+    "logits", "xhatf", "rf", "layers", "ids" and "shape"."""
+    blocks = _blocks(cfg, T, ids, mask_add, layers)
     names, x = _resume(blocks, None)
     while names:
         names, x = _resume(blocks, [T[n] for n in names])
-    xhatf, rf = _rms(x, out["xhatf"])
-    out["rf"][...] = rf
-    np.matmul(_rows(xhatf * T["norm_f.g"]), T["unembed"].T, out=_rows(out["logits"]))
-    _check_finite(out["logits"], "unembed")
+    xhatf, rf = _rms(x)
+    logits = (_rows(xhatf * T["norm_f.g"]) @ T["unembed"].T).reshape(*ids.shape, -1)
+    _check_finite(logits, "unembed")
+    return dict(logits=logits, xhatf=xhatf, rf=rf, layers=layers, ids=ids, shape=ids.shape)
 
 
-def _new_cache(cfg: ModelConfig, ids: np.ndarray, dtype, need_cache: bool = True) -> dict:
-    """Uninitialised arrays for the forward pass of whole sequences `ids`:
-    "logits", "xhatf", "rf" and, when `need_cache`, every block's
-    activations ("layers", see `_cache_arrays`), with "ids" and "shape"."""
-    B, S = ids.shape
-    return dict(layers=_cache_arrays(cfg, B, S, dtype) if need_cache else [],
-                xhatf=np.empty((B, S, cfg.d_model), dtype=dtype),
-                rf=np.empty((B, S, 1), dtype=dtype),
-                logits=np.empty((B, S, cfg.vocab), dtype=dtype), ids=ids, shape=(B, S))
+def _shard_items(cfg: ModelConfig, batches: Sequence[Batch]) -> List[Tuple[int, slice]]:
+    """(batch index, rows) of every shard of every batch, in order: the one
+    split of the training step, eval and the calibration walk."""
+    return [(i, sl) for i, b in enumerate(batches) for sl in _shards(cfg, *b.inputs.shape)]
 
 
-def _failure_rank(cfg: ModelConfig) -> Callable[[BaseException], int]:
-    """The rank `parallel.results` reports a shard's failure by: a
-    NumericFailure by the depth of the layer it names, so the earliest
-    failing layer of the whole batch is raised, as an unsharded pass would
-    raise it; any other failure first."""
-    stage = {f"layers.{i}": i for i in range(cfg.n_layers)}
-    stage["unembed"] = cfg.n_layers
-    return lambda e: stage.get(e.where, -1) if isinstance(e, NumericFailure) else -1
+def _run_shards(cfg: ModelConfig, fn: Callable, items: Sequence[tuple]) -> List[list]:
+    """fn(*item) for every (batch index, ...) item, as one parallel region;
+    per batch, its items' results. A failure raises as a serial pass over
+    the batches would: the earliest failing batch's earliest failing layer
+    (a NumericFailure ranks by the depth of the layer it names, any other
+    failure first)."""
+    depth = {f"layers.{i}": i for i in range(cfg.n_layers)}
+    depth["unembed"] = cfg.n_layers
+    rank = lambda e: depth.get(e.where, -1) if isinstance(e, NumericFailure) else -1
+    futures = parallel.run(lambda item: fn(*item), items)
+    return [parallel.results([f for _, f in group], rank=rank)
+            for _, group in groupby(zip(items, futures), key=lambda done: done[0][0])]
 
 
-def forward(ckpt: Checkpoint, batch: Batch, need_cache: bool = True) -> Tuple[np.ndarray, dict]:
-    """Run the model; returns (logits, cache).
-
-    Shards of whole sequences run on the thread pool and write into
-    full-batch arrays; a non-finite activation raises NumericFailure naming
-    the earliest failing layer of the whole batch, as an unsharded pass
-    would.
-    """
-    cfg = ckpt.config
-    ids = batch.inputs
-    T = ckpt.tensors
+def forward(ckpt: Checkpoint, batch: Batch) -> Tuple[np.ndarray, dict]:
+    """The serial reference pass over the whole batch: (logits, cache), the
+    cache holding every activation `backward` reads. The sharded step and
+    eval equal its rows bitwise. A non-finite activation raises
+    NumericFailure naming the earliest failing layer."""
+    cfg, T, ids = ckpt.config, ckpt.tensors, batch.inputs
     dtype = T["embed.tok"].dtype
-    mask_add = _tile_mask(dtype)
-    cache = _new_cache(cfg, ids, dtype, need_cache)
-
-    def shard(sl: slice) -> None:
-        rows = {k: cache[k][sl] for k in ("logits", "xhatf", "rf")}
-        rows["layers"] = [{n: a[sl] for n, a in c.items()} for c in cache["layers"]]
-        _forward_rows(cfg, T, ids[sl], mask_add, rows)
-
-    parallel.results(parallel.run(shard, _shards(cfg, *ids.shape)), rank=_failure_rank(cfg))
+    cache = _forward_rows(cfg, T, ids, _tile_mask(dtype), _cache_arrays(cfg, *ids.shape, dtype))
     return cache["logits"], cache
 
 
@@ -618,17 +610,38 @@ def loss_and_grads(ckpt: Checkpoint, batch: Batch) -> Tuple[float, GradientSet]:
     dtype = T["embed.tok"].dtype
     mask_add = _tile_mask(dtype)
 
-    def shard(sl: slice):
-        cache = _new_cache(cfg, batch.inputs[sl], dtype)
-        _forward_rows(cfg, T, cache["ids"], mask_add, cache)
+    def shard(_, sl: slice):
+        layers = _cache_arrays(cfg, sl.stop - sl.start, S, dtype)
+        cache = _forward_rows(cfg, T, batch.inputs[sl], mask_add, layers)
         return _backward(ckpt, batch.targets[sl], cache, B * S)
 
-    parts = parallel.results(parallel.run(shard, _shards(cfg, B, S)), rank=_failure_rank(cfg))
+    (parts,) = _run_shards(cfg, shard, _shard_items(cfg, [batch]))
     grads = parts[0][1]
     for _, more in parts[1:]:
         for name, g in grads.items():
             g += more[name]
     return float(np.mean(np.concatenate([nll for nll, _ in parts]))), grads
+
+
+def token_nll(ckpt: Checkpoint, batches: Sequence[Batch]) -> List[Tuple[np.ndarray, int]]:
+    """Per batch, (nll, hits): every position's negative log-likelihood in
+    64-bit [B, S], and how many positions' argmax logit is their target.
+
+    Every shard of every batch is one item of a single parallel region and
+    runs forward without a layer cache; a batch's rows, its shards' in
+    order, are bitwise `forward`'s, and a failure is raised as `forward`
+    over the batches in order would raise it.
+    """
+    cfg, T = ckpt.config, ckpt.tensors
+    mask_add = _tile_mask(T["embed.tok"].dtype)
+
+    def shard(i: int, sl: slice):
+        ids, targets = batches[i].inputs[sl], batches[i].targets[sl]
+        logits = _forward_rows(cfg, T, ids, mask_add, [])["logits"]
+        return _nll(logits, targets)[0], int(np.sum(np.argmax(logits, axis=-1) == targets))
+
+    return [(np.concatenate([nll for nll, _ in parts]), sum(hits for _, hits in parts))
+            for parts in _run_shards(cfg, shard, _shard_items(cfg, batches))]
 
 
 def capture_layer_inputs(
@@ -646,8 +659,8 @@ def capture_layer_inputs(
     `names` that carry the stream on (cast to the checkpoint's dtype):
     dequantized weights for sequential propagation, the originals
     otherwise. X is exactly what `forward` computes with the weights
-    returned so far: each batch runs as the shards `forward` would split
-    it into, all stepped together on the thread pool, and `on_stage` runs
+    returned so far: every shard of every batch (`_shard_items`) is one
+    walk, all stepped together on the thread pool, and `on_stage` runs
     between steps, outside the pool. Only the current stage's X is held;
     the walk keeps no state outside the call.
     """
@@ -656,19 +669,18 @@ def capture_layer_inputs(
     cfg, T = ckpt.config, ckpt.tensors
     dtype = T["embed.tok"].dtype
     mask_add = _tile_mask(dtype)
-    walks = []
-    for b in calib.batches:
-        B, S = b.inputs.shape
-        walks += [_blocks(cfg, T, b.inputs[sl], mask_add, []) for sl in _shards(cfg, B, S)]
+    walks = [(i, _blocks(cfg, T, calib.batches[i].inputs[sl], mask_add, []))
+             for i, sl in _shard_items(cfg, calib.batches)]
     weights = None
     while True:
-        stages = parallel.results(parallel.run(lambda walk: _resume(walk, weights), walks))
+        steps = _run_shards(cfg, lambda _, walk: _resume(walk, weights), walks)
+        stages = [stage for batch in steps for stage in batch]
         names = stages[0][0]
         if names is None:
             return
         X = np.concatenate([_rows(a) for _, a in stages], axis=0, dtype=np.float64)
         weights = [np.asarray(w, dtype=dtype) for w in on_stage(names, X)]
-        del X, stages  # the next step frees each shard's input as it goes
+        del X, steps, stages  # the next step frees each shard's input as it goes
 
 
 # -- checkpoint serialization ------------------------------------------------

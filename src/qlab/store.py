@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import CheckpointFormatError
+from .errors import CheckpointFormatError, StoreError
 
 MAGIC = "QLAB1"
 FNV_OFFSET = 0xCBF29CE484222325
@@ -168,17 +168,20 @@ def atomic_write(path: str, data: bytes) -> None:
     """Write `data` to `path` through a temp file in the same directory and
     a rename, so a partial file never appears under the final name. The
     temp file is removed on any failure, and the file's mode follows the
-    umask as with a plain `open`."""
+    umask as with a plain `open`. An OS error raises StoreError."""
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise StoreError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def write_tensor_file(
@@ -207,8 +210,11 @@ def write_tensor_file(
 
 def read_tensor_file(path: str) -> Dict[str, Tuple[str, int, int, bytes]]:
     """Parse a tensor file, verify its checksum, and return name->(dtype, rows, cols, raw)."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise StoreError(f"cannot read {path}: {e.strerror or e}") from e
     sep = blob.find(b"\n\n")
     if sep < 0:
         raise CheckpointFormatError(f"{path}: missing blank line after header")

@@ -3,7 +3,7 @@
 Criteria 9-11 replicate the qualitative training-dynamics experiments and
 need real compute. They are skipped unless QLAB_ACCEPTANCE_PROFILE is set
 to `tiny` (about 35 min on 2 cores) or `desk` (the full-size protocol, about
-47 h per 30k-step run on 2 vCPUs). Runs are cached under QLAB_ACCEPTANCE_DIR
+28 h per 30k-step run on 2 vCPUs). Runs are cached under QLAB_ACCEPTANCE_DIR
 (default: a temp directory), so repeated invocations reuse finished
 training.
 
@@ -32,7 +32,7 @@ WORK = os.environ.get(
 
 _SKIP_HEAVY = (
     "multi-run training experiment; set QLAB_ACCEPTANCE_PROFILE=tiny (about 35 min on 2 "
-    "cores) or =desk (about 47 h per 30k-step run on 2 vCPUs) to run"
+    "cores) or =desk (about 28 h per 30k-step run on 2 vCPUs) to run"
 )
 
 

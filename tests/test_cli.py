@@ -213,6 +213,27 @@ def test_cli_soup_corrupt_footer_is_format_error(tmp_path, trained_run):
     assert not os.path.exists(out)
 
 
+def test_cli_unreadable_checkpoint_or_unwritable_out_exits_2(tmp_path, trained_run, caplog):
+    # a missing file, a directory, or an output in a missing directory is a
+    # file error naming the path, not a traceback
+    ckpt = os.path.join(trained_run, "ckpt_30.qlab")
+    missing = str(tmp_path / "nofile.qlab")
+    nodir = str(tmp_path / "nodir" / "q.qlab")
+    cases = [
+        (["quantize", "--method", "rtn", "--ckpt", missing, "--out", str(tmp_path / "y.qlab")],
+         missing),
+        (["soup", "--ckpt", f"{missing}:1.0", "--out", str(tmp_path / "x.qlab")], missing),
+        (["quantize", "--method", "rtn", "--ckpt", str(tmp_path), "--out", str(tmp_path / "z.qlab")],
+         str(tmp_path)),
+        (["quantize", "--method", "rtn", "--ckpt", ckpt, "--out", nodir], nodir),
+    ]
+    for argv, path in cases:
+        caplog.clear()
+        assert main(argv) == 2, argv
+        assert any(path in r.getMessage() for r in caplog.records), argv
+    assert sorted(os.listdir(tmp_path)) == []
+
+
 def _train(tmp_path, cfg_file, *sets):
     root = str(tmp_path / "runs")
     argv = ["train", "--config", cfg_file, "--out-root", root]

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import micro_train_config, tiny_model_config
-from qlab import config as cfgmod, harness, metrics, model, parallel, quant
+from qlab import config as cfgmod, harness, model, parallel, quant
 from qlab.data import Batch, fixed_eval_batches
-from qlab.errors import ContractViolation, MergeError
+from qlab.errors import ContractViolation, MergeError, NumericFailure
 from qlab.metrics import (
     CSV_HEADER,
     MetricRecord,
@@ -106,16 +106,17 @@ def test_eval_ce_deterministic(corpus_splits):
 
 
 def _oracle(target, batches):
-    """CE and accuracy from two separate forwards per batch, summed in batch order."""
+    """CE and accuracy from two separate serial forwards over each whole
+    batch, summed in batch order."""
     ck = eval_checkpoint(target) if isinstance(target, QuantizedModel) else target
     nats, pos = 0.0, 0
     for b in batches:
-        logits, _ = forward(ck, b, need_cache=False)
+        logits, _ = forward(ck, b)
         nats += loss(logits, b.targets) * b.inputs.size
         pos += b.inputs.size
     hits, total = 0, 0
     for b in batches:
-        logits, _ = forward(ck, b, need_cache=False)
+        logits, _ = forward(ck, b)
         hits += int(np.sum(np.argmax(logits, axis=-1) == b.targets))
         total += b.inputs.size
     return nats / pos, hits / total
@@ -128,47 +129,110 @@ def _eval_batches(sizes, seq_len=32, seed=0):
 
 
 @pytest.fixture
-def forward_log(monkeypatch):
-    """Logs (batch rows, whether in a worker) for every forward `metrics` runs."""
-    calls, real = [], metrics.forward
+def item_log(monkeypatch):
+    """Logs (rows, whether in a worker) of every forward pass over rows that
+    keeps no layer cache: eval's (batch, shard) items."""
+    calls, real = [], model._forward_rows
 
-    def logged(ck, batch, need_cache=True):
-        calls.append((batch.inputs.shape[0], parallel._OWNER.in_worker()))
-        return real(ck, batch, need_cache=need_cache)
+    def logged(cfg, T, ids, mask_add, layers):
+        if not layers:
+            calls.append((ids.shape[0], parallel._OWNER.in_worker()))
+        return real(cfg, T, ids, mask_add, layers)
 
-    monkeypatch.setattr(metrics, "forward", logged)
+    monkeypatch.setattr(model, "_forward_rows", logged)
     return calls
 
 
+# shards of 2 sequences at the micro shapes (seq 32, d_model 32)
+FORCED_SHARD = 2 * 32 * 32
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_eval_pass_equals_two_forward_oracle(monkeypatch, forward_log, dtype):
+def test_eval_pass_equals_two_forward_oracle(monkeypatch, item_log, dtype):
     ck = init(tiny_model_config(), dtype=dtype)
     # sizes whose CE terms summed in another order give another float
     batches = _eval_batches([4, 3, 4, 2, 5, 1])
     qm, _ = quantize_model(ck, None, QuantConfig(bits=3, group_size=16, method="rtn"))
-    # shards of 2 sequences, so each batch's forward is itself split
-    monkeypatch.setattr(model, "SHARD_ACTIVATIONS", 2 * 32 * 32)
+    # shards of 2 sequences, so most batches are split: their items are
+    # shards of 2, 2 | 3 | 2, 2 | 2 | 2, 3 | 1 sequences
+    monkeypatch.setattr(model, "SHARD_ACTIVATIONS", FORCED_SHARD)
     monkeypatch.setenv("QLAB_THREADS", "1")
     expected = {"fp": _oracle(ck, batches), "q": _oracle(qm, batches)}
     assert expected["fp"] != expected["q"]
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("QLAB_THREADS", threads)
         for label, target in (("fp", ck), ("q", qm)):
-            forward_log.clear()
+            item_log.clear()
             assert eval_ce(target, batches) == expected[label]
             assert eval_accuracy(target, batches) == expected[label][1]
-            # one forward per batch and pass, on the pool when there is one
-            assert sorted(rows for rows, _ in forward_log) == sorted([4, 3, 4, 2, 5, 1] * 2)
+            # one item per (batch, shard) and pass, on the pool when there is one
+            shard_rows = [2, 2, 3, 2, 2, 2, 2, 3, 1]
+            assert sorted(rows for rows, _ in item_log) == sorted(shard_rows * 2)
             pooled = threads != "1" and parallel._OWNER.blas() is not None
-            assert all(in_worker == pooled for _, in_worker in forward_log)
+            assert all(in_worker == pooled for _, in_worker in item_log)
 
 
-def test_eval_pass_nested_in_a_job_runs_serially(monkeypatch, forward_log):
+@pytest.mark.parametrize("sizes, shard_rows", [([6], [2, 2, 2]), ([1, 1, 1], [1, 1, 1])])
+def test_eval_items_run_on_the_pool_without_a_layer_cache(monkeypatch, item_log, sizes,
+                                                          shard_rows):
+    # one batch of several shards (as a desk eval batch) or several one-shard
+    # batches (as tiny's): either way the items share one pooled region, and
+    # none allocates the activation cache, which only training reads
+    def no_cache(*args):
+        raise AssertionError("eval allocated a layer cache")
+
+    ck = init(tiny_model_config())
+    batches = _eval_batches(sizes, seed=2)
+    monkeypatch.setattr(model, "SHARD_ACTIVATIONS", FORCED_SHARD)
+    monkeypatch.setenv("QLAB_THREADS", "1")
+    expected = _oracle(ck, batches)
+    monkeypatch.setattr(model, "_cache_arrays", no_cache)
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("QLAB_THREADS", threads)
+        item_log.clear()
+        assert eval_ce(ck, batches) == expected
+        assert sorted(rows for rows, _ in item_log) == shard_rows
+        pooled = threads != "1" and parallel._OWNER.blas() is not None
+        assert [in_worker for _, in_worker in item_log] == [pooled] * len(shard_rows)
+
+
+def test_eval_flags_the_earliest_failing_batch_then_its_earliest_layer(monkeypatch):
+    ck = init(tiny_model_config())
+    # every sequence fails at layers.1; one holding token 255 (non-finite
+    # embedding) already at layers.0
+    ck.tensors["layers.1.mlp.w2"][0, 0] = np.inf
+    ck.tensors["embed.tok"][255, 0] = np.inf
+    monkeypatch.setattr(model, "SHARD_ACTIVATIONS", FORCED_SHARD)
+    rng = np.random.Generator(np.random.PCG64(12))
+    batches = [Batch(rng.integers(0, 255, (4, 32)).astype(np.int32),
+                     rng.integers(0, 256, (4, 32)).astype(np.int32)) for _ in range(2)]
+
+    def failing_layer():
+        reported = set()
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("QLAB_THREADS", threads)
+            with pytest.raises(NumericFailure) as exc, np.errstate(invalid="ignore"):
+                eval_ce(ck, batches)
+            reported.add(exc.value.where)
+        assert len(reported) == 1
+        return reported.pop()
+
+    assert failing_layer() == "layers.1"
+    # the second batch fails at layers.0, but the first batch fails first
+    batches[1].inputs[0, 5] = 255
+    assert failing_layer() == "layers.1"
+    # within the first batch, its second shard's layers.0 comes before its
+    # first shard's layers.1
+    batches[0].inputs[3, 9] = 255
+    assert failing_layer() == "layers.0"
+
+
+def test_eval_pass_nested_in_a_job_runs_serially(monkeypatch, item_log):
     ck = init(tiny_model_config())
     batches = _eval_batches([4, 3, 4], seed=1)
     monkeypatch.setenv("QLAB_THREADS", "1")
     expected = _oracle(ck, batches)
-    forward_log.clear()
+    item_log.clear()
     monkeypatch.setenv("QLAB_THREADS", "2")
 
     def job(_):
@@ -176,13 +240,14 @@ def test_eval_pass_nested_in_a_job_runs_serially(monkeypatch, forward_log):
 
     jobs = parallel.results(parallel.run(job, range(2)))
     assert [got for _, got in jobs] == [expected, expected]
-    assert len(forward_log) == 6
+    # the batches are one shard each: one item per batch and eval
+    assert len(item_log) == 6
     if parallel._OWNER.blas() is not None:
         assert all(ident != threading.get_ident() for ident, _ in jobs)
-        assert all(in_worker for _, in_worker in forward_log)
+        assert all(in_worker for _, in_worker in item_log)
 
 
-def test_quantized_eval_dequantizes_each_layer_once(monkeypatch, forward_log, corpus_path):
+def test_quantized_eval_dequantizes_each_layer_once(monkeypatch, item_log, corpus_path):
     cfg = micro_train_config(corpus_path)
     data = harness.build_data(cfg)
     ck = init(cfgmod.model_config(cfg))
@@ -199,14 +264,14 @@ def test_quantized_eval_dequantizes_each_layer_once(monkeypatch, forward_log, co
     assert sorted(made) == sorted(id(q) for q in qm.layers.values())
 
     made.clear()
-    forward_log.clear()
+    item_log.clear()
     rtn = dict(cfg, **{"quant.method": "rtn"})
     rec, _ = harness.evaluate_checkpoint_quantized(ck, data, rtn, (3, 4), None, "r")
     # per bit width: one dequantize per layer in quantize_model, one in the eval pass
     n_layers = len(model.quantizable_layer_names(ck.config))
     assert len(made) == 2 * 2 * n_layers
-    # one forward per batch for the FP eval and for each bit width
-    assert len(forward_log) == 3 * len(data.eval_batches)
+    # one item per (one-shard) batch for the FP eval and for each bit width
+    assert len(item_log) == 3 * len(data.eval_batches)
     assert (rec.val_ce_fp, rec.acc_fp) == _oracle(ck, data.eval_batches)
 
 

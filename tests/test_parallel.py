@@ -1,7 +1,7 @@
-"""Sharded forward, the per-shard training step and the thread owner:
-results never depend on QLAB_THREADS; forward and the loss equal the
-unsharded pass bitwise, and the step's gradients are the shard-order sum
-of per-shard gradients."""
+"""The per-shard training step, the sharded calibration walk and the
+thread owner: results never depend on QLAB_THREADS; the loss equals the
+serial forward's bitwise, and the step's gradients are the shard-order sum
+of per-shard gradients. Eval's shard items are tested in test_metrics."""
 
 import ast
 import ctypes
@@ -38,24 +38,18 @@ def shards(monkeypatch):
     return set_floor
 
 
-def _step(ck, batch):
+def _trio(ck, batch):
+    """The serial reference step: (loss, grads) of forward, loss and
+    backward over the whole batch."""
     logits, cache = model.forward(ck, batch)
-    return logits, model.loss(logits, batch.targets), model.backward(ck, batch, cache)
-
-
-def _assert_same_step(a, b):
-    assert np.array_equal(a[0], b[0])
-    assert a[1] == b[1]
-    assert set(a[2]) == set(b[2])
-    for name in a[2]:
-        assert np.array_equal(a[2][name], b[2][name]), name
+    return model.loss(logits, batch.targets), model.backward(ck, batch, cache)
 
 
 def _per_shard_step(ck, batch):
     """The step `loss_and_grads` takes, written out: the loss of the
-    unsharded logits, and each shard's own forward and backward in turn,
-    its gradients divided by the whole batch's position count and summed
-    in shard order."""
+    serial forward's logits, and each shard's own forward and backward in
+    turn, its gradients divided by the whole batch's position count and
+    summed in shard order."""
     B, S = batch.inputs.shape
     logits, _ = model.forward(ck, batch)
     total = None
@@ -93,7 +87,7 @@ def test_step_identical_across_thread_counts(monkeypatch, shards, dtype, B):
         _assert_same_bits(results[threads], reference)
     # the sum of shards is not the unsharded pass's gradients, only close to them
     shards(UNSHARDED)
-    unsharded = _step(ck, batch)[2]
+    unsharded = _trio(ck, batch)[1]
     tol = 1e-5 if dtype == np.float32 else 1e-12
     for name, g in reference[1].items():
         assert np.allclose(g, unsharded[name], rtol=tol, atol=tol * np.abs(unsharded[name]).max())
@@ -106,10 +100,10 @@ def test_one_shard_step_is_the_unsharded_trio(monkeypatch, shards, dtype):
     rng = np.random.Generator(np.random.PCG64(11))
     batch = Batch(rng.integers(0, 256, (5, 32)).astype(np.int32),
                   rng.integers(0, 256, (5, 32)).astype(np.int32))
-    _, trio_loss, trio_grads = _step(ck, batch)
+    trio = _trio(ck, batch)
     for threads in ("1", "2"):
         monkeypatch.setenv("QLAB_THREADS", threads)
-        _assert_same_bits(model.loss_and_grads(ck, batch), (trio_loss, trio_grads))
+        _assert_same_bits(model.loss_and_grads(ck, batch), trio)
 
 
 def test_step_flags_the_earliest_nonfinite_layer_across_shards(monkeypatch, shards):
@@ -126,10 +120,9 @@ def test_step_flags_the_earliest_nonfinite_layer_across_shards(monkeypatch, shar
             ck.tensors["embed.tok"][255, 0] = np.inf
         for threads in ("1", "2"):
             monkeypatch.setenv("QLAB_THREADS", threads)
-            for run in (model.forward, model.loss_and_grads):
-                with pytest.raises(NumericFailure) as exc, np.errstate(invalid="ignore"):
-                    run(ck, batch)
-                assert exc.value.where == where, run.__name__
+            with pytest.raises(NumericFailure) as exc, np.errstate(invalid="ignore"):
+                model.loss_and_grads(ck, batch)
+            assert exc.value.where == where
 
 
 def test_shards_are_balanced_whole_sequences(shards):
@@ -159,7 +152,7 @@ def test_blas_count_restored_after_region(monkeypatch, shards):
         rng = np.random.Generator(np.random.PCG64(0))
         batch = Batch(rng.integers(0, 256, (6, 32)).astype(np.int32),
                       rng.integers(0, 256, (6, 32)).astype(np.int32))
-        _step(ck, batch)
+        model.loss_and_grads(ck, batch)
         assert get() == 3
     assert seen == [1, 1, 1, 1]
 
@@ -236,7 +229,7 @@ def test_missing_blas_symbol_runs_serially_with_same_results(monkeypatch, shards
     batch = Batch(rng.integers(0, 256, (7, 32)).astype(np.int32),
                   rng.integers(0, 256, (7, 32)).astype(np.int32))
     monkeypatch.setenv("QLAB_THREADS", "2")
-    with_blas = _step(ck, batch)
+    with_blas = model.loss_and_grads(ck, batch)
 
     def no_library(path):
         raise OSError(f"cannot load {path}")
@@ -253,7 +246,7 @@ def test_missing_blas_symbol_runs_serially_with_same_results(monkeypatch, shards
     assert threads == [False] * 3
     with parallel.blas_threads(1):
         pass
-    _assert_same_step(_step(ck, batch), with_blas)
+    _assert_same_bits(model.loss_and_grads(ck, batch), with_blas)
 
 
 class _Libc:
@@ -297,11 +290,11 @@ def test_libc_without_mallopt_skips_the_cap_with_same_results(monkeypatch, shard
     batch = Batch(rng.integers(0, 256, (6, 32)).astype(np.int32),
                   rng.integers(0, 256, (6, 32)).astype(np.int32))
     monkeypatch.setenv("QLAB_THREADS", "2")
-    with_cap = _step(ck, batch)
+    with_cap = model.loss_and_grads(ck, batch)
     monkeypatch.setattr(parallel, "_libc", lambda: object())
     monkeypatch.setattr(parallel, "_OWNER", parallel._Owner())
     with caplog.at_level(logging.DEBUG, logger="qlab"):
-        _assert_same_step(_step(ck, batch), with_cap)
+        _assert_same_bits(model.loss_and_grads(ck, batch), with_cap)
     assert caplog.records == []
     assert parallel._OWNER._malloc_set
 

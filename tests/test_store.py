@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlab import parallel, store
-from qlab.errors import CheckpointFormatError
+from qlab.errors import CheckpointFormatError, StoreError
 from qlab.metrics import MetricsStore
 from qlab.store import (
     FNV_OFFSET,
@@ -249,9 +249,9 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(store.os, "replace", fail)
-    with pytest.raises(OSError):
+    with pytest.raises(StoreError, match="t.qlab: disk full"):
         save_arrays(str(tmp_path / "t.qlab"), _one_tensor())
-    with pytest.raises(OSError):
+    with pytest.raises(StoreError, match="t.csv: disk full"):
         _saved_table(str(tmp_path / "t.csv"))
     assert os.listdir(tmp_path) == []
 
