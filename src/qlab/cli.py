@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from . import config as cfgmod
 from . import experiments, harness, parallel, report
-from .errors import ConfigError, QlabError
+from .errors import ConfigError, QlabError, StoreError
 
 log = logging.getLogger("qlab")
 
@@ -123,6 +123,9 @@ def _cmd_quantize(args) -> int:
     from .model import load_checkpoint
     from .quant import quantize_model, save_quantized
 
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(out_dir):  # found before any GPTQ solve, not after
+        raise StoreError(f"cannot write {args.out}: no directory {out_dir}")
     ckpt = load_checkpoint(args.ckpt)
     manifest = os.path.join(os.path.dirname(os.path.abspath(args.ckpt)), cfgmod.MANIFEST)
     run_cfg = cfgmod.resolve(args.config or (manifest if os.path.isfile(manifest) else ""))

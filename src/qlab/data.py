@@ -32,10 +32,6 @@ class Batch:
     inputs: np.ndarray  # [batch, seq_len]
     targets: np.ndarray  # [batch, seq_len], inputs shifted by one
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.inputs.shape
-
 
 @dataclass(frozen=True)
 class CalibrationSet:
@@ -101,6 +97,15 @@ def next_batch(stream: TokenStream, batch: int, seq_len: int, cursor: int) -> Tu
     return Batch(stream.tokens[idx], stream.tokens[idx + 1]), cursor + batch
 
 
+def _leading_batches(stream: TokenStream, sizes: List[int], seq_len: int) -> List[Batch]:
+    """Batches of `sizes` rows, taking the stream's windows from the first on."""
+    batches, cursor = [], 0
+    for size in sizes:
+        batch, cursor = next_batch(stream, size, seq_len, cursor)
+        batches.append(batch)
+    return batches
+
+
 def build_calibration(
     stream: TokenStream, sample_count: int, seq_len: int, batch_size: int = 16
 ) -> CalibrationSet:
@@ -110,15 +115,8 @@ def build_calibration(
         raise ConfigError(
             f"calibration slice holds {windows} windows, need {sample_count}"
         )
-    batches = []
-    cursor = 0
-    remaining = sample_count
-    while remaining > 0:
-        b = min(batch_size, remaining)
-        batch, cursor = next_batch(stream, b, seq_len, cursor)
-        batches.append(batch)
-        remaining -= b
-    return CalibrationSet(batches, sample_count)
+    sizes = [min(batch_size, sample_count - at) for at in range(0, sample_count, batch_size)]
+    return CalibrationSet(_leading_batches(stream, sizes, seq_len), sample_count)
 
 
 def fixed_eval_batches(
@@ -133,12 +131,7 @@ def fixed_eval_batches(
     need = n_batches * batch_size
     if windows < need:
         raise ConfigError(f"eval slice holds {windows} windows, need {need}")
-    out = []
-    cursor = 0
-    for _ in range(n_batches):
-        batch, cursor = next_batch(stream, batch_size, seq_len, cursor)
-        out.append(batch)
-    return out
+    return _leading_batches(stream, [batch_size] * n_batches, seq_len)
 
 
 def token_fingerprint(batches: List[Batch]) -> str:

@@ -142,8 +142,7 @@ def check_calibration(data: RunData, run_cfg: Dict[str, object], where: str) -> 
     recorded = str(run_cfg.get("run.calib_set_hash", ""))
     if not recorded:
         return
-    own = build_calibration(data.calib, run_cfg["quant.calib_samples"], run_cfg["data.seq_len"])
-    if token_fingerprint(own.batches) != recorded:
+    if token_fingerprint(data.calibration(run_cfg).batches) != recorded:
         raise ConfigError(f"calibration set hash mismatch for {where}: corpus or config changed")
 
 
@@ -371,6 +370,7 @@ def cmd_branch(
 # quarter of the quantize-eval time at every size, and cost about 15 MB
 # plus 1.2 times the widest stage input in peak RSS: +20 MB at 6 MB,
 # +250 MB at 201 MB. Past this size the bit widths run one after the other.
+# Checkpoint jobs (`cmd_quantize_eval`) are not held to it.
 PARALLEL_BITS_MAX_STAGE_MB = 16.0
 
 

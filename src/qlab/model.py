@@ -33,7 +33,7 @@ splits at points that depend on their length, so the last bits can differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -78,9 +78,6 @@ class Checkpoint:
     step: int
     tokens_seen: int
     config: ModelConfig
-
-    def astype(self, dtype) -> "Checkpoint":
-        return replace(self, tensors={k: v.astype(dtype) for k, v in self.tensors.items()})
 
 
 GradientSet = Dict[str, np.ndarray]
@@ -134,12 +131,11 @@ def init(config: ModelConfig, dtype=np.float32) -> Checkpoint:
     return Checkpoint(tensors, step=0, tokens_seen=0, config=config)
 
 
-def _rms(x: np.ndarray, out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Returns (xhat, r) with xhat = x * r (written to `out` if given),
-    r = 1/sqrt(mean(x^2) + eps)."""
+def _rms(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Returns (xhat, r) with xhat = x * r, r = 1/sqrt(mean(x^2) + eps)."""
     mu = np.mean(np.square(x), axis=-1, keepdims=True, dtype=np.float64)
     r = (1.0 / np.sqrt(mu + NORM_EPS)).astype(x.dtype)
-    return np.multiply(x, r, out=out), r
+    return x * r, r
 
 
 # The elementwise chains below run in place in as few buffers as they can,
@@ -157,26 +153,24 @@ def _rms_backward(dxhat: np.ndarray, xhat: np.ndarray, r: np.ndarray) -> np.ndar
     return g
 
 
-def _gelu(u: np.ndarray, out: Optional[np.ndarray] = None,
-          t_out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """(gelu(u), tanh), into `out` and `t_out` if given:
-    t = tanh(C0 * (u + C1 * u * u * u)), gelu = 0.5 * u * (1 + t)."""
-    a = np.multiply(u, GELU_C1, out=out)
+def _gelu(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(gelu(u), tanh): t = tanh(C0 * (u + C1 * u * u * u)),
+    gelu = 0.5 * u * (1 + t)."""
+    a = u * GELU_C1
     a *= u
     a *= u
     a += u
     a *= GELU_C0
-    t = np.tanh(a, out=t_out)
+    t = np.tanh(a)
     np.multiply(u, 0.5, out=a)
     a *= 1.0 + t
     return a, t
 
 
-def _gelu_backward(du_out: np.ndarray, u: np.ndarray, t: np.ndarray,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """du_out * (0.5 * (1 + t) + 0.5 * u * (1 - t * t) * dt), into `out` if
-    given, with dt = C0 * (1 + 3 * C1 * u * u)."""
-    g = np.multiply(u, 0.5, out=out)
+def _gelu_backward(du_out: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """du_out * (0.5 * (1 + t) + 0.5 * u * (1 - t * t) * dt), with
+    dt = C0 * (1 + 3 * C1 * u * u)."""
+    g = u * 0.5
     s = np.multiply(t, t)
     np.subtract(1.0, s, out=s)
     g *= s
@@ -241,20 +235,14 @@ def _check_finite(x: np.ndarray, where: str) -> None:
 # -- sublayers, which only `_blocks` chains: the one block implementation,
 # run by the training step, eval and the calibration walk alike
 #
-# Each takes an optional `out` dict of destination arrays (one layer's
-# `_cache_arrays`) for the activations it names; the values are the same
-# either way.
+# Each takes an optional `cache` dict, in which it keeps references to the
+# activations `_backward` reads; without one, every activation but the
+# returned one is freed when the sublayer returns.
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
     """[..., n] activations as stacked [positions, n] rows (a view)."""
     return a.reshape(-1, a.shape[-1])
-
-
-def _head_rows(h: np.ndarray) -> np.ndarray:
-    """The [positions, d] rows under a head-major [B, H, S, Dh] view."""
-    B, H, S, Dh = h.shape
-    return np.reshape(h.transpose(0, 2, 1, 3), (B * S, H * Dh), copy=False)
 
 
 def _embed(cfg: ModelConfig, T: Dict[str, np.ndarray], ids: np.ndarray) -> np.ndarray:
@@ -264,10 +252,12 @@ def _embed(cfg: ModelConfig, T: Dict[str, np.ndarray], ids: np.ndarray) -> np.nd
     return T["embed.tok"][ids] + T["embed.pos"][:S]
 
 
-def _prenorm(x: np.ndarray, g: np.ndarray, out: Optional[np.ndarray] = None):
-    """(xhat, r, xhat * g): the normalized sublayer input; xhat into `out`."""
-    xhat, r = _rms(x, out)
-    return xhat, r, xhat * g
+def _prenorm(x: np.ndarray, g: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
+    """xhat * g, the normalized sublayer input; caches "xhat" and "r"."""
+    xhat, r = _rms(x)
+    if cache is not None:
+        cache["xhat"], cache["r"] = xhat, r
+    return xhat * g
 
 
 # Query rows per attention tile: tile [i0, i1) scores keys [0, i1) only,
@@ -299,26 +289,21 @@ def _tile_mask(dtype) -> np.ndarray:
 
 
 def _attend(a_in, wq, wk, wv, cfg: ModelConfig, mask_add: np.ndarray,
-            out: Optional[dict] = None) -> np.ndarray:
+            cache: Optional[dict] = None) -> np.ndarray:
     """Causal multi-head attention on a_in [B, S, d]: the merged heads'
-    context [B, S, d], with `mask_add` from `_tile_mask`. The attention
-    probabilities land in out["probs"] [B, H, S, S] when it is given
-    (upper blocks zeroed); otherwise only one tile's scores exist at a
-    time."""
+    context [B, S, d], with `mask_add` from `_tile_mask`. With a `cache`,
+    it keeps "q", "k", "v" (head-major [B, H, S, Dh] views), "ctx" and the
+    attention probabilities "probs" [B, H, S, S] (upper blocks zeroed);
+    without one, only one tile's scores exist at a time."""
     B, S, _ = a_in.shape
     H, Dh = cfg.n_heads, cfg.d_head
-    out = out or {}
     flat = _rows(a_in)
-
-    def heads(w, name):
-        dst = out.get(name)
-        y = np.matmul(flat, w.T, out=None if dst is None else _head_rows(dst))
-        return y.reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
-
-    q, k, v = heads(wq, "q"), heads(wk, "k"), heads(wv, "v")
-    probs, ctx = out.get("probs"), out.get("ctx")
-    if ctx is None:
-        ctx = np.empty((B, S, H * Dh), dtype=a_in.dtype)
+    q, k, v = ((flat @ w.T).reshape(B, S, H, Dh).transpose(0, 2, 1, 3) for w in (wq, wk, wv))
+    ctx = np.empty((B, S, H * Dh), dtype=a_in.dtype)
+    probs = None
+    if cache is not None:
+        probs = np.empty((B, H, S, S), dtype=a_in.dtype)
+        cache.update(q=q, k=k, v=v, probs=probs, ctx=ctx)
     ctx_heads = np.reshape(ctx, (B, S, H, Dh), copy=False).transpose(0, 2, 1, 3)
     scale = 1.0 / math.sqrt(Dh)
     for i0, i1 in _tiles(S):
@@ -358,14 +343,13 @@ def _attend_backward(dctx, q, k, v, probs, dq, dk, dv) -> None:
     dk *= scale
 
 
-def _mlp_hidden(m_in: np.ndarray, w1: np.ndarray, out: Optional[dict] = None):
-    """(h1, tanh, gelu(h1)) with h1 = m_in @ W1.T."""
-    out = out or {}
-    h1 = out.get("h1")
-    h1 = np.matmul(_rows(m_in), w1.T, out=None if h1 is None else _rows(h1))
-    h1 = h1.reshape(*m_in.shape[:-1], -1)
-    gh1, t = _gelu(h1, out.get("gh1"), out.get("tanh"))
-    return h1, t, gh1
+def _mlp_hidden(m_in: np.ndarray, w1: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
+    """gelu(h1) with h1 = m_in @ W1.T; caches "h1", "tanh" and "gh1"."""
+    h1 = (_rows(m_in) @ w1.T).reshape(*m_in.shape[:-1], -1)
+    gh1, t = _gelu(h1)
+    if cache is not None:
+        cache.update(h1=h1, tanh=t, gh1=gh1)
+    return gh1
 
 
 def _residual(x: np.ndarray, inp: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -400,57 +384,30 @@ def _shards(cfg: ModelConfig, B: int, S: int) -> List[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _cache_arrays(cfg: ModelConfig, B: int, S: int, dtype) -> List[Dict[str, np.ndarray]]:
-    """Uninitialised arrays of every cached activation of B sequences, laid
-    out as the sublayers return them (q, k, v as head-major views).
-
-    Each layer's arrays are views of one allocation: a 200-step tiny.cfg
-    `cmd_train` (glibc malloc) then takes 0.2M page faults, against 1.3M
-    with one allocation per array and 0.08M with the arrays each sublayer
-    makes; one allocation for all layers raised peak RSS by 11%.
-    """
-    d, f, H, Dh = cfg.d_model, cfg.d_ff, cfg.n_heads, cfg.d_head
-    heads = (B, S, H, Dh)
-    shapes = dict(xhat1=(B, S, d), r1=(B, S, 1), q=heads, k=heads, v=heads,
-                  probs=(B, H, S, S), ctx=(B, S, d), xhat2=(B, S, d), r2=(B, S, 1),
-                  h1=(B, S, f), tanh=(B, S, f), gh1=(B, S, f))
-    sizes = [math.prod(shape) for shape in shapes.values()]
-    layers = []
-    for _ in range(cfg.n_layers):
-        buf = np.empty(sum(sizes), dtype=dtype)
-        c, at = {}, 0
-        for (name, shape), size in zip(shapes.items(), sizes):
-            a = buf[at:at + size].reshape(shape)
-            c[name] = a.transpose(0, 2, 1, 3) if name in ("q", "k", "v") else a
-            at += size
-        layers.append(c)
-    return layers
-
-
-def _blocks(cfg, T, ids, mask_add, layers: list):
+def _blocks(cfg, T, ids, mask_add, layers: Optional[list]):
     """The residual stream of whole sequences `ids` through every block, as
     a generator: before each quantizable stage (q/k/v, o, w1, w2) it yields
     (names, input) and is sent back that stage's weight matrices. Returns
-    the last block's output. `layers` holds, per layer, the cache arrays to
-    write (an empty list when no cache is kept)."""
+    the last block's output. Unless `layers` is None, each layer appends
+    to it its (attention, MLP) pair of sublayer caches."""
     x = _embed(cfg, T, ids)
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
-        c = layers[i] if layers else {}
+        attn, mlp = (None, None) if layers is None else ({}, {})
+        if layers is not None:
+            layers.append((attn, mlp))
         # h is the sublayer's stage input; each stage drops the one before
-        r1, h = _prenorm(x, T[f"{p}.norm1.g"], c.get("xhat1"))[1:]
+        h = _prenorm(x, T[f"{p}.norm1.g"], attn)
         wq, wk, wv = yield [f"{p}.attn.wq", f"{p}.attn.wk", f"{p}.attn.wv"], h
-        h = _attend(h, wq, wk, wv, cfg, mask_add, c)  # ctx
+        h = _attend(h, wq, wk, wv, cfg, mask_add, attn)  # ctx
         (wo,) = yield [f"{p}.attn.wo"], h
         x = _residual(x, h, wo)
-        r2, h = _prenorm(x, T[f"{p}.norm2.g"], c.get("xhat2"))[1:]
+        h = _prenorm(x, T[f"{p}.norm2.g"], mlp)
         (w1,) = yield [f"{p}.mlp.w1"], h
-        h = _mlp_hidden(h, w1, c)[2]  # gelu(h1)
+        h = _mlp_hidden(h, w1, mlp)  # gelu(h1)
         (w2,) = yield [f"{p}.mlp.w2"], h
         x = _residual(x, h, w2)
         _check_finite(x, p)
-        if c:
-            c["r1"][...], c["r2"][...] = r1, r2
     return x
 
 
@@ -463,10 +420,10 @@ def _resume(blocks, weights):
         return None, done.value
 
 
-def _forward_rows(cfg, T, ids, mask_add, layers: list) -> dict:
-    """The forward pass over whole sequences `ids`, writing every block's
-    activations into `layers` (see `_blocks`): all `_backward` reads, as
-    "logits", "xhatf", "rf", "layers", "ids" and "shape"."""
+def _forward_rows(cfg, T, ids, mask_add, layers: Optional[list]) -> dict:
+    """The forward pass over whole sequences `ids`, appending every block's
+    caches to `layers` unless it is None (see `_blocks`): all `_backward`
+    reads, as "logits", "xhatf", "rf", "layers", "ids" and "shape"."""
     blocks = _blocks(cfg, T, ids, mask_add, layers)
     names, x = _resume(blocks, None)
     while names:
@@ -502,9 +459,8 @@ def forward(ckpt: Checkpoint, batch: Batch) -> Tuple[np.ndarray, dict]:
     cache holding every activation `backward` reads. The sharded step and
     eval equal its rows bitwise. A non-finite activation raises
     NumericFailure naming the earliest failing layer."""
-    cfg, T, ids = ckpt.config, ckpt.tensors, batch.inputs
-    dtype = T["embed.tok"].dtype
-    cache = _forward_rows(cfg, T, ids, _tile_mask(dtype), _cache_arrays(cfg, *ids.shape, dtype))
+    T = ckpt.tensors
+    cache = _forward_rows(ckpt.config, T, batch.inputs, _tile_mask(T["embed.tok"].dtype), [])
     return cache["logits"], cache
 
 
@@ -548,25 +504,25 @@ def _backward(ckpt: Checkpoint, targets: np.ndarray, cache: dict, n_pos: int):
 
     for i in range(cfg.n_layers - 1, -1, -1):
         p = f"layers.{i}"
-        c = cache["layers"][i]
+        a, m = cache["layers"][i]
         g1, g2 = T[f"{p}.norm1.g"], T[f"{p}.norm2.g"]
         # MLP sublayer: x = x1 + gelu(m_in @ W1.T) @ W2.T
         dgh1 = (_rows(dx) @ T[f"{p}.mlp.w2"]).reshape(B, S, -1)
-        grads[f"{p}.mlp.w2"] = _rows(dx).T @ _rows(c["gh1"])
-        dh1 = _gelu_backward(dgh1, c["h1"], c["tanh"])
-        grads[f"{p}.mlp.w1"] = _rows(dh1).T @ _rows(c["xhat2"] * g2)
+        grads[f"{p}.mlp.w2"] = _rows(dx).T @ _rows(m["gh1"])
+        dh1 = _gelu_backward(dgh1, m["h1"], m["tanh"])
+        grads[f"{p}.mlp.w1"] = _rows(dh1).T @ _rows(m["xhat"] * g2)
         dm_in = (_rows(dh1) @ T[f"{p}.mlp.w1"]).reshape(B, S, -1)
-        grads[f"{p}.norm2.g"] = np.sum(dm_in * c["xhat2"], axis=(0, 1))[None, :]
-        dx1 = dx + _rms_backward(dm_in * g2, c["xhat2"], c["r2"])
+        grads[f"{p}.norm2.g"] = np.sum(dm_in * m["xhat"], axis=(0, 1))[None, :]
+        dx1 = dx + _rms_backward(dm_in * g2, m["xhat"], m["r"])
 
         # attention sublayer: x1 = x0 + (P @ v merged) @ Wo.T
         dctx = (_rows(dx1) @ T[f"{p}.attn.wo"]).reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
-        grads[f"{p}.attn.wo"] = _rows(dx1).T @ _rows(c["ctx"])
+        grads[f"{p}.attn.wo"] = _rows(dx1).T @ _rows(a["ctx"])
         dqkv = [np.empty((B, S, H * Dh), dtype=dtype) for _ in range(3)]
-        _attend_backward(dctx, c["q"], c["k"], c["v"], c["probs"],
+        _attend_backward(dctx, a["q"], a["k"], a["v"], a["probs"],
                          *(np.reshape(f, (B, S, H, Dh), copy=False).transpose(0, 2, 1, 3)
                            for f in dqkv))
-        a_in = _rows(c["xhat1"] * g1)
+        a_in = _rows(a["xhat"] * g1)
         for w, dw in zip(("wq", "wk", "wv"), dqkv):
             grads[f"{p}.attn.{w}"] = _rows(dw).T @ a_in
         dq, dk, dv = dqkv
@@ -574,8 +530,8 @@ def _backward(ckpt: Checkpoint, targets: np.ndarray, cache: dict, n_pos: int):
         da_in += _rows(dk) @ T[f"{p}.attn.wk"]
         da_in += _rows(dv) @ T[f"{p}.attn.wv"]
         da_in = da_in.reshape(B, S, -1)
-        grads[f"{p}.norm1.g"] = np.sum(da_in * c["xhat1"], axis=(0, 1))[None, :]
-        dx = dx1 + _rms_backward(da_in * g1, c["xhat1"], c["r1"])
+        grads[f"{p}.norm1.g"] = np.sum(da_in * a["xhat"], axis=(0, 1))[None, :]
+        dx = dx1 + _rms_backward(da_in * g1, a["xhat"], a["r"])
 
     dtok = np.zeros_like(T["embed.tok"])
     np.add.at(dtok, cache["ids"], dx)
@@ -606,14 +562,11 @@ def loss_and_grads(ckpt: Checkpoint, batch: Batch) -> Tuple[float, GradientSet]:
     failing layer of the whole batch, as `forward` does.
     """
     cfg, T = ckpt.config, ckpt.tensors
-    B, S = batch.inputs.shape
-    dtype = T["embed.tok"].dtype
-    mask_add = _tile_mask(dtype)
+    mask_add = _tile_mask(T["embed.tok"].dtype)
 
     def shard(_, sl: slice):
-        layers = _cache_arrays(cfg, sl.stop - sl.start, S, dtype)
-        cache = _forward_rows(cfg, T, batch.inputs[sl], mask_add, layers)
-        return _backward(ckpt, batch.targets[sl], cache, B * S)
+        cache = _forward_rows(cfg, T, batch.inputs[sl], mask_add, [])
+        return _backward(ckpt, batch.targets[sl], cache, batch.inputs.size)
 
     (parts,) = _run_shards(cfg, shard, _shard_items(cfg, [batch]))
     grads = parts[0][1]
@@ -637,7 +590,7 @@ def token_nll(ckpt: Checkpoint, batches: Sequence[Batch]) -> List[Tuple[np.ndarr
 
     def shard(i: int, sl: slice):
         ids, targets = batches[i].inputs[sl], batches[i].targets[sl]
-        logits = _forward_rows(cfg, T, ids, mask_add, [])["logits"]
+        logits = _forward_rows(cfg, T, ids, mask_add, None)["logits"]
         return _nll(logits, targets)[0], int(np.sum(np.argmax(logits, axis=-1) == targets))
 
     return [(np.concatenate([nll for nll, _ in parts]), sum(hits for _, hits in parts))
@@ -669,7 +622,7 @@ def capture_layer_inputs(
     cfg, T = ckpt.config, ckpt.tensors
     dtype = T["embed.tok"].dtype
     mask_add = _tile_mask(dtype)
-    walks = [(i, _blocks(cfg, T, calib.batches[i].inputs[sl], mask_add, []))
+    walks = [(i, _blocks(cfg, T, calib.batches[i].inputs[sl], mask_add, None))
              for i, sl in _shard_items(cfg, calib.batches)]
     weights = None
     while True:

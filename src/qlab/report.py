@@ -16,6 +16,7 @@ from xml.sax.saxutils import escape
 from .errors import ReportError
 from .harness import METRICS
 from .metrics import CSV_COLUMNS, MetricsStore
+from .store import atomic_write
 
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e",
@@ -212,7 +213,8 @@ def cmd_report(
     """Plot one metric across runs; writes the SVG and a merged CSV.
 
     Raises ReportError (and writes nothing) when the metric or x column is
-    unknown or not numeric, or no run has data for the metric.
+    unknown or not numeric, or no run has data for the metric, and
+    StoreError when a file cannot be written; a partial file never appears.
     """
     for col in (metric, x):
         if col not in CSV_COLUMNS:
@@ -248,9 +250,7 @@ def cmd_report(
         series, title=title or metric, xlabel=x, ylabel=metric,
         y2label="lr" if lr_overlay else "", logx=logx,
     )
-    with open(out, "w", encoding="utf-8") as f:
-        f.write(svg)
+    atomic_write(out, svg.encode("utf-8"))
     csv_path = os.path.splitext(out)[0] + ".csv"
-    with open(csv_path, "w", encoding="utf-8") as f:
-        f.write("\n".join(merged) + "\n")
+    atomic_write(csv_path, ("\n".join(merged) + "\n").encode("utf-8"))
     return out, csv_path

@@ -70,13 +70,13 @@ def forward_stage_inputs(ck, batches) -> dict:
     rows = {}
     for batch in batches:
         _, cache = forward(ck, batch)
-        for i, c in enumerate(cache["layers"]):
+        for i, (attn, mlp) in enumerate(cache["layers"]):
             p = f"layers.{i}"
-            a_in = c["xhat1"] * ck.tensors[f"{p}.norm1.g"]
-            m_in = c["xhat2"] * ck.tensors[f"{p}.norm2.g"]
+            a_in = attn["xhat"] * ck.tensors[f"{p}.norm1.g"]
+            m_in = mlp["xhat"] * ck.tensors[f"{p}.norm2.g"]
             for name, a in ((f"{p}.attn.wq", a_in), (f"{p}.attn.wk", a_in),
-                            (f"{p}.attn.wv", a_in), (f"{p}.attn.wo", c["ctx"]),
-                            (f"{p}.mlp.w1", m_in), (f"{p}.mlp.w2", c["gh1"])):
+                            (f"{p}.attn.wv", a_in), (f"{p}.attn.wo", attn["ctx"]),
+                            (f"{p}.mlp.w1", m_in), (f"{p}.mlp.w2", mlp["gh1"])):
                 rows.setdefault(name, []).append(a.reshape(-1, a.shape[-1]))
     return {n: np.concatenate(parts) for n, parts in rows.items()}
 

@@ -1,7 +1,9 @@
+import logging
 import os
 
 import pytest
 
+from qlab import harness, quant
 from qlab.cli import main
 from qlab.config import resolve, run_id_of
 
@@ -175,9 +177,11 @@ def test_cli_quantize_follows_manifest_then_set(tmp_path, trained_run, monkeypat
     assert main(argv + [a for kv in sets for a in ("--set", kv)]) == 0
     manifest = harness.load_manifest(trained_run)
     assert (manifest["quant.group_size"], manifest["quant.calib_samples"]) == (32, 4)
-    cfg = cfgmod.apply_overrides(manifest, sets)
+    cfg = cfgmod.apply_overrides(dict(manifest), sets)
     assert load_quantized(out).quant == cfgmod.quant_config(cfg, 3, method)
-    assert samples == ([cfg["quant.calib_samples"]] if method == "gptq" else [])
+    # gptq first checks the run's own calibration set, then quantizes with --set's
+    own = manifest["quant.calib_samples"]
+    assert samples == ([own, cfg["quant.calib_samples"]] if method == "gptq" else [])
 
 
 def test_cli_quantize_exits_3_when_every_damping_rung_fails(tmp_path, trained_run, monkeypatch):
@@ -213,24 +217,34 @@ def test_cli_soup_corrupt_footer_is_format_error(tmp_path, trained_run):
     assert not os.path.exists(out)
 
 
-def test_cli_unreadable_checkpoint_or_unwritable_out_exits_2(tmp_path, trained_run, caplog):
+def test_cli_unreadable_checkpoint_or_unwritable_out_exits_2(tmp_path, trained_run, caplog,
+                                                             monkeypatch):
     # a missing file, a directory, or an output in a missing directory is a
-    # file error naming the path, not a traceback
+    # file error naming the path, not a traceback; quantize checks its
+    # output directory before it reads any data or quantizes anything
+    def never(*args, **kwargs):
+        raise AssertionError("work began before the error was found")
+
+    monkeypatch.setattr(harness, "build_data", never)
+    monkeypatch.setattr(quant, "quantize_model", never)
     ckpt = os.path.join(trained_run, "ckpt_30.qlab")
     missing = str(tmp_path / "nofile.qlab")
     nodir = str(tmp_path / "nodir" / "q.qlab")
+    plot = str(tmp_path / "nodir" / "p.svg")
     cases = [
         (["quantize", "--method", "rtn", "--ckpt", missing, "--out", str(tmp_path / "y.qlab")],
          missing),
         (["soup", "--ckpt", f"{missing}:1.0", "--out", str(tmp_path / "x.qlab")], missing),
         (["quantize", "--method", "rtn", "--ckpt", str(tmp_path), "--out", str(tmp_path / "z.qlab")],
          str(tmp_path)),
-        (["quantize", "--method", "rtn", "--ckpt", ckpt, "--out", nodir], nodir),
+        (["quantize", "--method", "gptq", "--ckpt", ckpt, "--out", nodir], nodir),
+        (["report", "--run", trained_run, "--metric", "val_ce_fp", "--out", plot], plot),
     ]
     for argv, path in cases:
         caplog.clear()
         assert main(argv) == 2, argv
-        assert any(path in r.getMessage() for r in caplog.records), argv
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and path in errors[0], argv
     assert sorted(os.listdir(tmp_path)) == []
 
 

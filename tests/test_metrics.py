@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import micro_train_config, tiny_model_config
 from qlab import config as cfgmod, harness, model, parallel, quant
-from qlab.data import Batch, fixed_eval_batches
+from qlab.data import Batch, CalibrationSet, fixed_eval_batches
 from qlab.errors import ContractViolation, MergeError, NumericFailure
 from qlab.metrics import (
     CSV_HEADER,
@@ -135,7 +135,7 @@ def item_log(monkeypatch):
     calls, real = [], model._forward_rows
 
     def logged(cfg, T, ids, mask_add, layers):
-        if not layers:
+        if layers is None:
             calls.append((ids.shape[0], parallel._OWNER.in_worker()))
         return real(cfg, T, ids, mask_add, layers)
 
@@ -177,23 +177,40 @@ def test_eval_items_run_on_the_pool_without_a_layer_cache(monkeypatch, item_log,
                                                           shard_rows):
     # one batch of several shards (as a desk eval batch) or several one-shard
     # batches (as tiny's): either way the items share one pooled region, and
-    # none allocates the activation cache, which only training reads
-    def no_cache(*args):
-        raise AssertionError("eval allocated a layer cache")
+    # neither they nor the calibration walk hand any sublayer a cache, which
+    # only training reads
+    caches = []
+
+    def recording(name):
+        real = getattr(model, name)
+
+        def sublayer(*args):
+            caches.append(args[-1])  # `_blocks` passes the cache last
+            return real(*args)
+        return sublayer
 
     ck = init(tiny_model_config())
     batches = _eval_batches(sizes, seed=2)
     monkeypatch.setattr(model, "SHARD_ACTIVATIONS", FORCED_SHARD)
     monkeypatch.setenv("QLAB_THREADS", "1")
     expected = _oracle(ck, batches)
-    monkeypatch.setattr(model, "_cache_arrays", no_cache)
+    for name in ("_prenorm", "_attend", "_mlp_hidden"):
+        monkeypatch.setattr(model, name, recording(name))
+    forward(ck, batches[0])
+    assert len(caches) == 4 * ck.config.n_layers and all(c is not None for c in caches)
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("QLAB_THREADS", threads)
         item_log.clear()
+        caches.clear()
         assert eval_ce(ck, batches) == expected
         assert sorted(rows for rows, _ in item_log) == shard_rows
         pooled = threads != "1" and parallel._OWNER.blas() is not None
         assert [in_worker for _, in_worker in item_log] == [pooled] * len(shard_rows)
+        model.capture_layer_inputs(ck, CalibrationSet(batches, sum(sizes)),
+                                   lambda names, X: [ck.tensors[n] for n in names])
+        # four sublayers per layer, per item of the eval and of the walk
+        assert len(caches) == 2 * 4 * ck.config.n_layers * len(shard_rows)
+        assert all(c is None for c in caches)
 
 
 def test_eval_flags_the_earliest_failing_batch_then_its_earliest_layer(monkeypatch):

@@ -235,9 +235,7 @@ def test_attention_tiles_match_untiled_reference(S, dtype):
     a_in = rng.standard_normal((B, S, d)).astype(dtype)
     wq, wk, wv = (rng.standard_normal((d, d)).astype(dtype) * s for s in (1.5, 1.5, 0.2))
     mask = model._tile_mask(dtype)
-    c = model._cache_arrays(cfg, B, S, dtype)[0]
-    for a in c.values():
-        a[...] = np.nan  # every cached value must be written
+    c = {}
     ctx = model._attend(a_in, wq, wk, wv, cfg, mask, c)
     assert ctx is c["ctx"]
     q, k, v = c["q"], c["k"], c["v"]
@@ -290,13 +288,7 @@ def test_elementwise_chains_match_written_out_expressions():
 
     got_gelu, got_t = model._gelu(u)
     assert same_bits(got_gelu, gelu) and same_bits(got_t, t)
-    out, t_out = np.empty_like(u), np.empty_like(u)
-    got_gelu, got_t = model._gelu(u, out, t_out)
-    assert got_gelu is out and got_t is t_out
-    assert same_bits(out, gelu) and same_bits(t_out, t)
     assert same_bits(model._gelu_backward(du, u, t), dgelu)
-    out = np.empty_like(u)
-    assert model._gelu_backward(du, u, t, out=out) is out and same_bits(out, dgelu)
     assert same_bits(model._rms_backward(dxhat, xhat, r), drms)
 
 
