@@ -49,7 +49,7 @@ from .metrics import (
     relative_ce_error,
     delta_ptq,
 )
-from .model import Checkpoint, init, load_checkpoint, save_checkpoint
+from .model import Checkpoint, ModelConfig, init, load_checkpoint, save_checkpoint
 from .ndkernel import frobenius_norm
 from .optim import (
     OptimState,
@@ -369,16 +369,18 @@ def cmd_branch(
 # vCPUs (desk.cfg, 4 to 128 calibration sequences) that saved about a
 # quarter of the quantize-eval time at every size, and cost about 15 MB
 # plus 1.2 times the widest stage input in peak RSS: +20 MB at 6 MB,
-# +250 MB at 201 MB. Past this size the bit widths run one after the other.
-# Checkpoint jobs (`cmd_quantize_eval`) are not held to it.
+# +250 MB at 201 MB. Past this size the bit widths run one after the other,
+# and so do checkpoint jobs (`cmd_quantize_eval`), whose walks also run at
+# once: two desk.cfg checkpoints with 128 calibration sequences peaked at
+# 869 MB as jobs against 560 MB one after the other.
 PARALLEL_BITS_MAX_STAGE_MB = 16.0
 
 
-def _widest_stage_mb(ckpt: Checkpoint, calib: Optional[CalibrationSet]) -> float:
+def _widest_stage_mb(config: ModelConfig, calib: Optional[CalibrationSet]) -> float:
     """MB of the widest stage input a calibration walk hands GPTQ: every
     calibration token's d_ff-wide (or d_model-wide) row, in float64."""
     rows = sum(b.inputs.size for b in calib.batches) if calib is not None else 0
-    return rows * max(ckpt.config.d_model, ckpt.config.d_ff) * 8 / 1e6
+    return rows * max(config.d_model, config.d_ff) * 8 / 1e6
 
 
 def evaluate_checkpoint_quantized(
@@ -409,7 +411,7 @@ def evaluate_checkpoint_quantized(
     def quantize(b):
         return quantize_model(ckpt, calib, cfgmod.quant_config(cfg, b))
 
-    if _widest_stage_mb(ckpt, calib) <= PARALLEL_BITS_MAX_STAGE_MB:
+    if _widest_stage_mb(ckpt.config, calib) <= PARALLEL_BITS_MAX_STAGE_MB:
         # the pool class is looked up here, where perfbench traces it
         quantized = parallel.results(parallel.run(quantize, bits, ThreadPoolExecutor))
     else:
@@ -438,9 +440,12 @@ def cmd_quantize_eval(
     quant_layers.csv rows. Bits and method default to the manifest's.
 
     Returns (records, failures). Per-checkpoint failures are recorded and
-    the sweep continues. Bit widths that metrics.csv has no columns for,
-    and an eval or calibration set that differs from the one the manifest
-    recorded, are refused before any work. Both tables are saved only
+    the sweep continues. The checkpoints run as parallel jobs while the
+    calibration walk's widest stage input is at most
+    PARALLEL_BITS_MAX_STAGE_MB, otherwise one after the other. Bit widths
+    that metrics.csv has no columns for, and an eval or calibration set
+    that differs from the one the manifest recorded, are refused before
+    any work. Both tables are saved only
     after every row merged, so a conflict (MergeError) leaves both files
     unchanged.
     """
@@ -483,14 +488,22 @@ def cmd_quantize_eval(
 
     results: Dict[int, tuple] = {}
     failures: List[Tuple[int, str]] = []
-    # checkpoints run as parallel jobs, whose eval and walk items then run
-    # serially; the pool class is looked up here, where perfbench traces it
-    for s, fut in zip(selected, parallel.run(job, selected, ThreadPoolExecutor)):
+
+    def settle(s: int, result: Callable[[], tuple]) -> None:
         try:
-            results[s] = fut.result()
+            results[s] = result()
         except QlabError as exc:
             failures.append((s, str(exc)))
             log.error("quantize-eval failed at step %d: %s", s, exc)
+
+    if _widest_stage_mb(cfgmod.model_config(cfg), calib) <= PARALLEL_BITS_MAX_STAGE_MB:
+        # checkpoints run as parallel jobs, whose eval and walk items then run
+        # serially; the pool class is looked up here, where perfbench traces it
+        for s, fut in zip(selected, parallel.run(job, selected, ThreadPoolExecutor)):
+            settle(s, fut.result)
+    else:  # one after the other, each with its items on the pool
+        for s in selected:
+            settle(s, lambda: job(s))
 
     metrics_store = MetricsStore(os.path.join(run_dir, METRICS))
     layer_table = MetricsStore(

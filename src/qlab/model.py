@@ -3,11 +3,12 @@
 Batches run as (batch, shard) items on the thread pool, a shard being a
 run of whole sequences. A training step is `loss_and_grads`: every shard
 runs forward, the loss head and backward on its own rows, and the shards'
-gradients are summed in shard order (micro-batch gradient accumulation,
-as in GPipe: Huang et al. 2019, arXiv:1811.06965). Eval (`token_nll`) runs
-forward on each shard without a layer cache, and the calibration walk
-steps every shard through the blocks together. `forward` and `backward`
-are the serial reference pair over a whole batch.
+gradients are folded into one sum in shard order as they finish
+(micro-batch gradient accumulation, as in GPipe: Huang et al. 2019,
+arXiv:1811.06965). Eval (`token_nll`) runs forward on each shard without
+a layer cache, and the calibration walk steps every shard through the
+blocks together. `forward` and `backward` are the serial reference pair
+over a whole batch.
 
 Pre-norm blocks with gain-only RMS normalization, learned positional
 embeddings, no biases, untied unembedding, tanh-approximate GELU in the
@@ -440,15 +441,21 @@ def _shard_items(cfg: ModelConfig, batches: Sequence[Batch]) -> List[Tuple[int, 
     return [(i, sl) for i, b in enumerate(batches) for sl in _shards(cfg, *b.inputs.shape)]
 
 
+def _failure_rank(cfg: ModelConfig) -> Callable[[BaseException], int]:
+    """Ranks a shard's failure as a serial pass over its rows would meet
+    it: a NumericFailure by the depth of the layer it names, any other
+    failure first."""
+    depth = {f"layers.{i}": i for i in range(cfg.n_layers)}
+    depth["unembed"] = cfg.n_layers
+    return lambda e: depth.get(e.where, -1) if isinstance(e, NumericFailure) else -1
+
+
 def _run_shards(cfg: ModelConfig, fn: Callable, items: Sequence[tuple]) -> List[list]:
     """fn(*item) for every (batch index, ...) item, as one parallel region;
     per batch, its items' results. A failure raises as a serial pass over
     the batches would: the earliest failing batch's earliest failing layer
-    (a NumericFailure ranks by the depth of the layer it names, any other
-    failure first)."""
-    depth = {f"layers.{i}": i for i in range(cfg.n_layers)}
-    depth["unembed"] = cfg.n_layers
-    rank = lambda e: depth.get(e.where, -1) if isinstance(e, NumericFailure) else -1
+    (`_failure_rank`)."""
+    rank = _failure_rank(cfg)
     futures = parallel.run(lambda item: fn(*item), items)
     return [parallel.results([f for _, f in group], rank=rank)
             for _, group in groupby(zip(items, futures), key=lambda done: done[0][0])]
@@ -555,25 +562,37 @@ def loss_and_grads(ckpt: Checkpoint, batch: Batch) -> Tuple[float, GradientSet]:
     Each shard of whole sequences runs forward, the loss head and backward
     as one item on the thread pool, with a cache of its own rows only; its
     gradients are those of the shard's summed loss divided by the whole
-    batch's position count, and the calling thread adds them up in shard
-    order. The loss is bitwise `loss(forward(...))`; the gradients are the
-    same bits at any thread count, and bitwise `backward`'s for a one-shard
-    batch. A non-finite activation raises NumericFailure naming the earliest
-    failing layer of the whole batch, as `forward` does.
+    batch's position count. As each shard finishes, in shard order, the
+    calling thread folds its gradients into shard 0's set and drops them,
+    so at most 2 x workers + 1 sets are alive at once. The loss is bitwise
+    `loss(forward(...))`; the gradients are the same bits at any thread
+    count, and bitwise `backward`'s for a one-shard batch. A non-finite
+    activation raises NumericFailure naming the earliest failing layer of
+    the whole batch, as `forward` does.
     """
     cfg, T = ckpt.config, ckpt.tensors
     mask_add = _tile_mask(T["embed.tok"].dtype)
 
-    def shard(_, sl: slice):
+    def shard(sl: slice):
         cache = _forward_rows(cfg, T, batch.inputs[sl], mask_add, [])
         return _backward(ckpt, batch.targets[sl], cache, batch.inputs.size)
 
-    (parts,) = _run_shards(cfg, shard, _shard_items(cfg, [batch]))
-    grads = parts[0][1]
-    for _, more in parts[1:]:
-        for name, g in grads.items():
-            g += more[name]
-    return float(np.mean(np.concatenate([nll for nll, _ in parts]))), grads
+    nlls, grads, failed = [], None, []
+    for done in parallel.stream(shard, _shards(cfg, *batch.inputs.shape)):
+        if done.exception() is not None:
+            failed.append(done)
+        elif not failed:
+            nll, part = done.result()
+            nlls.append(nll)
+            if grads is None:
+                grads = part
+            else:
+                for name, g in grads.items():
+                    g += part[name]
+            del part
+        del done  # drop the shard's gradients and future before the next item is submitted
+    parallel.results(failed, rank=_failure_rank(cfg))  # raises the earliest failing layer
+    return float(np.mean(np.concatenate(nlls))), grads
 
 
 def token_nll(ckpt: Checkpoint, batches: Sequence[Batch]) -> List[Tuple[np.ndarray, int]]:

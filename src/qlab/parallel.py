@@ -1,21 +1,29 @@
 """The one owner of the lab's threads: worker threads and OpenBLAS threads.
 
-`QLAB_THREADS` (default: the CPU count) sets both. `run(fn, items)` calls
-`fn` on every item, on that many worker threads while OpenBLAS is held at
-one thread, and returns a completed future per item in item order.
-Callers split work so that no result depends on how the items are
-scheduled, so results never depend on the thread count.
+`QLAB_THREADS` (default: the CPU count) sets both. `stream(fn, items)`
+calls `fn` on every item, on that many worker threads while OpenBLAS is
+held at one thread, and yields a completed future per item in item order
+while later items still run: at most 2 x workers items are in flight, the
+one being consumed included, and the next is submitted only when the
+consumer asks for it, so a consumer that folds each result in and drops
+it holds few results at once. `run(fn, items)` is `list(stream(...))`,
+for callers that want every future. Callers split work so that no result
+depends on how the items are scheduled, so results never depend on the
+thread count.
 
-The items run serially, in order and in the calling thread, when there is
-one worker or one item, when the caller is itself a worker (a nested
-region), or when numpy's bundled OpenBLAS exposes no thread control (the
-workers would then oversubscribe the cores; the lookup logs a warning
-then, once per process). Outside a parallel region
-OpenBLAS keeps the count it had; `blas_threads` sets it for a block and
-restores it after, as every region does.
+The items run serially, in order and in the calling thread as they are
+consumed, when there is one worker or one item, when the caller is itself
+a worker (a nested region), or when numpy's bundled OpenBLAS exposes no
+thread control (the workers would then oversubscribe the cores; the lookup
+logs a warning then, once per process). Every item runs even when some
+raise. A consumer that stops early closes the generator (dropping it does
+too): the items already submitted finish, no more start, and OpenBLAS gets
+its count back. Outside a parallel region OpenBLAS keeps the count it had;
+`blas_threads` sets it for a block and restores it after, as every region
+does.
 
-The owner also sets how the process allocates, once, at its first `run`
-call, a serial one included: it caps glibc malloc at one arena
+The owner also sets how the process allocates, once, at its first `stream`
+or `run` call, a serial one included: it caps glibc malloc at one arena
 (`mallopt(M_ARENA_MAX, 1)`) and fixes its mmap threshold at 32 MB and its
 trim threshold at 256 MB; it skips that where the C library has no
 `mallopt`. glibc otherwise gives each new thread an arena of its own,
@@ -38,8 +46,10 @@ import contextvars
 import logging
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
+from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError
@@ -143,20 +153,30 @@ class _Owner:
                 if self._regions == 0:
                     set_(self._blas_before)
 
-    def run(self, fn, items: Sequence, executor=ThreadPoolExecutor) -> List[Future]:
+    def stream(self, fn, items: Sequence, executor=ThreadPoolExecutor) -> Iterator[Future]:
         with self._lock:
             if not self._malloc_set:
                 _set_malloc()
                 self._malloc_set = True
         workers = min(qlab_threads(), len(items))
         if workers <= 1 or self.in_worker() or self.blas() is None:
-            return [_call(fn, x) for x in items]
+            return (_call(fn, x) for x in items)
+        # each item runs in a copy of the caller's context (np.errstate and the like)
+        return self._pooled(fn, items, workers, executor, contextvars.copy_context())
+
+    def _pooled(self, fn, items, workers, executor, context) -> Iterator[Future]:
+        todo = iter(items)
         with self._blas_single(), executor(
             workers, thread_name_prefix="qlab", initializer=self._mark_worker
         ) as pool:
-            # each item runs in a copy of the caller's context (np.errstate and the like)
-            futures = [pool.submit(contextvars.copy_context().run, fn, x) for x in items]
-        return futures  # leaving the pool waited for every one
+            ahead = deque(pool.submit(context.copy().run, fn, x)
+                          for x in islice(todo, 2 * workers))
+            while ahead:
+                wait((ahead[0],))
+                yield ahead.popleft()  # popped first: only the consumer holds it
+                for x in islice(todo, 1):  # the next item, if any
+                    ahead.append(pool.submit(context.copy().run, fn, x))
+        # leaving the pool waits for the items submitted, also after an early stop
 
 
 def _call(fn, item) -> Future:
@@ -171,13 +191,19 @@ def _call(fn, item) -> Future:
 _OWNER = _Owner()
 
 
-def run(fn: Callable, items: Sequence, executor=ThreadPoolExecutor) -> List[Future]:
-    """Call fn on every item; a completed future per item, in item order.
+def stream(fn: Callable, items: Sequence, executor=ThreadPoolExecutor) -> Iterator[Future]:
+    """Call fn on every item; yield each item's completed future in item
+    order, while later items still run (at most 2 x workers in flight).
 
     Every item runs even when some raise, so the caller can choose which
     failure to report. `executor` is the pool class (ThreadPoolExecutor).
     """
-    return _OWNER.run(fn, items, executor)
+    return _OWNER.stream(fn, items, executor)
+
+
+def run(fn: Callable, items: Sequence, executor=ThreadPoolExecutor) -> List[Future]:
+    """Call fn on every item; a completed future per item, in item order."""
+    return list(stream(fn, items, executor))
 
 
 def results(futures: Sequence[Future], rank: Callable[[BaseException], object] = lambda e: 0) -> list:

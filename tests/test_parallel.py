@@ -12,6 +12,7 @@ import os
 import shutil
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -125,6 +126,62 @@ def test_step_flags_the_earliest_nonfinite_layer_across_shards(monkeypatch, shar
             assert exc.value.where == where
 
 
+@pytest.mark.parametrize("every_shard_at_layers_1", [False, True])
+def test_late_failing_shard_raises_the_earliest_layer(monkeypatch, shards,
+                                                      every_shard_at_layers_1):
+    # 8 shards, more than the stream keeps in flight at 2 or 3 threads; only
+    # the last fails at layers.0, after the others have been folded in (or,
+    # when every shard fails at layers.1, after the first failures were met)
+    ck = model.init(tiny_model_config())
+    rng = np.random.Generator(np.random.PCG64(16))
+    batch = Batch(rng.integers(0, 255, (16, 32)).astype(np.int32),
+                  rng.integers(0, 256, (16, 32)).astype(np.int32))
+    batch.inputs[15, 3] = 255  # the last sequence alone holds token 255, made non-finite
+    ck.tensors["embed.tok"][255, 0] = np.inf
+    if every_shard_at_layers_1:
+        ck.tensors["layers.1.mlp.w2"][0, 0] = np.inf
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("QLAB_THREADS", threads)
+        with pytest.raises(NumericFailure) as exc, np.errstate(invalid="ignore"):
+            model.loss_and_grads(ck, batch)
+        assert exc.value.where == "layers.0"
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_step_holds_at_most_two_gradient_sets_per_worker_plus_one(monkeypatch, shards, threads):
+    """Each shard's gradient set is folded in and dropped as it finishes:
+    of 12 shards' sets, at most 2 x workers + 1 are alive at any moment."""
+    lock, alive, peak, made = threading.RLock(), [0], [0], []
+    real = model._backward
+
+    def release():
+        with lock:
+            alive[0] -= 1
+
+    def counted(*args):
+        nll, grads = real(*args)
+        with lock:
+            alive[0] += 1
+            peak[0] = max(peak[0], alive[0])
+            made.append(1)
+        weakref.finalize(grads["unembed"], release)
+        return nll, grads
+
+    ck = model.init(tiny_model_config())
+    rng = np.random.Generator(np.random.PCG64(24))
+    batch = Batch(rng.integers(0, 256, (24, 32)).astype(np.int32),
+                  rng.integers(0, 256, (24, 32)).astype(np.int32))
+    reference = _per_shard_step(ck, batch)
+    monkeypatch.setattr(model, "_backward", counted)
+    monkeypatch.setenv("QLAB_THREADS", str(threads))
+    got = model.loss_and_grads(ck, batch)
+    assert len(made) == 12
+    assert 2 <= peak[0] <= 2 * threads + 1
+    _assert_same_bits(got, reference)
+    del got
+    assert alive[0] == 0
+
+
 def test_shards_are_balanced_whole_sequences(shards):
     cfg = tiny_model_config()
     for B in range(1, 12):
@@ -171,6 +228,9 @@ def test_concurrent_regions_keep_blas_at_one_and_restore_it(monkeypatch):
             for _ in range(20):
                 got = parallel.results(parallel.run(lambda i: (i, get()), range(6)))
                 assert got == [(i, 1) for i in range(6)]
+                for fut in parallel.stream(lambda i: get(), range(12)):  # stops early
+                    assert fut.result() == 1
+                    break
         except Exception as exc:
             errors.append(exc)
 
@@ -221,6 +281,70 @@ def test_results_reraise_lowest_rank_after_reading_all(monkeypatch):
     with pytest.raises(ValueError) as exc:
         parallel.results(futures)
     assert exc.value.args == (1,)
+
+
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_stream_yields_item_order_under_shuffled_completion(monkeypatch, threads):
+    if parallel._OWNER.blas() is None:
+        pytest.skip("no OpenBLAS thread control in this numpy build: items run serially")
+    monkeypatch.setenv("QLAB_THREADS", threads)
+    finished = [threading.Event() for _ in range(8)]
+    completed = []
+
+    def fn(i):
+        if i % 2 == 0:  # item 2k finishes only after item 2k + 1
+            assert finished[i + 1].wait(timeout=60)
+        completed.append(i)
+        finished[i].set()
+        return i
+
+    seen = []
+    for fut in parallel.stream(fn, range(8)):
+        assert fut.done()
+        seen.append(fut.result())
+    assert seen == list(range(8))
+    assert sorted(completed) == list(range(8))
+    assert all(completed.index(k + 1) < completed.index(k) for k in range(0, 8, 2))
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_stream_runs_every_item_when_an_early_one_raises(monkeypatch, threads):
+    monkeypatch.setenv("QLAB_THREADS", threads)
+    ran = []
+
+    def fn(i):
+        ran.append(i)
+        if i == 0:
+            raise ValueError(i)
+        return i
+
+    outcomes = [f.exception() or f.result() for f in parallel.stream(fn, range(9))]
+    assert sorted(ran) == list(range(9))
+    assert isinstance(outcomes[0], ValueError) and outcomes[1:] == list(range(1, 9))
+
+
+def test_blas_count_restored_after_stream_and_early_stop(monkeypatch):
+    api = parallel._OWNER.blas()
+    if api is None:
+        pytest.skip("no OpenBLAS thread control in this numpy build")
+    get, _ = api
+    monkeypatch.setenv("QLAB_THREADS", "2")
+    ran = []
+
+    def fn(i):
+        ran.append(i)
+        return get()
+
+    with parallel.blas_threads(3):
+        assert [f.result() for f in parallel.stream(fn, range(6))] == [1] * 6
+        assert get() == 3
+        ran.clear()
+        for fut in parallel.stream(fn, range(10)):
+            assert fut.result() == 1
+            break
+        # the stream was closed: the 2 x 2 items in flight finished, no more started
+        assert get() == 3 and parallel._OWNER._regions == 0
+        assert sorted(ran) == [0, 1, 2, 3]
 
 
 def test_missing_blas_symbol_runs_serially_with_same_results(monkeypatch, shards, caplog):
@@ -576,14 +700,46 @@ def test_bit_widths_past_the_stage_bound_run_one_after_the_other(micro_run, monk
     assert events == [(threading.get_ident(), 20, b, e) for b in (3, 4) for e in ("start", "end")]
 
 
+def test_checkpoints_past_the_stage_bound_run_one_after_the_other(micro_run, monkeypatch):
+    pools = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
+    got = {}
+    for bound in (harness.PARALLEL_BITS_MAX_STAGE_MB, 0.0):
+        monkeypatch.setattr(harness, "PARALLEL_BITS_MAX_STAGE_MB", bound)
+        pools.clear()
+        run_dir = micro_run(f"bound-{bound}")
+        with monkeypatch.context() as m:
+            events = _record_quantize(m)
+            recs, fails = _quantize_eval(monkeypatch, run_dir, "2", serial=False, steps=(10, 20))
+        assert fails == [] and [r.step for r in recs] == [10, 20]
+        got[bound] = [_sha256(os.path.join(run_dir, t)) for t in (harness.METRICS,
+                                                                   harness.QUANT_LAYERS)]
+        if bound:
+            assert pools == [1] and threading.get_ident() not in {t for t, *_ in events}
+    assert pools == []  # no pooled job region: every quantize ran in the calling thread
+    assert events == [(threading.get_ident(), s, b, e)
+                      for s in (10, 20) for b in (3, 4) for e in ("start", "end")]
+    assert got[0.0] == got[harness.PARALLEL_BITS_MAX_STAGE_MB]
+
+
 def test_widest_stage_is_every_calibration_row_at_the_widest_input():
     from types import SimpleNamespace
 
     from qlab.model import ModelConfig
 
-    desk = SimpleNamespace(config=ModelConfig(d_model=192, d_ff=768, seq_len=256))
+    desk = ModelConfig(d_model=192, d_ff=768, seq_len=256)
     calib = lambda n: SimpleNamespace(batches=[SimpleNamespace(inputs=np.zeros((n, 256)))] * 2)
     assert harness._widest_stage_mb(desk, calib(2)) == 4 * 256 * 768 * 8 / 1e6  # qeval-desk
     assert harness._widest_stage_mb(desk, calib(2)) <= harness.PARALLEL_BITS_MAX_STAGE_MB
     assert harness._widest_stage_mb(desk, calib(64)) > harness.PARALLEL_BITS_MAX_STAGE_MB
     assert harness._widest_stage_mb(desk, None) == 0.0
+    tiny = ModelConfig(d_model=64, n_heads=4, d_ff=256, seq_len=128)  # trajectory-tiny's checkpoint jobs
+    tiny_calib = SimpleNamespace(batches=[SimpleNamespace(inputs=np.zeros((32, 128)))])
+    assert harness._widest_stage_mb(tiny, tiny_calib) == 32 * 128 * 256 * 8 / 1e6
+    assert harness._widest_stage_mb(tiny, tiny_calib) <= harness.PARALLEL_BITS_MAX_STAGE_MB
