@@ -173,6 +173,7 @@ def _dispatch(args) -> int:
         run_dir = harness.cmd_branch(
             args.run, args.step, args.decay_frac,
             out_root=args.out_root, decay_steps=args.decay_steps, force=args.force,
+            resume=True,
         )
         print(run_dir)
         return 0

@@ -18,6 +18,7 @@ import os
 import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -325,7 +326,9 @@ def cmd_branch(
 ) -> str:
     """Cool down a trunk from `branch_step`; returns the child run directory.
 
-    The cooldown length defaults to decay_frac * branch_step. The child's
+    The cooldown length defaults to decay_frac * branch_step and is at
+    least 2 steps (`decay_steps` below 2 is a ConfigError): a WSD decay's
+    last step runs at LR 0, so one step would change nothing. The child's
     schedule is the WSD run that matches the trunk up to the branch point
     and then decays linearly to zero. An existing child is refused unless
     `force` (redo) or `resume` (continue, or return it if finished).
@@ -342,7 +345,9 @@ def cmd_branch(
     parent_spec = cfgmod.schedule_spec(cfg)
     if parent_spec.decay_steps and branch_step > parent_spec.total_steps - parent_spec.decay_steps:
         raise ConfigError("cannot branch inside the parent's own decay phase")
-    cool = decay_steps if decay_steps is not None else max(1, round(decay_frac * branch_step))
+    if decay_steps is not None and decay_steps < 2:
+        raise ConfigError(f"a cooldown needs at least 2 decay steps, got {decay_steps}")
+    cool = decay_steps if decay_steps is not None else max(2, round(decay_frac * branch_step))
     total = branch_step + cool
     warmup = min(parent_spec.warmup_steps, branch_step)
     child = dict(cfg)  # its run.* keys are the parent's: write_manifest drops them
@@ -412,8 +417,10 @@ def evaluate_checkpoint_quantized(
         return quantize_model(ckpt, calib, cfgmod.quant_config(cfg, b))
 
     if _widest_stage_mb(ckpt.config, calib) <= PARALLEL_BITS_MAX_STAGE_MB:
-        # the pool class is looked up here, where perfbench traces it
-        quantized = parallel.results(parallel.run(quantize, bits, ThreadPoolExecutor))
+        # read in bit order: the first failing bit width raises, and closing the
+        # stream waits for the others; perfbench traces the pool class looked up here
+        with closing(parallel.stream(quantize, bits, ThreadPoolExecutor)) as done:
+            quantized = [d.result() for d in done]
     else:
         quantized = [quantize(b) for b in bits]
     layer_stats = []
@@ -486,24 +493,20 @@ def cmd_quantize_eval(
         lr = schedule_value(spec, peak, step) if step <= spec.total_steps else None
         return evaluate_checkpoint_quantized(ckpt, data, cfg, bits, calib, run_id, lr)
 
-    results: Dict[int, tuple] = {}
-    failures: List[Tuple[int, str]] = []
-
-    def settle(s: int, result: Callable[[], tuple]) -> None:
-        try:
-            results[s] = result()
-        except QlabError as exc:
-            failures.append((s, str(exc)))
-            log.error("quantize-eval failed at step %d: %s", s, exc)
-
     if _widest_stage_mb(cfgmod.model_config(cfg), calib) <= PARALLEL_BITS_MAX_STAGE_MB:
         # checkpoints run as parallel jobs, whose eval and walk items then run
         # serially; the pool class is looked up here, where perfbench traces it
-        for s, fut in zip(selected, parallel.run(job, selected, ThreadPoolExecutor)):
-            settle(s, fut.result)
-    else:  # one after the other, each with its items on the pool
-        for s in selected:
-            settle(s, lambda: job(s))
+        done = parallel.stream(job, selected, ThreadPoolExecutor)
+    else:  # one after the other, each a one-item stream: in this thread, its shards on the pool
+        done = (d for s in selected for d in parallel.stream(job, [s]))
+    results: Dict[int, tuple] = {}
+    failures: List[Tuple[int, str]] = []
+    for d, s in zip(done, selected):  # the stream first: zip then runs it to its end
+        try:
+            results[s] = d.result()
+        except QlabError as exc:
+            failures.append((s, str(exc)))
+            log.error("quantize-eval failed at step %d: %s", s, exc)
 
     metrics_store = MetricsStore(os.path.join(run_dir, METRICS))
     layer_table = MetricsStore(

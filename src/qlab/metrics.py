@@ -1,10 +1,10 @@
 """Degradation metrics, evaluation over fixed batch sets, and the metrics CSV.
 
 Evaluation is one pass over the batch set: `eval_ce` reduces
-`model.token_nll`, whose (batch, shard) items run forward once on the
-`qlab.parallel` pool, to both the cross-entropy and the argmax accuracy
-of the same logits; `eval_accuracy` is its second figure alone. A
-quantized model is dequantized once per pass.
+`model.token_nll`, whose (batch, shard) items run forward once, streamed
+through the model's one shard driver, to both the cross-entropy and the
+argmax accuracy of the same logits; `eval_accuracy` is its second figure
+alone. A quantized model is dequantized once per pass.
 """
 
 from __future__ import annotations

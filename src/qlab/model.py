@@ -1,14 +1,14 @@
 """Decoder-only transformer with explicit forward, loss, and backward passes.
 
-Batches run as (batch, shard) items on the thread pool, a shard being a
-run of whole sequences. A training step is `loss_and_grads`: every shard
-runs forward, the loss head and backward on its own rows, and the shards'
-gradients are folded into one sum in shard order as they finish
-(micro-batch gradient accumulation, as in GPipe: Huang et al. 2019,
-arXiv:1811.06965). Eval (`token_nll`) runs forward on each shard without
-a layer cache, and the calibration walk steps every shard through the
-blocks together. `forward` and `backward` are the serial reference pair
-over a whole batch.
+Batches run as (batch, shard) items on the thread pool through one
+driver, `_run_shards`, a shard being a run of whole sequences. A training
+step is `loss_and_grads`: every shard runs forward, the loss head and
+backward on its own rows, and the shards' gradients are folded into one
+sum in shard order as they finish (micro-batch gradient accumulation, as
+in GPipe: Huang et al. 2019, arXiv:1811.06965). Eval (`token_nll`) runs
+forward on each shard without a layer cache, and the calibration walk
+steps every shard through the blocks together. `forward` and `backward`
+are the serial reference pair over a whole batch.
 
 Pre-norm blocks with gain-only RMS normalization, learned positional
 embeddings, no biases, untied unembedding, tanh-approximate GELU in the
@@ -35,8 +35,8 @@ splits at points that depend on their length, so the last bits can differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import math
 
@@ -208,20 +208,20 @@ def _padded_row_sum(a: np.ndarray, n: int) -> np.ndarray:
     return np.sum(a, axis=-1, keepdims=True, dtype=np.float64)
 
 
-def _softmax_masked(scores: np.ndarray, scale: float, mask_add: np.ndarray, n: int,
+def _softmax_masked(scores: np.ndarray, scale: float, mask: np.ndarray, n: int,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Softmax of one attention tile of raw scores [..., T, i1] (query rows
     i1 - T to i1 - 1 against keys 0 to i1 - 1), into `out` (default:
     `scores`): s = scores * scale + mask, e = exp(s - max(s)),
     e / sum(e) with the sum as over n keys.
 
-    Scaling, masking, max-subtraction and exp run in `scores`. The causal
-    mask `mask_add` [>= T, >= T] goes on the diagonal block only; adding 0
+    Scaling, masking, max-subtraction and exp run in `scores`. The additive
+    causal mask [>= T, >= T] goes on the diagonal block only; adding 0
     elsewhere would not change the probabilities.
     """
     scores *= scale
     T = scores.shape[-2]
-    scores[..., -T:] += mask_add[:T, :T]
+    scores[..., -T:] += mask[:T, :T]
     scores -= np.max(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     denom = _padded_row_sum(scores, n).astype(scores.dtype)
@@ -281,21 +281,23 @@ def _tiles(S: int) -> List[Tuple[int, int]]:
     return list(zip(starts, starts[1:] + [S]))
 
 
+@lru_cache(maxsize=None)
 def _tile_mask(dtype) -> np.ndarray:
-    """The additive causal mask of the largest tile: -inf above the diagonal."""
+    """The additive causal mask of the largest tile, -inf above the
+    diagonal: one read-only array per dtype, shared by every thread."""
     n = 2 * ATTN_TILE
     mask = np.zeros((n, n), dtype=dtype)
     mask[np.triu_indices(n, k=1)] = -np.inf
+    mask.flags.writeable = False
     return mask
 
 
-def _attend(a_in, wq, wk, wv, cfg: ModelConfig, mask_add: np.ndarray,
-            cache: Optional[dict] = None) -> np.ndarray:
+def _attend(a_in, wq, wk, wv, cfg: ModelConfig, cache: Optional[dict] = None) -> np.ndarray:
     """Causal multi-head attention on a_in [B, S, d]: the merged heads'
-    context [B, S, d], with `mask_add` from `_tile_mask`. With a `cache`,
-    it keeps "q", "k", "v" (head-major [B, H, S, Dh] views), "ctx" and the
-    attention probabilities "probs" [B, H, S, S] (upper blocks zeroed);
-    without one, only one tile's scores exist at a time."""
+    context [B, S, d]. With a `cache`, it keeps "q", "k", "v" (head-major
+    [B, H, S, Dh] views), "ctx" and the attention probabilities "probs"
+    [B, H, S, S] (upper blocks zeroed); without one, only one tile's scores
+    exist at a time."""
     B, S, _ = a_in.shape
     H, Dh = cfg.n_heads, cfg.d_head
     flat = _rows(a_in)
@@ -306,14 +308,14 @@ def _attend(a_in, wq, wk, wv, cfg: ModelConfig, mask_add: np.ndarray,
         probs = np.empty((B, H, S, S), dtype=a_in.dtype)
         cache.update(q=q, k=k, v=v, probs=probs, ctx=ctx)
     ctx_heads = np.reshape(ctx, (B, S, H, Dh), copy=False).transpose(0, 2, 1, 3)
-    scale = 1.0 / math.sqrt(Dh)
+    scale, mask = 1.0 / math.sqrt(Dh), _tile_mask(a_in.dtype)
     for i0, i1 in _tiles(S):
         scores = np.matmul(q[:, :, i0:i1], k[:, :, :i1].transpose(0, 1, 3, 2))
         dst = None
         if probs is not None:
             probs[:, :, i0:i1, i1:] = 0.0
             dst = probs[:, :, i0:i1, :i1]
-        p = _softmax_masked(scores, scale, mask_add, S, dst)
+        p = _softmax_masked(scores, scale, mask, S, dst)
         np.matmul(p, v[:, :, :i1], out=ctx_heads[:, :, i0:i1])
     return ctx
 
@@ -385,7 +387,7 @@ def _shards(cfg: ModelConfig, B: int, S: int) -> List[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _blocks(cfg, T, ids, mask_add, layers: Optional[list]):
+def _blocks(cfg, T, ids, layers: Optional[list]):
     """The residual stream of whole sequences `ids` through every block, as
     a generator: before each quantizable stage (q/k/v, o, w1, w2) it yields
     (names, input) and is sent back that stage's weight matrices. Returns
@@ -400,7 +402,7 @@ def _blocks(cfg, T, ids, mask_add, layers: Optional[list]):
         # h is the sublayer's stage input; each stage drops the one before
         h = _prenorm(x, T[f"{p}.norm1.g"], attn)
         wq, wk, wv = yield [f"{p}.attn.wq", f"{p}.attn.wk", f"{p}.attn.wv"], h
-        h = _attend(h, wq, wk, wv, cfg, mask_add, attn)  # ctx
+        h = _attend(h, wq, wk, wv, cfg, attn)  # ctx
         (wo,) = yield [f"{p}.attn.wo"], h
         x = _residual(x, h, wo)
         h = _prenorm(x, T[f"{p}.norm2.g"], mlp)
@@ -421,11 +423,11 @@ def _resume(blocks, weights):
         return None, done.value
 
 
-def _forward_rows(cfg, T, ids, mask_add, layers: Optional[list]) -> dict:
+def _forward_rows(cfg, T, ids, layers: Optional[list]) -> dict:
     """The forward pass over whole sequences `ids`, appending every block's
     caches to `layers` unless it is None (see `_blocks`): all `_backward`
     reads, as "logits", "xhatf", "rf", "layers", "ids" and "shape"."""
-    blocks = _blocks(cfg, T, ids, mask_add, layers)
+    blocks = _blocks(cfg, T, ids, layers)
     names, x = _resume(blocks, None)
     while names:
         names, x = _resume(blocks, [T[n] for n in names])
@@ -441,24 +443,27 @@ def _shard_items(cfg: ModelConfig, batches: Sequence[Batch]) -> List[Tuple[int, 
     return [(i, sl) for i, b in enumerate(batches) for sl in _shards(cfg, *b.inputs.shape)]
 
 
-def _failure_rank(cfg: ModelConfig) -> Callable[[BaseException], int]:
-    """Ranks a shard's failure as a serial pass over its rows would meet
-    it: a NumericFailure by the depth of the layer it names, any other
-    failure first."""
+def _run_shards(cfg: ModelConfig, fn: Callable, items: Sequence[tuple]) -> Iterator[tuple]:
+    """fn(*item) for every (batch index, ...) item, as one parallel region:
+    yields (batch index, result) in item order while later items still
+    run, and nothing after the first failure. Once every item has run, a
+    failure raises as a serial pass over the batches would meet it: the
+    earliest failing batch's earliest failing layer (a NumericFailure by
+    the layer it names, any other failure first)."""
     depth = {f"layers.{i}": i for i in range(cfg.n_layers)}
     depth["unembed"] = cfg.n_layers
-    return lambda e: depth.get(e.where, -1) if isinstance(e, NumericFailure) else -1
-
-
-def _run_shards(cfg: ModelConfig, fn: Callable, items: Sequence[tuple]) -> List[list]:
-    """fn(*item) for every (batch index, ...) item, as one parallel region;
-    per batch, its items' results. A failure raises as a serial pass over
-    the batches would: the earliest failing batch's earliest failing layer
-    (`_failure_rank`)."""
-    rank = _failure_rank(cfg)
-    futures = parallel.run(lambda item: fn(*item), items)
-    return [parallel.results([f for _, f in group], rank=rank)
-            for _, group in groupby(zip(items, futures), key=lambda done: done[0][0])]
+    batch_of = (item[0] for item in items)
+    failures = []  # ((batch index, layer depth), failure)
+    for done in parallel.stream(lambda item: fn(*item), items):
+        i, exc = next(batch_of), done.exception()
+        if exc is not None:
+            layer = depth.get(exc.where, -1) if isinstance(exc, NumericFailure) else -1
+            failures.append(((i, layer), exc))
+        elif not failures:
+            yield i, done.result()
+        del done  # the item's result, before the stream submits the next item
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
 
 def forward(ckpt: Checkpoint, batch: Batch) -> Tuple[np.ndarray, dict]:
@@ -467,7 +472,7 @@ def forward(ckpt: Checkpoint, batch: Batch) -> Tuple[np.ndarray, dict]:
     eval equal its rows bitwise. A non-finite activation raises
     NumericFailure naming the earliest failing layer."""
     T = ckpt.tensors
-    cache = _forward_rows(ckpt.config, T, batch.inputs, _tile_mask(T["embed.tok"].dtype), [])
+    cache = _forward_rows(ckpt.config, T, batch.inputs, [])
     return cache["logits"], cache
 
 
@@ -571,27 +576,20 @@ def loss_and_grads(ckpt: Checkpoint, batch: Batch) -> Tuple[float, GradientSet]:
     the whole batch, as `forward` does.
     """
     cfg, T = ckpt.config, ckpt.tensors
-    mask_add = _tile_mask(T["embed.tok"].dtype)
 
-    def shard(sl: slice):
-        cache = _forward_rows(cfg, T, batch.inputs[sl], mask_add, [])
+    def shard(_, sl: slice):
+        cache = _forward_rows(cfg, T, batch.inputs[sl], [])
         return _backward(ckpt, batch.targets[sl], cache, batch.inputs.size)
 
-    nlls, grads, failed = [], None, []
-    for done in parallel.stream(shard, _shards(cfg, *batch.inputs.shape)):
-        if done.exception() is not None:
-            failed.append(done)
-        elif not failed:
-            nll, part = done.result()
-            nlls.append(nll)
-            if grads is None:
-                grads = part
-            else:
-                for name, g in grads.items():
-                    g += part[name]
-            del part
-        del done  # drop the shard's gradients and future before the next item is submitted
-    parallel.results(failed, rank=_failure_rank(cfg))  # raises the earliest failing layer
+    nlls, grads = [], None
+    for _, (nll, part) in _run_shards(cfg, shard, _shard_items(cfg, [batch])):
+        nlls.append(nll)
+        if grads is None:
+            grads = part
+        else:
+            for name, g in grads.items():
+                g += part[name]
+        del part  # the shard's gradients, before the next item is submitted
     return float(np.mean(np.concatenate(nlls))), grads
 
 
@@ -605,15 +603,17 @@ def token_nll(ckpt: Checkpoint, batches: Sequence[Batch]) -> List[Tuple[np.ndarr
     over the batches in order would raise it.
     """
     cfg, T = ckpt.config, ckpt.tensors
-    mask_add = _tile_mask(T["embed.tok"].dtype)
 
     def shard(i: int, sl: slice):
         ids, targets = batches[i].inputs[sl], batches[i].targets[sl]
-        logits = _forward_rows(cfg, T, ids, mask_add, None)["logits"]
+        logits = _forward_rows(cfg, T, ids, None)["logits"]
         return _nll(logits, targets)[0], int(np.sum(np.argmax(logits, axis=-1) == targets))
 
-    return [(np.concatenate([nll for nll, _ in parts]), sum(hits for _, hits in parts))
-            for parts in _run_shards(cfg, shard, _shard_items(cfg, batches))]
+    nlls, hits = [[] for _ in batches], [0] * len(batches)
+    for i, (nll, shard_hits) in _run_shards(cfg, shard, _shard_items(cfg, batches)):
+        nlls[i].append(nll)
+        hits[i] += shard_hits
+    return [(np.concatenate(parts), n) for parts, n in zip(nlls, hits)]
 
 
 def capture_layer_inputs(
@@ -640,19 +640,18 @@ def capture_layer_inputs(
         raise ConfigError("calibration set is empty")
     cfg, T = ckpt.config, ckpt.tensors
     dtype = T["embed.tok"].dtype
-    mask_add = _tile_mask(dtype)
-    walks = [(i, _blocks(cfg, T, calib.batches[i].inputs[sl], mask_add, None))
+    walks = [(i, _blocks(cfg, T, calib.batches[i].inputs[sl], None))
              for i, sl in _shard_items(cfg, calib.batches)]
     weights = None
     while True:
-        steps = _run_shards(cfg, lambda _, walk: _resume(walk, weights), walks)
-        stages = [stage for batch in steps for stage in batch]
+        stages = [stage for _, stage in
+                  _run_shards(cfg, lambda _, walk: _resume(walk, weights), walks)]
         names = stages[0][0]
         if names is None:
             return
         X = np.concatenate([_rows(a) for _, a in stages], axis=0, dtype=np.float64)
         weights = [np.asarray(w, dtype=dtype) for w in on_stage(names, X)]
-        del X, steps, stages  # the next step frees each shard's input as it goes
+        del X, stages  # the next step frees each shard's input as it goes
 
 
 # -- checkpoint serialization ------------------------------------------------

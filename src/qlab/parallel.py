@@ -1,15 +1,14 @@
 """The one owner of the lab's threads: worker threads and OpenBLAS threads.
 
-`QLAB_THREADS` (default: the CPU count) sets both. `stream(fn, items)`
-calls `fn` on every item, on that many worker threads while OpenBLAS is
-held at one thread, and yields a completed future per item in item order
-while later items still run: at most 2 x workers items are in flight, the
-one being consumed included, and the next is submitted only when the
-consumer asks for it, so a consumer that folds each result in and drops
-it holds few results at once. `run(fn, items)` is `list(stream(...))`,
-for callers that want every future. Callers split work so that no result
-depends on how the items are scheduled, so results never depend on the
-thread count.
+`QLAB_THREADS` (default: the CPU count) sets both. `stream(fn, items)`,
+the one entry, calls `fn` on every item, on that many worker threads
+while OpenBLAS is held at one thread, and yields a completed future per
+item in item order while later items still run: at most 2 x workers
+items are in flight, the one being consumed included, and the next is
+submitted only when the consumer asks for it, so a consumer that folds
+each result in and drops it holds few results at once. Callers split
+work so that no result depends on how the items are scheduled, so
+results never depend on the thread count.
 
 The items run serially, in order and in the calling thread as they are
 consumed, when there is one worker or one item, when the caller is itself
@@ -23,7 +22,7 @@ its count back. Outside a parallel region OpenBLAS keeps the count it had;
 does.
 
 The owner also sets how the process allocates, once, at its first `stream`
-or `run` call, a serial one included: it caps glibc malloc at one arena
+call, a serial one included: it caps glibc malloc at one arena
 (`mallopt(M_ARENA_MAX, 1)`) and fixes its mmap threshold at 32 MB and its
 trim threshold at 256 MB; it skips that where the C library has no
 `mallopt`. glibc otherwise gives each new thread an arena of its own,
@@ -50,7 +49,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from itertools import islice
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .errors import ConfigError
 
@@ -199,20 +198,6 @@ def stream(fn: Callable, items: Sequence, executor=ThreadPoolExecutor) -> Iterat
     failure to report. `executor` is the pool class (ThreadPoolExecutor).
     """
     return _OWNER.stream(fn, items, executor)
-
-
-def run(fn: Callable, items: Sequence, executor=ThreadPoolExecutor) -> List[Future]:
-    """Call fn on every item; a completed future per item, in item order."""
-    return list(stream(fn, items, executor))
-
-
-def results(futures: Sequence[Future], rank: Callable[[BaseException], object] = lambda e: 0) -> list:
-    """The futures' results; if any raised, re-raise the failure of lowest
-    `rank`, the earliest item among equals."""
-    failed = [e for e in (f.exception() for f in futures) if e is not None]
-    if failed:
-        raise min(failed, key=rank)
-    return [f.result() for f in futures]
 
 
 @contextmanager

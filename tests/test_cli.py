@@ -113,6 +113,35 @@ def test_cli_branch_negative_decay_steps_is_config_error(tmp_path, trained_run):
     assert not root.exists()
 
 
+def test_cli_branch_one_decay_step_is_config_error(tmp_path, trained_run):
+    root = tmp_path / "children"
+    assert main(["branch", "--run", trained_run, "--step", "10", "--decay-steps", "1",
+                 "--out-root", str(root)]) == 2
+    assert not root.exists()
+
+
+def _tree_bytes(root):
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
+    return out
+
+
+def test_cli_branch_rerun_resumes(tmp_path, trained_run, capsys):
+    args = ["branch", "--run", trained_run, "--step", "10", "--decay-steps", "2",
+            "--out-root", str(tmp_path / "children")]
+    assert main(args) == 0
+    child = capsys.readouterr().out.strip()
+    before = _tree_bytes(child)
+    assert any(name.endswith("ckpt_12.qlab") for name in before)
+    assert main(args) == 0
+    assert capsys.readouterr().out.strip() == child
+    assert _tree_bytes(child) == before
+
+
 def test_cli_eval_method_conflict_is_config_error(trained_run):
     # metrics.csv has no method in its key, so a second method on the same
     # step conflicts with the recorded row

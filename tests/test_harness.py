@@ -215,6 +215,23 @@ def test_branch_shares_trunk_prefix(tmp_path, corpus_path):
     assert read_bytes(ckpt_path(c2, 30)) == read_bytes(ckpt_path(trunk, 30))
 
 
+def test_default_cooldown_takes_at_least_two_steps(tmp_path, corpus_path):
+    # the default 0.1 x 6 rounds to 1 step, which would run at LR 0 (a decay's last step)
+    cfg = micro_train_config(
+        corpus_path,
+        **{"schedule.kind": "constant", "schedule.total_steps": 12,
+           "schedule.decay_frac": 0.0, "train.ckpt_interval": 6},
+    )
+    root = str(tmp_path / "runs")
+    trunk = cmd_train(cfg, root)
+    child = cmd_branch(trunk, 6, out_root=root)
+    spec = schedule_spec(load_manifest(child))
+    assert spec.total_steps == 8 and spec.decay_steps == 2
+    a = load_checkpoint(ckpt_path(trunk, 6))
+    b = load_checkpoint(ckpt_path(child, 8))
+    assert any(not np.array_equal(a.tensors[k], b.tensors[k]) for k in a.tensors)
+
+
 def test_quantize_eval_appends_rows(trained_run):
     cfg, run_dir = trained_run
     records, failures = cmd_quantize_eval(run_dir, bits=(3, 4), steps=[60])

@@ -134,10 +134,10 @@ def item_log(monkeypatch):
     keeps no layer cache: eval's (batch, shard) items."""
     calls, real = [], model._forward_rows
 
-    def logged(cfg, T, ids, mask_add, layers):
+    def logged(cfg, T, ids, layers):
         if layers is None:
             calls.append((ids.shape[0], parallel._OWNER.in_worker()))
-        return real(cfg, T, ids, mask_add, layers)
+        return real(cfg, T, ids, layers)
 
     monkeypatch.setattr(model, "_forward_rows", logged)
     return calls
@@ -255,7 +255,7 @@ def test_eval_pass_nested_in_a_job_runs_serially(monkeypatch, item_log):
     def job(_):
         return threading.get_ident(), eval_ce(ck, batches)
 
-    jobs = parallel.results(parallel.run(job, range(2)))
+    jobs = [f.result() for f in parallel.stream(job, range(2))]
     assert [got for _, got in jobs] == [expected, expected]
     # the batches are one shard each: one item per batch and eval
     assert len(item_log) == 6

@@ -234,9 +234,8 @@ def test_attention_tiles_match_untiled_reference(S, dtype):
     rng = np.random.Generator(np.random.PCG64(S))
     a_in = rng.standard_normal((B, S, d)).astype(dtype)
     wq, wk, wv = (rng.standard_normal((d, d)).astype(dtype) * s for s in (1.5, 1.5, 0.2))
-    mask = model._tile_mask(dtype)
     c = {}
-    ctx = model._attend(a_in, wq, wk, wv, cfg, mask, c)
+    ctx = model._attend(a_in, wq, wk, wv, cfg, c)
     assert ctx is c["ctx"]
     q, k, v = c["q"], c["k"], c["v"]
     probs, ctx_heads = untiled_attention(q, k, v)
@@ -244,7 +243,7 @@ def test_attention_tiles_match_untiled_reference(S, dtype):
     assert not np.any(np.triu(c["probs"], k=1))  # exact zeros above the diagonal
     assert same_bits(ctx, ctx_heads.transpose(0, 2, 1, 3).reshape(B, S, d))
     # without a cache: one tile of scores at a time, same context
-    assert same_bits(model._attend(a_in, wq, wk, wv, cfg, mask), ctx)
+    assert same_bits(model._attend(a_in, wq, wk, wv, cfg), ctx)
 
     dctx = rng.standard_normal((B, S, H, Dh)).astype(dtype).transpose(0, 2, 1, 3)
     grads = [np.full((B, S, H, Dh), np.nan, dtype=dtype).transpose(0, 2, 1, 3) for _ in range(3)]

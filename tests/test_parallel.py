@@ -12,6 +12,7 @@ import os
 import shutil
 import sys
 import threading
+import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -204,7 +205,8 @@ def test_blas_count_restored_after_region(monkeypatch, shards):
     seen = []
     with parallel.blas_threads(3):
         assert get() == 3
-        parallel.results(parallel.run(lambda _: seen.append(get()), range(4)))
+        for f in parallel.stream(lambda _: seen.append(get()), range(4)):
+            f.result()
         ck = model.init(tiny_model_config())
         rng = np.random.Generator(np.random.PCG64(0))
         batch = Batch(rng.integers(0, 256, (6, 32)).astype(np.int32),
@@ -226,7 +228,7 @@ def test_concurrent_regions_keep_blas_at_one_and_restore_it(monkeypatch):
     def caller():
         try:
             for _ in range(20):
-                got = parallel.results(parallel.run(lambda i: (i, get()), range(6)))
+                got = [f.result() for f in parallel.stream(lambda i: (i, get()), range(6))]
                 assert got == [(i, 1) for i in range(6)]
                 for fut in parallel.stream(lambda i: get(), range(12)):  # stops early
                     assert fut.result() == 1
@@ -253,34 +255,13 @@ def test_nested_region_runs_serially_in_the_worker(monkeypatch):
     monkeypatch.setenv("QLAB_THREADS", "2")
 
     def outer(i):
-        inner = parallel.results(parallel.run(lambda j: threading.get_ident(), range(3)))
+        inner = [f.result() for f in parallel.stream(lambda j: threading.get_ident(), range(3))]
         return threading.get_ident(), inner
 
-    got = parallel.results(parallel.run(outer, range(2)))
+    got = [f.result() for f in parallel.stream(outer, range(2))]
     if parallel._OWNER.blas() is not None:
         assert all(me != threading.get_ident() and inner == [me] * 3 for me, inner in got)
     assert not parallel._OWNER.in_worker()
-
-
-def test_results_reraise_lowest_rank_after_reading_all(monkeypatch):
-    monkeypatch.setenv("QLAB_THREADS", "3")
-    ran = []
-
-    def fn(i):
-        ran.append(i)
-        if i in (1, 3, 4):
-            raise ValueError(i)
-        return i
-
-    futures = parallel.run(fn, range(6))
-    assert sorted(ran) == list(range(6))
-    assert all(f.done() for f in futures)
-    with pytest.raises(ValueError) as exc:
-        parallel.results(futures, rank=lambda e: -e.args[0])
-    assert exc.value.args == (4,)
-    with pytest.raises(ValueError) as exc:
-        parallel.results(futures)
-    assert exc.value.args == (1,)
 
 
 @pytest.mark.parametrize("threads", ["2", "3"])
@@ -366,7 +347,8 @@ def test_missing_blas_symbol_runs_serially_with_same_results(monkeypatch, shards
     assert [r.getMessage() for r in caplog.records] == [
         "numpy's OpenBLAS exposes no thread control: shards and parallel jobs run serially"]
     threads = []
-    parallel.results(parallel.run(lambda _: threads.append(parallel._OWNER.in_worker()), range(3)))
+    for f in parallel.stream(lambda _: threads.append(parallel._OWNER.in_worker()), range(3)):
+        f.result()
     assert threads == [False] * 3
     with parallel.blas_threads(1):
         pass
@@ -400,11 +382,12 @@ def test_arena_cap_set_once_before_the_first_pool(monkeypatch):
               ("mallopt", parallel.M_MMAP_THRESHOLD, parallel.MMAP_THRESHOLD),
               ("mallopt", parallel.M_TRIM_THRESHOLD, parallel.TRIM_THRESHOLD)]
     monkeypatch.setenv("QLAB_THREADS", "1")
-    parallel.results(parallel.run(lambda i: i, range(3), Pool))  # serial: set-up, no pool
+    # serial: set-up, no pool
+    assert [f.result() for f in parallel.stream(lambda i: i, range(3), Pool)] == [0, 1, 2]
     assert events == malloc
     monkeypatch.setenv("QLAB_THREADS", "2")
     for _ in range(3):
-        assert parallel.results(parallel.run(lambda i: i, range(3), Pool)) == [0, 1, 2]
+        assert [f.result() for f in parallel.stream(lambda i: i, range(3), Pool)] == [0, 1, 2]
     assert events == malloc + ["pool", "pool", "pool"]
 
 
@@ -658,6 +641,40 @@ def test_bit_width_jobs_raise_the_serial_loops_failure(micro_run, monkeypatch, f
         assert recs == []
         got[serial] = fails
     assert got[False] == got[True] == [(20, f"no {failing[0]}-bit solve")]
+
+
+def test_a_failing_bit_width_job_closes_its_region(micro_run, monkeypatch):
+    from qlab.errors import QuantizationError
+
+    api = parallel._OWNER.blas()
+    if api is None:
+        pytest.skip("no OpenBLAS thread control in this numpy build: the bit widths run serially")
+    get, _ = api
+    run_dir = micro_run("close")
+    cfg = harness.load_manifest(run_dir)
+    data = harness.build_data(cfg)
+    ckpt = model.load_checkpoint(harness.ckpt_path(run_dir, 20))
+    failing, ended, real = threading.Event(), [], harness.quantize_model
+
+    def quantize(ck, calib, qcfg):
+        if qcfg.bits == 3:
+            failing.set()
+            raise QuantizationError("no 3-bit solve", layer="bits3")
+        assert failing.wait(timeout=60)
+        time.sleep(0.1)  # still running when the 3-bit failure is raised
+        out = real(ck, calib, qcfg)
+        ended.append(qcfg.bits)
+        return out
+
+    monkeypatch.setattr(harness, "quantize_model", quantize)
+    monkeypatch.setenv("QLAB_THREADS", "2")
+    before = get()
+    with pytest.raises(QuantizationError) as exc:
+        harness.evaluate_checkpoint_quantized(ckpt, data, cfg, (3, 4), data.calibration(cfg), "r")
+    # the traceback, which holds the consuming frames, is still alive here
+    assert str(exc.value) == "no 3-bit solve"
+    assert ended == [4]
+    assert get() == before and parallel._OWNER._regions == 0
 
 
 def _record_quantize(monkeypatch) -> list:

@@ -77,7 +77,7 @@ def test_fnv1a64_chaining_inside_and_at_chunk_boundary(cut):
 def test_fnv1a64_on_thread_pool_equals_serial(monkeypatch):
     monkeypatch.setenv("QLAB_THREADS", "2")
     inputs = [_random_bytes(n, n) for n in (0, 5, CHUNK + 3, 2 * CHUNK, 100, 3 * CHUNK + 17)]
-    pooled = parallel.results(parallel.run(fnv1a64, inputs))
+    pooled = [f.result() for f in parallel.stream(fnv1a64, inputs)]
     assert pooled == [fnv1a64(x) for x in inputs] == [fnv1a64_oracle(x) for x in inputs]
 
 
