@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 config error (or a result that conflicts with
-one already recorded), 3 numeric failure, 4 partial sweep/eval/experiment
-failure; each error class carries its code. QLAB_THREADS sets the worker
+one already recorded), 3 numeric failure, 4 partial sweep/eval failure;
+each error class carries its code. QLAB_THREADS sets the worker
 threads and the BLAS threads. Unset run settings (bits, method, LAWA k
 and interval) come from the run's manifest.
 """
@@ -86,34 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="plot.svg")
     sp.add_argument("--title", default="")
 
-    sp = sub.add_parser("sweep", help="run every cell of a sweep plan")
+    sp = sub.add_parser("sweep", help="run every cell of a plan; judge its claim, if it names one")
     sp.add_argument("--plan", required=True)
     sp.add_argument("--out-root", default="runs")
     sp.add_argument("--force", action="store_true")
-
-    # options left unset take the driver's defaults
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--corpus", required=True)
-    shared.add_argument("--profile", choices=sorted(experiments.TRUNK_STEPS),
-                        help="configs/<profile>.cfg")
-    shared.add_argument("--out-root", help="default: runs/<experiment>")
-    shared.add_argument("--seeds", type=int, nargs="+")
-    shared.add_argument("--bits", type=int)
-    sp = sub.add_parser("experiment", help="run a protocol driver (acceptance criteria 9-11)")
-    exp = sp.add_subparsers(dest="experiment", required=True)
-    sp = exp.add_parser("cooldown", parents=[shared],
-                        help="constant-LR trunk vs cooldown branches (default: its thirds)")
-    sp.add_argument("--trunk-steps", type=int)
-    sp.add_argument("--branch-steps", type=int, nargs="+")
-    sp = exp.add_parser("lr-sweep", parents=[shared],
-                        help="WSD runs at several peak LRs under one budget")
-    sp.add_argument("--total-steps", type=int)
-    sp.add_argument("--lrs", type=float, nargs="+")
-    sp = exp.add_parser("lawa", parents=[shared],
-                        help="rolling weight averages vs matched-step cooldowns")
-    sp.add_argument("--trunk-steps", type=int)
-    sp.add_argument("--compare-steps", type=int, nargs="+")
-    sp.add_argument("--k", type=int, help="default: the profile's lawa.k")
+    sp.add_argument("--set", action="append", default=[], metavar="K=V",
+                    help="override a setting, sweep.* axis or plan.* key, e.g. --set sweep.seeds=1")
     return p
 
 
@@ -147,17 +125,21 @@ def _cmd_quantize(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    """Run one protocol driver; prints one line per comparison and a tally."""
-    driver, claim = experiments.PROTOCOLS[args.experiment]
-    given = {k: v for k, v in vars(args).items()
-             if v is not None and k not in ("cmd", "experiment", "corpus", "out_root")}
-    out_root = args.out_root or os.path.join("runs", args.experiment.replace("-", "_"))
-    results = driver(args.corpus, out_root, **given)
-    for r in results:
-        print(r.line)
-    print(f"{sum(r.holds for r in results)}/{len(results)} {claim}")
-    return 0
+def _cmd_sweep(args) -> int:
+    """Run a plan; prints summary.csv's path and, for a plan.claim, one line
+    per comparison and a tally (not judged when a cell failed)."""
+    plan, cells, summary = harness.cmd_sweep(args.plan, args.out_root, args.force, args.set)
+    print(summary)
+    failed = [c for c in cells if c.error]
+    if plan.claim and failed:
+        log.error("%s not judged: %d of %d cells failed", plan.claim, len(failed), len(cells))
+    elif plan.claim:
+        judge, tally, _ = experiments.CLAIMS[plan.claim]
+        results = judge(cells, plan.bits)
+        for r in results:
+            print(r.line)
+        print(f"{sum(r.holds for r in results)}/{len(results)} {tally}")
+    return 4 if failed else 0
 
 
 def _dispatch(args) -> int:
@@ -210,11 +192,7 @@ def _dispatch(args) -> int:
         print(csv)
         return 0
     if args.cmd == "sweep":
-        dirs, summary, failures = harness.cmd_sweep(args.plan, args.out_root, force=args.force)
-        print(summary)
-        return 4 if failures else 0
-    if args.cmd == "experiment":
-        return _cmd_experiment(args)
+        return _cmd_sweep(args)
     raise ConfigError(f"unknown command {args.cmd}")
 
 

@@ -4,13 +4,15 @@ The one reader and writer of settings files: configs and profiles, run
 manifests and sweep plans. Unknown keys are errors so manifests cannot
 drift. Values are typed by the registry; `#` starts a comment. The
 resolved mapping serializes canonically (sorted keys) and its hash is
-the run identity.
+the run identity. A plan's sweep.* axes and plan.* keys shape a set of
+runs and never enter a run's settings.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import store
@@ -92,7 +94,14 @@ RUN_KEYS = {
     "run.code_version", "run.eval_set_hash", "run.calib_set_hash",
 }
 
+# plan-file-only keys -> type (see `Plan`); none has a default in REGISTRY
+PLAN_KEYS = {
+    "plan.base": "str", "plan.branch_steps": "int_list", "plan.eval_steps": "int_list",
+    "plan.lawa_steps": "int_list", "plan.bits": "int_list", "plan.claim": "str",
+}
+
 SWEEP_PREFIX = "sweep."
+PLAN_PREFIX = "plan."
 MANIFEST = "manifest.cfg"
 
 
@@ -112,9 +121,9 @@ def parse_value(key: str, raw: str) -> object:
         if REGISTRY.get(axis, ("int_list",))[0] == "int_list":
             raise ConfigError(f"cannot sweep {axis!r}: not a single-valued config key")
         return [parse_value(axis, p) for p in raw.split(",") if p.strip()]
-    if key not in REGISTRY:
+    typ = PLAN_KEYS.get(key) or REGISTRY.get(key, (None,))[0]
+    if typ is None:
         raise ConfigError(f"unknown config key {key!r}")
-    typ, _ = REGISTRY[key]
     try:
         return _PARSERS[typ](raw)
     except ValueError as exc:
@@ -122,11 +131,12 @@ def parse_value(key: str, raw: str) -> object:
 
 
 def parse_config_text(
-    text: str, allow_run_keys: bool = False, allow_sweep_keys: bool = False
+    text: str, allow_run_keys: bool = False, allow_plan_keys: bool = False
 ) -> Dict[str, object]:
     """Parse settings text into typed values; unknown keys are errors.
 
-    run.* keys (kept as text) belong to manifests, sweep.* keys to plans.
+    run.* keys (kept as text) belong to manifests, sweep.* and plan.* keys
+    to plans.
     """
     out: Dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -138,8 +148,8 @@ def parse_config_text(
         key, raw = (part.strip() for part in body.split("=", 1))
         if key in RUN_KEYS and not allow_run_keys:
             raise ConfigError(f"line {lineno}: run.* keys are manifest-only ({key})")
-        if key.startswith(SWEEP_PREFIX) and not allow_sweep_keys:
-            raise ConfigError(f"line {lineno}: sweep.* keys belong in plan files ({key})")
+        if key.startswith((SWEEP_PREFIX, PLAN_PREFIX)) and not allow_plan_keys:
+            raise ConfigError(f"line {lineno}: sweep.* and plan.* keys belong in plan files ({key})")
         try:
             out[key] = raw if key in RUN_KEYS else parse_value(key, raw)
         except ConfigError as exc:
@@ -147,12 +157,12 @@ def parse_config_text(
     return out
 
 
-def _read(path: str, allow_sweep_keys: bool = False) -> Dict[str, object]:
+def _read(path: str, allow_plan_keys: bool = False) -> Dict[str, object]:
     """The settings in the file at `path`; a run manifest keeps its run.* keys."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config_text(f.read(), os.path.basename(path) == MANIFEST, allow_sweep_keys)
+        return parse_config_text(f.read(), os.path.basename(path) == MANIFEST, allow_plan_keys)
 
 
 def resolve(path: str = "", overrides: Optional[List[str]] = None) -> Dict[str, object]:
@@ -164,12 +174,14 @@ def resolve(path: str = "", overrides: Optional[List[str]] = None) -> Dict[str, 
     return apply_overrides(cfg, overrides)
 
 
-def apply_overrides(cfg: Dict[str, object], overrides: Optional[List[str]]) -> Dict[str, object]:
+def apply_overrides(
+    cfg: Dict[str, object], overrides: Optional[List[str]], allow_plan_keys: bool = False
+) -> Dict[str, object]:
     """Apply --set section.key=value items to `cfg` in place; returns it."""
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
-        cfg.update(parse_config_text(item))
+        cfg.update(parse_config_text(item, allow_plan_keys=allow_plan_keys))
     return cfg
 
 
@@ -187,28 +199,60 @@ def write_manifest(run_dir: str, cfg: Dict[str, object], run_keys: Dict[str, str
     store.atomic_write(os.path.join(run_dir, MANIFEST), text.encode("utf-8"))
 
 
-def load_plan(path: str) -> Tuple[List[str], List[Dict[str, object]]]:
-    """A sweep plan's axis keys and cells, in run order.
+@dataclass(frozen=True)
+class Plan:
+    """A set of runs: every cell (full settings, in run order) is trained,
+    its run quantize-evaluated at `eval_steps` (None: its final step),
+    cooled down from each of `branch_steps` (each branch evaluated at its
+    final step), and LAWA-averaged with its lawa.k and lawa.interval,
+    that family evaluated at `lawa_steps`; all at `bits`. `claim` names
+    the claim the records are judged by ("" for none)."""
 
-    The cells are every combination of the `sweep.<key> = v1, v2, ...`
-    axes over the plan's settings (the last axis varies fastest), repeated
-    for each of `sweep.seeds` (default 0); a seed sets both data.seed and
-    model.init_seed.
+    axes: List[str]
+    cells: List[Dict[str, object]]
+    bits: Tuple[int, ...]
+    eval_steps: Optional[Tuple[int, ...]] = None
+    branch_steps: Tuple[int, ...] = ()
+    lawa_steps: Tuple[int, ...] = ()
+    claim: str = ""
+
+    def eval_steps_of(self, cell: Dict[str, object]) -> Tuple[int, ...]:
+        return (cell["schedule.total_steps"],) if self.eval_steps is None else self.eval_steps
+
+
+def load_plan(path: str, overrides: Optional[List[str]] = None) -> Plan:
+    """A sweep plan, then --set `overrides` (settings, sweep.* and plan.* keys).
+
+    Its settings apply over `plan.base` (a profile, relative to the plan's
+    directory), which applies over the defaults. The cells are every
+    combination of the `sweep.<key> = v1, v2, ...` axes over those
+    settings (the last axis varies fastest; an axis wins over a setting of
+    its key), repeated for each of `sweep.seeds` (default 0); a seed sets
+    both data.seed and model.init_seed. `plan.bits` defaults to quant.bits.
     """
+    given = apply_overrides(_read(path, allow_plan_keys=True), overrides, allow_plan_keys=True)
     base = defaults()
+    if given.get("plan.base"):
+        base.update(_read(os.path.join(os.path.dirname(os.path.abspath(path)), given["plan.base"])))
     axes: Dict[str, List[object]] = {}
-    for key, value in _read(path, allow_sweep_keys=True).items():
+    for key, value in given.items():
         if key.startswith(SWEEP_PREFIX):
             axes[key[len(SWEEP_PREFIX) :]] = value
-        else:
+        elif not key.startswith(PLAN_PREFIX):
             base[key] = value
     seeds = axes.pop("seeds", [0])
     cells = [base]
     for key, values in axes.items():
         cells = [dict(c, **{key: v}) for c in cells for v in values]
-    return list(axes), [
-        dict(c, **{"data.seed": s, "model.init_seed": s}) for s in seeds for c in cells
-    ]
+    return Plan(
+        list(axes),
+        [dict(c, **{"data.seed": s, "model.init_seed": s}) for s in seeds for c in cells],
+        bits=given.get("plan.bits") or base["quant.bits"],
+        eval_steps=given.get("plan.eval_steps"),
+        branch_steps=given.get("plan.branch_steps", ()),
+        lawa_steps=given.get("plan.lawa_steps", ()),
+        claim=given.get("plan.claim", ""),
+    )
 
 
 def format_value(v: object) -> str:

@@ -1,5 +1,9 @@
 """Experiment orchestration: run directories, branching, sweeps, eval jobs.
 
+`cmd_sweep` is the one engine for a set of runs: it trains each cell of
+a plan, branches, averages and quantize-evaluates it as the plan says,
+and returns the records a claim is judged by.
+
 A run directory is fully determined by (corpus bytes, manifest):
 checkpoints are immutable and checksummed, and results live in three
 keyed CSV tables written through `metrics.MetricsStore`: metrics.csv by
@@ -19,7 +23,7 @@ import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +41,8 @@ from .data import (
     split,
     token_fingerprint,
 )
-from .errors import ConfigError, QlabError
+from .errors import ConfigError, PartialFailure, QlabError
+from .experiments import CLAIMS
 from .metrics import (
     CSV_BITS,
     MetricRecord,
@@ -187,12 +192,13 @@ def cmd_train(
     resume: bool = False,
     stop_after: Optional[int] = None,
     parent: Optional[Tuple[str, int]] = None,
-    start_state: Optional[Tuple[Checkpoint, OptimState, int]] = None,
+    start_state: Optional[Callable[[], Tuple[Checkpoint, OptimState, int]]] = None,
 ) -> str:
     """Train under `cfg` into out_root/<run_id>; returns the run directory.
 
-    `start_state` seeds a branch with its parent's checkpoint, optimizer
-    state, and data cursor.
+    `start_state` loads a branch's start: its parent's checkpoint,
+    optimizer state, and data cursor. It is called only when the run
+    starts fresh; a resume reads nothing when the run is already finished.
     """
     spec = cfgmod.schedule_spec(cfg)
     ocfg = cfgmod.optim_config(cfg)
@@ -209,6 +215,13 @@ def cmd_train(
             raise ConfigError(
                 f"run {run_id} already exists at {run_dir}; pass --force to redo or --resume to continue"
             )
+    target = spec.total_steps if stop_after is None else min(stop_after, spec.total_steps)
+    if not fresh:
+        steps_on_disk = list_ckpt_steps(run_dir)
+        if not steps_on_disk:
+            raise ConfigError(f"cannot resume {run_dir}: no checkpoints")
+        if steps_on_disk[-1] >= target:
+            return run_dir
     data = build_data(cfg)  # before the run directory: a config error leaves none
     os.makedirs(run_dir, exist_ok=True)
 
@@ -225,10 +238,9 @@ def cmd_train(
             run_keys["run.branch_step"] = str(parent[1])
         write_manifest(run_dir, cfg, run_keys)
 
-    target = spec.total_steps if stop_after is None else min(stop_after, spec.total_steps)
     if fresh:
         if start_state is not None:
-            ckpt, opt_state, cursor = start_state
+            ckpt, opt_state, cursor = start_state()
         else:
             ckpt = init(mcfg)
             opt_state = init_opt_state(ckpt)
@@ -237,12 +249,8 @@ def cmd_train(
             save_checkpoint(ckpt_path(run_dir, ckpt.step), ckpt)
             save_opt_state(opt_path(run_dir, ckpt.step), opt_state, cursor)
     else:
-        steps_on_disk = list_ckpt_steps(run_dir)
-        if not steps_on_disk:
-            raise ConfigError(f"cannot resume {run_dir}: no checkpoints")
-        last = steps_on_disk[-1]
-        ckpt = load_checkpoint(ckpt_path(run_dir, last))
-        opt_state, cursor = load_opt_state(opt_path(run_dir, last))
+        ckpt = load_checkpoint(ckpt_path(run_dir, steps_on_disk[-1]))
+        opt_state, cursor = load_opt_state(opt_path(run_dir, steps_on_disk[-1]))
     if ckpt.step >= target:
         return run_dir
 
@@ -355,15 +363,13 @@ def cmd_branch(
     child["schedule.total_steps"] = total
     child["schedule.warmup_frac"] = warmup / total
     child["schedule.decay_frac"] = cool / total
-    ckpt = load_checkpoint(cpath)
-    opt_state, cursor = load_opt_state(opath)
     return cmd_train(
         child,
         out_root or os.path.dirname(os.path.abspath(parent_dir)),
         force=force,
         resume=resume,
         parent=(parent_id, branch_step),
-        start_state=(ckpt, opt_state, cursor),
+        start_state=lambda: (load_checkpoint(cpath), *load_opt_state(opath)),
     )
 
 
@@ -582,34 +588,101 @@ def cmd_soup(inputs: Sequence[Tuple[str, float]], out_path: str) -> str:
 # -- sweeps ----------------------------------------------------------------------
 
 
-def cmd_sweep(plan_path: str, out_root: str, force: bool = False) -> Tuple[List[str], str, int]:
-    """Run every cell of a plan, then quantize-eval its final checkpoint.
+@dataclass
+class SweepCell:
+    """One cell of a sweep: its settings, run directory, and the records its
+    plan evaluated, by step: the run's own checkpoints (`trunk`), each
+    branch's final step by branch step (`branches`), and the LAWA family
+    (`lawa`). `error` says what failed, if anything did."""
 
-    Returns (run_dirs, summary_csv_path, failure_count).
+    settings: Dict[str, object]
+    run_dir: str = ""
+    trunk: Dict[int, MetricRecord] = field(default_factory=dict)
+    branches: Dict[int, MetricRecord] = field(default_factory=dict)
+    lawa: Dict[int, MetricRecord] = field(default_factory=dict)
+    error: str = ""
+
+
+def _check_plan(plan: cfgmod.Plan) -> None:
+    """Refuse, before anything trains, a claim the plan cannot judge and a
+    step some cell saves no checkpoint at, branches from inside its decay
+    or, for LAWA steps, that is not a positive multiple of its
+    lawa.interval."""
+    if plan.claim and plan.claim not in CLAIMS:
+        raise ConfigError(f"unknown plan.claim {plan.claim!r}; one of {sorted(CLAIMS)}")
+    for cell in plan.cells:
+        total = cell["schedule.total_steps"]
+        saved = ckpt_hook(cell, total).due
+        steps = {"plan.eval_steps": plan.eval_steps_of(cell), "final step": (total,),
+                 "plan.branch_steps": plan.branch_steps, "plan.lawa_steps": plan.lawa_steps}
+        unsaved = sorted({s for v in steps.values() for s in v if not (0 <= s <= total and saved(s))})
+        if unsaved:
+            raise ConfigError(f"a {total}-step run of this plan saves no checkpoint at steps {unsaved}")
+        decay = cfgmod.schedule_spec(cell).decay_steps
+        late = [s for s in plan.branch_steps if decay and s > total - decay]
+        if late:
+            raise ConfigError(f"plan.branch_steps {late} are inside the {total}-step run's decay")
+        off = [s for s in plan.lawa_steps if s <= 0 or s % cell["lawa.interval"]]
+        if off:
+            raise ConfigError(f"plan.lawa_steps {off} are not positive multiples of "
+                              f"lawa.interval ({cell['lawa.interval']})")
+        if plan.claim:
+            judged, within = CLAIMS[plan.claim][2]
+            missing = sorted(set(steps[judged]) - set(steps[within]))
+            if missing:
+                raise ConfigError(f"plan.claim {plan.claim} judges {judged} {missing}, "
+                                  f"which {within} must include")
+
+
+def _evaluated(run_dir: str, bits: Sequence[int], steps: Sequence[int],
+               kind: str = "ckpt") -> Dict[int, MetricRecord]:
+    recs, fails = cmd_quantize_eval(run_dir, bits=bits, steps=steps, kind=kind) if steps else ([], [])
+    if fails:
+        raise PartialFailure(f"{kind} quantize-eval failures in {run_dir}: {fails}")
+    return {r.step: r for r in recs}
+
+
+def cmd_sweep(
+    plan_path: str, out_root: str, force: bool = False, overrides: Optional[List[str]] = None
+) -> Tuple[cfgmod.Plan, List[SweepCell], str]:
+    """Run every cell of a plan (`cfgmod.Plan`, with --set `overrides`) and
+    write out_root/summary.csv, one row per cell with its final step's
+    metrics (blank if the plan does not evaluate that step).
+
+    A rerun resumes each run, branch and average and re-evaluates them;
+    `force` retrains. A cell that fails is logged and marked, and the next
+    one runs. Returns (plan, cells, summary_csv_path).
     """
-    axis_keys, cells = cfgmod.load_plan(plan_path)
+    plan = cfgmod.load_plan(plan_path, overrides)
+    _check_plan(plan)
     summary_path = os.path.join(out_root, "summary.csv")
     os.makedirs(out_root, exist_ok=True)
-    header = ["run_id", "seed"] + axis_keys + ["final_step", *SUMMARY_METRICS, "status"]
+    header = ["run_id", "seed"] + plan.axes + ["final_step", *SUMMARY_METRICS, "status"]
     summary = MetricsStore(summary_path, ",".join(header), ("run_id",), load=False)
-    dirs: List[str] = []
-    failures = 0
-    for cell in cells:
-        row = {"seed": str(cell["model.init_seed"]), **{k: str(cell[k]) for k in axis_keys}}
+    cells: List[SweepCell] = []
+    for settings in plan.cells:
+        cell = SweepCell(settings)
+        cells.append(cell)
+        final = settings["schedule.total_steps"]
+        row = {"seed": str(settings["model.init_seed"]),
+               **{k: str(settings[k]) for k in plan.axes}, "final_step": str(final)}
         try:
-            run_dir = cmd_train(cell, out_root, force=force, resume=not force)
-            dirs.append(run_dir)
-            final = cfgmod.schedule_spec(cell).total_steps
-            recs, fails = cmd_quantize_eval(run_dir, steps=[final])
-            if fails or not recs:
-                raise QlabError(f"quantize-eval failed: {fails}")
-            metrics = record_to_row(recs[0])
-            row.update({c: metrics[c] for c in ("run_id", *SUMMARY_METRICS)},
-                       final_step=metrics["step"], status="ok")
+            cell.run_dir = cmd_train(settings, out_root, force=force, resume=not force)
+            cell.trunk = _evaluated(cell.run_dir, plan.bits, plan.eval_steps_of(settings))
+            for bs in plan.branch_steps:
+                child = cmd_branch(cell.run_dir, bs, out_root=out_root, force=force, resume=True)
+                end = cfgmod.schedule_spec(load_manifest(child)).total_steps
+                cell.branches[bs] = _evaluated(child, plan.bits, [end])[end]
+            if plan.lawa_steps:
+                cmd_average(cell.run_dir)
+                cell.lawa = _evaluated(cell.run_dir, plan.bits, plan.lawa_steps,
+                                       kind=f"lawa{settings['lawa.k']}")
+            metrics = record_to_row(cell.trunk[final]) if final in cell.trunk else {}
+            row.update({c: metrics.get(c, "") for c in SUMMARY_METRICS}, status="ok")
         except QlabError as exc:
-            failures += 1
-            log.error("sweep cell failed (%s): %s", [row[k] for k in axis_keys], exc)
-            row.update(run_id=cfgmod.run_id_of(cell), status="failed")
-        summary.upsert(row)
+            cell.error = str(exc)
+            log.error("sweep cell failed (%s): %s", [row[k] for k in plan.axes], exc)
+            row["status"] = "failed"
+        summary.upsert(dict(row, run_id=cfgmod.run_id_of(settings)))
     summary.save()
-    return dirs, summary_path, failures
+    return plan, cells, summary_path

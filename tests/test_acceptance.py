@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria 9-11 replicate the qualitative training-dynamics experiments and
-need real compute. They are skipped unless QLAB_ACCEPTANCE_PROFILE is set
-to `tiny` (about 35 min on 2 cores) or `desk` (the full-size protocol, about
-28 h per 30k-step run on 2 vCPUs). Runs are cached under QLAB_ACCEPTANCE_DIR
+need real compute: each runs the experiment plan
+configs/experiments/<protocol>-<profile>.plan and judges its claim. They
+are skipped unless QLAB_ACCEPTANCE_PROFILE is set to `tiny` (about 35 min
+on 2 cores) or `desk` (the full-size protocol, about 28 h per 30k-step run
+on 2 vCPUs). Runs are cached under QLAB_ACCEPTANCE_DIR
 (default: a temp directory), so repeated invocations reuse finished
 training.
 
@@ -289,14 +291,23 @@ def _ensure_corpus() -> str:
     return path
 
 
+def _judge(protocol, out, *sets):
+    """Run configs/experiments/<protocol>-<PROFILE>.plan under WORK/<out>
+    and judge its claim."""
+    from qlab.experiments import CLAIMS
+    from qlab.harness import cmd_sweep
+
+    plan, cells, _ = cmd_sweep(
+        os.path.join(REPO, "configs", "experiments", f"{protocol}-{PROFILE}.plan"),
+        os.path.join(WORK, out), overrides=[f"data.path={_ensure_corpus()}", *sets],
+    )
+    assert not [c.error for c in cells if c.error]
+    return CLAIMS[plan.claim][0](cells, plan.bits)
+
+
 @pytest.mark.skipif(PROFILE not in ("tiny", "desk"), reason=_SKIP_HEAVY)
 def test_criterion_9_cooldown_raises_quant_error():
-    from qlab.experiments import cooldown_branching
-
-    results = cooldown_branching(
-        _ensure_corpus(), os.path.join(WORK, "cooldown"), profile=PROFILE,
-        seeds=(1, 2, 3), bits=3,
-    )
+    results = _judge("cooldown", "cooldown")  # seeds 1-3, 3 bits
     ok = True
     details = []
     for bs in sorted({r.step for r in results}):
@@ -308,29 +319,24 @@ def test_criterion_9_cooldown_raises_quant_error():
 
 @pytest.mark.skipif(PROFILE not in ("tiny", "desk"), reason=_SKIP_HEAVY)
 def test_criterion_10_larger_lr_lower_quant_error():
-    from qlab.experiments import lr_sweep
-
-    results = lr_sweep(
-        _ensure_corpus(), os.path.join(WORK, "lr_sweep"), profile=PROFILE,
-        lrs=(3e-4, 1e-3, 3e-3), seeds=(1, 2, 3), bits=4,
-    )
+    results = _judge("lr-sweep", "lr_sweep")  # LRs 3e-4, 1e-3, 3e-3, seeds 1-3, 4 bits
     inverse = sum(r.holds for r in results)
     report(10, f"lr-sweep-ordering[{PROFILE}]", inverse >= 2, "; ".join(r.line for r in results))
 
 
 @pytest.mark.skipif(PROFILE not in ("tiny", "desk"), reason=_SKIP_HEAVY)
 def test_criterion_11_lawa_matches_cooldown_quantized():
-    from qlab.experiments import TRUNK_STEPS, lawa_vs_cooldown
+    from qlab.config import load_plan
 
-    corpus = _ensure_corpus()
+    plan = os.path.join(REPO, "configs", "experiments", f"lawa-{PROFILE}.plan")
+    final = load_plan(plan).cells[0]["schedule.total_steps"]  # compare at the trunk's end only
     attempts = [(1, 2, 3), (4, 5, 6)]  # flaky-tolerant: one retry with fresh seeds
     last_details = ""
     for attempt, seeds in enumerate(attempts):
-        results = lawa_vs_cooldown(
-            corpus, os.path.join(WORK, "lawa"), profile=PROFILE,
-            compare_steps=(TRUNK_STEPS[PROFILE],),
-            seeds=seeds, bits=3,
-        )
+        results = _judge(
+            "lawa", "lawa", f"plan.branch_steps={final}", f"plan.lawa_steps={final}",
+            "sweep.seeds=" + ",".join(map(str, seeds)),
+        )  # 3 bits
         wins = sum(r.holds for r in results)
         last_details = (
             f"attempt {attempt + 1} seeds {seeds}: {wins}/{len(results)} comparisons; "

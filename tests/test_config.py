@@ -133,7 +133,8 @@ def test_load_plan_cells_and_seed_rule(tmp_path):
         "sweep.seeds = 7, 8\n"
         "sweep.quant.propagate = true, off\n"
     )
-    axes, cells = load_plan(str(plan))
+    plan_ = load_plan(str(plan))
+    axes, cells = plan_.axes, plan_.cells
     assert axes == ["optim.peak_lr", "quant.propagate"]
     got = [(c["data.seed"], c["model.init_seed"], c["optim.peak_lr"], c["quant.propagate"])
            for c in cells]
@@ -149,7 +150,8 @@ def test_load_plan_without_seeds_uses_seed_0(tmp_path):
     plan = tmp_path / "plan.cfg"
     plan.write_text("model.init_seed = 4\n")
     cell = dict(defaults(), **{"data.seed": 0, "model.init_seed": 0})
-    assert load_plan(str(plan)) == ([], [cell])
+    got = load_plan(str(plan))
+    assert (got.axes, got.cells) == ([], [cell])
 
 
 @pytest.mark.parametrize("line", [

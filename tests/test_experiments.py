@@ -1,42 +1,45 @@
 import glob
 import os
 import re
+from types import SimpleNamespace
 
 import pytest
 
 from qlab import config as cfgmod
-from qlab import experiments
-from qlab.cli import build_parser, main
+from qlab import harness
+from qlab.cli import main
 from qlab.errors import ConfigError
+from qlab.experiments import CLAIMS, lr_sweep
 
-MICRO_PROFILE = """
-data.seq_len = 32
-model.d_model = 32
-model.n_layers = 2
-model.n_heads = 2
-model.d_ff = 64
-model.init_std = 0.05
-train.batch_size = 4
-train.ckpt_interval = 6
-train.eval_interval = 6
-train.log_interval = 6
-eval.batches = 2
-eval.batch_size = 4
-quant.calib_samples = 4
-quant.group_size = 32
-lawa.interval = 6
-"""
+PLANS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "experiments"
+)
+PROFILES = os.path.dirname(PLANS)
+
+# the micro profile as --set items: every other tiny.cfg setting is at its default
+MICRO_PROFILE = [
+    "data.seq_len=32", "model.d_model=32", "model.n_layers=2", "model.n_heads=2",
+    "model.d_ff=64", "model.init_std=0.05", "train.batch_size=4", "train.ckpt_interval=6",
+    "train.eval_interval=6", "train.log_interval=6", "eval.batches=2", "eval.batch_size=4",
+    "quant.calib_samples=4", "quant.group_size=32", "lawa.interval=6",
+]
+
+# each tiny plan on an 18-step trunk: its thirds land on the micro profile's checkpoints
+SHRUNK = {
+    "cooldown": ["plan.branch_steps=6,12,18", "plan.eval_steps=6,12,18"],
+    "lr-sweep": [],
+    "lawa": ["plan.branch_steps=12,18", "plan.lawa_steps=12,18"],
+}
 
 
-@pytest.fixture
-def micro_profile(tmp_path, monkeypatch):
-    configs = tmp_path / "configs"
-    configs.mkdir()
-    (configs / "micro.cfg").write_text(MICRO_PROFILE)
-    monkeypatch.setattr(experiments, "CONFIGS_DIR", str(configs))
-    # an 18-step trunk: its thirds land on the profile's checkpoints
-    monkeypatch.setitem(experiments.TRUNK_STEPS, "micro", 18)
-    return "micro"
+def _sweep_argv(protocol, corpus, out_root, *sets):
+    sets = [f"data.path={corpus}", *MICRO_PROFILE, "schedule.total_steps=18",
+            "sweep.seeds=1", *SHRUNK[protocol], *sets]
+    argv = ["sweep", "--plan", os.path.join(PLANS, f"{protocol}-tiny.plan"),
+            "--out-root", str(out_root)]
+    for item in sets:
+        argv += ["--set", item]
+    return argv
 
 
 def _snapshot(root):
@@ -48,43 +51,35 @@ def _snapshot(root):
     return out
 
 
-@pytest.mark.parametrize("driver, kwargs", [
-    (experiments.cooldown_branching, dict(trunk_steps=12, branch_steps=(6, 12))),
-    (experiments.lr_sweep, dict(total_steps=12, lrs=(1e-3, 3e-3))),
-    (experiments.lawa_vs_cooldown, dict(trunk_steps=12, compare_steps=(6, 12), k=2)),
-])
-def test_driver_rerun_is_idempotent(tmp_path, corpus_path, micro_profile, driver, kwargs):
-    out_root = str(tmp_path / "runs")
-    first = driver(corpus_path, out_root, profile=micro_profile, seeds=(1,), **kwargs)
+@pytest.mark.parametrize("protocol, sets", [
+    ("cooldown", []), ("lr-sweep", ["sweep.optim.peak_lr=1e-3,3e-3"]), ("lawa", ["lawa.k=2"]),
+], ids=["cooldown", "lr-sweep", "lawa"])
+def test_plan_rerun_is_idempotent(tmp_path, corpus_path, protocol, sets, capsys):
+    out_root = tmp_path / "runs"
+    argv = _sweep_argv(protocol, corpus_path, out_root, *sets)
+    assert main(argv) == 0
+    first = capsys.readouterr().out
     before = _snapshot(out_root)
     assert any(name.endswith("metrics.csv") for name in before)
-    second = driver(corpus_path, out_root, profile=micro_profile, seeds=(1,), **kwargs)
-    assert second == first
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
     assert _snapshot(out_root) == before
 
 
-def test_lawa_interval_comes_from_profile(tmp_path, corpus_path, micro_profile):
-    configs = experiments.CONFIGS_DIR
-    with open(os.path.join(configs, "micro12.cfg"), "w") as f:
-        f.write(MICRO_PROFILE.replace("lawa.interval = 6", "lawa.interval = 12"))
-    out_root = str(tmp_path / "runs")
-    experiments.lawa_vs_cooldown(
-        corpus_path, out_root, profile="micro12", trunk_steps=12,
-        compare_steps=(12,), seeds=(1,), k=2,
-    )
+def test_lawa_interval_comes_from_profile(tmp_path, corpus_path):
+    out_root = tmp_path / "runs"
+    assert main(_sweep_argv("lawa", corpus_path, out_root, "lawa.interval=12", "lawa.k=2",
+                            "schedule.total_steps=12", "plan.branch_steps=12",
+                            "plan.lawa_steps=12")) == 0
     # train.ckpt_interval (6) would also have averaged at step 6
     lawa = glob.glob(os.path.join(out_root, "*", "lawa2_*.qlab"))
     assert [os.path.basename(p) for p in lawa] == ["lawa2_12.qlab"]
 
 
-def test_lawa_k_comes_from_profile(tmp_path, corpus_path, micro_profile):
-    with open(os.path.join(experiments.CONFIGS_DIR, "micro_k3.cfg"), "w") as f:
-        f.write(MICRO_PROFILE + "lawa.k = 3\n")
-    out_root = str(tmp_path / "runs")
-    experiments.lawa_vs_cooldown(
-        corpus_path, out_root, profile="micro_k3", trunk_steps=12,
-        compare_steps=(12,), seeds=(1,),
-    )
+def test_lawa_k_comes_from_profile(tmp_path, corpus_path):
+    out_root = tmp_path / "runs"
+    assert main(_sweep_argv("lawa", corpus_path, out_root, "lawa.k=3", "schedule.total_steps=12",
+                            "plan.branch_steps=12", "plan.lawa_steps=12")) == 0
     lawa = glob.glob(os.path.join(out_root, "*", "lawa*.qlab"))
     assert sorted(os.path.basename(p) for p in lawa) == ["lawa3_12.qlab", "lawa3_6.qlab"]
 
@@ -112,14 +107,12 @@ PRINTED = {
 }
 
 
-def test_experiment_prints_one_line_per_comparison_and_a_tally(
-    tmp_path, corpus_path, micro_profile, capsys
-):
-    out_root = str(tmp_path / "runs")
+def test_experiment_prints_one_line_per_comparison_and_a_tally(tmp_path, corpus_path, capsys):
+    out_root = tmp_path / "runs"
     for protocol, (patterns, tally, holds) in PRINTED.items():
-        assert main(["experiment", protocol, "--corpus", corpus_path, "--profile",
-                     micro_profile, "--out-root", out_root, "--seeds", "1"]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        assert main(_sweep_argv(protocol, corpus_path, out_root)) == 0
+        summary, *lines = capsys.readouterr().out.splitlines()
+        assert summary == str(out_root / "summary.csv")
         assert len(lines) == len(patterns) + 1
         for pattern, line in zip(patterns, lines):
             assert re.fullmatch(pattern, line), (pattern, line)
@@ -129,69 +122,103 @@ def test_experiment_prints_one_line_per_comparison_and_a_tally(
 
 
 @pytest.mark.parametrize("protocol, steps", [
-    ("cooldown", ["--trunk-steps", "10"]),  # thirds 3, 6, 10: no ckpt_3
-    ("cooldown", ["--trunk-steps", "12", "--branch-steps", "6", "13"]),
-    ("lawa", ["--trunk-steps", "10", "--compare-steps", "10"]),  # saved, not a lawa.interval
-    ("lawa", ["--trunk-steps", "12", "--compare-steps", "0", "12"]),
+    ("cooldown", ["schedule.total_steps=10", "plan.branch_steps=3,6,10",
+                  "plan.eval_steps=3,6,10"]),  # thirds of 10: no ckpt_3
+    ("cooldown", ["schedule.total_steps=12", "plan.branch_steps=6,13", "plan.eval_steps=6,13"]),
+    ("lawa", ["schedule.total_steps=10", "plan.branch_steps=10",
+              "plan.lawa_steps=10"]),  # saved, not a lawa.interval
+    ("lawa", ["schedule.total_steps=12", "plan.branch_steps=0,12", "plan.lawa_steps=0,12"]),
 ])
-def test_steps_without_checkpoints_exit_2_before_training(
-    tmp_path, corpus_path, micro_profile, protocol, steps
-):
+def test_steps_without_checkpoints_exit_2_before_training(tmp_path, corpus_path, protocol, steps):
     out_root = tmp_path / "runs"
-    assert main(["experiment", protocol, "--corpus", corpus_path, "--profile", micro_profile,
-                 "--out-root", str(out_root), "--seeds", "1", *steps]) == 2
+    assert main(_sweep_argv(protocol, corpus_path, out_root, *steps)) == 2
     assert not out_root.exists()
 
 
-def test_quantize_eval_failure_exits_4(tmp_path, corpus_path, micro_profile, monkeypatch):
+@pytest.mark.parametrize("protocol, steps", [
+    ("cooldown", ["plan.eval_steps=6,18"]),  # branch 12 has no trunk record to compare
+    ("lr-sweep", ["plan.eval_steps=12"]),  # the final step is not evaluated
+    ("lawa", ["plan.branch_steps=18"]),  # LAWA at 12 has no cooldown to compare
+])
+def test_steps_a_claim_cannot_judge_exit_2_before_training(
+    tmp_path, corpus_path, protocol, steps
+):
+    out_root = tmp_path / "runs"
+    assert main(_sweep_argv(protocol, corpus_path, out_root, *steps)) == 2
+    assert not out_root.exists()
+
+
+def test_branch_inside_a_decay_exits_2_before_training(tmp_path, corpus_path):
+    out_root = tmp_path / "runs"  # the 18-step WSD runs decay from step 16
+    assert main(_sweep_argv("lr-sweep", corpus_path, out_root, "plan.branch_steps=18")) == 2
+    assert not out_root.exists()
+
+
+def test_lr_sweep_judges_each_value_of_another_axis():
+    def cell(seed, wd, lr, err):
+        rec = SimpleNamespace(rel_ce_err={4: err})
+        settings = {"model.init_seed": seed, "optim.weight_decay": wd, "optim.peak_lr": lr,
+                    "schedule.total_steps": 12}
+        return SimpleNamespace(settings=settings, trunk={12: rec})
+
+    cells = [cell(1, wd, lr, err) for wd, errs in ((0.0, (2, 1)), (0.1, (1, 2)))
+             for lr, err in zip((1e-3, 3e-3), errs)]
+    assert [(r.seed, r.holds) for r in lr_sweep(cells, (4,))] == [(1, True), (1, False)]
+
+
+def test_quantize_eval_failure_exits_4(tmp_path, corpus_path, monkeypatch, capsys):
     def failing_eval(run_dir, bits, steps, kind):
         return [], [(steps[0], "non-finite activations in layers.0")]
 
-    monkeypatch.setattr(experiments, "cmd_quantize_eval", failing_eval)
-    monkeypatch.setitem(experiments.TRUNK_STEPS, micro_profile, 6)
-    code = main([
-        "experiment", "lr-sweep", "--corpus", corpus_path, "--profile", micro_profile,
-        "--out-root", str(tmp_path / "runs"), "--seeds", "1", "--total-steps", "6",
-        "--lrs", "1e-3",
-    ])
+    monkeypatch.setattr(harness, "cmd_quantize_eval", failing_eval)
+    out_root = tmp_path / "runs"
+    code = main(_sweep_argv("lr-sweep", corpus_path, out_root, "schedule.total_steps=6",
+                            "sweep.optim.peak_lr=1e-3"))
     assert code == 4
+    # the claim is not judged over a partial set of records
+    assert capsys.readouterr().out.splitlines() == [str(out_root / "summary.csv")]
+    assert (out_root / "summary.csv").read_text().endswith(",failed\n")
 
 
-def test_missing_profile_is_config_error(tmp_path, monkeypatch):
-    monkeypatch.setattr(experiments, "CONFIGS_DIR", str(tmp_path))
-    with pytest.raises(ConfigError):
-        experiments.base_config("corpus.bin", "tiny", 1)
-    assert main(["experiment", "cooldown", "--corpus", "corpus.bin", "--profile", "tiny",
-                 "--out-root", str(tmp_path / "runs")]) == 2
+def test_missing_profile_is_config_error(tmp_path):
+    plan = tmp_path / "plan.plan"
+    plan.write_text("plan.base = nosuch.cfg\n")
+    with pytest.raises(ConfigError, match="nosuch.cfg"):
+        cfgmod.load_plan(str(plan))
+    assert main(["sweep", "--plan", str(plan), "--out-root", str(tmp_path / "runs")]) == 2
+    assert not (tmp_path / "runs").exists()
 
 
-def test_unknown_profile_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["experiment", "cooldown", "--corpus", "corpus.bin", "--profile", "nosuch"])
-    assert exc.value.code == 2
-
-
-def _action(parser, dest):
-    return next(a for a in parser._actions if a.dest == dest)
+def test_unknown_claim_exits_2(tmp_path):
+    plan = os.path.join(PLANS, "cooldown-tiny.plan")
+    out_root = tmp_path / "runs"
+    assert main(["sweep", "--plan", plan, "--out-root", str(out_root),
+                 "--set", "plan.claim=nosuch"]) == 2
+    assert not out_root.exists()
 
 
 def test_profile_choices_match_configs():
-    stems = {
-        os.path.splitext(os.path.basename(p))[0]
-        for p in glob.glob(os.path.join(experiments.CONFIGS_DIR, "*.cfg"))
+    stems = {os.path.splitext(os.path.basename(p))[0]
+             for p in glob.glob(os.path.join(PROFILES, "*.cfg"))}
+    plans = sorted(glob.glob(os.path.join(PLANS, "*.plan")))
+    assert {os.path.basename(p) for p in plans} == {
+        f"{claim}-{stem}.plan" for claim in CLAIMS for stem in stems
     }
-    experiment = _action(build_parser(), "cmd").choices["experiment"]
-    subcommands = _action(experiment, "experiment").choices
-    assert set(subcommands) == {"cooldown", "lr-sweep", "lawa"} == set(experiments.PROTOCOLS)
-    for sp in subcommands.values():
-        assert set(_action(sp, "profile").choices) == stems
-    for stem in stems:
-        cfgmod.resolve(os.path.join(experiments.CONFIGS_DIR, f"{stem}.cfg"))
+    for path in plans:
+        plan = cfgmod.load_plan(path)
+        assert plan.claim == os.path.basename(path).rsplit("-", 1)[0]
+        harness._check_plan(plan)  # every step it names is checkpointed and judgeable
 
 
 def test_profile_defaults_follow_trunk_length():
-    assert experiments._thirds(experiments.TRUNK_STEPS["desk"]) == [10000, 20000, 30000]
-    assert experiments._thirds(experiments.TRUNK_STEPS["tiny"]) == [400, 800, 1200]
+    for stem, trunk in (("desk", 30000), ("tiny", 1200)):
+        thirds = (trunk // 3, 2 * trunk // 3, trunk)
+        plans = {c: cfgmod.load_plan(os.path.join(PLANS, f"{c}-{stem}.plan")) for c in CLAIMS}
+        for plan in plans.values():
+            assert {c["schedule.total_steps"] for c in plan.cells} == {trunk}
+        assert plans["cooldown"].branch_steps == plans["cooldown"].eval_steps == thirds
+        assert plans["lawa"].branch_steps == plans["lawa"].lawa_steps == thirds[1:]
+        assert plans["lawa"].eval_steps == ()
 
 
 # run ids of the desk experiments, computed before the profiles moved into
@@ -204,15 +231,15 @@ DESK_LR_SWEEP_IDS = {
 }
 
 
-def _desk_run_id(seed, kind, lr):
-    overrides = experiments.schedule_overrides(kind, experiments.TRUNK_STEPS["desk"], lr)
-    return cfgmod.run_id_of(experiments.base_config("corpus.bin", "desk", seed, **overrides))
+def _desk_cells(protocol):
+    path = os.path.join(PLANS, f"{protocol}-desk.plan")
+    return cfgmod.load_plan(path, ["data.path=corpus.bin"]).cells
 
 
 def test_desk_run_ids_are_pinned():
-    for seed, want in DESK_TRUNK_IDS.items():
-        assert _desk_run_id(seed, "constant", 3e-3) == want
-        # the drivers' trunks take the profile's optim.peak_lr
-        assert _desk_run_id(seed, "constant", None) == want
-    for (seed, lr), want in DESK_LR_SWEEP_IDS.items():
-        assert _desk_run_id(seed, "wsd", lr) == want
+    for protocol in ("cooldown", "lawa"):
+        # the trunks take the profile's optim.peak_lr
+        assert {c["model.init_seed"]: cfgmod.run_id_of(c)
+                for c in _desk_cells(protocol)} == DESK_TRUNK_IDS
+    assert {(c["model.init_seed"], c["optim.peak_lr"]): cfgmod.run_id_of(c)
+            for c in _desk_cells("lr-sweep")} == DESK_LR_SWEEP_IDS

@@ -232,6 +232,50 @@ def test_default_cooldown_takes_at_least_two_steps(tmp_path, corpus_path):
     assert any(not np.array_equal(a.tensors[k], b.tensors[k]) for k in a.tensors)
 
 
+@pytest.fixture
+def loads(monkeypatch):
+    """Every checkpoint and optimizer-state file harness reads, in order."""
+    from qlab import harness
+
+    paths = []
+    for name in ("load_checkpoint", "load_opt_state"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda p, real=real: (paths.append(p), real(p))[1])
+    return paths
+
+
+def test_finished_rerun_loads_nothing_and_a_stopped_one_its_last_state(
+    tmp_path, corpus_path, loads
+):
+    cfg = micro_train_config(corpus_path, **{"schedule.total_steps": 20})
+    root = str(tmp_path / "runs")
+    run_dir = cmd_train(cfg, root, stop_after=12)
+    assert loads == []
+    cmd_train(cfg, root, resume=True)  # a stop saves a checkpoint where it stops
+    assert loads == [ckpt_path(run_dir, 12), opt_path(run_dir, 12)]
+    del loads[:]
+    files = {n: read_bytes(os.path.join(run_dir, n)) for n in os.listdir(run_dir)}
+    assert cmd_train(cfg, root, resume=True) == run_dir
+    assert loads == []
+    assert {n: read_bytes(os.path.join(run_dir, n)) for n in os.listdir(run_dir)} == files
+
+
+def test_branch_loads_its_parent_only_when_it_starts_fresh(tmp_path, corpus_path, loads):
+    cfg = micro_train_config(
+        corpus_path,
+        **{"schedule.kind": "constant", "schedule.total_steps": 20, "schedule.decay_frac": 0.0},
+    )
+    root = str(tmp_path / "runs")
+    trunk = cmd_train(cfg, root)
+    child = cmd_branch(trunk, 20, decay_steps=4, out_root=root)
+    assert loads == [ckpt_path(trunk, 20), opt_path(trunk, 20)]
+    del loads[:]
+    assert cmd_branch(trunk, 20, decay_steps=4, out_root=root, resume=True) == child
+    assert loads == []  # neither the parent's state nor the finished child's
+    cmd_branch(trunk, 20, decay_steps=4, out_root=root, force=True)
+    assert loads == [ckpt_path(trunk, 20), opt_path(trunk, 20)]
+
+
 def test_quantize_eval_appends_rows(trained_run):
     cfg, run_dir = trained_run
     records, failures = cmd_quantize_eval(run_dir, bits=(3, 4), steps=[60])
@@ -308,8 +352,8 @@ def test_sweep_runs_cells_and_summary(tmp_path, corpus_path):
     lines.append("sweep.seeds = 1, 2")
     plan.write_text("\n".join(lines))
     out_root = str(tmp_path / "sweep")
-    dirs, summary, failures = cmd_sweep(str(plan), out_root)
-    assert failures == 0 and len(dirs) == 4
+    _, cells, summary = cmd_sweep(str(plan), out_root)
+    assert not any(c.error for c in cells) and len(cells) == 4
     rows = read(summary).strip().splitlines()
     assert rows[0].startswith("run_id,seed,optim.peak_lr,final_step,val_ce_fp")
     assert len(rows) == 5
@@ -375,8 +419,8 @@ def test_single_cell_sweep_equals_train(tmp_path, corpus_path):
         )
     )
     out_root = str(tmp_path / "sweep")
-    dirs, summary, failures = cmd_sweep(str(plan), out_root)
-    assert failures == 0 and len(dirs) == 1
+    _, cells, summary = cmd_sweep(str(plan), out_root)
+    assert not cells[0].error and len(cells) == 1
     from qlab.config import resolve
 
     plain = tmp_path / "plain.cfg"
@@ -386,4 +430,4 @@ def test_single_cell_sweep_equals_train(tmp_path, corpus_path):
     cfg = resolve(str(plain))
     cfg["model.init_seed"] = 5
     cfg["data.seed"] = 5
-    assert os.path.basename(dirs[0]) == run_id_of(cfg)
+    assert os.path.basename(cells[0].run_dir) == run_id_of(cfg)
