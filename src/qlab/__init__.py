@@ -24,6 +24,7 @@ from .quant import (
     QuantizedModel,
     dequantize,
     gptq_quantize,
+    gram,
     group_params,
     quantize_model,
     reconstruction_error,

@@ -55,7 +55,7 @@ from .metrics import (
     relative_ce_error,
     delta_ptq,
 )
-from .model import Checkpoint, ModelConfig, init, load_checkpoint, save_checkpoint
+from .model import Checkpoint, init, load_checkpoint, save_checkpoint
 from .ndkernel import frobenius_norm
 from .optim import (
     OptimState,
@@ -376,24 +376,6 @@ def cmd_branch(
 # -- quantize + eval -----------------------------------------------------------
 
 
-# Bit widths quantized at once run their calibration walks at once. On 2
-# vCPUs (desk.cfg, 4 to 128 calibration sequences) that saved about a
-# quarter of the quantize-eval time at every size, and cost about 15 MB
-# plus 1.2 times the widest stage input in peak RSS: +20 MB at 6 MB,
-# +250 MB at 201 MB. Past this size the bit widths run one after the other,
-# and so do checkpoint jobs (`cmd_quantize_eval`), whose walks also run at
-# once: two desk.cfg checkpoints with 128 calibration sequences peaked at
-# 869 MB as jobs against 560 MB one after the other.
-PARALLEL_BITS_MAX_STAGE_MB = 16.0
-
-
-def _widest_stage_mb(config: ModelConfig, calib: Optional[CalibrationSet]) -> float:
-    """MB of the widest stage input a calibration walk hands GPTQ: every
-    calibration token's d_ff-wide (or d_model-wide) row, in float64."""
-    rows = sum(b.inputs.size for b in calib.batches) if calib is not None else 0
-    return rows * max(config.d_model, config.d_ff) * 8 / 1e6
-
-
 def evaluate_checkpoint_quantized(
     ckpt: Checkpoint,
     data: RunData,
@@ -406,11 +388,10 @@ def evaluate_checkpoint_quantized(
     """Full MetricRecord for one checkpoint: FP eval plus each bit width,
     quantized by cfg's quant.method (GPTQ calibrates on `calib`).
 
-    While the calibration walk's widest stage input is at most
-    PARALLEL_BITS_MAX_STAGE_MB, the bit widths are quantized as the jobs of
-    one parallel region, otherwise one after the other; then they are
-    evaluated in bit order, each eval with its shard items on the pool. Inside
-    a checkpoint job (2 or more checkpoints) the region runs serially. A
+    The bit widths are quantized as the jobs of one parallel region, each
+    walk handing GPTQ only d_in x d_in Grams; then they are evaluated in
+    bit order, each eval with its shard items on the pool. Inside a
+    checkpoint job (2 or more checkpoints) the region runs serially. A
     failure raised is the first failing bit width's, as in a serial loop.
     """
     ce_fp, acc_fp = eval_ce(ckpt, data.eval_batches)
@@ -422,13 +403,10 @@ def evaluate_checkpoint_quantized(
     def quantize(b):
         return quantize_model(ckpt, calib, cfgmod.quant_config(cfg, b))
 
-    if _widest_stage_mb(ckpt.config, calib) <= PARALLEL_BITS_MAX_STAGE_MB:
-        # read in bit order: the first failing bit width raises, and closing the
-        # stream waits for the others; perfbench traces the pool class looked up here
-        with closing(parallel.stream(quantize, bits, ThreadPoolExecutor)) as done:
-            quantized = [d.result() for d in done]
-    else:
-        quantized = [quantize(b) for b in bits]
+    # read in bit order: the first failing bit width raises, and closing the
+    # stream waits for the others; perfbench traces the pool class looked up here
+    with closing(parallel.stream(quantize, bits, ThreadPoolExecutor)) as done:
+        quantized = [d.result() for d in done]
     layer_stats = []
     for b, (qm, stats) in zip(bits, quantized):
         ce_q, acc_q = eval_ce(qm, data.eval_batches)
@@ -453,14 +431,12 @@ def cmd_quantize_eval(
     quant_layers.csv rows. Bits and method default to the manifest's.
 
     Returns (records, failures). Per-checkpoint failures are recorded and
-    the sweep continues. The checkpoints run as parallel jobs while the
-    calibration walk's widest stage input is at most
-    PARALLEL_BITS_MAX_STAGE_MB, otherwise one after the other. Bit widths
-    that metrics.csv has no columns for, and an eval or calibration set
-    that differs from the one the manifest recorded, are refused before
-    any work. Both tables are saved only
-    after every row merged, so a conflict (MergeError) leaves both files
-    unchanged.
+    the sweep continues. The checkpoints run as parallel jobs; a lone
+    checkpoint runs in the calling thread, its bit widths as the jobs.
+    Bit widths that metrics.csv has no columns for, and an eval or
+    calibration set that differs from the one the manifest recorded, are
+    refused before any work. Both tables are saved only after every row
+    merged, so a conflict (MergeError) leaves both files unchanged.
     """
     cfg = load_manifest(run_dir)
     bits = cfg["quant.bits"] if bits is None else bits
@@ -499,12 +475,9 @@ def cmd_quantize_eval(
         lr = schedule_value(spec, peak, step) if step <= spec.total_steps else None
         return evaluate_checkpoint_quantized(ckpt, data, cfg, bits, calib, run_id, lr)
 
-    if _widest_stage_mb(cfgmod.model_config(cfg), calib) <= PARALLEL_BITS_MAX_STAGE_MB:
-        # checkpoints run as parallel jobs, whose eval and walk items then run
-        # serially; the pool class is looked up here, where perfbench traces it
-        done = parallel.stream(job, selected, ThreadPoolExecutor)
-    else:  # one after the other, each a one-item stream: in this thread, its shards on the pool
-        done = (d for s in selected for d in parallel.stream(job, [s]))
+    # checkpoints run as parallel jobs, whose eval and walk items then run
+    # serially; the pool class is looked up here, where perfbench traces it
+    done = parallel.stream(job, selected, ThreadPoolExecutor)
     results: Dict[int, tuple] = {}
     failures: List[Tuple[int, str]] = []
     for d, s in zip(done, selected):  # the stream first: zip then runs it to its end

@@ -7,7 +7,8 @@ backward on its own rows, and the shards' gradients are folded into one
 sum in shard order as they finish (micro-batch gradient accumulation, as
 in GPipe: Huang et al. 2019, arXiv:1811.06965). Eval (`token_nll`) runs
 forward on each shard without a layer cache, and the calibration walk
-steps every shard through the blocks together. `forward` and `backward`
+steps every shard through the blocks together, summing the shards'
+input Grams at each quantizable stage. `forward` and `backward`
 are the serial reference pair over a whole batch.
 
 Pre-norm blocks with gain-only RMS normalization, learned positional
@@ -621,21 +622,26 @@ def capture_layer_inputs(
     calib: CalibrationSet,
     on_stage: Callable[[List[str], np.ndarray], Sequence[np.ndarray]],
 ) -> None:
-    """Walk the calibration batches through the blocks once, stage by stage.
+    """Walk the calibration batches through the blocks once, stage by stage,
+    handing each stage the Gram of its inputs.
 
     A stage is a group of quantizable layers that share one input: q/k/v,
     then o, w1 and w2 of each block, in forward order. At each stage
-    ``on_stage(names, X)`` receives the stacked input rows X (calibration
-    sequences x seq_len, in batch order, cast to float64, which is exact
-    and what GPTQ computes in) and returns the matrices for
-    `names` that carry the stream on (cast to the checkpoint's dtype):
-    dequantized weights for sequential propagation, the originals
-    otherwise. X is exactly what `forward` computes with the weights
-    returned so far: every shard of every batch (`_shard_items`) is one
-    walk, all stepped together on the thread pool, and `on_stage` runs
-    between steps, outside the pool. Only the current stage's X is held;
-    the walk keeps no state outside the call.
+    ``on_stage(names, G)`` receives the read-only float64 Gram G = X^T X of
+    the stage's input rows X over every calibration sequence, and returns
+    the matrices for `names` that carry the stream on (cast to the
+    checkpoint's dtype): dequantized weights for sequential propagation,
+    the originals otherwise. X is exactly what `forward` computes with the
+    weights returned so far: every shard of every batch (`_shard_items`) is
+    one walk, all stepped together on the thread pool, and each forms its
+    own rows' Gram (`quant.gram`) there. The calling thread adds the shard
+    Grams in shard order as they arrive, dropping each, so G has the same
+    bits at any thread count, and is gram(X) bitwise for one shard.
+    `on_stage` runs between steps, outside the pool; the walk keeps no
+    state outside the call.
     """
+    from .quant import gram  # at call time: quant imports this module
+
     if not calib.batches:
         raise ConfigError("calibration set is empty")
     cfg, T = ckpt.config, ckpt.tensors
@@ -643,15 +649,24 @@ def capture_layer_inputs(
     walks = [(i, _blocks(cfg, T, calib.batches[i].inputs[sl], None))
              for i, sl in _shard_items(cfg, calib.batches)]
     weights = None
+
+    def step(_, walk):
+        names, a = _resume(walk, weights)
+        return names, (None if names is None else gram(_rows(a)))
+
     while True:
-        stages = [stage for _, stage in
-                  _run_shards(cfg, lambda _, walk: _resume(walk, weights), walks)]
-        names = stages[0][0]
+        G = None
+        for _, (names, part) in _run_shards(cfg, step, walks):
+            if G is None:
+                G = part
+            else:
+                G += part
+            del part  # the shard's Gram, before the next item is submitted
         if names is None:
             return
-        X = np.concatenate([_rows(a) for _, a in stages], axis=0, dtype=np.float64)
-        weights = [np.asarray(w, dtype=dtype) for w in on_stage(names, X)]
-        del X, stages  # the next step frees each shard's input as it goes
+        G.flags.writeable = False
+        weights = [np.asarray(w, dtype=dtype) for w in on_stage(names, G)]
+        del G
 
 
 # -- checkpoint serialization ------------------------------------------------

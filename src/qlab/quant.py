@@ -17,12 +17,17 @@ Residuals are applied in lazy batches of whole groups (about LAZY_BLOCK
 columns): within a batch column by column, past it in one GEMM. The
 column loop runs on the transposed weights, so each column is one
 contiguous row quantized and compensated in place.
-`quantize_model` gathers calibration inputs in a single walk of the
+GPTQ needs the calibration inputs X only through their Gram matrix
+G = X^T X: the Hessian is 2 G, and the reconstruction error
+||X (W - What)^T||_F is sqrt(sum((D G) * D)) with D = W - What. `gram` is
+the one place where rows become a Gram, in float64 (an exact cast of the
+rows), the precision of every calibration product here.
+`quantize_model` gathers calibration Grams in a single walk of the
 calibration batches through the blocks. Layers that share an input
-(q/k/v) share its Hessian and factor, so each stage is solved once, on
-its weights stacked by rows, as soon as its inputs exist. The walk hands
-each stage its inputs in float64 (an exact cast), the precision of every
-calibration product here.
+(q/k/v) share its Gram, Hessian and factor, so each stage is solved
+once, on its weights stacked by rows, as soon as its Gram exists. The
+walk sums the Grams of its shards in shard order, so a stage holds one
+d_in x d_in array however many calibration rows there are.
 """
 
 from __future__ import annotations
@@ -91,7 +96,8 @@ class QuantizedModel:
 class LayerQuantStats:
     name: str
     weight_error: float  # ||W - What||_F
-    recon_error: Optional[float]  # ||X W^T - X What^T||_F, None without calibration
+    # ||X W^T - X What^T||_F from the stage's Gram X^T X, None without calibration
+    recon_error: Optional[float]
     damping_used: float
 
 
@@ -161,25 +167,31 @@ def rtn_quantize(W: np.ndarray, cfg: QuantConfig) -> QuantizedLinear:
     return QuantizedLinear(codes, scales, zeros, cfg.bits, cfg.group_size)
 
 
-def gptq_quantize(
-    W: np.ndarray, X: np.ndarray, cfg: QuantConfig, name: str = ""
-) -> QuantizedLinear:
-    """Error-compensated quantization against the calibration inputs X.
+def gram(X: np.ndarray) -> np.ndarray:
+    """X^T X in float64 of calibration rows X [rows, d_in]."""
+    x64 = np.asarray(X, dtype=np.float64)
+    return x64.T @ x64
 
-    Steps: H = 2 X^T X; dead columns (zero diagonal) are pinned and the
-    corresponding weights zeroed; H is damped by damping_frac times its
-    mean diagonal; U is the upper Cholesky factor of H^-1 (positive
-    diagonal); per column j the rounding residual e = (w_j - deq_j)/U_jj
-    is pushed into the remaining columns via U[j, j+1:], lazily: columns
-    past the current batch receive a whole batch's residuals at once.
-    Rows never mix, so rows stacked from layers that share X quantize as
-    each layer alone would.
+
+def gptq_quantize(
+    W: np.ndarray, G: np.ndarray, cfg: QuantConfig, name: str = ""
+) -> QuantizedLinear:
+    """Error-compensated quantization against the calibration Gram G = X^T X.
+
+    Steps: H = 2 G, a fresh array (G is only read); dead columns (zero
+    diagonal) are pinned and the corresponding weights zeroed; H is damped
+    by damping_frac times its mean diagonal; U is the upper Cholesky factor
+    of H^-1 (positive diagonal); per column j the rounding residual
+    e = (w_j - deq_j)/U_jj is pushed into the remaining columns via
+    U[j, j+1:], lazily: columns past the current batch receive a whole
+    batch's residuals at once. Rows never mix, so rows stacked from layers
+    that share G quantize as each layer alone would.
     """
     W = np.asarray(W)
-    X = np.asarray(X)
-    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] != W.shape[1]:
+    G = np.asarray(G, dtype=np.float64)
+    if G.ndim != 2 or G.shape != (W.shape[1], W.shape[1]):
         raise ContractViolation(
-            f"calibration inputs {X.shape} do not match weights {W.shape}"
+            f"calibration Gram {G.shape} does not match weights {W.shape}"
         )
     if not np.all(np.isfinite(W)):
         raise ContractViolation("gptq_quantize requires finite weights")
@@ -189,9 +201,8 @@ def gptq_quantize(
     maxq = float((1 << cfg.bits) - 1)
     # column j of the weights is the contiguous row wT[j]
     wT = np.array(W.T, dtype=np.float64, order="C")
-    x64 = np.asarray(X, np.float64)
 
-    H = 2.0 * (x64.T @ x64)
+    H = 2.0 * G
     dead = np.diag(H) == 0.0
     if dead.any():
         H[dead, dead] = 1.0
@@ -254,25 +265,26 @@ def weight_error(W: np.ndarray, What: np.ndarray) -> float:
     return frobenius_norm(np.asarray(W, dtype=np.float64) - np.asarray(What, dtype=np.float64))
 
 
-def reconstruction_error(W: np.ndarray, What: np.ndarray, X: np.ndarray) -> float:
-    """||X W^T - X What^T||_F over the calibration activations."""
+def reconstruction_error(W: np.ndarray, What: np.ndarray, G: np.ndarray) -> float:
+    """||X W^T - X What^T||_F over the calibration rows X, from their Gram
+    G = X^T X: the square root of sum((D G) * D) with D = W - What."""
     d = np.asarray(W, dtype=np.float64) - np.asarray(What, dtype=np.float64)
-    r = np.asarray(X, dtype=np.float64) @ d.T
-    # frobenius_norm's 64-bit sum of squares, squared in place: with a stage's
-    # float64 X held across its layers, no second rows x d_out array
-    return math.sqrt(float(np.sum(np.square(r, out=r))))
+    dg = d @ np.asarray(G, dtype=np.float64)
+    # rounding can take an error of about zero below 0
+    return math.sqrt(max(0.0, float(np.sum(np.multiply(dg, d, out=dg)))))
 
 
 DAMPING_LADDER = (1.0, 10.0, 100.0)
 
 
 def _quantize_stage(
-    W: np.ndarray, X: Optional[np.ndarray], cfg: QuantConfig, names: List[str]
+    W: np.ndarray, G: Optional[np.ndarray], cfg: QuantConfig, names: List[str]
 ) -> Tuple[QuantizedLinear, float]:
     """One solve for a stage's stacked weights, climbing the damping ladder.
 
-    The stage's layers share X, hence the Hessian, so every rung fails or
+    The stage's layers share G, hence the Hessian, so every rung fails or
     succeeds for all of them; a failure names the stage's first layer.
+    Each rung damps a fresh 2 G; the Gram is built once, by the walk.
     """
     if cfg.method == "rtn":
         return rtn_quantize(W, cfg), cfg.damping_frac
@@ -282,7 +294,7 @@ def _quantize_stage(
         if damp >= 1.0:
             break
         try:
-            return gptq_quantize(W, X, replace(cfg, damping_frac=damp), names[0]), damp
+            return gptq_quantize(W, G, replace(cfg, damping_frac=damp), names[0]), damp
         except QuantizationError as exc:
             last = exc
     raise QuantizationError(
@@ -298,11 +310,11 @@ def quantize_model(
     """Quantize every quantizable layer in forward order.
 
     With calibration data, one walk of the calibration batches through
-    the blocks quantizes each stage (q/k/v, o, w1, w2) as soon as its
-    inputs exist; with propagate_quantized on, the walk carries on through
-    the dequantized weights, so each layer's inputs see every earlier
-    layer quantized. A stage's weights are stacked by rows and solved
-    once, then split back into layers. Per-layer weight and
+    the blocks quantizes each stage (q/k/v, o, w1, w2) as soon as the Gram
+    of its inputs exists; with propagate_quantized on, the walk carries on
+    through the dequantized weights, so each layer's inputs see every
+    earlier layer quantized. A stage's weights are stacked by rows and
+    solved once, then split back into layers. Per-layer weight and
     reconstruction errors are returned.
     """
     # resolved at call time, so a replaced model.capture_layer_inputs applies
@@ -314,16 +326,16 @@ def quantize_model(
     layers: Dict[str, QuantizedLinear] = {}
     propagating = cfg.propagate_quantized and cfg.method == "gptq"
 
-    def quantize_stage(names: List[str], X: Optional[np.ndarray]) -> List[np.ndarray]:
+    def quantize_stage(names: List[str], G: Optional[np.ndarray]) -> List[np.ndarray]:
         Ws = [ckpt.tensors[lname] for lname in names]
-        q, damp_used = _quantize_stage(np.concatenate(Ws), X, cfg, names)
+        q, damp_used = _quantize_stage(np.concatenate(Ws), G, cfg, names)
         carry, r0 = [], 0
         for lname, W in zip(names, Ws):
             r1 = r0 + W.shape[0]
             ql = QuantizedLinear(q.codes[r0:r1], q.scales[r0:r1], q.zeros[r0:r1],
                                  q.bits, q.group_size)
             what = dequantize(ql)
-            rec = reconstruction_error(W, what, X) if X is not None else None
+            rec = reconstruction_error(W, what, G) if G is not None else None
             stats.append(LayerQuantStats(lname, weight_error(W, what), rec, damp_used))
             layers[lname] = ql
             carry.append(what if propagating else W)

@@ -81,6 +81,25 @@ def forward_stage_inputs(ck, batches) -> dict:
     return {n: np.concatenate(parts) for n, parts in rows.items()}
 
 
+def stage_grams(ck, batches) -> dict:
+    """Every quantizable layer's stage Gram as the calibration walk sums it:
+    `quant.gram` of each shard's `forward` rows, added in shard order."""
+    from qlab.data import Batch
+    from qlab.model import _shards
+    from qlab.quant import gram
+
+    total = {}
+    for batch in batches:
+        for sl in _shards(ck.config, *batch.inputs.shape):
+            shard = Batch(batch.inputs[sl], batch.targets[sl])
+            for name, X in forward_stage_inputs(ck, [shard]).items():
+                if name in total:
+                    total[name] += gram(X)
+                else:
+                    total[name] = gram(X)
+    return total
+
+
 def record_shards(monkeypatch) -> list:
     """Patches `model._shards` to append the shard count of every call to
     the returned list."""

@@ -92,7 +92,7 @@ def test_criterion_1_gradient_finite_differences():
 
 def test_criterion_2_gptq_dominance():
     from qlab.quant import (
-        QuantConfig, dequantize, gptq_quantize, reconstruction_error, rtn_quantize,
+        QuantConfig, dequantize, gptq_quantize, gram, reconstruction_error, rtn_quantize,
     )
 
     t0 = time.time()
@@ -107,8 +107,8 @@ def test_criterion_2_gptq_dominance():
         X = rng.standard_normal((2 * d_in, d_in)) @ mix
         W = rng.standard_normal((d_out, d_in))
         cfg = QuantConfig(bits=bits, group_size=g)
-        eg = reconstruction_error(W, dequantize(gptq_quantize(W, X, cfg)), X)
-        er = reconstruction_error(W, dequantize(rtn_quantize(W, cfg)), X)
+        eg = reconstruction_error(W, dequantize(gptq_quantize(W, gram(X), cfg)), gram(X))
+        er = reconstruction_error(W, dequantize(rtn_quantize(W, cfg)), gram(X))
         wins += eg <= er + 1e-9
     elapsed = time.time() - t0
     report(2, "gptq-dominance", wins == 100 and elapsed < 120,

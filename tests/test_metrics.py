@@ -207,7 +207,7 @@ def test_eval_items_run_on_the_pool_without_a_layer_cache(monkeypatch, item_log,
         pooled = threads != "1" and parallel._OWNER.blas() is not None
         assert [in_worker for _, in_worker in item_log] == [pooled] * len(shard_rows)
         model.capture_layer_inputs(ck, CalibrationSet(batches, sum(sizes)),
-                                   lambda names, X: [ck.tensors[n] for n in names])
+                                   lambda names, G: [ck.tensors[n] for n in names])
         # four sublayers per layer, per item of the eval and of the walk
         assert len(caches) == 2 * 4 * ck.config.n_layers * len(shard_rows)
         assert all(c is None for c in caches)

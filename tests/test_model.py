@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import forward_stage_inputs, record_shards, tiny_model_config
+from conftest import forward_stage_inputs, record_shards, stage_grams, tiny_model_config
 from qlab import model
 from qlab.data import Batch, CalibrationSet, TokenStream, build_calibration
 from qlab.errors import ConfigError, NumericFailure
@@ -458,7 +458,7 @@ def make_calib(ck, n_seq=4, batch_size=2, seed=11):
 
 
 def walk_inputs(ck, calib, carry=None):
-    """Stage inputs X of every quantizable layer from one calibration walk.
+    """Stage Grams G of every quantizable layer from one calibration walk.
 
     `carry` maps layer names to the matrices that replace them downstream
     (a quantized prefix); other layers carry their own weights.
@@ -466,9 +466,9 @@ def walk_inputs(ck, calib, carry=None):
     carry = carry or {}
     got = {}
 
-    def on_stage(names, X):
+    def on_stage(names, G):
         for n in names:
-            got[n] = X
+            got[n] = G
         return [carry.get(n, ck.tensors[n]) for n in names]
 
     capture_layer_inputs(ck, calib, on_stage)
@@ -476,15 +476,22 @@ def walk_inputs(ck, calib, carry=None):
 
 
 def test_capture_sample_count():
+    # one batch of 4 sequences is one shard: each stage's G is the Gram of
+    # its 4 x seq_len forward rows, bitwise, and the walk cannot write it
+    from qlab.quant import gram
+
     ck = f64_model()
-    calib = make_calib(ck, n_seq=4)
+    calib = make_calib(ck, n_seq=4, batch_size=4)
     caps = walk_inputs(ck, calib)
+    rows = forward_stage_inputs(ck, calib.batches)
     names = quantizable_layer_names(ck.config)
     assert list(caps) == names
     for name in names:
-        assert caps[name].shape[0] == 4 * ck.config.seq_len
         d_in = ck.tensors[name].shape[1]
-        assert caps[name].shape[1] == d_in
+        assert rows[name].shape == (4 * ck.config.seq_len, d_in)
+        assert caps[name].shape == (d_in, d_in) and caps[name].dtype == np.float64
+        assert not caps[name].flags.writeable
+        assert np.array_equal(caps[name], gram(rows[name]))
 
 
 def test_capture_first_layer_ignores_prefix():
@@ -528,28 +535,29 @@ def test_capture_prefix_changes_downstream_inputs():
 
 def test_capture_matches_forward_rows(monkeypatch):
     # the walk and forward share one block implementation: with every
-    # layer carrying its own weights, each stage input is forward's, bitwise,
-    # also when one-sequence shards split every batch of the walk
+    # layer carrying its own weights, each stage's G is the shard-order sum
+    # of the Grams of forward's rows of each shard, bitwise, at any thread
+    # count, also when one-sequence shards split every batch of the walk
     ck = f64_model()
     calib = make_calib(ck, n_seq=5, batch_size=2)  # ragged last batch
-    rows = forward_stage_inputs(ck, calib.batches)
     made = record_shards(monkeypatch)
     for floor, walk_shards in ((model.SHARD_ACTIVATIONS, [1, 1, 1]), (6 * 8, [2, 2, 1])):
         monkeypatch.setattr(model, "SHARD_ACTIVATIONS", floor)
-        for threads in ("1", "2"):
+        grams = stage_grams(ck, calib.batches)
+        for threads in ("1", "2", "3"):
             monkeypatch.setenv("QLAB_THREADS", threads)
             made.clear()
             caps = walk_inputs(ck, calib)
             assert made == walk_shards
-            assert set(rows) == set(caps)
-            for name, X in rows.items():
-                assert np.array_equal(caps[name], X)
+            assert set(grams) == set(caps)
+            for name, G in grams.items():
+                assert np.array_equal(caps[name], G)
 
 
 def test_capture_rejects_empty_calibration():
     ck = f64_model()
     with pytest.raises(ConfigError):
-        capture_layer_inputs(ck, CalibrationSet([], 0), lambda names, X: [])
+        capture_layer_inputs(ck, CalibrationSet([], 0), lambda names, G: [])
 
 
 # -- serialization -------------------------------------------------------------------

@@ -444,6 +444,9 @@ def _gptq(ck, calib):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gptq_walk_identical_across_thread_counts(monkeypatch, shards, dtype):
+    # the stage Grams are summed in shard order, so every thread count gives
+    # the same bits; the unsharded walk sums other partial products, which
+    # moves only the recon errors' last digits here and flips no code
     ck = model.init(tiny_model_config(), dtype=dtype)
     calib = _calib(ck)
     made = record_shards(monkeypatch)
@@ -457,14 +460,19 @@ def test_gptq_walk_identical_across_thread_counts(monkeypatch, shards, dtype):
     made.clear()
     reference = _gptq(ck, calib)
     assert made == [1, 1]
-    for threads in (1, 2, 3):
-        layers, stats = results[threads]
-        assert stats == reference[1]
-        assert set(layers) == set(reference[0])
-        for name, q in layers.items():
-            ref = reference[0][name]
-            for a, b in ((q.codes, ref.codes), (q.scales, ref.scales), (q.zeros, ref.zeros)):
-                assert np.array_equal(a, b), name
+    layers, stats = results[1]
+    for threads in (2, 3):
+        assert results[threads][1] == stats
+        assert set(results[threads][0]) == set(layers)
+        for name, q in results[threads][0].items():
+            for field in ("codes", "scales", "zeros"):
+                assert np.array_equal(getattr(q, field), getattr(layers[name], field)), name
+    for (name, w_err, r_err, damp), ref in zip(stats, reference[1]):
+        assert (name, w_err, damp) == (ref[0], ref[1], ref[3])
+        assert abs(r_err - ref[2]) <= 1e-12 * ref[2]
+        for field in ("codes", "scales", "zeros"):
+            assert np.array_equal(getattr(layers[name], field),
+                                  getattr(reference[0][name], field)), name
 
 
 def test_sharded_walk_flags_nonfinite_layer(monkeypatch, shards):
@@ -477,7 +485,7 @@ def test_sharded_walk_flags_nonfinite_layer(monkeypatch, shards):
         made.clear()
         staged = []
 
-        def on_stage(names, X):
+        def on_stage(names, G):
             staged.extend(names)
             return [ck.tensors[n] for n in names]
 
@@ -710,53 +718,36 @@ def test_two_checkpoints_run_their_bit_widths_serially_in_each_job(micro_run, mo
         assert [(b, e) for _, _, b, e in mine] == [(3, "start"), (3, "end"), (4, "start"), (4, "end")]
 
 
-def test_bit_widths_past_the_stage_bound_run_one_after_the_other(micro_run, monkeypatch):
-    monkeypatch.setattr(harness, "PARALLEL_BITS_MAX_STAGE_MB", 0.0)
-    events = _record_quantize(monkeypatch)
-    _quantize_eval(monkeypatch, micro_run("big"), "2", serial=False)
-    assert events == [(threading.get_ident(), 20, b, e) for b in (3, 4) for e in ("start", "end")]
+def test_full_calibration_runs_checkpoints_and_bit_widths_as_jobs(tmp_path, corpus_path,
+                                                                   monkeypatch):
+    # tiny.cfg with 128 calibration sequences: a stage's rows are 16384 x 256,
+    # 33.5 MB in float64, but the walk hands GPTQ only 256 x 256 Grams, so
+    # checkpoints and bit widths run as pool jobs at this size too
+    from qlab import config as cfgmod
 
-
-def test_checkpoints_past_the_stage_bound_run_one_after_the_other(micro_run, monkeypatch):
-    pools = []
-
-    class Pool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
-    got = {}
-    for bound in (harness.PARALLEL_BITS_MAX_STAGE_MB, 0.0):
-        monkeypatch.setattr(harness, "PARALLEL_BITS_MAX_STAGE_MB", bound)
-        pools.clear()
-        run_dir = micro_run(f"bound-{bound}")
+    if parallel._OWNER.blas() is None:
+        pytest.skip("no OpenBLAS thread control in this numpy build: jobs run serially")
+    cfg = cfgmod.resolve(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "tiny.cfg"),
+                         [f"data.path={corpus_path}", "quant.calib_samples=128",
+                          "schedule.total_steps=20", "train.ckpt_interval=10",
+                          "train.eval_interval=10", "eval.batches=1"])
+    monkeypatch.setenv("QLAB_THREADS", "2")
+    run_dir = harness.cmd_train(cfg, str(tmp_path / "base"))
+    me, got = threading.get_ident(), {}
+    for threads in ("1", "2", "3"):
+        copy = shutil.copytree(run_dir, str(tmp_path / f"t{threads}"))
         with monkeypatch.context() as m:
             events = _record_quantize(m)
-            recs, fails = _quantize_eval(monkeypatch, run_dir, "2", serial=False, steps=(10, 20))
+            recs, fails = _quantize_eval(monkeypatch, copy, threads, serial=False, steps=(10, 20))
         assert fails == [] and [r.step for r in recs] == [10, 20]
-        got[bound] = [_sha256(os.path.join(run_dir, t)) for t in (harness.METRICS,
-                                                                   harness.QUANT_LAYERS)]
-        if bound:
-            assert pools == [1] and threading.get_ident() not in {t for t, *_ in events}
-    assert pools == []  # no pooled job region: every quantize ran in the calling thread
-    assert events == [(threading.get_ident(), s, b, e)
-                      for s in (10, 20) for b in (3, 4) for e in ("start", "end")]
-    assert got[0.0] == got[harness.PARALLEL_BITS_MAX_STAGE_MB]
-
-
-def test_widest_stage_is_every_calibration_row_at_the_widest_input():
-    from types import SimpleNamespace
-
-    from qlab.model import ModelConfig
-
-    desk = ModelConfig(d_model=192, d_ff=768, seq_len=256)
-    calib = lambda n: SimpleNamespace(batches=[SimpleNamespace(inputs=np.zeros((n, 256)))] * 2)
-    assert harness._widest_stage_mb(desk, calib(2)) == 4 * 256 * 768 * 8 / 1e6  # qeval-desk
-    assert harness._widest_stage_mb(desk, calib(2)) <= harness.PARALLEL_BITS_MAX_STAGE_MB
-    assert harness._widest_stage_mb(desk, calib(64)) > harness.PARALLEL_BITS_MAX_STAGE_MB
-    assert harness._widest_stage_mb(desk, None) == 0.0
-    tiny = ModelConfig(d_model=64, n_heads=4, d_ff=256, seq_len=128)  # trajectory-tiny's checkpoint jobs
-    tiny_calib = SimpleNamespace(batches=[SimpleNamespace(inputs=np.zeros((32, 128)))])
-    assert harness._widest_stage_mb(tiny, tiny_calib) == 32 * 128 * 256 * 8 / 1e6
-    assert harness._widest_stage_mb(tiny, tiny_calib) <= harness.PARALLEL_BITS_MAX_STAGE_MB
+        got[threads] = [_sha256(os.path.join(copy, t)) for t in (harness.METRICS,
+                                                                 harness.QUANT_LAYERS)]
+        workers = {t for t, *_ in events}  # one job per checkpoint on a pool
+        assert workers == {me} if threads == "1" else len(workers) == 2 and me not in workers
+    assert got["1"] == got["2"] == got["3"]
+    events = _record_quantize(monkeypatch)  # a lone checkpoint: its bit widths are the jobs
+    _quantize_eval(monkeypatch, shutil.copytree(run_dir, str(tmp_path / "lone")), "2",
+                   serial=False, steps=(20,))
+    assert sorted((b, e) for _, _, b, e in events) == [(3, "end"), (3, "start"),
+                                                       (4, "end"), (4, "start")]
+    assert len({t for t, *_ in events}) == 2 and me not in {t for t, *_ in events}

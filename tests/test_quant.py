@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import forward_stage_inputs, inverse_factor_reference, tiny_model_config
+from conftest import forward_stage_inputs, inverse_factor_reference, stage_grams, tiny_model_config
 from qlab.data import TokenStream, build_calibration
 from qlab.errors import ConfigError, ContractViolation, FactorizationError, QuantizationError
 from qlab.ndkernel import cholesky, spd_inverse
@@ -14,6 +14,7 @@ from qlab.quant import (
     dequantize,
     eval_checkpoint,
     gptq_quantize,
+    gram,
     group_params,
     load_quantized,
     quantize_codes,
@@ -133,7 +134,7 @@ def test_gptq_single_column_equals_rtn():
     W = rng.standard_normal((5, 1))
     X = rng.standard_normal((7, 1))
     cfg = QuantConfig(bits=3, group_size=4)
-    qg = gptq_quantize(W, X, cfg)
+    qg = gptq_quantize(W, gram(X), cfg)
     qr = rtn_quantize(W, cfg)
     assert np.array_equal(qg.codes, qr.codes)
     assert np.array_equal(qg.scales, qr.scales)
@@ -144,7 +145,7 @@ def test_gptq_identity_inputs_equals_rtn():
     rng = np.random.Generator(np.random.PCG64(5))
     W = rng.standard_normal((6, 32))
     cfg = QuantConfig(bits=4, group_size=8)
-    qg = gptq_quantize(W, np.eye(32), cfg)
+    qg = gptq_quantize(W, gram(np.eye(32)), cfg)
     qr = rtn_quantize(W, cfg)
     assert np.array_equal(qg.codes, qr.codes)
     assert np.array_equal(qg.scales, qr.scales)
@@ -152,7 +153,9 @@ def test_gptq_identity_inputs_equals_rtn():
 
 def test_gptq_shape_validation():
     with pytest.raises(ContractViolation):
-        gptq_quantize(np.ones((2, 4)), np.ones((3, 5)), QuantConfig(bits=4, group_size=2))
+        gptq_quantize(np.ones((2, 4)), gram(np.ones((3, 5))), QuantConfig(bits=4, group_size=2))
+    with pytest.raises(ContractViolation):
+        gptq_quantize(np.ones((2, 4)), np.ones((3, 4)), QuantConfig(bits=4, group_size=2))
 
 
 def test_gptq_beats_rtn_on_tiny_instances_majority():
@@ -164,8 +167,9 @@ def test_gptq_beats_rtn_on_tiny_instances_majority():
         r = np.random.Generator(np.random.PCG64(seed))
         W = r.standard_normal((4, 4))
         X = r.standard_normal((8, 4))
-        eg = reconstruction_error(W, dequantize(gptq_quantize(W, X, cfg)), X)
-        er = reconstruction_error(W, dequantize(rtn_quantize(W, cfg)), X)
+        G = gram(X)
+        eg = reconstruction_error(W, dequantize(gptq_quantize(W, G, cfg)), G)
+        er = reconstruction_error(W, dequantize(rtn_quantize(W, cfg)), G)
         if eg <= er + 1e-9:
             wins += 1
     assert wins >= 85
@@ -182,8 +186,9 @@ def test_gptq_never_worse_at_realistic_widths():
         X = r.standard_normal((2 * d_in, d_in)) @ mix
         W = r.standard_normal((d_out, d_in))
         cfg = QuantConfig(bits=b, group_size=g)
-        eg = reconstruction_error(W, dequantize(gptq_quantize(W, X, cfg)), X)
-        er = reconstruction_error(W, dequantize(rtn_quantize(W, cfg)), X)
+        G = gram(X)
+        eg = reconstruction_error(W, dequantize(gptq_quantize(W, G, cfg)), G)
+        er = reconstruction_error(W, dequantize(rtn_quantize(W, cfg)), G)
         assert eg <= er + 1e-9
 
 
@@ -228,7 +233,7 @@ def test_gptq_lazy_batches_match_per_column_reference(group_size, static_groups)
     W = rng.standard_normal((5, d_in))
     for bits in (2, 3, 4, 8):
         cfg = QuantConfig(bits=bits, group_size=group_size, static_groups=static_groups)
-        q = gptq_quantize(W, X, cfg)
+        q = gptq_quantize(W, gram(X), cfg)
         codes, scales, zeros = reference_gptq(W, X, cfg)
         assert np.array_equal(q.codes, codes)
         assert np.array_equal(q.scales, scales)
@@ -303,7 +308,7 @@ def test_gptq_column_loop_matches_lazy_reference_bitwise(monkeypatch, group_size
         # applied so far, so they show any drift in the last bit
         got, want = [], []
         monkeypatch.setattr(quant, "group_params", recording_group_params(got))
-        q = gptq_quantize(W, X, cfg)
+        q = gptq_quantize(W, gram(X), cfg)
         codes, scales, zeros = lazy_gptq_reference(W, X, cfg, recording_group_params(want))
         assert len(got) == len(want) == -(-d_in // group_size)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -326,11 +331,11 @@ def test_stacked_rows_quantize_as_each_layer_alone(monkeypatch, d_in):
         cfg = QuantConfig(bits=bits, group_size=32)
         stacked_seen, seen = [], [[] for _ in Ws]
         monkeypatch.setattr(quant, "group_params", recording_group_params(stacked_seen))
-        stacked = gptq_quantize(np.concatenate(Ws), X, cfg)
+        stacked = gptq_quantize(np.concatenate(Ws), gram(X), cfg)
         alone = []
         for W, layer_seen in zip(Ws, seen):
             monkeypatch.setattr(quant, "group_params", recording_group_params(layer_seen))
-            alone.append(gptq_quantize(W, X, cfg))
+            alone.append(gptq_quantize(W, gram(X), cfg))
         for k, got in enumerate(stacked_seen):
             assert np.array_equal(got, np.concatenate([layer_seen[k] for layer_seen in seen]))
         for name in ("codes", "scales", "zeros"):
@@ -353,7 +358,7 @@ def test_gptq_factor_matches_allocating_reference_bitwise(monkeypatch, n):
     monkeypatch.setattr(quant, "spd_inverse",
                         lambda h: hessians.append(h.copy()) or real_inverse(h))
     monkeypatch.setattr(quant, "cholesky", lambda h: factors.append(real_cholesky(h)) or factors[-1])
-    gptq_quantize(W, X, QuantConfig(bits=3, group_size=32))
+    gptq_quantize(W, gram(X), QuantConfig(bits=3, group_size=32))
     x64 = X.astype(np.float64)
     H = 2.0 * (x64.T @ x64)
     H[n // 2, n // 2] = 1.0
@@ -370,7 +375,7 @@ def test_gptq_dead_columns_zeroed():
     X = rng.standard_normal((12, 6))
     X[:, 2] = 0.0  # dead input feature
     cfg = QuantConfig(bits=4, group_size=3)
-    q = gptq_quantize(W, X, cfg)
+    q = gptq_quantize(W, gram(X), cfg)
     What = dequantize(q)
     # a dead input column is pinned to zero, which the grid represents exactly
     assert np.all(What[:, 2] == 0.0)
@@ -382,12 +387,12 @@ def test_bits_monotonicity_majority():
     for _ in range(50):
         d_in = int(rng.integers(16, 97))
         W = rng.standard_normal((6, d_in))
-        X = rng.standard_normal((2 * d_in, d_in))
+        G = gram(rng.standard_normal((2 * d_in, d_in)))
         b = int(rng.integers(2, 8))
         errs = []
         for bb in (b, b + 1):
             cfg = QuantConfig(bits=bb, group_size=32)
-            errs.append(reconstruction_error(W, dequantize(gptq_quantize(W, X, cfg)), X))
+            errs.append(reconstruction_error(W, dequantize(gptq_quantize(W, G, cfg)), G))
         if errs[1] <= errs[0]:
             good += 1
     assert good >= 48
@@ -448,13 +453,29 @@ def test_reconstruction_error_cases():
     rng = np.random.Generator(np.random.PCG64(9))
     W = rng.standard_normal((3, 5))
     X = rng.standard_normal((7, 5))
-    assert reconstruction_error(W, W, X) == 0.0
-    assert reconstruction_error(W, W + 1.0, np.zeros((7, 5))) == 0.0
+    assert reconstruction_error(W, W, gram(X)) == 0.0
+    assert reconstruction_error(W, W + 1.0, gram(np.zeros((7, 5)))) == 0.0
     What = W + rng.standard_normal((3, 5)) * 0.1
     diff = X @ (W - What).T
     oracle = np.sqrt(sum(diff[i, j] ** 2 for i in range(7) for j in range(3)))
-    got = reconstruction_error(W, What, X)
+    got = reconstruction_error(W, What, gram(X))
     assert abs(got - oracle) < 1e-12 * max(oracle, 1.0)
+
+
+def test_reconstruction_error_gram_form_matches_residual_form():
+    # GPTQ leaves its error where X^T X is small, the case where the Gram
+    # form sum((D G) * D) cancels most; it stays within 1e-12 of ||X D^T||_F
+    rng = np.random.Generator(np.random.PCG64(10))
+    for _ in range(20):
+        d_in = int(rng.integers(16, 257))
+        mix = np.eye(d_in) + rng.standard_normal((d_in, d_in)) / np.sqrt(d_in)
+        X = (rng.standard_normal((2 * d_in, d_in)) @ mix).astype(np.float32)
+        W = rng.standard_normal((int(rng.integers(4, 33)), d_in)) * 0.05
+        G = gram(X)
+        for bits in (3, 4):
+            What = dequantize(gptq_quantize(W, G, QuantConfig(bits=bits, group_size=32)))
+            residual = np.linalg.norm(X.astype(np.float64) @ (W - What).T)
+            assert abs(reconstruction_error(W, What, G) - residual) <= 1e-12 * residual
 
 
 # -- model-level --------------------------------------------------------------------
@@ -540,7 +561,8 @@ def test_quantize_model_emits_layer_stats(corpus_splits):
 def test_quantize_model_recon_error_matches_quantized_forward():
     # a layer's calibration input depends only on earlier layers, all
     # quantized by then, so the fully dequantized model's forward rebuilds
-    # every stage input, and with it every reconstruction error, bitwise
+    # every stage's Gram, the shard-order sum of its batches' (one shard
+    # each), and with it every reconstruction error, bitwise
     cfg = tiny_model_config(vocab=16, d_model=8, n_layers=2, n_heads=2, d_ff=16,
                             seq_len=6, init_seed=7, init_std=0.2)
     ck = init(cfg, dtype=np.float64)
@@ -548,11 +570,16 @@ def test_quantize_model_recon_error_matches_quantized_forward():
     stream = TokenStream(rng.integers(0, 16, 6 * 6 + 7).astype(np.int32), vocab=16)
     calib = build_calibration(stream, 5, 6, batch_size=2)
     qm, stats = quantize_model(ck, calib, QuantConfig(bits=3, group_size=4))
-    rows = forward_stage_inputs(eval_checkpoint(qm, dtype=np.float64), calib.batches)
+    quantized = eval_checkpoint(qm, dtype=np.float64)
+    grams = stage_grams(quantized, calib.batches)
+    rows = forward_stage_inputs(quantized, calib.batches)
     assert [s.name for s in stats] == quantizable_layer_names(cfg)
     for s in stats:
-        What = dequantize(qm.layers[s.name])
-        assert s.recon_error == reconstruction_error(ck.tensors[s.name], What, rows[s.name])
+        W, What = ck.tensors[s.name], dequantize(qm.layers[s.name])
+        assert s.recon_error == reconstruction_error(W, What, grams[s.name])
+        # the Gram form against the residual form ||X (W - What)^T||_F
+        residual = np.linalg.norm(rows[s.name] @ (W - What).T)
+        assert abs(s.recon_error - residual) <= 1e-12 * residual
 
 
 def random_calibration(cfg, n, seed=0):
@@ -564,16 +591,16 @@ def random_calibration(cfg, n, seed=0):
 
 def per_layer_reference(ck, calib, cfg):
     """quantize_model's walk with one `gptq_quantize` per layer on its
-    stage's X: {name: (QuantizedLinear, weight error, recon error)}."""
+    stage's G: {name: (QuantizedLinear, weight error, recon error)}."""
     out = {}
 
-    def on_stage(names, X):
+    def on_stage(names, G):
         carry = []
         for name in names:
             W = ck.tensors[name]
-            q = gptq_quantize(W, X, cfg, name)
+            q = gptq_quantize(W, G, cfg, name)
             What = dequantize(q)
-            out[name] = (q, weight_error(W, What), reconstruction_error(W, What, X))
+            out[name] = (q, weight_error(W, What), reconstruction_error(W, What, G))
             carry.append(What if cfg.propagate_quantized else W)
         return carry
 
@@ -653,9 +680,9 @@ def test_stage_retries_with_more_damping_as_a_whole(monkeypatch):
     # both rungs of block 0's q/k/v stage factorise the same undamped
     # 2 X^T X, damped at 0.01 and then 0.1 of its mean diagonal, and the
     # stage's codes are per-layer GPTQ's at 0.1
-    X = forward_stage_inputs(ck, calib.batches)["layers.0.attn.wq"]
-    x64 = X.astype(np.float64)
-    H = 2.0 * (x64.T @ x64)
+    # one batch of 2 sequences, one shard: G is gram(X) of forward's rows
+    G = gram(forward_stage_inputs(ck, calib.batches)["layers.0.attn.wq"])
+    H = 2.0 * G
     mean = float(np.mean(np.diag(H)))
     for h, damping in zip(calls[:2], (0.01, 0.1)):
         want = H.copy()
@@ -663,10 +690,50 @@ def test_stage_retries_with_more_damping_as_a_whole(monkeypatch):
         assert h.tobytes() == want.tobytes()
     for name in ("attn.wq", "attn.wk", "attn.wv"):
         name = f"layers.0.{name}"
-        want = gptq_quantize(ck.tensors[name], X, QuantConfig(bits=3, group_size=32,
+        want = gptq_quantize(ck.tensors[name], G, QuantConfig(bits=3, group_size=32,
                                                               damping_frac=0.1))
         assert np.array_equal(qm.layers[name].codes, want.codes)
         assert np.array_equal(qm.layers[name].scales, want.scales)
+
+
+def test_damping_retries_reuse_the_stage_gram(monkeypatch):
+    # every stage fails its first rung: the walk still builds one Gram per
+    # stage (one shard), and each rung inverts a freshly damped 2 G
+    from qlab import quant
+
+    mcfg = tiny_model_config()
+    ck, calib = init(mcfg), random_calibration(mcfg, 2)
+    built, real_gram = [], quant.gram
+    monkeypatch.setattr(quant, "gram", lambda X: built.append(real_gram(X)) or built[-1])
+    inverted, real_inverse = [], quant.spd_inverse
+
+    def flaky(h):
+        inverted.append((h, h.copy()))
+        if len(inverted) % 2:
+            raise FactorizationError(0, -1.0)
+        return real_inverse(h)
+
+    monkeypatch.setattr(quant, "spd_inverse", flaky)
+    kept, real_stage = [], quant._quantize_stage
+
+    def stage(W, G, cfg, names):
+        kept.append((G, G.copy()))
+        return real_stage(W, G, cfg, names)
+
+    monkeypatch.setattr(quant, "_quantize_stage", stage)
+    _, stats = quantize_model(ck, calib, QuantConfig(bits=3, group_size=32))
+    stages = 4 * mcfg.n_layers
+    assert len(built) == len(kept) == stages and len(inverted) == 2 * stages
+    assert {s.damping_used for s in stats} == {0.01 * 10.0}
+    for k, (G, before) in enumerate(kept):
+        assert G is built[k] and np.array_equal(G, before)  # G is never overwritten
+        H = 2.0 * before
+        mean = float(np.mean(np.diag(H)))
+        for (h, entry), damping in zip(inverted[2 * k : 2 * k + 2], (0.01, 0.1)):
+            assert not np.shares_memory(h, G)
+            want = H.copy()
+            want[np.diag_indices(len(H))] += damping * mean
+            assert entry.tobytes() == want.tobytes()
 
 
 def test_stage_failing_every_rung_names_its_first_layer(monkeypatch):
