@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--out-root", default="runs")
     sp.add_argument("--force", action="store_true")
-    sp.add_argument("--resume", action="store_true")
     sp.add_argument("--stop-after", type=int, default=None)
 
     sp = sub.add_parser("branch", help="cool down a trunk run from a branch step")
@@ -114,8 +113,9 @@ def _cmd_quantize(args) -> int:
         data = harness.build_data(cfg)
         # the run's own calibration set must still be the recorded one;
         # --set may then choose another (say, fewer samples) from it
-        harness.check_calibration(data, run_cfg, args.ckpt)
-        calib = data.calibration(cfg)
+        calib = harness.check_calibration(data, run_cfg, args.ckpt)
+        if cfg != run_cfg:
+            calib = data.calibration(cfg)
     qm, stats = quantize_model(ckpt, calib, qcfg)
     save_quantized(args.out, qm, overwrite=True)
     for s in stats:
@@ -146,8 +146,7 @@ def _dispatch(args) -> int:
     if args.cmd == "train":
         cfg = cfgmod.resolve(args.config, args.set)
         run_dir = harness.cmd_train(
-            cfg, args.out_root, force=args.force, resume=args.resume,
-            stop_after=args.stop_after,
+            cfg, args.out_root, force=args.force, stop_after=args.stop_after
         )
         print(run_dir)
         return 0
@@ -155,7 +154,6 @@ def _dispatch(args) -> int:
         run_dir = harness.cmd_branch(
             args.run, args.step, args.decay_frac,
             out_root=args.out_root, decay_steps=args.decay_steps, force=args.force,
-            resume=True,
         )
         print(run_dir)
         return 0

@@ -9,7 +9,7 @@ checkpoints are immutable and checksummed, and results live in three
 keyed CSV tables written through `metrics.MetricsStore`: metrics.csv by
 (run_id, step), the high-frequency norms.csv by step, and per-layer
 quantization stats in quant_layers.csv by (run_id, step, bits, method,
-layer). Reruns and resumes re-emit identical rows, which merge; a row
+layer). A rerun resumes and re-emits identical rows, which merge; a row
 that differs raises MergeError. Cooldown branches resume the parent's
 checkpoint, optimizer state, and data cursor, so a branch plus its trunk
 prefix is step-for-step identical to the equivalent single WSD run.
@@ -117,9 +117,10 @@ def opt_path(run_dir: str, step: int) -> str:
 
 
 def list_ckpt_steps(run_dir: str, kind: str = "ckpt") -> List[int]:
+    """The steps of run_dir's `kind` checkpoints, ascending; none if it does not exist."""
     steps = []
     prefix, suffix = f"{kind}_", ".qlab"
-    for name in os.listdir(run_dir):
+    for name in os.listdir(run_dir) if os.path.isdir(run_dir) else ():
         if name.startswith(prefix) and name.endswith(suffix) and ".opt." not in name:
             stem = name[len(prefix) : -len(suffix)]
             if stem.isdigit():
@@ -141,15 +142,15 @@ class RunData:
         )
 
 
-def check_calibration(data: RunData, run_cfg: Dict[str, object], where: str) -> None:
-    """Refuse, as a ConfigError naming `where`, data whose calibration set
-    under the run's own settings `run_cfg` differs from the one the run
+def check_calibration(data: RunData, run_cfg: Dict[str, object], where: str) -> CalibrationSet:
+    """The calibration set of `data` under the run's own settings `run_cfg`;
+    a ConfigError naming `where` if it differs from the one the run
     recorded (`run.calib_set_hash`): the corpus or config changed."""
+    calib = data.calibration(run_cfg)
     recorded = str(run_cfg.get("run.calib_set_hash", ""))
-    if not recorded:
-        return
-    if token_fingerprint(data.calibration(run_cfg).batches) != recorded:
+    if recorded and token_fingerprint(calib.batches) != recorded:
         raise ConfigError(f"calibration set hash mismatch for {where}: corpus or config changed")
+    return calib
 
 
 def build_data(cfg: Dict[str, object]) -> RunData:
@@ -189,43 +190,46 @@ def cmd_train(
     cfg: Dict[str, object],
     out_root: str,
     force: bool = False,
-    resume: bool = False,
     stop_after: Optional[int] = None,
     parent: Optional[Tuple[str, int]] = None,
     start_state: Optional[Callable[[], Tuple[Checkpoint, OptimState, int]]] = None,
 ) -> str:
     """Train under `cfg` into out_root/<run_id>; returns the run directory.
 
-    `start_state` loads a branch's start: its parent's checkpoint,
-    optimizer state, and data cursor. It is called only when the run
-    starts fresh; a resume reads nothing when the run is already finished.
+    What the directory holds decides how the run starts. It resumes from
+    the last step whose checkpoint and optimizer state are both saved; a
+    run already there at the target returns at once and reads nothing.
+    With no such step it starts fresh and rewrites its manifest;
+    `start_state` then loads a branch's start (its parent's checkpoint,
+    optimizer state and data cursor). `force` deletes the run first.
     """
     spec = cfgmod.schedule_spec(cfg)
     ocfg = cfgmod.optim_config(cfg)
     mcfg = cfgmod.model_config(cfg)
     run_id = cfgmod.run_id_of(cfg, parent)
     run_dir = os.path.join(out_root, run_id)
-    fresh = True
-    if os.path.isdir(run_dir):
-        if force:
-            shutil.rmtree(run_dir)
-        elif resume:
-            fresh = False
-        else:
-            raise ConfigError(
-                f"run {run_id} already exists at {run_dir}; pass --force to redo or --resume to continue"
-            )
+    if force and os.path.isdir(run_dir):
+        shutil.rmtree(run_dir)
     target = spec.total_steps if stop_after is None else min(stop_after, spec.total_steps)
-    if not fresh:
-        steps_on_disk = list_ckpt_steps(run_dir)
-        if not steps_on_disk:
-            raise ConfigError(f"cannot resume {run_dir}: no checkpoints")
-        if steps_on_disk[-1] >= target:
-            return run_dir
+    saved = [s for s in list_ckpt_steps(run_dir) if os.path.exists(opt_path(run_dir, s))]
+    if saved and saved[-1] >= target:
+        return run_dir
     data = build_data(cfg)  # before the run directory: a config error leaves none
     os.makedirs(run_dir, exist_ok=True)
 
-    if fresh:
+    def save_state(ckpt: Checkpoint, opt_state: OptimState, cursor: int) -> None:
+        # the start state and every checkpoint: writes whichever of the
+        # step's two files is missing, so a crash between them resumes
+        cpath, opath = ckpt_path(run_dir, ckpt.step), opt_path(run_dir, ckpt.step)
+        if not os.path.exists(cpath):
+            save_checkpoint(cpath, ckpt)
+        if not os.path.exists(opath):
+            save_opt_state(opath, opt_state, cursor)
+
+    if saved:
+        ckpt = load_checkpoint(ckpt_path(run_dir, saved[-1]))
+        opt_state, cursor = load_opt_state(opt_path(run_dir, saved[-1]))
+    else:
         run_keys = {
             "run.id": run_id,
             "run.created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -237,31 +241,18 @@ def cmd_train(
             run_keys["run.parent_id"] = parent[0]
             run_keys["run.branch_step"] = str(parent[1])
         write_manifest(run_dir, cfg, run_keys)
-
-    if fresh:
         if start_state is not None:
             ckpt, opt_state, cursor = start_state()
         else:
             ckpt = init(mcfg)
             opt_state = init_opt_state(ckpt)
             cursor = 0
-        if not os.path.exists(ckpt_path(run_dir, ckpt.step)):
-            save_checkpoint(ckpt_path(run_dir, ckpt.step), ckpt)
-            save_opt_state(opt_path(run_dir, ckpt.step), opt_state, cursor)
-    else:
-        ckpt = load_checkpoint(ckpt_path(run_dir, steps_on_disk[-1]))
-        opt_state, cursor = load_opt_state(opt_path(run_dir, steps_on_disk[-1]))
+        save_state(ckpt, opt_state, cursor)
     if ckpt.step >= target:
         return run_dir
 
     metrics_store = MetricsStore(os.path.join(run_dir, METRICS))
     norm_table = MetricsStore(os.path.join(run_dir, NORMS), NORMS_HEADER, ("step",))
-
-    def save_hook(ev: TrainEvent) -> None:
-        path = ckpt_path(run_dir, ev.step)
-        if not os.path.exists(path):
-            save_checkpoint(path, ev.ckpt)
-            save_opt_state(opt_path(run_dir, ev.step), ev.opt_state, ev.cursor)
 
     def eval_hook(ev: TrainEvent) -> None:
         ce, acc = eval_ce(ev.ckpt, data.eval_batches)
@@ -297,7 +288,7 @@ def cmd_train(
     # resume re-emits the rows since its checkpoint, which merge, so a
     # stopped or crashed and then resumed run leaves byte-identical CSVs
     hooks = [
-        ckpt_hook(cfg, target, save_hook),
+        ckpt_hook(cfg, target, lambda ev: save_state(ev.ckpt, ev.opt_state, ev.cursor)),
         TrainHook(cfg["train.eval_interval"], eval_hook, (spec.total_steps,)),
         TrainHook(cfg["train.log_interval"], norm_hook, (spec.total_steps,)),
         TrainHook(cfg["train.log_interval"], progress_hook),
@@ -330,7 +321,6 @@ def cmd_branch(
     out_root: Optional[str] = None,
     decay_steps: Optional[int] = None,
     force: bool = False,
-    resume: bool = False,
 ) -> str:
     """Cool down a trunk from `branch_step`; returns the child run directory.
 
@@ -338,8 +328,9 @@ def cmd_branch(
     least 2 steps (`decay_steps` below 2 is a ConfigError): a WSD decay's
     last step runs at LR 0, so one step would change nothing. The child's
     schedule is the WSD run that matches the trunk up to the branch point
-    and then decays linearly to zero. An existing child is refused unless
-    `force` (redo) or `resume` (continue, or return it if finished).
+    and then decays linearly to zero. Like `cmd_train`, a rerun resumes
+    the child (a finished one reads nothing, not even the parent's
+    checkpoint), and `force` redoes it.
     """
     cfg = load_manifest(parent_dir)
     parent_id = str(cfg.get("run.id", os.path.basename(parent_dir)))
@@ -367,7 +358,6 @@ def cmd_branch(
         child,
         out_root or os.path.dirname(os.path.abspath(parent_dir)),
         force=force,
-        resume=resume,
         parent=(parent_id, branch_step),
         start_state=lambda: (load_checkpoint(cpath), *load_opt_state(opath)),
     )
@@ -454,10 +444,7 @@ def cmd_quantize_eval(
         raise ConfigError(
             f"eval set hash mismatch for {run_dir}: corpus or config changed"
         )
-    calib = None
-    if method == "gptq":
-        check_calibration(data, cfg, run_dir)
-        calib = data.calibration(cfg)
+    calib = check_calibration(data, cfg, run_dir) if method == "gptq" else None
     available = list_ckpt_steps(run_dir, kind)
     selected = available if steps is None else [s for s in available if s in set(steps)]
     if steps is not None:
@@ -532,13 +519,7 @@ def cmd_average(run_dir: str, k: Optional[int] = None, interval: Optional[int] =
         ckpt = load_checkpoint(ckpt_path(run_dir, s))
         avg = lawa_push(window, ckpt)
         path = ckpt_path(run_dir, s, kind=f"lawa{k}")
-        if not os.path.exists(path):
-            save_checkpoint(path, avg)
-        elif not _same_weights(load_checkpoint(path), avg):
-            raise ConfigError(
-                f"{path} holds a different average (made with another --k or --interval); "
-                "remove it to recompute"
-            )
+        _save_or_verify(path, avg, "a different average (made with another --k or --interval)")
         out.append(path)
     return out
 
@@ -550,11 +531,23 @@ def _same_weights(a: Checkpoint, b: Checkpoint) -> bool:
     return same and all(a.tensors[n].tobytes() == b.tensors[n].tobytes() for n in a.tensors)
 
 
+def _save_or_verify(path: str, ckpt: Checkpoint, other: str) -> None:
+    """Save `ckpt` to `path`; a file already there must hold the same
+    weights, and one that holds `other` is refused (ConfigError) and
+    left as it is."""
+    if not os.path.exists(path):
+        save_checkpoint(path, ckpt)
+    elif not _same_weights(load_checkpoint(path), ckpt):
+        raise ConfigError(f"{path} holds {other}; remove it to recompute")
+
+
 def cmd_soup(inputs: Sequence[Tuple[str, float]], out_path: str) -> str:
-    """Weighted merge of checkpoint files: [(path, weight), ...] -> out_path."""
+    """Weighted merge of checkpoint files: [(path, weight), ...] -> out_path.
+    An existing out_path must already hold this merge: other weights are
+    refused (ConfigError) and left as they are."""
     ckpts = [load_checkpoint(p) for p, _ in inputs]
     merged = soup(ckpts, [w for _, w in inputs])
-    save_checkpoint(out_path, merged)
+    _save_or_verify(out_path, merged, "other weights")
     return out_path
 
 
@@ -640,10 +633,10 @@ def cmd_sweep(
         row = {"seed": str(settings["model.init_seed"]),
                **{k: str(settings[k]) for k in plan.axes}, "final_step": str(final)}
         try:
-            cell.run_dir = cmd_train(settings, out_root, force=force, resume=not force)
+            cell.run_dir = cmd_train(settings, out_root, force=force)
             cell.trunk = _evaluated(cell.run_dir, plan.bits, plan.eval_steps_of(settings))
             for bs in plan.branch_steps:
-                child = cmd_branch(cell.run_dir, bs, out_root=out_root, force=force, resume=True)
+                child = cmd_branch(cell.run_dir, bs, out_root=out_root, force=force)
                 end = cfgmod.schedule_spec(load_manifest(child)).total_steps
                 cell.branches[bs] = _evaluated(child, plan.bits, [end])[end]
             if plan.lawa_steps:

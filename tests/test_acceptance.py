@@ -261,7 +261,7 @@ def test_criterion_8_resume_determinism(tmp_path, corpus_path):
     )
     full = cmd_train(cfg, str(tmp_path / "full"))
     part = cmd_train(cfg, str(tmp_path / "split"), stop_after=50)
-    resumed = cmd_train(cfg, str(tmp_path / "split"), resume=True)
+    resumed = cmd_train(cfg, str(tmp_path / "split"))
     with open(ckpt_path(full, 100), "rb") as f:
         payload_full = f.read()
     with open(ckpt_path(resumed, 100), "rb") as f:

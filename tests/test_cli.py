@@ -63,11 +63,21 @@ def test_cli_train_eval_report_flow(tmp_path, cfg_file):
     assert os.path.exists(qout)
 
 
-def test_cli_rerun_without_force_is_config_error(tmp_path, cfg_file):
-    root = str(tmp_path / "runs")
-    assert main(["train", "--config", cfg_file, "--out-root", root]) == 0
-    assert main(["train", "--config", cfg_file, "--out-root", root]) == 2
-    assert main(["train", "--config", cfg_file, "--out-root", root, "--force"]) == 0
+def test_cli_train_rerun_resumes_and_force_redoes(tmp_path, cfg_file, capsys):
+    argv = ["train", "--config", cfg_file, "--out-root", str(tmp_path / "runs")]
+    assert main(argv + ["--stop-after", "10"]) == 0
+    run_dir = capsys.readouterr().out.strip()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == run_dir
+    finished = _tree_bytes(run_dir)
+    assert any(name.endswith("ckpt_30.qlab") for name in finished)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == run_dir
+    assert _tree_bytes(run_dir) == finished
+    with pytest.raises(SystemExit) as exc:  # there is no --resume: every rerun resumes
+        main(argv + ["--resume"])
+    assert exc.value.code == 2
+    assert main(argv + ["--force"]) == 0
 
 
 def test_cli_unknown_key_is_config_error(tmp_path, cfg_file):
@@ -208,9 +218,11 @@ def test_cli_quantize_follows_manifest_then_set(tmp_path, trained_run, monkeypat
     assert (manifest["quant.group_size"], manifest["quant.calib_samples"]) == (32, 4)
     cfg = cfgmod.apply_overrides(dict(manifest), sets)
     assert load_quantized(out).quant == cfgmod.quant_config(cfg, 3, method)
-    # gptq first checks the run's own calibration set, then quantizes with --set's
+    # gptq first checks the run's own calibration set, then quantizes with
+    # it, or, after a --set, with one built under the new settings
     own = manifest["quant.calib_samples"]
-    assert samples == ([own, cfg["quant.calib_samples"]] if method == "gptq" else [])
+    expect = [own, cfg["quant.calib_samples"]] if sets else [own]
+    assert samples == (expect if method == "gptq" else [])
 
 
 def test_cli_quantize_exits_3_when_every_damping_rung_fails(tmp_path, trained_run, monkeypatch):
@@ -233,6 +245,22 @@ def test_cli_soup_bad_weight_is_config_error(tmp_path, trained_run):
     assert main(["soup", "--ckpt", f"{ckpt}:abc", "--out", out]) == 2
     assert main(["soup", "--ckpt", f"{ckpt}:", "--out", out]) == 2
     assert not os.path.exists(out)
+
+
+def test_cli_soup_rerun_accepts_the_same_weights_and_refuses_others(tmp_path, trained_run,
+                                                                    caplog):
+    c20, c30 = (os.path.join(trained_run, f"ckpt_{s}.qlab") for s in (20, 30))
+    out = str(tmp_path / "s.qlab")
+    argv = ["soup", "--ckpt", f"{c20}:0.5", "--ckpt", f"{c30}:0.5", "--out", out]
+    assert main(argv) == 0
+    merged, mtime = _bytes(out), os.stat(out).st_mtime_ns
+    assert main(argv) == 0
+    assert (_bytes(out), os.stat(out).st_mtime_ns) == (merged, mtime)  # untouched
+    caplog.clear()
+    assert main(["soup", "--ckpt", f"{c20}:0.25", "--ckpt", f"{c30}:0.75", "--out", out]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and out in errors[0]
+    assert _bytes(out) == merged
 
 
 def test_cli_soup_corrupt_footer_is_format_error(tmp_path, trained_run):

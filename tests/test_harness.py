@@ -7,6 +7,7 @@ from conftest import micro_train_config
 from qlab.config import run_id_of, schedule_spec
 from qlab.errors import ConfigError
 from qlab.harness import (
+    MANIFEST,
     METRICS,
     NORMS,
     QUANT_LAYERS,
@@ -60,10 +61,12 @@ def test_train_produces_run_artifacts(trained_run):
     assert all(float(v[4]) > 0 and np.isfinite(float(v[4])) for v in vals)
 
 
-def test_rerun_refused_without_force(trained_run, corpus_path):
+def test_plain_rerun_of_a_finished_run_reads_nothing(trained_run, loads):
     cfg, run_dir = trained_run
-    with pytest.raises(ConfigError):
-        cmd_train(cfg, os.path.dirname(run_dir))
+    files = run_files(run_dir, keep_created=True)
+    assert cmd_train(cfg, os.path.dirname(run_dir)) == run_dir
+    assert loads == []
+    assert run_files(run_dir, keep_created=True) == files
 
 
 def test_opt_state_roundtrip(tmp_path):
@@ -106,28 +109,37 @@ def test_resume_bitwise_equals_unbroken(tmp_path, corpus_path, monkeypatch):
     part_dir = cmd_train(cfg, str(tmp_path / "split"), stop_after=30)
     assert list_ckpt_steps(part_dir)[-1] == 30
 
+    def crashed(name, save, step):
+        """A run whose `save` (harness.save_checkpoint or save_opt_state)
+        raised at `step`: the files it wrote before stay."""
+        real = getattr(harness, save)
+
+        def crashing(path, *args, **kwargs):
+            if os.path.basename(path).startswith(f"ckpt_{step}."):
+                raise _Crash(path)
+            real(path, *args, **kwargs)
+
+        monkeypatch.setattr(harness, save, crashing)
+        with pytest.raises(_Crash):
+            cmd_train(cfg, str(tmp_path / name))
+        monkeypatch.undo()
+        return os.path.join(str(tmp_path / name), os.path.basename(full_dir))
+
     # case 2: a crash while saving the step-20 checkpoint, after norm row 15
-    real_save = harness.save_checkpoint
-
-    def crashing_save(path, ckpt, overwrite=False):
-        if ckpt.step == 20:
-            raise _Crash(path)
-        real_save(path, ckpt, overwrite)
-
-    monkeypatch.setattr(harness, "save_checkpoint", crashing_save)
-    with pytest.raises(_Crash):
-        cmd_train(cfg, str(tmp_path / "crash"))
-    monkeypatch.undo()
-    crash_dir = os.path.join(str(tmp_path / "crash"), os.path.basename(full_dir))
+    crash_dir = crashed("crash", "save_checkpoint", 20)
     assert list_ckpt_steps(crash_dir)[-1] == 10
     assert "\n15," in read(os.path.join(crash_dir, NORMS))
+    # case 3: a crash inside save_opt_state at step 20, after ckpt_20.qlab
+    half_dir = crashed("half", "save_opt_state", 20)
+    assert os.path.exists(ckpt_path(half_dir, 20)) and not os.path.exists(opt_path(half_dir, 20))
+    # cases 4 and 5: a crash saving the start state, with or without ckpt_0.qlab
+    start_dirs = [crashed(f"start-{f}", f, 0) for f in ("save_checkpoint", "save_opt_state")]
+    assert [sorted(os.listdir(d)) for d in start_dirs] == [[MANIFEST], ["ckpt_0.qlab", MANIFEST]]
 
-    for interrupted in (part_dir, crash_dir):
-        resumed_dir = cmd_train(cfg, os.path.dirname(interrupted), resume=True)
+    for interrupted in (part_dir, crash_dir, half_dir, *start_dirs):
+        resumed_dir = cmd_train(cfg, os.path.dirname(interrupted))
         assert resumed_dir == interrupted
-        assert read_bytes(ckpt_path(full_dir, 60)) == read_bytes(ckpt_path(resumed_dir, 60))
-        for table in (METRICS, NORMS):
-            assert read(os.path.join(full_dir, table)) == read(os.path.join(resumed_dir, table))
+        assert run_files(resumed_dir) == run_files(full_dir)
 
 
 def test_resume_of_a_finished_run_builds_no_calibration_set(trained_run, monkeypatch):
@@ -142,7 +154,7 @@ def test_resume_of_a_finished_run_builds_no_calibration_set(trained_run, monkeyp
 
     monkeypatch.setattr(harness.RunData, "calibration", calibration)
     manifest = read(os.path.join(run_dir, harness.MANIFEST))
-    assert cmd_train(cfg, os.path.dirname(run_dir), resume=True) == run_dir
+    assert cmd_train(cfg, os.path.dirname(run_dir)) == run_dir
     assert built == []
     assert read(os.path.join(run_dir, harness.MANIFEST)) == manifest
 
@@ -150,6 +162,39 @@ def test_resume_of_a_finished_run_builds_no_calibration_set(trained_run, monkeyp
 def read_bytes(path):
     with open(path, "rb") as f:
         return f.read()
+
+
+def run_files(run_dir, keep_created=False):
+    """Every file of a run directory by name; the manifest without its
+    run.created line, which differs between runs of the same settings."""
+    files = {n: read_bytes(os.path.join(run_dir, n)) for n in os.listdir(run_dir)}
+    if not keep_created:
+        lines = files[MANIFEST].splitlines(keepends=True)
+        files[MANIFEST] = b"".join(l for l in lines if not l.startswith(b"run.created "))
+    return files
+
+
+def test_branch_whose_parent_failed_to_load_reruns_once_repaired(tmp_path, corpus_path):
+    from qlab.errors import QlabError
+
+    cfg = micro_train_config(
+        corpus_path,
+        **{"schedule.kind": "constant", "schedule.total_steps": 20, "schedule.decay_frac": 0.0},
+    )
+    root = str(tmp_path / "runs")
+    trunk = cmd_train(cfg, root)
+    unbroken = cmd_branch(trunk, 20, decay_steps=4, out_root=str(tmp_path / "unbroken"))
+    good = read_bytes(ckpt_path(trunk, 20))
+    with open(ckpt_path(trunk, 20), "wb") as f:  # one payload byte flipped: a bad checksum
+        f.write(good[:-40] + bytes([good[-40] ^ 1]) + good[-39:])
+    with pytest.raises(QlabError):
+        cmd_branch(trunk, 20, decay_steps=4, out_root=root)
+    child = os.path.join(root, os.path.basename(unbroken))
+    assert os.listdir(child) == [MANIFEST]  # the start failed after the manifest
+    with open(ckpt_path(trunk, 20), "wb") as f:
+        f.write(good)
+    assert cmd_branch(trunk, 20, decay_steps=4, out_root=root) == child
+    assert run_files(child) == run_files(unbroken)
 
 
 def test_branch_requires_checkpoint(trained_run):
@@ -251,11 +296,11 @@ def test_finished_rerun_loads_nothing_and_a_stopped_one_its_last_state(
     root = str(tmp_path / "runs")
     run_dir = cmd_train(cfg, root, stop_after=12)
     assert loads == []
-    cmd_train(cfg, root, resume=True)  # a stop saves a checkpoint where it stops
+    cmd_train(cfg, root)  # a stop saves a checkpoint where it stops
     assert loads == [ckpt_path(run_dir, 12), opt_path(run_dir, 12)]
     del loads[:]
     files = {n: read_bytes(os.path.join(run_dir, n)) for n in os.listdir(run_dir)}
-    assert cmd_train(cfg, root, resume=True) == run_dir
+    assert cmd_train(cfg, root) == run_dir
     assert loads == []
     assert {n: read_bytes(os.path.join(run_dir, n)) for n in os.listdir(run_dir)} == files
 
@@ -270,7 +315,7 @@ def test_branch_loads_its_parent_only_when_it_starts_fresh(tmp_path, corpus_path
     child = cmd_branch(trunk, 20, decay_steps=4, out_root=root)
     assert loads == [ckpt_path(trunk, 20), opt_path(trunk, 20)]
     del loads[:]
-    assert cmd_branch(trunk, 20, decay_steps=4, out_root=root, resume=True) == child
+    assert cmd_branch(trunk, 20, decay_steps=4, out_root=root) == child
     assert loads == []  # neither the parent's state nor the finished child's
     cmd_branch(trunk, 20, decay_steps=4, out_root=root, force=True)
     assert loads == [ckpt_path(trunk, 20), opt_path(trunk, 20)]
@@ -300,6 +345,21 @@ def test_quantize_eval_rerun_is_idempotent(trained_run):
     records, failures = cmd_quantize_eval(run_dir, bits=(3, 4), steps=[60])
     assert not failures
     assert {t: read(os.path.join(run_dir, t)) for t in (METRICS, QUANT_LAYERS)} == before
+
+
+def test_gptq_quantize_eval_builds_one_calibration_set(trained_run, monkeypatch):
+    from qlab import harness
+
+    cfg, run_dir = trained_run
+    built, real = [], harness.RunData.calibration
+
+    def calibration(self, cfg):
+        built.append(cfg["quant.calib_samples"])
+        return real(self, cfg)
+
+    monkeypatch.setattr(harness.RunData, "calibration", calibration)
+    cmd_quantize_eval(run_dir, bits=(3,), method="gptq", steps=[60])
+    assert built == [cfg["quant.calib_samples"]]
 
 
 def test_quantize_eval_empty_selection_warns(trained_run):

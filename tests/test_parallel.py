@@ -543,7 +543,7 @@ def test_sharded_run_resumes_bitwise_across_thread_counts(tmp_path, corpus_path,
     monkeypatch.setenv("QLAB_THREADS", "2")
     harness.cmd_train(cfg, str(tmp_path / "split"), stop_after=30)
     monkeypatch.setenv("QLAB_THREADS", "1")
-    resumed = harness.cmd_train(cfg, str(tmp_path / "split"), resume=True)
+    resumed = harness.cmd_train(cfg, str(tmp_path / "split"))
     assert _sha256(harness.ckpt_path(full, 60)) == _sha256(harness.ckpt_path(resumed, 60))
     assert _sha256(os.path.join(full, harness.METRICS)) == _sha256(os.path.join(resumed, harness.METRICS))
 
