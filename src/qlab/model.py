@@ -373,17 +373,25 @@ def _residual(x: np.ndarray, inp: np.ndarray, w: np.ndarray) -> np.ndarray:
 # per shard (weight GEMMs, norm-gain sums, embedding scatters) and then
 # summed in shard order, so they are the same bits at any thread count but
 # equal the unsharded pass only for a one-shard batch. The floor below keeps
-# every shard far above the small-matrix kernels, and keeps per-shard work
-# large against the per-call overhead of numpy: a tiny.cfg batch (8 x 128
-# positions, d_model 64) is one shard, a desk.cfg batch (64 x 256, d_model
-# 192) 32 shards of 2 sequences.
-SHARD_ACTIVATIONS = 1 << 16  # positions x d_model per shard, at least
+# every shard's products far above the small-matrix kernels.
+# A shard's work grows with positions x parameters, but it also has a fixed
+# cost that grows with the parameters alone: one gradient set written and
+# folded into the step's, one d_in x d_in Gram added per walk stage. So the
+# floor counts positions, whatever the width: at 512 a tiny.cfg batch (8 x
+# 128) makes 2 shards of 4 sequences and its 16-sequence calibration
+# batches 4, a desk.cfg batch (64 x 256) 32 shards of 2 and its 16-sequence
+# eval and calibration batches 8. A floor of activations (positions x
+# d_model) that split tiny.cfg would cut desk.cfg to one-sequence shards,
+# which made a desk step on 2 vCPUs between 1% faster and 19% slower
+# (BENCH_25.json).
+SHARD_POSITIONS = 512  # per shard, at least
 
 
 def _shards(cfg: ModelConfig, B: int, S: int) -> List[slice]:
-    """Balanced runs of whole sequences, each of at least SHARD_ACTIVATIONS
-    activations; one run when the batch is smaller."""
-    n = max(1, B // -(-SHARD_ACTIVATIONS // (S * cfg.d_model)))
+    """Balanced runs of whole sequences, each of at least SHARD_POSITIONS
+    positions; one run when the batch is smaller. The layout depends on
+    the batch shape only, not on `cfg`."""
+    n = max(1, B // -(-SHARD_POSITIONS // S))
     bounds = [B * j // n for j in range(n + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 

@@ -4,7 +4,7 @@ Criteria 9-11 replicate the qualitative training-dynamics experiments and
 need real compute: each runs the experiment plan
 configs/experiments/<protocol>-<profile>.plan and judges its claim. They
 are skipped unless QLAB_ACCEPTANCE_PROFILE is set to `tiny` (about 35 min
-on 2 cores) or `desk` (the full-size protocol, about 28 h per 30k-step run
+on 2 cores) or `desk` (the full-size protocol, about 21 h per 30k-step run
 on 2 vCPUs). Runs are cached under QLAB_ACCEPTANCE_DIR
 (default: a temp directory), so repeated invocations reuse finished
 training.
@@ -34,7 +34,7 @@ WORK = os.environ.get(
 
 _SKIP_HEAVY = (
     "multi-run training experiment; set QLAB_ACCEPTANCE_PROFILE=tiny (about 35 min on 2 "
-    "cores) or =desk (about 28 h per 30k-step run on 2 vCPUs) to run"
+    "cores) or =desk (about 21 h per 30k-step run on 2 vCPUs) to run"
 )
 
 

@@ -143,8 +143,8 @@ def item_log(monkeypatch):
     return calls
 
 
-# shards of 2 sequences at the micro shapes (seq 32, d_model 32)
-FORCED_SHARD = 2 * 32 * 32
+# shards of 2 sequences at the micro shapes (seq 32)
+FORCED_SHARD = 64
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -155,7 +155,7 @@ def test_eval_pass_equals_two_forward_oracle(monkeypatch, item_log, dtype):
     qm, _ = quantize_model(ck, None, QuantConfig(bits=3, group_size=16, method="rtn"))
     # shards of 2 sequences, so most batches are split: their items are
     # shards of 2, 2 | 3 | 2, 2 | 2 | 2, 3 | 1 sequences
-    monkeypatch.setattr(model, "SHARD_ACTIVATIONS", FORCED_SHARD)
+    monkeypatch.setattr(model, "SHARD_POSITIONS", FORCED_SHARD)
     monkeypatch.setenv("QLAB_THREADS", "1")
     expected = {"fp": _oracle(ck, batches), "q": _oracle(qm, batches)}
     assert expected["fp"] != expected["q"]
@@ -175,10 +175,10 @@ def test_eval_pass_equals_two_forward_oracle(monkeypatch, item_log, dtype):
 @pytest.mark.parametrize("sizes, shard_rows", [([6], [2, 2, 2]), ([1, 1, 1], [1, 1, 1])])
 def test_eval_items_run_on_the_pool_without_a_layer_cache(monkeypatch, item_log, sizes,
                                                           shard_rows):
-    # one batch of several shards (as a desk eval batch) or several one-shard
-    # batches (as tiny's): either way the items share one pooled region, and
-    # neither they nor the calibration walk hand any sublayer a cache, which
-    # only training reads
+    # one batch of several shards (as an eval batch of the shipped profiles)
+    # or several one-shard batches: either way the items share one pooled
+    # region, and neither they nor the calibration walk hand any sublayer a
+    # cache, which only training reads
     caches = []
 
     def recording(name):
@@ -191,7 +191,7 @@ def test_eval_items_run_on_the_pool_without_a_layer_cache(monkeypatch, item_log,
 
     ck = init(tiny_model_config())
     batches = _eval_batches(sizes, seed=2)
-    monkeypatch.setattr(model, "SHARD_ACTIVATIONS", FORCED_SHARD)
+    monkeypatch.setattr(model, "SHARD_POSITIONS", FORCED_SHARD)
     monkeypatch.setenv("QLAB_THREADS", "1")
     expected = _oracle(ck, batches)
     for name in ("_prenorm", "_attend", "_mlp_hidden"):
@@ -219,7 +219,7 @@ def test_eval_flags_the_earliest_failing_batch_then_its_earliest_layer(monkeypat
     # embedding) already at layers.0
     ck.tensors["layers.1.mlp.w2"][0, 0] = np.inf
     ck.tensors["embed.tok"][255, 0] = np.inf
-    monkeypatch.setattr(model, "SHARD_ACTIVATIONS", FORCED_SHARD)
+    monkeypatch.setattr(model, "SHARD_POSITIONS", FORCED_SHARD)
     rng = np.random.Generator(np.random.PCG64(12))
     batches = [Batch(rng.integers(0, 255, (4, 32)).astype(np.int32),
                      rng.integers(0, 256, (4, 32)).astype(np.int32)) for _ in range(2)]

@@ -366,7 +366,7 @@ def test_sharded_step_matches_finite_differences(monkeypatch):
     ck = f64_model()
     rng = np.random.Generator(np.random.PCG64(6))
     b = rand_batch(rng, 16, 3, 6)
-    monkeypatch.setattr(model, "SHARD_ACTIVATIONS", 6 * 8)
+    monkeypatch.setattr(model, "SHARD_POSITIONS", 6)
     assert len(model._shards(ck.config, 3, 6)) == 3
     _, grads = model.loss_and_grads(ck, b)
     assert fd_check(ck, b, 200, seed=0, grads=grads) < 1e-4
@@ -541,8 +541,8 @@ def test_capture_matches_forward_rows(monkeypatch):
     ck = f64_model()
     calib = make_calib(ck, n_seq=5, batch_size=2)  # ragged last batch
     made = record_shards(monkeypatch)
-    for floor, walk_shards in ((model.SHARD_ACTIVATIONS, [1, 1, 1]), (6 * 8, [2, 2, 1])):
-        monkeypatch.setattr(model, "SHARD_ACTIVATIONS", floor)
+    for floor, walk_shards in ((model.SHARD_POSITIONS, [1, 1, 1]), (6, [2, 2, 1])):
+        monkeypatch.setattr(model, "SHARD_POSITIONS", floor)
         grams = stage_grams(ck, calib.batches)
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("QLAB_THREADS", threads)

@@ -26,16 +26,16 @@ from qlab.errors import NumericFailure
 from qlab.metrics import record_to_row
 from qlab.quant import QuantConfig, quantize_model
 
-# micro shapes (seq 32, d_model 32): shards of 2 sequences, 64 positions
-FORCED_SHARD = 2 * 32 * 32
+# micro shapes (seq 32): shards of 2 sequences, 64 positions
+FORCED_SHARD = 64
 UNSHARDED = 1 << 40
 
 
 @pytest.fixture
 def shards(monkeypatch):
     """Set the shard floor; returns a setter for tests that switch it."""
-    def set_floor(activations):
-        monkeypatch.setattr(model, "SHARD_ACTIVATIONS", activations)
+    def set_floor(positions):
+        monkeypatch.setattr(model, "SHARD_POSITIONS", positions)
     set_floor(FORCED_SHARD)
     return set_floor
 
@@ -194,6 +194,51 @@ def test_shards_are_balanced_whole_sequences(shards):
         assert min(sizes) >= 2 or len(got) == 1
     shards(UNSHARDED)
     assert model._shards(cfg, 64, 32) == [slice(0, 64)]
+
+
+def _profile(name):
+    from qlab import config as cfgmod
+
+    return cfgmod.resolve(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                       f"{name}.cfg"))
+
+
+@pytest.mark.parametrize("name, train, evals, calib", [
+    ("tiny", [4] * 2, [4] * 2, [4] * 4),
+    ("desk", [2] * 32, [2] * 8, [2] * 8),
+])
+def test_shipped_profiles_shard_layouts(name, train, evals, calib):
+    # sequences per shard of a training, eval and calibration batch
+    from qlab.config import model_config
+
+    cfg = _profile(name)
+    mc, S = model_config(cfg), cfg["data.seq_len"]
+
+    def layout(B):
+        return [sl.stop - sl.start for sl in model._shards(mc, B, S)]
+
+    assert layout(cfg["train.batch_size"]) == train
+    assert layout(cfg["eval.batch_size"]) == evals
+    n = cfg["quant.calib_samples"]
+    stream = TokenStream(np.zeros(n * S + 1, dtype=np.int32), vocab=256)
+    batches = build_calibration(stream, n, S).batches
+    assert [layout(len(b.inputs)) for b in batches] == [calib] * len(batches)
+
+
+def test_tiny_profile_step_identical_across_thread_counts(monkeypatch):
+    from qlab.config import model_config
+
+    cfg = _profile("tiny")
+    ck = model.init(model_config(cfg))
+    B, S = cfg["train.batch_size"], cfg["data.seq_len"]
+    rng = np.random.Generator(np.random.PCG64(25))
+    batch = Batch(rng.integers(0, 256, (B, S)).astype(np.int32),
+                  rng.integers(0, 256, (B, S)).astype(np.int32))
+    assert len(model._shards(ck.config, B, S)) == 2
+    reference = _per_shard_step(ck, batch)
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("QLAB_THREADS", threads)
+        _assert_same_bits(model.loss_and_grads(ck, batch), reference)
 
 
 def test_blas_count_restored_after_region(monkeypatch, shards):
