@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 config error (or a result that conflicts with
-one already recorded), 3 numeric failure, 4 partial sweep/eval failure;
-each error class carries its code. QLAB_THREADS sets the worker
-threads and the BLAS threads. Unset run settings (bits, method, LAWA k
+one already recorded, or a bad QLAB_THREADS in a command that runs a
+parallel region), 3 numeric failure, 4 partial sweep/eval failure; each
+error class carries its code. Unset run settings (bits, method, LAWA k
 and interval) come from the run's manifest.
 """
 
@@ -16,7 +16,7 @@ import sys
 from typing import List, Optional
 
 from . import config as cfgmod
-from . import experiments, harness, parallel, report
+from . import experiments, harness, report
 from .errors import ConfigError, QlabError, StoreError
 
 log = logging.getLogger("qlab")
@@ -198,9 +198,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        # BLAS threads outside sharded regions: QLAB_THREADS, at most one per core
-        with parallel.blas_threads(min(parallel.qlab_threads(), os.cpu_count() or 1)):
-            return _dispatch(args)
+        return _dispatch(args)
     except QlabError as exc:
         log.error("%s", exc)
         return exc.exit_code

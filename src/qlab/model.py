@@ -387,10 +387,9 @@ def _residual(x: np.ndarray, inp: np.ndarray, w: np.ndarray) -> np.ndarray:
 SHARD_POSITIONS = 512  # per shard, at least
 
 
-def _shards(cfg: ModelConfig, B: int, S: int) -> List[slice]:
+def _shards(B: int, S: int) -> List[slice]:
     """Balanced runs of whole sequences, each of at least SHARD_POSITIONS
-    positions; one run when the batch is smaller. The layout depends on
-    the batch shape only, not on `cfg`."""
+    positions; one run when the batch is smaller."""
     n = max(1, B // -(-SHARD_POSITIONS // S))
     bounds = [B * j // n for j in range(n + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -446,10 +445,10 @@ def _forward_rows(cfg, T, ids, layers: Optional[list]) -> dict:
     return dict(logits=logits, xhatf=xhatf, rf=rf, layers=layers, ids=ids, shape=ids.shape)
 
 
-def _shard_items(cfg: ModelConfig, batches: Sequence[Batch]) -> List[Tuple[int, slice]]:
+def _shard_items(batches: Sequence[Batch]) -> List[Tuple[int, slice]]:
     """(batch index, rows) of every shard of every batch, in order: the one
     split of the training step, eval and the calibration walk."""
-    return [(i, sl) for i, b in enumerate(batches) for sl in _shards(cfg, *b.inputs.shape)]
+    return [(i, sl) for i, b in enumerate(batches) for sl in _shards(*b.inputs.shape)]
 
 
 def _run_shards(cfg: ModelConfig, fn: Callable, items: Sequence[tuple]) -> Iterator[tuple]:
@@ -591,7 +590,7 @@ def loss_and_grads(ckpt: Checkpoint, batch: Batch) -> Tuple[float, GradientSet]:
         return _backward(ckpt, batch.targets[sl], cache, batch.inputs.size)
 
     nlls, grads = [], None
-    for _, (nll, part) in _run_shards(cfg, shard, _shard_items(cfg, [batch])):
+    for _, (nll, part) in _run_shards(cfg, shard, _shard_items([batch])):
         nlls.append(nll)
         if grads is None:
             grads = part
@@ -619,7 +618,7 @@ def token_nll(ckpt: Checkpoint, batches: Sequence[Batch]) -> List[Tuple[np.ndarr
         return _nll(logits, targets)[0], int(np.sum(np.argmax(logits, axis=-1) == targets))
 
     nlls, hits = [[] for _ in batches], [0] * len(batches)
-    for i, (nll, shard_hits) in _run_shards(cfg, shard, _shard_items(cfg, batches)):
+    for i, (nll, shard_hits) in _run_shards(cfg, shard, _shard_items(batches)):
         nlls[i].append(nll)
         hits[i] += shard_hits
     return [(np.concatenate(parts), n) for parts, n in zip(nlls, hits)]
@@ -655,7 +654,7 @@ def capture_layer_inputs(
     cfg, T = ckpt.config, ckpt.tensors
     dtype = T["embed.tok"].dtype
     walks = [(i, _blocks(cfg, T, calib.batches[i].inputs[sl], None))
-             for i, sl in _shard_items(cfg, calib.batches)]
+             for i, sl in _shard_items(calib.batches)]
     weights = None
 
     def step(_, walk):

@@ -16,13 +16,13 @@ a worker (a nested region), or when numpy's bundled OpenBLAS exposes no
 thread control (the workers would then oversubscribe the cores; the lookup
 logs a warning then, once per process). Every item runs even when some
 raise. A consumer that stops early closes the generator (dropping it does
-too): the items already submitted finish, no more start, and OpenBLAS gets
-its count back. Outside a parallel region OpenBLAS keeps the count it had;
-`blas_threads` sets it for a block and restores it after, as every region
-does.
+too): the items already submitted finish and no more start. Outside a
+parallel region OpenBLAS runs min(QLAB_THREADS, cores) threads: every
+`stream` call outside a worker, a serial one included, sets that count
+unless a region is open, and the last region to close sets it again.
 
 The owner also sets how the process allocates, once, at its first `stream`
-call, a serial one included: it caps glibc malloc at one arena
+call (serial or not) or BLAS lookup: it caps glibc malloc at one arena
 (`mallopt(M_ARENA_MAX, 1)`) and fixes its mmap threshold at 32 MB and its
 trim threshold at 256 MB; it skips that where the C library has no
 `mallopt`. glibc otherwise gives each new thread an arena of its own,
@@ -63,12 +63,15 @@ TRIM_THRESHOLD = 256 << 20
 
 def qlab_threads() -> int:
     env = os.environ.get("QLAB_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"QLAB_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(f"QLAB_THREADS must be a positive integer, got {env!r}")
+    return n
 
 
 def _find_blas() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
@@ -115,16 +118,17 @@ class _Owner:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._regions = 0  # parallel regions open; the last to close restores BLAS
-        self._blas_before = 0
+        self._regions = 0  # parallel regions open: OpenBLAS is at one thread
         self._blas_api = None
-        self._looked_up = False
-        self._malloc_set = False
+        self._started = False
 
     def blas(self) -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
+        """(get, set) of OpenBLAS's thread count, or None; the first call
+        also sets malloc."""
         with self._lock:
-            if not self._looked_up:
-                self._blas_api, self._looked_up = _find_blas(), True
+            if not self._started:
+                _set_malloc()
+                self._blas_api, self._started = _find_blas(), True
                 if self._blas_api is None:
                     log.warning("numpy's OpenBLAS exposes no thread control: "
                                 "shards and parallel jobs run serially")
@@ -136,36 +140,40 @@ class _Owner:
     def _mark_worker(self) -> None:
         self._local.worker = True
 
+    def _set_blas(self, n: int) -> None:
+        """OpenBLAS at n threads, unless a region is open; under the lock."""
+        if self._regions == 0 and self._blas_api is not None:
+            self._blas_api[1](n)
+
     @contextmanager
-    def _blas_single(self) -> Iterator[None]:
-        get, set_ = self.blas()
+    def _blas_single(self, outside: int) -> Iterator[None]:
         with self._lock:
-            if self._regions == 0:
-                self._blas_before = get()
-                set_(1)
+            self._set_blas(1)
             self._regions += 1
         try:
             yield
         finally:
             with self._lock:
                 self._regions -= 1
-                if self._regions == 0:
-                    set_(self._blas_before)
+                self._set_blas(outside)
 
     def stream(self, fn, items: Sequence, executor=ThreadPoolExecutor) -> Iterator[Future]:
+        if self.in_worker():
+            return (_call(fn, x) for x in items)
+        blas = self.blas()
+        threads = qlab_threads()
+        outside = min(threads, os.cpu_count() or 1)
         with self._lock:
-            if not self._malloc_set:
-                _set_malloc()
-                self._malloc_set = True
-        workers = min(qlab_threads(), len(items))
-        if workers <= 1 or self.in_worker() or self.blas() is None:
+            self._set_blas(outside)
+        workers = min(threads, len(items))
+        if workers <= 1 or blas is None:
             return (_call(fn, x) for x in items)
         # each item runs in a copy of the caller's context (np.errstate and the like)
-        return self._pooled(fn, items, workers, executor, contextvars.copy_context())
+        return self._pooled(fn, items, workers, outside, executor, contextvars.copy_context())
 
-    def _pooled(self, fn, items, workers, executor, context) -> Iterator[Future]:
+    def _pooled(self, fn, items, workers, outside, executor, context) -> Iterator[Future]:
         todo = iter(items)
-        with self._blas_single(), executor(
+        with self._blas_single(outside), executor(
             workers, thread_name_prefix="qlab", initializer=self._mark_worker
         ) as pool:
             ahead = deque(pool.submit(context.copy().run, fn, x)
@@ -198,19 +206,3 @@ def stream(fn: Callable, items: Sequence, executor=ThreadPoolExecutor) -> Iterat
     failure to report. `executor` is the pool class (ThreadPoolExecutor).
     """
     return _OWNER.stream(fn, items, executor)
-
-
-@contextmanager
-def blas_threads(n: int) -> Iterator[None]:
-    """Hold OpenBLAS at n threads for the block, then restore its count."""
-    api = _OWNER.blas()
-    if api is None:
-        yield
-        return
-    get, set_ = api
-    before = get()
-    set_(n)
-    try:
-        yield
-    finally:
-        set_(before)

@@ -90,7 +90,7 @@ def stage_grams(ck, batches) -> dict:
 
     total = {}
     for batch in batches:
-        for sl in _shards(ck.config, *batch.inputs.shape):
+        for sl in _shards(*batch.inputs.shape):
             shard = Batch(batch.inputs[sl], batch.targets[sl])
             for name, X in forward_stage_inputs(ck, [shard]).items():
                 if name in total:
@@ -107,8 +107,8 @@ def record_shards(monkeypatch) -> list:
 
     made, real = [], model._shards
 
-    def record(cfg, B, S):
-        got = real(cfg, B, S)
+    def record(B, S):
+        got = real(B, S)
         made.append(len(got))
         return got
 

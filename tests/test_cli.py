@@ -188,9 +188,17 @@ def test_cli_eval_unrecordable_bits_refused_before_quantizing(trained_run, monke
         assert f.read() == before
 
 
-def test_cli_eval_bad_thread_count_is_config_error(trained_run, monkeypatch):
-    monkeypatch.setenv("QLAB_THREADS", "two")
+@pytest.mark.parametrize("threads", ["two", "0", "-3"])
+def test_cli_eval_bad_thread_count_is_config_error(trained_run, monkeypatch, threads):
+    monkeypatch.setenv("QLAB_THREADS", threads)
     assert main(["eval", "--run", trained_run, "--bits", "3", "--steps", "30"]) == 2
+
+
+@pytest.mark.parametrize("threads", ["two", "0", "-3"])
+def test_cli_train_bad_thread_count_is_config_error(tmp_path, cfg_file, monkeypatch, threads):
+    # read at the first training step's parallel region
+    monkeypatch.setenv("QLAB_THREADS", threads)
+    assert main(["train", "--config", cfg_file, "--out-root", str(tmp_path / "runs")]) == 2
 
 
 @pytest.mark.parametrize("method,sets", [

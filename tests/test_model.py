@@ -367,7 +367,7 @@ def test_sharded_step_matches_finite_differences(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(6))
     b = rand_batch(rng, 16, 3, 6)
     monkeypatch.setattr(model, "SHARD_POSITIONS", 6)
-    assert len(model._shards(ck.config, 3, 6)) == 3
+    assert len(model._shards(3, 6)) == 3
     _, grads = model.loss_and_grads(ck, b)
     assert fd_check(ck, b, 200, seed=0, grads=grads) < 1e-4
 

@@ -55,7 +55,7 @@ def _per_shard_step(ck, batch):
     B, S = batch.inputs.shape
     logits, _ = model.forward(ck, batch)
     total = None
-    for sl in model._shards(ck.config, B, S):
+    for sl in model._shards(B, S):
         rows = Batch(batch.inputs[sl], batch.targets[sl])
         _, cache = model.forward(ck, rows)
         grads = model._backward(ck, rows.targets, cache, B * S)[1]
@@ -79,7 +79,7 @@ def test_step_identical_across_thread_counts(monkeypatch, shards, dtype, B):
     rng = np.random.Generator(np.random.PCG64(B))
     batch = Batch(rng.integers(0, 256, (B, 32)).astype(np.int32),
                   rng.integers(0, 256, (B, 32)).astype(np.int32))
-    assert len(model._shards(ck.config, B, 32)) == B // 2
+    assert len(model._shards(B, 32)) == B // 2
     results = {}
     for threads in (1, 2, 3):
         monkeypatch.setenv("QLAB_THREADS", str(threads))
@@ -184,16 +184,15 @@ def test_step_holds_at_most_two_gradient_sets_per_worker_plus_one(monkeypatch, s
 
 
 def test_shards_are_balanced_whole_sequences(shards):
-    cfg = tiny_model_config()
     for B in range(1, 12):
-        got = model._shards(cfg, B, 32)
+        got = model._shards(B, 32)
         sizes = [s.stop - s.start for s in got]
         assert got[0].start == 0 and got[-1].stop == B
         assert all(a.stop == b.start for a, b in zip(got, got[1:]))
         assert max(sizes) - min(sizes) <= 1
         assert min(sizes) >= 2 or len(got) == 1
     shards(UNSHARDED)
-    assert model._shards(cfg, 64, 32) == [slice(0, 64)]
+    assert model._shards(64, 32) == [slice(0, 64)]
 
 
 def _profile(name):
@@ -209,13 +208,11 @@ def _profile(name):
 ])
 def test_shipped_profiles_shard_layouts(name, train, evals, calib):
     # sequences per shard of a training, eval and calibration batch
-    from qlab.config import model_config
-
     cfg = _profile(name)
-    mc, S = model_config(cfg), cfg["data.seq_len"]
+    S = cfg["data.seq_len"]
 
     def layout(B):
-        return [sl.stop - sl.start for sl in model._shards(mc, B, S)]
+        return [sl.stop - sl.start for sl in model._shards(B, S)]
 
     assert layout(cfg["train.batch_size"]) == train
     assert layout(cfg["eval.batch_size"]) == evals
@@ -234,31 +231,56 @@ def test_tiny_profile_step_identical_across_thread_counts(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(25))
     batch = Batch(rng.integers(0, 256, (B, S)).astype(np.int32),
                   rng.integers(0, 256, (B, S)).astype(np.int32))
-    assert len(model._shards(ck.config, B, S)) == 2
+    assert len(model._shards(B, S)) == 2
     reference = _per_shard_step(ck, batch)
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("QLAB_THREADS", threads)
         _assert_same_bits(model.loss_and_grads(ck, batch), reference)
 
 
+def _outside(threads):
+    """OpenBLAS's thread count outside a region at QLAB_THREADS=threads."""
+    return min(threads, os.cpu_count() or 1)
+
+
 def test_blas_count_restored_after_region(monkeypatch, shards):
     api = parallel._OWNER.blas()
     if api is None:
         pytest.skip("no OpenBLAS thread control in this numpy build")
-    get, _ = api
+    get, set_ = api
     monkeypatch.setenv("QLAB_THREADS", "2")
     seen = []
-    with parallel.blas_threads(3):
-        assert get() == 3
-        for f in parallel.stream(lambda _: seen.append(get()), range(4)):
-            f.result()
-        ck = model.init(tiny_model_config())
-        rng = np.random.Generator(np.random.PCG64(0))
-        batch = Batch(rng.integers(0, 256, (6, 32)).astype(np.int32),
-                      rng.integers(0, 256, (6, 32)).astype(np.int32))
-        model.loss_and_grads(ck, batch)
-        assert get() == 3
+    set_(3)  # not the count it finds: the one QLAB_THREADS gives
+    for f in parallel.stream(lambda _: seen.append(get()), range(4)):
+        f.result()
+    assert get() == _outside(2)
+    set_(3)
+    ck = model.init(tiny_model_config())
+    rng = np.random.Generator(np.random.PCG64(0))
+    batch = Batch(rng.integers(0, 256, (6, 32)).astype(np.int32),
+                  rng.integers(0, 256, (6, 32)).astype(np.int32))
+    model.loss_and_grads(ck, batch)
+    assert get() == _outside(2)
     assert seen == [1, 1, 1, 1]
+
+
+def test_qlab_threads_sets_blas_outside_regions_in_process(monkeypatch, shards):
+    api = parallel._OWNER.blas()
+    if api is None:
+        pytest.skip("no OpenBLAS thread control in this numpy build")
+    get, set_ = api
+    ck = model.init(tiny_model_config())
+    rng = np.random.Generator(np.random.PCG64(1))
+    batch = Batch(rng.integers(0, 256, (4, 32)).astype(np.int32),
+                  rng.integers(0, 256, (4, 32)).astype(np.int32))
+    assert len(model._shards(4, 32)) == 2
+    set_(2)
+    monkeypatch.setenv("QLAB_THREADS", "1")  # a serial step
+    model.loss_and_grads(ck, batch)
+    assert get() == 1
+    monkeypatch.setenv("QLAB_THREADS", "2")  # a pooled step
+    model.loss_and_grads(ck, batch)
+    assert get() == _outside(2)
 
 
 def test_concurrent_regions_keep_blas_at_one_and_restore_it(monkeypatch):
@@ -266,7 +288,6 @@ def test_concurrent_regions_keep_blas_at_one_and_restore_it(monkeypatch):
     if api is None:
         pytest.skip("no OpenBLAS thread control in this numpy build")
     get, _ = api
-    before = get()
     monkeypatch.setenv("QLAB_THREADS", "4")
     errors = []
 
@@ -293,7 +314,7 @@ def test_concurrent_regions_keep_blas_at_one_and_restore_it(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in callers)
     assert errors == []
-    assert get() == before and parallel._OWNER._regions == 0
+    assert get() == _outside(4) and parallel._OWNER._regions == 0
 
 
 def test_nested_region_runs_serially_in_the_worker(monkeypatch):
@@ -353,7 +374,7 @@ def test_blas_count_restored_after_stream_and_early_stop(monkeypatch):
     api = parallel._OWNER.blas()
     if api is None:
         pytest.skip("no OpenBLAS thread control in this numpy build")
-    get, _ = api
+    get, set_ = api
     monkeypatch.setenv("QLAB_THREADS", "2")
     ran = []
 
@@ -361,16 +382,17 @@ def test_blas_count_restored_after_stream_and_early_stop(monkeypatch):
         ran.append(i)
         return get()
 
-    with parallel.blas_threads(3):
-        assert [f.result() for f in parallel.stream(fn, range(6))] == [1] * 6
-        assert get() == 3
-        ran.clear()
-        for fut in parallel.stream(fn, range(10)):
-            assert fut.result() == 1
-            break
-        # the stream was closed: the 2 x 2 items in flight finished, no more started
-        assert get() == 3 and parallel._OWNER._regions == 0
-        assert sorted(ran) == [0, 1, 2, 3]
+    set_(3)
+    assert [f.result() for f in parallel.stream(fn, range(6))] == [1] * 6
+    assert get() == _outside(2)
+    ran.clear()
+    set_(3)
+    for fut in parallel.stream(fn, range(10)):
+        assert fut.result() == 1
+        break
+    # the stream was closed: the 2 x 2 items in flight finished, no more started
+    assert get() == _outside(2) and parallel._OWNER._regions == 0
+    assert sorted(ran) == [0, 1, 2, 3]
 
 
 def test_missing_blas_symbol_runs_serially_with_same_results(monkeypatch, shards, caplog):
@@ -395,8 +417,6 @@ def test_missing_blas_symbol_runs_serially_with_same_results(monkeypatch, shards
     for f in parallel.stream(lambda _: threads.append(parallel._OWNER.in_worker()), range(3)):
         f.result()
     assert threads == [False] * 3
-    with parallel.blas_threads(1):
-        pass
     _assert_same_bits(model.loss_and_grads(ck, batch), with_blas)
 
 
@@ -448,12 +468,13 @@ def test_libc_without_mallopt_skips_the_cap_with_same_results(monkeypatch, shard
     with caplog.at_level(logging.DEBUG, logger="qlab"):
         _assert_same_bits(model.loss_and_grads(ck, batch), with_cap)
     assert caplog.records == []
-    assert parallel._OWNER._malloc_set
+    assert parallel._OWNER._started
 
 
 def test_only_the_owner_makes_threads():
     """Every worker comes from `parallel`, which the BLAS hold and the arena
-    cap rely on: no other module constructs a Thread or a thread pool."""
+    cap rely on: no other module constructs a Thread or a thread pool, nor
+    names an OpenBLAS thread-count symbol."""
     src = os.path.dirname(parallel.__file__)
     makers = {"Thread", "ThreadPoolExecutor"}
     found = []
@@ -461,7 +482,10 @@ def test_only_the_owner_makes_threads():
         if os.path.basename(path) == "parallel.py":
             continue
         with open(path, encoding="utf-8") as f:
-            tree = ast.parse(f.read(), path)
+            text = f.read()
+        if "set_num_threads" in text:
+            found.append(os.path.basename(path))
+        tree = ast.parse(text, path)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 fn = node.func
@@ -702,7 +726,7 @@ def test_a_failing_bit_width_job_closes_its_region(micro_run, monkeypatch):
     api = parallel._OWNER.blas()
     if api is None:
         pytest.skip("no OpenBLAS thread control in this numpy build: the bit widths run serially")
-    get, _ = api
+    get, set_ = api
     run_dir = micro_run("close")
     cfg = harness.load_manifest(run_dir)
     data = harness.build_data(cfg)
@@ -721,13 +745,13 @@ def test_a_failing_bit_width_job_closes_its_region(micro_run, monkeypatch):
 
     monkeypatch.setattr(harness, "quantize_model", quantize)
     monkeypatch.setenv("QLAB_THREADS", "2")
-    before = get()
+    set_(3)
     with pytest.raises(QuantizationError) as exc:
         harness.evaluate_checkpoint_quantized(ckpt, data, cfg, (3, 4), data.calibration(cfg), "r")
     # the traceback, which holds the consuming frames, is still alive here
     assert str(exc.value) == "no 3-bit solve"
     assert ended == [4]
-    assert get() == before and parallel._OWNER._regions == 0
+    assert get() == _outside(2) and parallel._OWNER._regions == 0
 
 
 def _record_quantize(monkeypatch) -> list:
