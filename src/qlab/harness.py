@@ -67,7 +67,7 @@ from .optim import (
     train_loop,
 )
 from . import parallel
-from .parallel import qlab_threads  # re-exported
+from .parallel import qlab_threads
 from .quant import quantize_model
 from . import store
 
@@ -215,6 +215,7 @@ def cmd_train(
     if saved and saved[-1] >= target:
         return run_dir
     data = build_data(cfg)  # before the run directory: a config error leaves none
+    qlab_threads()  # and so does a bad QLAB_THREADS
     os.makedirs(run_dir, exist_ok=True)
 
     def save_state(ckpt: Checkpoint, opt_state: OptimState, cursor: int) -> None:
@@ -429,7 +430,8 @@ def cmd_quantize_eval(
     merged, so a conflict (MergeError) leaves both files unchanged.
     """
     cfg = load_manifest(run_dir)
-    bits = cfg["quant.bits"] if bits is None else bits
+    # a bit width named twice is quantized once, in first-seen order
+    bits = list(dict.fromkeys(cfg["quant.bits"] if bits is None else bits))
     unrecordable = sorted(set(bits) - set(CSV_BITS))
     if unrecordable:
         raise ConfigError(

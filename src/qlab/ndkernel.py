@@ -4,8 +4,9 @@ Matrices are plain 2-D numpy arrays in row-major (C) order. Anything SPD
 or factorization-related runs in 64-bit through LAPACK (numpy.linalg)
 regardless of the caller's dtype; the training path is free to stay in
 32-bit. The factorisations hold few n x n temporaries: `cholesky` checks
-symmetry one row block at a time, and `spd_inverse` inverts the Cholesky
-factor in place and writes h^-1 into h.
+symmetry one row block at a time, and `spd_inverse` factors h with its
+column order reversed, inverts that factor in its own array and writes
+the upper Cholesky factor of h^-1 into h.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def cholesky(h: Matrix) -> Matrix:
     return L if np.all(np.isfinite(L)) else _cholesky_loop(a)
 
 
-_SYM_BLOCK = 64  # rows per block of the symmetry check and of `symmetrize`
+_SYM_BLOCK = 64  # rows per block of the symmetry check
 
 
 def _asymmetry(a: Matrix) -> float:
@@ -75,21 +76,6 @@ def _asymmetry(a: Matrix) -> float:
         d = a[rows] - a[:, rows].T
         worst = max(worst, np.max(np.abs(d, out=d)))
     return worst
-
-
-def symmetrize(a: Matrix) -> Matrix:
-    """Overwrite square a with (a + a.T) * 0.5, one block of rows and the
-    matching columns at a time, and return it. Entry for entry the
-    arithmetic of the expression, without its two n x n temporaries."""
-    n = a.shape[0]
-    for r0 in range(0, n, _SYM_BLOCK):
-        r1 = min(r0 + _SYM_BLOCK, n)
-        # rows and columns r0: hold only entries no earlier block wrote
-        s = a[r0:r1, r0:] + a[r0:, r0:r1].T
-        s *= 0.5
-        a[r0:r1, r0:] = s
-        a[r0:, r0:r1] = s.T
-    return a
 
 
 def _cholesky_loop(a: Matrix) -> Matrix:
@@ -118,7 +104,8 @@ def _invert_lower(L: Matrix) -> None:
     """
     n = L.shape[0]
     if n <= _LEAF:
-        L[...] = np.linalg.inv(L)
+        # LAPACK's pivoted inverse leaves round-off above the diagonal
+        L[...] = np.tril(np.linalg.inv(L))
         return
     k = n // 2
     _invert_lower(L[:k, :k])
@@ -129,15 +116,23 @@ def _invert_lower(L: Matrix) -> None:
 
 
 def spd_inverse(h: Matrix) -> Matrix:
-    """h^-1 = L^-T L^-1 for SPD h = L L^T, written into h and returned.
+    """U, the upper Cholesky factor of h^-1 (U.T @ U == h^-1, positive
+    diagonal), written into h and returned.
 
-    h must be a writeable float64 array; it is consumed, so no second
-    n x n array is made. Propagates factorization errors, leaving h as
-    it was.
+    With J the reversal of the column order and J h J = L L^T, h^-1 is
+    (J L^-1 J)^T (J L^-1 J), and J L^-1 J is upper triangular: one
+    factorisation and one triangular inverse, in L's own array. h must be
+    a writeable float64 array; it is consumed, so the solve holds h and L
+    only. A failed pivot is reported in h's own column order, and h is
+    then left as it was.
     """
     require_matrix(h, "h")
     if h.dtype != np.float64 or not h.flags.writeable:
         raise ContractViolation("spd_inverse needs a writeable float64 h, which it overwrites")
-    L = cholesky(h)
+    try:
+        L = cholesky(h[::-1, ::-1])
+    except FactorizationError as exc:
+        raise FactorizationError(h.shape[0] - 1 - exc.pivot, exc.value) from None
     _invert_lower(L)
-    return np.matmul(L.T, L, out=h)
+    h[...] = L[::-1, ::-1]
+    return h

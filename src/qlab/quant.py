@@ -7,16 +7,16 @@ half-up. Scales are stored in 32-bit so files round-trip bit-exactly;
 all quantization arithmetic runs in 64-bit, where products of codes with
 a 32-bit scale are exact.
 
-GPTQ processes columns in natural order against the upper Cholesky factor
-of the damped inverse Hessian (factorised by LAPACK), recomputing group
-parameters from the error-compensated weights at each group boundary.
-The factorisation works in place (the triangular inverse, and H^-1
-written into H's array and symmetrised there), so a solve holds at most
-two n x n arrays.
-Residuals are applied in lazy batches of whole groups (about LAZY_BLOCK
-columns): within a batch column by column, past it in one GEMM. The
-column loop runs on the transposed weights, so each column is one
-contiguous row quantized and compensated in place.
+GPTQ processes columns in natural order against U, the upper Cholesky
+factor of the damped inverse Hessian, recomputing group parameters from
+the error-compensated weights at each group boundary. U comes from one
+LAPACK Cholesky of H with its column order reversed and one triangular
+inverse (`ndkernel.spd_inverse`), written into H's array, so a solve
+holds at most two n x n arrays.
+Residuals are applied in lazy batches of at most LAZY_BLOCK columns that
+never cross a group boundary: within a batch column by column, past it
+in one GEMM. The column loop runs on the transposed weights, so each
+column is one contiguous row quantized and compensated in place.
 GPTQ needs the calibration inputs X only through their Gram matrix
 G = X^T X: the Hessian is 2 G, and the reconstruction error
 ||X (W - What)^T||_F is sqrt(sum((D G) * D)) with D = W - What. `gram` is
@@ -41,7 +41,9 @@ import numpy as np
 from . import store
 from .errors import ConfigError, ContractViolation, FactorizationError, QuantizationError
 from .model import META, Checkpoint, ModelConfig, meta_entry, pop_meta, quantizable_layer_names
-from .ndkernel import cholesky, frobenius_norm, spd_inverse, symmetrize
+# cholesky is unused here, but perfbench's traced mode wraps it at this
+# module's name, so it must stay importable from it.
+from .ndkernel import cholesky, frobenius_norm, spd_inverse  # noqa: F401
 from .data import CalibrationSet
 
 
@@ -101,7 +103,7 @@ class LayerQuantStats:
     damping_used: float
 
 
-LAZY_BLOCK = 128  # GPTQ columns per lazy-batch update
+LAZY_BLOCK = 32  # GPTQ columns per lazy batch at most
 
 
 def round_half_up(x: np.ndarray) -> np.ndarray:
@@ -181,11 +183,11 @@ def gptq_quantize(
     Steps: H = 2 G, a fresh array (G is only read); dead columns (zero
     diagonal) are pinned and the corresponding weights zeroed; H is damped
     by damping_frac times its mean diagonal; U is the upper Cholesky factor
-    of H^-1 (positive diagonal); per column j the rounding residual
-    e = (w_j - deq_j)/U_jj is pushed into the remaining columns via
-    U[j, j+1:], lazily: columns past the current batch receive a whole
-    batch's residuals at once. Rows never mix, so rows stacked from layers
-    that share G quantize as each layer alone would.
+    of H^-1 (positive diagonal), written into H's array; per column j the
+    rounding residual e = (w_j - deq_j)/U_jj is pushed into the remaining
+    columns via U[j, j+1:], lazily: columns past the current batch receive
+    a whole batch's residuals at once. Rows never mix, so rows stacked from
+    layers that share G quantize as each layer alone would.
     """
     W = np.asarray(W)
     G = np.asarray(G, dtype=np.float64)
@@ -210,53 +212,53 @@ def gptq_quantize(
     damp = cfg.damping_frac * float(np.mean(np.diag(H)))
     H[np.diag_indices(d_in)] += damp
     try:
-        Hinv = spd_inverse(H)  # written into H's array
-        U = cholesky(symmetrize(Hinv)).T
+        U = spd_inverse(H)  # written into H's array
     except FactorizationError as exc:
         raise QuantizationError(
             f"Hessian factorization failed for {name or 'layer'}: {exc}", layer=name
         ) from exc
-    del H, Hinv  # U is a new array: free H^-1 before the column loop
 
     qT = np.empty((d_in, d_out))  # codes as floats, column j in row j
     scales = np.empty((d_out, n_groups), dtype=np.float32)
     zeros = np.empty((d_out, n_groups), dtype=np.int32)
+    errsT = np.empty((LAZY_BLOCK, d_out))  # a batch's residuals
+    upd = np.empty((LAZY_BLOCK - 1, d_out))  # one rank-1 update inside a batch
     if cfg.static_groups:
         for gi in range(n_groups):
             lo = gi * g
             scales[:, gi], zeros[:, gi] = group_params(wT[lo : lo + g].T, cfg.bits)
-    # Lazy batches: a column's residual updates the rest of its block right
-    # away, and the columns after the block in one GEMM when the block ends.
-    # Blocks are whole groups, so a group's parameters are computed only
-    # from fully error-compensated weights.
-    block = g * max(1, LAZY_BLOCK // g)
-    for b0 in range(0, d_in, block):
-        b1 = min(b0 + block, d_in)
-        errsT = np.empty((b1 - b0, d_out))
-        for j in range(b0, b1):
-            if j % g == 0:
-                gi = j // g
-                if not cfg.static_groups:
-                    scales[:, gi], zeros[:, gi] = group_params(wT[j : j + g].T, cfg.bits)
-                s, z = scales[:, gi].astype(np.float64), zeros[:, gi].astype(np.float64)
-            w, q, e = wT[j], qT[j], errsT[j - b0]
-            # half-up rounding onto the grid, clamped: quantize_codes, in place
-            np.divide(w, s, out=q)
-            q += 0.5
-            np.floor(q, out=q)
-            q += z
-            np.maximum(q, 0.0, out=q)
-            np.minimum(q, maxq, out=q)
-            # e = (w - deq) / U_jj, then the rank-1 update of the block's rest
-            np.subtract(q, z, out=e)
-            e *= s
-            np.subtract(w, e, out=e)
-            e /= U[j, j]
-            wT[j + 1 : b1] -= U[j, j + 1 : b1, None] * e
-        # a C-ordered errs keeps the GEMM's summation order, hence its bits;
-        # OpenBLAS sums a transposed operand in another order
-        errs = np.ascontiguousarray(errsT.T)
-        wT[b1:] -= (errs @ U[b0:b1, b1:]).T
+    # Lazy batches: a column's residual updates the rest of its batch right
+    # away, and the columns after the batch in one GEMM when the batch ends.
+    # Batches never cross a group boundary, so a group's parameters are
+    # computed only from fully error-compensated weights.
+    for lo in range(0, d_in, g):
+        gi, hi = lo // g, min(lo + g, d_in)
+        if not cfg.static_groups:
+            scales[:, gi], zeros[:, gi] = group_params(wT[lo:hi].T, cfg.bits)
+        s, z = scales[:, gi].astype(np.float64), zeros[:, gi].astype(np.float64)
+        for b0 in range(lo, hi, LAZY_BLOCK):
+            b1 = min(b0 + LAZY_BLOCK, hi)
+            for j in range(b0, b1):
+                w, q, e = wT[j], qT[j], errsT[j - b0]
+                # half-up rounding onto the grid, clamped: quantize_codes, in place
+                np.divide(w, s, out=q)
+                q += 0.5
+                np.floor(q, out=q)
+                q += z
+                np.maximum(q, 0.0, out=q)
+                np.minimum(q, maxq, out=q)
+                # e = (w - deq) / U_jj, then the rank-1 update of the batch's rest
+                np.subtract(q, z, out=e)
+                e *= s
+                np.subtract(w, e, out=e)
+                e /= U[j, j]
+                u = upd[: b1 - j - 1]
+                np.multiply(U[j, j + 1 : b1, None], e, out=u)
+                wT[j + 1 : b1] -= u
+            # a C-ordered errs keeps the GEMM's summation order, hence its bits;
+            # OpenBLAS sums a transposed operand in another order
+            errs = np.ascontiguousarray(errsT[: b1 - b0].T)
+            wT[b1:] -= (errs @ U[b0:b1, b1:]).T
     codes = qT.T.astype(np.uint8, order="C")
     return QuantizedLinear(codes, scales, zeros, cfg.bits, cfg.group_size)
 

@@ -44,7 +44,7 @@ def lower_inverse_reference(L):
     with before it worked in place: a fresh array per level."""
     n = L.shape[0]
     if n <= 32:
-        return np.linalg.inv(L)
+        return np.tril(np.linalg.inv(L))
     k = n // 2
     a_inv, d_inv = lower_inverse_reference(L[:k, :k]), lower_inverse_reference(L[k:, k:])
     out = np.zeros_like(L)
@@ -54,13 +54,11 @@ def lower_inverse_reference(L):
 
 
 def inverse_factor_reference(H):
-    """U for GPTQ by the allocating chain: H^-1 from the reference inverse,
-    symmetrised as (Hinv + Hinv.T) * 0.5, then its upper Cholesky factor."""
+    """U for GPTQ by the allocating chain: the reference inverse of the
+    Cholesky factor of H with its column order reversed, reversed again."""
     from qlab.ndkernel import cholesky
 
-    L_inv = lower_inverse_reference(cholesky(H))
-    Hinv = L_inv.T @ L_inv
-    return cholesky((Hinv + Hinv.T) * 0.5).T
+    return np.ascontiguousarray(lower_inverse_reference(cholesky(H[::-1, ::-1]))[::-1, ::-1])
 
 
 def forward_stage_inputs(ck, batches) -> dict:

@@ -196,9 +196,10 @@ def test_cli_eval_bad_thread_count_is_config_error(trained_run, monkeypatch, thr
 
 @pytest.mark.parametrize("threads", ["two", "0", "-3"])
 def test_cli_train_bad_thread_count_is_config_error(tmp_path, cfg_file, monkeypatch, threads):
-    # read at the first training step's parallel region
+    # read before the run directory is made, so none is left
     monkeypatch.setenv("QLAB_THREADS", threads)
     assert main(["train", "--config", cfg_file, "--out-root", str(tmp_path / "runs")]) == 2
+    assert not os.path.exists(tmp_path / "runs")
 
 
 @pytest.mark.parametrize("method,sets", [

@@ -362,6 +362,25 @@ def test_gptq_quantize_eval_builds_one_calibration_set(trained_run, monkeypatch)
     assert built == [cfg["quant.calib_samples"]]
 
 
+def test_repeated_bit_width_quantizes_once(trained_run, monkeypatch):
+    from qlab import harness
+
+    cfg, run_dir = trained_run
+    calls, real = [], harness.quantize_model
+
+    def count(ckpt, calib, qcfg):
+        calls.append((ckpt.step, qcfg.bits))
+        return real(ckpt, calib, qcfg)
+
+    monkeypatch.setattr(harness, "quantize_model", count)
+    steps = list_ckpt_steps(run_dir)[-2:]
+    records, failures = cmd_quantize_eval(run_dir, bits=(4, 3, 4, 3), steps=steps)
+    assert not failures and len(records) == 2
+    # two checkpoints run as jobs, each its bit widths in order
+    for s in steps:
+        assert [b for step, b in calls if step == s] == [4, 3]
+
+
 def test_quantize_eval_empty_selection_warns(trained_run):
     cfg, run_dir = trained_run
     records, failures = cmd_quantize_eval(run_dir, bits=(3,), steps=[])

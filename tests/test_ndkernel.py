@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import lower_inverse_reference
+from conftest import inverse_factor_reference
 from qlab.errors import ContractViolation, FactorizationError
-from qlab.ndkernel import SYM_RTOL, cholesky, frobenius_norm, spd_inverse, symmetrize
+from qlab.ndkernel import SYM_RTOL, cholesky, frobenius_norm, spd_inverse
 
 
 def det_recursive(a):
@@ -76,23 +76,25 @@ def test_cholesky_of_LLt_recovers_L():
 
 
 def test_spd_inverse_identity_and_diagonal():
+    # spd_inverse gives U with U.T @ U == h^-1
     assert np.array_equal(spd_inverse(np.eye(2)), np.eye(2))
-    x = spd_inverse(np.array([[4.0, 0.0], [0.0, 9.0]]))
-    assert np.allclose(x, [[0.25, 0.0], [0.0, 1.0 / 9.0]])
+    u = spd_inverse(np.array([[4.0, 0.0], [0.0, 9.0]]))
+    assert np.allclose(u, [[0.5, 0.0], [0.0, 1.0 / 3.0]])
 
 
 def test_spd_inverse_against_adjugate_inverse():
     rng = np.random.Generator(np.random.PCG64(5))
     h = random_spd(rng, 6)
-    x = spd_inverse(h.copy())
-    assert np.max(np.abs(x - adjugate_inverse(h))) < 1e-8
+    u = spd_inverse(h.copy())
+    assert np.max(np.abs(u.T @ u - adjugate_inverse(h))) < 1e-8
 
 
 def test_spd_inverse_residual_up_to_256():
     rng = np.random.Generator(np.random.PCG64(6))
     for n in (16, 33, 64, 100, 256):  # leaf-sized and recursive, even and odd splits
         h = random_spd(rng, n, jitter=1.0)
-        assert np.linalg.norm(h @ spd_inverse(h.copy()) - np.eye(n)) / np.sqrt(n) < 1e-8
+        u = spd_inverse(h.copy())
+        assert np.linalg.norm(h @ (u.T @ u) - np.eye(n)) / np.sqrt(n) < 1e-8
 
 
 def test_spd_inverse_indefinite_reports_pivot():
@@ -115,7 +117,8 @@ def test_cholesky_nonfinite_reports_pivot():
 def test_spd_inverse():
     rng = np.random.Generator(np.random.PCG64(7))
     h = random_spd(rng, 8)
-    assert np.max(np.abs(h @ spd_inverse(h.copy()) - np.eye(8))) < 1e-8
+    u = spd_inverse(h.copy())
+    assert np.max(np.abs(h @ (u.T @ u) - np.eye(8))) < 1e-8
 
 
 LEAN_SIZES = (1, 31, 32, 33, 192, 250, 768)  # leaf, leaf edge, odd and even splits, desk w2
@@ -125,10 +128,20 @@ LEAN_SIZES = (1, 31, 32, 33, 192, 250, 768)  # leaf, leaf edge, odd and even spl
 def test_in_place_spd_inverse_matches_allocating_reference_bitwise(n):
     rng = np.random.Generator(np.random.PCG64(n))
     h = random_spd(rng, n)
-    L_inv = lower_inverse_reference(cholesky(h))
-    want = (L_inv.T @ L_inv).tobytes()
+    want = inverse_factor_reference(h).tobytes()
     got = spd_inverse(h)
     assert got is h and got.tobytes() == want
+
+
+@pytest.mark.parametrize("n", LEAN_SIZES)
+def test_spd_inverse_is_the_upper_factor_of_the_inverse(n):
+    # upper triangular with a positive diagonal, and U.T @ U @ h == I to
+    # round-off: within n * eps * cond(h) in the 2-norm
+    h = random_spd(np.random.Generator(np.random.PCG64(n)), n)
+    u = spd_inverse(h.copy())
+    assert np.array_equal(u, np.triu(u)) and np.all(np.diag(u) > 0)
+    residual = np.linalg.norm(u.T @ u @ h - np.eye(n), 2)
+    assert residual <= n * np.finfo(np.float64).eps * np.linalg.cond(h)
 
 
 def test_spd_inverse_leaves_h_when_factorization_fails():
@@ -148,15 +161,6 @@ def test_spd_inverse_refuses_what_it_cannot_overwrite():
     frozen.flags.writeable = False
     with pytest.raises(ContractViolation):
         spd_inverse(frozen)
-
-
-@pytest.mark.parametrize("n", (1, 63, 64, 65, 250))
-def test_symmetrize_matches_expression_bitwise(n):
-    a = np.random.Generator(np.random.PCG64(n)).standard_normal((n, n))
-    want = ((a + a.T) * 0.5).tobytes()
-    got = a.copy()
-    assert symmetrize(got) is got
-    assert got.tobytes() == want
 
 
 # (row, col) of one asymmetric entry in a 250 x 250 matrix: the first and

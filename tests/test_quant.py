@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import forward_stage_inputs, inverse_factor_reference, stage_grams, tiny_model_config
 from qlab.data import TokenStream, build_calibration
 from qlab.errors import ConfigError, ContractViolation, FactorizationError, QuantizationError
-from qlab.ndkernel import cholesky, spd_inverse
 from qlab.model import capture_layer_inputs, init, quantizable_layer_names
 from qlab.quant import (
     LAZY_BLOCK,
@@ -203,8 +202,7 @@ def reference_gptq(W, X, cfg):
     H[dead, dead] = 1.0
     w[:, dead] = 0.0
     H[np.diag_indices(d_in)] += cfg.damping_frac * float(np.mean(np.diag(H)))
-    Hinv = spd_inverse(H)
-    U = cholesky((Hinv + Hinv.T) * 0.5).T
+    U = inverse_factor_reference(H)
     static = [group_params(w[:, lo : lo + g], cfg.bits) for lo in range(0, d_in, g)]
     codes = np.empty((d_out, d_in), dtype=np.uint8)
     scales = np.empty((d_out, len(static)), dtype=np.float32)
@@ -253,17 +251,17 @@ def lazy_gptq_reference(W, X, cfg, group_params=group_params):
     H[dead, dead] = 1.0
     w64[:, dead] = 0.0
     H[np.diag_indices(d_in)] += cfg.damping_frac * float(np.mean(np.diag(H)))
-    Hinv = spd_inverse(H)
-    U = cholesky((Hinv + Hinv.T) * 0.5).T
+    U = inverse_factor_reference(H)
     codes = np.empty((d_out, d_in), dtype=np.uint8)
     scales = np.empty((d_out, n_groups), dtype=np.float32)
     zeros = np.empty((d_out, n_groups), dtype=np.int32)
     if cfg.static_groups:
         for gi in range(n_groups):
             scales[:, gi], zeros[:, gi] = group_params(w64[:, gi * g : (gi + 1) * g], cfg.bits)
-    block = g * max(1, LAZY_BLOCK // g)
-    for b0 in range(0, d_in, block):
-        b1 = min(b0 + block, d_in)
+    # batches of at most LAZY_BLOCK columns, each inside one group
+    starts = {b for lo in range(0, d_in, g) for b in range(lo, min(lo + g, d_in), LAZY_BLOCK)}
+    bounds = sorted(starts | {d_in})
+    for b0, b1 in zip(bounds, bounds[1:]):
         errs = np.empty((d_out, b1 - b0))
         for j in range(b0, b1):
             gi = j // g
@@ -292,12 +290,14 @@ def recording_group_params(seen):
 
 
 @pytest.mark.parametrize("static_groups", [False, True])
-@pytest.mark.parametrize("group_size", [1, 48, LAZY_BLOCK + 64])
+@pytest.mark.parametrize("group_size", [1, 48, 192])
 def test_gptq_column_loop_matches_lazy_reference_bitwise(monkeypatch, group_size, static_groups):
     from qlab import quant
 
     rng = np.random.Generator(np.random.PCG64(1000 + group_size))
-    d_in = 250  # a ragged last group at sizes 48 and 192, two lazy blocks or more at all
+    # a ragged last group at sizes 48 and 192, batches of one column at 1, of
+    # 32 and 16 at 48 and of 32 and a ragged 26 at 192
+    d_in = 250
     mix = np.eye(d_in) + rng.standard_normal((d_in, d_in)) / np.sqrt(d_in)
     X = rng.standard_normal((2 * d_in, d_in)) @ mix
     X[:, [3, 130]] = 0.0  # dead input features
@@ -345,8 +345,8 @@ def test_stacked_rows_quantize_as_each_layer_alone(monkeypatch, d_in):
 
 @pytest.mark.parametrize("n", (1, 31, 32, 33, 192, 250, 768))
 def test_gptq_factor_matches_allocating_reference_bitwise(monkeypatch, n):
-    # the in-place inverse and symmetrisation give the U of the allocating
-    # chain, from the damped 2 X^T X built as before, bit for bit
+    # the reversed factorisation and its in-place inverse give the U of the
+    # allocating chain, from the damped 2 X^T X built as before, bit for bit
     from qlab import quant
 
     rng = np.random.Generator(np.random.PCG64(n))
@@ -354,10 +354,14 @@ def test_gptq_factor_matches_allocating_reference_bitwise(monkeypatch, n):
     X[:, n // 2] = 0.0  # a dead column
     W = (rng.standard_normal((4, n)) * 0.1).astype(np.float32)
     hessians, factors = [], []
-    real_inverse, real_cholesky = quant.spd_inverse, quant.cholesky
-    monkeypatch.setattr(quant, "spd_inverse",
-                        lambda h: hessians.append(h.copy()) or real_inverse(h))
-    monkeypatch.setattr(quant, "cholesky", lambda h: factors.append(real_cholesky(h)) or factors[-1])
+    real_inverse = quant.spd_inverse
+
+    def record(h):
+        hessians.append(h.copy())
+        factors.append(real_inverse(h))
+        return factors[-1]
+
+    monkeypatch.setattr(quant, "spd_inverse", record)
     gptq_quantize(W, gram(X), QuantConfig(bits=3, group_size=32))
     x64 = X.astype(np.float64)
     H = 2.0 * (x64.T @ x64)
@@ -365,8 +369,7 @@ def test_gptq_factor_matches_allocating_reference_bitwise(monkeypatch, n):
     H[np.diag_indices(n)] += 0.01 * float(np.mean(np.diag(H)))
     assert len(hessians) == len(factors) == 1
     assert hessians[0].tobytes() == H.tobytes()
-    want = np.ascontiguousarray(inverse_factor_reference(H))
-    assert np.ascontiguousarray(factors[0].T).tobytes() == want.tobytes()
+    assert factors[0].tobytes() == inverse_factor_reference(H).tobytes()
 
 
 def test_gptq_dead_columns_zeroed():
@@ -745,6 +748,24 @@ def test_stage_failing_every_rung_names_its_first_layer(monkeypatch):
     assert info.value.layer == "layers.0.attn.wq"
     # damping 0.01 and 0.1; the 1.0 rung is out of range
     assert len(calls) == 2
+
+
+def test_indefinite_hessian_names_first_layer_and_pivot_in_its_own_order():
+    # the factorisation runs on the reversed Hessian, where the bad pivot of
+    # 40 sits at 30; the error gives it at 9, as H orders its columns
+    from qlab import quant
+
+    G = np.eye(40)
+    G[9, 9] = -1.0  # not lifted by damping at 0.01 or 0.1 of the mean diagonal
+    W = np.random.Generator(np.random.PCG64(9)).standard_normal((6, 40))
+    names = ["layers.0.attn.wq", "layers.0.attn.wk", "layers.0.attn.wv"]
+    with pytest.raises(QuantizationError) as info:
+        quant._quantize_stage(W, G, QuantConfig(bits=3, group_size=8), names)
+    assert info.value.layer == names[0]
+    rung = info.value.__cause__
+    assert isinstance(rung, QuantizationError) and rung.layer == names[0]
+    assert names[0] in str(rung) and "pivot at index 9 " in str(rung)
+    assert isinstance(rung.__cause__, FactorizationError) and rung.__cause__.pivot == 9
 
 
 def test_quantized_model_file_roundtrip(tmp_path, corpus_splits):
