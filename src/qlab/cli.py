@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 config error (or a result that conflicts with
-one already recorded, or a bad QLAB_THREADS in a command that runs a
-parallel region), 3 numeric failure, 4 partial sweep/eval failure; each
-error class carries its code. Unset run settings (bits, method, LAWA k
-and interval) come from the run's manifest.
+Exit codes: 0 success, 2 config error (or a run's changed eval or calibration
+set, a result that conflicts with one already recorded, or a bad QLAB_THREADS
+in a command that runs a parallel region), 3 numeric failure, 4 partial
+sweep/eval failure; each error class carries its code. Unset run settings
+(bits, method, LAWA k and interval) come from the run's manifest.
 """
 
 from __future__ import annotations
@@ -110,12 +110,10 @@ def _cmd_quantize(args) -> int:
     qcfg = cfgmod.quant_config(cfg, args.bits, args.method)
     calib = None
     if qcfg.method == "gptq":
-        data = harness.build_data(cfg)
-        # the run's own calibration set must still be the recorded one;
-        # --set may then choose another (say, fewer samples) from it
-        calib = harness.check_calibration(data, run_cfg, args.ckpt)
-        if cfg != run_cfg:
-            calib = data.calibration(cfg)
+        # the run's own sets must still be the recorded ones; --set may
+        # then choose another calibration set (say, fewer samples) from it
+        data = harness.build_data(run_cfg)
+        calib = data.calib_set if cfg == run_cfg else data.calibration(cfg)
     qm, stats = quantize_model(ckpt, calib, qcfg)
     save_quantized(args.out, qm, overwrite=True)
     for s in stats:

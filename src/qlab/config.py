@@ -88,7 +88,7 @@ REGISTRY: Dict[str, Tuple[str, object]] = {
     "lawa.interval": ("int", 500),
 }
 
-# manifest-only keys, excluded from the run-id hash unless noted
+# manifest-only keys, not hashed into run ids (run.created, run.code_version: old manifests only)
 RUN_KEYS = {
     "run.id", "run.parent_id", "run.branch_step", "run.created",
     "run.code_version", "run.eval_set_hash", "run.calib_set_hash",

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from .metrics import fmt_real
+
 
 @dataclass(frozen=True)
 class Comparison:
@@ -38,9 +40,9 @@ def cooldown_branching(cells: Sequence, bits: Sequence[int]) -> List[Comparison]
                 rises = c.rel_ce_err[b] > t.rel_ce_err[b]
                 out.append(Comparison(
                     seed, bs, improves and rises,
-                    f"seed {seed} branch {bs}: val_ce {t.val_ce_fp:.4f} -> {c.val_ce_fp:.4f} "
-                    f"({'improves' if improves else 'worsens'}), "
-                    f"rel_err{b} {t.rel_ce_err[b]:.4f} -> {c.rel_ce_err[b]:.4f} "
+                    f"seed {seed} branch {bs}: val_ce {fmt_real(t.val_ce_fp)} -> "
+                    f"{fmt_real(c.val_ce_fp)} ({'improves' if improves else 'worsens'}), "
+                    f"rel_err{b} {fmt_real(t.rel_ce_err[b])} -> {fmt_real(c.rel_ce_err[b])} "
                     f"({'rises' if rises else 'falls'})",
                 ))
     return out
@@ -60,7 +62,7 @@ def lr_sweep(cells: Sequence, bits: Sequence[int]) -> List[Comparison]:
         for b in bits:
             err = [(lr, by_lr[lr].rel_ce_err[b]) for lr in sorted(by_lr)]
             ordered = all(x[1] >= y[1] for x, y in zip(err, err[1:]))
-            pretty = ", ".join(f"{lr:.0e}: {e:.4f}" for lr, e in err)
+            pretty = ", ".join(f"{lr:.0e}: {fmt_real(e)}" for lr, e in err)
             out.append(Comparison(
                 seed, None, ordered,
                 f"seed {seed}: rel_err{b} by lr {{{pretty}}} inverse-ordered={ordered}",
@@ -79,8 +81,8 @@ def lawa_vs_cooldown(cells: Sequence, bits: Sequence[int]) -> List[Comparison]:
                 lw, br = avg.val_ce_q[b], cell.branches[step].val_ce_q[b]
                 out.append(Comparison(
                     seed, step, lw <= br,
-                    f"seed {seed} step {step}: lawa ce_q{b} {lw:.4f} vs cooldown {br:.4f} "
-                    f"({'lawa matches/beats' if lw <= br else 'cooldown wins'})",
+                    f"seed {seed} step {step}: lawa ce_q{b} {fmt_real(lw)} vs cooldown "
+                    f"{fmt_real(br)} ({'lawa matches/beats' if lw <= br else 'cooldown wins'})",
                 ))
     return out
 

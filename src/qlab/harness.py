@@ -4,15 +4,17 @@
 a plan, branches, averages and quantize-evaluates it as the plan says,
 and returns the records a claim is judged by.
 
-A run directory is fully determined by (corpus bytes, manifest):
-checkpoints are immutable and checksummed, and results live in three
-keyed CSV tables written through `metrics.MetricsStore`: metrics.csv by
-(run_id, step), the high-frequency norms.csv by step, and per-layer
-quantization stats in quant_layers.csv by (run_id, step, bits, method,
-layer). A rerun resumes and re-emits identical rows, which merge; a row
-that differs raises MergeError. Cooldown branches resume the parent's
-checkpoint, optimizer state, and data cursor, so a branch plus its trunk
-prefix is step-for-step identical to the equivalent single WSD run.
+A run directory is a pure function of (corpus bytes, manifest): the
+manifest records no time, `build_data` refuses a corpus or config that
+changes a run's recorded eval or calibration set, checkpoints are
+immutable and checksummed, and results live in three keyed CSV tables
+written through `metrics.MetricsStore`: metrics.csv by (run_id, step),
+the high-frequency norms.csv by step, and per-layer quantization stats
+in quant_layers.csv by (run_id, step, bits, method, layer). A rerun
+resumes and re-emits identical rows, which merge; a row that differs
+raises MergeError. Cooldown branches resume the parent's checkpoint,
+optimizer state, and data cursor, so a branch plus its trunk prefix is
+step-for-step identical to the equivalent single WSD run.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,8 +133,10 @@ def list_ckpt_steps(run_dir: str, kind: str = "ckpt") -> List[int]:
 
 @dataclass
 class RunData:
+    """A run's training stream, calibration slice and eval set under `cfg`."""
+
+    cfg: Dict[str, object]
     train: TokenStream
-    val: TokenStream
     calib: TokenStream
     eval_batches: List[Batch]
     eval_hash: str
@@ -141,19 +146,19 @@ class RunData:
             self.calib, cfg["quant.calib_samples"], cfg["data.seq_len"]
         )
 
+    @cached_property
+    def calib_set(self) -> CalibrationSet:
+        """The run's own calibration set, built once."""
+        return self.calibration(self.cfg)
 
-def check_calibration(data: RunData, run_cfg: Dict[str, object], where: str) -> CalibrationSet:
-    """The calibration set of `data` under the run's own settings `run_cfg`;
-    a ConfigError naming `where` if it differs from the one the run
-    recorded (`run.calib_set_hash`): the corpus or config changed."""
-    calib = data.calibration(run_cfg)
-    recorded = str(run_cfg.get("run.calib_set_hash", ""))
-    if recorded and token_fingerprint(calib.batches) != recorded:
-        raise ConfigError(f"calibration set hash mismatch for {where}: corpus or config changed")
-    return calib
+    @property
+    def calib_hash(self) -> str:
+        return token_fingerprint(self.calib_set.batches)
 
 
 def build_data(cfg: Dict[str, object]) -> RunData:
+    """A run's data under cfg; a ConfigError names the run if a set's hash
+    differs from the one cfg records (run.eval_set_hash, run.calib_set_hash)."""
     if not cfg["data.path"]:
         raise ConfigError("data.path is required")
     stream = load_corpus(cfg["data.path"], cfg["data.limit_bytes"] or None)
@@ -163,7 +168,13 @@ def build_data(cfg: Dict[str, object]) -> RunData:
     eval_batches = fixed_eval_batches(
         val, cfg["eval.batches"], cfg["eval.batch_size"], cfg["data.seq_len"]
     )
-    return RunData(train, val, calib, eval_batches, token_fingerprint(eval_batches))
+    data = RunData(cfg, train, calib, eval_batches, token_fingerprint(eval_batches))
+    for what in ("eval", "calib"):
+        recorded = cfg.get(f"run.{what}_set_hash")
+        if recorded and recorded != getattr(data, f"{what}_hash"):
+            raise ConfigError(f"{what} set hash mismatch for run {cfg.get('run.id')}: "
+                              f"corpus or config changed")
+    return data
 
 
 def _phase_boundaries(spec: ScheduleSpec) -> Tuple[int, ...]:
@@ -197,25 +208,28 @@ def cmd_train(
     """Train under `cfg` into out_root/<run_id>; returns the run directory.
 
     What the directory holds decides how the run starts. It resumes from
-    the last step whose checkpoint and optimizer state are both saved; a
-    run already there at the target returns at once and reads nothing.
-    With no such step it starts fresh and rewrites its manifest;
-    `start_state` then loads a branch's start (its parent's checkpoint,
-    optimizer state and data cursor). `force` deletes the run first.
+    the last step whose checkpoint and optimizer state are both saved, if
+    its manifest's data sets still match; a run already there at the
+    target returns at once and reads nothing. With no such step, or with
+    `force`, it starts fresh (deleting the old run) and rewrites its
+    manifest; `start_state` then loads a branch's start (its parent's
+    checkpoint, optimizer state and data cursor).
     """
     spec = cfgmod.schedule_spec(cfg)
     ocfg = cfgmod.optim_config(cfg)
     mcfg = cfgmod.model_config(cfg)
     run_id = cfgmod.run_id_of(cfg, parent)
     run_dir = os.path.join(out_root, run_id)
-    if force and os.path.isdir(run_dir):
-        shutil.rmtree(run_dir)
     target = spec.total_steps if stop_after is None else min(stop_after, spec.total_steps)
-    saved = [s for s in list_ckpt_steps(run_dir) if os.path.exists(opt_path(run_dir, s))]
+    steps = [] if force else list_ckpt_steps(run_dir)
+    saved = [s for s in steps if os.path.exists(opt_path(run_dir, s))]
     if saved and saved[-1] >= target:
         return run_dir
-    data = build_data(cfg)  # before the run directory: a config error leaves none
+    # before any write: a config error or changed data leaves the run as it was
+    data = build_data(load_manifest(run_dir) if saved else cfg)
     qlab_threads()  # and so does a bad QLAB_THREADS
+    if force and os.path.isdir(run_dir):
+        shutil.rmtree(run_dir)
     os.makedirs(run_dir, exist_ok=True)
 
     def save_state(ckpt: Checkpoint, opt_state: OptimState, cursor: int) -> None:
@@ -233,10 +247,8 @@ def cmd_train(
     else:
         run_keys = {
             "run.id": run_id,
-            "run.created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "run.code_version": _code_version(),
             "run.eval_set_hash": data.eval_hash,
-            "run.calib_set_hash": token_fingerprint(data.calibration(cfg).batches),
+            "run.calib_set_hash": data.calib_hash,
         }
         if parent:
             run_keys["run.parent_id"] = parent[0]
@@ -309,12 +321,6 @@ def _duration(seconds: float) -> str:
     return f"{s // 60}m{s % 60:02d}s" if s >= 60 else f"{s}s"
 
 
-def _code_version() -> str:
-    from . import __version__
-
-    return __version__
-
-
 def cmd_branch(
     parent_dir: str,
     branch_step: int,
@@ -334,7 +340,6 @@ def cmd_branch(
     checkpoint), and `force` redoes it.
     """
     cfg = load_manifest(parent_dir)
-    parent_id = str(cfg.get("run.id", os.path.basename(parent_dir)))
     cpath, opath = ckpt_path(parent_dir, branch_step), opt_path(parent_dir, branch_step)
     for p in (cpath, opath):
         if not os.path.exists(p):
@@ -359,7 +364,7 @@ def cmd_branch(
         child,
         out_root or os.path.dirname(os.path.abspath(parent_dir)),
         force=force,
-        parent=(parent_id, branch_step),
+        parent=(cfg["run.id"], branch_step),
         start_state=lambda: (load_checkpoint(cpath), *load_opt_state(opath)),
     )
 
@@ -438,15 +443,9 @@ def cmd_quantize_eval(
             f"metrics.csv records bit widths {list(CSV_BITS)} only, not {unrecordable}"
         )
     cfg["quant.method"] = method = method or str(cfg["quant.method"])
-    base_id = str(cfg.get("run.id", os.path.basename(run_dir)))
-    run_id = base_id if kind == "ckpt" else f"{base_id}-{kind}"
+    run_id = cfg["run.id"] if kind == "ckpt" else f"{cfg['run.id']}-{kind}"
     data = build_data(cfg)
-    recorded = str(cfg.get("run.eval_set_hash", ""))
-    if recorded and recorded != data.eval_hash:
-        raise ConfigError(
-            f"eval set hash mismatch for {run_dir}: corpus or config changed"
-        )
-    calib = check_calibration(data, cfg, run_dir) if method == "gptq" else None
+    calib = data.calib_set if method == "gptq" else None
     available = list_ckpt_steps(run_dir, kind)
     selected = available if steps is None else [s for s in available if s in set(steps)]
     if steps is not None:

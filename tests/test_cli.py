@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from conftest import make_corpus_bytes
 from qlab import harness, quant
 from qlab.cli import main
 from qlab.config import resolve, run_id_of
@@ -387,6 +388,56 @@ def _edit_calibration_hash(run_dir):
     recorded = harness.load_manifest(run_dir)["run.calib_set_hash"]
     with open(path, "w", encoding="utf-8") as f:
         f.write(text.replace(recorded, "0" * 16))
+
+
+def _run_on_its_own_corpus(tmp_path, cfg_file):
+    """The train command of a 30-step run on a corpus of its own, the run
+    stopped at step 10, and that corpus."""
+    corpus = tmp_path / "corpus.bin"
+    corpus.write_bytes(make_corpus_bytes())
+    root = str(tmp_path / "runs")
+    argv = ["train", "--config", cfg_file, "--out-root", root, "--set", f"data.path={corpus}"]
+    assert main(argv + ["--stop-after", "10"]) == 0
+    return argv, os.path.join(root, run_id_of(resolve(cfg_file, [f"data.path={corpus}"]))), corpus
+
+
+def _change(corpus):
+    corpus.write_bytes(make_corpus_bytes(seed=5))
+
+
+def test_cli_resume_on_a_changed_corpus_exits_2_and_changes_nothing(tmp_path, cfg_file):
+    argv, run_dir, corpus = _run_on_its_own_corpus(tmp_path, cfg_file)
+    _change(corpus)
+    before = _tree_bytes(run_dir)
+    assert main(argv) == 2
+    assert _tree_bytes(run_dir) == before
+
+
+def test_cli_branch_of_a_run_on_a_changed_corpus_exits_2_and_makes_no_child(tmp_path, cfg_file):
+    _, run_dir, corpus = _run_on_its_own_corpus(tmp_path, cfg_file)
+    branch = ["branch", "--run", run_dir, "--step", "10", "--out-root"]
+    kept = str(tmp_path / "kept")
+    assert main(branch + [kept]) == 0
+    child = _tree_bytes(kept)
+    _change(corpus)
+    children = tmp_path / "children"
+    assert main(branch + [str(children)]) == 2
+    assert not children.exists()
+    assert main(branch + [kept, "--force"]) == 2  # refused before --force deletes the child
+    assert _tree_bytes(kept) == child
+    # eval and quantize refuse the run too
+    assert main(["eval", "--run", run_dir, "--method", "rtn", "--steps", "10"]) == 2
+    out = str(tmp_path / "q.qlab")
+    assert main(["quantize", "--ckpt", os.path.join(run_dir, "ckpt_10.qlab"), "--bits", "3",
+                 "--method", "gptq", "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+def test_cli_fresh_runs_of_the_same_settings_write_identical_files(tmp_path, cfg_file):
+    a, b = (_train(tmp_path / name, cfg_file, "schedule.total_steps=10") for name in "ab")
+    assert _tree_bytes(a) == _tree_bytes(b)  # the manifest too: it records no time
+    run_keys = sorted(k for k in harness.load_manifest(a) if k.startswith("run."))
+    assert run_keys == ["run.calib_set_hash", "run.eval_set_hash", "run.id"]
 
 
 def test_cli_eval_refuses_an_edited_calibration_hash(tmp_path, cfg_file):

@@ -84,7 +84,7 @@ def test_lawa_k_comes_from_profile(tmp_path, corpus_path):
     assert sorted(os.path.basename(p) for p in lawa) == ["lawa3_12.qlab", "lawa3_6.qlab"]
 
 
-REAL = r"-?\d+\.\d{4}"
+REAL = r"-?\d+(\.\d+)?(e[-+]\d+)?"  # metrics.fmt_real: %.9g
 PRINTED = {
     "cooldown": (
         [rf"seed 1 branch {bs}: val_ce {REAL} -> {REAL} \((improves|worsens)\), "

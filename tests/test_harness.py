@@ -63,10 +63,10 @@ def test_train_produces_run_artifacts(trained_run):
 
 def test_plain_rerun_of_a_finished_run_reads_nothing(trained_run, loads):
     cfg, run_dir = trained_run
-    files = run_files(run_dir, keep_created=True)
+    files = run_files(run_dir)
     assert cmd_train(cfg, os.path.dirname(run_dir)) == run_dir
     assert loads == []
-    assert run_files(run_dir, keep_created=True) == files
+    assert run_files(run_dir) == files
 
 
 def test_opt_state_roundtrip(tmp_path):
@@ -164,14 +164,9 @@ def read_bytes(path):
         return f.read()
 
 
-def run_files(run_dir, keep_created=False):
-    """Every file of a run directory by name; the manifest without its
-    run.created line, which differs between runs of the same settings."""
-    files = {n: read_bytes(os.path.join(run_dir, n)) for n in os.listdir(run_dir)}
-    if not keep_created:
-        lines = files[MANIFEST].splitlines(keepends=True)
-        files[MANIFEST] = b"".join(l for l in lines if not l.startswith(b"run.created "))
-    return files
+def run_files(run_dir):
+    """Every file of a run directory by name."""
+    return {n: read_bytes(os.path.join(run_dir, n)) for n in os.listdir(run_dir)}
 
 
 def test_branch_whose_parent_failed_to_load_reruns_once_repaired(tmp_path, corpus_path):

@@ -569,15 +569,12 @@ def test_sharded_walk_flags_nonfinite_layer(monkeypatch, shards):
 
 
 def _files(root):
-    """Every file under root by relative path; manifests without their timestamp."""
+    """Every file under root by relative path."""
     out = {}
     for path in sorted(glob.glob(os.path.join(root, "**", "*"), recursive=True)):
         if os.path.isfile(path):
             with open(path, "rb") as f:
-                data = f.read()
-            if path.endswith(harness.MANIFEST):
-                data = b"".join(l for l in data.splitlines(True) if not l.startswith(b"run.created"))
-            out[os.path.relpath(path, root)] = data
+                out[os.path.relpath(path, root)] = f.read()
     return out
 
 
