@@ -36,8 +36,6 @@ from .config import MANIFEST, load_manifest, write_manifest  # noqa: F401 (MANIF
 from .averaging import AveragingWindow, lawa_push, soup
 from .data import (
     Batch,
-    CalibrationSet,
-    TokenStream,
     build_calibration,
     fixed_eval_batches,
     load_corpus,
@@ -90,12 +88,12 @@ _OPT_META = "__opt_meta__"
 # -- optimizer state files -----------------------------------------------------
 
 
-def save_opt_state(path: str, state: OptimState, cursor: int, overwrite: bool = False) -> None:
+def save_opt_state(path: str, state: OptimState, cursor: int) -> None:
     arrays = {_OPT_META: np.array([[state.t, cursor]], dtype=np.float64)}
     for prefix, tensors in (("m", state.m), ("v", state.v)):
         for name in sorted(tensors):
             arrays[f"{prefix}.{name}"] = np.asarray(tensors[name], np.float32)
-    store.save_arrays(path, arrays, overwrite=overwrite)
+    store.save_arrays(path, arrays)
 
 
 def load_opt_state(path: str) -> Tuple[OptimState, int]:
@@ -133,37 +131,44 @@ def list_ckpt_steps(run_dir: str, kind: str = "ckpt") -> List[int]:
 
 @dataclass
 class RunData:
-    """A run's training stream, calibration slice and eval set under `cfg`."""
+    """A run's training and calibration slices (uint8 token arrays) and its
+    eval set under `cfg`."""
 
     cfg: Dict[str, object]
-    train: TokenStream
-    calib: TokenStream
+    train: np.ndarray
+    calib: np.ndarray
     eval_batches: List[Batch]
     eval_hash: str
 
-    def calibration(self, cfg: Dict[str, object]) -> CalibrationSet:
+    def calibration(self, cfg: Dict[str, object]) -> List[Batch]:
         return build_calibration(
             self.calib, cfg["quant.calib_samples"], cfg["data.seq_len"]
         )
 
     @cached_property
-    def calib_set(self) -> CalibrationSet:
-        """The run's own calibration set, built once."""
+    def calib_set(self) -> List[Batch]:
+        """The run's own calibration batches, built once."""
         return self.calibration(self.cfg)
 
     @property
     def calib_hash(self) -> str:
-        return token_fingerprint(self.calib_set.batches)
+        return token_fingerprint(self.calib_set)
 
 
 def build_data(cfg: Dict[str, object]) -> RunData:
     """A run's data under cfg; a ConfigError names the run if a set's hash
-    differs from the one cfg records (run.eval_set_hash, run.calib_set_hash)."""
+    differs from the one cfg records (run.eval_set_hash, run.calib_set_hash),
+    and refuses a batch size below 1 or a corpus byte the vocabulary lacks."""
     if not cfg["data.path"]:
         raise ConfigError("data.path is required")
-    stream = load_corpus(cfg["data.path"], cfg["data.limit_bytes"] or None)
+    if cfg["train.batch_size"] < 1:
+        raise ConfigError(f"train.batch_size must be at least 1, got {cfg['train.batch_size']}")
+    tokens = load_corpus(cfg["data.path"], cfg["data.limit_bytes"] or None)
+    top = int(tokens.max())
+    if top >= cfg["model.vocab"]:
+        raise ConfigError(f"corpus byte {top} is outside model.vocab {cfg['model.vocab']}")
     train, val, calib = split(
-        stream, cfg["data.val_fraction"], cfg["data.calib_fraction"], cfg["data.seed"]
+        tokens, cfg["data.val_fraction"], cfg["data.calib_fraction"], cfg["data.seed"]
     )
     eval_batches = fixed_eval_batches(
         val, cfg["eval.batches"], cfg["eval.batch_size"], cfg["data.seq_len"]
@@ -332,12 +337,13 @@ def cmd_branch(
     """Cool down a trunk from `branch_step`; returns the child run directory.
 
     The cooldown length defaults to decay_frac * branch_step and is at
-    least 2 steps (`decay_steps` below 2 is a ConfigError): a WSD decay's
-    last step runs at LR 0, so one step would change nothing. The child's
-    schedule is the WSD run that matches the trunk up to the branch point
-    and then decays linearly to zero. Like `cmd_train`, a rerun resumes
-    the child (a finished one reads nothing, not even the parent's
-    checkpoint), and `force` redoes it.
+    least 2 steps (`decay_steps` below 2, or a `decay_frac` of 0 or below,
+    is a ConfigError): a WSD decay's last step runs at LR 0, so one step
+    would change nothing. The child's schedule is the WSD run that
+    matches the trunk up to the branch point and then decays linearly to
+    zero. Like `cmd_train`, a rerun resumes the child (a finished one
+    reads nothing, not even the parent's checkpoint), and `force` redoes
+    it.
     """
     cfg = load_manifest(parent_dir)
     cpath, opath = ckpt_path(parent_dir, branch_step), opt_path(parent_dir, branch_step)
@@ -352,6 +358,8 @@ def cmd_branch(
         raise ConfigError("cannot branch inside the parent's own decay phase")
     if decay_steps is not None and decay_steps < 2:
         raise ConfigError(f"a cooldown needs at least 2 decay steps, got {decay_steps}")
+    if decay_frac <= 0:
+        raise ConfigError(f"a cooldown needs a positive decay fraction, got {decay_frac}")
     cool = decay_steps if decay_steps is not None else max(2, round(decay_frac * branch_step))
     total = branch_step + cool
     warmup = min(parent_spec.warmup_steps, branch_step)
@@ -377,7 +385,7 @@ def evaluate_checkpoint_quantized(
     data: RunData,
     cfg: Dict[str, object],
     bits: Sequence[int],
-    calib: Optional[CalibrationSet],
+    calib: Optional[List[Batch]],
     run_id: str,
     lr: Optional[float] = None,
 ):

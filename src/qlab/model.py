@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .data import Batch, CalibrationSet
+from .data import Batch
 from .errors import ConfigError, NumericFailure
 from . import parallel, store
 
@@ -64,6 +64,9 @@ class ModelConfig:
     init_std: float = 0.02
 
     def __post_init__(self):
+        for key, least in (("d_model", 1), ("n_heads", 1), ("d_ff", 1), ("n_layers", 0)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"model.{key} must be at least {least}, got {getattr(self, key)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
         if self.seq_len < 2:
@@ -626,7 +629,7 @@ def token_nll(ckpt: Checkpoint, batches: Sequence[Batch]) -> List[Tuple[np.ndarr
 
 def capture_layer_inputs(
     ckpt: Checkpoint,
-    calib: CalibrationSet,
+    calib: Sequence[Batch],
     on_stage: Callable[[List[str], np.ndarray], Sequence[np.ndarray]],
 ) -> None:
     """Walk the calibration batches through the blocks once, stage by stage,
@@ -649,12 +652,12 @@ def capture_layer_inputs(
     """
     from .quant import gram  # at call time: quant imports this module
 
-    if not calib.batches:
+    if not calib:
         raise ConfigError("calibration set is empty")
     cfg, T = ckpt.config, ckpt.tensors
     dtype = T["embed.tok"].dtype
-    walks = [(i, _blocks(cfg, T, calib.batches[i].inputs[sl], None))
-             for i, sl in _shard_items(calib.batches)]
+    walks = [(i, _blocks(cfg, T, calib[i].inputs[sl], None))
+             for i, sl in _shard_items(calib)]
     weights = None
 
     def step(_, walk):
@@ -703,12 +706,12 @@ def pop_meta(arrays: dict, path: str) -> Tuple[ModelConfig, int, int]:
     return config, int(meta[0]), int(meta[1])
 
 
-def save_checkpoint(path: str, ckpt: Checkpoint, overwrite: bool = False) -> None:
+def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Weights as f32 payloads plus one f64 metadata tensor."""
     arrays = {META: meta_entry(ckpt.config, ckpt.step, ckpt.tokens_seen)}
     for name in sorted(ckpt.tensors):
         arrays[name] = np.asarray(ckpt.tensors[name], np.float32)
-    store.save_arrays(path, arrays, overwrite=overwrite)
+    store.save_arrays(path, arrays)
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .data import TokenStream, next_batch
+from .data import next_batch
 from .errors import ConfigError, ContractViolation, NumericFailure
 from .model import Checkpoint, GradientSet, loss_and_grads
 # Unused here, but perfbench's traced mode wraps forward, loss and backward
@@ -187,7 +187,7 @@ class TrainHook:
 def train_loop(
     ckpt: Checkpoint,
     opt_state: OptimState,
-    stream: TokenStream,
+    tokens: np.ndarray,
     cursor: int,
     spec: ScheduleSpec,
     cfg: OptimConfig,
@@ -211,7 +211,7 @@ def train_loop(
             raise ContractViolation(
                 f"step {step_next} exceeds schedule total {spec.total_steps}"
             )
-        batch, cursor = next_batch(stream, batch_size, seq_len, cursor)
+        batch, cursor = next_batch(tokens, batch_size, seq_len, cursor)
         train_loss, grads = loss_and_grads(ckpt, batch)
         grads, gnorm = clip_grad_norm(grads, cfg.clip_norm)
         eta = schedule_value(spec, cfg.peak_lr, step_next)

@@ -44,7 +44,7 @@ from .model import META, Checkpoint, ModelConfig, meta_entry, pop_meta, quantiza
 # cholesky is unused here, but perfbench's traced mode wraps it at this
 # module's name, so it must stay importable from it.
 from .ndkernel import cholesky, frobenius_norm, spd_inverse  # noqa: F401
-from .data import CalibrationSet
+from .data import Batch
 
 
 @dataclass(frozen=True)
@@ -306,7 +306,7 @@ def _quantize_stage(
 
 def quantize_model(
     ckpt: Checkpoint,
-    calib: Optional[CalibrationSet],
+    calib: Optional[List[Batch]],
     cfg: QuantConfig,
 ) -> Tuple[QuantizedModel, List[LayerQuantStats]]:
     """Quantize every quantizable layer in forward order.
@@ -322,7 +322,7 @@ def quantize_model(
     # resolved at call time, so a replaced model.capture_layer_inputs applies
     from .model import capture_layer_inputs
 
-    if cfg.method == "gptq" and (calib is None or not calib.batches):
+    if cfg.method == "gptq" and not calib:
         raise ConfigError("gptq quantization requires a non-empty calibration set")
     stats: List[LayerQuantStats] = []
     layers: Dict[str, QuantizedLinear] = {}
@@ -344,7 +344,7 @@ def quantize_model(
             r0 = r1
         return carry
 
-    if calib is not None and calib.batches:
+    if calib:
         capture_layer_inputs(ckpt, calib, quantize_stage)
     else:
         for lname in quantizable_layer_names(ckpt.config):

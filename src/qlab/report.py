@@ -18,6 +18,7 @@ from .harness import METRICS
 from .metrics import CSV_COLUMNS, MetricsStore
 from .store import atomic_write
 
+WIDTH, HEIGHT = 760, 480  # SVG canvas, px
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e",
     "#9467bd", "#8c564b", "#e377c2", "#17becf",
@@ -76,15 +77,13 @@ def svg_plot(
     ylabel: str = "",
     y2label: str = "",
     logx: bool = False,
-    width: int = 760,
-    height: int = 480,
 ) -> str:
     """Render series as an SVG document string (one polyline per series)."""
     primary = [s for s in series if not s.secondary]
     if not primary or all(not s.xs for s in primary):
         raise ReportError("nothing to plot")
     ml, mr, mt, mb = 72, 72, 40, 56
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
     def xvals(ss):
         return [x for s in ss for x in s.xs]
@@ -125,14 +124,14 @@ def svg_plot(
         return mt + ph * (1 - (y - y2lo) / (y2hi - y2lo))
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#444"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width/2:.1f}" y="22" text-anchor="middle" font-size="15">{escape(title)}</text>'
+            f'<text x="{WIDTH/2:.1f}" y="22" text-anchor="middle" font-size="15">{escape(title)}</text>'
         )
     xticks = _log_ticks(xlo, xhi) if logx else _nice_ticks(xlo, xhi)
     for t in xticks:
@@ -159,12 +158,12 @@ def svg_plot(
             )
         if y2label:
             out.append(
-                f'<text x="{width-14}" y="{mt+ph/2:.1f}" text-anchor="middle" fill="#777" '
-                f'transform="rotate(90 {width-14} {mt+ph/2:.1f})">{escape(y2label)}</text>'
+                f'<text x="{WIDTH-14}" y="{mt+ph/2:.1f}" text-anchor="middle" fill="#777" '
+                f'transform="rotate(90 {WIDTH-14} {mt+ph/2:.1f})">{escape(y2label)}</text>'
             )
     if xlabel:
         out.append(
-            f'<text x="{ml+pw/2:.1f}" y="{height-12}" text-anchor="middle">{escape(xlabel)}</text>'
+            f'<text x="{ml+pw/2:.1f}" y="{HEIGHT-12}" text-anchor="middle">{escape(xlabel)}</text>'
         )
     if ylabel:
         out.append(

@@ -104,6 +104,30 @@ def test_cli_train_negative_or_empty_schedule_is_config_error(tmp_path, cfg_file
     assert not os.path.exists(root)
 
 
+@pytest.mark.parametrize("setting", [
+    "train.batch_size=0", "train.batch_size=-2", "data.limit_bytes=-5", "model.n_heads=0",
+    "model.d_model=0", "model.d_ff=0", "model.n_layers=-1", "model.vocab=100",
+])
+def test_cli_train_bad_setting_exits_2_before_writing(tmp_path, cfg_file, setting):
+    # model.vocab=100: the corpus holds lowercase ASCII letters, bytes 97-122
+    root = str(tmp_path / "runs")
+    assert main(["train", "--config", cfg_file, "--out-root", root, "--set", setting]) == 2
+    assert not os.path.exists(root)
+
+
+def test_cli_train_ascii_corpus_with_a_128_token_vocab(tmp_path, cfg_file, capsys):
+    from qlab.model import load_checkpoint
+
+    with open(resolve(cfg_file)["data.path"], "rb") as f:
+        assert max(f.read()) < 128
+    argv = ["train", "--config", cfg_file, "--out-root", str(tmp_path / "runs"),
+            "--set", "model.vocab=128", "--stop-after", "10"]
+    assert main(argv) == 0
+    ck = load_checkpoint(os.path.join(capsys.readouterr().out.strip(), "ckpt_10.qlab"))
+    assert ck.config.vocab == 128
+    assert ck.tensors["embed.tok"].shape[0] == ck.tensors["unembed"].shape[0] == 128
+
+
 def test_cli_report_missing_column_is_config_error(tmp_path, cfg_file):
     rc = main(["report", "--run", str(tmp_path), "--metric", "nope",
                "--out", str(tmp_path / "n.svg")])
@@ -127,6 +151,14 @@ def test_cli_branch_negative_decay_steps_is_config_error(tmp_path, trained_run):
 def test_cli_branch_one_decay_step_is_config_error(tmp_path, trained_run):
     root = tmp_path / "children"
     assert main(["branch", "--run", trained_run, "--step", "10", "--decay-steps", "1",
+                 "--out-root", str(root)]) == 2
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("frac", ["0", "-1"])
+def test_cli_branch_nonpositive_decay_frac_is_config_error(tmp_path, trained_run, frac):
+    root = tmp_path / "children"
+    assert main(["branch", "--run", trained_run, "--step", "10", "--decay-frac", frac,
                  "--out-root", str(root)]) == 2
     assert not root.exists()
 

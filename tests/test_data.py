@@ -6,7 +6,6 @@ import pytest
 from qlab import store
 from qlab.config import resolve
 from qlab.data import (
-    TokenStream,
     build_calibration,
     fixed_eval_batches,
     load_corpus,
@@ -21,13 +20,22 @@ from qlab.errors import ConfigError, IngestionError
 def test_load_corpus_ascii(tmp_path):
     p = tmp_path / "c.bin"
     p.write_bytes(b"abc")
-    assert load_corpus(str(p)).tokens.tolist() == [97, 98, 99]
+    assert load_corpus(str(p)).tolist() == [97, 98, 99]
+
+
+def test_load_corpus_is_the_files_bytes(tmp_path):
+    p = tmp_path / "c.bin"
+    raw = bytes(range(256)) * 3
+    p.write_bytes(raw)
+    tokens = load_corpus(str(p))
+    assert tokens.dtype == np.uint8 and tokens.ndim == 1
+    assert tokens.tobytes() == raw
 
 
 def test_load_corpus_limit(tmp_path):
     p = tmp_path / "c.bin"
     p.write_bytes(b"abc")
-    assert load_corpus(str(p), limit=2).tokens.tolist() == [97, 98]
+    assert load_corpus(str(p), limit=2).tolist() == [97, 98]
 
 
 def test_load_corpus_mib(tmp_path):
@@ -36,7 +44,7 @@ def test_load_corpus_mib(tmp_path):
     p.write_bytes(rng.integers(0, 256, 1 << 20, dtype=np.uint8).tobytes())
     stream = load_corpus(str(p))
     assert len(stream) == 1 << 20
-    assert int(stream.tokens.max()) < 256
+    assert int(stream.max()) < 256
 
 
 def test_load_corpus_errors(tmp_path):
@@ -50,12 +58,13 @@ def test_load_corpus_errors(tmp_path):
 
 def _stream(n, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
-    return TokenStream(rng.integers(0, 256, n).astype(np.int32))
+    return rng.integers(0, 256, n).astype(np.uint8)
 
 
 def test_split_sizes():
     train, val, calib = split(_stream(100), 0.1, 0.1, seed=1)
     assert (len(train), len(val), len(calib)) == (80, 10, 10)
+    assert train.dtype == val.dtype == calib.dtype == np.uint8
 
 
 def test_split_deterministic():
@@ -63,20 +72,20 @@ def test_split_deterministic():
     a = split(s, 0.1, 0.1, seed=7)
     b = split(s, 0.1, 0.1, seed=7)
     for x, y in zip(a, b):
-        assert np.array_equal(x.tokens, y.tokens)
+        assert np.array_equal(x, y)
 
 
 def test_split_seed_changes_offsets():
     s = _stream(5000)
-    vals = [split(s, 0.1, 0.1, seed=k)[1].tokens.tobytes() for k in range(10)]
+    vals = [split(s, 0.1, 0.1, seed=k)[1].tobytes() for k in range(10)]
     assert len(set(vals)) == 10
 
 
 def test_split_disjoint_and_covering():
     s = _stream(200)
     train, val, calib = split(s, 0.1, 0.1, seed=3)
-    together = np.sort(np.concatenate([train.tokens, val.tokens, calib.tokens]))
-    assert np.array_equal(together, np.sort(s.tokens))
+    together = np.sort(np.concatenate([train, val, calib]))
+    assert np.array_equal(together, np.sort(s))
 
 
 def test_split_bad_fractions():
@@ -87,7 +96,7 @@ def test_split_bad_fractions():
 
 
 def test_next_batch_shifted_window():
-    s = TokenStream(np.arange(10, dtype=np.int32))
+    s = np.arange(10, dtype=np.uint8)
     b, cur = next_batch(s, 1, 4, 0)
     assert b.inputs.tolist() == [[0, 1, 2, 3]]
     assert b.targets.tolist() == [[1, 2, 3, 4]]
@@ -100,8 +109,8 @@ def test_next_batch_no_overlap():
     b2, cur = next_batch(s, 2, 16, cur)
     flat1 = b1.inputs.reshape(-1)
     flat2 = b2.inputs.reshape(-1)
-    assert np.array_equal(flat1, s.tokens[:32])
-    assert np.array_equal(flat2, s.tokens[32:64])
+    assert np.array_equal(flat1, s[:32])
+    assert np.array_equal(flat2, s[32:64])
 
 
 def test_epoch_covers_every_window_once():
@@ -115,17 +124,17 @@ def test_epoch_covers_every_window_once():
         b, cur = next_batch(s, 1, seq, cur)
         seen.append(b.inputs[0].copy())
     stacked = np.concatenate(seen)
-    assert np.array_equal(stacked, s.tokens[: windows * seq])
+    assert np.array_equal(stacked, s[: windows * seq])
     # wrap restarts the same sequence
     b, cur = next_batch(s, 1, seq, cur)
-    assert np.array_equal(b.inputs[0], s.tokens[:seq])
+    assert np.array_equal(b.inputs[0], s[:seq])
 
 
 def test_calibration_counts_and_eval_batches():
     s = _stream(4000)
     calib = build_calibration(s, sample_count=10, seq_len=16, batch_size=4)
-    assert calib.sample_count == 10
-    assert sum(b.inputs.shape[0] for b in calib.batches) == 10
+    assert [b.inputs.shape[0] for b in calib] == [4, 4, 2]
+    assert sum(b.inputs.shape[0] for b in calib) == 10
     ev = fixed_eval_batches(s, n_batches=3, batch_size=4, seq_len=16)
     assert len(ev) == 3
     again = fixed_eval_batches(s, n_batches=3, batch_size=4, seq_len=16)
@@ -136,6 +145,14 @@ def test_calibration_counts_and_eval_batches():
     for n_batches, batch_size in ((0, 4), (3, 0), (-1, 4)):
         with pytest.raises(ConfigError):
             fixed_eval_batches(s, n_batches=n_batches, batch_size=batch_size, seq_len=16)
+
+
+def test_token_fingerprint_hashes_ids_as_int32():
+    s = _stream(4000)
+    narrow = fixed_eval_batches(s, 3, 4, 16)
+    wide = fixed_eval_batches(s.astype(np.int32), 3, 4, 16)
+    assert narrow[0].inputs.dtype == np.uint8
+    assert token_fingerprint(narrow) == token_fingerprint(wide)
 
 
 @pytest.mark.parametrize("profile", ["tiny", "desk"])

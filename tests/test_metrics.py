@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import micro_train_config, tiny_model_config
 from qlab import config as cfgmod, harness, model, parallel, quant
-from qlab.data import Batch, CalibrationSet, fixed_eval_batches
+from qlab.data import Batch, fixed_eval_batches
 from qlab.errors import ContractViolation, MergeError, NumericFailure
 from qlab.metrics import (
     CSV_HEADER,
@@ -206,7 +206,7 @@ def test_eval_items_run_on_the_pool_without_a_layer_cache(monkeypatch, item_log,
         assert sorted(rows for rows, _ in item_log) == shard_rows
         pooled = threads != "1" and parallel._OWNER.blas() is not None
         assert [in_worker for _, in_worker in item_log] == [pooled] * len(shard_rows)
-        model.capture_layer_inputs(ck, CalibrationSet(batches, sum(sizes)),
+        model.capture_layer_inputs(ck, batches,
                                    lambda names, G: [ck.tensors[n] for n in names])
         # four sublayers per layer, per item of the eval and of the walk
         assert len(caches) == 2 * 4 * ck.config.n_layers * len(shard_rows)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import forward_stage_inputs, record_shards, stage_grams, tiny_model_config
 from qlab import model
-from qlab.data import Batch, CalibrationSet, TokenStream, build_calibration
+from qlab.data import Batch, build_calibration
 from qlab.errors import ConfigError, NumericFailure
 from qlab.model import (
     Checkpoint,
@@ -16,9 +16,11 @@ from qlab.model import (
     init,
     load_checkpoint,
     loss,
+    loss_and_grads,
     quantizable_layer_names,
     save_checkpoint,
     tensor_shapes,
+    token_nll,
 )
 
 
@@ -377,7 +379,7 @@ def test_gradients_after_training_steps():
 
     ck = f64_model()
     rng = np.random.Generator(np.random.PCG64(7))
-    stream = TokenStream(rng.integers(0, 16, 4000).astype(np.int32), vocab=16)
+    stream = rng.integers(0, 16, 4000).astype(np.uint8)
     spec = ScheduleSpec("constant", 200, warmup_steps=10)
     ck, _, _ = train_loop(
         ck, init_opt_state(ck), stream, 0, spec,
@@ -450,10 +452,7 @@ def test_forward_backward_deterministic():
 def make_calib(ck, n_seq=4, batch_size=2, seed=11):
     rng = np.random.Generator(np.random.PCG64(seed))
     S = ck.config.seq_len
-    stream = TokenStream(
-        rng.integers(0, ck.config.vocab, n_seq * S + 1 + S).astype(np.int32),
-        vocab=ck.config.vocab,
-    )
+    stream = rng.integers(0, ck.config.vocab, n_seq * S + 1 + S).astype(np.uint8)
     return build_calibration(stream, n_seq, S, batch_size)
 
 
@@ -483,7 +482,7 @@ def test_capture_sample_count():
     ck = f64_model()
     calib = make_calib(ck, n_seq=4, batch_size=4)
     caps = walk_inputs(ck, calib)
-    rows = forward_stage_inputs(ck, calib.batches)
+    rows = forward_stage_inputs(ck, calib)
     names = quantizable_layer_names(ck.config)
     assert list(caps) == names
     for name in names:
@@ -543,7 +542,7 @@ def test_capture_matches_forward_rows(monkeypatch):
     made = record_shards(monkeypatch)
     for floor, walk_shards in ((model.SHARD_POSITIONS, [1, 1, 1]), (6, [2, 2, 1])):
         monkeypatch.setattr(model, "SHARD_POSITIONS", floor)
-        grams = stage_grams(ck, calib.batches)
+        grams = stage_grams(ck, calib)
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("QLAB_THREADS", threads)
             made.clear()
@@ -554,10 +553,35 @@ def test_capture_matches_forward_rows(monkeypatch):
                 assert np.array_equal(caps[name], G)
 
 
+def test_uint8_ids_give_the_int32_ids_bits(monkeypatch):
+    # batches cut from a corpus keep its uint8 dtype; the same ids as int32
+    # give bitwise the same step, eval rows and calibration Grams, one shard
+    # per sequence or the default shards
+    cfg = tiny_model_config(seq_len=8)
+    ck = init(cfg)
+    rng = np.random.Generator(np.random.PCG64(5))
+    tokens = rng.integers(0, 256, 6 * 8 + 1).astype(np.uint8)
+    narrow = build_calibration(tokens, 6, 8, batch_size=3)
+    wide = build_calibration(tokens.astype(np.int32), 6, 8, batch_size=3)
+    assert narrow[0].inputs.dtype == np.uint8 and wide[0].inputs.dtype == np.int32
+    for floor in (model.SHARD_POSITIONS, 8):
+        monkeypatch.setattr(model, "SHARD_POSITIONS", floor)
+        loss8, grads8 = loss_and_grads(ck, narrow[0])
+        loss32, grads32 = loss_and_grads(ck, wide[0])
+        assert loss8 == loss32
+        for name in grads32:
+            assert np.array_equal(grads8[name], grads32[name])
+        for (nll8, hits8), (nll32, hits32) in zip(token_nll(ck, narrow), token_nll(ck, wide)):
+            assert np.array_equal(nll8, nll32) and hits8 == hits32
+        grams8, grams32 = walk_inputs(ck, narrow), walk_inputs(ck, wide)
+        for name in grams32:
+            assert np.array_equal(grams8[name], grams32[name])
+
+
 def test_capture_rejects_empty_calibration():
     ck = f64_model()
     with pytest.raises(ConfigError):
-        capture_layer_inputs(ck, CalibrationSet([], 0), lambda names, G: [])
+        capture_layer_inputs(ck, [], lambda names, G: [])
 
 
 # -- serialization -------------------------------------------------------------------

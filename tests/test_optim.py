@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_model_config
-from qlab.data import TokenStream
 from qlab.errors import ConfigError, ContractViolation, NumericFailure
 from qlab.model import Checkpoint, init
 from qlab.optim import (
@@ -219,7 +218,7 @@ def test_pure_decay_linear_in_weights():
 
 def _stream(n=6000, vocab=16, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
-    return TokenStream(rng.integers(0, vocab, n).astype(np.int32), vocab=vocab)
+    return rng.integers(0, vocab, n).astype(np.uint8)
 
 
 def test_train_loop_zero_steps_identity():

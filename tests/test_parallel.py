@@ -21,7 +21,7 @@ import pytest
 
 from conftest import micro_train_config, record_shards, tiny_model_config
 from qlab import harness, model, parallel
-from qlab.data import Batch, TokenStream, build_calibration
+from qlab.data import Batch, build_calibration
 from qlab.errors import NumericFailure
 from qlab.metrics import record_to_row
 from qlab.quant import QuantConfig, quantize_model
@@ -217,8 +217,7 @@ def test_shipped_profiles_shard_layouts(name, train, evals, calib):
     assert layout(cfg["train.batch_size"]) == train
     assert layout(cfg["eval.batch_size"]) == evals
     n = cfg["quant.calib_samples"]
-    stream = TokenStream(np.zeros(n * S + 1, dtype=np.int32), vocab=256)
-    batches = build_calibration(stream, n, S).batches
+    batches = build_calibration(np.zeros(n * S + 1, dtype=np.uint8), n, S)
     assert [layout(len(b.inputs)) for b in batches] == [calib] * len(batches)
 
 
@@ -502,7 +501,7 @@ def _calib(ck, n_seq=9, batch_size=5):
     """Calibration batches of 5 and 4 sequences: 2-sequence shards make 2 of each."""
     rng = np.random.Generator(np.random.PCG64(n_seq))
     S = ck.config.seq_len
-    stream = TokenStream(rng.integers(0, 256, n_seq * S + 1 + S).astype(np.int32), vocab=256)
+    stream = rng.integers(0, 256, n_seq * S + 1 + S).astype(np.uint8)
     return build_calibration(stream, n_seq, S, batch_size)
 
 

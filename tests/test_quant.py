@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import forward_stage_inputs, inverse_factor_reference, stage_grams, tiny_model_config
-from qlab.data import TokenStream, build_calibration
+from qlab.data import build_calibration
 from qlab.errors import ConfigError, ContractViolation, FactorizationError, QuantizationError
 from qlab.model import capture_layer_inputs, init, quantizable_layer_names
 from qlab.quant import (
@@ -508,7 +508,7 @@ def test_quantize_model_rtn_ignores_calibration(corpus_splits):
     cfg = QuantConfig(bits=4, group_size=32, method="rtn")
     calib_a = calib_from(corpus_splits, ck.config, n=4)
     _, _, calib_stream = corpus_splits
-    other = TokenStream(calib_stream.tokens[::-1].copy(), vocab=256)
+    other = calib_stream[::-1].copy()
     calib_b = build_calibration(other, 4, ck.config.seq_len, batch_size=4)
     qa, _ = quantize_model(ck, calib_a, cfg)
     qb, _ = quantize_model(ck, calib_b, cfg)
@@ -570,12 +570,12 @@ def test_quantize_model_recon_error_matches_quantized_forward():
                             seq_len=6, init_seed=7, init_std=0.2)
     ck = init(cfg, dtype=np.float64)
     rng = np.random.Generator(np.random.PCG64(11))
-    stream = TokenStream(rng.integers(0, 16, 6 * 6 + 7).astype(np.int32), vocab=16)
+    stream = rng.integers(0, 16, 6 * 6 + 7).astype(np.uint8)
     calib = build_calibration(stream, 5, 6, batch_size=2)
     qm, stats = quantize_model(ck, calib, QuantConfig(bits=3, group_size=4))
     quantized = eval_checkpoint(qm, dtype=np.float64)
-    grams = stage_grams(quantized, calib.batches)
-    rows = forward_stage_inputs(quantized, calib.batches)
+    grams = stage_grams(quantized, calib)
+    rows = forward_stage_inputs(quantized, calib)
     assert [s.name for s in stats] == quantizable_layer_names(cfg)
     for s in stats:
         W, What = ck.tensors[s.name], dequantize(qm.layers[s.name])
@@ -587,8 +587,7 @@ def test_quantize_model_recon_error_matches_quantized_forward():
 
 def random_calibration(cfg, n, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
-    stream = TokenStream(rng.integers(0, cfg.vocab, n * cfg.seq_len + 1).astype(np.int32),
-                         vocab=cfg.vocab)
+    stream = rng.integers(0, cfg.vocab, n * cfg.seq_len + 1).astype(np.uint8)
     return build_calibration(stream, n, cfg.seq_len, batch_size=2)
 
 
@@ -684,7 +683,7 @@ def test_stage_retries_with_more_damping_as_a_whole(monkeypatch):
     # 2 X^T X, damped at 0.01 and then 0.1 of its mean diagonal, and the
     # stage's codes are per-layer GPTQ's at 0.1
     # one batch of 2 sequences, one shard: G is gram(X) of forward's rows
-    G = gram(forward_stage_inputs(ck, calib.batches)["layers.0.attn.wq"])
+    G = gram(forward_stage_inputs(ck, calib)["layers.0.attn.wq"])
     H = 2.0 * G
     mean = float(np.mean(np.diag(H)))
     for h, damping in zip(calls[:2], (0.01, 0.1)):

@@ -280,7 +280,7 @@ FORMAT_GUARD = {
 def _write_guard_files(out) -> dict:
     """A seeded checkpoint (from f32 and from f64 weights), optimizer
     state, a 3-bit GPTQ and a 4-bit RTN file; returns name -> path."""
-    from qlab.data import TokenStream, build_calibration
+    from qlab.data import build_calibration
     from qlab.harness import save_opt_state
     from qlab.model import ModelConfig, init, save_checkpoint
     from qlab.optim import init_opt_state
@@ -299,7 +299,7 @@ def _write_guard_files(out) -> dict:
         st.v[k] = np.square(rng.standard_normal(st.v[k].shape)).astype(np.float32)
     st.t = 5
     save_opt_state(paths["ckpt.opt.qlab"], st, cursor=77)
-    stream = TokenStream(rng.integers(0, 16, 6 * 6 + 7).astype(np.int32), vocab=16)
+    stream = rng.integers(0, 16, 6 * 6 + 7).astype(np.uint8)
     calib = build_calibration(stream, 4, 6, batch_size=2)
     qm, _ = quantize_model(ck, calib, QuantConfig(bits=3, group_size=4, method="gptq"))
     save_quantized(paths["gptq3.qlab"], qm)
