@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 config error (or a run's changed eval or calibration
 set, a result that conflicts with one already recorded, or a bad QLAB_THREADS
 in a command that runs a parallel region), 3 numeric failure, 4 partial
 sweep/eval failure; each error class carries its code. Unset run settings
-(bits, method, LAWA k and interval) come from the run's manifest.
+(bits, method, LAWA k and interval) come from the run's manifest. `eval`
+and `sweep` reuse the results a run's qeval.csv holds; `--force`
+recomputes them.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="default: the manifest's quant.method")
     sp.add_argument("--steps", type=_parse_bits, default=None)
     sp.add_argument("--kind", default="ckpt", help="checkpoint family, e.g. ckpt or lawa5")
+    sp.add_argument("--force", action="store_true",
+                    help="recompute the results qeval.csv holds, and replace them")
 
     sp = sub.add_parser("average", help="rolling weight average over a run's checkpoints")
     sp.add_argument("--run", required=True)
@@ -88,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="run every cell of a plan; judge its claim, if it names one")
     sp.add_argument("--plan", required=True)
     sp.add_argument("--out-root", default="runs")
-    sp.add_argument("--force", action="store_true")
+    sp.add_argument("--force", action="store_true",
+                    help="retrain every run and recompute its results")
     sp.add_argument("--set", action="append", default=[], metavar="K=V",
                     help="override a setting, sweep.* axis or plan.* key, e.g. --set sweep.seeds=1")
     return p
@@ -159,7 +164,8 @@ def _dispatch(args) -> int:
         return _cmd_quantize(args)
     if args.cmd == "eval":
         records, failures = harness.cmd_quantize_eval(
-            args.run, bits=args.bits, method=args.method, steps=args.steps, kind=args.kind
+            args.run, bits=args.bits, method=args.method, steps=args.steps, kind=args.kind,
+            force=args.force,
         )
         print(f"{len(records)} checkpoints evaluated, {len(failures)} failures")
         return 4 if failures else 0

@@ -7,14 +7,17 @@ and returns the records a claim is judged by.
 A run directory is a pure function of (corpus bytes, manifest): the
 manifest records no time, `build_data` refuses a corpus or config that
 changes a run's recorded eval or calibration set, checkpoints are
-immutable and checksummed, and results live in three keyed CSV tables
-written through `metrics.MetricsStore`: metrics.csv by (run_id, step),
-the high-frequency norms.csv by step, and per-layer quantization stats
-in quant_layers.csv by (run_id, step, bits, method, layer). A rerun
-resumes and re-emits identical rows, which merge; a row that differs
-raises MergeError. Cooldown branches resume the parent's checkpoint,
-optimizer state, and data cursor, so a branch plus its trunk prefix is
-step-for-step identical to the equivalent single WSD run.
+immutable and checksummed, and results live in keyed CSV tables written
+through `metrics.MetricsStore`: metrics.csv by (run_id, step), the
+high-frequency norms.csv by step, per-layer quantization stats in
+quant_layers.csv by (run_id, step, bits, method, layer), and every eval
+result in qeval.csv by what it is computed from (`metrics.qeval_key`).
+A rerun resumes and re-emits identical rows, which merge; a row that
+differs raises MergeError. A quantize-eval computes only the results
+qeval.csv lacks, and rebuilds the other rows from it. Cooldown branches
+resume the parent's checkpoint, optimizer state, and data cursor, so a
+branch plus its trunk prefix is step-for-step identical to the
+equivalent single WSD run.
 """
 
 from __future__ import annotations
@@ -48,15 +51,17 @@ from .metrics import (
     CSV_BITS,
     MetricRecord,
     MetricsStore,
+    QevalTable,
     eval_accuracy,  # unused: bound here, where perfbench traces it by name
     eval_ce,
     fmt_real,
+    qeval_key,
     record_to_row,
     relative_acc_drop,
     relative_ce_error,
     delta_ptq,
 )
-from .model import Checkpoint, init, load_checkpoint, save_checkpoint
+from .model import Checkpoint, init, load_checkpoint, read_checkpoint, save_checkpoint
 from .ndkernel import frobenius_norm
 from .optim import (
     OptimState,
@@ -80,6 +85,7 @@ NORMS_HEADER = "step,lr,train_loss,grad_norm,weight_norm"
 QUANT_LAYERS = "quant_layers.csv"
 QUANT_LAYERS_HEADER = "run_id,step,bits,method,layer,weight_error,recon_error,damping"
 QUANT_LAYERS_KEY = ("run_id", "step", "bits", "method", "layer")
+QEVAL = "qeval.csv"
 # metrics.csv columns a sweep's summary.csv repeats for each cell's final step
 SUMMARY_METRICS = ("val_ce_fp", "acc_fp", "rel_ce_err3", "rel_ce_err4", "delta_ptq3", "delta_ptq4")
 _OPT_META = "__opt_meta__"
@@ -150,7 +156,7 @@ class RunData:
         """The run's own calibration batches, built once."""
         return self.calibration(self.cfg)
 
-    @property
+    @cached_property
     def calib_hash(self) -> str:
         return token_fingerprint(self.calib_set)
 
@@ -158,11 +164,13 @@ class RunData:
 def build_data(cfg: Dict[str, object]) -> RunData:
     """A run's data under cfg; a ConfigError names the run if a set's hash
     differs from the one cfg records (run.eval_set_hash, run.calib_set_hash),
-    and refuses a batch size below 1 or a corpus byte the vocabulary lacks."""
+    and refuses a batch size or calibration sample count below 1 and a
+    corpus byte the vocabulary lacks."""
     if not cfg["data.path"]:
         raise ConfigError("data.path is required")
-    if cfg["train.batch_size"] < 1:
-        raise ConfigError(f"train.batch_size must be at least 1, got {cfg['train.batch_size']}")
+    for key in ("train.batch_size", "quant.calib_samples"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     tokens = load_corpus(cfg["data.path"], cfg["data.limit_bytes"] or None)
     top = int(tokens.max())
     if top >= cfg["model.vocab"]:
@@ -236,13 +244,16 @@ def cmd_train(
     if force and os.path.isdir(run_dir):
         shutil.rmtree(run_dir)
     os.makedirs(run_dir, exist_ok=True)
+    checksums: Dict[int, str] = {}  # step -> payload checksum of the checkpoint saved there
 
     def save_state(ckpt: Checkpoint, opt_state: OptimState, cursor: int) -> None:
         # the start state and every checkpoint: writes whichever of the
         # step's two files is missing, so a crash between them resumes
         cpath, opath = ckpt_path(run_dir, ckpt.step), opt_path(run_dir, ckpt.step)
         if not os.path.exists(cpath):
-            save_checkpoint(cpath, ckpt)
+            checksums[ckpt.step] = save_checkpoint(cpath, ckpt)
+        else:  # left by a crash before its optimizer state
+            checksums[ckpt.step] = read_checkpoint(cpath)[1]
         if not os.path.exists(opath):
             save_opt_state(opath, opt_state, cursor)
 
@@ -271,6 +282,7 @@ def cmd_train(
 
     metrics_store = MetricsStore(os.path.join(run_dir, METRICS))
     norm_table = MetricsStore(os.path.join(run_dir, NORMS), NORMS_HEADER, ("step",))
+    qeval = QevalTable(os.path.join(run_dir, QEVAL))
 
     def eval_hook(ev: TrainEvent) -> None:
         ce, acc = eval_ce(ev.ckpt, data.eval_batches)
@@ -281,6 +293,9 @@ def cmd_train(
         )
         metrics_store.upsert(record_to_row(rec))
         metrics_store.save()
+        if ev.step in checksums:  # the checkpoint hook saved this step's weights
+            qeval.put(qeval_key(checksums[ev.step], data.eval_hash), ce, acc)
+            qeval.save()
         log.info("run %s step %d: train %.4f val %.4f acc %.4f lr %.3g",
                  run_id[:8], ev.step, ev.train_loss, ce, acc, ev.lr)
 
@@ -380,40 +395,74 @@ def cmd_branch(
 # -- quantize + eval -----------------------------------------------------------
 
 
+def qeval_keys(checksum: str, data: RunData, cfg: Dict[str, object],
+               bits: Sequence[int]) -> Tuple[tuple, Dict[int, tuple]]:
+    """The qeval.csv keys of a checkpoint's FP result and of each bit width
+    under cfg's quant settings, for the checkpoint whose payload checksum
+    is `checksum`."""
+    method = cfg["quant.method"]
+    calib = data.calib_hash if method == "gptq" else ""
+    quant = {b: qeval_key(checksum, data.eval_hash, cfgmod.quant_config(cfg, b), calib)
+             for b in bits}
+    return qeval_key(checksum, data.eval_hash), quant
+
+
 def evaluate_checkpoint_quantized(
     ckpt: Checkpoint,
     data: RunData,
     cfg: Dict[str, object],
     bits: Sequence[int],
-    calib: Optional[List[Batch]],
     run_id: str,
     lr: Optional[float] = None,
+    checksum: str = "",
+    table: Optional[QevalTable] = None,
 ):
     """Full MetricRecord for one checkpoint: FP eval plus each bit width,
-    quantized by cfg's quant.method (GPTQ calibrates on `calib`).
+    quantized by cfg's quant.method (GPTQ calibrates on the run's own
+    calibration set), and each bit width's layer stats.
 
-    The bit widths are quantized as the jobs of one parallel region, each
-    walk handing GPTQ only d_in x d_in Grams; then they are evaluated in
-    bit order, each eval with its shard items on the pool. Inside a
+    With a `table` and the checkpoint's payload `checksum`, every result
+    the table holds is taken from it, and only the missing ones are
+    computed; the caller records them (`record_qeval`). The bit widths
+    left are quantized as the jobs of one parallel region, each walk
+    handing GPTQ only d_in x d_in Grams; then they are evaluated in bit
+    order, each eval with its shard items on the pool. Inside a
     checkpoint job (2 or more checkpoints) the region runs serially. A
     failure raised is the first failing bit width's, as in a serial loop.
     """
-    ce_fp, acc_fp = eval_ce(ckpt, data.eval_batches)
+    fp_key, quant_keys = qeval_keys(checksum, data, cfg, bits)
+    recorded = {}
+    if table is not None and checksum:
+        recorded = {key: table.get(key) for key in (fp_key, *quant_keys.values())}
+    found = recorded.get(fp_key)
+    ce_fp, acc_fp = found[:2] if found else eval_ce(ckpt, data.eval_batches)
     rec = MetricRecord(
         run_id=run_id, step=ckpt.step, tokens_seen=ckpt.tokens_seen, lr=lr,
         val_ce_fp=ce_fp, acc_fp=acc_fp, weight_norm=frobenius_norm(*ckpt.tensors.values()),
     )
+    reused = [b for b in bits if recorded.get(quant_keys[b])]
+    what = ["fp"] if found else []
+    if reused:
+        what.append(f"bits {','.join(map(str, reused))}")
+    if what:
+        log.info("%s step %d: %s reused", run_id, ckpt.step, ", ".join(what))
+    todo = [b for b in bits if b not in reused]
+    calib = data.calib_set if cfg["quant.method"] == "gptq" else None
 
     def quantize(b):
         return quantize_model(ckpt, calib, cfgmod.quant_config(cfg, b))
 
     # read in bit order: the first failing bit width raises, and closing the
     # stream waits for the others; perfbench traces the pool class looked up here
-    with closing(parallel.stream(quantize, bits, ThreadPoolExecutor)) as done:
-        quantized = [d.result() for d in done]
+    with closing(parallel.stream(quantize, todo, ThreadPoolExecutor)) as done:
+        quantized = dict(zip(todo, (d.result() for d in done)))
     layer_stats = []
-    for b, (qm, stats) in zip(bits, quantized):
-        ce_q, acc_q = eval_ce(qm, data.eval_batches)
+    for b in bits:
+        if b in quantized:
+            qm, stats = quantized[b]
+            ce_q, acc_q = eval_ce(qm, data.eval_batches)
+        else:
+            ce_q, acc_q, stats = recorded[quant_keys[b]]
         rec.val_ce_q[b] = ce_q
         rec.rel_ce_err[b] = relative_ce_error(ce_q, ce_fp)
         rec.delta_ptq[b] = delta_ptq(ce_q, ce_fp)
@@ -424,23 +473,38 @@ def evaluate_checkpoint_quantized(
     return rec, layer_stats
 
 
+def record_qeval(table: QevalTable, checksum: str, data: RunData, cfg: Dict[str, object],
+                 rec: MetricRecord, layer_stats, replace: bool = False) -> None:
+    """Put what `evaluate_checkpoint_quantized` returned for the checkpoint
+    whose payload checksum is `checksum` into `table`, FP first."""
+    fp_key, quant_keys = qeval_keys(checksum, data, cfg, [b for b, _ in layer_stats])
+    table.put(fp_key, rec.val_ce_fp, rec.acc_fp, replace=replace)
+    for b, stats in layer_stats:
+        table.put(quant_keys[b], rec.val_ce_q[b], rec.acc_q[b], stats, replace)
+
+
 def cmd_quantize_eval(
     run_dir: str,
     bits: Optional[Sequence[int]] = None,
     method: Optional[str] = None,
     steps: Optional[Sequence[int]] = None,
     kind: str = "ckpt",
+    force: bool = False,
 ) -> Tuple[List[MetricRecord], List[Tuple[int, str]]]:
-    """Quantize and evaluate stored checkpoints; upserts metrics.csv and
-    quant_layers.csv rows. Bits and method default to the manifest's.
+    """Quantize and evaluate stored checkpoints; upserts metrics.csv,
+    quant_layers.csv and qeval.csv rows. Bits and method default to the
+    manifest's.
 
     Returns (records, failures). Per-checkpoint failures are recorded and
     the sweep continues. The checkpoints run as parallel jobs; a lone
     checkpoint runs in the calling thread, its bit widths as the jobs.
-    Bit widths that metrics.csv has no columns for, and an eval or
-    calibration set that differs from the one the manifest recorded, are
-    refused before any work. Both tables are saved only after every row
-    merged, so a conflict (MergeError) leaves both files unchanged.
+    Results qeval.csv holds are reused, for any checkpoint with the same
+    payload; `force` recomputes them all and its rows replace the
+    recorded ones. Bit widths that metrics.csv has no columns for, and an
+    eval or calibration set that differs from the one the manifest
+    recorded, are refused before any work. The tables are saved only
+    after every row merged, so a conflict (MergeError) leaves all three
+    files unchanged.
     """
     cfg = load_manifest(run_dir)
     # a bit width named twice is quantized once, in first-seen order
@@ -453,7 +517,6 @@ def cmd_quantize_eval(
     cfg["quant.method"] = method = method or str(cfg["quant.method"])
     run_id = cfg["run.id"] if kind == "ckpt" else f"{cfg['run.id']}-{kind}"
     data = build_data(cfg)
-    calib = data.calib_set if method == "gptq" else None
     available = list_ckpt_steps(run_dir, kind)
     selected = available if steps is None else [s for s in available if s in set(steps)]
     if steps is not None:
@@ -465,11 +528,13 @@ def cmd_quantize_eval(
         return [], []
     spec = cfgmod.schedule_spec(cfg)
     peak = cfg["optim.peak_lr"]
+    table = QevalTable(os.path.join(run_dir, QEVAL))
 
     def job(step: int):
-        ckpt = load_checkpoint(ckpt_path(run_dir, step, kind))
+        ckpt, checksum = read_checkpoint(ckpt_path(run_dir, step, kind))
         lr = schedule_value(spec, peak, step) if step <= spec.total_steps else None
-        return evaluate_checkpoint_quantized(ckpt, data, cfg, bits, calib, run_id, lr)
+        return checksum, evaluate_checkpoint_quantized(
+            ckpt, data, cfg, bits, run_id, lr, checksum, None if force else table)
 
     # checkpoints run as parallel jobs, whose eval and walk items then run
     # serially; the pool class is looked up here, where perfbench traces it
@@ -489,18 +554,20 @@ def cmd_quantize_eval(
     )
     records = []
     for s in sorted(results):
-        rec, layer_stats = results[s]
-        metrics_store.upsert(record_to_row(rec))
+        checksum, (rec, layer_stats) = results[s]
+        metrics_store.upsert(record_to_row(rec), force)
         for b, stats in layer_stats:
             for st in stats:
                 layer_table.upsert({
                     "run_id": run_id, "step": str(s), "bits": str(b), "method": method,
                     "layer": st.name, "weight_error": fmt_real(st.weight_error),
                     "recon_error": fmt_real(st.recon_error), "damping": fmt_real(st.damping_used),
-                })
+                }, force)
+        record_qeval(table, checksum, data, cfg, rec, layer_stats, force)
         records.append(rec)
     metrics_store.save()
     layer_table.save()
+    table.save()
     return records, failures
 
 
@@ -610,8 +677,10 @@ def _check_plan(plan: cfgmod.Plan) -> None:
 
 
 def _evaluated(run_dir: str, bits: Sequence[int], steps: Sequence[int],
-               kind: str = "ckpt") -> Dict[int, MetricRecord]:
-    recs, fails = cmd_quantize_eval(run_dir, bits=bits, steps=steps, kind=kind) if steps else ([], [])
+               kind: str = "ckpt", force: bool = False) -> Dict[int, MetricRecord]:
+    if not steps:
+        return {}
+    recs, fails = cmd_quantize_eval(run_dir, bits=bits, steps=steps, kind=kind, force=force)
     if fails:
         raise PartialFailure(f"{kind} quantize-eval failures in {run_dir}: {fails}")
     return {r.step: r for r in recs}
@@ -624,9 +693,10 @@ def cmd_sweep(
     write out_root/summary.csv, one row per cell with its final step's
     metrics (blank if the plan does not evaluate that step).
 
-    A rerun resumes each run, branch and average and re-evaluates them;
-    `force` retrains. A cell that fails is logged and marked, and the next
-    one runs. Returns (plan, cells, summary_csv_path).
+    A rerun resumes each run, branch and average and takes their results
+    from each run's qeval.csv; `force` retrains and recomputes. A cell
+    that fails is logged and marked, and the next one runs. Returns
+    (plan, cells, summary_csv_path).
     """
     plan = cfgmod.load_plan(plan_path, overrides)
     _check_plan(plan)
@@ -643,15 +713,16 @@ def cmd_sweep(
                **{k: str(settings[k]) for k in plan.axes}, "final_step": str(final)}
         try:
             cell.run_dir = cmd_train(settings, out_root, force=force)
-            cell.trunk = _evaluated(cell.run_dir, plan.bits, plan.eval_steps_of(settings))
+            cell.trunk = _evaluated(cell.run_dir, plan.bits, plan.eval_steps_of(settings),
+                                    force=force)
             for bs in plan.branch_steps:
                 child = cmd_branch(cell.run_dir, bs, out_root=out_root, force=force)
                 end = cfgmod.schedule_spec(load_manifest(child)).total_steps
-                cell.branches[bs] = _evaluated(child, plan.bits, [end])[end]
+                cell.branches[bs] = _evaluated(child, plan.bits, [end], force=force)[end]
             if plan.lawa_steps:
                 cmd_average(cell.run_dir)
                 cell.lawa = _evaluated(cell.run_dir, plan.bits, plan.lawa_steps,
-                                       kind=f"lawa{settings['lawa.k']}")
+                                       kind=f"lawa{settings['lawa.k']}", force=force)
             metrics = record_to_row(cell.trunk[final]) if final in cell.trunk else {}
             row.update({c: metrics.get(c, "") for c in SUMMARY_METRICS}, status="ok")
         except QlabError as exc:

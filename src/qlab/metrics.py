@@ -1,4 +1,5 @@
-"""Degradation metrics, evaluation over fixed batch sets, and the metrics CSV.
+"""Degradation metrics, evaluation over fixed batch sets, the metrics CSV,
+and qeval.csv, the table of eval results keyed by their inputs.
 
 Evaluation is one pass over the batch set: `eval_ce` reduces
 `model.token_nll`, whose (batch, shard) items run forward once, streamed
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .model import Checkpoint, token_nll
 # Unused here, but perfbench's traced mode wraps forward and loss at this
 # module's names, so they must stay importable from it.
 from .model import forward, loss  # noqa: F401
-from .quant import QuantizedModel, eval_checkpoint
+from .quant import LayerQuantStats, QuantConfig, QuantizedModel, eval_checkpoint
 from .store import atomic_write
 
 EvalTarget = Union[Checkpoint, QuantizedModel]
@@ -177,7 +178,10 @@ class MetricsStore:
                 raise MergeError(f"{self.path}: malformed row {ln!r}")
             self.upsert(dict(zip(self.columns, parts)))
 
-    def upsert(self, row: Dict[str, str]) -> None:
+    def upsert(self, row: Dict[str, str], replace: bool = False) -> None:
+        """Add `row`, or merge it into the row with its key; with `replace`,
+        its non-empty fields overwrite the recorded ones instead of having
+        to agree with them."""
         unknown = set(row) - set(self.columns)
         if unknown:
             raise ContractViolation(f"{self.path}: unknown columns {sorted(unknown)}")
@@ -188,7 +192,7 @@ class MetricsStore:
             return
         for col, new in row.items():
             old = existing[col]
-            if new and old and old != new:
+            if new and old and old != new and not replace:
                 raise MergeError(f"conflicting {col} for {key}: {old!r} vs {new!r}")
         existing.update((col, new) for col, new in row.items() if new)
 
@@ -196,3 +200,68 @@ class MetricsStore:
         lines = [self.header]
         lines += [",".join(row[c] for c in self.columns) for row in self.rows.values()]
         atomic_write(self.path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
+# -- qeval.csv: quantize-eval results by their inputs --------------------------
+
+QEVAL_KEY = ("checkpoint", "eval_set", "method", "bits", "group_size", "damping_frac",
+             "propagate", "static_groups", "calib_set", "layer")
+QEVAL_HEADER = ",".join(QEVAL_KEY + ("ce", "acc", "weight_error", "recon_error", "damping"))
+
+
+def qeval_key(checkpoint: str, eval_set: str, qcfg: Optional[QuantConfig] = None,
+              calib_set: str = "") -> tuple:
+    """A result's key in qeval.csv, its layer column left out: the
+    checkpoint's payload checksum and the eval set's hash, and for a
+    quantized result (`qcfg`) its settings and the calibration set's hash
+    (blank for a method that calibrates on nothing)."""
+    if qcfg is None:
+        return (checkpoint, eval_set, "fp", "", "", "", "", "", "")
+    return (checkpoint, eval_set, qcfg.method, str(qcfg.bits), str(qcfg.group_size),
+            repr(float(qcfg.damping_frac)), str(int(qcfg.propagate_quantized)),
+            str(int(qcfg.static_groups)), calib_set)
+
+
+def _exact(x: Optional[float]) -> str:
+    return "" if x is None else repr(float(x))
+
+
+class QevalTable(MetricsStore):
+    """qeval.csv: every FP and quantized eval result of a run directory,
+    keyed by what it is computed from (`qeval_key`), at full precision.
+
+    A result is one row with a blank layer (its CE and accuracy) and, if
+    quantized, one row per layer in quantization order (weight error,
+    reconstruction error, damping used).
+    """
+
+    def __init__(self, path: str):
+        self.layers: Dict[tuple, List[Dict[str, str]]] = {}  # result key -> its layer rows
+        super().__init__(path, QEVAL_HEADER, QEVAL_KEY)
+
+    def upsert(self, row: Dict[str, str], replace: bool = False) -> None:
+        key = tuple(row[c] for c in self.key)
+        new = key not in self.rows
+        super().upsert(row, replace)
+        if new and key[-1]:
+            self.layers.setdefault(key[:-1], []).append(self.rows[key])
+
+    def get(self, key: tuple) -> Optional[Tuple[float, float, List[LayerQuantStats]]]:
+        """(CE, accuracy, layer stats) recorded under `key`, or None."""
+        row = self.rows.get(key + ("",))
+        if row is None:
+            return None
+        stats = [LayerQuantStats(r["layer"], float(r["weight_error"]),
+                                 float(r["recon_error"]) if r["recon_error"] else None,
+                                 float(r["damping"]))
+                 for r in self.layers.get(key, ())]
+        return float(row["ce"]), float(row["acc"]), stats
+
+    def put(self, key: tuple, ce: float, acc: float,
+            stats: Sequence[LayerQuantStats] = (), replace: bool = False) -> None:
+        """Record a result under `key`; see `MetricsStore.upsert` for `replace`."""
+        self.upsert(dict(zip(self.key, key + ("",)), ce=_exact(ce), acc=_exact(acc)), replace)
+        for st in stats:
+            self.upsert(dict(zip(self.key, key + (st.name,)), weight_error=_exact(st.weight_error),
+                             recon_error=_exact(st.recon_error), damping=_exact(st.damping_used)),
+                        replace)

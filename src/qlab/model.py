@@ -706,17 +706,24 @@ def pop_meta(arrays: dict, path: str) -> Tuple[ModelConfig, int, int]:
     return config, int(meta[0]), int(meta[1])
 
 
-def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    """Weights as f32 payloads plus one f64 metadata tensor."""
+def save_checkpoint(path: str, ckpt: Checkpoint) -> str:
+    """Weights as f32 payloads plus one f64 metadata tensor; returns the
+    payload checksum written."""
     arrays = {META: meta_entry(ckpt.config, ckpt.step, ckpt.tokens_seen)}
     for name in sorted(ckpt.tensors):
         arrays[name] = np.asarray(ckpt.tensors[name], np.float32)
-    store.save_arrays(path, arrays)
+    return store.save_arrays(path, arrays)
 
 
-def load_checkpoint(path: str) -> Checkpoint:
+def read_checkpoint(path: str) -> Tuple[Checkpoint, str]:
+    """The checkpoint at `path` and its payload checksum, as verified."""
     tensors = store.load_arrays(path)
     config, step, tokens_seen = pop_meta(tensors, path)
     if set(tensors) != set(tensor_shapes(config)):
         raise ConfigError(f"{path}: tensor set does not match config")
-    return Checkpoint(tensors, step=step, tokens_seen=tokens_seen, config=config)
+    ckpt = Checkpoint(dict(tensors), step=step, tokens_seen=tokens_seen, config=config)
+    return ckpt, tensors.checksum
+
+
+def load_checkpoint(path: str) -> Checkpoint:
+    return read_checkpoint(path)[0]

@@ -19,7 +19,9 @@ with rows padded to byte boundaries.
 This is the only module that encodes entries: `save_arrays` and
 `load_arrays` turn a dict of 2-D arrays (and `Packed` codes) into a
 file and back, over the byte layer `write_tensor_file` and
-`read_tensor_file`.
+`read_tensor_file`. The writers return the payload checksum they wrote
+and the readers the one they verified (`TensorFile.checksum`), so a
+caller can name a file's contents without hashing them again.
 """
 
 from __future__ import annotations
@@ -123,6 +125,15 @@ def unpack_codes(packed: np.ndarray, bits: int, cols: int) -> np.ndarray:
     return (bits_arr * weights).sum(axis=2).astype(np.uint8)
 
 
+class TensorFile(dict):
+    """A tensor file's contents by name, with `checksum`: the FNV-1a
+    checksum of its payload in hex, as verified against its footer."""
+
+    def __init__(self, contents, checksum: str):
+        super().__init__(contents)
+        self.checksum = checksum
+
+
 @dataclass(frozen=True)
 class Packed:
     """uint8 codes below 2^bits, stored bit-packed as ``u{bits}p``."""
@@ -153,15 +164,16 @@ def _value(dtype: str, rows: int, cols: int, raw: bytes):
     return Packed(unpack_codes(packed, bits, cols), bits)
 
 
-def save_arrays(path: str, arrays: Dict[str, object], overwrite: bool = False) -> None:
+def save_arrays(path: str, arrays: Dict[str, object], overwrite: bool = False) -> str:
     """Write a dict of 2-D arrays (f32, f64, i32, i64) and `Packed` codes
-    as one tensor file, in dict order."""
-    write_tensor_file(path, [_entry(n, v) for n, v in arrays.items()], overwrite=overwrite)
+    as one tensor file, in dict order; returns its payload checksum."""
+    return write_tensor_file(path, [_entry(n, v) for n, v in arrays.items()], overwrite=overwrite)
 
 
-def load_arrays(path: str) -> Dict[str, object]:
+def load_arrays(path: str) -> TensorFile:
     """The dict `save_arrays` wrote: native-dtype arrays, `Packed` codes."""
-    return {name: _value(*entry) for name, entry in read_tensor_file(path).items()}
+    entries = read_tensor_file(path)
+    return TensorFile({name: _value(*e) for name, e in entries.items()}, entries.checksum)
 
 
 def atomic_write(path: str, data: bytes) -> None:
@@ -186,9 +198,9 @@ def atomic_write(path: str, data: bytes) -> None:
 
 def write_tensor_file(
     path: str, entries: List[Tuple[str, str, int, int, bytes]], overwrite: bool = False
-) -> None:
+) -> str:
     """Write (name, dtype, rows, cols, payload) entries atomically; refuses
-    to clobber."""
+    to clobber. Returns the payload checksum in hex."""
     if os.path.exists(path) and not overwrite:
         raise CheckpointFormatError(f"refusing to overwrite existing file: {path}")
     header_lines = [MAGIC]
@@ -204,11 +216,13 @@ def write_tensor_file(
         payloads.append(raw)
         offset += len(raw)
     payload = b"".join(payloads)
-    footer = f"\n{fnv1a64(payload):016x}\n"
-    atomic_write(path, ("\n".join(header_lines) + "\n\n").encode() + payload + footer.encode())
+    checksum = f"{fnv1a64(payload):016x}"
+    atomic_write(path, ("\n".join(header_lines) + "\n\n").encode() + payload
+                 + f"\n{checksum}\n".encode())
+    return checksum
 
 
-def read_tensor_file(path: str) -> Dict[str, Tuple[str, int, int, bytes]]:
+def read_tensor_file(path: str) -> TensorFile:
     """Parse a tensor file, verify its checksum, and return name->(dtype, rows, cols, raw)."""
     try:
         with open(path, "rb") as f:
@@ -252,7 +266,7 @@ def read_tensor_file(path: str) -> Dict[str, Tuple[str, int, int, bytes]]:
         raise CheckpointFormatError(
             f"{path}: checksum mismatch (footer {footer!r}, payload {got})"
         )
-    return {
+    return TensorFile({
         name: (dtype, rows, cols, payload[off : off + size])
         for name, (dtype, rows, cols, off, size) in entries.items()
-    }
+    }, got)

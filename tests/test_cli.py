@@ -45,6 +45,10 @@ def test_cli_train_eval_report_flow(tmp_path, cfg_file):
     assert os.path.isdir(run_dir)
 
     assert main(["eval", "--run", run_dir, "--bits", "3", "--steps", "30"]) == 0
+    evaluated = _tree_bytes(run_dir)
+    for extra in ([], ["--force"]):  # a rerun reuses qeval.csv's results, --force recomputes
+        assert main(["eval", "--run", run_dir, "--bits", "3", "--steps", "30", *extra]) == 0
+        assert _tree_bytes(run_dir) == evaluated
 
     out = str(tmp_path / "fig.svg")
     assert main(["report", "--run", run_dir, "--metric", "val_ce_fp", "--out", out]) == 0
@@ -107,6 +111,7 @@ def test_cli_train_negative_or_empty_schedule_is_config_error(tmp_path, cfg_file
 @pytest.mark.parametrize("setting", [
     "train.batch_size=0", "train.batch_size=-2", "data.limit_bytes=-5", "model.n_heads=0",
     "model.d_model=0", "model.d_ff=0", "model.n_layers=-1", "model.vocab=100",
+    "quant.calib_samples=0", "quant.calib_samples=-1",
 ])
 def test_cli_train_bad_setting_exits_2_before_writing(tmp_path, cfg_file, setting):
     # model.vocab=100: the corpus holds lowercase ASCII letters, bytes 97-122
@@ -199,7 +204,7 @@ def test_cli_eval_method_conflict_is_config_error(trained_run):
 
 def read_tables(run_dir):
     texts = []
-    for name in ("metrics.csv", "quant_layers.csv"):
+    for name in ("metrics.csv", "quant_layers.csv", "qeval.csv"):
         with open(os.path.join(run_dir, name), encoding="utf-8") as f:
             texts.append(f.read())
     return texts

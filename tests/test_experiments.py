@@ -167,7 +167,7 @@ def test_lr_sweep_judges_each_value_of_another_axis():
 
 
 def test_quantize_eval_failure_exits_4(tmp_path, corpus_path, monkeypatch, capsys):
-    def failing_eval(run_dir, bits, steps, kind):
+    def failing_eval(run_dir, bits, steps, kind, force):
         return [], [(steps[0], "non-finite activations in layers.0")]
 
     monkeypatch.setattr(harness, "cmd_quantize_eval", failing_eval)

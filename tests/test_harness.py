@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qlab.harness import (
     opt_path,
     save_opt_state,
 )
-from qlab.metrics import MetricsStore
+from qlab.metrics import MetricsStore, fmt_real
 from qlab.model import init, load_checkpoint
 from qlab.optim import OptimState, init_opt_state
 
@@ -342,6 +343,150 @@ def test_quantize_eval_rerun_is_idempotent(trained_run):
     assert {t: read(os.path.join(run_dir, t)) for t in (METRICS, QUANT_LAYERS)} == before
 
 
+@pytest.fixture(scope="module")
+def unevaluated_run(tmp_path_factory, corpus_path):
+    """A micro run nothing but training wrote to; tests copy it. Its eval
+    hook (every 20 steps) and checkpoint hook (every 10) meet at 20, 40
+    and 60."""
+    return cmd_train(micro_train_config(corpus_path), str(tmp_path_factory.mktemp("fresh")))
+
+
+def count_work(monkeypatch) -> dict:
+    """Counts harness.quantize_model calls (step, bits) and harness.eval_ce
+    calls while `monkeypatch` holds its patches."""
+    from qlab import harness
+
+    made = {"quantize": [], "eval": 0}
+    real_quantize, real_eval = harness.quantize_model, harness.eval_ce
+
+    def quantize(ckpt, calib, qcfg):
+        made["quantize"].append((ckpt.step, qcfg.bits))
+        return real_quantize(ckpt, calib, qcfg)
+
+    def evaluate(target, batches):
+        made["eval"] += 1
+        return real_eval(target, batches)
+
+    monkeypatch.setattr(harness, "quantize_model", quantize)
+    monkeypatch.setattr(harness, "eval_ce", evaluate)
+    return made
+
+
+def test_training_records_the_fp_result_of_each_evaluated_checkpoint(unevaluated_run):
+    from qlab.harness import QEVAL
+    from qlab.metrics import QevalTable
+    from qlab.model import read_checkpoint
+
+    table = QevalTable(os.path.join(unevaluated_run, QEVAL))
+    assert {k[2] for k in table.rows} == {"fp"}
+    recorded = [k[0] for k in table.rows]
+    assert recorded == [read_checkpoint(ckpt_path(unevaluated_run, s))[1] for s in (20, 40, 60)]
+    metrics = MetricsStore(os.path.join(unevaluated_run, METRICS))
+    for key, row in zip(table.rows, [metrics.rows[(os.path.basename(unevaluated_run), str(s))]
+                                     for s in (20, 40, 60)]):
+        ce, acc, _ = table.get(key[:-1])
+        assert (fmt_real(ce), fmt_real(acc)) == (row["val_ce_fp"], row["acc_fp"])
+
+
+def test_quantize_eval_of_an_eval_hook_step_makes_no_fp_pass(
+    tmp_path, unevaluated_run, monkeypatch
+):
+    run_dir = shutil.copytree(unevaluated_run, str(tmp_path / "run"))
+    work = count_work(monkeypatch)
+    cmd_quantize_eval(run_dir, bits=(3,), steps=[40])
+    assert work == {"quantize": [(40, 3)], "eval": 1}  # the 3-bit model's only
+    cmd_quantize_eval(run_dir, bits=(3,), steps=[30])  # no eval hook at 30
+    assert work == {"quantize": [(40, 3), (30, 3)], "eval": 3}
+
+
+def test_quantize_eval_rerun_recomputes_nothing_and_force_everything(
+    tmp_path, unevaluated_run, monkeypatch
+):
+    run_dir = shutil.copytree(unevaluated_run, str(tmp_path / "run"))
+    assert cmd_quantize_eval(run_dir, bits=(3, 4), steps=[30, 40])[1] == []
+    files = run_files(run_dir)
+    for force, calls, evals in ((False, [], 0), (True, [(30, 3), (30, 4), (40, 3), (40, 4)], 6)):
+        with monkeypatch.context() as m:
+            made = count_work(m)
+            records, failures = cmd_quantize_eval(run_dir, bits=(3, 4), steps=[30, 40],
+                                                  force=force)
+        assert not failures and [r.step for r in records] == [30, 40]
+        assert sorted(made["quantize"]) == calls and made["eval"] == evals
+        assert run_files(run_dir) == files
+
+
+def test_force_replaces_a_recorded_result_that_differs(tmp_path, unevaluated_run):
+    from qlab.errors import MergeError
+    from qlab.harness import QEVAL
+    from qlab.metrics import QevalTable
+
+    run_dir = shutil.copytree(unevaluated_run, str(tmp_path / "run"))
+    cmd_quantize_eval(run_dir, bits=(3,), steps=[60])
+    files = run_files(run_dir)
+    table = QevalTable(os.path.join(run_dir, QEVAL))
+    row = next(r for r in table.rows.values() if r["bits"] == "3" and not r["layer"])
+    row["ce"] = repr(float(row["ce"]) * 1.01)  # as if recorded before an arithmetic change
+    table.save()
+    edited = run_files(run_dir)
+    # the edited value is reused, and conflicts with metrics.csv's
+    with pytest.raises(MergeError, match="val_ce_q3"):
+        cmd_quantize_eval(run_dir, bits=(3,), steps=[60])
+    assert run_files(run_dir) == edited
+    cmd_quantize_eval(run_dir, bits=(3,), steps=[60], force=True)
+    assert run_files(run_dir) == files
+
+
+def test_a_byte_identical_checkpoint_reuses_the_recorded_results(
+    tmp_path, unevaluated_run, monkeypatch
+):
+    run_dir = shutil.copytree(unevaluated_run, str(tmp_path / "run"))
+    cmd_average(run_dir, k=1, interval=10)  # a one-checkpoint window: the checkpoint itself
+    assert read_bytes(ckpt_path(run_dir, 30, "lawa1")) == read_bytes(ckpt_path(run_dir, 30))
+    cmd_quantize_eval(run_dir, bits=(3, 4), steps=[30])
+    with monkeypatch.context() as m:
+        made = count_work(m)
+        records, failures = cmd_quantize_eval(run_dir, bits=(3, 4), steps=[30], kind="lawa1")
+    assert not failures and records[0].run_id.endswith("-lawa1")
+    assert made == {"quantize": [], "eval": 0}
+    reused = run_files(run_dir)
+    cmd_quantize_eval(run_dir, bits=(3, 4), steps=[30], kind="lawa1", force=True)
+    assert run_files(run_dir) == reused  # the rows recomputation writes
+
+
+KEY_CHANGES = {  # setting changed after a first 3-bit GPTQ eval -> (bits, quantizes, evals)
+    "nothing": ({}, (3,), 0, 0),
+    "bits": ({}, (4,), 1, 1),
+    "method": ({"quant.method": "rtn"}, (3,), 1, 1),
+    "group size": ({"quant.group_size": 16}, (3,), 1, 1),
+    "damping": ({"quant.damping_frac": 0.02}, (3,), 1, 1),
+    "propagation": ({"quant.propagate": False}, (3,), 1, 1),
+    "static groups": ({"quant.static_groups": True}, (3,), 1, 1),
+    "calibration samples": ({"quant.calib_samples": 4}, (3,), 1, 1),
+    "eval set": ({"eval.batches": 2}, (3,), 1, 2),
+}
+
+
+@pytest.mark.parametrize("change", list(KEY_CHANGES))
+def test_a_change_to_any_key_setting_recomputes(tmp_path, unevaluated_run, monkeypatch, change):
+    from qlab import harness
+    from qlab.metrics import QevalTable
+    from qlab.model import read_checkpoint
+
+    cfg = {k: v for k, v in load_manifest(unevaluated_run).items() if not k.startswith("run.")}
+    ckpt, checksum = read_checkpoint(ckpt_path(unevaluated_run, 30))
+    table = QevalTable(str(tmp_path / "qeval.csv"))
+    data = harness.build_data(cfg)
+    rec, stats = harness.evaluate_checkpoint_quantized(ckpt, data, cfg, (3,), "r", None,
+                                                       checksum, table)
+    harness.record_qeval(table, checksum, data, cfg, rec, stats)
+    work = count_work(monkeypatch)
+    settings, bits, quantizes, evals = KEY_CHANGES[change]
+    cfg = dict(cfg, **settings)
+    harness.evaluate_checkpoint_quantized(ckpt, harness.build_data(cfg), cfg, bits, "r", None,
+                                          checksum, table)
+    assert (len(work["quantize"]), work["eval"]) == (quantizes, evals)
+
+
 def test_gptq_quantize_eval_builds_one_calibration_set(trained_run, monkeypatch):
     from qlab import harness
 
@@ -369,7 +514,8 @@ def test_repeated_bit_width_quantizes_once(trained_run, monkeypatch):
 
     monkeypatch.setattr(harness, "quantize_model", count)
     steps = list_ckpt_steps(run_dir)[-2:]
-    records, failures = cmd_quantize_eval(run_dir, bits=(4, 3, 4, 3), steps=steps)
+    # force: earlier tests recorded these results, which would be reused
+    records, failures = cmd_quantize_eval(run_dir, bits=(4, 3, 4, 3), steps=steps, force=True)
     assert not failures and len(records) == 2
     # two checkpoints run as jobs, each its bit widths in order
     for s in steps:
@@ -440,7 +586,7 @@ def test_sweep_runs_cells_and_summary(tmp_path, corpus_path):
         assert store.rows[(run_id, "20")]["val_ce_fp"] == ce
 
 
-def test_sweep_rerun_resumes_every_cell(tmp_path, corpus_path):
+def test_sweep_rerun_resumes_every_cell(tmp_path, corpus_path, monkeypatch):
     from qlab.cli import main
 
     plan = tmp_path / "plan.cfg"
@@ -455,8 +601,13 @@ def test_sweep_rerun_resumes_every_cell(tmp_path, corpus_path):
     assert main(argv) == 0
     first = read_bytes(str(tmp_path / "sweep" / "summary.csv"))
     assert first.count(b",ok\n") == 2
+    made = count_work(monkeypatch)
     assert main(argv) == 0
     assert read_bytes(str(tmp_path / "sweep" / "summary.csv")) == first
+    assert made == {"quantize": [], "eval": 0}  # every result came from qeval.csv
+    assert main(argv + ["--force"]) == 0
+    assert read_bytes(str(tmp_path / "sweep" / "summary.csv")) == first
+    assert made["quantize"] == [(20, 3), (20, 3)]
 
 
 def test_lineage_forms_forest(tmp_path, corpus_path):

@@ -283,7 +283,7 @@ def test_quantized_eval_dequantizes_each_layer_once(monkeypatch, item_log, corpu
     made.clear()
     item_log.clear()
     rtn = dict(cfg, **{"quant.method": "rtn"})
-    rec, _ = harness.evaluate_checkpoint_quantized(ck, data, rtn, (3, 4), None, "r")
+    rec, _ = harness.evaluate_checkpoint_quantized(ck, data, rtn, (3, 4), "r")
     # per bit width: one dequantize per layer in quantize_model, one in the eval pass
     n_layers = len(model.quantizable_layer_names(ck.config))
     assert len(made) == 2 * 2 * n_layers

@@ -631,9 +631,10 @@ def test_quantize_eval_jobs_match_serial(tmp_path, corpus_path, monkeypatch, sha
 # -- bit widths as parallel jobs -----------------------------------------------------
 
 
-def serial_evaluate(ckpt, data, cfg, bits, calib, run_id, lr=None):
+def serial_evaluate(ckpt, data, cfg, bits, run_id, lr=None, checksum="", table=None):
     """The serial loop the bit-width jobs replaced: each bit width quantized,
-    then evaluated, before the next."""
+    then evaluated, before the next; it computes every result, whatever
+    `table` holds."""
     from qlab import config as cfgmod
     from qlab.metrics import MetricRecord, delta_ptq, eval_ce, relative_acc_drop, relative_ce_error
     from qlab.ndkernel import frobenius_norm
@@ -643,6 +644,7 @@ def serial_evaluate(ckpt, data, cfg, bits, calib, run_id, lr=None):
         run_id=run_id, step=ckpt.step, tokens_seen=ckpt.tokens_seen, lr=lr,
         val_ce_fp=ce_fp, acc_fp=acc_fp, weight_norm=frobenius_norm(*ckpt.tensors.values()),
     )
+    calib = data.calib_set if cfg["quant.method"] == "gptq" else None
     layer_stats = []
     for b in bits:
         qm, stats = harness.quantize_model(ckpt, calib, cfgmod.quant_config(cfg, b))
@@ -743,7 +745,7 @@ def test_a_failing_bit_width_job_closes_its_region(micro_run, monkeypatch):
     monkeypatch.setenv("QLAB_THREADS", "2")
     set_(3)
     with pytest.raises(QuantizationError) as exc:
-        harness.evaluate_checkpoint_quantized(ckpt, data, cfg, (3, 4), data.calibration(cfg), "r")
+        harness.evaluate_checkpoint_quantized(ckpt, data, cfg, (3, 4), "r")
     # the traceback, which holds the consuming frames, is still alive here
     assert str(exc.value) == "no 3-bit solve"
     assert ended == [4]
