@@ -5,8 +5,9 @@ set, a result that conflicts with one already recorded, or a bad QLAB_THREADS
 in a command that runs a parallel region), 3 numeric failure, 4 partial
 sweep/eval failure; each error class carries its code. Unset run settings
 (bits, method, LAWA k and interval) come from the run's manifest. `eval`
-and `sweep` reuse the results a run's qeval.csv holds; `--force`
-recomputes them.
+and `sweep` record every result in a run's qeval.csv and reuse the ones
+it holds; `--force` recomputes them. metrics.csv shows the manifest
+method's 3- and 4-bit results.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ A run directory is a pure function of (corpus bytes, manifest): the
 manifest records no time, `build_data` refuses a corpus or config that
 changes a run's recorded eval or calibration set, checkpoints are
 immutable and checksummed, and results live in keyed CSV tables written
-through `metrics.MetricsStore`: metrics.csv by (run_id, step), the
-high-frequency norms.csv by step, per-layer quantization stats in
-quant_layers.csv by (run_id, step, bits, method, layer), and every eval
-result in qeval.csv by what it is computed from (`metrics.qeval_key`).
+through `metrics.MetricsStore`: every eval result, per-layer stats
+included, in qeval.csv by what it is computed from (`metrics.qeval_key`),
+metrics.csv by (run_id, step), whose quantized columns show the manifest
+method's 3- and 4-bit results, and the high-frequency norms.csv by step.
 A rerun resumes and re-emits identical rows, which merge; a row that
 differs raises MergeError. A quantize-eval computes only the results
 qeval.csv lacks, and rebuilds the other rows from it. Cooldown branches
@@ -48,7 +48,6 @@ from .data import (
 from .errors import ConfigError, PartialFailure, QlabError
 from .experiments import CLAIMS
 from .metrics import (
-    CSV_BITS,
     MetricRecord,
     MetricsStore,
     QevalTable,
@@ -82,9 +81,6 @@ log = logging.getLogger("qlab")
 METRICS = "metrics.csv"
 NORMS = "norms.csv"
 NORMS_HEADER = "step,lr,train_loss,grad_norm,weight_norm"
-QUANT_LAYERS = "quant_layers.csv"
-QUANT_LAYERS_HEADER = "run_id,step,bits,method,layer,weight_error,recon_error,damping"
-QUANT_LAYERS_KEY = ("run_id", "step", "bits", "method", "layer")
 QEVAL = "qeval.csv"
 # metrics.csv columns a sweep's summary.csv repeats for each cell's final step
 SUMMARY_METRICS = ("val_ce_fp", "acc_fp", "rel_ce_err3", "rel_ce_err4", "delta_ptq3", "delta_ptq4")
@@ -244,16 +240,23 @@ def cmd_train(
     if force and os.path.isdir(run_dir):
         shutil.rmtree(run_dir)
     os.makedirs(run_dir, exist_ok=True)
-    checksums: Dict[int, str] = {}  # step -> payload checksum of the checkpoint saved there
+    metrics_store = MetricsStore(os.path.join(run_dir, METRICS))
+    norm_table = MetricsStore(os.path.join(run_dir, NORMS), NORMS_HEADER, ("step",))
+    qeval = QevalTable(os.path.join(run_dir, QEVAL))
+    pending: Dict[int, Tuple[float, float]] = {}  # step -> FP (CE, accuracy) for qeval.csv
 
     def save_state(ckpt: Checkpoint, opt_state: OptimState, cursor: int) -> None:
-        # the start state and every checkpoint: writes whichever of the
-        # step's two files is missing, so a crash between them resumes
+        # the start state and every checkpoint, after the step's eval and
+        # norm rows: writes whichever of the step's files a crash left
+        # missing, the optimizer state last, so a resume, which starts after
+        # the last step saved with one, skips no row
         cpath, opath = ckpt_path(run_dir, ckpt.step), opt_path(run_dir, ckpt.step)
-        if not os.path.exists(cpath):
-            checksums[ckpt.step] = save_checkpoint(cpath, ckpt)
-        else:  # left by a crash before its optimizer state
-            checksums[ckpt.step] = read_checkpoint(cpath)[1]
+        checksum = None if os.path.exists(cpath) else save_checkpoint(cpath, ckpt)
+        fp = pending.pop(ckpt.step, None)
+        if fp:
+            checksum = checksum or read_checkpoint(cpath)[1]  # left by a crash
+            qeval.put(qeval_key(checksum, data.eval_hash), *fp)
+            qeval.save()
         if not os.path.exists(opath):
             save_opt_state(opath, opt_state, cursor)
 
@@ -279,10 +282,7 @@ def cmd_train(
         save_state(ckpt, opt_state, cursor)
     if ckpt.step >= target:
         return run_dir
-
-    metrics_store = MetricsStore(os.path.join(run_dir, METRICS))
-    norm_table = MetricsStore(os.path.join(run_dir, NORMS), NORMS_HEADER, ("step",))
-    qeval = QevalTable(os.path.join(run_dir, QEVAL))
+    saves = ckpt_hook(cfg, target, lambda ev: save_state(ev.ckpt, ev.opt_state, ev.cursor))
 
     def eval_hook(ev: TrainEvent) -> None:
         ce, acc = eval_ce(ev.ckpt, data.eval_batches)
@@ -293,9 +293,8 @@ def cmd_train(
         )
         metrics_store.upsert(record_to_row(rec))
         metrics_store.save()
-        if ev.step in checksums:  # the checkpoint hook saved this step's weights
-            qeval.put(qeval_key(checksums[ev.step], data.eval_hash), ce, acc)
-            qeval.save()
+        if saves.due(ev.step):  # save_state records it under the checkpoint's checksum
+            pending[ev.step] = (ce, acc)
         log.info("run %s step %d: train %.4f val %.4f acc %.4f lr %.3g",
                  run_id[:8], ev.step, ev.train_loss, ce, acc, ev.lr)
 
@@ -317,13 +316,14 @@ def cmd_train(
                  run_id[:8], ev.step, target, ev.train_loss, rate,
                  _duration((target - ev.step) / rate))
 
-    # eval/norm rows fire on intervals plus the schedule end only, and a
-    # resume re-emits the rows since its checkpoint, which merge, so a
-    # stopped or crashed and then resumed run leaves byte-identical CSVs
+    # eval/norm rows fire on intervals plus the schedule end only, before
+    # the step's checkpoint, and a resume re-emits the rows since its
+    # checkpoint, which merge, so a stopped or crashed and then resumed run
+    # leaves byte-identical CSVs
     hooks = [
-        ckpt_hook(cfg, target, lambda ev: save_state(ev.ckpt, ev.opt_state, ev.cursor)),
         TrainHook(cfg["train.eval_interval"], eval_hook, (spec.total_steps,)),
         TrainHook(cfg["train.log_interval"], norm_hook, (spec.total_steps,)),
+        saves,
         TrainHook(cfg["train.log_interval"], progress_hook),
     ]
     train_loop(
@@ -491,30 +491,29 @@ def cmd_quantize_eval(
     kind: str = "ckpt",
     force: bool = False,
 ) -> Tuple[List[MetricRecord], List[Tuple[int, str]]]:
-    """Quantize and evaluate stored checkpoints; upserts metrics.csv,
-    quant_layers.csv and qeval.csv rows. Bits and method default to the
-    manifest's.
+    """Quantize and evaluate stored checkpoints; upserts qeval.csv rows,
+    and metrics.csv rows if the method is the manifest's. Bits and method
+    default to the manifest's.
 
     Returns (records, failures). Per-checkpoint failures are recorded and
     the sweep continues. The checkpoints run as parallel jobs; a lone
     checkpoint runs in the calling thread, its bit widths as the jobs.
     Results qeval.csv holds are reused, for any checkpoint with the same
     payload; `force` recomputes them all and its rows replace the
-    recorded ones. Bit widths that metrics.csv has no columns for, and an
-    eval or calibration set that differs from the one the manifest
-    recorded, are refused before any work. The tables are saved only
-    after every row merged, so a conflict (MergeError) leaves all three
-    files unchanged.
+    recorded ones. metrics.csv is a view of the manifest method's results
+    at the bit widths it has columns for; other results land in qeval.csv
+    only. Invalid quant settings, and an eval or calibration set that
+    differs from the one the manifest recorded, are refused before any
+    work. The tables are saved only after every row merged, so a conflict
+    (MergeError) leaves both files unchanged.
     """
     cfg = load_manifest(run_dir)
     # a bit width named twice is quantized once, in first-seen order
     bits = list(dict.fromkeys(cfg["quant.bits"] if bits is None else bits))
-    unrecordable = sorted(set(bits) - set(CSV_BITS))
-    if unrecordable:
-        raise ConfigError(
-            f"metrics.csv records bit widths {list(CSV_BITS)} only, not {unrecordable}"
-        )
-    cfg["quant.method"] = method = method or str(cfg["quant.method"])
+    for b in bits:  # a bit width outside [2, 8] exits 2 before any checkpoint is read
+        cfgmod.quant_config(cfg, b, method)
+    shown = method in (None, cfg["quant.method"])  # metrics.csv shows this method
+    cfg["quant.method"] = method or str(cfg["quant.method"])
     run_id = cfg["run.id"] if kind == "ckpt" else f"{cfg['run.id']}-{kind}"
     data = build_data(cfg)
     available = list_ckpt_steps(run_dir, kind)
@@ -549,24 +548,16 @@ def cmd_quantize_eval(
             log.error("quantize-eval failed at step %d: %s", s, exc)
 
     metrics_store = MetricsStore(os.path.join(run_dir, METRICS))
-    layer_table = MetricsStore(
-        os.path.join(run_dir, QUANT_LAYERS), QUANT_LAYERS_HEADER, QUANT_LAYERS_KEY
-    )
     records = []
     for s in sorted(results):
         checksum, (rec, layer_stats) = results[s]
-        metrics_store.upsert(record_to_row(rec), force)
-        for b, stats in layer_stats:
-            for st in stats:
-                layer_table.upsert({
-                    "run_id": run_id, "step": str(s), "bits": str(b), "method": method,
-                    "layer": st.name, "weight_error": fmt_real(st.weight_error),
-                    "recon_error": fmt_real(st.recon_error), "damping": fmt_real(st.damping_used),
-                }, force)
+        row = record_to_row(rec)  # validates every record, shown or not
+        if shown:
+            metrics_store.upsert(row, force)
         record_qeval(table, checksum, data, cfg, rec, layer_stats, force)
         records.append(rec)
-    metrics_store.save()
-    layer_table.save()
+    if shown:
+        metrics_store.save()
     table.save()
     return records, failures
 

@@ -7,6 +7,7 @@ from conftest import make_corpus_bytes
 from qlab import harness, quant
 from qlab.cli import main
 from qlab.config import resolve, run_id_of
+from qlab.metrics import QevalTable
 
 
 @pytest.fixture(scope="module")
@@ -190,40 +191,46 @@ def test_cli_branch_rerun_resumes(tmp_path, trained_run, capsys):
     assert _tree_bytes(child) == before
 
 
-def test_cli_eval_method_conflict_is_config_error(trained_run):
-    # metrics.csv has no method in its key, so a second method on the same
-    # step conflicts with the recorded row
-    assert main(["eval", "--run", trained_run, "--bits", "3", "--steps", "20",
-                 "--method", "rtn"]) == 0
-    before = read_tables(trained_run)
-    # step 10 merges cleanly, step 20 conflicts: neither table is written
-    assert main(["eval", "--run", trained_run, "--bits", "3", "--steps", "10,20",
-                 "--method", "gptq"]) == 2
-    assert read_tables(trained_run) == before
+def test_cli_eval_methods_land_side_by_side(trained_run):
+    # qeval.csv keys each result by its method; metrics.csv shows the
+    # manifest's (gptq) only, so rtn leaves it as it was
+    metrics = os.path.join(trained_run, harness.METRICS)
+    before = _bytes(metrics)
+    argv = ["eval", "--run", trained_run, "--bits", "3", "--steps", "10,20", "--method"]
+    assert main(argv + ["rtn"]) == 0
+    assert _bytes(metrics) == before
+    assert main(argv + ["gptq"]) == 0
+    table = QevalTable(os.path.join(trained_run, harness.QEVAL))
+    assert {(k[0], k[2]) for k in table.rows if k[3] == "3"} == {
+        (_checksum(trained_run, s), m) for s in (10, 20) for m in ("rtn", "gptq")}
 
 
-def read_tables(run_dir):
-    texts = []
-    for name in ("metrics.csv", "quant_layers.csv", "qeval.csv"):
-        with open(os.path.join(run_dir, name), encoding="utf-8") as f:
-            texts.append(f.read())
-    return texts
+def _checksum(run_dir, step):
+    from qlab.model import read_checkpoint
+
+    return read_checkpoint(harness.ckpt_path(run_dir, step))[1]
 
 
-def test_cli_eval_unrecordable_bits_refused_before_quantizing(trained_run, monkeypatch):
-    from qlab import harness
+def test_cli_eval_bits_without_metrics_columns_land_in_qeval_only(trained_run):
+    assert main(["eval", "--run", trained_run, "--bits", "3", "--steps", "30"]) == 0
+    metrics = _bytes(os.path.join(trained_run, harness.METRICS))
+    assert main(["eval", "--run", trained_run, "--bits", "2", "--steps", "30"]) == 0
+    assert _bytes(os.path.join(trained_run, harness.METRICS)) == metrics
+    table = QevalTable(os.path.join(trained_run, harness.QEVAL))
+    ce, acc, stats = table.get(next(k[:-1] for k in table.rows
+                                    if k[0] == _checksum(trained_run, 30) and k[3] == "2"))
+    assert ce > 0 and 0 <= acc <= 1 and stats
 
+
+@pytest.mark.parametrize("bits", ["9", "3,9", "1"])
+def test_cli_eval_bits_outside_2_to_8_refused_before_quantizing(trained_run, monkeypatch, bits):
     def no_quantization(*args, **kwargs):
         raise AssertionError("quantized before refusing the bit widths")
 
     monkeypatch.setattr(harness, "quantize_model", no_quantization)
-    metrics = os.path.join(trained_run, harness.METRICS)
-    with open(metrics, encoding="utf-8") as f:
-        before = f.read()
-    assert main(["eval", "--run", trained_run, "--bits", "2", "--steps", "30"]) == 2
-    assert main(["eval", "--run", trained_run, "--bits", "3,8", "--steps", "30"]) == 2
-    with open(metrics, encoding="utf-8") as f:
-        assert f.read() == before
+    before = _tree_bytes(trained_run)
+    assert main(["eval", "--run", trained_run, "--bits", bits, "--steps", "30"]) == 2
+    assert _tree_bytes(trained_run) == before
 
 
 @pytest.mark.parametrize("threads", ["two", "0", "-3"])
@@ -392,9 +399,9 @@ def test_cli_commands_default_to_the_manifest(tmp_path, cfg_file):
     run_dir = _train(tmp_path, cfg_file, "quant.bits=3", "quant.method=rtn",
                      "lawa.k=2", "lawa.interval=20")
     assert main(["eval", "--run", run_dir, "--steps", "30"]) == 0
-    with open(os.path.join(run_dir, "quant_layers.csv"), encoding="utf-8") as f:
-        rows = [ln.split(",") for ln in f.read().splitlines()[1:]]
-    assert rows and {(r[2], r[3]) for r in rows} == {("3", "rtn")}
+    table = QevalTable(os.path.join(run_dir, harness.QEVAL))
+    layers = [k for k in table.rows if k[-1]]  # the per-layer rows
+    assert layers and {(k[2], k[3]) for k in layers} == {("rtn", "3")}
     assert main(["average", "--run", run_dir]) == 0
     assert sorted(n for n in os.listdir(run_dir) if n.startswith("lawa")) == ["lawa2_20.qlab"]
     out = str(tmp_path / "q.qlab")
@@ -482,10 +489,9 @@ def test_cli_eval_refuses_an_edited_calibration_hash(tmp_path, cfg_file):
 
     run_dir = _train(tmp_path, cfg_file)
     _edit_calibration_hash(run_dir)
-    metrics = _bytes(os.path.join(run_dir, harness.METRICS))
+    tables = [_bytes(os.path.join(run_dir, t)) for t in (harness.METRICS, harness.QEVAL)]
     assert main(["eval", "--run", run_dir, "--method", "gptq", "--steps", "30"]) == 2
-    assert _bytes(os.path.join(run_dir, harness.METRICS)) == metrics
-    assert not os.path.exists(os.path.join(run_dir, harness.QUANT_LAYERS))
+    assert [_bytes(os.path.join(run_dir, t)) for t in (harness.METRICS, harness.QEVAL)] == tables
 
 
 def test_cli_quantize_refuses_an_edited_calibration_hash(tmp_path, cfg_file):

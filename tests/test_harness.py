@@ -11,7 +11,7 @@ from qlab.harness import (
     MANIFEST,
     METRICS,
     NORMS,
-    QUANT_LAYERS,
+    QEVAL,
     ckpt_path,
     cmd_average,
     cmd_branch,
@@ -25,7 +25,7 @@ from qlab.harness import (
     opt_path,
     save_opt_state,
 )
-from qlab.metrics import MetricsStore, fmt_real
+from qlab.metrics import MetricsStore, QevalTable, fmt_real
 from qlab.model import init, load_checkpoint
 from qlab.optim import OptimState, init_opt_state
 
@@ -110,34 +110,41 @@ def test_resume_bitwise_equals_unbroken(tmp_path, corpus_path, monkeypatch):
     part_dir = cmd_train(cfg, str(tmp_path / "split"), stop_after=30)
     assert list_ckpt_steps(part_dir)[-1] == 30
 
-    def crashed(name, save, step):
-        """A run whose `save` (harness.save_checkpoint or save_opt_state)
-        raised at `step`: the files it wrote before stay."""
-        real = getattr(harness, save)
+    def crashed(name, fn, crashes):
+        """A run whose harness.`fn` raised on the first call whose first
+        argument `crashes` accepts: the files it wrote before stay."""
+        real = getattr(harness, fn)
 
-        def crashing(path, *args, **kwargs):
-            if os.path.basename(path).startswith(f"ckpt_{step}."):
-                raise _Crash(path)
-            real(path, *args, **kwargs)
+        def crashing(first, *args, **kwargs):
+            if crashes(first):
+                raise _Crash(fn)
+            return real(first, *args, **kwargs)
 
-        monkeypatch.setattr(harness, save, crashing)
+        monkeypatch.setattr(harness, fn, crashing)
         with pytest.raises(_Crash):
             cmd_train(cfg, str(tmp_path / name))
         monkeypatch.undo()
         return os.path.join(str(tmp_path / name), os.path.basename(full_dir))
 
+    def saving(step):  # harness.save_checkpoint's or save_opt_state's file of `step`
+        return lambda path: os.path.basename(path).startswith(f"ckpt_{step}.")
+
     # case 2: a crash while saving the step-20 checkpoint, after norm row 15
-    crash_dir = crashed("crash", "save_checkpoint", 20)
+    crash_dir = crashed("crash", "save_checkpoint", saving(20))
     assert list_ckpt_steps(crash_dir)[-1] == 10
     assert "\n15," in read(os.path.join(crash_dir, NORMS))
     # case 3: a crash inside save_opt_state at step 20, after ckpt_20.qlab
-    half_dir = crashed("half", "save_opt_state", 20)
+    half_dir = crashed("half", "save_opt_state", saving(20))
     assert os.path.exists(ckpt_path(half_dir, 20)) and not os.path.exists(opt_path(half_dir, 20))
     # cases 4 and 5: a crash saving the start state, with or without ckpt_0.qlab
-    start_dirs = [crashed(f"start-{f}", f, 0) for f in ("save_checkpoint", "save_opt_state")]
+    start_dirs = [crashed(f"start-{f}", f, saving(0)) for f in ("save_checkpoint", "save_opt_state")]
     assert [sorted(os.listdir(d)) for d in start_dirs] == [[MANIFEST], ["ckpt_0.qlab", MANIFEST]]
+    # case 6: a crash inside the step-20 eval, which runs before that step's
+    # checkpoint, so the resume starts at 10 and re-emits the step's rows
+    eval_dir = crashed("eval", "eval_ce", lambda target: target.step == 20)
+    assert list_ckpt_steps(eval_dir)[-1] == 10
 
-    for interrupted in (part_dir, crash_dir, half_dir, *start_dirs):
+    for interrupted in (part_dir, crash_dir, half_dir, *start_dirs, eval_dir):
         resumed_dir = cmd_train(cfg, os.path.dirname(interrupted))
         assert resumed_dir == interrupted
         assert run_files(resumed_dir) == run_files(full_dir)
@@ -330,17 +337,17 @@ def test_quantize_eval_appends_rows(trained_run):
     row = store.rows[(rec.run_id, "60")]
     assert row["val_ce_q3"] and row["val_ce_q4"] and row["rel_ce_err3"]
     assert row["train_loss"]  # merged with the training row
-    layers_csv = read(os.path.join(run_dir, QUANT_LAYERS))
-    assert "layers.0.attn.wq" in layers_csv
+    table = QevalTable(os.path.join(run_dir, QEVAL))
+    assert "layers.0.attn.wq" in {k[-1] for k in table.rows if k[3] in ("3", "4")}
 
 
 def test_quantize_eval_rerun_is_idempotent(trained_run):
     cfg, run_dir = trained_run
     cmd_quantize_eval(run_dir, bits=(3, 4), steps=[60])
-    before = {t: read(os.path.join(run_dir, t)) for t in (METRICS, QUANT_LAYERS)}
+    before = {t: read(os.path.join(run_dir, t)) for t in (METRICS, QEVAL)}
     records, failures = cmd_quantize_eval(run_dir, bits=(3, 4), steps=[60])
     assert not failures
-    assert {t: read(os.path.join(run_dir, t)) for t in (METRICS, QUANT_LAYERS)} == before
+    assert {t: read(os.path.join(run_dir, t)) for t in (METRICS, QEVAL)} == before
 
 
 @pytest.fixture(scope="module")
@@ -373,8 +380,6 @@ def count_work(monkeypatch) -> dict:
 
 
 def test_training_records_the_fp_result_of_each_evaluated_checkpoint(unevaluated_run):
-    from qlab.harness import QEVAL
-    from qlab.metrics import QevalTable
     from qlab.model import read_checkpoint
 
     table = QevalTable(os.path.join(unevaluated_run, QEVAL))
@@ -417,8 +422,6 @@ def test_quantize_eval_rerun_recomputes_nothing_and_force_everything(
 
 def test_force_replaces_a_recorded_result_that_differs(tmp_path, unevaluated_run):
     from qlab.errors import MergeError
-    from qlab.harness import QEVAL
-    from qlab.metrics import QevalTable
 
     run_dir = shutil.copytree(unevaluated_run, str(tmp_path / "run"))
     cmd_quantize_eval(run_dir, bits=(3,), steps=[60])
@@ -469,7 +472,6 @@ KEY_CHANGES = {  # setting changed after a first 3-bit GPTQ eval -> (bits, quant
 @pytest.mark.parametrize("change", list(KEY_CHANGES))
 def test_a_change_to_any_key_setting_recomputes(tmp_path, unevaluated_run, monkeypatch, change):
     from qlab import harness
-    from qlab.metrics import QevalTable
     from qlab.model import read_checkpoint
 
     cfg = {k: v for k, v in load_manifest(unevaluated_run).items() if not k.startswith("run.")}

@@ -694,7 +694,7 @@ def test_bit_width_jobs_write_the_serial_loops_files(micro_run, monkeypatch, thr
         recs, fails = _quantize_eval(monkeypatch, run_dir, threads, serial)
         assert fails == [] and [r.step for r in recs] == [20]
         got[serial] = [_sha256(os.path.join(run_dir, t)) for t in (harness.METRICS,
-                                                                    harness.QUANT_LAYERS)]
+                                                                    harness.QEVAL)]
     assert got[True] == got[False]
 
 
@@ -808,7 +808,7 @@ def test_full_calibration_runs_checkpoints_and_bit_widths_as_jobs(tmp_path, corp
             recs, fails = _quantize_eval(monkeypatch, copy, threads, serial=False, steps=(10, 20))
         assert fails == [] and [r.step for r in recs] == [10, 20]
         got[threads] = [_sha256(os.path.join(copy, t)) for t in (harness.METRICS,
-                                                                 harness.QUANT_LAYERS)]
+                                                                 harness.QEVAL)]
         workers = {t for t, *_ in events}  # one job per checkpoint on a pool
         assert workers == {me} if threads == "1" else len(workers) == 2 and me not in workers
     assert got["1"] == got["2"] == got["3"]
