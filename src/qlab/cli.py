@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("rtn", "gptq"), default=None,
                     help="default: the manifest's quant.method")
     sp.add_argument("--steps", type=_parse_bits, default=None)
-    sp.add_argument("--kind", default="ckpt", help="checkpoint family, e.g. ckpt or lawa5")
+    sp.add_argument("--kind", default="ckpt",
+                    help="checkpoint family, e.g. ckpt or lawa5; one the run lacks exits 2")
     sp.add_argument("--force", action="store_true",
                     help="recompute the results qeval.csv holds, and replace them")
 

@@ -119,16 +119,26 @@ def opt_path(run_dir: str, step: int) -> str:
     return os.path.join(run_dir, f"ckpt_{step}.opt.qlab")
 
 
+def _ckpt_files(run_dir: str) -> List[Tuple[str, int]]:
+    """(kind, step) of every `<kind>_<step>.qlab` checkpoint in run_dir; none
+    if it does not exist."""
+    found = []
+    for name in os.listdir(run_dir) if os.path.isdir(run_dir) else ():
+        if name.endswith(".qlab") and ".opt." not in name:
+            kind, sep, stem = name[: -len(".qlab")].rpartition("_")
+            if sep and stem.isdigit():
+                found.append((kind, int(stem)))
+    return found
+
+
 def list_ckpt_steps(run_dir: str, kind: str = "ckpt") -> List[int]:
     """The steps of run_dir's `kind` checkpoints, ascending; none if it does not exist."""
-    steps = []
-    prefix, suffix = f"{kind}_", ".qlab"
-    for name in os.listdir(run_dir) if os.path.isdir(run_dir) else ():
-        if name.startswith(prefix) and name.endswith(suffix) and ".opt." not in name:
-            stem = name[len(prefix) : -len(suffix)]
-            if stem.isdigit():
-                steps.append(int(stem))
-    return sorted(steps)
+    return sorted(step for k, step in _ckpt_files(run_dir) if k == kind)
+
+
+def ckpt_families(run_dir: str) -> List[str]:
+    """The checkpoint kinds run_dir holds (ckpt, lawa5, ...), sorted."""
+    return sorted({k for k, _ in _ckpt_files(run_dir)})
 
 
 @dataclass
@@ -160,13 +170,20 @@ class RunData:
 def build_data(cfg: Dict[str, object]) -> RunData:
     """A run's data under cfg; a ConfigError names the run if a set's hash
     differs from the one cfg records (run.eval_set_hash, run.calib_set_hash),
-    and refuses a batch size or calibration sample count below 1 and a
-    corpus byte the vocabulary lacks."""
+    and refuses settings no run can use: a batch size, calibration sample
+    count, LAWA window or LAWA interval below 1, a schedule.min_lr outside
+    [0, optim.peak_lr], an optim.eps of 0 or below, and a corpus byte the
+    vocabulary lacks."""
     if not cfg["data.path"]:
         raise ConfigError("data.path is required")
-    for key in ("train.batch_size", "quant.calib_samples"):
+    for key in ("train.batch_size", "quant.calib_samples", "lawa.k", "lawa.interval"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    if not 0 <= cfg["schedule.min_lr"] <= cfg["optim.peak_lr"]:
+        raise ConfigError(f"schedule.min_lr must lie in [0, optim.peak_lr = "
+                          f"{cfg['optim.peak_lr']}], got {cfg['schedule.min_lr']}")
+    if not cfg["optim.eps"] > 0:
+        raise ConfigError(f"optim.eps must be positive, got {cfg['optim.eps']}")
     tokens = load_corpus(cfg["data.path"], cfg["data.limit_bytes"] or None)
     top = int(tokens.max())
     if top >= cfg["model.vocab"]:
@@ -353,10 +370,11 @@ def cmd_branch(
 
     The cooldown length defaults to decay_frac * branch_step and is at
     least 2 steps (`decay_steps` below 2, or a `decay_frac` of 0 or below,
-    is a ConfigError): a WSD decay's last step runs at LR 0, so one step
-    would change nothing. The child's schedule is the WSD run that
-    matches the trunk up to the branch point and then decays linearly to
-    zero. Like `cmd_train`, a rerun resumes the child (a finished one
+    is a ConfigError): a WSD decay's last step runs at schedule.min_lr (0
+    by default), so one step would do nothing a constant run does not. The
+    child's schedule is the WSD run that matches the trunk up to the branch
+    point and then decays linearly to the trunk's schedule.min_lr. Like
+    `cmd_train`, a rerun resumes the child (a finished one
     reads nothing, not even the parent's checkpoint), and `force` redoes
     it.
     """
@@ -502,10 +520,11 @@ def cmd_quantize_eval(
     payload; `force` recomputes them all and its rows replace the
     recorded ones. metrics.csv is a view of the manifest method's results
     at the bit widths it has columns for; other results land in qeval.csv
-    only. Invalid quant settings, and an eval or calibration set that
-    differs from the one the manifest recorded, are refused before any
-    work. The tables are saved only after every row merged, so a conflict
-    (MergeError) leaves both files unchanged.
+    only. Invalid quant settings, a `kind` of which the run holds no
+    checkpoint, and an eval or calibration set that differs from the one
+    the manifest recorded, are refused before any work. The tables are
+    saved only after every row merged, so a conflict (MergeError) leaves
+    both files unchanged.
     """
     cfg = load_manifest(run_dir)
     # a bit width named twice is quantized once, in first-seen order
@@ -515,8 +534,11 @@ def cmd_quantize_eval(
     shown = method in (None, cfg["quant.method"])  # metrics.csv shows this method
     cfg["quant.method"] = method or str(cfg["quant.method"])
     run_id = cfg["run.id"] if kind == "ckpt" else f"{cfg['run.id']}-{kind}"
-    data = build_data(cfg)
     available = list_ckpt_steps(run_dir, kind)
+    if not available:
+        raise ConfigError(f"{run_dir} holds no {kind} checkpoints; its checkpoint "
+                          f"families: {', '.join(ckpt_families(run_dir)) or 'none'}")
+    data = build_data(cfg)
     selected = available if steps is None else [s for s in available if s in set(steps)]
     if steps is not None:
         missing = set(steps) - set(available)

@@ -5,7 +5,12 @@ driver, `_run_shards`, a shard being a run of whole sequences. A training
 step is `loss_and_grads`: every shard runs forward, the loss head and
 backward on its own rows, and the shards' gradients are folded into one
 sum in shard order as they finish (micro-batch gradient accumulation, as
-in GPipe: Huang et al. 2019, arXiv:1811.06965). Eval (`token_nll`) runs
+in GPipe: Huang et al. 2019, arXiv:1811.06965). A shard's layer cache
+holds only what backward reads (per layer: the two norms' xhat and r,
+attention's q, k, v, probabilities and context, the MLP's gelu output and
+GELU's slope), and backward frees each layer's cache once that layer's
+gradients are done (activation memory as in Chen et al. 2016,
+arXiv:1604.06174, with nothing recomputed). Eval (`token_nll`) runs
 forward on each shard without a layer cache, and the calibration walk
 steps every shard through the blocks together, summing the shards'
 input Grams at each quantizable stage. `forward` and `backward`
@@ -172,9 +177,10 @@ def _gelu(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return a, t
 
 
-def _gelu_backward(du_out: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """du_out * (0.5 * (1 + t) + 0.5 * u * (1 - t * t) * dt), with
-    dt = C0 * (1 + 3 * C1 * u * u)."""
+def _gelu_slope(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """gelu'(u) = 0.5 * (1 + t) + 0.5 * u * (1 - t * t) * dt, with
+    dt = C0 * (1 + 3 * C1 * u * u) and t from `_gelu`: backward's
+    du_out * gelu'(u) multiplies it in last."""
     g = u * 0.5
     s = np.multiply(t, t)
     np.subtract(1.0, s, out=s)
@@ -187,7 +193,6 @@ def _gelu_backward(du_out: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarr
     np.add(t, 1.0, out=s)
     s *= 0.5
     g += s
-    g *= du_out
     return g
 
 
@@ -241,8 +246,8 @@ def _check_finite(x: np.ndarray, where: str) -> None:
 # run by the training step, eval and the calibration walk alike
 #
 # Each takes an optional `cache` dict, in which it keeps references to the
-# activations `_backward` reads; without one, every activation but the
-# returned one is freed when the sublayer returns.
+# activations `_backward` reads, and only those; without one, every
+# activation but the returned one is freed when the sublayer returns.
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -351,11 +356,12 @@ def _attend_backward(dctx, q, k, v, probs, dq, dk, dv) -> None:
 
 
 def _mlp_hidden(m_in: np.ndarray, w1: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
-    """gelu(h1) with h1 = m_in @ W1.T; caches "h1", "tanh" and "gh1"."""
+    """gelu(h1) with h1 = m_in @ W1.T; caches "gh1" and GELU's "slope" at
+    h1, the one activation backward reads in place of h1 and tanh."""
     h1 = (_rows(m_in) @ w1.T).reshape(*m_in.shape[:-1], -1)
     gh1, t = _gelu(h1)
     if cache is not None:
-        cache.update(h1=h1, tanh=t, gh1=gh1)
+        cache.update(slope=_gelu_slope(h1, t), gh1=gh1)
     return gh1
 
 
@@ -503,58 +509,89 @@ def loss(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(_nll(logits, targets)[0]))
 
 
-def _backward(ckpt: Checkpoint, targets: np.ndarray, cache: dict, n_pos: int):
-    """(nll, grads): every position's loss and the gradients of the summed
-    cross-entropy over `cache`'s positions, divided by `n_pos`. One serial
-    pass; the log-softmax statistics are computed once, for both."""
-    cfg = ckpt.config
-    T = ckpt.tensors
+def _head_backward(T, targets: np.ndarray, cache: dict, n_pos: int, grads: GradientSet):
+    """(nll, dx): every position's loss, and the gradient at the last
+    block's output through the loss head (cross-entropy, unembedding and
+    final norm), whose gradients go into `grads`. It pops the logits and
+    final-norm rows off `cache`; they, and every temporary, go on return."""
     B, S = cache["shape"]
-    H, Dh = cfg.n_heads, cfg.d_head
     dtype = T["embed.tok"].dtype
-    grads: GradientSet = {}
-
-    xhatf, rf, gf = cache["xhatf"], cache["rf"], T["norm_f.g"]
-    nll, dlogits, denom = _nll(cache["logits"], targets)
+    xhatf, rf, gf = cache.pop("xhatf"), cache.pop("rf"), T["norm_f.g"]
+    nll, dlogits, denom = _nll(cache.pop("logits"), targets)
     dlogits /= denom.astype(dtype)
-    idx = np.arange(B * S) * cfg.vocab + targets.reshape(-1).astype(np.int64)
+    idx = np.arange(B * S) * dlogits.shape[-1] + targets.reshape(-1).astype(np.int64)
     dlogits.reshape(-1)[idx] -= 1.0
     dlogits *= 1.0 / n_pos
     grads["unembed"] = _rows(dlogits).T @ _rows(xhatf * gf)
     dhf = (_rows(dlogits) @ T["unembed"]).reshape(B, S, -1)
     grads["norm_f.g"] = np.sum(dhf * xhatf, axis=(0, 1))[None, :]
-    dx = _rms_backward(dhf * gf, xhatf, rf)
+    return nll, _rms_backward(dhf * gf, xhatf, rf)
 
-    for i in range(cfg.n_layers - 1, -1, -1):
-        p = f"layers.{i}"
-        a, m = cache["layers"][i]
-        g1, g2 = T[f"{p}.norm1.g"], T[f"{p}.norm2.g"]
-        # MLP sublayer: x = x1 + gelu(m_in @ W1.T) @ W2.T
-        dgh1 = (_rows(dx) @ T[f"{p}.mlp.w2"]).reshape(B, S, -1)
-        grads[f"{p}.mlp.w2"] = _rows(dx).T @ _rows(m["gh1"])
-        dh1 = _gelu_backward(dgh1, m["h1"], m["tanh"])
-        grads[f"{p}.mlp.w1"] = _rows(dh1).T @ _rows(m["xhat"] * g2)
-        dm_in = (_rows(dh1) @ T[f"{p}.mlp.w1"]).reshape(B, S, -1)
-        grads[f"{p}.norm2.g"] = np.sum(dm_in * m["xhat"], axis=(0, 1))[None, :]
-        dx1 = dx + _rms_backward(dm_in * g2, m["xhat"], m["r"])
 
-        # attention sublayer: x1 = x0 + (P @ v merged) @ Wo.T
-        dctx = (_rows(dx1) @ T[f"{p}.attn.wo"]).reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
-        grads[f"{p}.attn.wo"] = _rows(dx1).T @ _rows(a["ctx"])
-        dqkv = [np.empty((B, S, H * Dh), dtype=dtype) for _ in range(3)]
-        _attend_backward(dctx, a["q"], a["k"], a["v"], a["probs"],
-                         *(np.reshape(f, (B, S, H, Dh), copy=False).transpose(0, 2, 1, 3)
-                           for f in dqkv))
-        a_in = _rows(a["xhat"] * g1)
-        for w, dw in zip(("wq", "wk", "wv"), dqkv):
-            grads[f"{p}.attn.{w}"] = _rows(dw).T @ a_in
-        dq, dk, dv = dqkv
-        da_in = _rows(dq) @ T[f"{p}.attn.wq"]  # dq @ Wq + dk @ Wk + dv @ Wv
-        da_in += _rows(dk) @ T[f"{p}.attn.wk"]
-        da_in += _rows(dv) @ T[f"{p}.attn.wv"]
-        da_in = da_in.reshape(B, S, -1)
-        grads[f"{p}.norm1.g"] = np.sum(da_in * a["xhat"], axis=(0, 1))[None, :]
-        dx = dx1 + _rms_backward(da_in * g1, a["xhat"], a["r"])
+def _mlp_backward(T, p: str, m: dict, dx: np.ndarray, grads: GradientSet) -> np.ndarray:
+    """The gradient at the MLP sublayer's input x1 from dx at its output,
+    x = x1 + gelu(m_in @ W1.T) @ W2.T, from its cache `m`; its weight and
+    gain gradients go into `grads`."""
+    B, S, _ = dx.shape
+    g2 = T[f"{p}.norm2.g"]
+    dh1 = (_rows(dx) @ T[f"{p}.mlp.w2"]).reshape(B, S, -1)  # dgh1, then dh1 in place
+    grads[f"{p}.mlp.w2"] = _rows(dx).T @ _rows(m["gh1"])
+    dh1 *= m["slope"]
+    grads[f"{p}.mlp.w1"] = _rows(dh1).T @ _rows(m["xhat"] * g2)
+    dm_in = (_rows(dh1) @ T[f"{p}.mlp.w1"]).reshape(B, S, -1)
+    grads[f"{p}.norm2.g"] = np.sum(dm_in * m["xhat"], axis=(0, 1))[None, :]
+    return dx + _rms_backward(dm_in * g2, m["xhat"], m["r"])
+
+
+def _attn_backward(cfg: ModelConfig, T, p: str, a: dict, dx1: np.ndarray,
+                   grads: GradientSet) -> np.ndarray:
+    """The gradient at the attention sublayer's input x0 from dx1 at its
+    output, x1 = x0 + (P @ v merged) @ Wo.T, from its cache `a`; its weight
+    and gain gradients go into `grads`."""
+    B, S, _ = dx1.shape
+    H, Dh = cfg.n_heads, cfg.d_head
+    g1 = T[f"{p}.norm1.g"]
+    dctx = (_rows(dx1) @ T[f"{p}.attn.wo"]).reshape(B, S, H, Dh).transpose(0, 2, 1, 3)
+    grads[f"{p}.attn.wo"] = _rows(dx1).T @ _rows(a["ctx"])
+    dqkv = [np.empty((B, S, H * Dh), dtype=dx1.dtype) for _ in range(3)]
+    _attend_backward(dctx, a["q"], a["k"], a["v"], a["probs"],
+                     *(np.reshape(f, (B, S, H, Dh), copy=False).transpose(0, 2, 1, 3)
+                       for f in dqkv))
+    a_in = _rows(a["xhat"] * g1)
+    for w, dw in zip(("wq", "wk", "wv"), dqkv):
+        grads[f"{p}.attn.{w}"] = _rows(dw).T @ a_in
+    dq, dk, dv = dqkv
+    da_in = _rows(dq) @ T[f"{p}.attn.wq"]  # dq @ Wq + dk @ Wk + dv @ Wv
+    da_in += _rows(dk) @ T[f"{p}.attn.wk"]
+    da_in += _rows(dv) @ T[f"{p}.attn.wv"]
+    da_in = da_in.reshape(B, S, -1)
+    grads[f"{p}.norm1.g"] = np.sum(da_in * a["xhat"], axis=(0, 1))[None, :]
+    return dx1 + _rms_backward(da_in * g1, a["xhat"], a["r"])
+
+
+def _backward(ckpt: Checkpoint, targets: np.ndarray, cache: dict, n_pos: int):
+    """(nll, grads): every position's loss and the gradients of the summed
+    cross-entropy over `cache`'s positions, divided by `n_pos`. One serial
+    pass; the log-softmax statistics are computed once, for both.
+
+    It consumes `cache`: the logits and final-norm rows go once the loss
+    head has read them, and each layer's caches, popped off its "layers"
+    list, once that layer's gradients are done (the MLP's before the
+    attention's), so the activations alive shrink as the gradient set
+    grows. Nothing is recomputed.
+    """
+    cfg, T = ckpt.config, ckpt.tensors
+    S = cache["shape"][1]
+    grads: GradientSet = {}
+    nll, dx = _head_backward(T, targets, cache, n_pos, grads)
+    layers = cache["layers"]
+    while layers:
+        p = f"layers.{len(layers) - 1}"
+        attn, mlp = layers.pop()
+        dx = _mlp_backward(T, p, mlp, dx, grads)
+        del mlp
+        dx = _attn_backward(cfg, T, p, attn, dx, grads)
+        del attn
 
     dtok = np.zeros_like(T["embed.tok"])
     np.add.at(dtok, cache["ids"], dx)
@@ -567,16 +604,19 @@ def _backward(ckpt: Checkpoint, targets: np.ndarray, cache: dict, n_pos: int):
 
 def backward(ckpt: Checkpoint, batch: Batch, cache: dict) -> GradientSet:
     """Exact gradients of the mean cross-entropy w.r.t. every tensor, in one
-    serial pass over the batch `forward` cached."""
+    serial pass over the batch `forward` cached. `cache` is left as it was:
+    the pass consumes a copy of its top level and layer list."""
     B, S = cache["shape"]
-    return _backward(ckpt, batch.targets, cache, B * S)[1]
+    lean = dict(cache, layers=list(cache["layers"]))
+    return _backward(ckpt, batch.targets, lean, B * S)[1]
 
 
 def loss_and_grads(ckpt: Checkpoint, batch: Batch) -> Tuple[float, GradientSet]:
     """(mean cross-entropy, gradients) of one training step on `batch`.
 
     Each shard of whole sequences runs forward, the loss head and backward
-    as one item on the thread pool, with a cache of its own rows only; its
+    as one item on the thread pool, with a cache of its own rows only,
+    which its backward frees layer by layer (see `_backward`); its
     gradients are those of the shard's summed loss divided by the whole
     batch's position count. As each shard finishes, in shard order, the
     calling thread folds its gradients into shard 0's set and drops them,

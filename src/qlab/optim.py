@@ -81,7 +81,9 @@ class ScheduleSpec:
 
 
 def schedule_value(spec: ScheduleSpec, eta_max: float, step: int) -> float:
-    """Learning rate at an integer step in [0, total_steps]."""
+    """Learning rate at an integer step in [0, total_steps]: a linear
+    warmup from 0, then constant, a cosine or a WSD run, the last two
+    ending at min_lr (WSD decays linearly to it)."""
     if step < 0 or step > spec.total_steps:
         raise ContractViolation(f"step {step} outside schedule of {spec.total_steps}")
     # phase-boundary ratios hit exactly 1.0, keeping endpoints exact
@@ -92,7 +94,8 @@ def schedule_value(spec: ScheduleSpec, eta_max: float, step: int) -> float:
         p = (step - spec.warmup_steps) / span if span else 1.0
         return spec.min_lr + 0.5 * (eta_max - spec.min_lr) * (1.0 + math.cos(math.pi * p))
     if spec.kind == "wsd" and spec.decay_steps and step >= spec.total_steps - spec.decay_steps:
-        return eta_max * ((spec.total_steps - step) / spec.decay_steps)
+        frac = (spec.total_steps - step) / spec.decay_steps
+        return spec.min_lr + (eta_max - spec.min_lr) * frac
     return eta_max
 
 

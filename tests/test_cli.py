@@ -112,12 +112,15 @@ def test_cli_train_negative_or_empty_schedule_is_config_error(tmp_path, cfg_file
 @pytest.mark.parametrize("setting", [
     "train.batch_size=0", "train.batch_size=-2", "data.limit_bytes=-5", "model.n_heads=0",
     "model.d_model=0", "model.d_ff=0", "model.n_layers=-1", "model.vocab=100",
-    "quant.calib_samples=0", "quant.calib_samples=-1",
+    "quant.calib_samples=0", "quant.calib_samples=-1", "schedule.min_lr=-1",
+    "schedule.kind=cosine schedule.min_lr=1", "optim.eps=0", "lawa.k=0", "lawa.interval=0",
 ])
 def test_cli_train_bad_setting_exits_2_before_writing(tmp_path, cfg_file, setting):
-    # model.vocab=100: the corpus holds lowercase ASCII letters, bytes 97-122
+    # model.vocab=100: the corpus holds lowercase ASCII letters, bytes 97-122;
+    # a case of several settings separates them by spaces
     root = str(tmp_path / "runs")
-    assert main(["train", "--config", cfg_file, "--out-root", root, "--set", setting]) == 2
+    sets = [arg for item in setting.split() for arg in ("--set", item)]
+    assert main(["train", "--config", cfg_file, "--out-root", root, *sets]) == 2
     assert not os.path.exists(root)
 
 
@@ -231,6 +234,15 @@ def test_cli_eval_bits_outside_2_to_8_refused_before_quantizing(trained_run, mon
     before = _tree_bytes(trained_run)
     assert main(["eval", "--run", trained_run, "--bits", bits, "--steps", "30"]) == 2
     assert _tree_bytes(trained_run) == before
+
+
+def test_cli_eval_kind_without_checkpoints_exits_2_naming_the_families(trained_run, caplog):
+    # a typo in --kind once evaluated nothing and exited 0
+    before = _tree_bytes(trained_run)
+    assert main(["eval", "--run", trained_run, "--kind", "lawa0"]) == 2
+    assert _tree_bytes(trained_run) == before
+    errors = " ".join(r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR)
+    assert "no lawa0 checkpoints" in errors and "checkpoint families: ckpt" in errors
 
 
 @pytest.mark.parametrize("threads", ["two", "0", "-3"])

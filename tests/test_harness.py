@@ -235,6 +235,21 @@ def test_branch_matches_equivalent_single_run(tmp_path, corpus_path):
         assert np.array_equal(a.tensors[k], b.tensors[k])
 
 
+def test_branch_decays_to_the_parents_min_lr(tmp_path, corpus_path):
+    min_lr = 3e-4
+    cfg = micro_train_config(
+        corpus_path,
+        **{"schedule.kind": "constant", "schedule.total_steps": 20, "schedule.min_lr": min_lr,
+           "schedule.warmup_frac": 0.1, "schedule.decay_frac": 0.0},
+    )
+    root = str(tmp_path / "runs")
+    child = cmd_branch(cmd_train(cfg, root), 20, decay_steps=4, out_root=root)
+    assert load_manifest(child)["schedule.min_lr"] == min_lr
+    header, *_, last = read(os.path.join(child, NORMS)).strip().splitlines()
+    final = dict(zip(header.split(","), last.split(",")))
+    assert final["step"] == "24" and final["lr"] == fmt_real(min_lr)
+
+
 def test_branch_of_wsd_at_decay_start_continues_identically(tmp_path, corpus_path):
     cfg = micro_train_config(corpus_path)  # wsd total 60, decay 12 -> decay starts at 48
     root = str(tmp_path / "runs")

@@ -277,20 +277,24 @@ def test_softmax_tiles_sum_rows_in_the_untiled_order():
 
 
 def test_elementwise_chains_match_written_out_expressions():
-    rng = np.random.Generator(np.random.PCG64(13))
-    u, du, dxhat, xhat = (rng.standard_normal((3, 7, 40)).astype(np.float32) * 3 for _ in range(4))
-    r = rng.random((3, 7, 1)).astype(np.float32) + 0.5
-    C0, C1 = model.GELU_C0, model.GELU_C1
-    t = np.tanh(C0 * (u + C1 * u * u * u))
-    gelu = 0.5 * u * (1.0 + t)
-    dgelu = du * (0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * (C0 * (1.0 + 3.0 * C1 * u * u)))
-    m = np.mean(dxhat * xhat, axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
-    drms = r * (dxhat - xhat * m)
+    for dtype in (np.float32, np.float64):
+        rng = np.random.Generator(np.random.PCG64(13))
+        u, du, dxhat, xhat = (rng.standard_normal((3, 7, 40)).astype(dtype) * 3 for _ in range(4))
+        r = rng.random((3, 7, 1)).astype(dtype) + 0.5
+        C0, C1 = model.GELU_C0, model.GELU_C1
+        t = np.tanh(C0 * (u + C1 * u * u * u))
+        gelu = 0.5 * u * (1.0 + t)
+        dgelu = du * (0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * (C0 * (1.0 + 3.0 * C1 * u * u)))
+        m = np.mean(dxhat * xhat, axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
+        drms = r * (dxhat - xhat * m)
 
-    got_gelu, got_t = model._gelu(u)
-    assert same_bits(got_gelu, gelu) and same_bits(got_t, t)
-    assert same_bits(model._gelu_backward(du, u, t), dgelu)
-    assert same_bits(model._rms_backward(dxhat, xhat, r), drms)
+        got_gelu, got_t = model._gelu(u)
+        assert same_bits(got_gelu, gelu) and same_bits(got_t, t)
+        # the backward pass multiplies the slope the forward cached into dgh1
+        dh1 = du.copy()
+        dh1 *= model._gelu_slope(u, t)
+        assert same_bits(dh1, dgelu), dtype
+        assert same_bits(model._rms_backward(dxhat, xhat, r), drms)
 
 
 # -- loss -----------------------------------------------------------------------
@@ -408,6 +412,75 @@ def test_unembed_gradient_uniform_residual():
     hf = xhatf * ck.tensors["norm_f.g"][0]
     expected_row = (1.0 / 16 / 12) * hf.sum(axis=0)
     assert np.max(np.abs(grads["unembed"][12] - expected_row)) < 1e-12
+
+
+def _root(a: np.ndarray) -> np.ndarray:
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_training_cache_holds_only_what_backward_reads():
+    cfg = tiny_model_config()
+    ck = init(cfg)
+    B, S, d, f, H = 3, cfg.seq_len, cfg.d_model, cfg.d_ff, cfg.n_heads
+    ids = np.random.Generator(np.random.PCG64(30)).integers(0, 256, (B, S)).astype(np.int32)
+    layers = []
+    model._forward_rows(cfg, ck.tensors, ids, layers)
+    attn_sizes = dict(xhat=B * S * d, r=B * S, q=B * S * d, k=B * S * d, v=B * S * d,
+                      probs=B * H * S * S, ctx=B * S * d)
+    mlp_sizes = dict(xhat=B * S * d, r=B * S, slope=B * S * f, gh1=B * S * f)
+    assert len(layers) == cfg.n_layers
+    for attn, mlp in layers:
+        for got, want in ((attn, attn_sizes), (mlp, mlp_sizes)):
+            assert {k: a.size for k, a in got.items()} == want
+        # the buffers held, views counted once at their base, are the shapes' float32 bytes
+        held = {id(r): r.nbytes for r in map(_root, [*attn.values(), *mlp.values()])}
+        assert sum(held.values()) == 4 * (sum(attn_sizes.values()) + sum(mlp_sizes.values()))
+
+
+def test_backward_frees_each_layer_once_its_gradients_are_done(monkeypatch):
+    """In the shard path, a layer's caches are gone before the layer below
+    runs its attention backward, its MLP's before its own does; the public
+    `backward` leaves its caller's cache as it was, and both give the same
+    bits."""
+    import weakref
+
+    cfg = tiny_model_config(n_layers=3)
+    ck = init(cfg)
+    b = rand_batch(np.random.Generator(np.random.PCG64(31)), 256, 2, cfg.seq_len)
+    layers = []
+    cache = model._forward_rows(cfg, ck.tensors, b.inputs, layers)
+    logits = weakref.ref(cache["logits"])
+    probs = [weakref.ref(a["probs"]) for a, _ in layers]
+    slope = [weakref.ref(m["slope"]) for _, m in layers]
+    seen, real = [], model._attn_backward
+
+    def attn_backward(cfg, T, p, *args):
+        seen.append((p, [r() is not None for r in probs], [r() is not None for r in slope],
+                     logits() is not None))
+        return real(cfg, T, p, *args)
+
+    monkeypatch.setattr(model, "_attn_backward", attn_backward)
+    _, lean = model._backward(ck, b.targets, cache, b.inputs.size)
+    monkeypatch.undo()
+    assert layers == [] and set(cache) == {"layers", "ids", "shape"}
+    assert seen == [(f"layers.{i}", [j <= i for j in range(3)], [j < i for j in range(3)], False)
+                    for i in (2, 1, 0)]
+    assert all(r() is None for r in probs + slope)
+
+    def held(c):
+        """(key, object id) of everything the cache holds, its layers' included."""
+        return [(k, id(v)) for k, v in c.items()] + [
+            (i, j, k, id(v)) for i, pair in enumerate(c["layers"])
+            for j, sub in enumerate(pair) for k, v in sub.items()]
+
+    _, ref = forward(ck, b)
+    before = held(ref)
+    grads = backward(ck, b, ref)
+    assert held(ref) == before
+    assert list(grads) == list(lean)
+    assert all(same_bits(grads[k], g) for k, g in lean.items())
 
 
 def test_sum_loss_scales_gradients():

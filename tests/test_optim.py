@@ -37,6 +37,32 @@ def test_wsd_endpoints_exact():
     assert schedule_value(spec, 3e-3, 1000) == 0.0
 
 
+def test_wsd_decays_to_min_lr():
+    eta = 3e-3
+    spec = ScheduleSpec("wsd", 200, warmup_steps=2, decay_steps=20, min_lr=0.1 * eta)
+    values = [schedule_value(spec, eta, s) for s in range(180, 201)]
+    assert values[-1] == 0.1 * eta
+    assert abs(values[0] - eta) < 1e-12 * eta
+    assert abs(values[10] - 0.55 * eta) < 1e-12 * eta
+    assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("total,warmup,decay", [(2000, 20, 200), (997, 13, 101), (50, 4, 10)])
+def test_wsd_default_min_lr_keeps_every_value(total, warmup, decay):
+    """At the default min_lr of 0, every step is bitwise the linear decay
+    to zero, written out."""
+    eta = 3e-3
+    spec = ScheduleSpec("wsd", total, warmup_steps=warmup, decay_steps=decay)
+    for step in range(total + 1):
+        if step <= warmup:
+            want = eta * (step / warmup)
+        elif step >= total - decay:
+            want = eta * ((total - step) / decay)
+        else:
+            want = eta
+        assert schedule_value(spec, eta, step).hex() == want.hex(), step
+
+
 def test_wsd_stable_phase_value():
     spec = ScheduleSpec("wsd", 19000, warmup_steps=190, decay_steps=1900)
     for step in (191, 5000, 17100):
