@@ -21,6 +21,7 @@ from typing import List, Optional
 from . import config as cfgmod
 from . import experiments, harness, report
 from .errors import ConfigError, QlabError, StoreError
+from .quant import METHODS
 
 log = logging.getLogger("qlab")
 
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("quantize", help="quantize a single checkpoint file")
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--bits", type=int, default=4)
-    sp.add_argument("--method", choices=("rtn", "gptq"), default=None,
+    sp.add_argument("--method", choices=METHODS, default=None,
                     help="default: the settings' quant.method")
     sp.add_argument("--out", required=True)
     common(sp)  # --config defaults to the run manifest next to --ckpt
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--run", required=True)
     sp.add_argument("--bits", type=_parse_bits, default=None,
                     help="default: the manifest's quant.bits")
-    sp.add_argument("--method", choices=("rtn", "gptq"), default=None,
+    sp.add_argument("--method", choices=METHODS, default=None,
                     help="default: the manifest's quant.method")
     sp.add_argument("--steps", type=_parse_bits, default=None)
     sp.add_argument("--kind", default="ckpt",
@@ -116,7 +117,7 @@ def _cmd_quantize(args) -> int:
     cfg = cfgmod.apply_overrides(dict(run_cfg), args.set)
     qcfg = cfgmod.quant_config(cfg, args.bits, args.method)
     calib = None
-    if qcfg.method == "gptq":
+    if qcfg.calibrated:
         # the run's own sets must still be the recorded ones; --set may
         # then choose another calibration set (say, fewer samples) from it
         data = harness.build_data(run_cfg)

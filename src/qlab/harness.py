@@ -14,7 +14,7 @@ metrics.csv by (run_id, step), whose quantized columns show the manifest
 method's 3- and 4-bit results, and the high-frequency norms.csv by step.
 A rerun resumes and re-emits identical rows, which merge; a row that
 differs raises MergeError. A quantize-eval computes only the results
-qeval.csv lacks, and rebuilds the other rows from it. Cooldown branches
+qeval.csv lacks, and reads every record back from it. Cooldown branches
 resume the parent's checkpoint, optimizer state, and data cursor, so a
 branch plus its trunk prefix is step-for-step identical to the
 equivalent single WSD run.
@@ -56,9 +56,6 @@ from .metrics import (
     fmt_real,
     qeval_key,
     record_to_row,
-    relative_acc_drop,
-    relative_ce_error,
-    delta_ptq,
 )
 from .model import Checkpoint, init, load_checkpoint, read_checkpoint, save_checkpoint
 from .ndkernel import frobenius_norm
@@ -172,7 +169,8 @@ def build_data(cfg: Dict[str, object]) -> RunData:
     differs from the one cfg records (run.eval_set_hash, run.calib_set_hash),
     and refuses settings no run can use: a batch size, calibration sample
     count, LAWA window or LAWA interval below 1, a schedule.min_lr outside
-    [0, optim.peak_lr], an optim.eps of 0 or below, and a corpus byte the
+    [0, optim.peak_lr], an optim.eps of 0 or below, quant settings no
+    QuantConfig takes at some quant.bits width, and a corpus byte the
     vocabulary lacks."""
     if not cfg["data.path"]:
         raise ConfigError("data.path is required")
@@ -184,6 +182,8 @@ def build_data(cfg: Dict[str, object]) -> RunData:
                           f"{cfg['optim.peak_lr']}], got {cfg['schedule.min_lr']}")
     if not cfg["optim.eps"] > 0:
         raise ConfigError(f"optim.eps must be positive, got {cfg['optim.eps']}")
+    for b in cfg["quant.bits"]:
+        cfgmod.quant_config(cfg, b)
     tokens = load_corpus(cfg["data.path"], cfg["data.limit_bytes"] or None)
     top = int(tokens.max())
     if top >= cfg["model.vocab"]:
@@ -253,6 +253,7 @@ def cmd_train(
         return run_dir
     # before any write: a config error or changed data leaves the run as it was
     data = build_data(load_manifest(run_dir) if saved else cfg)
+    calib_hash = data.calib_hash  # and so does a calibration slice too short for it
     qlab_threads()  # and so does a bad QLAB_THREADS
     if force and os.path.isdir(run_dir):
         shutil.rmtree(run_dir)
@@ -284,7 +285,7 @@ def cmd_train(
         run_keys = {
             "run.id": run_id,
             "run.eval_set_hash": data.eval_hash,
-            "run.calib_set_hash": data.calib_hash,
+            "run.calib_set_hash": calib_hash,
         }
         if parent:
             run_keys["run.parent_id"] = parent[0]
@@ -418,87 +419,48 @@ def qeval_keys(checksum: str, data: RunData, cfg: Dict[str, object],
     """The qeval.csv keys of a checkpoint's FP result and of each bit width
     under cfg's quant settings, for the checkpoint whose payload checksum
     is `checksum`."""
-    method = cfg["quant.method"]
-    calib = data.calib_hash if method == "gptq" else ""
-    quant = {b: qeval_key(checksum, data.eval_hash, cfgmod.quant_config(cfg, b), calib)
-             for b in bits}
+    qcfgs = {b: cfgmod.quant_config(cfg, b) for b in bits}
+    quant = {b: qeval_key(checksum, data.eval_hash, q, data.calib_hash if q.calibrated else "")
+             for b, q in qcfgs.items()}
     return qeval_key(checksum, data.eval_hash), quant
 
 
 def evaluate_checkpoint_quantized(
     ckpt: Checkpoint,
+    checksum: str,
     data: RunData,
     cfg: Dict[str, object],
     bits: Sequence[int],
-    run_id: str,
-    lr: Optional[float] = None,
-    checksum: str = "",
     table: Optional[QevalTable] = None,
-):
-    """Full MetricRecord for one checkpoint: FP eval plus each bit width,
-    quantized by cfg's quant.method (GPTQ calibrates on the run's own
-    calibration set), and each bit width's layer stats.
+) -> Dict[tuple, Tuple[float, float, list]]:
+    """{qeval key: (CE, accuracy, layer stats)} of the results `table`
+    lacks (all without one) for the checkpoint whose payload checksum is
+    `checksum`: the FP eval first, then each bit width in order, quantized
+    by cfg's quant.method (a calibrated one on the run's calibration set).
 
-    With a `table` and the checkpoint's payload `checksum`, every result
-    the table holds is taken from it, and only the missing ones are
-    computed; the caller records them (`record_qeval`). The bit widths
-    left are quantized as the jobs of one parallel region, each walk
-    handing GPTQ only d_in x d_in Grams; then they are evaluated in bit
-    order, each eval with its shard items on the pool. Inside a
-    checkpoint job (2 or more checkpoints) the region runs serially. A
-    failure raised is the first failing bit width's, as in a serial loop.
+    The bit widths left are quantized as the jobs of one parallel region,
+    each walk handing GPTQ only d_in x d_in Grams, then evaluated in bit
+    order, each eval with its shard items on the pool; inside a checkpoint
+    job (2 or more checkpoints) the region runs serially. A failure raised
+    is the first failing bit width's, as in a serial loop.
     """
     fp_key, quant_keys = qeval_keys(checksum, data, cfg, bits)
-    recorded = {}
-    if table is not None and checksum:
-        recorded = {key: table.get(key) for key in (fp_key, *quant_keys.values())}
-    found = recorded.get(fp_key)
-    ce_fp, acc_fp = found[:2] if found else eval_ce(ckpt, data.eval_batches)
-    rec = MetricRecord(
-        run_id=run_id, step=ckpt.step, tokens_seen=ckpt.tokens_seen, lr=lr,
-        val_ce_fp=ce_fp, acc_fp=acc_fp, weight_norm=frobenius_norm(*ckpt.tensors.values()),
-    )
-    reused = [b for b in bits if recorded.get(quant_keys[b])]
-    what = ["fp"] if found else []
-    if reused:
-        what.append(f"bits {','.join(map(str, reused))}")
-    if what:
-        log.info("%s step %d: %s reused", run_id, ckpt.step, ", ".join(what))
-    todo = [b for b in bits if b not in reused]
-    calib = data.calib_set if cfg["quant.method"] == "gptq" else None
+    found = {}
+    if table is None or table.get(fp_key) is None:
+        found[fp_key] = (*eval_ce(ckpt, data.eval_batches), [])
+    todo = [cfgmod.quant_config(cfg, b) for b in bits
+            if table is None or table.get(quant_keys[b]) is None]
 
-    def quantize(b):
-        return quantize_model(ckpt, calib, cfgmod.quant_config(cfg, b))
+    def quantize(qcfg):  # qeval_keys built data.calib_set before the region
+        return quantize_model(ckpt, data.calib_set if qcfg.calibrated else None, qcfg)
 
     # read in bit order: the first failing bit width raises, and closing the
     # stream waits for the others; perfbench traces the pool class looked up here
     with closing(parallel.stream(quantize, todo, ThreadPoolExecutor)) as done:
-        quantized = dict(zip(todo, (d.result() for d in done)))
-    layer_stats = []
-    for b in bits:
-        if b in quantized:
-            qm, stats = quantized[b]
-            ce_q, acc_q = eval_ce(qm, data.eval_batches)
-        else:
-            ce_q, acc_q, stats = recorded[quant_keys[b]]
-        rec.val_ce_q[b] = ce_q
-        rec.rel_ce_err[b] = relative_ce_error(ce_q, ce_fp)
-        rec.delta_ptq[b] = delta_ptq(ce_q, ce_fp)
-        rec.acc_q[b] = acc_q
-        if acc_fp < 1.0 - 1e-12:
-            rec.rel_acc_drop[b] = relative_acc_drop(acc_fp, acc_q)
-        layer_stats.append((b, stats))
-    return rec, layer_stats
-
-
-def record_qeval(table: QevalTable, checksum: str, data: RunData, cfg: Dict[str, object],
-                 rec: MetricRecord, layer_stats, replace: bool = False) -> None:
-    """Put what `evaluate_checkpoint_quantized` returned for the checkpoint
-    whose payload checksum is `checksum` into `table`, FP first."""
-    fp_key, quant_keys = qeval_keys(checksum, data, cfg, [b for b, _ in layer_stats])
-    table.put(fp_key, rec.val_ce_fp, rec.acc_fp, replace=replace)
-    for b, stats in layer_stats:
-        table.put(quant_keys[b], rec.val_ce_q[b], rec.acc_q[b], stats, replace)
+        quantized = [d.result() for d in done]
+    for qcfg, (qm, stats) in zip(todo, quantized):
+        found[quant_keys[qcfg.bits]] = (*eval_ce(qm, data.eval_batches), stats)
+    return found
 
 
 def cmd_quantize_eval(
@@ -516,15 +478,15 @@ def cmd_quantize_eval(
     Returns (records, failures). Per-checkpoint failures are recorded and
     the sweep continues. The checkpoints run as parallel jobs; a lone
     checkpoint runs in the calling thread, its bit widths as the jobs.
-    Results qeval.csv holds are reused, for any checkpoint with the same
-    payload; `force` recomputes them all and its rows replace the
-    recorded ones. metrics.csv is a view of the manifest method's results
-    at the bit widths it has columns for; other results land in qeval.csv
-    only. Invalid quant settings, a `kind` of which the run holds no
-    checkpoint, and an eval or calibration set that differs from the one
-    the manifest recorded, are refused before any work. The tables are
-    saved only after every row merged, so a conflict (MergeError) leaves
-    both files unchanged.
+    A job computes only the results qeval.csv lacks, for any checkpoint
+    with the same payload (`force` recomputes them all, and its rows
+    replace the recorded ones); every record is then read back from
+    qeval.csv, in step order. metrics.csv is a view of the manifest
+    method's results at the bit widths it has columns for. Invalid quant
+    settings, a `kind` of which the run holds no checkpoint, and an eval
+    or calibration set that differs from the one the manifest recorded,
+    are refused before any work. The tables are saved only after every
+    row merged, so a conflict (MergeError) leaves both files unchanged.
     """
     cfg = load_manifest(run_dir)
     # a bit width named twice is quantized once, in first-seen order
@@ -548,14 +510,13 @@ def cmd_quantize_eval(
         log.warning("quantize-eval selected zero checkpoints in %s", run_dir)
         return [], []
     spec = cfgmod.schedule_spec(cfg)
-    peak = cfg["optim.peak_lr"]
     table = QevalTable(os.path.join(run_dir, QEVAL))
 
     def job(step: int):
         ckpt, checksum = read_checkpoint(ckpt_path(run_dir, step, kind))
-        lr = schedule_value(spec, peak, step) if step <= spec.total_steps else None
-        return checksum, evaluate_checkpoint_quantized(
-            ckpt, data, cfg, bits, run_id, lr, checksum, None if force else table)
+        found = evaluate_checkpoint_quantized(ckpt, checksum, data, cfg, bits,
+                                              None if force else table)
+        return ckpt.tokens_seen, frobenius_norm(*ckpt.tensors.values()), checksum, found
 
     # checkpoints run as parallel jobs, whose eval and walk items then run
     # serially; the pool class is looked up here, where perfbench traces it
@@ -572,11 +533,21 @@ def cmd_quantize_eval(
     metrics_store = MetricsStore(os.path.join(run_dir, METRICS))
     records = []
     for s in sorted(results):
-        checksum, (rec, layer_stats) = results[s]
+        tokens_seen, weight_norm, checksum, found = results[s]
+        fp_key, quant_keys = qeval_keys(checksum, data, cfg, bits)
+        what = [] if fp_key in found else ["fp"]
+        reused = [str(b) for b in bits if quant_keys[b] not in found]
+        if reused:
+            what.append(f"bits {','.join(reused)}")
+        if what:
+            log.info("%s step %d: %s reused", run_id, s, ", ".join(what))
+        for key, result in found.items():
+            table.put(key, *result, replace=force)
+        lr = schedule_value(spec, cfg["optim.peak_lr"], s) if s <= spec.total_steps else None
+        rec = table.record(run_id, s, tokens_seen, lr, weight_norm, fp_key, quant_keys)
         row = record_to_row(rec)  # validates every record, shown or not
         if shown:
             metrics_store.upsert(row, force)
-        record_qeval(table, checksum, data, cfg, rec, layer_stats, force)
         records.append(rec)
     if shown:
         metrics_store.save()
@@ -659,13 +630,15 @@ class SweepCell:
 
 
 def _check_plan(plan: cfgmod.Plan) -> None:
-    """Refuse, before anything trains, a claim the plan cannot judge and a
-    step some cell saves no checkpoint at, branches from inside its decay
-    or, for LAWA steps, that is not a positive multiple of its
-    lawa.interval."""
+    """Refuse, before anything trains, a claim the plan cannot judge, quant
+    settings no QuantConfig takes at some plan.bits width, and a step some
+    cell saves no checkpoint at, branches from inside its decay or, for
+    LAWA steps, that is not a positive multiple of its lawa.interval."""
     if plan.claim and plan.claim not in CLAIMS:
         raise ConfigError(f"unknown plan.claim {plan.claim!r}; one of {sorted(CLAIMS)}")
     for cell in plan.cells:
+        for b in plan.bits:
+            cfgmod.quant_config(cell, b)
         total = cell["schedule.total_steps"]
         saved = ckpt_hook(cell, total).due
         steps = {"plan.eval_steps": plan.eval_steps_of(cell), "final step": (total,),

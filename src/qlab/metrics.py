@@ -265,3 +265,20 @@ class QevalTable(MetricsStore):
             self.upsert(dict(zip(self.key, key + (st.name,)), weight_error=_exact(st.weight_error),
                              recon_error=_exact(st.recon_error), damping=_exact(st.damping_used)),
                         replace)
+
+    def record(self, run_id: str, step: int, tokens_seen: int, lr: Optional[float],
+               weight_norm: float, fp_key: tuple, quant_keys: Dict[int, tuple]) -> MetricRecord:
+        """A checkpoint's MetricRecord from its results under fp_key and, by bit
+        width, quant_keys: the one place a quantize-eval's derived metrics are made."""
+        ce_fp, acc_fp, _ = self.get(fp_key)
+        rec = MetricRecord(run_id=run_id, step=step, tokens_seen=tokens_seen, lr=lr,
+                           val_ce_fp=ce_fp, acc_fp=acc_fp, weight_norm=weight_norm)
+        for b, key in quant_keys.items():
+            ce_q, acc_q, _ = self.get(key)
+            rec.val_ce_q[b] = ce_q
+            rec.rel_ce_err[b] = relative_ce_error(ce_q, ce_fp)
+            rec.delta_ptq[b] = delta_ptq(ce_q, ce_fp)
+            rec.acc_q[b] = acc_q
+            if acc_fp < 1.0 - 1e-12:
+                rec.rel_acc_drop[b] = relative_acc_drop(acc_fp, acc_q)
+        return rec

@@ -47,13 +47,16 @@ from .ndkernel import cholesky, frobenius_norm, spd_inverse  # noqa: F401
 from .data import Batch
 
 
+METHODS = ("rtn", "gptq")  # a method's index is its code in a quantized file
+
+
 @dataclass(frozen=True)
 class QuantConfig:
     bits: int = 4
     group_size: int = 128
     damping_frac: float = 0.01
     propagate_quantized: bool = True
-    method: str = "gptq"  # rtn | gptq
+    method: str = "gptq"  # one of METHODS
     static_groups: bool = False  # ablation: group params from original weights
 
     def __post_init__(self):
@@ -63,8 +66,12 @@ class QuantConfig:
             raise ConfigError("group_size must be at least 1")
         if not 0 < self.damping_frac < 1:
             raise ConfigError("damping_frac must lie in (0, 1)")
-        if self.method not in ("rtn", "gptq"):
+        if self.method not in METHODS:
             raise ConfigError(f"unknown quantization method {self.method!r}")
+
+    @property
+    def calibrated(self) -> bool:  # quantizes against calibration inputs
+        return self.method == "gptq"
 
 
 @dataclass
@@ -288,7 +295,7 @@ def _quantize_stage(
     succeeds for all of them; a failure names the stage's first layer.
     Each rung damps a fresh 2 G; the Gram is built once, by the walk.
     """
-    if cfg.method == "rtn":
+    if not cfg.calibrated:
         return rtn_quantize(W, cfg), cfg.damping_frac
     last: Optional[QuantizationError] = None
     for mult in DAMPING_LADDER:
@@ -322,11 +329,11 @@ def quantize_model(
     # resolved at call time, so a replaced model.capture_layer_inputs applies
     from .model import capture_layer_inputs
 
-    if cfg.method == "gptq" and not calib:
-        raise ConfigError("gptq quantization requires a non-empty calibration set")
+    if cfg.calibrated and not calib:
+        raise ConfigError(f"{cfg.method} quantization requires a non-empty calibration set")
     stats: List[LayerQuantStats] = []
     layers: Dict[str, QuantizedLinear] = {}
-    propagating = cfg.propagate_quantized and cfg.method == "gptq"
+    propagating = cfg.propagate_quantized and cfg.calibrated
 
     def quantize_stage(names: List[str], G: Optional[np.ndarray]) -> List[np.ndarray]:
         Ws = [ckpt.tensors[lname] for lname in names]
@@ -373,7 +380,7 @@ def save_quantized(path: str, qm: QuantizedModel, overwrite: bool = False) -> No
         META: meta_entry(qm.config, qm.source_step, qm.source_tokens),
         _QMETA: np.array(
             [[q.bits, q.group_size, q.damping_frac, int(q.propagate_quantized),
-              1.0 if q.method == "gptq" else 0.0, int(q.static_groups)]], dtype=np.float64
+              METHODS.index(q.method), int(q.static_groups)]], dtype=np.float64
         ),
     }
     for name in sorted(qm.layers):
@@ -394,7 +401,7 @@ def load_quantized(path: str) -> QuantizedModel:
     qv = arrays.pop(_QMETA)[0]
     qcfg = QuantConfig(
         bits=int(qv[0]), group_size=int(qv[1]), damping_frac=float(qv[2]),
-        propagate_quantized=bool(qv[3]), method="gptq" if qv[4] else "rtn",
+        propagate_quantized=bool(qv[3]), method=METHODS[int(qv[4])],
         static_groups=bool(qv[5]),
     )
     layers: Dict[str, QuantizedLinear] = {}

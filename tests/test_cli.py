@@ -114,6 +114,8 @@ def test_cli_train_negative_or_empty_schedule_is_config_error(tmp_path, cfg_file
     "model.d_model=0", "model.d_ff=0", "model.n_layers=-1", "model.vocab=100",
     "quant.calib_samples=0", "quant.calib_samples=-1", "schedule.min_lr=-1",
     "schedule.kind=cosine schedule.min_lr=1", "optim.eps=0", "lawa.k=0", "lawa.interval=0",
+    "quant.group_size=0", "quant.damping_frac=0", "quant.method=awq", "quant.bits=9",
+    "quant.calib_samples=100000",
 ])
 def test_cli_train_bad_setting_exits_2_before_writing(tmp_path, cfg_file, setting):
     # model.vocab=100: the corpus holds lowercase ASCII letters, bytes 97-122;

@@ -197,6 +197,14 @@ def test_unknown_claim_exits_2(tmp_path):
     assert not out_root.exists()
 
 
+@pytest.mark.parametrize("setting", ["plan.bits=9", "quant.method=awq"])
+def test_plan_quant_settings_no_eval_can_use_exit_2_before_any_run(tmp_path, corpus_path,
+                                                                   setting):
+    out_root = tmp_path / "runs"
+    assert main(_sweep_argv("cooldown", corpus_path, out_root, setting)) == 2
+    assert not out_root.exists()
+
+
 def test_profile_choices_match_configs():
     stems = {os.path.splitext(os.path.basename(p))[0]
              for p in glob.glob(os.path.join(PROFILES, "*.cfg"))}

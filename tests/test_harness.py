@@ -471,6 +471,43 @@ def test_a_byte_identical_checkpoint_reuses_the_recorded_results(
     assert run_files(run_dir) == reused  # the rows recomputation writes
 
 
+def test_a_rerun_that_reuses_every_result_returns_the_fresh_records(tmp_path, unevaluated_run):
+    run_dir = shutil.copytree(unevaluated_run, str(tmp_path / "run"))
+    cmd_average(run_dir, k=2, interval=10)
+    for kind, steps in (("ckpt", [30, 40]), ("lawa2", [20, 30])):
+        fresh, failures = cmd_quantize_eval(run_dir, bits=(3, 4), steps=steps, kind=kind)
+        assert not failures and [r.step for r in fresh] == steps
+        reused, failures = cmd_quantize_eval(run_dir, bits=(3, 4), steps=steps, kind=kind)
+        assert not failures and [vars(r) for r in reused] == [vars(r) for r in fresh]
+
+
+def test_each_quantized_metrics_row_is_rendered_from_qeval_csv(tmp_path, unevaluated_run):
+    from qlab import harness
+    from qlab.metrics import record_to_row
+    from qlab.model import read_checkpoint
+    from qlab.ndkernel import frobenius_norm
+    from qlab.optim import schedule_value
+
+    run_dir = shutil.copytree(unevaluated_run, str(tmp_path / "run"))
+    cmd_quantize_eval(run_dir, bits=(3, 4), steps=[30, 40, 60])
+    cmd_quantize_eval(run_dir, bits=(3,), method="rtn", steps=[10])  # qeval.csv only
+    cfg = load_manifest(run_dir)
+    data, spec = harness.build_data(cfg), schedule_spec(cfg)
+    table = QevalTable(os.path.join(run_dir, QEVAL))
+    rows = MetricsStore(os.path.join(run_dir, METRICS)).rows
+    quantized = {int(step): row for (_, step), row in rows.items() if row["val_ce_q3"]}
+    assert sorted(quantized) == [30, 40, 60]
+    for step, row in quantized.items():
+        ckpt, checksum = read_checkpoint(ckpt_path(run_dir, step))
+        rec = table.record(cfg["run.id"], step, ckpt.tokens_seen,
+                           schedule_value(spec, cfg["optim.peak_lr"], step),
+                           frobenius_norm(*ckpt.tensors.values()),
+                           *harness.qeval_keys(checksum, data, cfg, (3, 4)))
+        # training alone fills train_loss and grad_norm
+        assert row == dict(record_to_row(rec), train_loss=row["train_loss"],
+                           grad_norm=row["grad_norm"])
+
+
 KEY_CHANGES = {  # setting changed after a first 3-bit GPTQ eval -> (bits, quantizes, evals)
     "nothing": ({}, (3,), 0, 0),
     "bits": ({}, (4,), 1, 1),
@@ -493,14 +530,14 @@ def test_a_change_to_any_key_setting_recomputes(tmp_path, unevaluated_run, monke
     ckpt, checksum = read_checkpoint(ckpt_path(unevaluated_run, 30))
     table = QevalTable(str(tmp_path / "qeval.csv"))
     data = harness.build_data(cfg)
-    rec, stats = harness.evaluate_checkpoint_quantized(ckpt, data, cfg, (3,), "r", None,
-                                                       checksum, table)
-    harness.record_qeval(table, checksum, data, cfg, rec, stats)
+    for key, result in harness.evaluate_checkpoint_quantized(ckpt, checksum, data, cfg, (3,),
+                                                             table).items():
+        table.put(key, *result)
     work = count_work(monkeypatch)
     settings, bits, quantizes, evals = KEY_CHANGES[change]
     cfg = dict(cfg, **settings)
-    harness.evaluate_checkpoint_quantized(ckpt, harness.build_data(cfg), cfg, bits, "r", None,
-                                          checksum, table)
+    harness.evaluate_checkpoint_quantized(ckpt, checksum, harness.build_data(cfg), cfg, bits,
+                                          table)
     assert (len(work["quantize"]), work["eval"]) == (quantizes, evals)
 
 

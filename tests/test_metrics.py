@@ -283,13 +283,14 @@ def test_quantized_eval_dequantizes_each_layer_once(monkeypatch, item_log, corpu
     made.clear()
     item_log.clear()
     rtn = dict(cfg, **{"quant.method": "rtn"})
-    rec, _ = harness.evaluate_checkpoint_quantized(ck, data, rtn, (3, 4), "r")
+    found = harness.evaluate_checkpoint_quantized(ck, "", data, rtn, (3, 4))
     # per bit width: one dequantize per layer in quantize_model, one in the eval pass
     n_layers = len(model.quantizable_layer_names(ck.config))
     assert len(made) == 2 * 2 * n_layers
     # one item per (one-shard) batch for the FP eval and for each bit width
     assert len(item_log) == 3 * len(data.eval_batches)
-    assert (rec.val_ce_fp, rec.acc_fp) == _oracle(ck, data.eval_batches)
+    fp_key, _ = harness.qeval_keys("", data, rtn, (3, 4))
+    assert found[fp_key][:2] == _oracle(ck, data.eval_batches)
 
 
 def test_eval_accuracy_uniform_model_near_chance():

@@ -631,32 +631,20 @@ def test_quantize_eval_jobs_match_serial(tmp_path, corpus_path, monkeypatch, sha
 # -- bit widths as parallel jobs -----------------------------------------------------
 
 
-def serial_evaluate(ckpt, data, cfg, bits, run_id, lr=None, checksum="", table=None):
+def serial_evaluate(ckpt, checksum, data, cfg, bits, table=None):
     """The serial loop the bit-width jobs replaced: each bit width quantized,
     then evaluated, before the next; it computes every result, whatever
     `table` holds."""
     from qlab import config as cfgmod
-    from qlab.metrics import MetricRecord, delta_ptq, eval_ce, relative_acc_drop, relative_ce_error
-    from qlab.ndkernel import frobenius_norm
+    from qlab.metrics import eval_ce
 
-    ce_fp, acc_fp = eval_ce(ckpt, data.eval_batches)
-    rec = MetricRecord(
-        run_id=run_id, step=ckpt.step, tokens_seen=ckpt.tokens_seen, lr=lr,
-        val_ce_fp=ce_fp, acc_fp=acc_fp, weight_norm=frobenius_norm(*ckpt.tensors.values()),
-    )
-    calib = data.calib_set if cfg["quant.method"] == "gptq" else None
-    layer_stats = []
+    fp_key, quant_keys = harness.qeval_keys(checksum, data, cfg, bits)
+    found = {fp_key: (*eval_ce(ckpt, data.eval_batches), [])}
     for b in bits:
-        qm, stats = harness.quantize_model(ckpt, calib, cfgmod.quant_config(cfg, b))
-        ce_q, acc_q = eval_ce(qm, data.eval_batches)
-        rec.val_ce_q[b] = ce_q
-        rec.rel_ce_err[b] = relative_ce_error(ce_q, ce_fp)
-        rec.delta_ptq[b] = delta_ptq(ce_q, ce_fp)
-        rec.acc_q[b] = acc_q
-        if acc_fp < 1.0 - 1e-12:
-            rec.rel_acc_drop[b] = relative_acc_drop(acc_fp, acc_q)
-        layer_stats.append((b, stats))
-    return rec, layer_stats
+        qcfg = cfgmod.quant_config(cfg, b)
+        qm, stats = harness.quantize_model(ckpt, data.calib_set if qcfg.calibrated else None, qcfg)
+        found[quant_keys[b]] = (*eval_ce(qm, data.eval_batches), stats)
+    return found
 
 
 @pytest.fixture
@@ -745,7 +733,7 @@ def test_a_failing_bit_width_job_closes_its_region(micro_run, monkeypatch):
     monkeypatch.setenv("QLAB_THREADS", "2")
     set_(3)
     with pytest.raises(QuantizationError) as exc:
-        harness.evaluate_checkpoint_quantized(ckpt, data, cfg, (3, 4), "r")
+        harness.evaluate_checkpoint_quantized(ckpt, "", data, cfg, (3, 4))
     # the traceback, which holds the consuming frames, is still alive here
     assert str(exc.value) == "no 3-bit solve"
     assert ended == [4]
