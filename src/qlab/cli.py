@@ -133,19 +133,21 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """Run a plan; prints summary.csv's path and, for a plan.claim, one line
-    per comparison and a tally (not judged when a cell failed)."""
-    plan, cells, summary = harness.cmd_sweep(args.plan, args.out_root, args.force, args.set)
+    per comparison and a tally (not judged when a cell failed). The
+    comparisons are `harness.judge`'s, over the records read back from the
+    out-root's run directories."""
+    plan, failures, summary = harness.cmd_sweep(args.plan, args.out_root, args.force, args.set)
     print(summary)
-    failed = [c for c in cells if c.error]
-    if plan.claim and failed:
-        log.error("%s not judged: %d of %d cells failed", plan.claim, len(failed), len(cells))
+    if plan.claim and failures:
+        log.error("%s not judged: %d of %d cells failed", plan.claim, len(failures),
+                  len(plan.cells))
     elif plan.claim:
-        judge, tally, _ = experiments.CLAIMS[plan.claim]
-        results = judge(cells, plan.bits)
+        results = harness.judge(plan, args.out_root)
         for r in results:
             print(r.line)
+        tally = experiments.CLAIMS[plan.claim][1]
         print(f"{sum(r.holds for r in results)}/{len(results)} {tally}")
-    return 4 if failed else 0
+    return 4 if failures else 0
 
 
 def _dispatch(args) -> int:

@@ -1,19 +1,26 @@
 """The claims behind the headline experiments (acceptance criteria 9-11).
 
-A claim judges the records a sweep returns (`harness.SweepCell`, one per
-cell of a plan) and gives one `Comparison` per judged case: whether the
-claim holds there, and the line `qlab sweep` prints for it. The plans
-that produce those records are `configs/experiments/*.plan`; each names
-its claim with `plan.claim`. A claim judges each of the plan's bit
-widths in turn.
+A claim judges the records of a plan's runs and gives one `Comparison`
+per judged case: whether the claim holds there, and the line `qlab sweep`
+prints for it. It takes the plan and a `Read`, which hands it each record
+it asks for; `harness.judge` reads them back from the run directories a
+sweep left, so a verdict depends on what is on disk only. The plans are
+`configs/experiments/*.plan`; each names its claim with `plan.claim`. A
+claim judges each of the plan's bit widths in turn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
-from .metrics import fmt_real
+from .config import Plan
+from .metrics import MetricRecord, fmt_real
+
+# (cell, family, step) -> the record of a cell's run: family "trunk" is the
+# run's own checkpoint at `step`, "branch" the final step of its cooldown
+# branch from `step`, and "lawa" its LAWA average at `step`
+Read = Callable[[Dict[str, object], str, int], MetricRecord]
 
 
 @dataclass(frozen=True)
@@ -27,15 +34,15 @@ class Comparison:
     line: str
 
 
-def cooldown_branching(cells: Sequence, bits: Sequence[int]) -> List[Comparison]:
+def cooldown_branching(plan: Plan, read: Read) -> List[Comparison]:
     """Holds where a branch's end has lower validation CE and higher relative
     quantization error than its trunk at the branch point."""
     out: List[Comparison] = []
-    for cell in cells:
-        seed = cell.settings["model.init_seed"]
-        for bs, c in cell.branches.items():
-            t = cell.trunk[bs]
-            for b in bits:
+    for cell in plan.cells:
+        seed = cell["model.init_seed"]
+        for bs in dict.fromkeys(plan.branch_steps):
+            t, c = read(cell, "trunk", bs), read(cell, "branch", bs)
+            for b in plan.bits:
                 improves = c.val_ce_fp < t.val_ce_fp
                 rises = c.rel_ce_err[b] > t.rel_ce_err[b]
                 out.append(Comparison(
@@ -48,18 +55,18 @@ def cooldown_branching(cells: Sequence, bits: Sequence[int]) -> List[Comparison]
     return out
 
 
-def lr_sweep(cells: Sequence, bits: Sequence[int]) -> List[Comparison]:
+def lr_sweep(plan: Plan, read: Read) -> List[Comparison]:
     """Holds for a seed (and value of any other axis) whose final relative
     quantization error never rises from one peak LR to a larger one."""
-    groups: Dict[tuple, Dict[float, object]] = {}
-    for cell in cells:
-        s = cell.settings
-        rest = tuple(sorted((k, v) for k, v in s.items() if k != "optim.peak_lr"))
-        groups.setdefault(rest, {})[s["optim.peak_lr"]] = cell.trunk[s["schedule.total_steps"]]
+    groups: Dict[tuple, Dict[float, MetricRecord]] = {}
+    for cell in plan.cells:
+        rest = tuple(sorted((k, v) for k, v in cell.items() if k != "optim.peak_lr"))
+        final = read(cell, "trunk", cell["schedule.total_steps"])
+        groups.setdefault(rest, {})[cell["optim.peak_lr"]] = final
     out: List[Comparison] = []
     for rest, by_lr in groups.items():
         seed = dict(rest)["model.init_seed"]
-        for b in bits:
+        for b in plan.bits:
             err = [(lr, by_lr[lr].rel_ce_err[b]) for lr in sorted(by_lr)]
             ordered = all(x[1] >= y[1] for x, y in zip(err, err[1:]))
             pretty = ", ".join(f"{lr:.0e}: {fmt_real(e)}" for lr, e in err)
@@ -70,15 +77,16 @@ def lr_sweep(cells: Sequence, bits: Sequence[int]) -> List[Comparison]:
     return out
 
 
-def lawa_vs_cooldown(cells: Sequence, bits: Sequence[int]) -> List[Comparison]:
+def lawa_vs_cooldown(plan: Plan, read: Read) -> List[Comparison]:
     """Holds where a rolling weight average's quantized validation CE is at
-    most that of the cooldown branch ending at the same step."""
+    most that of the cooldown branch from the same step."""
     out: List[Comparison] = []
-    for cell in cells:
-        seed = cell.settings["model.init_seed"]
-        for step, avg in cell.lawa.items():
-            for b in bits:
-                lw, br = avg.val_ce_q[b], cell.branches[step].val_ce_q[b]
+    for cell in plan.cells:
+        seed = cell["model.init_seed"]
+        for step in sorted(set(plan.lawa_steps)):
+            avg, branch = read(cell, "lawa", step), read(cell, "branch", step)
+            for b in plan.bits:
+                lw, br = avg.val_ce_q[b], branch.val_ce_q[b]
                 out.append(Comparison(
                     seed, step, lw <= br,
                     f"seed {seed} step {step}: lawa ce_q{b} {fmt_real(lw)} vs cooldown "

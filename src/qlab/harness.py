@@ -1,8 +1,9 @@
 """Experiment orchestration: run directories, branching, sweeps, eval jobs.
 
 `cmd_sweep` is the one engine for a set of runs: it trains each cell of
-a plan, branches, averages and quantize-evaluates it as the plan says,
-and returns the records a claim is judged by.
+a plan, branches, averages and quantize-evaluates it as the plan says.
+`judge` then judges the plan's claim over records read back from the run
+directories (`records`), so a verdict depends on what is on disk only.
 
 A run directory is a pure function of (corpus bytes, manifest): the
 manifest records no time, `build_data` refuses a corpus or config that
@@ -28,7 +29,7 @@ import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -46,7 +47,7 @@ from .data import (
     token_fingerprint,
 )
 from .errors import ConfigError, PartialFailure, QlabError
-from .experiments import CLAIMS
+from .experiments import CLAIMS, Comparison
 from .metrics import (
     MetricRecord,
     MetricsStore,
@@ -170,8 +171,9 @@ def build_data(cfg: Dict[str, object]) -> RunData:
     and refuses settings no run can use: a batch size, calibration sample
     count, LAWA window or LAWA interval below 1, a schedule.min_lr outside
     [0, optim.peak_lr], an optim.eps of 0 or below, quant settings no
-    QuantConfig takes at some quant.bits width, and a corpus byte the
-    vocabulary lacks."""
+    QuantConfig takes at some quant.bits width, a corpus byte the
+    vocabulary lacks, and a calibration slice too short for
+    quant.calib_samples."""
     if not cfg["data.path"]:
         raise ConfigError("data.path is required")
     for key in ("train.batch_size", "quant.calib_samples", "lawa.k", "lawa.interval"):
@@ -195,9 +197,9 @@ def build_data(cfg: Dict[str, object]) -> RunData:
         val, cfg["eval.batches"], cfg["eval.batch_size"], cfg["data.seq_len"]
     )
     data = RunData(cfg, train, calib, eval_batches, token_fingerprint(eval_batches))
-    for what in ("eval", "calib"):
-        recorded = cfg.get(f"run.{what}_set_hash")
-        if recorded and recorded != getattr(data, f"{what}_hash"):
+    for what in ("eval", "calib"):  # the calibration set is built, so a short slice is refused
+        recorded, built = cfg.get(f"run.{what}_set_hash"), getattr(data, f"{what}_hash")
+        if recorded and recorded != built:
             raise ConfigError(f"{what} set hash mismatch for run {cfg.get('run.id')}: "
                               f"corpus or config changed")
     return data
@@ -253,7 +255,6 @@ def cmd_train(
         return run_dir
     # before any write: a config error or changed data leaves the run as it was
     data = build_data(load_manifest(run_dir) if saved else cfg)
-    calib_hash = data.calib_hash  # and so does a calibration slice too short for it
     qlab_threads()  # and so does a bad QLAB_THREADS
     if force and os.path.isdir(run_dir):
         shutil.rmtree(run_dir)
@@ -285,7 +286,7 @@ def cmd_train(
         run_keys = {
             "run.id": run_id,
             "run.eval_set_hash": data.eval_hash,
-            "run.calib_set_hash": calib_hash,
+            "run.calib_set_hash": data.calib_hash,
         }
         if parent:
             run_keys["run.parent_id"] = parent[0]
@@ -367,18 +368,10 @@ def cmd_branch(
     decay_steps: Optional[int] = None,
     force: bool = False,
 ) -> str:
-    """Cool down a trunk from `branch_step`; returns the child run directory.
-
-    The cooldown length defaults to decay_frac * branch_step and is at
-    least 2 steps (`decay_steps` below 2, or a `decay_frac` of 0 or below,
-    is a ConfigError): a WSD decay's last step runs at schedule.min_lr (0
-    by default), so one step would do nothing a constant run does not. The
-    child's schedule is the WSD run that matches the trunk up to the branch
-    point and then decays linearly to the trunk's schedule.min_lr. Like
-    `cmd_train`, a rerun resumes the child (a finished one
-    reads nothing, not even the parent's checkpoint), and `force` redoes
-    it.
-    """
+    """Cool down a trunk from `branch_step` as `branch_config` says; returns
+    the child run directory. Like `cmd_train`, a rerun resumes the child (a
+    finished one reads nothing, not even the parent's checkpoint), and
+    `force` redoes it."""
     cfg = load_manifest(parent_dir)
     cpath, opath = ckpt_path(parent_dir, branch_step), opt_path(parent_dir, branch_step)
     for p in (cpath, opath):
@@ -387,9 +380,29 @@ def cmd_branch(
                 f"branch point {branch_step} needs {p}; rerun training with a "
                 f"checkpoint interval that lands on step {branch_step}"
             )
+    return cmd_train(
+        branch_config(cfg, branch_step, decay_frac, decay_steps),
+        out_root or os.path.dirname(os.path.abspath(parent_dir)),
+        force=force,
+        parent=(cfg["run.id"], branch_step),
+        start_state=lambda: (load_checkpoint(cpath), *load_opt_state(opath)),
+    )
+
+
+def branch_config(cfg: Dict[str, object], branch_step: int, decay_frac: float = 0.1,
+                  decay_steps: Optional[int] = None) -> Dict[str, object]:
+    """The settings of a cooldown branch from `branch_step` of the run with
+    settings `cfg`. The cooldown length defaults to decay_frac * branch_step and is at
+    least 2 steps (`decay_steps` below 2, or a `decay_frac` of 0 or below,
+    is a ConfigError): a WSD decay's last step runs at schedule.min_lr (0
+    by default), so one step would do nothing a constant run does not. The
+    child's schedule is the WSD run that matches the trunk up to the branch
+    point and then decays linearly to the trunk's schedule.min_lr; its
+    schedule.total_steps is the branch's final step.
+    """
     parent_spec = cfgmod.schedule_spec(cfg)
     if parent_spec.decay_steps and branch_step > parent_spec.total_steps - parent_spec.decay_steps:
-        raise ConfigError("cannot branch inside the parent's own decay phase")
+        raise ConfigError(f"cannot branch at step {branch_step}, inside the parent's decay")
     if decay_steps is not None and decay_steps < 2:
         raise ConfigError(f"a cooldown needs at least 2 decay steps, got {decay_steps}")
     if decay_frac <= 0:
@@ -402,27 +415,57 @@ def cmd_branch(
     child["schedule.total_steps"] = total
     child["schedule.warmup_frac"] = warmup / total
     child["schedule.decay_frac"] = cool / total
-    return cmd_train(
-        child,
-        out_root or os.path.dirname(os.path.abspath(parent_dir)),
-        force=force,
-        parent=(cfg["run.id"], branch_step),
-        start_state=lambda: (load_checkpoint(cpath), *load_opt_state(opath)),
-    )
+    return child
 
 
 # -- quantize + eval -----------------------------------------------------------
 
 
-def qeval_keys(checksum: str, data: RunData, cfg: Dict[str, object],
+def qeval_keys(checksum: str, eval_hash: str, calib_hash: str, cfg: Dict[str, object],
                bits: Sequence[int]) -> Tuple[tuple, Dict[int, tuple]]:
     """The qeval.csv keys of a checkpoint's FP result and of each bit width
     under cfg's quant settings, for the checkpoint whose payload checksum
-    is `checksum`."""
+    is `checksum`, on the eval set hashed `eval_hash` and, for a method that
+    calibrates, the calibration set hashed `calib_hash`."""
     qcfgs = {b: cfgmod.quant_config(cfg, b) for b in bits}
-    quant = {b: qeval_key(checksum, data.eval_hash, q, data.calib_hash if q.calibrated else "")
+    quant = {b: qeval_key(checksum, eval_hash, q, calib_hash if q.calibrated else "")
              for b, q in qcfgs.items()}
-    return qeval_key(checksum, data.eval_hash), quant
+    return qeval_key(checksum, eval_hash), quant
+
+
+def _record(table: QevalTable, cfg: Dict[str, object], kind: str, step: int,
+            tokens_seen: int, weight_norm: float, keys: Tuple[tuple, Dict[int, tuple]]
+            ) -> MetricRecord:
+    """The record of the run's `kind` checkpoint at `step` from its results in
+    `table` under `keys` (`qeval_keys`); one the table lacks is a ConfigError."""
+    for key in (keys[0], *keys[1].values()):
+        if table.get(key) is None:
+            raise ConfigError(f"{table.path} lacks the {key[2]}{key[3]} result of run "
+                              f"{cfg['run.id']}'s {kind} checkpoint at step {step}")
+    spec = cfgmod.schedule_spec(cfg)
+    lr = schedule_value(spec, cfg["optim.peak_lr"], step) if step <= spec.total_steps else None
+    run_id = cfg["run.id"] if kind == "ckpt" else f"{cfg['run.id']}-{kind}"
+    return table.record(run_id, step, tokens_seen, lr, weight_norm, *keys)
+
+
+def records(run_dir: str, bits: Sequence[int], steps: Sequence[int],
+            kind: str = "ckpt") -> List[MetricRecord]:
+    """What `cmd_quantize_eval` returns for run_dir's `kind` checkpoints at
+    `steps` (in that order) and `bits` under the manifest's method, read back
+    from qeval.csv under each checkpoint's checksum, verified as it is read,
+    and the set hashes the manifest recorded: no corpus is read. A missing
+    checkpoint (StoreError) or result (ConfigError) names the run, family
+    and step."""
+    cfg = load_manifest(run_dir)
+    table = QevalTable(os.path.join(run_dir, QEVAL))
+    hashes = cfg.get("run.eval_set_hash", ""), cfg.get("run.calib_set_hash", "")
+    out = []
+    for s in steps:
+        ckpt, checksum = read_checkpoint(ckpt_path(run_dir, s, kind))
+        out.append(_record(table, cfg, kind, s, ckpt.tokens_seen,
+                           frobenius_norm(*ckpt.tensors.values()),
+                           qeval_keys(checksum, *hashes, cfg, bits)))
+    return out
 
 
 def evaluate_checkpoint_quantized(
@@ -444,14 +487,14 @@ def evaluate_checkpoint_quantized(
     job (2 or more checkpoints) the region runs serially. A failure raised
     is the first failing bit width's, as in a serial loop.
     """
-    fp_key, quant_keys = qeval_keys(checksum, data, cfg, bits)
+    fp_key, quant_keys = qeval_keys(checksum, data.eval_hash, data.calib_hash, cfg, bits)
     found = {}
     if table is None or table.get(fp_key) is None:
         found[fp_key] = (*eval_ce(ckpt, data.eval_batches), [])
     todo = [cfgmod.quant_config(cfg, b) for b in bits
             if table is None or table.get(quant_keys[b]) is None]
 
-    def quantize(qcfg):  # qeval_keys built data.calib_set before the region
+    def quantize(qcfg):  # data.calib_hash built data.calib_set before the region
         return quantize_model(ckpt, data.calib_set if qcfg.calibrated else None, qcfg)
 
     # read in bit order: the first failing bit width raises, and closing the
@@ -481,8 +524,9 @@ def cmd_quantize_eval(
     A job computes only the results qeval.csv lacks, for any checkpoint
     with the same payload (`force` recomputes them all, and its rows
     replace the recorded ones); every record is then read back from
-    qeval.csv, in step order. metrics.csv is a view of the manifest
-    method's results at the bit widths it has columns for. Invalid quant
+    qeval.csv, in step order, as `records` reads it, with no checkpoint
+    read twice. metrics.csv is a view of the manifest method's results
+    at the bit widths it has columns for. Invalid quant
     settings, a `kind` of which the run holds no checkpoint, and an eval
     or calibration set that differs from the one the manifest recorded,
     are refused before any work. The tables are saved only after every
@@ -495,7 +539,6 @@ def cmd_quantize_eval(
         cfgmod.quant_config(cfg, b, method)
     shown = method in (None, cfg["quant.method"])  # metrics.csv shows this method
     cfg["quant.method"] = method or str(cfg["quant.method"])
-    run_id = cfg["run.id"] if kind == "ckpt" else f"{cfg['run.id']}-{kind}"
     available = list_ckpt_steps(run_dir, kind)
     if not available:
         raise ConfigError(f"{run_dir} holds no {kind} checkpoints; its checkpoint "
@@ -509,7 +552,6 @@ def cmd_quantize_eval(
     if not selected:
         log.warning("quantize-eval selected zero checkpoints in %s", run_dir)
         return [], []
-    spec = cfgmod.schedule_spec(cfg)
     table = QevalTable(os.path.join(run_dir, QEVAL))
 
     def job(step: int):
@@ -531,28 +573,27 @@ def cmd_quantize_eval(
             log.error("quantize-eval failed at step %d: %s", s, exc)
 
     metrics_store = MetricsStore(os.path.join(run_dir, METRICS))
-    records = []
+    out = []
     for s in sorted(results):
         tokens_seen, weight_norm, checksum, found = results[s]
-        fp_key, quant_keys = qeval_keys(checksum, data, cfg, bits)
-        what = [] if fp_key in found else ["fp"]
-        reused = [str(b) for b in bits if quant_keys[b] not in found]
+        keys = qeval_keys(checksum, data.eval_hash, data.calib_hash, cfg, bits)
+        for key, result in found.items():
+            table.put(key, *result, replace=force)
+        rec = _record(table, cfg, kind, s, tokens_seen, weight_norm, keys)
+        what = [] if keys[0] in found else ["fp"]
+        reused = [str(b) for b in bits if keys[1][b] not in found]
         if reused:
             what.append(f"bits {','.join(reused)}")
         if what:
-            log.info("%s step %d: %s reused", run_id, s, ", ".join(what))
-        for key, result in found.items():
-            table.put(key, *result, replace=force)
-        lr = schedule_value(spec, cfg["optim.peak_lr"], s) if s <= spec.total_steps else None
-        rec = table.record(run_id, s, tokens_seen, lr, weight_norm, fp_key, quant_keys)
+            log.info("%s step %d: %s reused", rec.run_id, s, ", ".join(what))
         row = record_to_row(rec)  # validates every record, shown or not
         if shown:
             metrics_store.upsert(row, force)
-        records.append(rec)
+        out.append(rec)
     if shown:
         metrics_store.save()
     table.save()
-    return records, failures
+    return out, failures
 
 
 # -- averaging over a run --------------------------------------------------------
@@ -614,21 +655,6 @@ def cmd_soup(inputs: Sequence[Tuple[str, float]], out_path: str) -> str:
 # -- sweeps ----------------------------------------------------------------------
 
 
-@dataclass
-class SweepCell:
-    """One cell of a sweep: its settings, run directory, and the records its
-    plan evaluated, by step: the run's own checkpoints (`trunk`), each
-    branch's final step by branch step (`branches`), and the LAWA family
-    (`lawa`). `error` says what failed, if anything did."""
-
-    settings: Dict[str, object]
-    run_dir: str = ""
-    trunk: Dict[int, MetricRecord] = field(default_factory=dict)
-    branches: Dict[int, MetricRecord] = field(default_factory=dict)
-    lawa: Dict[int, MetricRecord] = field(default_factory=dict)
-    error: str = ""
-
-
 def _check_plan(plan: cfgmod.Plan) -> None:
     """Refuse, before anything trains, a claim the plan cannot judge, quant
     settings no QuantConfig takes at some plan.bits width, and a step some
@@ -646,10 +672,8 @@ def _check_plan(plan: cfgmod.Plan) -> None:
         unsaved = sorted({s for v in steps.values() for s in v if not (0 <= s <= total and saved(s))})
         if unsaved:
             raise ConfigError(f"a {total}-step run of this plan saves no checkpoint at steps {unsaved}")
-        decay = cfgmod.schedule_spec(cell).decay_steps
-        late = [s for s in plan.branch_steps if decay and s > total - decay]
-        if late:
-            raise ConfigError(f"plan.branch_steps {late} are inside the {total}-step run's decay")
+        for bs in plan.branch_steps:
+            branch_config(cell, bs)  # refuses a branch step inside the run's decay
         off = [s for s in plan.lawa_steps if s <= 0 or s % cell["lawa.interval"]]
         if off:
             raise ConfigError(f"plan.lawa_steps {off} are not positive multiples of "
@@ -662,59 +686,76 @@ def _check_plan(plan: cfgmod.Plan) -> None:
                                   f"which {within} must include")
 
 
-def _evaluated(run_dir: str, bits: Sequence[int], steps: Sequence[int],
-               kind: str = "ckpt", force: bool = False) -> Dict[int, MetricRecord]:
-    if not steps:
-        return {}
-    recs, fails = cmd_quantize_eval(run_dir, bits=bits, steps=steps, kind=kind, force=force)
-    if fails:
-        raise PartialFailure(f"{kind} quantize-eval failures in {run_dir}: {fails}")
-    return {r.step: r for r in recs}
-
-
 def cmd_sweep(
     plan_path: str, out_root: str, force: bool = False, overrides: Optional[List[str]] = None
-) -> Tuple[cfgmod.Plan, List[SweepCell], str]:
+) -> Tuple[cfgmod.Plan, List[str], str]:
     """Run every cell of a plan (`cfgmod.Plan`, with --set `overrides`) and
     write out_root/summary.csv, one row per cell with its final step's
-    metrics (blank if the plan does not evaluate that step).
+    metrics (blank if the plan does not evaluate that step) from `records`.
 
+    The plan and each cell's data are checked before anything is written.
     A rerun resumes each run, branch and average and takes their results
-    from each run's qeval.csv; `force` retrains and recomputes. A cell
-    that fails is logged and marked, and the next one runs. Returns
-    (plan, cells, summary_csv_path).
+    from each run's qeval.csv; `force` retrains and recomputes. A cell that
+    fails is logged and marked, and the next one runs. Returns (plan,
+    failures: a message per failed cell, summary_csv_path).
     """
     plan = cfgmod.load_plan(plan_path, overrides)
     _check_plan(plan)
+    for cell in plan.cells:  # what cmd_train refuses before its first write
+        build_data(cell)
     summary_path = os.path.join(out_root, "summary.csv")
     os.makedirs(out_root, exist_ok=True)
     header = ["run_id", "seed"] + plan.axes + ["final_step", *SUMMARY_METRICS, "status"]
     summary = MetricsStore(summary_path, ",".join(header), ("run_id",), load=False)
-    cells: List[SweepCell] = []
+
+    def evaluate(run_dir: str, steps: Sequence[int], kind: str = "ckpt") -> None:
+        if steps:
+            _, fails = cmd_quantize_eval(run_dir, bits=plan.bits, steps=steps, kind=kind,
+                                         force=force)
+            if fails:
+                raise PartialFailure(f"{kind} quantize-eval failures in {run_dir}: {fails}")
+
+    failures: List[str] = []
     for settings in plan.cells:
-        cell = SweepCell(settings)
-        cells.append(cell)
-        final = settings["schedule.total_steps"]
-        row = {"seed": str(settings["model.init_seed"]),
+        final, seed = settings["schedule.total_steps"], settings["model.init_seed"]
+        run_id = cfgmod.run_id_of(settings)
+        row = {"run_id": run_id, "seed": str(seed),
                **{k: str(settings[k]) for k in plan.axes}, "final_step": str(final)}
         try:
-            cell.run_dir = cmd_train(settings, out_root, force=force)
-            cell.trunk = _evaluated(cell.run_dir, plan.bits, plan.eval_steps_of(settings),
-                                    force=force)
+            run_dir = cmd_train(settings, out_root, force=force)
+            evaluate(run_dir, plan.eval_steps_of(settings))
             for bs in plan.branch_steps:
-                child = cmd_branch(cell.run_dir, bs, out_root=out_root, force=force)
-                end = cfgmod.schedule_spec(load_manifest(child)).total_steps
-                cell.branches[bs] = _evaluated(child, plan.bits, [end], force=force)[end]
+                child = cmd_branch(run_dir, bs, out_root=out_root, force=force)
+                evaluate(child, [cfgmod.schedule_spec(load_manifest(child)).total_steps])
             if plan.lawa_steps:
-                cmd_average(cell.run_dir)
-                cell.lawa = _evaluated(cell.run_dir, plan.bits, plan.lawa_steps,
-                                       kind=f"lawa{settings['lawa.k']}", force=force)
-            metrics = record_to_row(cell.trunk[final]) if final in cell.trunk else {}
+                cmd_average(run_dir)
+                evaluate(run_dir, plan.lawa_steps, f"lawa{settings['lawa.k']}")
+            evaluated = final in plan.eval_steps_of(settings)
+            metrics = record_to_row(records(run_dir, plan.bits, [final])[0]) if evaluated else {}
             row.update({c: metrics.get(c, "") for c in SUMMARY_METRICS}, status="ok")
         except QlabError as exc:
-            cell.error = str(exc)
-            log.error("sweep cell failed (%s): %s", [row[k] for k in plan.axes], exc)
+            failures.append(f"seed {seed} run {run_id}: {exc}")
+            log.error("sweep cell failed (seed %s, run %s): %s", seed, run_id, exc)
             row["status"] = "failed"
-        summary.upsert(dict(row, run_id=cfgmod.run_id_of(settings)))
+        summary.upsert(row)
     summary.save()
-    return plan, cells, summary_path
+    return plan, failures, summary_path
+
+
+def judge(plan: cfgmod.Plan, out_root: str) -> List[Comparison]:
+    """plan.claim's comparisons over the plan's runs under out_root, each
+    record read back by `records`. A trunk is found by its cell's run id, a
+    branch by its child's (`branch_config` of the trunk's manifest), and a
+    LAWA average as the trunk's lawa<k> family. Run ids hash data.path, so
+    `plan` needs the sweep's settings, though no corpus is read."""
+    def read(cell: Dict[str, object], family: str, step: int) -> MetricRecord:
+        run_dir = os.path.join(out_root, cfgmod.run_id_of(cell))
+        if family == "branch":
+            parent = load_manifest(run_dir)
+            child = branch_config(parent, step)
+            run_dir = os.path.join(out_root, cfgmod.run_id_of(child, (parent["run.id"], step)))
+            step = child["schedule.total_steps"]
+        kind = f"lawa{cell['lawa.k']}" if family == "lawa" else "ckpt"
+        return records(run_dir, plan.bits, [step], kind)[0]
+
+    return CLAIMS[plan.claim][0](plan, read)

@@ -2,12 +2,13 @@
 
 Criteria 9-11 replicate the qualitative training-dynamics experiments and
 need real compute: each runs the experiment plan
-configs/experiments/<protocol>-<profile>.plan and judges its claim. They
-are skipped unless QLAB_ACCEPTANCE_PROFILE is set to `tiny` (about 35 min
-on 2 cores) or `desk` (the full-size protocol, about 21 h per 30k-step run
-on 2 vCPUs). Runs are cached under QLAB_ACCEPTANCE_DIR
-(default: a temp directory), so repeated invocations reuse finished
-training.
+configs/experiments/<protocol>-<profile>.plan and judges its claim with
+`harness.judge`, as `qlab sweep` does. They are skipped unless
+QLAB_ACCEPTANCE_PROFILE is set to `tiny` (about 14 min wall on 2 vCPUs
+with nothing cached, as measured and recorded in ROADMAP.md) or `desk`
+(the full-size protocol, about 21 h per 30k-step run on 2 vCPUs). Runs
+are cached under QLAB_ACCEPTANCE_DIR (default: a temp directory), so
+repeated invocations reuse finished training.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines.
@@ -33,8 +34,8 @@ WORK = os.environ.get(
 )
 
 _SKIP_HEAVY = (
-    "multi-run training experiment; set QLAB_ACCEPTANCE_PROFILE=tiny (about 35 min on 2 "
-    "cores) or =desk (about 21 h per 30k-step run on 2 vCPUs) to run"
+    "multi-run training experiment; set QLAB_ACCEPTANCE_PROFILE=tiny (about 14 min on 2 "
+    "vCPUs, measured) or =desk (about 21 h per 30k-step run on 2 vCPUs) to run"
 )
 
 
@@ -293,16 +294,15 @@ def _ensure_corpus() -> str:
 
 def _judge(protocol, out, *sets):
     """Run configs/experiments/<protocol>-<PROFILE>.plan under WORK/<out>
-    and judge its claim."""
-    from qlab.experiments import CLAIMS
-    from qlab.harness import cmd_sweep
+    and judge its claim, as `qlab sweep` does."""
+    from qlab.harness import cmd_sweep, judge
 
-    plan, cells, _ = cmd_sweep(
+    plan, failures, _ = cmd_sweep(
         os.path.join(REPO, "configs", "experiments", f"{protocol}-{PROFILE}.plan"),
         os.path.join(WORK, out), overrides=[f"data.path={_ensure_corpus()}", *sets],
     )
-    assert not [c.error for c in cells if c.error]
-    return CLAIMS[plan.claim][0](cells, plan.bits)
+    assert not failures
+    return judge(plan, os.path.join(WORK, out))
 
 
 @pytest.mark.skipif(PROFILE not in ("tiny", "desk"), reason=_SKIP_HEAVY)

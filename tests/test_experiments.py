@@ -1,6 +1,9 @@
+import contextlib
 import glob
+import io
 import os
 import re
+import shutil
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +13,7 @@ from qlab import harness
 from qlab.cli import main
 from qlab.errors import ConfigError
 from qlab.experiments import CLAIMS, lr_sweep
+from qlab.model import read_checkpoint
 
 PLANS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "experiments"
@@ -32,12 +36,15 @@ SHRUNK = {
 }
 
 
-def _sweep_argv(protocol, corpus, out_root, *sets):
-    sets = [f"data.path={corpus}", *MICRO_PROFILE, "schedule.total_steps=18",
+def _sweep_sets(protocol, corpus, *sets):
+    return [f"data.path={corpus}", *MICRO_PROFILE, "schedule.total_steps=18",
             "sweep.seeds=1", *SHRUNK[protocol], *sets]
+
+
+def _sweep_argv(protocol, corpus, out_root, *sets):
     argv = ["sweep", "--plan", os.path.join(PLANS, f"{protocol}-tiny.plan"),
             "--out-root", str(out_root)]
-    for item in sets:
+    for item in _sweep_sets(protocol, corpus, *sets):
         argv += ["--set", item]
     return argv
 
@@ -121,6 +128,60 @@ def test_experiment_prints_one_line_per_comparison_and_a_tally(tmp_path, corpus_
     assert glob.glob(os.path.join(out_root, "*", "lawa5_18.qlab"))
 
 
+@pytest.fixture(scope="module")
+def swept(tmp_path_factory, corpus_path):
+    """(root, printed): each tiny plan, shrunk, swept into root/runs on its
+    own copy of the corpus, root/corpus.bin, and by protocol the lines
+    `qlab sweep` printed after summary.csv's path."""
+    root = tmp_path_factory.mktemp("swept")
+    shutil.copyfile(corpus_path, root / "corpus.bin")
+    printed = {}
+    for protocol in SHRUNK:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(_sweep_argv(protocol, root / "corpus.bin", root / "runs")) == 0
+        printed[protocol] = out.getvalue().splitlines()[1:]
+    return root, printed
+
+
+def _plan(protocol, corpus):
+    return cfgmod.load_plan(os.path.join(PLANS, f"{protocol}-tiny.plan"),
+                            _sweep_sets(protocol, corpus))
+
+
+def test_judge_reads_back_what_the_sweep_printed_without_the_corpus(swept):
+    root, printed = swept
+    corpus = root / "corpus.bin"
+    corpus.rename(root / "moved.bin")
+    try:
+        for protocol, lines in printed.items():
+            plan = _plan(protocol, corpus)  # the sweep's data.path, though no file is there
+            results = harness.judge(plan, str(root / "runs"))
+            assert [r.line for r in results] == lines[:-1]
+            assert lines[-1] == f"{sum(r.holds for r in results)}/{len(results)} " \
+                                f"{CLAIMS[plan.claim][1]}"
+    finally:
+        (root / "moved.bin").rename(corpus)
+
+
+def test_judge_names_the_run_and_step_whose_result_qeval_csv_lacks(swept, tmp_path):
+    root, _ = swept
+    runs = shutil.copytree(root / "runs", tmp_path / "runs")
+    plan = _plan("cooldown", root / "corpus.bin")
+    run_id = cfgmod.run_id_of(plan.cells[0])
+    _, checksum = read_checkpoint(harness.ckpt_path(str(runs / run_id), 12))
+    qeval = runs / run_id / harness.QEVAL
+    rows = qeval.read_text().splitlines(keepends=True)
+    # the 3-bit result row of the trunk's checkpoint at step 12 (its layer blank)
+    kept = [r for r in rows if not (r.startswith(checksum + ",") and ",3," in r
+                                    and r.split(",")[9] == "")]
+    assert len(kept) == len(rows) - 1
+    qeval.write_text("".join(kept))
+    with pytest.raises(ConfigError, match=rf"gptq3 result of run {run_id}'s ckpt "
+                                          rf"checkpoint at step 12"):
+        harness.judge(plan, str(runs))
+
+
 @pytest.mark.parametrize("protocol, steps", [
     ("cooldown", ["schedule.total_steps=10", "plan.branch_steps=3,6,10",
                   "plan.eval_steps=3,6,10"]),  # thirds of 10: no ckpt_3
@@ -155,18 +216,21 @@ def test_branch_inside_a_decay_exits_2_before_training(tmp_path, corpus_path):
 
 
 def test_lr_sweep_judges_each_value_of_another_axis():
-    def cell(seed, wd, lr, err):
-        rec = SimpleNamespace(rel_ce_err={4: err})
-        settings = {"model.init_seed": seed, "optim.weight_decay": wd, "optim.peak_lr": lr,
-                    "schedule.total_steps": 12}
-        return SimpleNamespace(settings=settings, trunk={12: rec})
+    errs = {(wd, lr): err for wd, errs in ((0.0, (2, 1)), (0.1, (1, 2)))
+            for lr, err in zip((1e-3, 3e-3), errs)}
+    cells = [{"model.init_seed": 1, "optim.weight_decay": wd, "optim.peak_lr": lr,
+              "schedule.total_steps": 12} for wd, lr in errs]
 
-    cells = [cell(1, wd, lr, err) for wd, errs in ((0.0, (2, 1)), (0.1, (1, 2)))
-             for lr, err in zip((1e-3, 3e-3), errs)]
-    assert [(r.seed, r.holds) for r in lr_sweep(cells, (4,))] == [(1, True), (1, False)]
+    def read(cell, family, step):
+        assert (family, step) == ("trunk", 12)
+        err = errs[cell["optim.weight_decay"], cell["optim.peak_lr"]]
+        return SimpleNamespace(rel_ce_err={4: err})
+
+    plan = SimpleNamespace(cells=cells, bits=(4,))
+    assert [(r.seed, r.holds) for r in lr_sweep(plan, read)] == [(1, True), (1, False)]
 
 
-def test_quantize_eval_failure_exits_4(tmp_path, corpus_path, monkeypatch, capsys):
+def test_quantize_eval_failure_exits_4(tmp_path, corpus_path, monkeypatch, capsys, caplog):
     def failing_eval(run_dir, bits, steps, kind, force):
         return [], [(steps[0], "non-finite activations in layers.0")]
 
@@ -178,6 +242,9 @@ def test_quantize_eval_failure_exits_4(tmp_path, corpus_path, monkeypatch, capsy
     # the claim is not judged over a partial set of records
     assert capsys.readouterr().out.splitlines() == [str(out_root / "summary.csv")]
     assert (out_root / "summary.csv").read_text().endswith(",failed\n")
+    # the log names the failed cell by its seed and run id
+    run_id = (out_root / "summary.csv").read_text().splitlines()[1].split(",")[0]
+    assert f"sweep cell failed (seed 1, run {run_id}): " in caplog.text
 
 
 def test_missing_profile_is_config_error(tmp_path):
@@ -197,7 +264,10 @@ def test_unknown_claim_exits_2(tmp_path):
     assert not out_root.exists()
 
 
-@pytest.mark.parametrize("setting", ["plan.bits=9", "quant.method=awq"])
+@pytest.mark.parametrize("setting", [
+    "plan.bits=9", "quant.method=awq", "optim.eps=0", "train.batch_size=0", "lawa.k=0",
+    "schedule.min_lr=-1", "quant.calib_samples=100000",
+])
 def test_plan_quant_settings_no_eval_can_use_exit_2_before_any_run(tmp_path, corpus_path,
                                                                    setting):
     out_root = tmp_path / "runs"

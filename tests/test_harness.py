@@ -502,7 +502,8 @@ def test_each_quantized_metrics_row_is_rendered_from_qeval_csv(tmp_path, unevalu
         rec = table.record(cfg["run.id"], step, ckpt.tokens_seen,
                            schedule_value(spec, cfg["optim.peak_lr"], step),
                            frobenius_norm(*ckpt.tensors.values()),
-                           *harness.qeval_keys(checksum, data, cfg, (3, 4)))
+                           *harness.qeval_keys(checksum, data.eval_hash, data.calib_hash,
+                                              cfg, (3, 4)))
         # training alone fills train_loss and grad_norm
         assert row == dict(record_to_row(rec), train_loss=row["train_loss"],
                            grad_norm=row["grad_norm"])
@@ -576,6 +577,19 @@ def test_repeated_bit_width_quantizes_once(trained_run, monkeypatch):
         assert [b for step, b in calls if step == s] == [4, 3]
 
 
+def test_records_are_what_quantize_eval_returns_and_it_reads_each_checkpoint_once(
+    trained_run, monkeypatch
+):
+    from qlab import harness
+
+    cfg, run_dir = trained_run
+    reads, real = [], harness.read_checkpoint
+    monkeypatch.setattr(harness, "read_checkpoint", lambda p: (reads.append(p), real(p))[1])
+    got, failures = cmd_quantize_eval(run_dir, bits=(3, 4), steps=[30, 60])
+    assert not failures and sorted(reads) == [ckpt_path(run_dir, 30), ckpt_path(run_dir, 60)]
+    assert harness.records(run_dir, (3, 4), [60, 30]) == got[::-1]
+
+
 def test_quantize_eval_empty_selection_warns(trained_run):
     cfg, run_dir = trained_run
     records, failures = cmd_quantize_eval(run_dir, bits=(3,), steps=[])
@@ -626,8 +640,8 @@ def test_sweep_runs_cells_and_summary(tmp_path, corpus_path):
     lines.append("sweep.seeds = 1, 2")
     plan.write_text("\n".join(lines))
     out_root = str(tmp_path / "sweep")
-    _, cells, summary = cmd_sweep(str(plan), out_root)
-    assert not any(c.error for c in cells) and len(cells) == 4
+    sweep, failures, summary = cmd_sweep(str(plan), out_root)
+    assert not failures and len(sweep.cells) == 4
     rows = read(summary).strip().splitlines()
     assert rows[0].startswith("run_id,seed,optim.peak_lr,final_step,val_ce_fp")
     assert len(rows) == 5
@@ -698,8 +712,8 @@ def test_single_cell_sweep_equals_train(tmp_path, corpus_path):
         )
     )
     out_root = str(tmp_path / "sweep")
-    _, cells, summary = cmd_sweep(str(plan), out_root)
-    assert not cells[0].error and len(cells) == 1
+    sweep, failures, summary = cmd_sweep(str(plan), out_root)
+    assert not failures and len(sweep.cells) == 1
     from qlab.config import resolve
 
     plain = tmp_path / "plain.cfg"
@@ -709,4 +723,7 @@ def test_single_cell_sweep_equals_train(tmp_path, corpus_path):
     cfg = resolve(str(plain))
     cfg["model.init_seed"] = 5
     cfg["data.seed"] = 5
-    assert os.path.basename(cells[0].run_dir) == run_id_of(cfg)
+    # the cell's run directory, as summary.csv names it
+    run_id = read(summary).splitlines()[1].split(",")[0]
+    assert run_id == run_id_of(sweep.cells[0]) == run_id_of(cfg)
+    assert os.path.isdir(os.path.join(out_root, run_id_of(cfg)))

@@ -289,7 +289,7 @@ def test_quantized_eval_dequantizes_each_layer_once(monkeypatch, item_log, corpu
     assert len(made) == 2 * 2 * n_layers
     # one item per (one-shard) batch for the FP eval and for each bit width
     assert len(item_log) == 3 * len(data.eval_batches)
-    fp_key, _ = harness.qeval_keys("", data, rtn, (3, 4))
+    fp_key, _ = harness.qeval_keys("", data.eval_hash, data.calib_hash, rtn, (3, 4))
     assert found[fp_key][:2] == _oracle(ck, data.eval_batches)
 
 

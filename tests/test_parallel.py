@@ -638,7 +638,8 @@ def serial_evaluate(ckpt, checksum, data, cfg, bits, table=None):
     from qlab import config as cfgmod
     from qlab.metrics import eval_ce
 
-    fp_key, quant_keys = harness.qeval_keys(checksum, data, cfg, bits)
+    fp_key, quant_keys = harness.qeval_keys(checksum, data.eval_hash, data.calib_hash, cfg,
+                                            bits)
     found = {fp_key: (*eval_ce(ckpt, data.eval_batches), [])}
     for b in bits:
         qcfg = cfgmod.quant_config(cfg, b)
