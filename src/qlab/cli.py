@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 2 config error (or a run's changed eval or calibration
 set, a result that conflicts with one already recorded, or a bad QLAB_THREADS
-in a command that runs a parallel region), 3 numeric failure, 4 partial
-sweep/eval failure; each error class carries its code. Unset run settings
-(bits, method, LAWA k and interval) come from the run's manifest. `eval`
-and `sweep` record every result in a run's qeval.csv and reuse the ones
-it holds; `--force` recomputes them. metrics.csv shows the manifest
+in a command that runs a parallel region), which `train`, `eval` and `sweep`
+find before they write anything (`sweep` checks every cell, and names the
+one it refuses), 3 numeric failure, 4 partial sweep/eval failure. Unset run
+settings (bits, method, LAWA k and interval) come from the run's manifest.
+`eval` and `sweep` record every result in a run's qeval.csv and reuse the
+ones it holds; `--force` recomputes them. metrics.csv shows the manifest
 method's 3- and 4-bit results.
 """
 
@@ -24,10 +25,6 @@ from .errors import ConfigError, QlabError, StoreError
 from .quant import METHODS
 
 log = logging.getLogger("qlab")
-
-
-def _parse_bits(s: str) -> List[int]:
-    return [int(p) for p in s.split(",") if p.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,11 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="quantize and evaluate checkpoints of a run")
     sp.add_argument("--run", required=True)
-    sp.add_argument("--bits", type=_parse_bits, default=None,
+    sp.add_argument("--bits", type=cfgmod.parse_int_list, default=None,
                     help="default: the manifest's quant.bits")
     sp.add_argument("--method", choices=METHODS, default=None,
                     help="default: the manifest's quant.method")
-    sp.add_argument("--steps", type=_parse_bits, default=None)
+    sp.add_argument("--steps", type=cfgmod.parse_int_list, default=None)
     sp.add_argument("--kind", default="ckpt",
                     help="checkpoint family, e.g. ckpt or lawa5; one the run lacks exits 2")
     sp.add_argument("--force", action="store_true",

@@ -31,7 +31,7 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _parse_int_list(s: str) -> Tuple[int, ...]:
+def parse_int_list(s: str) -> Tuple[int, ...]:
     return tuple(int(p.strip()) for p in s.split(",") if p.strip())
 
 
@@ -40,7 +40,7 @@ _PARSERS = {
     "float": float,
     "bool": _parse_bool,
     "str": lambda s: s.strip(),
-    "int_list": _parse_int_list,
+    "int_list": parse_int_list,
 }
 
 # key -> (type, default)
@@ -228,7 +228,8 @@ def load_plan(path: str, overrides: Optional[List[str]] = None) -> Plan:
     combination of the `sweep.<key> = v1, v2, ...` axes over those
     settings (the last axis varies fastest; an axis wins over a setting of
     its key), repeated for each of `sweep.seeds` (default 0); a seed sets
-    both data.seed and model.init_seed. `plan.bits` defaults to quant.bits.
+    both data.seed and model.init_seed; an axis with no value, or one
+    value twice, is a ConfigError. `plan.bits` defaults to quant.bits.
     """
     given = apply_overrides(_read(path, allow_plan_keys=True), overrides, allow_plan_keys=True)
     base = defaults()
@@ -237,6 +238,9 @@ def load_plan(path: str, overrides: Optional[List[str]] = None) -> Plan:
     axes: Dict[str, List[object]] = {}
     for key, value in given.items():
         if key.startswith(SWEEP_PREFIX):
+            twice = [format_value(v) for i, v in enumerate(value) if v in value[:i]]
+            if twice or not value:  # a plan runs and judges each cell once
+                raise ConfigError(f"{key} names {twice[0] + ' twice' if twice else 'no value'}")
             axes[key[len(SWEEP_PREFIX) :]] = value
         elif not key.startswith(PLAN_PREFIX):
             base[key] = value
@@ -299,6 +303,8 @@ def model_config(cfg: Dict[str, object]) -> ModelConfig:
 
 
 def optim_config(cfg: Dict[str, object]) -> OptimConfig:
+    if not cfg["optim.eps"] > 0:  # a run's eps; OptimConfig takes 0 for closed forms
+        raise ConfigError(f"optim.eps must be positive, got {cfg['optim.eps']}")
     return OptimConfig(
         peak_lr=cfg["optim.peak_lr"],
         beta1=cfg["optim.beta1"],

@@ -165,27 +165,28 @@ class RunData:
         return token_fingerprint(self.calib_set)
 
 
-def build_data(cfg: Dict[str, object]) -> RunData:
-    """A run's data under cfg; a ConfigError names the run if a set's hash
-    differs from the one cfg records (run.eval_set_hash, run.calib_set_hash),
-    and refuses settings no run can use: a batch size, calibration sample
-    count, LAWA window or LAWA interval below 1, a schedule.min_lr outside
-    [0, optim.peak_lr], an optim.eps of 0 or below, quant settings no
-    QuantConfig takes at some quant.bits width, a corpus byte the
-    vocabulary lacks, and a calibration slice too short for
-    quant.calib_samples."""
+def build_data(cfg: Dict[str, object], bits: Optional[Sequence[int]] = None) -> RunData:
+    """A run's data under cfg, and the one check of all a run refuses before
+    its first write: a ConfigError names the run if a set's hash differs
+    from the one cfg records (run.eval_set_hash, run.calib_set_hash), and
+    refuses a setting its model, optim or schedule view refuses, a batch
+    size, calibration sample count or LAWA window or interval below 1, a
+    schedule.min_lr outside [0, optim.peak_lr], quant settings at a width
+    of quant.bits or of `bits` (the widths a caller evaluates besides), a
+    bad QLAB_THREADS, a corpus byte the vocabulary lacks, and a
+    calibration slice too short for quant.calib_samples."""
     if not cfg["data.path"]:
         raise ConfigError("data.path is required")
+    cfgmod.model_config(cfg), cfgmod.optim_config(cfg), cfgmod.schedule_spec(cfg)  # each refuses
     for key in ("train.batch_size", "quant.calib_samples", "lawa.k", "lawa.interval"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     if not 0 <= cfg["schedule.min_lr"] <= cfg["optim.peak_lr"]:
         raise ConfigError(f"schedule.min_lr must lie in [0, optim.peak_lr = "
                           f"{cfg['optim.peak_lr']}], got {cfg['schedule.min_lr']}")
-    if not cfg["optim.eps"] > 0:
-        raise ConfigError(f"optim.eps must be positive, got {cfg['optim.eps']}")
-    for b in cfg["quant.bits"]:
+    for b in (*cfg["quant.bits"], *(bits or ())):
         cfgmod.quant_config(cfg, b)
+    qlab_threads()
     tokens = load_corpus(cfg["data.path"], cfg["data.limit_bytes"] or None)
     top = int(tokens.max())
     if top >= cfg["model.vocab"]:
@@ -244,8 +245,6 @@ def cmd_train(
     checkpoint, optimizer state and data cursor).
     """
     spec = cfgmod.schedule_spec(cfg)
-    ocfg = cfgmod.optim_config(cfg)
-    mcfg = cfgmod.model_config(cfg)
     run_id = cfgmod.run_id_of(cfg, parent)
     run_dir = os.path.join(out_root, run_id)
     target = spec.total_steps if stop_after is None else min(stop_after, spec.total_steps)
@@ -255,7 +254,6 @@ def cmd_train(
         return run_dir
     # before any write: a config error or changed data leaves the run as it was
     data = build_data(load_manifest(run_dir) if saved else cfg)
-    qlab_threads()  # and so does a bad QLAB_THREADS
     if force and os.path.isdir(run_dir):
         shutil.rmtree(run_dir)
     os.makedirs(run_dir, exist_ok=True)
@@ -295,7 +293,7 @@ def cmd_train(
         if start_state is not None:
             ckpt, opt_state, cursor = start_state()
         else:
-            ckpt = init(mcfg)
+            ckpt = init(cfgmod.model_config(cfg))
             opt_state = init_opt_state(ckpt)
             cursor = 0
         save_state(ckpt, opt_state, cursor)
@@ -346,7 +344,7 @@ def cmd_train(
         TrainHook(cfg["train.log_interval"], progress_hook),
     ]
     train_loop(
-        ckpt, opt_state, data.train, cursor, spec, ocfg,
+        ckpt, opt_state, data.train, cursor, spec, cfgmod.optim_config(cfg),
         cfg["train.batch_size"], cfg["data.seq_len"], target - ckpt.step, hooks,
     )
     return run_dir
@@ -526,24 +524,22 @@ def cmd_quantize_eval(
     replace the recorded ones); every record is then read back from
     qeval.csv, in step order, as `records` reads it, with no checkpoint
     read twice. metrics.csv is a view of the manifest method's results
-    at the bit widths it has columns for. Invalid quant
-    settings, a `kind` of which the run holds no checkpoint, and an eval
-    or calibration set that differs from the one the manifest recorded,
-    are refused before any work. The tables are saved only after every
-    row merged, so a conflict (MergeError) leaves both files unchanged.
+    at the bit widths it has columns for. A `kind` of which the run holds
+    no checkpoint, and what `build_data` refuses at `bits` (quant settings,
+    changed sets), are refused before any work. The tables are saved only
+    after every row merged, so a conflict (MergeError) leaves both files
+    unchanged.
     """
     cfg = load_manifest(run_dir)
     # a bit width named twice is quantized once, in first-seen order
     bits = list(dict.fromkeys(cfg["quant.bits"] if bits is None else bits))
-    for b in bits:  # a bit width outside [2, 8] exits 2 before any checkpoint is read
-        cfgmod.quant_config(cfg, b, method)
     shown = method in (None, cfg["quant.method"])  # metrics.csv shows this method
     cfg["quant.method"] = method or str(cfg["quant.method"])
     available = list_ckpt_steps(run_dir, kind)
     if not available:
         raise ConfigError(f"{run_dir} holds no {kind} checkpoints; its checkpoint "
                           f"families: {', '.join(ckpt_families(run_dir)) or 'none'}")
-    data = build_data(cfg)
+    data = build_data(cfg, bits)  # checks the quant settings before any checkpoint is read
     selected = available if steps is None else [s for s in available if s in set(steps)]
     if steps is not None:
         missing = set(steps) - set(available)
@@ -655,35 +651,31 @@ def cmd_soup(inputs: Sequence[Tuple[str, float]], out_path: str) -> str:
 # -- sweeps ----------------------------------------------------------------------
 
 
-def _check_plan(plan: cfgmod.Plan) -> None:
-    """Refuse, before anything trains, a claim the plan cannot judge, quant
-    settings no QuantConfig takes at some plan.bits width, and a step some
-    cell saves no checkpoint at, branches from inside its decay or, for
+def _check_cell(plan: cfgmod.Plan, cell: Dict[str, object]) -> None:
+    """Refuse what `build_data` refuses for `cell`'s run at plan.bits, and a
+    plan step the run saves no checkpoint at, branches from inside its
+    decay, that plan.claim judges but the plan does not evaluate or, for
     LAWA steps, that is not a positive multiple of its lawa.interval."""
-    if plan.claim and plan.claim not in CLAIMS:
-        raise ConfigError(f"unknown plan.claim {plan.claim!r}; one of {sorted(CLAIMS)}")
-    for cell in plan.cells:
-        for b in plan.bits:
-            cfgmod.quant_config(cell, b)
-        total = cell["schedule.total_steps"]
-        saved = ckpt_hook(cell, total).due
-        steps = {"plan.eval_steps": plan.eval_steps_of(cell), "final step": (total,),
-                 "plan.branch_steps": plan.branch_steps, "plan.lawa_steps": plan.lawa_steps}
-        unsaved = sorted({s for v in steps.values() for s in v if not (0 <= s <= total and saved(s))})
-        if unsaved:
-            raise ConfigError(f"a {total}-step run of this plan saves no checkpoint at steps {unsaved}")
-        for bs in plan.branch_steps:
-            branch_config(cell, bs)  # refuses a branch step inside the run's decay
-        off = [s for s in plan.lawa_steps if s <= 0 or s % cell["lawa.interval"]]
-        if off:
-            raise ConfigError(f"plan.lawa_steps {off} are not positive multiples of "
-                              f"lawa.interval ({cell['lawa.interval']})")
-        if plan.claim:
-            judged, within = CLAIMS[plan.claim][2]
-            missing = sorted(set(steps[judged]) - set(steps[within]))
-            if missing:
-                raise ConfigError(f"plan.claim {plan.claim} judges {judged} {missing}, "
-                                  f"which {within} must include")
+    total = cell["schedule.total_steps"]
+    saved = ckpt_hook(cell, total).due
+    steps = {"plan.eval_steps": plan.eval_steps_of(cell), "final step": (total,),
+             "plan.branch_steps": plan.branch_steps, "plan.lawa_steps": plan.lawa_steps}
+    unsaved = sorted({s for v in steps.values() for s in v if not (0 <= s <= total and saved(s))})
+    if unsaved:
+        raise ConfigError(f"a {total}-step run of this plan saves no checkpoint at steps {unsaved}")
+    for bs in plan.branch_steps:
+        branch_config(cell, bs)  # refuses a branch step inside the run's decay
+    off = [s for s in plan.lawa_steps if s <= 0 or s % cell["lawa.interval"]]
+    if off:
+        raise ConfigError(f"plan.lawa_steps {off} are not positive multiples of "
+                          f"lawa.interval ({cell['lawa.interval']})")
+    if plan.claim:
+        judged, within = CLAIMS[plan.claim][2]
+        missing = sorted(set(steps[judged]) - set(steps[within]))
+        if missing:
+            raise ConfigError(f"plan.claim {plan.claim} judges {judged} {missing}, "
+                              f"which {within} must include")
+    build_data(cell, plan.bits)
 
 
 def cmd_sweep(
@@ -691,29 +683,35 @@ def cmd_sweep(
 ) -> Tuple[cfgmod.Plan, List[str], str]:
     """Run every cell of a plan (`cfgmod.Plan`, with --set `overrides`) and
     write out_root/summary.csv, one row per cell with its final step's
-    metrics (blank if the plan does not evaluate that step) from `records`.
+    metrics (blank if the plan does not evaluate that step), as evaluated.
 
-    The plan and each cell's data are checked before anything is written.
-    A rerun resumes each run, branch and average and takes their results
-    from each run's qeval.csv; `force` retrains and recomputes. A cell that
-    fails is logged and marked, and the next one runs. Returns (plan,
-    failures: a message per failed cell, summary_csv_path).
+    Each cell is checked (`_check_cell`; a refusal names its seed and axis
+    values) before out_root is created. A rerun resumes each run, branch
+    and average and reuses their results in qeval.csv; `force` retrains
+    and recomputes. A failed cell is logged and marked, and the next one
+    runs. Returns (plan, failures: a message per failed cell, summary path).
     """
     plan = cfgmod.load_plan(plan_path, overrides)
-    _check_plan(plan)
-    for cell in plan.cells:  # what cmd_train refuses before its first write
-        build_data(cell)
+    if plan.claim and plan.claim not in CLAIMS:
+        raise ConfigError(f"unknown plan.claim {plan.claim!r}; one of {sorted(CLAIMS)}")
+    for cell in plan.cells:
+        try:
+            _check_cell(plan, cell)
+        except QlabError as exc:
+            axes = "".join(f", {k}={cfgmod.format_value(cell[k])}" for k in plan.axes)
+            exc.args = (f"cell (seed {cell['model.init_seed']}{axes}): {exc}",)
+            raise
     summary_path = os.path.join(out_root, "summary.csv")
     os.makedirs(out_root, exist_ok=True)
     header = ["run_id", "seed"] + plan.axes + ["final_step", *SUMMARY_METRICS, "status"]
     summary = MetricsStore(summary_path, ",".join(header), ("run_id",), load=False)
 
-    def evaluate(run_dir: str, steps: Sequence[int], kind: str = "ckpt") -> None:
-        if steps:
-            _, fails = cmd_quantize_eval(run_dir, bits=plan.bits, steps=steps, kind=kind,
-                                         force=force)
-            if fails:
-                raise PartialFailure(f"{kind} quantize-eval failures in {run_dir}: {fails}")
+    def evaluate(run_dir: str, steps: Sequence[int], kind: str = "ckpt") -> List[MetricRecord]:
+        recs, fails = cmd_quantize_eval(run_dir, bits=plan.bits, steps=steps, kind=kind,
+                                        force=force) if steps else ([], [])
+        if fails:
+            raise PartialFailure(f"{kind} quantize-eval failures in {run_dir}: {fails}")
+        return recs
 
     failures: List[str] = []
     for settings in plan.cells:
@@ -723,15 +721,14 @@ def cmd_sweep(
                **{k: str(settings[k]) for k in plan.axes}, "final_step": str(final)}
         try:
             run_dir = cmd_train(settings, out_root, force=force)
-            evaluate(run_dir, plan.eval_steps_of(settings))
+            trunk = {r.step: r for r in evaluate(run_dir, plan.eval_steps_of(settings))}
             for bs in plan.branch_steps:
                 child = cmd_branch(run_dir, bs, out_root=out_root, force=force)
                 evaluate(child, [cfgmod.schedule_spec(load_manifest(child)).total_steps])
             if plan.lawa_steps:
                 cmd_average(run_dir)
                 evaluate(run_dir, plan.lawa_steps, f"lawa{settings['lawa.k']}")
-            evaluated = final in plan.eval_steps_of(settings)
-            metrics = record_to_row(records(run_dir, plan.bits, [final])[0]) if evaluated else {}
+            metrics = record_to_row(trunk[final]) if final in trunk else {}
             row.update({c: metrics.get(c, "") for c in SUMMARY_METRICS}, status="ok")
         except QlabError as exc:
             failures.append(f"seed {seed} run {run_id}: {exc}")

@@ -165,6 +165,20 @@ def test_load_plan_rejects_malformed_lines(tmp_path, line):
         load_plan(str(plan))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("sweep.seeds = 1, 2, 1", "sweep.seeds names 1 twice"),
+    ("sweep.optim.peak_lr = 1e-3, 0.001", "sweep.optim.peak_lr names 0.001 twice"),
+    ("sweep.seeds =", "sweep.seeds names no value"),
+    ("sweep.optim.peak_lr = ,", "sweep.optim.peak_lr names no value"),
+])
+def test_load_plan_refuses_an_empty_axis_and_a_value_named_twice(tmp_path, line, message):
+    # a repeated cell would be judged twice, and an empty axis leaves no cell
+    plan = tmp_path / "plan.cfg"
+    plan.write_text(f"{line}\n")
+    with pytest.raises(ConfigError, match=message):
+        load_plan(str(plan))
+
+
 def test_manifest_written_atomically_and_read_back(tmp_path, monkeypatch):
     from qlab import store
 

@@ -6,6 +6,7 @@ import re
 import shutil
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from qlab import config as cfgmod
@@ -265,8 +266,9 @@ def test_unknown_claim_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("setting", [
-    "plan.bits=9", "quant.method=awq", "optim.eps=0", "train.batch_size=0", "lawa.k=0",
-    "schedule.min_lr=-1", "quant.calib_samples=100000",
+    "plan.bits=9", "quant.bits=9", "quant.method=awq", "optim.eps=0", "train.batch_size=0", "lawa.k=0",
+    "schedule.min_lr=-1", "quant.calib_samples=100000", "optim.beta1=1", "model.n_heads=5",
+    "optim.variant=sgd", "sweep.seeds=1,1", "sweep.seeds=",
 ])
 def test_plan_quant_settings_no_eval_can_use_exit_2_before_any_run(tmp_path, corpus_path,
                                                                    setting):
@@ -275,7 +277,28 @@ def test_plan_quant_settings_no_eval_can_use_exit_2_before_any_run(tmp_path, cor
     assert not out_root.exists()
 
 
-def test_profile_choices_match_configs():
+def test_sweep_with_a_bad_qlab_threads_exits_2_before_any_run(tmp_path, corpus_path,
+                                                              monkeypatch):
+    monkeypatch.setenv("QLAB_THREADS", "0")
+    out_root = tmp_path / "runs"
+    assert main(_sweep_argv("cooldown", corpus_path, out_root)) == 2
+    assert not out_root.exists()
+
+
+def test_a_refused_cell_is_named_by_its_seed_and_axis_values(tmp_path, corpus_path, caplog):
+    # the 400-batch cells ask for more eval windows than a slice holds;
+    # seed 2's comes first
+    out_root = tmp_path / "runs"
+    assert main(_sweep_argv("cooldown", corpus_path, out_root, "sweep.seeds=2,1",
+                            "sweep.eval.batches=2,400")) == 2
+    assert not out_root.exists()
+    assert "cell (seed 2, eval.batches=400): eval slice holds" in caplog.text
+
+
+def test_profile_choices_match_configs(monkeypatch):
+    # a stand-in for each plan's corpus.bin, long enough for the desk eval and calibration slices
+    tokens = (np.arange(3_000_000) % 256).astype(np.uint8)
+    monkeypatch.setattr(harness, "load_corpus", lambda path, limit=None: tokens)
     stems = {os.path.splitext(os.path.basename(p))[0]
              for p in glob.glob(os.path.join(PROFILES, "*.cfg"))}
     plans = sorted(glob.glob(os.path.join(PLANS, "*.plan")))
@@ -285,7 +308,8 @@ def test_profile_choices_match_configs():
     for path in plans:
         plan = cfgmod.load_plan(path)
         assert plan.claim == os.path.basename(path).rsplit("-", 1)[0]
-        harness._check_plan(plan)  # every step it names is checkpointed and judgeable
+        for cell in plan.cells:  # every run it names is buildable at plan.bits, and
+            harness._check_cell(plan, cell)  # every step is checkpointed and judgeable
 
 
 def test_profile_defaults_follow_trunk_length():
