@@ -113,12 +113,9 @@ def _cmd_quantize(args) -> int:
     run_cfg = cfgmod.resolve(args.config or (manifest if os.path.isfile(manifest) else ""))
     cfg = cfgmod.apply_overrides(dict(run_cfg), args.set)
     qcfg = cfgmod.quant_config(cfg, args.bits, args.method)
-    calib = None
-    if qcfg.calibrated:
-        # the run's own sets must still be the recorded ones; --set may
-        # then choose another calibration set (say, fewer samples) from it
-        data = harness.build_data(run_cfg)
-        calib = data.calib_set if cfg == run_cfg else data.calibration(cfg)
+    # the run's own sets must still be the recorded ones; --set may then
+    # choose another calibration set (say, fewer samples) from it
+    calib = harness.build_data(run_cfg).calibration(cfg) if qcfg.calibrated else None
     qm, stats = quantize_model(ckpt, calib, qcfg)
     save_quantized(args.out, qm, overwrite=True)
     for s in stats:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import store
 from .errors import ConfigError
@@ -205,8 +205,8 @@ class Plan:
     its run quantize-evaluated at `eval_steps` (None: its final step),
     cooled down from each of `branch_steps` (each branch evaluated at its
     final step), and LAWA-averaged with its lawa.k and lawa.interval,
-    that family evaluated at `lawa_steps`; all at `bits`. `claim` names
-    the claim the records are judged by ("" for none)."""
+    that family evaluated at `lawa_steps`; all at `bits`, and each with
+    the steps `claim` judges added (`harness.plan_steps`; "" for none)."""
 
     axes: List[str]
     cells: List[Dict[str, object]]
@@ -215,9 +215,6 @@ class Plan:
     branch_steps: Tuple[int, ...] = ()
     lawa_steps: Tuple[int, ...] = ()
     claim: str = ""
-
-    def eval_steps_of(self, cell: Dict[str, object]) -> Tuple[int, ...]:
-        return (cell["schedule.total_steps"],) if self.eval_steps is None else self.eval_steps
 
 
 def load_plan(path: str, overrides: Optional[List[str]] = None) -> Plan:
@@ -228,8 +225,8 @@ def load_plan(path: str, overrides: Optional[List[str]] = None) -> Plan:
     combination of the `sweep.<key> = v1, v2, ...` axes over those
     settings (the last axis varies fastest; an axis wins over a setting of
     its key), repeated for each of `sweep.seeds` (default 0); a seed sets
-    both data.seed and model.init_seed; an axis with no value, or one
-    value twice, is a ConfigError. `plan.bits` defaults to quant.bits.
+    both data.seed and model.init_seed. An empty axis, or one value twice in
+    an axis, plan.bits (default quant.bits) or a step list, is a ConfigError.
     """
     given = apply_overrides(_read(path, allow_plan_keys=True), overrides, allow_plan_keys=True)
     base = defaults()
@@ -238,12 +235,13 @@ def load_plan(path: str, overrides: Optional[List[str]] = None) -> Plan:
     axes: Dict[str, List[object]] = {}
     for key, value in given.items():
         if key.startswith(SWEEP_PREFIX):
-            twice = [format_value(v) for i, v in enumerate(value) if v in value[:i]]
-            if twice or not value:  # a plan runs and judges each cell once
-                raise ConfigError(f"{key} names {twice[0] + ' twice' if twice else 'no value'}")
-            axes[key[len(SWEEP_PREFIX) :]] = value
+            if not value:
+                raise ConfigError(f"{key} names no value")
+            axes[key[len(SWEEP_PREFIX) :]] = _named_once(key, value)
         elif not key.startswith(PLAN_PREFIX):
             base[key] = value
+        elif isinstance(value, tuple):  # plan.bits or a step list
+            _named_once(key, value)
     seeds = axes.pop("seeds", [0])
     cells = [base]
     for key, values in axes.items():
@@ -251,12 +249,20 @@ def load_plan(path: str, overrides: Optional[List[str]] = None) -> Plan:
     return Plan(
         list(axes),
         [dict(c, **{"data.seed": s, "model.init_seed": s}) for s in seeds for c in cells],
-        bits=given.get("plan.bits") or base["quant.bits"],
+        bits=given.get("plan.bits") or _named_once("quant.bits", base["quant.bits"]),
         eval_steps=given.get("plan.eval_steps"),
         branch_steps=given.get("plan.branch_steps", ()),
         lawa_steps=given.get("plan.lawa_steps", ()),
         claim=given.get("plan.claim", ""),
     )
+
+
+def _named_once(key: str, values: Sequence[object]) -> Sequence[object]:
+    """`values`, refused if they name one twice: a plan runs and judges each once."""
+    twice = [format_value(v) for i, v in enumerate(values) if v in values[:i]]
+    if twice:
+        raise ConfigError(f"{key} names {twice[0]} twice")
+    return values
 
 
 def format_value(v: object) -> str:
@@ -278,11 +284,11 @@ def canonical_text(cfg: Dict[str, object], include_run: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_id_of(cfg: Dict[str, object], parent: Optional[Tuple[str, int]] = None) -> str:
-    """Deterministic run identity: hash of resolved config plus lineage."""
+def run_id_of(cfg: Dict[str, object]) -> str:
+    """Run identity: hash of resolved config plus lineage (run.parent_id, run.branch_step)."""
     text = canonical_text(cfg)
-    if parent:
-        text += f"parent = {parent[0]}@{parent[1]}\n"
+    if cfg.get("run.parent_id"):
+        text += f"parent = {cfg['run.parent_id']}@{cfg['run.branch_step']}\n"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -40,7 +40,7 @@ def cooldown_branching(plan: Plan, read: Read) -> List[Comparison]:
     out: List[Comparison] = []
     for cell in plan.cells:
         seed = cell["model.init_seed"]
-        for bs in dict.fromkeys(plan.branch_steps):
+        for bs in plan.branch_steps:
             t, c = read(cell, "trunk", bs), read(cell, "branch", bs)
             for b in plan.bits:
                 improves = c.val_ce_fp < t.val_ce_fp
@@ -83,7 +83,7 @@ def lawa_vs_cooldown(plan: Plan, read: Read) -> List[Comparison]:
     out: List[Comparison] = []
     for cell in plan.cells:
         seed = cell["model.init_seed"]
-        for step in sorted(set(plan.lawa_steps)):
+        for step in sorted(plan.lawa_steps):
             avg, branch = read(cell, "lawa", step), read(cell, "branch", step)
             for b in plan.bits:
                 lw, br = avg.val_ce_q[b], branch.val_ce_q[b]
@@ -96,7 +96,7 @@ def lawa_vs_cooldown(plan: Plan, read: Read) -> List[Comparison]:
 
 
 # plan.claim -> (judge, what the tally of `holds` counts, (the steps it
-# judges, the plan steps that must include them))
+# judges, the steps `harness.plan_steps` adds them to))
 CLAIMS = {
     "cooldown": (cooldown_branching,
                  "branches show loss improving while quantization error rises",

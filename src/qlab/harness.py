@@ -231,7 +231,6 @@ def cmd_train(
     out_root: str,
     force: bool = False,
     stop_after: Optional[int] = None,
-    parent: Optional[Tuple[str, int]] = None,
     start_state: Optional[Callable[[], Tuple[Checkpoint, OptimState, int]]] = None,
 ) -> str:
     """Train under `cfg` into out_root/<run_id>; returns the run directory.
@@ -241,17 +240,21 @@ def cmd_train(
     its manifest's data sets still match; a run already there at the
     target returns at once and reads nothing. With no such step, or with
     `force`, it starts fresh (deleting the old run) and rewrites its
-    manifest; `start_state` then loads a branch's start (its parent's
-    checkpoint, optimizer state and data cursor).
+    manifest; a branch (`branch_config`) starts only from `start_state`,
+    its parent's checkpoint, optimizer state and data cursor (else a ConfigError).
     """
     spec = cfgmod.schedule_spec(cfg)
-    run_id = cfgmod.run_id_of(cfg, parent)
+    run_id = cfgmod.run_id_of(cfg)
     run_dir = os.path.join(out_root, run_id)
     target = spec.total_steps if stop_after is None else min(stop_after, spec.total_steps)
     steps = [] if force else list_ckpt_steps(run_dir)
     saved = [s for s in steps if os.path.exists(opt_path(run_dir, s))]
     if saved and saved[-1] >= target:
         return run_dir
+    lineage = {k: str(cfg[k]) for k in ("run.parent_id", "run.branch_step") if cfg.get(k)}
+    if lineage and not saved and start_state is None:
+        raise ConfigError(f"branch {run_id} needs its parent's state (`qlab branch`) or its own "
+                          f"saved in {run_dir}")
     # before any write: a config error or changed data leaves the run as it was
     data = build_data(load_manifest(run_dir) if saved else cfg)
     if force and os.path.isdir(run_dir):
@@ -281,15 +284,8 @@ def cmd_train(
         ckpt = load_checkpoint(ckpt_path(run_dir, saved[-1]))
         opt_state, cursor = load_opt_state(opt_path(run_dir, saved[-1]))
     else:
-        run_keys = {
-            "run.id": run_id,
-            "run.eval_set_hash": data.eval_hash,
-            "run.calib_set_hash": data.calib_hash,
-        }
-        if parent:
-            run_keys["run.parent_id"] = parent[0]
-            run_keys["run.branch_step"] = str(parent[1])
-        write_manifest(run_dir, cfg, run_keys)
+        write_manifest(run_dir, cfg, {"run.id": run_id, "run.eval_set_hash": data.eval_hash,
+                                      "run.calib_set_hash": data.calib_hash, **lineage})
         if start_state is not None:
             ckpt, opt_state, cursor = start_state()
         else:
@@ -374,29 +370,25 @@ def cmd_branch(
     cpath, opath = ckpt_path(parent_dir, branch_step), opt_path(parent_dir, branch_step)
     for p in (cpath, opath):
         if not os.path.exists(p):
-            raise ConfigError(
-                f"branch point {branch_step} needs {p}; rerun training with a "
-                f"checkpoint interval that lands on step {branch_step}"
-            )
-    return cmd_train(
-        branch_config(cfg, branch_step, decay_frac, decay_steps),
-        out_root or os.path.dirname(os.path.abspath(parent_dir)),
-        force=force,
-        parent=(cfg["run.id"], branch_step),
-        start_state=lambda: (load_checkpoint(cpath), *load_opt_state(opath)),
-    )
+            raise ConfigError(f"branch point {branch_step} needs {p}; rerun training with a "
+                              f"checkpoint interval that lands on step {branch_step}")
+    return cmd_train(branch_config(cfg, branch_step, decay_frac, decay_steps),
+                     out_root or os.path.dirname(os.path.abspath(parent_dir)), force=force,
+                     start_state=lambda: (load_checkpoint(cpath), *load_opt_state(opath)))
 
 
 def branch_config(cfg: Dict[str, object], branch_step: int, decay_frac: float = 0.1,
                   decay_steps: Optional[int] = None) -> Dict[str, object]:
     """The settings of a cooldown branch from `branch_step` of the run with
-    settings `cfg`. The cooldown length defaults to decay_frac * branch_step and is at
-    least 2 steps (`decay_steps` below 2, or a `decay_frac` of 0 or below,
-    is a ConfigError): a WSD decay's last step runs at schedule.min_lr (0
-    by default), so one step would do nothing a constant run does not. The
-    child's schedule is the WSD run that matches the trunk up to the branch
-    point and then decays linearly to the trunk's schedule.min_lr; its
-    schedule.total_steps is the branch's final step.
+    settings `cfg`, lineage included (run.parent_id, run.branch_step), so
+    `run_id_of` of them names the branch. The cooldown length defaults to
+    decay_frac * branch_step and is at least 2 steps (`decay_steps` below
+    2, or a `decay_frac` of 0 or below, is a ConfigError): a WSD decay's
+    last step runs at schedule.min_lr (0 by default), so one step would do
+    nothing a constant run does not. The child's schedule is the WSD run
+    that matches the trunk up to the branch point and then decays linearly
+    to the trunk's schedule.min_lr; its schedule.total_steps is the
+    branch's final step.
     """
     parent_spec = cfgmod.schedule_spec(cfg)
     if parent_spec.decay_steps and branch_step > parent_spec.total_steps - parent_spec.decay_steps:
@@ -408,12 +400,11 @@ def branch_config(cfg: Dict[str, object], branch_step: int, decay_frac: float = 
     cool = decay_steps if decay_steps is not None else max(2, round(decay_frac * branch_step))
     total = branch_step + cool
     warmup = min(parent_spec.warmup_steps, branch_step)
-    child = dict(cfg)  # its run.* keys are the parent's: write_manifest drops them
-    child["schedule.kind"] = "wsd"
-    child["schedule.total_steps"] = total
-    child["schedule.warmup_frac"] = warmup / total
-    child["schedule.decay_frac"] = cool / total
-    return child
+    # its other run.* keys are the parent's, which build_data checks and write_manifest drops
+    return dict(cfg, **{"run.parent_id": cfgmod.run_id_of(cfg), "run.branch_step": branch_step,
+                        "schedule.kind": "wsd", "schedule.total_steps": total,
+                        "schedule.warmup_frac": warmup / total,
+                        "schedule.decay_frac": cool / total})
 
 
 # -- quantize + eval -----------------------------------------------------------
@@ -651,39 +642,46 @@ def cmd_soup(inputs: Sequence[Tuple[str, float]], out_path: str) -> str:
 # -- sweeps ----------------------------------------------------------------------
 
 
+def plan_steps(plan: cfgmod.Plan, cell: Dict[str, object]) -> Dict[str, Tuple[int, ...]]:
+    """`cell`'s steps by plan key (plan.eval_steps defaults to its "final step"),
+    plus plan.claim's where CLAIMS says: the trunk is evaluated at a cooldown's
+    branch points and an LR sweep's final step, and LAWA steps are branched from."""
+    total = cell["schedule.total_steps"]
+    steps = {"plan.eval_steps": (total,) if plan.eval_steps is None else plan.eval_steps,
+             "final step": (total,), "plan.branch_steps": plan.branch_steps,
+             "plan.lawa_steps": plan.lawa_steps}
+    if plan.claim:
+        judged, into = CLAIMS[plan.claim][2]
+        steps[into] = tuple(sorted({*steps[into], *steps[judged]}))
+    return steps
+
+
 def _check_cell(plan: cfgmod.Plan, cell: Dict[str, object]) -> None:
     """Refuse what `build_data` refuses for `cell`'s run at plan.bits, and a
-    plan step the run saves no checkpoint at, branches from inside its
-    decay, that plan.claim judges but the plan does not evaluate or, for
-    LAWA steps, that is not a positive multiple of its lawa.interval."""
+    step of `plan_steps` the run saves no checkpoint at, a branch step
+    inside its decay, or a LAWA step that is not a positive multiple of
+    its lawa.interval."""
     total = cell["schedule.total_steps"]
     saved = ckpt_hook(cell, total).due
-    steps = {"plan.eval_steps": plan.eval_steps_of(cell), "final step": (total,),
-             "plan.branch_steps": plan.branch_steps, "plan.lawa_steps": plan.lawa_steps}
+    steps = plan_steps(plan, cell)
     unsaved = sorted({s for v in steps.values() for s in v if not (0 <= s <= total and saved(s))})
     if unsaved:
         raise ConfigError(f"a {total}-step run of this plan saves no checkpoint at steps {unsaved}")
-    for bs in plan.branch_steps:
+    for bs in steps["plan.branch_steps"]:
         branch_config(cell, bs)  # refuses a branch step inside the run's decay
     off = [s for s in plan.lawa_steps if s <= 0 or s % cell["lawa.interval"]]
     if off:
         raise ConfigError(f"plan.lawa_steps {off} are not positive multiples of "
                           f"lawa.interval ({cell['lawa.interval']})")
-    if plan.claim:
-        judged, within = CLAIMS[plan.claim][2]
-        missing = sorted(set(steps[judged]) - set(steps[within]))
-        if missing:
-            raise ConfigError(f"plan.claim {plan.claim} judges {judged} {missing}, "
-                              f"which {within} must include")
     build_data(cell, plan.bits)
 
 
 def cmd_sweep(
     plan_path: str, out_root: str, force: bool = False, overrides: Optional[List[str]] = None
 ) -> Tuple[cfgmod.Plan, List[str], str]:
-    """Run every cell of a plan (`cfgmod.Plan`, with --set `overrides`) and
-    write out_root/summary.csv, one row per cell with its final step's
-    metrics (blank if the plan does not evaluate that step), as evaluated.
+    """Run every cell of a plan (`cfgmod.Plan`, with --set `overrides`) at
+    its `plan_steps` and write out_root/summary.csv, one row per cell with
+    its final step's metrics as evaluated (blank if not evaluated).
 
     Each cell is checked (`_check_cell`; a refusal names its seed and axis
     values) before out_root is created. A rerun resumes each run, branch
@@ -719,12 +717,13 @@ def cmd_sweep(
         run_id = cfgmod.run_id_of(settings)
         row = {"run_id": run_id, "seed": str(seed),
                **{k: str(settings[k]) for k in plan.axes}, "final_step": str(final)}
+        steps = plan_steps(plan, settings)
         try:
             run_dir = cmd_train(settings, out_root, force=force)
-            trunk = {r.step: r for r in evaluate(run_dir, plan.eval_steps_of(settings))}
-            for bs in plan.branch_steps:
+            trunk = {r.step: r for r in evaluate(run_dir, steps["plan.eval_steps"])}
+            for bs in steps["plan.branch_steps"]:
                 child = cmd_branch(run_dir, bs, out_root=out_root, force=force)
-                evaluate(child, [cfgmod.schedule_spec(load_manifest(child)).total_steps])
+                evaluate(child, [branch_config(settings, bs)["schedule.total_steps"]])
             if plan.lawa_steps:
                 cmd_average(run_dir)
                 evaluate(run_dir, plan.lawa_steps, f"lawa{settings['lawa.k']}")
@@ -742,16 +741,14 @@ def cmd_sweep(
 def judge(plan: cfgmod.Plan, out_root: str) -> List[Comparison]:
     """plan.claim's comparisons over the plan's runs under out_root, each
     record read back by `records`. A trunk is found by its cell's run id, a
-    branch by its child's (`branch_config` of the trunk's manifest), and a
-    LAWA average as the trunk's lawa<k> family. Run ids hash data.path, so
-    `plan` needs the sweep's settings, though no corpus is read."""
+    branch by the run id of its settings (`branch_config` of the cell), and
+    a LAWA average as the trunk's lawa<k> family. Run ids hash data.path,
+    so `plan` needs the sweep's settings, though no corpus is read."""
     def read(cell: Dict[str, object], family: str, step: int) -> MetricRecord:
-        run_dir = os.path.join(out_root, cfgmod.run_id_of(cell))
         if family == "branch":
-            parent = load_manifest(run_dir)
-            child = branch_config(parent, step)
-            run_dir = os.path.join(out_root, cfgmod.run_id_of(child, (parent["run.id"], step)))
-            step = child["schedule.total_steps"]
+            cell = branch_config(cell, step)
+            step = cell["schedule.total_steps"]
+        run_dir = os.path.join(out_root, cfgmod.run_id_of(cell))
         kind = f"lawa{cell['lawa.k']}" if family == "lawa" else "ckpt"
         return records(run_dir, plan.bits, [step], kind)[0]
 

@@ -334,7 +334,7 @@ def test_criterion_11_lawa_matches_cooldown_quantized():
     last_details = ""
     for attempt, seeds in enumerate(attempts):
         results = _judge(
-            "lawa", "lawa", f"plan.branch_steps={final}", f"plan.lawa_steps={final}",
+            "lawa", "lawa", f"plan.lawa_steps={final}",
             "sweep.seeds=" + ",".join(map(str, seeds)),
         )  # 3 bits
         wins = sum(r.holds for r in results)

@@ -287,9 +287,8 @@ def test_cli_quantize_follows_manifest_then_set(tmp_path, trained_run, monkeypat
     cfg = cfgmod.apply_overrides(dict(manifest), sets)
     assert load_quantized(out).quant == cfgmod.quant_config(cfg, 3, method)
     # gptq first checks the run's own calibration set, then quantizes with
-    # it, or, after a --set, with one built under the new settings
-    own = manifest["quant.calib_samples"]
-    expect = [own, cfg["quant.calib_samples"]] if sets else [own]
+    # one built under the settings after --set (the same set without one)
+    expect = [manifest["quant.calib_samples"], cfg["quant.calib_samples"]]
     assert samples == (expect if method == "gptq" else [])
 
 
@@ -546,7 +545,7 @@ def test_every_error_class_exits_with_its_documented_code(monkeypatch):
         assert main(["average", "--run", "x"]) == want, cls
 
 
-def test_cli_train_from_a_manifest_reproduces_the_run(tmp_path, trained_run):
+def test_cli_train_from_a_manifest_reproduces_the_run(tmp_path, trained_run, capsys):
     from qlab import harness
 
     root = tmp_path / "again"
@@ -554,12 +553,21 @@ def test_cli_train_from_a_manifest_reproduces_the_run(tmp_path, trained_run):
     assert main(["train", "--config", manifest, "--out-root", str(root), "--stop-after", "10"]) == 0
     again = root / os.path.basename(trained_run)
     assert _bytes(str(again / "ckpt_10.qlab")) == _bytes(os.path.join(trained_run, "ckpt_10.qlab"))
-    # a branch's settings train as a run of their own, without the branch's lineage
-    branch = harness.cmd_branch(trained_run, 20, decay_steps=2, out_root=str(tmp_path / "b"))
-    assert harness.load_manifest(branch)["run.parent_id"]
-    assert main(["train", "--config", os.path.join(branch, harness.MANIFEST),
-                 "--out-root", str(root), "--stop-after", "0"]) == 0
-    fresh = {name for name in os.listdir(root)} - {os.path.basename(trained_run)}
-    assert len(fresh) == 1
-    copied = harness.load_manifest(str(root / fresh.pop()))
-    assert "run.parent_id" not in copied and "run.branch_step" not in copied
+    # a branch's manifest names the branch: it resumes where its run holds
+    # saved state, and cannot start anywhere else, for it starts from its
+    # parent's state, not from init
+    children = tmp_path / "b"
+    branch = harness.cmd_branch(trained_run, 20, decay_steps=2, out_root=str(children))
+    train = ["train", "--config", os.path.join(branch, harness.MANIFEST), "--out-root"]
+    assert main(train + [str(root)]) == 2
+    assert os.listdir(root) == [os.path.basename(trained_run)]
+    assert main(train + [str(children), "--force"]) == 2  # would start it afresh
+    assert os.path.exists(harness.ckpt_path(branch, 22))
+    last = [harness.ckpt_path(branch, 22), harness.opt_path(branch, 22)]
+    final = [_bytes(p) for p in last]
+    for p in last:
+        os.remove(p)
+    capsys.readouterr()
+    assert main(train + [str(children)]) == 0
+    assert capsys.readouterr().out == branch + "\n"
+    assert [_bytes(p) for p in last] == final

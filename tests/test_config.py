@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -69,7 +70,12 @@ def test_run_id_deterministic_and_sensitive():
     assert run_id_of(a) == run_id_of(b)
     c = resolve("", overrides=["data.path=/tmp/c.bin", "optim.peak_lr=1e-4"])
     assert run_id_of(c) != run_id_of(a)
-    assert run_id_of(a, parent=("ff" * 8, 100)) != run_id_of(a)
+    # a branch's lineage, carried in its settings, is hashed after them
+    branch = dict(a, **{"run.parent_id": "ff" * 8, "run.branch_step": 100})
+    assert run_id_of(branch) == hashlib.sha256(
+        (canonical_text(a) + f"parent = {'ff' * 8}@100\n").encode()).hexdigest()[:16]
+    assert run_id_of(branch) != run_id_of(a)
+    assert run_id_of(dict(branch, **{"run.branch_step": "100"})) == run_id_of(branch)
 
 
 def test_canonical_text_round_trips():
@@ -170,9 +176,15 @@ def test_load_plan_rejects_malformed_lines(tmp_path, line):
     ("sweep.optim.peak_lr = 1e-3, 0.001", "sweep.optim.peak_lr names 0.001 twice"),
     ("sweep.seeds =", "sweep.seeds names no value"),
     ("sweep.optim.peak_lr = ,", "sweep.optim.peak_lr names no value"),
+    ("plan.bits = 3, 3", "plan.bits names 3 twice"),
+    ("quant.bits = 4, 3, 4", "quant.bits names 4 twice"),  # plan.bits falls back to it
+    ("plan.eval_steps = 6, 6", "plan.eval_steps names 6 twice"),
+    ("plan.branch_steps = 6, 12, 6", "plan.branch_steps names 6 twice"),
+    ("plan.lawa_steps = 12, 12", "plan.lawa_steps names 12 twice"),
 ])
 def test_load_plan_refuses_an_empty_axis_and_a_value_named_twice(tmp_path, line, message):
-    # a repeated cell would be judged twice, and an empty axis leaves no cell
+    # a repeated cell, bit width or step would be run and judged twice, and
+    # an empty axis leaves no cell
     plan = tmp_path / "plan.cfg"
     plan.write_text(f"{line}\n")
     with pytest.raises(ConfigError, match=message):

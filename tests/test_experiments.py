@@ -31,9 +31,9 @@ MICRO_PROFILE = [
 
 # each tiny plan on an 18-step trunk: its thirds land on the micro profile's checkpoints
 SHRUNK = {
-    "cooldown": ["plan.branch_steps=6,12,18", "plan.eval_steps=6,12,18"],
+    "cooldown": ["plan.branch_steps=6,12,18"],
     "lr-sweep": [],
-    "lawa": ["plan.branch_steps=12,18", "plan.lawa_steps=12,18"],
+    "lawa": ["plan.lawa_steps=12,18"],
 }
 
 
@@ -165,6 +165,16 @@ def test_judge_reads_back_what_the_sweep_printed_without_the_corpus(swept):
         (root / "moved.bin").rename(corpus)
 
 
+def test_every_swept_run_is_named_by_its_manifest(swept):
+    root, _ = swept
+    runs = [d for d in (root / "runs").iterdir() if d.is_dir()]
+    # the lawa plan reuses the cooldown trunk and its branches from 12 and 18
+    assert sum("run.parent_id" in harness.load_manifest(str(d)) for d in runs) == 3
+    for d in runs:
+        manifest = harness.load_manifest(str(d))
+        assert d.name == manifest["run.id"] == cfgmod.run_id_of(manifest)
+
+
 def test_judge_names_the_run_and_step_whose_result_qeval_csv_lacks(swept, tmp_path):
     root, _ = swept
     runs = shutil.copytree(root / "runs", tmp_path / "runs")
@@ -197,17 +207,22 @@ def test_steps_without_checkpoints_exit_2_before_training(tmp_path, corpus_path,
     assert not out_root.exists()
 
 
-@pytest.mark.parametrize("protocol, steps", [
-    ("cooldown", ["plan.eval_steps=6,18"]),  # branch 12 has no trunk record to compare
-    ("lr-sweep", ["plan.eval_steps=12"]),  # the final step is not evaluated
-    ("lawa", ["plan.branch_steps=18"]),  # LAWA at 12 has no cooldown to compare
-])
-def test_steps_a_claim_cannot_judge_exit_2_before_training(
-    tmp_path, corpus_path, protocol, steps
-):
-    out_root = tmp_path / "runs"
-    assert main(_sweep_argv(protocol, corpus_path, out_root, *steps)) == 2
-    assert not out_root.exists()
+@pytest.mark.parametrize("protocol, steps, named", [
+    ("cooldown", "plan.eval_steps=6,18", "plan.eval_steps=6,12,18"),  # trunk at branch 12
+    ("lr-sweep", "plan.eval_steps=12", "plan.eval_steps=12,18"),  # the final step
+    ("lawa", "plan.branch_steps=18", "plan.branch_steps=12,18"),  # a cooldown from LAWA 12
+], ids=["cooldown", "lr-sweep", "lawa"])
+def test_a_sweep_adds_the_steps_its_claim_judges(tmp_path, corpus_path, capsys, protocol,
+                                                 steps, named):
+    # the plan that names a judged step too runs, writes and prints the same
+    printed, trees = [], []
+    for sets in ([steps], [named]):
+        out_root = tmp_path / str(len(trees))
+        assert main(_sweep_argv(protocol, corpus_path, out_root, *sets)) == 0
+        printed.append(capsys.readouterr().out.splitlines()[1:])
+        trees.append(_snapshot(out_root))
+    assert printed[0] == printed[1] and len(printed[0]) > 1
+    assert trees[0] == trees[1]
 
 
 def test_branch_inside_a_decay_exits_2_before_training(tmp_path, corpus_path):
@@ -268,7 +283,8 @@ def test_unknown_claim_exits_2(tmp_path):
 @pytest.mark.parametrize("setting", [
     "plan.bits=9", "quant.bits=9", "quant.method=awq", "optim.eps=0", "train.batch_size=0", "lawa.k=0",
     "schedule.min_lr=-1", "quant.calib_samples=100000", "optim.beta1=1", "model.n_heads=5",
-    "optim.variant=sgd", "sweep.seeds=1,1", "sweep.seeds=",
+    "optim.variant=sgd", "sweep.seeds=1,1", "sweep.seeds=", "plan.bits=3,3", "plan.eval_steps=6,6",
+    "plan.branch_steps=6,6", "plan.lawa_steps=12,12",
 ])
 def test_plan_quant_settings_no_eval_can_use_exit_2_before_any_run(tmp_path, corpus_path,
                                                                    setting):
@@ -318,14 +334,18 @@ def test_profile_defaults_follow_trunk_length():
         plans = {c: cfgmod.load_plan(os.path.join(PLANS, f"{c}-{stem}.plan")) for c in CLAIMS}
         for plan in plans.values():
             assert {c["schedule.total_steps"] for c in plan.cells} == {trunk}
-        assert plans["cooldown"].branch_steps == plans["cooldown"].eval_steps == thirds
-        assert plans["lawa"].branch_steps == plans["lawa"].lawa_steps == thirds[1:]
-        assert plans["lawa"].eval_steps == ()
+        cooldown, lawa = (harness.plan_steps(plans[c], plans[c].cells[0]) for c in ("cooldown", "lawa"))
+        assert cooldown["plan.branch_steps"] == cooldown["plan.eval_steps"] == thirds
+        assert lawa["plan.branch_steps"] == lawa["plan.lawa_steps"] == thirds[1:]
+        assert lawa["plan.eval_steps"] == ()
 
 
 # run ids of the desk experiments, computed before the profiles moved into
-# configs/desk.cfg; a changed id would orphan every cached desk run
+# configs/desk.cfg; a changed id would orphan every cached desk run. The
+# branch is seed 1's cooldown from step 10000, computed with its lineage
+# passed apart from its settings
 DESK_TRUNK_IDS = {1: "d1e15fd1f08e2d64", 2: "ba3e621846733ed8", 3: "f6dfbedd21b9d2d6"}
+DESK_BRANCH_ID = "0b4ad2502904d9ef"
 DESK_LR_SWEEP_IDS = {
     (1, 3e-4): "f9f7444b9a19555a", (1, 1e-3): "2cfb7cf6d934a9a7", (1, 3e-3): "bbf4e53f20bc3736",
     (2, 3e-4): "b120c729bc981a58", (2, 1e-3): "c989eb26695201e2", (2, 3e-3): "e0739361be815781",
@@ -345,3 +365,5 @@ def test_desk_run_ids_are_pinned():
                 for c in _desk_cells(protocol)} == DESK_TRUNK_IDS
     assert {(c["model.init_seed"], c["optim.peak_lr"]): cfgmod.run_id_of(c)
             for c in _desk_cells("lr-sweep")} == DESK_LR_SWEEP_IDS
+    seed1 = _desk_cells("cooldown")[0]
+    assert cfgmod.run_id_of(harness.branch_config(seed1, 10000)) == DESK_BRANCH_ID
