@@ -2,13 +2,13 @@
 
 Exit codes: 0 success, 2 config error (or a run's changed eval or calibration
 set, a result that conflicts with one already recorded, or a bad QLAB_THREADS
-in a command that runs a parallel region), which `train`, `eval` and `sweep`
-find before they write anything (`sweep` checks every cell, and names the
-one it refuses), 3 numeric failure, 4 partial sweep/eval failure. Unset run
-settings (bits, method, LAWA k and interval) come from the run's manifest.
-`eval` and `sweep` record every result in a run's qeval.csv and reuse the
-ones it holds; `--force` recomputes them. metrics.csv shows the manifest
-method's 3- and 4-bit results.
+in a command that runs a parallel region), which `train`, `branch`, `eval`
+and `sweep` find before they write anything (`sweep` checks every cell, and
+names the one it refuses), 3 numeric failure, 4 partial sweep/eval failure.
+Unset run settings (bits, method, LAWA k and interval) come from the run's
+manifest. `eval` and `sweep` record every result in a run's qeval.csv and
+reuse the ones it holds; `--force` recomputes them. metrics.csv shows the
+manifest method's 3- and 4-bit results.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("branch", help="cool down a trunk run from a branch step")
     sp.add_argument("--run", required=True, help="parent run directory")
     sp.add_argument("--step", required=True, type=int)
-    sp.add_argument("--decay-frac", type=float, default=0.1)
-    sp.add_argument("--decay-steps", type=int, default=None)
-    sp.add_argument("--out-root", default=None)
+    decay = sp.add_mutually_exclusive_group()
+    decay.add_argument("--decay-frac", type=float, default=0.1)
+    decay.add_argument("--decay-steps", type=int, default=None)
     sp.add_argument("--force", action="store_true")
 
     sp = sub.add_parser("quantize", help="quantize a single checkpoint file")
@@ -112,7 +112,8 @@ def _cmd_quantize(args) -> int:
     manifest = os.path.join(os.path.dirname(os.path.abspath(args.ckpt)), cfgmod.MANIFEST)
     run_cfg = cfgmod.resolve(args.config or (manifest if os.path.isfile(manifest) else ""))
     cfg = cfgmod.apply_overrides(dict(run_cfg), args.set)
-    qcfg = cfgmod.quant_config(cfg, args.bits, args.method)
+    cfg["quant.method"] = args.method or cfg["quant.method"]
+    qcfg = cfgmod.quant_config(cfg, args.bits)
     # the run's own sets must still be the recorded ones; --set may then
     # choose another calibration set (say, fewer samples) from it
     calib = harness.build_data(run_cfg).calibration(cfg) if qcfg.calibrated else None
@@ -153,11 +154,8 @@ def _dispatch(args) -> int:
         print(run_dir)
         return 0
     if args.cmd == "branch":
-        run_dir = harness.cmd_branch(
-            args.run, args.step, args.decay_frac,
-            out_root=args.out_root, decay_steps=args.decay_steps, force=args.force,
-        )
-        print(run_dir)
+        print(harness.cmd_branch(args.run, args.step, args.decay_frac, args.decay_steps,
+                                 args.force))
         return 0
     if args.cmd == "quantize":
         return _cmd_quantize(args)

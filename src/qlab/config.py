@@ -334,12 +334,12 @@ def schedule_spec(cfg: Dict[str, object]) -> ScheduleSpec:
     )
 
 
-def quant_config(cfg: Dict[str, object], bits: int, method: Optional[str] = None) -> QuantConfig:
+def quant_config(cfg: Dict[str, object], bits: int) -> QuantConfig:
     return QuantConfig(
         bits=bits,
         group_size=cfg["quant.group_size"],
         damping_frac=cfg["quant.damping_frac"],
         propagate_quantized=cfg["quant.propagate"],
-        method=method or cfg["quant.method"],
+        method=cfg["quant.method"],
         static_groups=cfg["quant.static_groups"],
     )

@@ -15,10 +15,11 @@ metrics.csv by (run_id, step), whose quantized columns show the manifest
 method's 3- and 4-bit results, and the high-frequency norms.csv by step.
 A rerun resumes and re-emits identical rows, which merge; a row that
 differs raises MergeError. A quantize-eval computes only the results
-qeval.csv lacks, and reads every record back from it. Cooldown branches
-resume the parent's checkpoint, optimizer state, and data cursor, so a
-branch plus its trunk prefix is step-for-step identical to the
-equivalent single WSD run.
+qeval.csv lacks, and reads every record back from it. A cooldown branch
+is a run whose settings carry lineage (`branch_config`): `cmd_train`
+starts it from its parent's checkpoint, optimizer state and data cursor,
+read from the same out-root, so a branch plus its trunk prefix is
+step-for-step identical to the equivalent single WSD run.
 """
 
 from __future__ import annotations
@@ -231,7 +232,6 @@ def cmd_train(
     out_root: str,
     force: bool = False,
     stop_after: Optional[int] = None,
-    start_state: Optional[Callable[[], Tuple[Checkpoint, OptimState, int]]] = None,
 ) -> str:
     """Train under `cfg` into out_root/<run_id>; returns the run directory.
 
@@ -240,8 +240,11 @@ def cmd_train(
     its manifest's data sets still match; a run already there at the
     target returns at once and reads nothing. With no such step, or with
     `force`, it starts fresh (deleting the old run) and rewrites its
-    manifest; a branch (`branch_config`) starts only from `start_state`,
-    its parent's checkpoint, optimizer state and data cursor (else a ConfigError).
+    manifest: from init, or for a branch (settings with lineage, as
+    `branch_config` makes them) from the checkpoint, optimizer state and
+    data cursor that out_root/<run.parent_id> saved at run.branch_step, on
+    the data sets that parent's manifest records. Everything a start reads
+    is read and verified before the first write.
     """
     spec = cfgmod.schedule_spec(cfg)
     run_id = cfgmod.run_id_of(cfg)
@@ -252,11 +255,28 @@ def cmd_train(
     if saved and saved[-1] >= target:
         return run_dir
     lineage = {k: str(cfg[k]) for k in ("run.parent_id", "run.branch_step") if cfg.get(k)}
-    if lineage and not saved and start_state is None:
-        raise ConfigError(f"branch {run_id} needs its parent's state (`qlab branch`) or its own "
-                          f"saved in {run_dir}")
-    # before any write: a config error or changed data leaves the run as it was
-    data = build_data(load_manifest(run_dir) if saved else cfg)
+    # before any write: a config error, changed data or a missing or corrupt
+    # start state leaves the run as it was, and makes no directory
+    start, checked = None, cfg  # the saved state it starts from; what build_data checks
+    if saved:
+        start, checked = (run_dir, saved[-1]), load_manifest(run_dir)
+    elif lineage:
+        start = os.path.join(out_root, lineage["run.parent_id"]), int(lineage["run.branch_step"])
+        for p in (ckpt_path(*start), opt_path(*start)):
+            if not os.path.exists(p):
+                raise ConfigError(f"branch {run_id} starts from {p}, which does not exist: "
+                                  f"train its parent into {out_root} with a checkpoint at "
+                                  f"step {start[1]}")
+        parent = load_manifest(start[0])  # a branch runs on the sets its parent recorded
+        checked = dict(cfg, **{k: parent.get(k) for k in
+                               ("run.id", "run.eval_set_hash", "run.calib_set_hash")})
+    data = build_data(checked)
+    if start:
+        ckpt = load_checkpoint(ckpt_path(*start))
+        opt_state, cursor = load_opt_state(opt_path(*start))
+    else:
+        ckpt = init(cfgmod.model_config(cfg))
+        opt_state, cursor = init_opt_state(ckpt), 0
     if force and os.path.isdir(run_dir):
         shutil.rmtree(run_dir)
     os.makedirs(run_dir, exist_ok=True)
@@ -280,18 +300,9 @@ def cmd_train(
         if not os.path.exists(opath):
             save_opt_state(opath, opt_state, cursor)
 
-    if saved:
-        ckpt = load_checkpoint(ckpt_path(run_dir, saved[-1]))
-        opt_state, cursor = load_opt_state(opt_path(run_dir, saved[-1]))
-    else:
+    if not saved:
         write_manifest(run_dir, cfg, {"run.id": run_id, "run.eval_set_hash": data.eval_hash,
                                       "run.calib_set_hash": data.calib_hash, **lineage})
-        if start_state is not None:
-            ckpt, opt_state, cursor = start_state()
-        else:
-            ckpt = init(cfgmod.model_config(cfg))
-            opt_state = init_opt_state(ckpt)
-            cursor = 0
         save_state(ckpt, opt_state, cursor)
     if ckpt.step >= target:
         return run_dir
@@ -354,41 +365,30 @@ def _duration(seconds: float) -> str:
     return f"{s // 60}m{s % 60:02d}s" if s >= 60 else f"{s}s"
 
 
-def cmd_branch(
-    parent_dir: str,
-    branch_step: int,
-    decay_frac: float = 0.1,
-    out_root: Optional[str] = None,
-    decay_steps: Optional[int] = None,
-    force: bool = False,
-) -> str:
-    """Cool down a trunk from `branch_step` as `branch_config` says; returns
-    the child run directory. Like `cmd_train`, a rerun resumes the child (a
+def cmd_branch(parent_dir: str, branch_step: int, decay_frac: float = 0.1,
+               decay_steps: Optional[int] = None, force: bool = False) -> str:
+    """Cool down the run in `parent_dir` from `branch_step` as `branch_config`
+    says, next to it in its out-root; returns the child run directory. It
+    is `cmd_train` of the branch's settings: a rerun resumes the child (a
     finished one reads nothing, not even the parent's checkpoint), and
     `force` redoes it."""
-    cfg = load_manifest(parent_dir)
-    cpath, opath = ckpt_path(parent_dir, branch_step), opt_path(parent_dir, branch_step)
-    for p in (cpath, opath):
-        if not os.path.exists(p):
-            raise ConfigError(f"branch point {branch_step} needs {p}; rerun training with a "
-                              f"checkpoint interval that lands on step {branch_step}")
-    return cmd_train(branch_config(cfg, branch_step, decay_frac, decay_steps),
-                     out_root or os.path.dirname(os.path.abspath(parent_dir)), force=force,
-                     start_state=lambda: (load_checkpoint(cpath), *load_opt_state(opath)))
+    cfg = branch_config(load_manifest(parent_dir), branch_step, decay_frac, decay_steps)
+    return cmd_train(cfg, os.path.dirname(os.path.abspath(parent_dir)), force=force)
 
 
 def branch_config(cfg: Dict[str, object], branch_step: int, decay_frac: float = 0.1,
                   decay_steps: Optional[int] = None) -> Dict[str, object]:
     """The settings of a cooldown branch from `branch_step` of the run with
     settings `cfg`, lineage included (run.parent_id, run.branch_step), so
-    `run_id_of` of them names the branch. The cooldown length defaults to
-    decay_frac * branch_step and is at least 2 steps (`decay_steps` below
-    2, or a `decay_frac` of 0 or below, is a ConfigError): a WSD decay's
-    last step runs at schedule.min_lr (0 by default), so one step would do
-    nothing a constant run does not. The child's schedule is the WSD run
-    that matches the trunk up to the branch point and then decays linearly
-    to the trunk's schedule.min_lr; its schedule.total_steps is the
-    branch's final step.
+    `run_id_of` of them names the branch and `cmd_train` of them starts it
+    from its parent's saved state in the same out-root. The cooldown
+    length defaults to decay_frac * branch_step and is at least 2 steps
+    (`decay_steps` below 2, or a `decay_frac` of 0 or below, is a
+    ConfigError): a WSD decay's last step runs at schedule.min_lr (0 by
+    default), so one step would do nothing a constant run does not. The
+    child's schedule is the WSD run that matches the trunk up to the
+    branch point and then decays linearly to the trunk's schedule.min_lr;
+    its schedule.total_steps is the branch's final step.
     """
     parent_spec = cfgmod.schedule_spec(cfg)
     if parent_spec.decay_steps and branch_step > parent_spec.total_steps - parent_spec.decay_steps:
@@ -722,8 +722,8 @@ def cmd_sweep(
             run_dir = cmd_train(settings, out_root, force=force)
             trunk = {r.step: r for r in evaluate(run_dir, steps["plan.eval_steps"])}
             for bs in steps["plan.branch_steps"]:
-                child = cmd_branch(run_dir, bs, out_root=out_root, force=force)
-                evaluate(child, [branch_config(settings, bs)["schedule.total_steps"]])
+                branch = branch_config(settings, bs)
+                evaluate(cmd_train(branch, out_root, force=force), [branch["schedule.total_steps"]])
             if plan.lawa_steps:
                 cmd_average(run_dir)
                 evaluate(run_dir, plan.lawa_steps, f"lawa{settings['lawa.k']}")

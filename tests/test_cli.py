@@ -1,5 +1,6 @@
 import logging
 import os
+import shutil
 
 import pytest
 
@@ -152,26 +153,40 @@ def trained_run(tmp_path_factory, cfg_file):
     return os.path.join(root, run_id_of(resolve(cfg_file)))
 
 
+def _trunk_copy(tmp_path, trained_run):
+    """trained_run copied into a fresh out-root, where its branches land."""
+    copy = str(tmp_path / "runs" / os.path.basename(trained_run))
+    shutil.copytree(trained_run, copy)
+    return copy
+
+
+def _no_child(trunk):
+    """Whether the trunk's out-root holds the trunk only."""
+    return os.listdir(os.path.dirname(trunk)) == [os.path.basename(trunk)]
+
+
 def test_cli_branch_negative_decay_steps_is_config_error(tmp_path, trained_run):
-    root = tmp_path / "children"
-    assert main(["branch", "--run", trained_run, "--step", "10", "--decay-steps", "-3",
-                 "--out-root", str(root)]) == 2
-    assert not root.exists()
+    trunk = _trunk_copy(tmp_path, trained_run)
+    branch = ["branch", "--run", trunk, "--step", "10"]
+    assert main(branch + ["--decay-steps", "-3"]) == 2
+    assert _no_child(trunk)
+    with pytest.raises(SystemExit) as exc:  # a fraction and a length: one would be dropped
+        main(branch + ["--decay-frac", "0.5", "--decay-steps", "3"])
+    assert exc.value.code == 2
+    assert _no_child(trunk)
 
 
 def test_cli_branch_one_decay_step_is_config_error(tmp_path, trained_run):
-    root = tmp_path / "children"
-    assert main(["branch", "--run", trained_run, "--step", "10", "--decay-steps", "1",
-                 "--out-root", str(root)]) == 2
-    assert not root.exists()
+    trunk = _trunk_copy(tmp_path, trained_run)
+    assert main(["branch", "--run", trunk, "--step", "10", "--decay-steps", "1"]) == 2
+    assert _no_child(trunk)
 
 
 @pytest.mark.parametrize("frac", ["0", "-1"])
 def test_cli_branch_nonpositive_decay_frac_is_config_error(tmp_path, trained_run, frac):
-    root = tmp_path / "children"
-    assert main(["branch", "--run", trained_run, "--step", "10", "--decay-frac", frac,
-                 "--out-root", str(root)]) == 2
-    assert not root.exists()
+    trunk = _trunk_copy(tmp_path, trained_run)
+    assert main(["branch", "--run", trunk, "--step", "10", "--decay-frac", frac]) == 2
+    assert _no_child(trunk)
 
 
 def _tree_bytes(root):
@@ -185,8 +200,8 @@ def _tree_bytes(root):
 
 
 def test_cli_branch_rerun_resumes(tmp_path, trained_run, capsys):
-    args = ["branch", "--run", trained_run, "--step", "10", "--decay-steps", "2",
-            "--out-root", str(tmp_path / "children")]
+    args = ["branch", "--run", _trunk_copy(tmp_path, trained_run), "--step", "10",
+            "--decay-steps", "2"]
     assert main(args) == 0
     child = capsys.readouterr().out.strip()
     before = _tree_bytes(child)
@@ -285,7 +300,8 @@ def test_cli_quantize_follows_manifest_then_set(tmp_path, trained_run, monkeypat
     manifest = harness.load_manifest(trained_run)
     assert (manifest["quant.group_size"], manifest["quant.calib_samples"]) == (32, 4)
     cfg = cfgmod.apply_overrides(dict(manifest), sets)
-    assert load_quantized(out).quant == cfgmod.quant_config(cfg, 3, method)
+    cfg["quant.method"] = method
+    assert load_quantized(out).quant == cfgmod.quant_config(cfg, 3)
     # gptq first checks the run's own calibration set, then quantizes with
     # one built under the settings after --set (the same set without one)
     expect = [manifest["quant.calib_samples"], cfg["quant.calib_samples"]]
@@ -472,15 +488,16 @@ def test_cli_resume_on_a_changed_corpus_exits_2_and_changes_nothing(tmp_path, cf
 
 def test_cli_branch_of_a_run_on_a_changed_corpus_exits_2_and_makes_no_child(tmp_path, cfg_file):
     _, run_dir, corpus = _run_on_its_own_corpus(tmp_path, cfg_file)
-    branch = ["branch", "--run", run_dir, "--step", "10", "--out-root"]
-    kept = str(tmp_path / "kept")
-    assert main(branch + [kept]) == 0
+    copy = str(tmp_path / "copy" / os.path.basename(run_dir))
+    shutil.copytree(run_dir, copy)
+    branch = ["branch", "--step", "10", "--run"]
+    assert main(branch + [run_dir]) == 0
+    kept = os.path.dirname(run_dir)
     child = _tree_bytes(kept)
     _change(corpus)
-    children = tmp_path / "children"
-    assert main(branch + [str(children)]) == 2
-    assert not children.exists()
-    assert main(branch + [kept, "--force"]) == 2  # refused before --force deletes the child
+    assert main(branch + [copy]) == 2
+    assert _no_child(copy)
+    assert main(branch + [run_dir, "--force"]) == 2  # refused before --force deletes the child
     assert _tree_bytes(kept) == child
     # eval and quantize refuse the run too
     assert main(["eval", "--run", run_dir, "--method", "rtn", "--steps", "10"]) == 2
@@ -553,21 +570,21 @@ def test_cli_train_from_a_manifest_reproduces_the_run(tmp_path, trained_run, cap
     assert main(["train", "--config", manifest, "--out-root", str(root), "--stop-after", "10"]) == 0
     again = root / os.path.basename(trained_run)
     assert _bytes(str(again / "ckpt_10.qlab")) == _bytes(os.path.join(trained_run, "ckpt_10.qlab"))
-    # a branch's manifest names the branch: it resumes where its run holds
-    # saved state, and cannot start anywhere else, for it starts from its
-    # parent's state, not from init
-    children = tmp_path / "b"
-    branch = harness.cmd_branch(trained_run, 20, decay_steps=2, out_root=str(children))
+    # a branch's manifest names the branch: it starts from its parent's
+    # state at the branch step, in the out-root it is given
+    trunk = _trunk_copy(tmp_path, trained_run)
+    branch = harness.cmd_branch(trunk, 20, decay_steps=2)
     train = ["train", "--config", os.path.join(branch, harness.MANIFEST), "--out-root"]
-    assert main(train + [str(root)]) == 2
+    assert main(train + [str(root)]) == 2  # the trunk there stopped at step 10
     assert os.listdir(root) == [os.path.basename(trained_run)]
-    assert main(train + [str(children), "--force"]) == 2  # would start it afresh
-    assert os.path.exists(harness.ckpt_path(branch, 22))
+    finished = _tree_bytes(branch)
     last = [harness.ckpt_path(branch, 22), harness.opt_path(branch, 22)]
-    final = [_bytes(p) for p in last]
     for p in last:
         os.remove(p)
     capsys.readouterr()
-    assert main(train + [str(children)]) == 0
+    out_root = os.path.dirname(trunk)
+    assert main(train + [out_root]) == 0  # resumes at step 20
     assert capsys.readouterr().out == branch + "\n"
-    assert [_bytes(p) for p in last] == final
+    assert _tree_bytes(branch) == finished
+    assert main(train + [out_root, "--force"]) == 0  # starts afresh from the parent's state
+    assert _tree_bytes(branch) == finished

@@ -193,6 +193,37 @@ def test_judge_names_the_run_and_step_whose_result_qeval_csv_lacks(swept, tmp_pa
         harness.judge(plan, str(runs))
 
 
+def test_one_branch_started_three_ways_writes_the_same_bytes(tmp_path, corpus_path, capsys):
+    # a micro cooldown sweep, `qlab branch`, and `qlab train` of the branch's
+    # manifest, each into an out-root that holds the trunk; the last two are
+    # evaluated as the sweep evaluates a branch
+    swept = tmp_path / "swept"
+    assert main(_sweep_argv("cooldown", corpus_path, swept, "schedule.total_steps=12",
+                            "plan.branch_steps=12")) == 0
+    manifests = {d.name: harness.load_manifest(str(d)) for d in swept.iterdir() if d.is_dir()}
+    (child_id,) = [name for name, m in manifests.items() if m.get("run.parent_id")]
+    trunk_id = manifests[child_id]["run.parent_id"]
+    root = tmp_path / "runs"
+    shutil.copytree(swept / trunk_id, root / trunk_id)
+    child = str(root / child_id)
+    evaluate = ["eval", "--run", child, "--bits", "3", "--steps", "14"]  # a 2-step cooldown
+    capsys.readouterr()
+    assert main(["branch", "--run", str(root / trunk_id), "--step", "12"]) == 0
+    assert capsys.readouterr().out == child + "\n"
+    assert main(evaluate) == 0
+    branched = _snapshot(child)
+    saved = tmp_path / "saved"  # under another name, the run.* keys would be refused
+    saved.mkdir()
+    shutil.copy(os.path.join(child, harness.MANIFEST), saved / harness.MANIFEST)
+    shutil.rmtree(child)
+    capsys.readouterr()
+    assert main(["train", "--config", str(saved / harness.MANIFEST), "--out-root",
+                 str(root)]) == 0
+    assert capsys.readouterr().out == child + "\n"
+    assert main(evaluate) == 0
+    assert _snapshot(swept / child_id) == branched == _snapshot(child)
+
+
 @pytest.mark.parametrize("protocol, steps", [
     ("cooldown", ["schedule.total_steps=10", "plan.branch_steps=3,6,10",
                   "plan.eval_steps=3,6,10"]),  # thirds of 10: no ckpt_3

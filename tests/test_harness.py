@@ -12,6 +12,7 @@ from qlab.harness import (
     METRICS,
     NORMS,
     QEVAL,
+    branch_config,
     ckpt_path,
     cmd_average,
     cmd_branch,
@@ -186,25 +187,48 @@ def test_branch_whose_parent_failed_to_load_reruns_once_repaired(tmp_path, corpu
     )
     root = str(tmp_path / "runs")
     trunk = cmd_train(cfg, root)
-    unbroken = cmd_branch(trunk, 20, decay_steps=4, out_root=str(tmp_path / "unbroken"))
+    copy = str(tmp_path / "unbroken" / os.path.basename(trunk))
+    shutil.copytree(trunk, copy)
+    unbroken = cmd_branch(copy, 20, decay_steps=4)
     good = read_bytes(ckpt_path(trunk, 20))
     with open(ckpt_path(trunk, 20), "wb") as f:  # one payload byte flipped: a bad checksum
         f.write(good[:-40] + bytes([good[-40] ^ 1]) + good[-39:])
-    with pytest.raises(QlabError):
-        cmd_branch(trunk, 20, decay_steps=4, out_root=root)
-    child = os.path.join(root, os.path.basename(unbroken))
-    assert os.listdir(child) == [MANIFEST]  # the start failed after the manifest
+    with pytest.raises(QlabError) as exc:
+        cmd_branch(trunk, 20, decay_steps=4)
+    assert ckpt_path(trunk, 20) in str(exc.value)
+    assert os.listdir(root) == [os.path.basename(trunk)]  # refused before the first write
     with open(ckpt_path(trunk, 20), "wb") as f:
         f.write(good)
-    assert cmd_branch(trunk, 20, decay_steps=4, out_root=root) == child
+    child = cmd_branch(trunk, 20, decay_steps=4)
+    assert child == os.path.join(root, os.path.basename(unbroken))
     assert run_files(child) == run_files(unbroken)
 
 
+def test_branch_refuses_a_corpus_changed_since_its_parent_trained(tmp_path):
+    from conftest import make_corpus_bytes
+
+    corpus = tmp_path / "corpus.bin"
+    corpus.write_bytes(make_corpus_bytes())
+    cfg = micro_train_config(
+        str(corpus),
+        **{"schedule.kind": "constant", "schedule.total_steps": 12, "schedule.decay_frac": 0.0},
+    )
+    root = str(tmp_path / "runs")
+    trunk = cmd_train(cfg, root)
+    corpus.write_bytes(make_corpus_bytes(seed=5))
+    # the settings record no data sets (a sweep's cell): the parent's manifest does
+    with pytest.raises(ConfigError, match=f"eval set hash mismatch for run {run_id_of(cfg)}"):
+        cmd_train(branch_config(cfg, 12), root)
+    assert os.listdir(root) == [os.path.basename(trunk)]
+
+
 def test_branch_requires_checkpoint(trained_run):
-    _, run_dir = trained_run
+    cfg, run_dir = trained_run
     with pytest.raises(ConfigError) as exc:
         cmd_branch(run_dir, 33)
-    assert "33" in str(exc.value)
+    assert ckpt_path(run_dir, 33) in str(exc.value)
+    child = run_id_of(branch_config(cfg, 33))
+    assert not os.path.exists(os.path.join(os.path.dirname(run_dir), child))
 
 
 def test_branch_matches_equivalent_single_run(tmp_path, corpus_path):
@@ -216,7 +240,7 @@ def test_branch_matches_equivalent_single_run(tmp_path, corpus_path):
     )
     root = str(tmp_path / "runs")
     trunk = cmd_train(cfg, root)
-    child = cmd_branch(trunk, 40, decay_steps=10, out_root=root)
+    child = cmd_branch(trunk, 40, decay_steps=10)
     man = load_manifest(child)
     assert man["run.parent_id"] == load_manifest(trunk)["run.id"]
     assert int(man["run.branch_step"]) == 40
@@ -243,7 +267,7 @@ def test_branch_decays_to_the_parents_min_lr(tmp_path, corpus_path):
            "schedule.warmup_frac": 0.1, "schedule.decay_frac": 0.0},
     )
     root = str(tmp_path / "runs")
-    child = cmd_branch(cmd_train(cfg, root), 20, decay_steps=4, out_root=root)
+    child = cmd_branch(cmd_train(cfg, root), 20, decay_steps=4)
     assert load_manifest(child)["schedule.min_lr"] == min_lr
     header, *_, last = read(os.path.join(child, NORMS)).strip().splitlines()
     final = dict(zip(header.split(","), last.split(",")))
@@ -254,7 +278,7 @@ def test_branch_of_wsd_at_decay_start_continues_identically(tmp_path, corpus_pat
     cfg = micro_train_config(corpus_path)  # wsd total 60, decay 12 -> decay starts at 48
     root = str(tmp_path / "runs")
     trunk = cmd_train(cfg, root)
-    child = cmd_branch(trunk, 48, decay_steps=12, out_root=root)
+    child = cmd_branch(trunk, 48, decay_steps=12)
     for step in (50, 60):
         a = load_checkpoint(ckpt_path(trunk, step))
         b = load_checkpoint(ckpt_path(child, step))
@@ -270,8 +294,8 @@ def test_branch_shares_trunk_prefix(tmp_path, corpus_path):
     )
     root = str(tmp_path / "runs")
     trunk = cmd_train(cfg, root)
-    c1 = cmd_branch(trunk, 20, decay_steps=5, out_root=root)
-    c2 = cmd_branch(trunk, 30, decay_steps=5, out_root=root)
+    c1 = cmd_branch(trunk, 20, decay_steps=5)
+    c2 = cmd_branch(trunk, 30, decay_steps=5)
     assert c1 != c2
     t = read_bytes(ckpt_path(trunk, 20))
     assert read_bytes(ckpt_path(c1, 20)) == t  # branch starts from the trunk state
@@ -287,7 +311,7 @@ def test_default_cooldown_takes_at_least_two_steps(tmp_path, corpus_path):
     )
     root = str(tmp_path / "runs")
     trunk = cmd_train(cfg, root)
-    child = cmd_branch(trunk, 6, out_root=root)
+    child = cmd_branch(trunk, 6)
     spec = schedule_spec(load_manifest(child))
     assert spec.total_steps == 8 and spec.decay_steps == 2
     a = load_checkpoint(ckpt_path(trunk, 6))
@@ -330,12 +354,12 @@ def test_branch_loads_its_parent_only_when_it_starts_fresh(tmp_path, corpus_path
     )
     root = str(tmp_path / "runs")
     trunk = cmd_train(cfg, root)
-    child = cmd_branch(trunk, 20, decay_steps=4, out_root=root)
+    child = cmd_branch(trunk, 20, decay_steps=4)
     assert loads == [ckpt_path(trunk, 20), opt_path(trunk, 20)]
     del loads[:]
-    assert cmd_branch(trunk, 20, decay_steps=4, out_root=root) == child
+    assert cmd_branch(trunk, 20, decay_steps=4) == child
     assert loads == []  # neither the parent's state nor the finished child's
-    cmd_branch(trunk, 20, decay_steps=4, out_root=root, force=True)
+    cmd_branch(trunk, 20, decay_steps=4, force=True)
     assert loads == [ckpt_path(trunk, 20), opt_path(trunk, 20)]
 
 
@@ -686,8 +710,8 @@ def test_lineage_forms_forest(tmp_path, corpus_path):
     )
     root = str(tmp_path / "runs")
     trunk = cmd_train(cfg, root)
-    child = cmd_branch(trunk, 20, decay_steps=4, out_root=root)
-    grand = cmd_branch(child, 20, decay_steps=2, out_root=root)
+    child = cmd_branch(trunk, 20, decay_steps=4)
+    grand = cmd_branch(child, 20, decay_steps=2)
     trunk_m, child_m, grand_m = (load_manifest(d) for d in (trunk, child, grand))
     assert not trunk_m.get("run.parent_id")
     assert child_m["run.parent_id"] == trunk_m["run.id"]
